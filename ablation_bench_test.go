@@ -18,6 +18,17 @@ import (
 	"repro/internal/xpath"
 )
 
+// buildAndRun builds strat's tree against env and runs it serially — what
+// a pinned read does per call, against an env the ablation has tweaked.
+func buildAndRun(env *plan.Env, strat plan.Strategy, pat *xpath.Pattern) (*plan.ExecStats, error) {
+	t, err := plan.Build(env, strat, pat)
+	if err != nil {
+		return nil, err
+	}
+	_, es, err := plan.ExecuteTree(env, t)
+	return es, err
+}
+
 // BenchmarkAblationINLFactor sweeps the index-nested-loop threshold on the
 // Figure 12(d) query: factor -1 disables INL (DP degenerates to RP's merge
 // plan), larger factors demand more skew before probing.
@@ -34,7 +45,7 @@ func BenchmarkAblationINLFactor(b *testing.B) {
 			var err error
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, es, err = plan.Execute(&env, plan.DataPathsPlan, pat)
+				es, err = buildAndRun(&env, plan.DataPathsPlan, pat)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -69,7 +80,7 @@ func BenchmarkAblationBranchOrder(b *testing.B) {
 			var err error
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, es, err = plan.Execute(&env, plan.RootPathsPlan, pat)
+				es, err = buildAndRun(&env, plan.RootPathsPlan, pat)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -90,11 +101,11 @@ func BenchmarkSec7UpdateAuthor(b *testing.B) {
 		if err := db.Build(index.KindRootPaths, index.KindDataPaths); err != nil {
 			b.Fatal(err)
 		}
-		ids, _, err := db.Query(`/site/people`, plan.RootPathsPlan)
-		if err != nil || len(ids) != 1 {
-			b.Fatalf("people: %v %v", ids, err)
+		people, err := db.Read(xpath.MustParse(`/site/people`), engine.ReadOpts{Strategy: plan.RootPathsPlan, Workers: 1})
+		if err != nil || len(people.IDs) != 1 {
+			b.Fatalf("people: %v %v", people.IDs, err)
 		}
-		return db, ids[0]
+		return db, people.IDs[0]
 	}
 
 	b.Run("incremental", func(b *testing.B) {

@@ -53,19 +53,20 @@ func benchQuery(b *testing.B, ds *bench.Dataset, q workload.Query, strat plan.St
 		b.Fatal(err)
 	}
 	// Warm the buffer pool, as the paper does.
-	if _, _, err := ds.DB.QueryPattern(pat, strat); err != nil {
+	opts := engine.ReadOpts{Strategy: strat, Workers: 1}
+	if _, err := ds.DB.Read(pat, opts); err != nil {
 		b.Fatal(err)
 	}
-	var es *plan.ExecStats
+	var res engine.ReadResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, es, err = ds.DB.QueryPattern(pat, strat)
+		res, err = ds.DB.Read(pat, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	if es != nil {
+	if es := res.Stats; es != nil {
 		b.ReportMetric(float64(es.RowsScanned), "rows/op")
 		b.ReportMetric(float64(es.IndexLookups), "lookups/op")
 		b.ReportMetric(float64(es.INLProbes), "inlprobes/op")

@@ -45,15 +45,16 @@ func BenchmarkExtensionXRelRecursion(b *testing.B) {
 		for _, s := range []plan.Strategy{plan.DataPathsPlan, plan.XRelPlan} {
 			s := s
 			b.Run(fmt.Sprintf("%s/%s", q.ID, s), func(b *testing.B) {
-				var es *plan.ExecStats
+				var res engine.ReadResult
 				var err error
 				for i := 0; i < b.N; i++ {
-					_, es, err = plan.Execute(db.Env(), s, pat)
+					res, err = db.Read(pat, engine.ReadOpts{Strategy: s, Workers: 1})
 					if err != nil {
 						b.Fatal(err)
 					}
 				}
 				b.StopTimer()
+				es := res.Stats
 				b.ReportMetric(float64(es.IndexLookups), "lookups/op")
 				b.ReportMetric(float64(es.RelationsUsed), "pathids/op")
 			})
@@ -77,15 +78,16 @@ func BenchmarkExtensionStructuralJoin(b *testing.B) {
 			for _, s := range []plan.Strategy{plan.RootPathsPlan, plan.DataPathsPlan, plan.StructuralJoinPlan} {
 				s := s
 				b.Run(fmt.Sprintf("%s/%s", q.ID, s), func(b *testing.B) {
-					var es *plan.ExecStats
+					var res engine.ReadResult
 					var err error
 					for i := 0; i < b.N; i++ {
-						_, es, err = plan.Execute(db.Env(), s, pat)
+						res, err = db.Read(pat, engine.ReadOpts{Strategy: s, Workers: 1})
 						if err != nil {
 							b.Fatal(err)
 						}
 					}
 					b.StopTimer()
+					es := res.Stats
 					b.ReportMetric(float64(es.RowsScanned), "rows/op")
 					b.ReportMetric(float64(es.Join.TuplesIn), "jointuples/op")
 				})

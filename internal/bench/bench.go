@@ -70,6 +70,11 @@ type Measurement struct {
 	Stats    plan.ExecStats
 }
 
+// pinnedOpts is a serial read pinned to strategy s.
+func pinnedOpts(s plan.Strategy) engine.ReadOpts {
+	return engine.ReadOpts{Strategy: s, Workers: 1}
+}
+
 // Run measures a query under a strategy: one warm-up run, then Repeats
 // timed runs.
 func Run(ds *Dataset, q workload.Query, strat plan.Strategy) (Measurement, error) {
@@ -77,22 +82,22 @@ func Run(ds *Dataset, q workload.Query, strat plan.Strategy) (Measurement, error
 	if err != nil {
 		return Measurement{}, fmt.Errorf("bench: %s: %w", q.ID, err)
 	}
-	ids, es, err := ds.DB.QueryPattern(pat, strat) // warm-up
+	warm, err := ds.DB.Read(pat, pinnedOpts(strat))
 	if err != nil {
 		return Measurement{}, fmt.Errorf("bench: %s via %v: %w", q.ID, strat, err)
 	}
 	start := time.Now()
 	for i := 0; i < Repeats; i++ {
-		if _, _, err := ds.DB.QueryPattern(pat, strat); err != nil {
+		if _, err := ds.DB.Read(pat, pinnedOpts(strat)); err != nil {
 			return Measurement{}, err
 		}
 	}
 	return Measurement{
 		QueryID:  q.ID,
 		Strategy: strat,
-		Results:  len(ids),
+		Results:  len(warm.IDs),
 		Elapsed:  time.Since(start),
-		Stats:    *es,
+		Stats:    *warm.Stats,
 	}, nil
 }
 

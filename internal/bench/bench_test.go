@@ -58,7 +58,8 @@ func TestWorkloadCorrectOnXMark(t *testing.T) {
 			}
 		}
 		for _, s := range all {
-			got, _, err := ds.DB.QueryPattern(pat, s)
+			res, err := ds.DB.Read(pat, pinnedOpts(s))
+			got := res.IDs
 			if err != nil {
 				t.Fatalf("%s via %v: %v", q.ID, s, err)
 			}

@@ -228,7 +228,8 @@ func FaultsExperiment(cfg FaultsConfig) (*FaultsResult, error) {
 		}
 		out.Queries++
 		pat := distinct[rng.Intn(len(distinct))]
-		ids, _, err := db.QueryPattern(pat, plan.DataPathsPlan)
+		res, err := db.Read(pat, pinnedOpts(plan.DataPathsPlan))
+		ids := res.IDs
 		if err != nil {
 			out.QueryErrors++
 			if !isTypedFault(err) {

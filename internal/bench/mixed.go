@@ -162,15 +162,15 @@ func MixedExperiment(cfg MixedConfig) (*MixedResult, error) {
 		return nil, err
 	}
 	for _, pat := range distinct { // warm plans, estimates, first-touch faults
-		if _, _, err := db.QueryPattern(pat, plan.DataPathsPlan); err != nil {
+		if _, err := db.Read(pat, pinnedOpts(plan.DataPathsPlan)); err != nil {
 			return nil, err
 		}
 	}
-	regions, _, err := db.QueryPattern(xpath.MustParse(`/site/regions/namerica/item`), plan.DataPathsPlan)
-	if err != nil || len(regions) == 0 {
+	regions, err := db.Read(xpath.MustParse(`/site/regions/namerica/item`), pinnedOpts(plan.DataPathsPlan))
+	if err != nil || len(regions.IDs) == 0 {
 		return nil, fmt.Errorf("bench: no insertion parents (%v)", err)
 	}
-	parents := regions
+	parents := regions.IDs
 	if len(parents) > 8 {
 		parents = parents[:8]
 	}
@@ -251,7 +251,8 @@ func MixedExperiment(cfg MixedConfig) (*MixedResult, error) {
 		if err := fdb.Build(indexKindsRPDP()...); err != nil {
 			return ph, err
 		}
-		zids, _, err := fdb.QueryPattern(xpath.MustParse(`/root/z`), plan.DataPathsPlan)
+		zres, err := fdb.Read(xpath.MustParse(`/root/z`), pinnedOpts(plan.DataPathsPlan))
+		zids := zres.IDs
 		if err != nil || len(zids) != writers {
 			return ph, fmt.Errorf("bench: zone setup (%v)", err)
 		}

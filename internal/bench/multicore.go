@@ -88,7 +88,7 @@ func sweepRegime(name string, ecfg engine.Config, cfg MulticoreConfig) (Multicor
 		return MulticoreRegime{}, err
 	}
 	for _, pat := range distinct {
-		if _, _, err := db.QueryPattern(pat, plan.DataPathsPlan); err != nil {
+		if _, err := db.Read(pat, pinnedOpts(plan.DataPathsPlan)); err != nil {
 			return MulticoreRegime{}, fmt.Errorf("bench: warm-up %s: %w", pat.Source, err)
 		}
 	}

@@ -134,7 +134,7 @@ func runStream(db *engine.DB, stream []*xpath.Pattern, workers int) (time.Durati
 					continue
 				}
 				t0 := time.Now()
-				_, _, err := db.QueryPattern(stream[i], plan.DataPathsPlan)
+				_, err := db.Read(stream[i], pinnedOpts(plan.DataPathsPlan))
 				lat[i] = time.Since(t0)
 				if err != nil {
 					mu.Lock()
@@ -187,7 +187,7 @@ func runRegime(name string, ecfg engine.Config, cfg ParallelConfig) (RegimeResul
 	// first-touch page faults), so neither measured run pays cold-start
 	// costs the other doesn't.
 	for _, pat := range distinct {
-		if _, _, err := db.QueryPattern(pat, plan.DataPathsPlan); err != nil {
+		if _, err := db.Read(pat, pinnedOpts(plan.DataPathsPlan)); err != nil {
 			return RegimeResult{}, fmt.Errorf("bench: warm-up %s: %w", pat.Source, err)
 		}
 	}

@@ -106,7 +106,7 @@ func persistRegimeRun(name string, db *engine.DB, poolBytes int64) (PersistRegim
 
 	cold := time.Now()
 	for _, pat := range distinct {
-		if _, _, err := db.QueryPattern(pat, plan.DataPathsPlan); err != nil {
+		if _, err := db.Read(pat, pinnedOpts(plan.DataPathsPlan)); err != nil {
 			return PersistRegime{}, fmt.Errorf("bench: %s cold %s: %w", name, pat.Source, err)
 		}
 	}
@@ -115,7 +115,7 @@ func persistRegimeRun(name string, db *engine.DB, poolBytes int64) (PersistRegim
 	warm := time.Now()
 	for i := 0; i < Repeats; i++ {
 		for _, pat := range distinct {
-			if _, _, err := db.QueryPattern(pat, plan.DataPathsPlan); err != nil {
+			if _, err := db.Read(pat, pinnedOpts(plan.DataPathsPlan)); err != nil {
 				return PersistRegime{}, err
 			}
 		}

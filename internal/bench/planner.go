@@ -191,7 +191,7 @@ func measureQuery(db *engine.DB, dsName string, q workload.Query, minSample time
 		for i, s := range plannerStrategies {
 			s := s
 			lat, err := perRunLatency(minSample, func() error {
-				_, _, err := db.QueryPattern(pat, s)
+				_, err := db.Read(pat, pinnedOpts(s))
 				return err
 			})
 			if err != nil {
@@ -202,8 +202,8 @@ func measureQuery(db *engine.DB, dsName string, q workload.Query, minSample time
 			}
 		}
 		lat, err := perRunLatency(minSample, func() error {
-			ids, _, s, err := db.QueryPatternBest(pat, 1)
-			chosen, results = s, len(ids)
+			res, err := db.Read(pat, engine.ReadOpts{Planner: engine.Auto, Workers: 1})
+			chosen, results = res.Strategy, len(res.IDs)
 			return err
 		})
 		if err != nil {

@@ -313,7 +313,7 @@ func ScaleExperiment(cfg ScaleConfig) (*ScaleResult, error) {
 	var coldLat []time.Duration
 	for _, pat := range distinct {
 		t := time.Now()
-		if _, _, err := rdb.QueryPattern(pat, plan.DataPathsPlan); err != nil {
+		if _, err := rdb.Read(pat, pinnedOpts(plan.DataPathsPlan)); err != nil {
 			rdb.Close()
 			return nil, fmt.Errorf("bench: cold %s: %w", pat.Source, err)
 		}
@@ -331,7 +331,7 @@ func ScaleExperiment(cfg ScaleConfig) (*ScaleResult, error) {
 	for i := 0; i < Repeats; i++ {
 		for _, pat := range distinct {
 			t := time.Now()
-			if _, _, err := rdb.QueryPattern(pat, plan.DataPathsPlan); err != nil {
+			if _, err := rdb.Read(pat, pinnedOpts(plan.DataPathsPlan)); err != nil {
 				rdb.Close()
 				return nil, err
 			}

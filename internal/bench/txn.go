@@ -107,12 +107,12 @@ func txnZoneDB(dir string, tag string, writers int) (*engine.DB, []int64, error)
 	}
 	roots := make([]int64, writers)
 	for w := 0; w < writers; w++ {
-		ids, _, err := db.QueryPattern(xpath.MustParse(fmt.Sprintf(`/z%d`, w)), plan.DataPathsPlan)
-		if err != nil || len(ids) != 1 {
+		zone, err := db.Read(xpath.MustParse(fmt.Sprintf(`/z%d`, w)), pinnedOpts(plan.DataPathsPlan))
+		if err != nil || len(zone.IDs) != 1 {
 			db.Close()
 			return nil, nil, fmt.Errorf("bench: zone %d setup (%v)", w, err)
 		}
-		roots[w] = ids[0]
+		roots[w] = zone.IDs[0]
 	}
 	return db, roots, nil
 }
@@ -255,13 +255,13 @@ func TxnExperiment(cfg TxnConfig) (*TxnResult, error) {
 
 	// Every committed update must be present exactly once: the contended
 	// phase is also a correctness probe, not just a stopwatch.
-	ids, _, err := db.QueryPattern(xpath.MustParse(`/z0/item`), plan.DataPathsPlan)
+	items, err := db.Read(xpath.MustParse(`/z0/item`), pinnedOpts(plan.DataPathsPlan))
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(ids)) != out.ConflictCommits {
+	if int64(len(items.IDs)) != out.ConflictCommits {
 		return nil, fmt.Errorf("bench: %d items after contended phase, want %d (lost or doubled update)",
-			len(ids), out.ConflictCommits)
+			len(items.IDs), out.ConflictCommits)
 	}
 	return out, nil
 }

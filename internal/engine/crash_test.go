@@ -101,8 +101,8 @@ func verifyRecovered(t *testing.T, tag string, rec, oracle *DB, queries []string
 			go func(i int, s int) {
 				defer wg.Done()
 				strat := diffStrategies[i]
-				gotIDs, _, gotErr := rec.QueryPattern(pat, strat)
-				_, _, oraErr := oracle.QueryPattern(pat, strat)
+				gotIDs, gotErr := pinnedIDs(rec, pat, strat)
+				_, oraErr := pinnedIDs(oracle, pat, strat)
 				if (gotErr == nil) != (oraErr == nil) {
 					errs[i] = fmt.Sprintf("%q via %v: recovered err %v, oracle err %v", q, strat, gotErr, oraErr)
 					return

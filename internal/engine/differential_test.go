@@ -13,7 +13,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -261,17 +260,17 @@ func runDifferential(doc *xmldb.Document, pat *xpath.Pattern) []diffMismatch {
 		wg.Add(1)
 		go func(i int, r run) {
 			defer wg.Done()
-			var got []int64
-			var err error
-			switch {
-			case r.auto && r.par:
-				got, _, out[i].strat, err = db.QueryPatternBest(pat, 4)
-			case r.auto:
-				got, _, out[i].strat, err = db.QueryPatternBest(pat, 1)
-			case r.par:
-				got, _, err = db.QueryPatternParallel(pat, r.strat, 4)
-			default:
-				got, _, err = db.QueryPattern(pat, r.strat)
+			opts := ReadOpts{Strategy: r.strat, Workers: 1}
+			if r.auto {
+				opts.Planner = Auto
+			}
+			if r.par {
+				opts.Workers = 4
+			}
+			res, err := db.Read(pat, opts)
+			got := res.IDs
+			if r.auto {
+				out[i].strat = res.Strategy
 			}
 			if err != nil || !equalIDs(got, want) {
 				out[i].got, out[i].err = got, err
@@ -526,34 +525,5 @@ func TestDifferentialAcrossGOMAXPROCS(t *testing.T) {
 				}
 			})
 		})
-	}
-}
-
-// TestParallelExecutorMatchesSerial directly compares the two executors'
-// ExecStats-visible work on a fixed query, and asserts reflect-equal ids.
-func TestParallelExecutorMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	db := New(Config{BufferPoolBytes: 4 << 20})
-	doc := genDoc(rng, 200)
-	db.AddDocument(doc)
-	if err := db.BuildAll(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		q := genQueryFor(rng, doc)
-		pat, err := xpath.Parse(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, strat := range diffStrategies {
-			serial, _, err1 := db.QueryPattern(pat, strat)
-			parallel, _, err2 := db.QueryPatternParallel(pat, strat, 4)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s via %v: serial err %v, parallel err %v", q, strat, err1, err2)
-			}
-			if !reflect.DeepEqual(serial, parallel) {
-				t.Fatalf("%s via %v: serial %v != parallel %v", q, strat, serial, parallel)
-			}
-		}
 	}
 }

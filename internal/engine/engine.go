@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/containment"
 	"repro/internal/index"
-	"repro/internal/naive"
 	"repro/internal/obs"
 	"repro/internal/pathdict"
 	"repro/internal/plan"
@@ -63,12 +62,11 @@ type Config struct {
 	// SlowQueryLogSize caps the slow-query ring (0 = 64 entries).
 	SlowQueryLogSize int
 	// RetainSnapshots, when > 0, keeps that many superseded snapshots
-	// pinned after publication so AS OF reads (SnapshotAt,
-	// QueryPatternAsOf) can query recent history by sequence number. A
-	// retained snapshot holds the deferred page frees of every later
-	// commit, exactly like a long-running reader, so the window trades
-	// space for time-travel depth. 0 disables retention: only the current
-	// snapshot is queryable.
+	// pinned after publication so AS OF reads (SnapshotAt, ReadAsOf) can
+	// query recent history by sequence number. A retained snapshot holds
+	// the deferred page frees of every later commit, exactly like a
+	// long-running reader, so the window trades space for time-travel
+	// depth. 0 disables retention: only the current snapshot is queryable.
 	RetainSnapshots int
 }
 
@@ -823,97 +821,8 @@ func (db *DB) DeleteSubtree(nodeID int64) error {
 	return db.autoTx(func(tx *Tx) error { return tx.Delete(nodeID) })
 }
 
-// Query parses and executes q under the given strategy.
-func (db *DB) Query(q string, strat plan.Strategy) ([]int64, *plan.ExecStats, error) {
-	pat, err := xpath.Parse(q)
-	if err != nil {
-		return nil, nil, err
-	}
-	return db.QueryPattern(pat, strat)
-}
-
-// observeQuery records one finished query into the latency histogram and,
-// when it crossed the configured slow-query threshold, into the slow-query
-// ring. The rendered plan comes from the executed view tree, so a slow
-// query's entry carries its per-operator trace (tracing is always on when
-// a threshold is configured).
-func (db *DB) observeQuery(s *Snapshot, pat *xpath.Pattern, strat plan.Strategy, es *plan.ExecStats, elapsed time.Duration) {
-	db.reg.QueryLatency.Observe(elapsed.Nanoseconds())
-	if thr := db.cfg.SlowQueryThreshold; thr > 0 && elapsed >= thr {
-		q := obs.SlowQuery{
-			Query:       pat.Source,
-			Strategy:    strat.String(),
-			Elapsed:     elapsed,
-			SnapshotSeq: s.seq,
-			When:        time.Now(),
-		}
-		if q.Query == "" {
-			q.Query = pat.String()
-		}
-		if es != nil && es.Plan != nil {
-			q.Plan = es.Plan.Render()
-		}
-		db.slowLog.Record(q)
-	}
-}
-
-// QueryPattern executes an already-parsed pattern against the current
-// snapshot, which it pins for the query's lifetime — no lock is taken and
-// no concurrent mutation can block or tear it.
-func (db *DB) QueryPattern(pat *xpath.Pattern, strat plan.Strategy) ([]int64, *plan.ExecStats, error) {
-	s := db.pin()
-	defer db.unpin(s)
-	start := time.Now()
-	ids, es, err := plan.Execute(s.queryEnv(), strat, pat)
-	db.observeQuery(s, pat, strat, es, time.Since(start))
-	if es != nil {
-		db.counters.CountQuery(false, es.BranchesJoined)
-	}
-	return ids, es, err
-}
-
-// QueryPatternTraced is QueryPattern with per-operator tracing forced on
-// for this one run — the EXPLAIN ANALYZE entry point. The returned stats'
-// Plan view carries per-operator wall time (and device-read attribution).
-func (db *DB) QueryPatternTraced(pat *xpath.Pattern, strat plan.Strategy) ([]int64, *plan.ExecStats, error) {
-	s := db.pin()
-	defer db.unpin(s)
-	start := time.Now()
-	ids, es, err := plan.ExecuteTraced(s.queryEnv(), strat, pat)
-	db.observeQuery(s, pat, strat, es, time.Since(start))
-	if es != nil {
-		db.counters.CountQuery(false, es.BranchesJoined)
-	}
-	return ids, es, err
-}
-
-// QueryPatternParallel executes an already-parsed pattern with the parallel
-// branch executor: the pattern's covering branches are evaluated on a
-// bounded pool of `workers` goroutines sharing the buffer pool, then merged
-// with the usual positional joins. workers <= 1 degenerates to QueryPattern.
-func (db *DB) QueryPatternParallel(pat *xpath.Pattern, strat plan.Strategy, workers int) ([]int64, *plan.ExecStats, error) {
-	s := db.pin()
-	defer db.unpin(s)
-	start := time.Now()
-	ids, es, err := plan.ExecuteParallel(s.queryEnv(), strat, pat, workers)
-	db.observeQuery(s, pat, strat, es, time.Since(start))
-	if es != nil {
-		db.counters.CountQuery(es.Parallel, es.BranchesJoined)
-	}
-	return ids, es, err
-}
-
 // QueryCounters returns a snapshot of the engine-lifetime query counters.
 func (db *DB) QueryCounters() stats.QuerySnapshot { return db.counters.Snapshot() }
-
-// MatchNaive evaluates pat with the naive in-memory matcher (no indices)
-// against the pinned snapshot's frozen store — the Oracle of the
-// differential tests. Safe to run concurrently with subtree updates.
-func (db *DB) MatchNaive(pat *xpath.Pattern) []int64 {
-	s := db.pin()
-	defer db.unpin(s)
-	return naive.Match(s.store, pat)
-}
 
 // ViewNodes invokes fn once with an id-to-node lookup over the pinned
 // snapshot, so callers can materialise node details at a consistent
@@ -935,101 +844,6 @@ func (db *DB) Explain(pat *xpath.Pattern, strat plan.Strategy) (string, error) {
 	s := db.pin()
 	defer db.unpin(s)
 	return plan.Explain(s.queryEnv(), strat, pat)
-}
-
-// DefaultStrategy returns the statically-preferred strategy among the
-// built indices (DATAPATHS, then ROOTPATHS, then the baselines) without
-// consulting the cost-based planner — the pattern-independent fallback.
-// Note that under concurrent mutation the answer can be stale by the time
-// the caller queries with it; use QueryPatternBest, which plans and
-// executes against one pinned snapshot (and, unlike this ladder, picks per
-// query).
-func (db *DB) DefaultStrategy() (plan.Strategy, error) {
-	return defaultStrategyFor(db.current.Load().Env())
-}
-
-// defaultStrategyFor is the static preference ladder over an environment.
-func defaultStrategyFor(env *plan.Env) (plan.Strategy, error) {
-	switch {
-	case env.DP != nil:
-		return plan.DataPathsPlan, nil
-	case env.RP != nil:
-		return plan.RootPathsPlan, nil
-	case env.IF != nil && env.Edge != nil:
-		return plan.FabricEdgePlan, nil
-	case env.DG != nil && env.Edge != nil:
-		return plan.DataGuideEdgePlan, nil
-	case env.ASR != nil:
-		return plan.ASRPlan, nil
-	case env.JI != nil:
-		return plan.JoinIndexPlan, nil
-	case env.Edge != nil:
-		return plan.EdgePlan, nil
-	}
-	return 0, fmt.Errorf("engine: no index built")
-}
-
-// QueryPatternBest runs the cost-based planner over the built indices and
-// executes pat under the cheapest plan, all against one pinned snapshot —
-// a concurrent update can never invalidate the chosen index between
-// planning and execution, because both happen on the same immutable
-// version. Plan trees are cached per normalised pattern on the snapshot
-// (a new version starts fresh: new statistics can change every choice), so
-// a cache hit re-executes the shared immutable tree without re-planning;
-// cache hits are counted in the query counters. workers == 1 runs the
-// serial executor; anything else goes through the parallel one, whose
-// worker count resolution (<= 0 means GOMAXPROCS, capped at the branch
-// count) is centralised in plan.ResolveWorkers. Returns the strategy that
-// ran.
-func (db *DB) QueryPatternBest(pat *xpath.Pattern, workers int) ([]int64, *plan.ExecStats, plan.Strategy, error) {
-	s := db.pin()
-	defer db.unpin(s)
-	env := s.queryEnv()
-	tree, cacheHit, err := s.choosePlan(env, pat, workers != 1)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if cacheHit {
-		db.counters.CountPlanCacheHit()
-	}
-	var ids []int64
-	var es *plan.ExecStats
-	start := time.Now()
-	if workers != 1 {
-		// The tree under a parallel key was planned INL-free, so it is
-		// exactly what the parallel executor fans out.
-		ids, es, err = plan.ExecuteTreeParallel(env, tree, workers)
-	} else {
-		ids, es, err = plan.ExecuteTree(env, tree)
-	}
-	db.observeQuery(s, pat, tree.Strategy, es, time.Since(start))
-	if es != nil {
-		db.counters.CountQuery(es.Parallel, es.BranchesJoined)
-	}
-	return ids, es, tree.Strategy, err
-}
-
-// QueryPatternBestTraced is QueryPatternBest (serial) with per-operator
-// tracing forced on for this one run — EXPLAIN ANALYZE under the
-// cost-based planner. Returns the strategy that ran.
-func (db *DB) QueryPatternBestTraced(pat *xpath.Pattern) ([]int64, *plan.ExecStats, plan.Strategy, error) {
-	s := db.pin()
-	defer db.unpin(s)
-	env := s.queryEnv()
-	tree, cacheHit, err := s.choosePlan(env, pat, false)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if cacheHit {
-		db.counters.CountPlanCacheHit()
-	}
-	start := time.Now()
-	ids, es, err := plan.ExecuteTreeTraced(env, tree)
-	db.observeQuery(s, pat, tree.Strategy, es, time.Since(start))
-	if es != nil {
-		db.counters.CountQuery(es.Parallel, es.BranchesJoined)
-	}
-	return ids, es, tree.Strategy, err
 }
 
 // CurrentSeq returns the published snapshot's sequence number — the
@@ -1075,39 +889,6 @@ func (db *DB) SnapshotAt(seq uint64) (*Snapshot, func(), error) {
 	}
 	db.retainMu.Unlock()
 	return nil, nil, fmt.Errorf("%w: seq %d (current %d, retention window %d)", ErrSnapshotRetired, seq, s.seq, db.cfg.RetainSnapshots)
-}
-
-// QueryPatternAsOf executes pat against the historical snapshot with the
-// given sequence number under the cost-based planner — the AS OF
-// time-travel read. The snapshot must be current or within the retention
-// window (Config.RetainSnapshots); otherwise ErrSnapshotRetired.
-func (db *DB) QueryPatternAsOf(pat *xpath.Pattern, seq uint64, workers int) ([]int64, *plan.ExecStats, plan.Strategy, error) {
-	s, release, err := db.SnapshotAt(seq)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	defer release()
-	env := s.queryEnv()
-	tree, cacheHit, err := s.choosePlan(env, pat, workers != 1)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if cacheHit {
-		db.counters.CountPlanCacheHit()
-	}
-	var ids []int64
-	var es *plan.ExecStats
-	start := time.Now()
-	if workers != 1 {
-		ids, es, err = plan.ExecuteTreeParallel(env, tree, workers)
-	} else {
-		ids, es, err = plan.ExecuteTree(env, tree)
-	}
-	db.observeQuery(s, pat, tree.Strategy, es, time.Since(start))
-	if es != nil {
-		db.counters.CountQuery(es.Parallel, es.BranchesJoined)
-	}
-	return ids, es, tree.Strategy, err
 }
 
 // Obs returns the engine's histogram registry (always non-nil); callers

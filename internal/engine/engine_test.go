@@ -28,53 +28,10 @@ func newDB(t *testing.T) *DB {
 	return db
 }
 
-func TestBuildAndQuery(t *testing.T) {
-	db := newDB(t)
-	if err := db.Build(index.KindRootPaths, index.KindDataPaths); err != nil {
-		t.Fatal(err)
-	}
-	ids, es, err := db.Query(`/site/people/person[name='ann']`, plan.DataPathsPlan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ids) != 1 || es == nil {
-		t.Fatalf("ids=%v es=%v", ids, es)
-	}
-	n := db.Store().NodeByID(ids[0])
-	if n == nil || n.Label != "person" {
-		t.Fatalf("matched node = %+v", n)
-	}
-}
-
-func TestDefaultStrategyLadder(t *testing.T) {
-	db := newDB(t)
-	if _, err := db.DefaultStrategy(); err == nil {
-		t.Fatalf("no indices: want error")
-	}
-	if err := db.Build(index.KindEdge); err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := db.DefaultStrategy(); s != plan.EdgePlan {
-		t.Fatalf("default = %v, want Edge", s)
-	}
-	if err := db.Build(index.KindDataGuide); err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := db.DefaultStrategy(); s != plan.DataGuideEdgePlan {
-		t.Fatalf("default = %v, want DG+Edge", s)
-	}
-	if err := db.Build(index.KindRootPaths); err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := db.DefaultStrategy(); s != plan.RootPathsPlan {
-		t.Fatalf("default = %v, want RP", s)
-	}
-	if err := db.Build(index.KindDataPaths); err != nil {
-		t.Fatal(err)
-	}
-	if s, _ := db.DefaultStrategy(); s != plan.DataPathsPlan {
-		t.Fatalf("default = %v, want DP", s)
-	}
+// pinnedIDs is a serial read of the current snapshot under strat.
+func pinnedIDs(db *DB, pat *xpath.Pattern, strat plan.Strategy) ([]int64, error) {
+	res, err := db.Read(pat, ReadOpts{Strategy: strat, Workers: 1})
+	return res.IDs, err
 }
 
 func TestPlanCacheHitsAndInvalidation(t *testing.T) {
@@ -101,7 +58,7 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 	}
 	// A structural update invalidates the cache: the next auto query plans
 	// afresh (hit counter unchanged), the one after hits again.
-	people, _, err := db.Query(`/site/people`, plan.RootPathsPlan)
+	people, err := pinnedIDs(db, xpath.MustParse(`/site/people`), plan.RootPathsPlan)
 	if err != nil || len(people) != 1 {
 		t.Fatalf("people: %v %v", people, err)
 	}
@@ -122,25 +79,12 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 	}
 }
 
-func TestQueryBadInput(t *testing.T) {
-	db := newDB(t)
-	if err := db.Build(index.KindRootPaths); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := db.Query(`person`, plan.RootPathsPlan); err == nil {
-		t.Fatalf("bad query: want error")
-	}
-	if _, _, err := db.Query(`/site`, plan.ASRPlan); err == nil {
-		t.Fatalf("missing index: want error")
-	}
-}
-
 func TestInsertDeleteMaintainsOracleAgreement(t *testing.T) {
 	db := newDB(t)
 	if err := db.Build(index.KindRootPaths, index.KindDataPaths); err != nil {
 		t.Fatal(err)
 	}
-	people, _, err := db.Query(`/site/people`, plan.RootPathsPlan)
+	people, err := pinnedIDs(db, xpath.MustParse(`/site/people`), plan.RootPathsPlan)
 	if err != nil || len(people) != 1 {
 		t.Fatalf("people: %v %v", people, err)
 	}
@@ -154,7 +98,7 @@ func TestInsertDeleteMaintainsOracleAgreement(t *testing.T) {
 		pat := xpath.MustParse(q)
 		want := naive.Match(db.Store(), pat)
 		for _, s := range []plan.Strategy{plan.RootPathsPlan, plan.DataPathsPlan} {
-			got, _, err := db.QueryPattern(pat, s)
+			got, err := pinnedIDs(db, pat, s)
 			if err != nil {
 				t.Fatalf("%v %s: %v", s, q, err)
 			}
@@ -195,7 +139,7 @@ func TestSpacesAndPool(t *testing.T) {
 		t.Fatalf("Spaces = %d entries", got)
 	}
 	db.ResetPoolStats()
-	if _, _, err := db.Query(`//person`, plan.RootPathsPlan); err != nil {
+	if _, err := pinnedIDs(db, xpath.MustParse(`//person`), plan.RootPathsPlan); err != nil {
 		t.Fatal(err)
 	}
 	st := db.PoolStats()

@@ -125,8 +125,8 @@ func TestFaultTortureDifferential(t *testing.T) {
 				}
 				want := naive.Match(oracle.Store(), pat)
 				for _, strat := range diffStrategies {
-					got, _, gotErr := db.QueryPattern(pat, strat)
-					_, _, oraErr := oracle.QueryPattern(pat, strat)
+					got, gotErr := pinnedIDs(db, pat, strat)
+					_, oraErr := pinnedIDs(oracle, pat, strat)
 					if gotErr != nil {
 						if oraErr == nil {
 							assertTypedFault(t, fmt.Sprintf("%s: %q via %v", tag, q, strat), gotErr)
@@ -217,7 +217,7 @@ func TestStickyWriteErrorKeepsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := db.QueryPattern(pat, plan.RootPathsPlan)
+	want, err := pinnedIDs(db, pat, plan.RootPathsPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestStickyWriteErrorKeepsSnapshot(t *testing.T) {
 	if h.ReadOnly || h.Device.Poisoned {
 		t.Fatalf("write error must not degrade/poison: %+v", h)
 	}
-	got, _, err := db.QueryPattern(pat, plan.RootPathsPlan)
+	got, err := pinnedIDs(db, pat, plan.RootPathsPlan)
 	if err != nil {
 		t.Fatalf("query after failed insert: %v", err)
 	}
@@ -253,7 +253,7 @@ func TestStickyWriteErrorKeepsSnapshot(t *testing.T) {
 	if err := db.InsertSubtree(parentID, sub2.Root); err != nil {
 		t.Fatalf("insert after disarm: %v", err)
 	}
-	got, _, err = db.QueryPattern(pat, plan.RootPathsPlan)
+	got, err = pinnedIDs(db, pat, plan.RootPathsPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestFsyncFailureDegradesToReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, _, err := db.QueryPattern(pat, plan.RootPathsPlan)
+	before, err := pinnedIDs(db, pat, plan.RootPathsPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestFsyncFailureDegradesToReadOnly(t *testing.T) {
 
 	// The snapshot was published before the failed fsync: reads serve it,
 	// including the never-durable insert.
-	got, _, err := db.QueryPattern(pat, plan.RootPathsPlan)
+	got, err := pinnedIDs(db, pat, plan.RootPathsPlan)
 	if err != nil {
 		t.Fatalf("degraded query: %v", err)
 	}
@@ -357,7 +357,7 @@ func TestFsyncFailureDegradesToReadOnly(t *testing.T) {
 	if h := re.Health(); h.ReadOnly {
 		t.Fatalf("poison survived reopen: %+v", h)
 	}
-	recovered, _, err := re.QueryPattern(pat, plan.RootPathsPlan)
+	recovered, err := pinnedIDs(re, pat, plan.RootPathsPlan)
 	if err != nil {
 		t.Fatal(err)
 	}

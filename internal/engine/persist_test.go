@@ -56,7 +56,7 @@ func TestPersistReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range diffStrategies {
-			ids, _, err := db.QueryPattern(pat, s)
+			ids, err := pinnedIDs(db, pat, s)
 			if err != nil {
 				t.Fatalf("%s via %v before close: %v", q, s, err)
 			}
@@ -85,7 +85,7 @@ func TestPersistReopen(t *testing.T) {
 			t.Fatalf("%s: naive on restored store got %v want %v", q, wantNaive, want[key{q, int(diffStrategies[0])}])
 		}
 		for _, s := range diffStrategies {
-			ids, _, err := re.QueryPattern(pat, s)
+			ids, err := pinnedIDs(re, pat, s)
 			if err != nil {
 				t.Fatalf("%s via %v after reopen: %v", q, s, err)
 			}
@@ -145,7 +145,7 @@ func TestPersistIncrementalAcrossReopen(t *testing.T) {
 		}
 		want := naive.Match(re.Store(), pat)
 		for _, s := range diffStrategies[:2] { // RP, DP stay maintained
-			ids, _, err := re.QueryPattern(pat, s)
+			ids, err := pinnedIDs(re, pat, s)
 			if err != nil {
 				t.Fatalf("%s via %v: %v", q, s, err)
 			}
@@ -170,7 +170,7 @@ func TestPersistIncrementalAcrossReopen(t *testing.T) {
 	}
 	pat, _ := xpath.Parse(`//c`)
 	want := naive.Match(re2.Store(), pat)
-	ids, _, err := re2.QueryPattern(pat, diffStrategies[1])
+	ids, err := pinnedIDs(re2, pat, diffStrategies[1])
 	if err != nil {
 		t.Fatal(err)
 	}

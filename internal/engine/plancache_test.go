@@ -80,8 +80,9 @@ func TestCachedPlanConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestQueryPatternBestAllocBound keeps the engine's cache-hit query path
-// within a small constant allocation budget. The plan-level executor is
+// TestQueryPatternBestAllocBound keeps the engine's cache-hit query path —
+// the serial Auto read the public DB.Query issues — within a small constant
+// allocation budget. The plan-level executor is
 // allocation-free when warmed (asserted in the plan package); what remains
 // here is the per-query ExecStats, its executed plan view, and the result
 // copy — a handful of objects, independent of data size. The bound is
@@ -95,20 +96,21 @@ func TestQueryPatternBestAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := xpath.MustParse(`//b[c = 'v0']`)
+	opts := ReadOpts{Planner: Auto, Workers: 1}
 	// Warm: plan cached, statistics derived, runtime pooled.
 	for i := 0; i < 3; i++ {
-		if _, _, _, err := db.QueryPatternBest(pat, 1); err != nil {
+		if _, err := db.Read(pat, opts); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, _, err := db.QueryPatternBest(pat, 1); err != nil {
+		if _, err := db.Read(pat, opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const budget = 64
 	if allocs > budget {
-		t.Errorf("cache-hit QueryPatternBest allocated %.1f objects/run, want <= %d", allocs, budget)
+		t.Errorf("cache-hit Auto read allocated %.1f objects/run, want <= %d", allocs, budget)
 	}
 }
 

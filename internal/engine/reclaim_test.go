@@ -97,7 +97,7 @@ func TestChurnSteadyState(t *testing.T) {
 	pat := xpath.MustParse(q)
 	want := db.MatchNaive(pat)
 	for _, s := range diffStrategies[:2] {
-		got, _, err := db.QueryPattern(pat, s)
+		got, err := pinnedIDs(db, pat, s)
 		if err != nil {
 			t.Fatalf("%v after churn: %v", s, err)
 		}
@@ -224,7 +224,7 @@ func TestBackupUnderConcurrentWriters(t *testing.T) {
 			pat := xpath.MustParse(q)
 			want := rec.MatchNaive(pat)
 			for _, s := range diffStrategies[:2] {
-				got, _, err := rec.QueryPattern(pat, s)
+				got, err := pinnedIDs(rec, pat, s)
 				if err != nil {
 					t.Fatalf("backup %d %q via %v: %v", i, q, s, err)
 				}
@@ -357,7 +357,7 @@ func TestCrashDuringCompact(t *testing.T) {
 			pat := xpath.MustParse(q)
 			want := rec.MatchNaive(pat)
 			for _, s := range diffStrategies[:2] {
-				got, _, err := rec.QueryPattern(pat, s)
+				got, err := pinnedIDs(rec, pat, s)
 				if err != nil {
 					t.Fatalf("splice capture %d %q via %v: %v", i, q, s, err)
 				}

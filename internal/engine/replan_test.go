@@ -49,7 +49,7 @@ func TestReplanAfterSkewChangingUpdate(t *testing.T) {
 
 	// Attach a subtree that explodes the //item/name cardinality while
 	// leaving the 'hot' tag as selective as before.
-	items, _, err := db.QueryPattern(xpath.MustParse(`/root/item`), plan.RootPathsPlan)
+	items, err := pinnedIDs(db, xpath.MustParse(`/root/item`), plan.RootPathsPlan)
 	if err != nil || len(items) == 0 {
 		t.Fatalf("item lookup: %v (%d items)", err, len(items))
 	}
@@ -106,7 +106,7 @@ func TestReplanAfterSkewChangingUpdate(t *testing.T) {
 
 	// Deleting the skew subtree must flip the choice back — the delete
 	// also invalidates statistics and the per-snapshot plan cache.
-	bulkIDs, _, err := db.QueryPattern(xpath.MustParse(`/root/item/bulk`), plan.RootPathsPlan)
+	bulkIDs, err := pinnedIDs(db, xpath.MustParse(`/root/item/bulk`), plan.RootPathsPlan)
 	if err != nil || len(bulkIDs) != 1 {
 		t.Fatalf("bulk lookup: %v (%d)", err, len(bulkIDs))
 	}
@@ -141,7 +141,7 @@ func TestReplanUsesSnapshotConsistentStats(t *testing.T) {
 	if s1.Env().Stats == nil {
 		t.Fatal("snapshot stats not built by planning")
 	}
-	aIDs, _, err := db.QueryPattern(xpath.MustParse(`//a`), plan.RootPathsPlan)
+	aIDs, err := pinnedIDs(db, xpath.MustParse(`//a`), plan.RootPathsPlan)
 	if err != nil || len(aIDs) != 1 {
 		t.Fatalf("a lookup: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestReplanUsesSnapshotConsistentStats(t *testing.T) {
 	}
 	// Old snapshot's stats still describe the old store: //a/b count 1
 	// there, 2 in the new one.
-	if got, _, err := db.QueryPattern(pat, plan.RootPathsPlan); err != nil || len(got) != 2 {
+	if got, err := pinnedIDs(db, pat, plan.RootPathsPlan); err != nil || len(got) != 2 {
 		t.Fatalf("post-insert //a/b = %d ids (%v), want 2", len(got), err)
 	}
 }

@@ -156,21 +156,29 @@ func (s *Snapshot) queryEnv() *plan.Env {
 	return &s.env
 }
 
-// choosePlan resolves the cheapest plan tree for pat against this snapshot,
-// consulting the per-pattern plan cache first. The cache key is the
-// pattern's canonical rendering, so syntactically different but equivalent
-// queries share an entry. With parallel set, planning runs against an
-// INL-disabled environment — the parallel executor materialises every
-// branch, so costing bound-probe plans would price trees that never run —
-// and such trees are cached under a separate keyspace. cacheHit reports
-// whether planning was skipped.
-func (s *Snapshot) choosePlan(env *plan.Env, pat *xpath.Pattern, parallel bool) (tree *plan.Tree, cacheHit bool, err error) {
-	key := pat.String()
+// planFor resolves the plan tree a read executes. A pinned strategy's tree
+// is built for the call. Under Auto the cheapest tree comes from the
+// per-pattern plan cache, planned on a miss; the cache key is the pattern's
+// canonical rendering, so syntactically different but equivalent queries
+// share an entry, and cacheHit reports whether planning was skipped. A
+// read that will fan out plans against an INL-disabled environment — a
+// fan-out materialises every branch, so costing bound-probe plans would
+// price trees that never run — and caches such trees under a separate
+// keyspace.
+func (s *Snapshot) planFor(env *plan.Env, pat *xpath.Pattern, opts ReadOpts) (tree *plan.Tree, cacheHit bool, err error) {
+	parallel := plan.ResolveWorkers(opts.Workers, 0) > 1
 	if parallel {
-		key = "par|" + key
 		penv := *env
 		penv.INLFactor = -1
 		env = &penv
+	}
+	if opts.Planner == Pinned {
+		t, err := plan.Build(env, opts.Strategy, pat)
+		return t, false, err
+	}
+	key := pat.String()
+	if parallel {
+		key = "par|" + key
 	}
 	s.planMu.RLock()
 	cached, ok := s.planCache[key]

@@ -44,11 +44,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/naive"
-	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/xmldb"
-	"repro/internal/xpath"
 )
 
 // ErrConflict is returned by Tx.Commit when the write-set validation
@@ -134,10 +131,10 @@ type txOp struct {
 // use by multiple goroutines (like database/sql.Tx); any number of
 // transactions may run concurrently with each other and with queries.
 //
-// Reads inside the transaction (QueryPattern*, MatchNaive) observe the
-// transaction's own uncommitted statements plus its frozen base snapshot;
-// they never observe other transactions' uncommitted work. Every
-// transaction must end in exactly one Commit or Rollback.
+// Reads inside the transaction (Read) observe the transaction's own
+// uncommitted statements plus its frozen base snapshot; they never observe
+// other transactions' uncommitted work. Every transaction must end in
+// exactly one Commit or Rollback.
 type Tx struct {
 	db   *DB
 	base *Snapshot // pinned at Begin (not pinned when locked)
@@ -360,36 +357,6 @@ func (tx *Tx) Delete(nodeID int64) error {
 	}
 	tx.ops = append(tx.ops, op)
 	return nil
-}
-
-// QueryPattern executes a pattern against the transaction's view: its own
-// uncommitted statements over the frozen base.
-func (tx *Tx) QueryPattern(pat *xpath.Pattern, strat plan.Strategy) ([]int64, *plan.ExecStats, error) {
-	if tx.done {
-		return nil, nil, ErrTxDone
-	}
-	return plan.Execute(tx.snapshot().queryEnv(), strat, pat)
-}
-
-// QueryPatternBest is QueryPattern under the cost-based planner.
-func (tx *Tx) QueryPatternBest(pat *xpath.Pattern) ([]int64, *plan.ExecStats, plan.Strategy, error) {
-	if tx.done {
-		return nil, nil, 0, ErrTxDone
-	}
-	s := tx.snapshot()
-	env := s.queryEnv()
-	tree, _, err := s.choosePlan(env, pat, false)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	ids, es, err := plan.ExecuteTree(env, tree)
-	return ids, es, tree.Strategy, err
-}
-
-// MatchNaive evaluates pat with the naive matcher against the
-// transaction's view (differential-test oracle).
-func (tx *Tx) MatchNaive(pat *xpath.Pattern) []int64 {
-	return naive.Match(tx.snapshot().store, pat)
 }
 
 // abandon discards a prepared successor: the B+-tree pages only it ever

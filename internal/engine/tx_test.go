@@ -51,7 +51,17 @@ func txMatch(t *testing.T, tx *Tx, q string) []int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tx.MatchNaive(pat)
+	res, err := tx.Read(pat, ReadOpts{Planner: Oracle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.IDs
+}
+
+// asOfIDs is a serial planner-chosen read of the version numbered seq.
+func asOfIDs(db *DB, pat *xpath.Pattern, seq uint64) ([]int64, error) {
+	res, err := db.ReadAsOf(seq, pat, ReadOpts{Planner: Auto, Workers: 1})
+	return res.IDs, err
 }
 
 // mustSub parses a standalone fragment for Tx.Insert.
@@ -102,12 +112,12 @@ func TestTxMultiStatementAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _, _, err := tx.QueryPatternBest(pat)
+	res, err := tx.Read(pat, ReadOpts{Planner: Auto, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !equalIDs(ids, txMatch(t, tx, `/a/d`)) {
-		t.Fatalf("tx planner/naive disagree: %v", ids)
+	if !equalIDs(res.IDs, txMatch(t, tx, `/a/d`)) {
+		t.Fatalf("tx planner/naive disagree: %v", res.IDs)
 	}
 
 	seqBefore := db.CurrentSeq()
@@ -427,7 +437,7 @@ func TestRetainSnapshotsAsOf(t *testing.T) {
 	}
 
 	for seq, want := range wantAt {
-		ids, _, _, err := db.QueryPatternAsOf(pat, seq, 1)
+		ids, err := asOfIDs(db, pat, seq)
 		switch {
 		case seq >= cur-uint64(retain) && seq <= cur:
 			// Inside the window: the current version plus the `retain`
@@ -446,7 +456,7 @@ func TestRetainSnapshotsAsOf(t *testing.T) {
 	}
 
 	// A future sequence number is an error, not a wait.
-	if _, _, _, err := db.QueryPatternAsOf(pat, cur+1, 1); err == nil {
+	if _, err := asOfIDs(db, pat, cur+1); err == nil {
 		t.Fatalf("AS OF future seq %d succeeded", cur+1)
 	}
 
@@ -457,10 +467,10 @@ func TestRetainSnapshotsAsOf(t *testing.T) {
 	if err := db2.InsertSubtree(root2, mustSub(t, `<x/>`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := db2.QueryPatternAsOf(pat, old, 1); !errors.Is(err, ErrSnapshotRetired) {
+	if _, err := asOfIDs(db2, pat, old); !errors.Is(err, ErrSnapshotRetired) {
 		t.Fatalf("AS OF with zero retention: %v, want ErrSnapshotRetired", err)
 	}
-	if ids, _, _, err := db2.QueryPatternAsOf(pat, db2.CurrentSeq(), 1); err != nil || len(ids) != 1 {
+	if ids, err := asOfIDs(db2, pat, db2.CurrentSeq()); err != nil || len(ids) != 1 {
 		t.Fatalf("AS OF current with zero retention: %v %v", ids, err)
 	}
 }

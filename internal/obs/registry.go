@@ -5,7 +5,7 @@ package obs
 // after NewRegistry; the histograms themselves are concurrency-safe.
 type Registry struct {
 	// QueryLatency records end-to-end query latency in nanoseconds,
-	// one sample per QueryPattern* call.
+	// one sample per executed read (engine query path).
 	QueryLatency *Histogram
 	// WALFsyncLatency records the duration of each physical WAL fsync
 	// in nanoseconds (group-commit leaders only — followers ride the

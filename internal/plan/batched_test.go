@@ -75,13 +75,13 @@ func TestSharedTreeConcurrentExecution(t *testing.T) {
 	}
 }
 
-// TestExecuteTreeWithZeroAllocs pins the tentpole's allocation contract: a
-// cache-hit query on a memory-resident database — a finalized tree plus a
-// warmed caller-managed runtime — executes with zero allocations per run.
+// TestWarmedRunZeroAllocs pins the batched executor's allocation contract:
+// a cache-hit query on a memory-resident database — a finalized tree plus a
+// warmed runtime from its pool — executes with zero allocations per run.
 // Every intermediate block, decode buffer, hash table and iterator is
 // reused from the runtime; if this test reports non-zero allocations,
 // something on the hot path regressed to per-row or per-probe allocation.
-func TestExecuteTreeWithZeroAllocs(t *testing.T) {
+func TestWarmedRunZeroAllocs(t *testing.T) {
 	db := buildDB(t, auctionXML, bookXML)
 	env := db.Env()
 	queries := []struct {
@@ -99,20 +99,20 @@ func TestExecuteTreeWithZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rt := plan.NewRuntime(tree)
+			run := plan.HoldRuntime(tree)
 			// Warm the runtime: first runs size the blocks and buffers.
 			for i := 0; i < 3; i++ {
-				if _, _, err := plan.ExecuteTreeWith(env, tree, rt); err != nil {
+				if _, err := run(env, 1, false); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				if _, _, err := plan.ExecuteTreeWith(env, tree, rt); err != nil {
+				if _, err := run(env, 1, false); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("warmed ExecuteTreeWith allocated %.1f objects/run, want 0", allocs)
+				t.Errorf("warmed run allocated %.1f objects/run, want 0", allocs)
 			}
 		})
 	}
@@ -141,7 +141,7 @@ func TestBatchedBlockBoundary(t *testing.T) {
 	env := db.Env()
 	pat := xpath.MustParse(`/r/it[k = 'y']`)
 	for _, strat := range []plan.Strategy{plan.RootPathsPlan, plan.DataPathsPlan} {
-		ids, _, err := plan.Execute(env, strat, pat)
+		ids, _, err := execute(env, strat, pat)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}

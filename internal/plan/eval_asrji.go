@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/pathdict"
-	"repro/internal/relop"
 	"repro/internal/xpath"
 )
 
@@ -186,12 +185,12 @@ func (e *jiEval) free(n *Node, out *brel, es *ExecStats) error {
 				return err
 			}
 			// Seed from the last segment (it carries the value).
-			var partials []relop.Tuple // columns pos[m..k-1] as we extend left
+			var partials [][]int64 // columns pos[m..k-1] as we extend left
 			last := segs[k-2]
 			es.IndexLookups++
 			es.touchRelation(last)
 			rows, err := e.env.JI.BwdByValue(last, br.HasValue, br.Value, false, func(tail, head int64) error {
-				partials = append(partials, relop.Tuple{head, tail})
+				partials = append(partials, []int64{head, tail})
 				return nil
 			})
 			es.RowsScanned += int64(rows)
@@ -200,7 +199,7 @@ func (e *jiEval) free(n *Node, out *brel, es *ExecStats) error {
 			}
 			// Compose upward: one BwdByTail probe per tuple per segment.
 			for m := k - 3; m >= 0; m-- {
-				var next []relop.Tuple
+				var next [][]int64
 				for _, t := range partials {
 					es.IndexLookups++
 					es.touchRelation(segs[m])
@@ -263,18 +262,18 @@ func (e *jiEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) erro
 		for _, m := range matches {
 			es.INLProbes++
 			// Compose downward from the head.
-			partials := []relop.Tuple{{jid}} // columns pos[0..m]
+			partials := [][]int64{{jid}} // columns pos[0..m]
 			for s := 0; s+1 < m.k; s++ {
 				hasVal, val := false, ""
 				if s+1 == m.k-1 {
 					hasVal, val = br.HasValue, br.Value
 				}
-				var next []relop.Tuple
+				var next [][]int64
 				for _, t := range partials {
 					es.IndexLookups++
 					es.touchRelation(m.segs[s])
 					rows, err := e.env.JI.FwdByHead(m.segs[s], t[len(t)-1], hasVal, val, func(tail int64) error {
-						nt := make(relop.Tuple, 0, len(t)+1)
+						nt := make([]int64, 0, len(t)+1)
 						nt = append(nt, t...)
 						nt = append(nt, tail)
 						next = append(next, nt)

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"repro/internal/pathdict"
-	"repro/internal/relop"
 )
 
 // dgEval implements the DG+Edge strategy: the DataGuide answers the
@@ -47,12 +46,15 @@ func (e *dgEval) free(n *Node, out *brel, es *ExecStats) error {
 			if err != nil {
 				return err
 			}
-			tuples := make([]relop.Tuple, len(leaves))
+			tuples := make([][]int64, len(leaves))
 			for i, id := range leaves {
-				tuples[i] = relop.Tuple{id}
+				tuples[i] = []int64{id}
 			}
-			tuples = relop.SemiJoin(tuples, 0, matching, &es.Join)
-			leaves = relop.Project(tuples, 0)
+			tuples = semiJoin(tuples, 0, matching, &es.Join)
+			leaves = leaves[:0]
+			for _, t := range tuples {
+				leaves = append(leaves, t[0])
+			}
 		}
 		if err := climbInto(e.env, es, pat, concrete, leaves, out); err != nil {
 			return err

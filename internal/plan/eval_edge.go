@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"repro/internal/relop"
 	"repro/internal/xpath"
 )
 
@@ -25,7 +24,7 @@ type edgeEval struct {
 func (e *edgeEval) free(n *Node, out *brel, es *ExecStats) error {
 	e.es = es
 	br := *n.branch
-	var tuples []relop.Tuple
+	var tuples [][]int64
 	var err error
 	if br.HasValue {
 		tuples, err = e.bottomUp(br)
@@ -43,12 +42,12 @@ func (e *edgeEval) free(n *Node, out *brel, es *ExecStats) error {
 
 // bottomUp starts from the value index and climbs to the root through the
 // backward link index, one join per step.
-func (e *edgeEval) bottomUp(br xpath.Branch) ([]relop.Tuple, error) {
+func (e *edgeEval) bottomUp(br xpath.Branch) ([][]int64, error) {
 	last := len(br.Steps) - 1
-	var tuples []relop.Tuple // columns br.Nodes[i:] as we climb past i
+	var tuples [][]int64 // columns br.Nodes[i:] as we climb past i
 	e.es.IndexLookups++
 	rows, err := e.env.Edge.ValueProbe(br.Steps[last].Label, br.Value, func(id int64) error {
-		tuples = append(tuples, relop.Tuple{id})
+		tuples = append(tuples, []int64{id})
 		return nil
 	})
 	e.es.RowsScanned += int64(rows)
@@ -58,7 +57,7 @@ func (e *edgeEval) bottomUp(br xpath.Branch) ([]relop.Tuple, error) {
 	for i := last - 1; i >= 0; i-- {
 		axis := br.Steps[i+1].Axis
 		label := br.Steps[i].Label
-		var next []relop.Tuple
+		var next [][]int64
 		for _, t := range tuples {
 			top := t[0]
 			if axis == xpath.Child {
@@ -98,11 +97,11 @@ func (e *edgeEval) bottomUp(br xpath.Branch) ([]relop.Tuple, error) {
 
 // anchorFilter enforces the root anchor of a branch whose first axis is /:
 // the top binding must be a document root.
-func (e *edgeEval) anchorFilter(br xpath.Branch, tuples []relop.Tuple) ([]relop.Tuple, error) {
+func (e *edgeEval) anchorFilter(br xpath.Branch, tuples [][]int64) ([][]int64, error) {
 	if br.Steps[0].Axis != xpath.Child {
 		return tuples, nil
 	}
-	var out []relop.Tuple
+	var out [][]int64
 	for _, t := range tuples {
 		e.es.IndexLookups++
 		pid, _, ok, err := e.env.Edge.Parent(t[0])
@@ -117,30 +116,30 @@ func (e *edgeEval) anchorFilter(br xpath.Branch, tuples []relop.Tuple) ([]relop.
 }
 
 // topDown walks from the document roots through the forward link index.
-func (e *edgeEval) topDown(br xpath.Branch) ([]relop.Tuple, error) {
+func (e *edgeEval) topDown(br xpath.Branch) ([][]int64, error) {
 	first, err := e.stepFrom(0, br.Steps[0])
 	if err != nil {
 		return nil, err
 	}
-	tuples := make([]relop.Tuple, len(first))
+	tuples := make([][]int64, len(first))
 	for i, id := range first {
-		tuples[i] = relop.Tuple{id}
+		tuples[i] = []int64{id}
 	}
 	return e.walkDown(br.Steps[1:], tuples)
 }
 
 // walkDown extends tuples (whose last column is the current frontier)
 // through the remaining steps.
-func (e *edgeEval) walkDown(steps []xpath.Step, tuples []relop.Tuple) ([]relop.Tuple, error) {
+func (e *edgeEval) walkDown(steps []xpath.Step, tuples [][]int64) ([][]int64, error) {
 	for _, step := range steps {
-		var next []relop.Tuple
+		var next [][]int64
 		for _, t := range tuples {
 			ids, err := e.stepFrom(t[len(t)-1], step)
 			if err != nil {
 				return nil, err
 			}
 			for _, id := range ids {
-				nt := make(relop.Tuple, 0, len(t)+1)
+				nt := make([]int64, 0, len(t)+1)
 				nt = append(nt, t...)
 				nt = append(nt, id)
 				next = append(next, nt)
@@ -208,9 +207,9 @@ func (e *edgeEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) er
 		if err != nil {
 			return err
 		}
-		tuples := make([]relop.Tuple, len(first))
+		tuples := make([][]int64, len(first))
 		for i, id := range first {
-			tuples[i] = relop.Tuple{id}
+			tuples[i] = []int64{id}
 		}
 		tuples, err = e.walkDown(sub[1:], tuples)
 		if err != nil {
@@ -232,7 +231,7 @@ func (e *edgeEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) er
 
 // filterValue keeps tuples whose last column carries the branch's leaf
 // value, verified through the value index.
-func (e *edgeEval) filterValue(br xpath.Branch, tuples []relop.Tuple) ([]relop.Tuple, error) {
+func (e *edgeEval) filterValue(br xpath.Branch, tuples [][]int64) ([][]int64, error) {
 	if !br.HasValue || len(tuples) == 0 {
 		return tuples, nil
 	}
@@ -246,11 +245,24 @@ func (e *edgeEval) filterValue(br xpath.Branch, tuples []relop.Tuple) ([]relop.T
 	if err != nil {
 		return nil, err
 	}
-	return relop.SemiJoin(tuples, len(tuples[0])-1, matching, &e.es.Join), nil
+	return semiJoin(tuples, len(tuples[0])-1, matching, &e.es.Join), nil
 }
 
-func prepend(id int64, t relop.Tuple) relop.Tuple {
-	nt := make(relop.Tuple, 0, len(t)+1)
+// semiJoin returns the left rows whose lcol value appears in keys.
+func semiJoin(left [][]int64, lcol int, keys map[int64]struct{}, c *JoinCounters) [][]int64 {
+	c.TuplesIn += int64(len(left))
+	var out [][]int64
+	for _, t := range left {
+		if _, ok := keys[t[lcol]]; ok {
+			out = append(out, t)
+		}
+	}
+	c.TuplesOut += int64(len(out))
+	return out
+}
+
+func prepend(id int64, t []int64) []int64 {
+	nt := make([]int64, 0, len(t)+1)
 	nt = append(nt, id)
 	return append(nt, t...)
 }

@@ -65,7 +65,7 @@ func TestExplainOrderMatchesEstimates(t *testing.T) {
 func TestExplainActuals(t *testing.T) {
 	db := buildDB(t, auctionXML)
 	pat := xpath.MustParse(`/site/regions/namerica/item/quantity[. = 2]`)
-	ids, es, err := plan.Execute(db.Env(), plan.DataPathsPlan, pat)
+	ids, es, err := execute(db.Env(), plan.DataPathsPlan, pat)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestINLDecisionDoesNotChangeResults(t *testing.T) {
 					env := *db.Env()
 					env.INLFactor = factor
 					env.NoReorder = noReorder
-					got, es, err := plan.Execute(&env, s, pat)
+					got, es, err := execute(&env, s, pat)
 					if err != nil {
 						t.Fatalf("%v factor=%d reorder=%v: %s: %v", s, factor, !noReorder, q, err)
 					}
@@ -64,7 +64,7 @@ func TestForcedINLEverywhere(t *testing.T) {
 		env := *db.Env()
 		env.INLFactor = 1
 		for _, s := range []plan.Strategy{plan.DataPathsPlan, plan.ASRPlan, plan.JoinIndexPlan} {
-			got, _, err := plan.Execute(&env, s, pat)
+			got, _, err := execute(&env, s, pat)
 			if err != nil {
 				t.Fatalf("%v: %s: %v", s, q, err)
 			}

@@ -10,9 +10,9 @@ import (
 
 // OpKind identifies a physical operator. The algebra is small and closed:
 // every strategy's plan is a tree over these eight operators, which is what
-// lets one executor (and one parallel executor, and one EXPLAIN renderer)
-// serve all of them — the strategies differ only in which access method
-// their IndexProbe leaves use and in what the probes cost.
+// lets one executor (and one EXPLAIN renderer) serve all of them — the
+// strategies differ only in which access method their IndexProbe leaves use
+// and in what the probes cost.
 type OpKind uint8
 
 const (
@@ -168,7 +168,7 @@ type Tree struct {
 	Traced bool
 
 	// Finalize products: the flat operator list (index = Node.ord), the
-	// identity-deduplicated probe leaves the parallel executor fans out,
+	// identity-deduplicated probe leaves a multi-worker run fans out,
 	// and the pool of reusable Runtimes.
 	nodes  []*Node
 	probes []*Node

@@ -22,9 +22,9 @@ func statsEqual(a, b *plan.ExecStats) bool {
 		a.BranchesJoined == b.BranchesJoined
 }
 
-// TestParallelExecStatsMatchSerial asserts that the parallel tree executor
-// produces exactly the serial executor's per-query counters — no lost or
-// double-counted operator rows from the branch fan-out — and the same ids.
+// TestParallelExecStatsMatchSerial asserts that a fanned-out run produces
+// exactly a serial run's per-query counters — no lost or double-counted
+// operator rows from the branch fan-out — and the same ids.
 // The regression it guards: branch goroutines used to write their counters
 // straight into the shared plan nodes; they now fill private slots merged
 // after the barrier. Run under -race in CI, with several trees executing
@@ -56,11 +56,11 @@ func TestParallelExecStatsMatchSerial(t *testing.T) {
 	for _, q := range queries {
 		pat := xpath.MustParse(q)
 		for _, strat := range strategies {
-			// Serial reference with INL disabled, exactly as the parallel
-			// executor plans (it materialises every branch).
+			// Serial reference with INL disabled, exactly as a read that
+			// will fan out plans (the fan-out materialises every branch).
 			penv := *env
 			penv.INLFactor = -1
-			ids, es, err := plan.Execute(&penv, strat, pat)
+			ids, es, err := execute(&penv, strat, pat)
 			if err != nil {
 				t.Fatalf("%v: %s: %v", strat, q, err)
 			}
@@ -78,7 +78,14 @@ func TestParallelExecStatsMatchSerial(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			pat := xpath.MustParse(ref.q)
-			ids, es, err := plan.ExecuteParallel(env, ref.strat, pat, 4)
+			penv := *env
+			penv.INLFactor = -1
+			tree, err := plan.Build(&penv, ref.strat, pat)
+			if err != nil {
+				errs <- err
+				return
+			}
+			ids, es, err := plan.Run(env, tree, 4, false)
 			if err != nil {
 				errs <- err
 				return
@@ -104,8 +111,8 @@ func TestParallelExecStatsMatchSerial(t *testing.T) {
 }
 
 // TestParallelTreeSingleExecutionCounters: executing a planner-built tree
-// through the parallel executor twice (reset + rerun) must not accumulate
-// counters across runs.
+// with four workers twice (reset + rerun) must not accumulate counters
+// across runs.
 func TestParallelTreeSingleExecutionCounters(t *testing.T) {
 	db := buildDB(t, auctionXML)
 	env := db.Env()
@@ -116,11 +123,11 @@ func TestParallelTreeSingleExecutionCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids1, es1, err := plan.ExecuteTreeParallel(env, tree, 4)
+	ids1, es1, err := plan.Run(env, tree, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids2, es2, err := plan.ExecuteTreeParallel(env, tree, 4)
+	ids2, es2, err := plan.Run(env, tree, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}

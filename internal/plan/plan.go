@@ -26,7 +26,6 @@ import (
 	"repro/internal/containment"
 	"repro/internal/index"
 	"repro/internal/pathdict"
-	"repro/internal/relop"
 	"repro/internal/stats"
 	"repro/internal/xmldb"
 	"repro/internal/xpath"
@@ -117,19 +116,18 @@ type Env struct {
 	NoReorder bool
 
 	// TraceAll turns on per-operator wall-time tracing for every
-	// execution against this env (ExecuteTree, ExecuteTreeWith and the
-	// parallel executor alike). The engine sets it when a slow-query
-	// threshold is configured, so any over-threshold query already
-	// carries its trace; ExecuteTreeTraced forces tracing for a single
-	// run regardless. When false, the executor takes the exact same
-	// code path as before tracing existed — one predictable branch per
-	// operator — and the warmed cache-hit path stays allocation-free.
+	// execution against this env, serial or fanned out. The engine sets
+	// it when a slow-query threshold is configured, so any
+	// over-threshold query already carries its trace; Run's trace
+	// argument forces tracing for a single run regardless. When off,
+	// tracing costs one predictable branch per operator, and the warmed
+	// cache-hit path stays allocation-free either way.
 	TraceAll bool
 	// IOStat, when non-nil and tracing is on, is sampled around each
 	// operator to attribute device reads (count and bytes) to the
 	// operator that triggered them. The counters are process-global, so
 	// the attribution is exact for serial runs and approximate when
-	// other queries run concurrently; the parallel executor's fanned-out
+	// other queries run concurrently; a multi-worker run's fanned-out
 	// probes skip I/O attribution entirely (their deltas would
 	// interleave).
 	IOStat func() (reads, bytes int64)
@@ -147,6 +145,19 @@ func (e *Env) inlThreshold() (int64, bool) {
 	}
 }
 
+// JoinCounters accumulates the join work of a plan over rows of node ids
+// (the paper's n-tuples (d1, ..., dn) identifying a match).
+type JoinCounters struct {
+	TuplesIn  int64 // tuples consumed by joins
+	TuplesOut int64 // tuples produced by joins
+}
+
+// Add accumulates other into c.
+func (c *JoinCounters) Add(other JoinCounters) {
+	c.TuplesIn += other.TuplesIn
+	c.TuplesOut += other.TuplesOut
+}
+
 // ExecStats reports the work a plan performed; these counters are the
 // machine-independent stand-ins for the paper's wall-clock measurements.
 // They are aggregated from the executed plan tree's per-operator counters
@@ -157,11 +168,11 @@ type ExecStats struct {
 	INLProbes      int64 // bound probes performed by index-nested-loop joins
 	UsedINL        bool
 	RelationsUsed  int // distinct ASR/JI relations touched
-	Join           relop.Counters
+	Join           JoinCounters
 	BranchesJoined int
 	// Parallel reports whether the probe leaves were actually fanned out
-	// over worker goroutines (ExecuteParallel can fall back to the serial
-	// executor for single-branch patterns and structural joins).
+	// over worker goroutines (Run executes single-branch patterns and
+	// structural joins serially whatever worker count was asked for).
 	Parallel bool
 	// Plan is the executed physical plan tree, with per-operator estimated
 	// and actual cardinalities (nil when execution failed before a tree
@@ -189,8 +200,7 @@ const inlFactor = 4
 // count their work into the caller's per-operator stats; one evaluator is
 // cached on each Runtime and reused across executions, so its internal
 // scratch (decode buffers, iterators) amortises to zero allocations. An
-// evaluator is not goroutine-safe — the parallel executor builds one per
-// worker.
+// evaluator is not goroutine-safe — a fan-out builds one per worker.
 type evaluator interface {
 	// free evaluates n's branch from scratch, appending rows with one
 	// column per branch.Nodes entry into out (already reset to that

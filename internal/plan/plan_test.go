@@ -90,6 +90,15 @@ func buildDB(t testing.TB, docs ...string) *engine.DB {
 	return db
 }
 
+// execute builds strat's plan tree for pat and runs it serially.
+func execute(env *plan.Env, strat plan.Strategy, pat *xpath.Pattern) ([]int64, *plan.ExecStats, error) {
+	t, err := plan.Build(env, strat, pat)
+	if err != nil {
+		return nil, nil, err
+	}
+	return plan.ExecuteTree(env, t)
+}
+
 // idsEqual compares result sets, treating nil and empty as equal.
 func idsEqual(a, b []int64) bool {
 	if len(a) == 0 && len(b) == 0 {
@@ -104,7 +113,7 @@ func checkAll(t *testing.T, db *engine.DB, q string) {
 	pat := xpath.MustParse(q)
 	want := naive.Match(db.Store(), pat)
 	for _, strat := range allStrategies {
-		got, _, err := db.QueryPattern(pat, strat)
+		got, _, err := execute(db.Env(), strat, pat)
 		if err != nil {
 			t.Errorf("%v: %s: %v", strat, q, err)
 			continue
@@ -206,7 +215,7 @@ func TestMissingIndexErrors(t *testing.T) {
 	}
 	// No indices built: every strategy must fail loudly.
 	for _, strat := range allStrategies {
-		if _, _, err := db.Query(`/book`, strat); err == nil {
+		if _, _, err := execute(db.Env(), strat, xpath.MustParse(`/book`)); err == nil {
 			t.Errorf("%v with no indices: want error", strat)
 		}
 	}
@@ -217,7 +226,7 @@ func TestExecStatsShape(t *testing.T) {
 	// An interior-// query through ASR must touch multiple relations (one
 	// per matching concrete rooted path: namerica and europe items) — the
 	// paper's Section 5.2.6 effect.
-	_, es, err := db.Query(`/site//item[quantity = 2]`, plan.ASRPlan)
+	_, es, err := execute(db.Env(), plan.ASRPlan, xpath.MustParse(`/site//item[quantity = 2]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +234,7 @@ func TestExecStatsShape(t *testing.T) {
 		t.Errorf("ASR // query touched %d relations, want >= 2", es.RelationsUsed)
 	}
 	// The same query through DATAPATHS is a single lookup.
-	_, es, err = db.Query(`//item[quantity = 2]`, plan.DataPathsPlan)
+	_, es, err = execute(db.Env(), plan.DataPathsPlan, xpath.MustParse(`//item[quantity = 2]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +242,7 @@ func TestExecStatsShape(t *testing.T) {
 		t.Errorf("DP // query used %d lookups, want 1", es.IndexLookups)
 	}
 	// Edge pays per-step joins even on a single path.
-	_, es, err = db.Query(`/site/regions/namerica/item/quantity[. = 2]`, plan.EdgePlan)
+	_, es, err = execute(db.Env(), plan.EdgePlan, xpath.MustParse(`/site/regions/namerica/item/quantity[. = 2]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +309,7 @@ func TestRandomizedCrossValidation(t *testing.T) {
 			}
 			want := naive.Match(db.Store(), pat)
 			for _, strat := range allStrategies {
-				got, _, err := db.QueryPattern(pat, strat)
+				got, _, err := execute(db.Env(), strat, pat)
 				if err != nil {
 					t.Fatalf("round %d %v: %s: %v\ndocs: %v", round, strat, q, err, docs)
 				}

@@ -92,7 +92,7 @@ func TestForcedOperatorKinds(t *testing.T) {
 			t.Fatalf("want an inl-join:\n%s", opList(tree))
 		}
 		execTreeMatchesOracle(t, db, tree, pat)
-		_, es, err := plan.Execute(&env, plan.DataPathsPlan, pat)
+		_, es, err := execute(&env, plan.DataPathsPlan, pat)
 		if err != nil || !es.UsedINL || es.INLProbes == 0 {
 			t.Fatalf("INL not reported: err=%v used=%v probes=%d", err, es.UsedINL, es.INLProbes)
 		}

@@ -28,7 +28,6 @@ type Runtime struct {
 	jids []int64 // scratch: distinct join ids for INL probes
 	ht   hashTab // shared hash table (join build / key set / group lookup)
 
-	agg      ExecStats // aggregate of the last run (ExecuteTreeWith reuse)
 	parallel bool
 	// trace records per-operator wall time (and, with env.IOStat, device
 	// read deltas) into the runStates. All trace state lives in the
@@ -43,7 +42,7 @@ type runState struct {
 	stats  ExecStats
 	out    brel
 	bout   boundRel
-	cached bool // out holds pre-materialised probe output (parallel executor)
+	cached bool // out holds probe output pre-materialised by fanOut
 
 	// Trace measurements of the last run (traced runs only): inclusive
 	// subtree wall time and attributed device-read deltas.
@@ -52,18 +51,11 @@ type runState struct {
 	readBytes int64
 }
 
-// NewRuntime returns a standalone runtime for t, for callers that manage
-// reuse themselves (ExecuteTreeWith); ExecuteTree draws from the tree's
-// internal pool instead.
-func NewRuntime(t *Tree) *Runtime {
-	return &Runtime{tree: t, states: make([]runState, len(t.nodes))}
-}
-
 func (t *Tree) runtime() *Runtime {
 	if rt, ok := t.pool.Get().(*Runtime); ok {
 		return rt
 	}
-	return NewRuntime(t)
+	return &Runtime{tree: t, states: make([]runState, len(t.nodes))}
 }
 
 func (t *Tree) recycle(rt *Runtime) { t.pool.Put(rt) }
@@ -101,24 +93,8 @@ func (rt *Runtime) evaluator() (evaluator, error) {
 	return rt.eval, nil
 }
 
-// run executes the tree, leaving per-operator state in rt and the sorted
-// distinct output ids in rt.ids. With trace on, the root's inclusive
-// elapsed time spans the whole run (including the final dedup), so the
-// root span is the executor-side end-to-end latency.
-func (rt *Runtime) run(env *Env, trace bool) ([]int64, error) {
-	rt.reset(env)
-	if !trace {
-		return rt.spine(env)
-	}
-	rt.trace = true
-	start := time.Now()
-	ids, err := rt.spine(env)
-	rt.states[rt.tree.Root.ord].elapsedNS = time.Since(start).Nanoseconds()
-	return ids, err
-}
-
-// spine runs the operator tree without resetting — the parallel executor
-// resets, installs its pre-materialised probe blocks, then calls spine.
+// spine runs the operator tree without resetting: run resets, lets fanOut
+// install any pre-materialised probe blocks, then calls spine.
 func (rt *Runtime) spine(env *Env) ([]int64, error) {
 	t := rt.tree
 	if t.Root.Kind == OpStructuralJoin {
@@ -261,7 +237,7 @@ func (rt *Runtime) runHashJoin(n *Node) (*brel, error) {
 		for h := rt.ht.first(lrow[n.jCol]); h != 0; h = rt.ht.next[h-1] {
 			row := st.out.newRow()
 			copy(row, lrow)
-			copy(row[left.width:], right.row(int(h-1))[n.jIdx+1:])
+			copy(row[left.width:], right.row(int(h - 1))[n.jIdx+1:])
 		}
 	}
 	st.stats.Join.TuplesOut += int64(st.out.rows())

@@ -29,7 +29,7 @@ func checkSJ(t *testing.T, db *engine.DB, q string) {
 	t.Helper()
 	pat := xpath.MustParse(q)
 	want := naive.Match(db.Store(), pat)
-	got, es, err := db.QueryPattern(pat, plan.StructuralJoinPlan)
+	got, es, err := execute(db.Env(), plan.StructuralJoinPlan, pat)
 	if err != nil {
 		t.Errorf("SJ %s: %v", q, err)
 		return
@@ -86,13 +86,13 @@ func TestStructuralJoinRequiresIndices(t *testing.T) {
 	if err := db.LoadXML(strings.NewReader(bookXML)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Query(`/book`, plan.StructuralJoinPlan); err == nil {
+	if _, _, err := execute(db.Env(), plan.StructuralJoinPlan, xpath.MustParse(`/book`)); err == nil {
 		t.Fatalf("SJ without indices: want error")
 	}
 	if err := db.Build(index.KindContainment); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := db.Query(`/book`, plan.StructuralJoinPlan); err == nil {
+	if _, _, err := execute(db.Env(), plan.StructuralJoinPlan, xpath.MustParse(`/book`)); err == nil {
 		t.Fatalf("SJ without Edge: want error")
 	}
 }

@@ -74,7 +74,11 @@ func TestTraceTimingInvariants(t *testing.T) {
 	env := db.Env()
 	for _, q := range traceQueries {
 		pat := xpath.MustParse(q)
-		_, es, err := plan.ExecuteTraced(env, plan.DataPathsPlan, pat)
+		tree, err := plan.Build(env, plan.DataPathsPlan, pat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, es, err := plan.ExecuteTreeTraced(env, tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,20 +115,28 @@ func TestTraceTimingInvariants(t *testing.T) {
 	}
 }
 
-// The parallel executor's traced view keeps the same invariant at the
-// root: the span covers fan-out plus spine, and probe spans are recorded
-// by the workers that materialised them.
+// A fanned-out run's traced view keeps the same invariant at the root: the
+// span covers fan-out plus spine, and probe spans are recorded by the
+// workers that materialised them. Tracing comes from Env.TraceAll here, the
+// other way to turn it on.
 func TestTraceParallel(t *testing.T) {
 	db := buildDB(t, auctionXML, bookXML)
 	env := db.Env()
 	tenv := *env
 	tenv.TraceAll = true
 	pat := xpath.MustParse(`//item[incategory/@category = 'c1'][quantity = '2']`)
-	ids, es, err := plan.ExecuteParallel(&tenv, plan.RootPathsPlan, pat, 4)
+	tree, err := plan.Build(env, plan.RootPathsPlan, pat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantIDs, _, err := plan.Execute(env, plan.RootPathsPlan, pat)
+	ids, es, err := plan.Run(&tenv, tree, 4, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !es.Parallel {
+		t.Fatal("4 workers over a three-branch tree did not fan out")
+	}
+	wantIDs, _, err := execute(env, plan.RootPathsPlan, pat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +151,10 @@ func TestTraceParallel(t *testing.T) {
 	}
 }
 
-// Guard for the satellite: with tracing compiled in but disabled
-// (env.TraceAll false, the default), the warmed cache-hit path must still
-// run with exactly zero allocations — and flipping TraceAll on must not
-// start allocating either, since all trace state lives in the pooled
-// runtime. TestExecuteTreeWithZeroAllocs keeps asserting the original
+// With tracing compiled in but off (the default), the warmed cache-hit
+// path must still run with exactly zero allocations — and turning it on
+// must not start allocating either, since all trace state lives in the
+// pooled runtime. TestWarmedRunZeroAllocs keeps asserting the original
 // contract; this test pins that the tracing branch itself is free.
 func TestZeroAllocsWithTracingCompiledIn(t *testing.T) {
 	db := buildDB(t, auctionXML, bookXML)
@@ -151,26 +162,24 @@ func TestZeroAllocsWithTracingCompiledIn(t *testing.T) {
 	if env.TraceAll {
 		t.Fatal("engine env has TraceAll on by default")
 	}
-	tenv := *env
-	tenv.TraceAll = true
 	pat := xpath.MustParse(`//item[incategory/@category = 'c1'][quantity = '2']`)
 	tree, err := plan.Build(env, plan.DataPathsPlan, pat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := plan.NewRuntime(tree)
+	run := plan.HoldRuntime(tree)
 	for _, tc := range []struct {
-		name string
-		env  *plan.Env
-	}{{"disabled", env}, {"enabled", &tenv}} {
+		name  string
+		trace bool
+	}{{"disabled", false}, {"enabled", true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			for i := 0; i < 3; i++ {
-				if _, _, err := plan.ExecuteTreeWith(tc.env, tree, rt); err != nil {
+				if _, err := run(env, 1, tc.trace); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				if _, _, err := plan.ExecuteTreeWith(tc.env, tree, rt); err != nil {
+				if _, err := run(env, 1, tc.trace); err != nil {
 					t.Fatal(err)
 				}
 			})

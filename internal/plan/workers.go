@@ -2,9 +2,9 @@ package plan
 
 import "runtime"
 
-// ResolveWorkers is the single worker-count clamp every layer uses
-// (serial/parallel executors and the engine's query entry points), so a
-// zero, negative or oversized request behaves identically everywhere:
+// ResolveWorkers is the single worker-count clamp every layer uses (the
+// executor and the engine's query path), so a zero, negative or oversized
+// request behaves identically everywhere:
 // requested <= 0 resolves to GOMAXPROCS, and when the number of
 // parallelisable units (probe leaves / branches) is known and positive the
 // count is capped by it — more workers than branches would only idle.

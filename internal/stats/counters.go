@@ -81,7 +81,7 @@ func (c *QueryCounters) CountTxRetry() {
 // QuerySnapshot is a point-in-time copy of the counters.
 type QuerySnapshot struct {
 	Queries           int64 // queries executed
-	ParallelQueries   int64 // of which via the parallel executor
+	ParallelQueries   int64 // of which fanned probe leaves out over workers
 	BranchesEvaluated int64 // covering branches evaluated across all queries
 	PlanCacheHits     int64 // auto-planned queries answered from the plan cache
 	SnapshotsPinned   int64 // snapshot pins taken by readers (one per query)

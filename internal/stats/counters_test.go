@@ -9,7 +9,7 @@ import (
 // counters; a concurrent Snapshot must never observe them out of step.
 // Every writer counts a 3-branch query, so BranchesEvaluated == 3*Queries
 // must hold in every snapshot exactly, not just at quiescence. Run under
-// -race in CI (make obs).
+// -race in CI (make race).
 func TestQuerySnapshotConsistentUnderConcurrency(t *testing.T) {
 	var c QueryCounters
 	const writers, perW = 8, 2000

@@ -31,8 +31,9 @@ type Result struct {
 	Trace *TraceNode
 
 	// SnapshotSeq is the sequence number of the database version that
-	// answered — set by QueryAsOf (0 on ordinary queries, which always run
-	// against the version current at their start).
+	// answered, set on every Result: the version current when an ordinary
+	// query started, the requested one for QueryAsOf, and for a query
+	// inside a Tx the version the transaction began from.
 	SnapshotSeq uint64
 
 	db *DB

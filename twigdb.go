@@ -377,7 +377,7 @@ func (db *DB) Query(q string) (*Result, error) { return db.QueryWith(Auto, q) }
 // QueryWith evaluates a query under an explicit strategy — the pin that
 // bypasses the cost-based planner (Auto re-enables it).
 func (db *DB) QueryWith(strat Strategy, q string) (*Result, error) {
-	return db.queryWith(strat, q, 1)
+	return db.query(db.eng.Read, strat, q, 1, false)
 }
 
 // QueryParallel evaluates a query under an explicit strategy (Auto allowed)
@@ -386,7 +386,7 @@ func (db *DB) QueryWith(strat Strategy, q string) (*Result, error) {
 // positional joins. Results are identical to QueryWith's. workers <= 0
 // picks GOMAXPROCS; workers == 1 is exactly QueryWith.
 func (db *DB) QueryParallel(strat Strategy, q string, workers int) (*Result, error) {
-	return db.queryWith(strat, q, workers)
+	return db.query(db.eng.Read, strat, q, workers, false)
 }
 
 // QueryBatch serves all queries concurrently against the shared buffer
@@ -423,53 +423,50 @@ func (db *DB) QueryBatch(strat Strategy, queries []string, workers int) ([]*Resu
 	return results, errors.Join(errs...)
 }
 
-// queryWith is the shared execution path: branchWorkers == 1 runs the
-// serial executor, > 1 (or 0 for GOMAXPROCS) the parallel one.
-func (db *DB) queryWith(strat Strategy, q string, branchWorkers int) (*Result, error) {
+// reader is one of the engine's three snapshot sources: the current
+// version (engine.DB.Read), a retained one (ReadAsOf) or a transaction's
+// view (engine.Tx.Read).
+type reader func(*xpath.Pattern, engine.ReadOpts) (engine.ReadResult, error)
+
+// query is the package's one query path: parse, translate the public
+// strategy into the engine's read options, read, assemble the Result.
+// workers == 1 executes serially, anything else fans branches out (<= 0
+// over GOMAXPROCS goroutines).
+func (db *DB) query(read reader, strat Strategy, q string, workers int, trace bool) (*Result, error) {
 	pat, err := xpath.Parse(q)
 	if err != nil {
 		return nil, err
 	}
-	if strat == Oracle {
-		ids := db.eng.MatchNaive(pat)
-		return &Result{Query: q, Strategy: Oracle, IDs: ids, db: db}, nil
+	opts := engine.ReadOpts{Workers: workers, Trace: trace}
+	switch strat {
+	case Auto:
+		opts.Planner = engine.Auto
+	case Oracle:
+		opts.Planner = engine.Oracle
+	default:
+		opts.Strategy = strategyToInternal[strat]
 	}
-	var ids []int64
-	var es *plan.ExecStats
-	var ps plan.Strategy
-	if strat == Auto {
-		// Resolution and execution share one engine critical section, so a
-		// concurrent Insert/Delete can't invalidate the chosen index in
-		// between.
-		ids, es, ps, err = db.eng.QueryPatternBest(pat, branchWorkers)
-	} else {
-		ps = strategyToInternal[strat]
-		if branchWorkers == 1 {
-			ids, es, err = db.eng.QueryPattern(pat, ps)
-		} else {
-			ids, es, err = db.eng.QueryPatternParallel(pat, ps, branchWorkers)
-		}
-	}
+	r, err := read(pat, opts)
 	if err != nil {
 		return nil, err
 	}
-	return db.newResult(q, strat, ps, ids, es), nil
+	return db.newResult(q, strat, r), nil
 }
 
 // newResult assembles the public Result from an internal execution:
 // strategy resolution for Auto, counter mirroring, the executed plan view,
 // and — when the run was traced — the per-operator trace tree.
-func (db *DB) newResult(q string, strat Strategy, ps plan.Strategy, ids []int64, es *plan.ExecStats) *Result {
-	res := &Result{Query: q, Strategy: strat, IDs: ids, db: db}
+func (db *DB) newResult(q string, strat Strategy, r engine.ReadResult) *Result {
+	res := &Result{Query: q, Strategy: strat, IDs: r.IDs, SnapshotSeq: r.Seq, db: db}
 	if strat == Auto {
 		for pub, internal := range strategyToInternal {
-			if internal == ps {
+			if internal == r.Strategy {
 				res.Strategy = pub
 				break
 			}
 		}
 	}
-	if es != nil {
+	if es := r.Stats; es != nil {
 		res.Stats = ExecStats{
 			IndexLookups:   es.IndexLookups,
 			RowsScanned:    es.RowsScanned,
@@ -497,26 +494,10 @@ func (db *DB) newResult(q string, strat Strategy, ps plan.Strategy, ids []int64,
 // operator; it does not require Options.SlowQueryThreshold. Oracle is not
 // supported (it runs no plan).
 func (db *DB) ExplainAnalyze(strat Strategy, q string) (*Result, error) {
-	pat, err := xpath.Parse(q)
-	if err != nil {
-		return nil, err
-	}
 	if strat == Oracle {
 		return nil, errors.New("twigdb: ExplainAnalyze needs a plan-running strategy; Oracle has no plan")
 	}
-	var ids []int64
-	var es *plan.ExecStats
-	var ps plan.Strategy
-	if strat == Auto {
-		ids, es, ps, err = db.eng.QueryPatternBestTraced(pat)
-	} else {
-		ps = strategyToInternal[strat]
-		ids, es, err = db.eng.QueryPatternTraced(pat, ps)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return db.newResult(q, strat, ps, ids, es), nil
+	return db.query(db.eng.Read, strat, q, 1, true)
 }
 
 // QueryStats is a snapshot of the database's lifetime query counters

@@ -2,7 +2,6 @@ package twigdb
 
 import (
 	"repro/internal/engine"
-	"repro/internal/plan"
 	"repro/internal/xmldb"
 	"repro/internal/xpath"
 )
@@ -90,26 +89,7 @@ func (tx *Tx) Query(q string) (*Result, error) { return tx.QueryWith(Auto, q) }
 // QueryWith is Query under an explicit strategy (Auto re-enables the
 // planner; Oracle runs the naive in-memory matcher).
 func (tx *Tx) QueryWith(strat Strategy, q string) (*Result, error) {
-	pat, err := xpath.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	if strat == Oracle {
-		return &Result{Query: q, Strategy: Oracle, IDs: tx.etx.MatchNaive(pat), db: tx.db}, nil
-	}
-	var ids []int64
-	var es *plan.ExecStats
-	var ps plan.Strategy
-	if strat == Auto {
-		ids, es, ps, err = tx.etx.QueryPatternBest(pat)
-	} else {
-		ps = strategyToInternal[strat]
-		ids, es, err = tx.etx.QueryPattern(pat, ps)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return tx.db.newResult(q, strat, ps, ids, es), nil
+	return tx.db.query(tx.etx.Read, strat, q, 1, false)
 }
 
 // Commit atomically publishes every statement of the transaction, or none:
@@ -157,17 +137,9 @@ func (db *DB) CurrentSeq() uint64 { return db.eng.CurrentSeq() }
 // Options.RetainSnapshots; otherwise ErrSnapshotRetired. The returned
 // Result's SnapshotSeq records the version that answered.
 func (db *DB) QueryAsOf(q string, seq uint64) (*Result, error) {
-	pat, err := xpath.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	ids, es, ps, err := db.eng.QueryPatternAsOf(pat, seq, 1)
-	if err != nil {
-		return nil, err
-	}
-	res := db.newResult(q, Auto, ps, ids, es)
-	res.SnapshotSeq = seq
-	return res, nil
+	return db.query(func(pat *xpath.Pattern, opts engine.ReadOpts) (engine.ReadResult, error) {
+		return db.eng.ReadAsOf(seq, pat, opts)
+	}, Auto, q, 1, false)
 }
 
 // TxStats is a snapshot of the lifetime transaction counters.

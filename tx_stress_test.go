@@ -1,7 +1,7 @@
 package twigdb_test
 
 // Serialization-anomaly stress harness (satellite of the optimistic
-// transaction work; run under -race by `make txn`).
+// transaction work; run under -race by `make race`).
 //
 // The workload is a "token slot" protocol that makes lost updates and
 // partial states observable from inside the database: every document
