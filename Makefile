@@ -1,13 +1,9 @@
 GO ?= go
 
-# Benchmarks added with the in-place write path / sharded pool PR; see
-# docs/PERF.md for methodology and recorded baselines.
-BENCHES = BenchmarkInsert|BenchmarkBuildAll|BenchmarkConcurrentQuery
-
 # Short-budget fuzz smoke for CI (full runs: go test -fuzz=... by hand).
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-plan fuzz ci bench bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8 bench-faults
+.PHONY: all build vet test race race-plan fuzz ci bench paper
 
 all: test
 
@@ -52,56 +48,15 @@ fuzz:
 # Everything CI runs, in order.
 ci: test race race-plan fuzz
 
-# Machine-readable trajectory entries at the repo root.
-bench: bench1 bench2 bench3 bench4 bench5 bench6 bench7 bench8
+# The four benchmark workloads, untraced, as the driver runs them: one JSON
+# object of end-to-end metrics per workload on standard output, tables on
+# standard error (benchmark/README.md; add --trace 1 for the per-layer run).
+bench:
+	bash benchmark/run.sh --workload twig-hot --seed 1 --seconds 15 --trace 0
+	bash benchmark/run.sh --workload twig-cold --seed 1 --seconds 15 --trace 0
+	bash benchmark/run.sh --workload commit-durable --seed 1 --seconds 15 --trace 0
+	bash benchmark/run.sh --workload mixed-txn --seed 1 --seconds 15 --trace 0
 
-# Micro-benchmarks with allocation reporting -> BENCH_1.json.
-bench1:
-	$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -json ./internal/btree/ | tee BENCH_1.json
-
-# Concurrent-session throughput (serial vs 8 sessions, memory- and
-# disk-resident regimes) -> BENCH_2.json.
-bench2:
-	$(GO) run ./cmd/twigbench -parallel -out BENCH_2.json
-
-# File-backed storage: build/close/reopen + cold-cache query regimes
-# (in-memory vs file-backed vs simulated-latency) -> BENCH_3.json.
-bench3:
-	$(GO) run ./cmd/twigbench -file -out BENCH_3.json
-
-# Cost-based-planner regret: chosen-plan latency vs the best pinned
-# strategy per workload query (see docs/PLANNER.md) -> BENCH_4.json.
-bench4:
-	$(GO) run ./cmd/twigbench -planner -out BENCH_4.json
-
-# Mixed read/write workload: reader p50 under a continuous writer vs the
-# read-only baseline (snapshot isolation), plus fsyncs per committed
-# update with 1 vs 4 writers (WAL group commit) -> BENCH_5.json.
-bench5:
-	$(GO) run ./cmd/twigbench -mixed -out BENCH_5.json
-
-# Multicore scaling: the XMark stream with GOMAXPROCS = sessions swept
-# over 1/2/4/8 cores, memory- and disk-resident regimes; the JSON records
-# cpus_online — points beyond it are time-sliced, not parallel ->
-# BENCH_6.json.
-bench6:
-	$(GO) run ./cmd/twigbench -multicore -out BENCH_6.json
-
-# Disk-resident scale: XMark scale 10 through a buffer pool far smaller
-# than the file — cold/warm query latency, steady-state file size under
-# churn, and commit p99 with the background checkpointer parked vs
-# active -> BENCH_7.json.
-bench7:
-	$(GO) run ./cmd/twigbench -scale10 -out BENCH_7.json
-
-# Optimistic multi-statement transactions: committed-tx throughput and
-# fsync amortisation over a 1/2/4 disjoint-writer sweep, plus the
-# contended-document conflict/retry economics -> BENCH_8.json.
-bench8:
-	$(GO) run ./cmd/twigbench -txn -out BENCH_8.json
-
-# Fault-injection smoke: the XMark workload under armed storage faults,
-# differential-checked; fails on any wrong answer or untyped error ->
-# FAULTS.json (see docs/FAULTS.md).
-bench-faults:
-	$(GO) run ./cmd/twigbench -faults -out FAULTS.json
+# The paper's Section 5 tables and figures as text (docs/PERF.md).
+paper:
+	$(GO) run ./cmd/twigbench -exp all

@@ -1,289 +1,27 @@
 // Command twigbench regenerates the paper's evaluation tables and figures
-// (Section 5) as text tables, and measures concurrent-session throughput.
+// (Section 5) as text tables. Everything else this repository measures —
+// twig-query and durable-commit latency, per-layer attribution — comes from
+// the one benchmark in benchmark/ (see benchmark/README.md).
 //
 // Usage:
 //
 //	twigbench [-scale N] [-exp all|space|fig11|fig12a|fig12b|fig12c|fig12d|fig13|recursion|compress|tables]
-//	twigbench -parallel [-workers N] [-queries N] [-iolat D] [-iopoolkb KB] [-out BENCH_2.json]
-//	twigbench -file [-iopoolkb KB] [-out BENCH_3.json]
-//	twigbench -planner [-out BENCH_4.json]
-//	twigbench -mixed [-workers N] [-queries N] [-out BENCH_5.json]
-//	twigbench -multicore [-queries N] [-iolat D] [-iopoolkb KB] [-out BENCH_6.json]
-//	twigbench -scale10 [-scale N] [-iopoolkb KB] [-out BENCH_7.json]
-//	twigbench -faults [-seed N] [-steps N] [-out FAULTS.json]
 //
 // The -scale flag multiplies the synthetic dataset sizes (default 1).
-// The -maxprocs flag sets GOMAXPROCS for the whole run (0 keeps the
-// runtime default); every JSON-emitting experiment records the effective
-// value so results are attributable to a core count.
-// -parallel runs the concurrent-session throughput experiment: the XMark
-// workload served by 1 session vs -workers sessions over one buffer pool,
-// in a memory-resident and a simulated disk-resident regime, writing the
-// machine-readable result to -out.
-// -file runs the durable storage experiment: build, close, reopen and
-// cold-cache query a file-backed database, comparing in-memory,
-// file-backed and simulated-latency regimes, writing the result to -out.
-// -planner runs the cost-based-planner regret experiment: every XMark and
-// DBLP workload query is timed under the planner's chosen plan and under
-// all nine pinned strategies; regret is chosen-plan latency over the best
-// pinned strategy's latency.
-// -multicore runs the core-count scaling experiment: the XMark stream
-// served with GOMAXPROCS = sessions swept over 1/2/4/8 cores, in the
-// memory-resident and simulated disk-resident regimes; the result records
-// the host's online CPU count since points beyond it are time-sliced, not
-// parallel.
-// -mixed runs the mixed read/write workload: 4 reader sessions against a
-// continuous subtree-update writer (readers pin immutable snapshots, so
-// their p50 must stay within 2x of the read-only baseline), plus the
-// file-backed group-commit phase measuring fsyncs per committed update
-// with 1 writer vs 4 concurrent writers (-workers overrides the 4).
-// -scale10 runs the disk-resident scale experiment: an XMark database an
-// order of magnitude past the other benchmarks queried and churned through
-// a buffer pool far smaller than the file, recording cold/warm query
-// latency, steady-state file size under insert/delete churn, and the
-// commit p99 with the background checkpointer parked vs active.
-// -faults runs the fault-injection smoke: the XMark workload under a
-// deterministic storage fault injector (bit flips, torn writes, I/O
-// errors, a one-shot fsync failure), differential-checking every answered
-// query and requiring every failure to be a typed error; the result
-// reports injected/detected/retried counts and whether the engine
-// degraded to read-only.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/bench"
 )
 
 func main() {
-	scale := flag.Int("scale", bench.Scale(), "dataset scale multiplier")
+	scale := flag.Int("scale", 1, "dataset scale multiplier")
 	exp := flag.String("exp", "all", "experiment to run")
-	maxprocs := flag.Int("maxprocs", 0, "set GOMAXPROCS for the run (0 keeps the runtime default)")
-	parallel := flag.Bool("parallel", false, "run the concurrent-session throughput experiment")
-	multicore := flag.Bool("multicore", false, "run the core-count scaling experiment (GOMAXPROCS sweep)")
-	file := flag.Bool("file", false, "run the file-backed storage experiment (build, reopen, cold-cache query)")
-	planner := flag.Bool("planner", false, "run the cost-based-planner regret experiment")
-	mixed := flag.Bool("mixed", false, "run the mixed read/write workload experiment (snapshot reads + group commit)")
-	txn := flag.Bool("txn", false, "run the optimistic multi-statement transaction experiment (writer sweep + contended phase)")
-	scale10 := flag.Bool("scale10", false, "run the disk-resident scale experiment (XMark scale 10, pool << data)")
-	faults := flag.Bool("faults", false, "run the fault-injection smoke (deterministic storage faults, differential-checked)")
-	seed := flag.Int64("seed", 1, "fault injector + workload seed for the -faults run")
-	steps := flag.Int("steps", 400, "workload steps in the -faults run")
-	workers := flag.Int("workers", 8, "concurrent sessions in the -parallel run")
-	queries := flag.Int("queries", 1600, "total queries per -parallel run")
-	iolat := flag.Duration("iolat", 200*time.Microsecond, "simulated per-miss read latency of the disk-resident regime (0 disables the regime)")
-	iopoolkb := flag.Int("iopoolkb", 512, "buffer pool KB of the disk-resident regime")
-	out := flag.String("out", "", "output path for the -parallel/-file JSON result (default BENCH_2.json / BENCH_3.json)")
 	flag.Parse()
-
-	if *maxprocs > 0 {
-		runtime.GOMAXPROCS(*maxprocs)
-	}
-
-	if *multicore {
-		if *out == "" {
-			*out = "BENCH_6.json"
-		}
-		cfg := bench.DefaultMulticoreConfig()
-		cfg.Scale = *scale
-		cfg.Queries = *queries
-		cfg.IOReadLatency = *iolat
-		cfg.IOPoolBytes = int64(*iopoolkb) << 10
-		res, err := bench.MulticoreExperiment(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if err := res.WriteJSON(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *scale10 {
-		if *out == "" {
-			*out = "BENCH_7.json"
-		}
-		cfg := bench.DefaultScaleConfig()
-		if *scale != 1 {
-			cfg.Scale = *scale
-		}
-		// Honor -iopoolkb only when the user set it; the experiment's own
-		// default (1MB) suits the deeper scale-10 trees better than the
-		// 512KB disk-regime default shared by the other benchmarks.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "iopoolkb" {
-				cfg.PoolBytes = int64(*iopoolkb) << 10
-			}
-		})
-		res, err := bench.ScaleExperiment(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if err := res.WriteJSON(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *faults {
-		if *out == "" {
-			*out = "FAULTS.json"
-		}
-		cfg := bench.DefaultFaultsConfig()
-		cfg.Scale = *scale
-		cfg.Seed = *seed
-		cfg.Steps = *steps
-		res, err := bench.FaultsExperiment(cfg)
-		if res != nil {
-			fmt.Print(res.String())
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		if err := res.WriteJSON(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *txn {
-		if *out == "" {
-			*out = "BENCH_8.json"
-		}
-		cfg := bench.DefaultTxnConfig()
-		// -workers, when set explicitly, sets the contended phase's writer
-		// count (the sweep keeps its recorded 1/2/4 acceptance shape).
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" {
-				cfg.ConflictWriters = *workers
-			}
-		})
-		res, err := bench.TxnExperiment(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if err := res.WriteJSON(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *mixed {
-		if *out == "" {
-			*out = "BENCH_5.json"
-		}
-		cfg := bench.DefaultMixedConfig() // 4 readers, 4 group-commit writers
-		cfg.Scale = *scale
-		cfg.Queries = *queries
-		// -workers, when given explicitly, sets the group-commit phase's
-		// concurrent writer count (the read phases keep the default reader
-		// sessions; -parallel's default of 8 must not silently change the
-		// recorded 4-writer acceptance setup).
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "workers" {
-				cfg.Writers = *workers
-			}
-		})
-		res, err := bench.MixedExperiment(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if err := res.WriteJSON(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *planner {
-		if *out == "" {
-			*out = "BENCH_4.json"
-		}
-		cfg := bench.DefaultPlannerConfig()
-		cfg.Scale = *scale
-		res, err := bench.PlannerExperiment(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if err := res.WriteJSON(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *file {
-		if *out == "" {
-			*out = "BENCH_3.json"
-		}
-		cfg := bench.DefaultPersistConfig()
-		cfg.Scale = *scale
-		cfg.ColdPoolBytes = int64(*iopoolkb) << 10
-		res, err := bench.PersistExperiment(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if err := res.WriteJSON(*out); err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Println("wrote", *out)
-		return
-	}
-
-	if *parallel {
-		if *out == "" {
-			*out = "BENCH_2.json"
-		}
-		cfg := bench.DefaultParallelConfig()
-		cfg.Scale = *scale
-		cfg.Workers = *workers
-		cfg.Queries = *queries
-		cfg.IOReadLatency = *iolat
-		cfg.IOPoolBytes = int64(*iopoolkb) << 10
-		res, err := bench.ParallelExperiment(cfg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "twigbench:", err)
-			os.Exit(1)
-		}
-		fmt.Print(res.String())
-		if *out != "" {
-			if err := res.WriteJSON(*out); err != nil {
-				fmt.Fprintln(os.Stderr, "twigbench:", err)
-				os.Exit(1)
-			}
-			fmt.Println("wrote", *out)
-		}
-		return
-	}
 
 	if err := run(*scale, *exp); err != nil {
 		fmt.Fprintln(os.Stderr, "twigbench:", err)

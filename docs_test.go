@@ -1,0 +1,162 @@
+package twigdb_test
+
+import (
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// TestDocsPointAtThingsThatExist keeps the prose honest: every `make
+// <target>` that README.md, PAPER.md or docs/*.md show in code markup must
+// be a Makefile target, every repo-relative path they show must exist, and
+// every *.md file a Go comment sends the reader to must exist. Deleting a
+// target or a file without chasing its mentions fails here, not in a
+// reader's terminal.
+func TestDocsPointAtThingsThatExist(t *testing.T) {
+	targets := makeTargets(t)
+	files := repoFiles(t)
+	exists := func(p string) bool {
+		p = strings.TrimSuffix(strings.TrimPrefix(p, "./"), "/")
+		p = goQualifier.ReplaceAllString(p, "") // `internal/obs.Histogram` names the package directory
+		for _, f := range files {
+			if ok, _ := path.Match(p, f); ok {
+				return true
+			}
+			if !strings.Contains(p, "/") {
+				if ok, _ := path.Match(p, path.Base(f)); ok {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	topLevel := func(p string) bool {
+		first, _, _ := strings.Cut(strings.TrimPrefix(p, "./"), "/")
+		_, err := os.Stat(first)
+		return first != "" && first != "." && first != ".." && err == nil
+	}
+
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range append([]string{"README.md", "PAPER.md"}, docs...) {
+		for _, span := range codeSpans(t, doc) {
+			tokens := strings.Fields(span)
+			if len(tokens) >= 2 && tokens[0] == "make" && makeTarget.MatchString(tokens[1]) && !targets[tokens[1]] {
+				t.Errorf("%s: `%s`: the Makefile has no target %q", doc, span, tokens[1])
+			}
+			for _, tok := range tokens {
+				if !pathToken.MatchString(tok) {
+					continue
+				}
+				// A token with a slash is a path when it starts at a
+				// top-level entry of the repo; a bare file name only when
+				// it is the whole span (`A.json` inside a command line is
+				// an argument, not a pointer).
+				isPath := strings.Contains(tok, "/") && topLevel(tok) ||
+					len(tokens) == 1 && fileExt.MatchString(tok)
+				if isPath && !exists(tok) {
+					t.Errorf("%s: `%s`: no such file or directory in the repository", doc, tok)
+				}
+			}
+		}
+	}
+
+	for _, f := range files {
+		if !strings.HasSuffix(f, ".go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(src), "\n") {
+			_, comment, ok := strings.Cut(line, "//")
+			if !ok {
+				continue
+			}
+			for _, md := range mdRef.FindAllString(comment, -1) {
+				if !exists(md) {
+					t.Errorf("%s: comment points at %s, which does not exist", f, md)
+				}
+			}
+		}
+	}
+}
+
+var (
+	makeRule   = regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`)
+	makeTarget = regexp.MustCompile(`^[a-z][a-z0-9-]*$`)
+	pathToken  = regexp.MustCompile(`^[A-Za-z0-9_.*/-]+$`)
+	fileExt    = regexp.MustCompile(`\.(go|md|json|yml|sh|mod)$`)
+	mdRef      = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b`)
+	inlineCode = regexp.MustCompile("`([^`\n]+)`")
+	// goQualifier is the .Identifier that turns a package path into a Go name.
+	goQualifier = regexp.MustCompile(`\.[A-Z][A-Za-z0-9]*$`)
+)
+
+// makeTargets returns the rule names of the Makefile.
+func makeTargets(t *testing.T) map[string]bool {
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range makeRule.FindAllStringSubmatch(string(src), -1) {
+		targets[m[1]] = true
+	}
+	return targets
+}
+
+// repoFiles lists every file and directory of the checkout, slash-separated
+// and relative to the root, without descending into .git or the benchmark's
+// build output.
+func repoFiles(t *testing.T) []string {
+	var out []string
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if p == "." {
+			return nil
+		}
+		out = append(out, filepath.ToSlash(p))
+		if p == ".git" || p == ".bench_build" {
+			return fs.SkipDir
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// codeSpans returns the text of every inline code span of a markdown file
+// and every line of its fenced code blocks.
+func codeSpans(t *testing.T, file string) []string {
+	src, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []string
+	fenced := false
+	for _, line := range strings.Split(string(src), "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			fenced = !fenced
+		case fenced:
+			spans = append(spans, line)
+		default:
+			for _, m := range inlineCode.FindAllStringSubmatch(line, -1) {
+				spans = append(spans, m[1])
+			}
+		}
+	}
+	return spans
+}

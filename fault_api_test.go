@@ -1,12 +1,16 @@
 package twigdb_test
 
 import (
+	"bytes"
 	"errors"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	twigdb "repro"
+	"repro/internal/datagen"
+	"repro/internal/xmldb"
 )
 
 // TestFaultInjectionAPI drives fault injection end to end through the
@@ -174,5 +178,81 @@ func TestFaultInjectionTransient(t *testing.T) {
 	}
 	if h := re.Health(); h.ReadOnly {
 		t.Fatalf("transient flip degraded the database: %+v", h)
+	}
+}
+
+// TestFaultInjectionLatency drives the engine's one latency injector — the
+// FaultLatency rule — through the public API: the recipe for a
+// disk-resident regime (docs/CONCURRENCY.md). A file-backed database is
+// built un-faulted behind a pool far smaller than its indices, then every
+// device read is made to stall; a cold query must still answer correctly,
+// must take at least one stall per device read it caused, and the stalls
+// must show in Health.
+func TestFaultInjectionLatency(t *testing.T) {
+	const (
+		stall = 2 * time.Millisecond
+		pool  = 64 << 10 // 8 pages
+	)
+	var doc bytes.Buffer
+	if err := xmldb.WriteXML(&doc, datagen.XMark(datagen.XMarkConfig{ItemsPerRegion: 10}).Root); err != nil {
+		t.Fatal(err)
+	}
+	db, err := twigdb.Open(&twigdb.Options{
+		Path:            filepath.Join(t.TempDir(), "xmark.twigdb"),
+		BufferPoolBytes: pool,
+		FaultInjection: &twigdb.FaultInjection{
+			Seed:  1,
+			Armed: false, // load and build at device speed
+			Specs: []twigdb.FaultSpec{{Kind: twigdb.FaultLatency, Prob: 1, Latency: stall}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.LoadXML(&doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Build(twigdb.RootPaths, twigdb.DataPaths); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Checkpoint(); err != nil { // reads now come from the file, not the WAL
+		t.Fatal(err)
+	}
+	if st := db.StorageStats(); st.FileBytes <= pool {
+		t.Fatalf("file of %d bytes fits the %d-byte pool; the query would not be cold", st.FileBytes, pool)
+	}
+	const q = `/site//item[quantity='3']/name`
+	want, err := db.QueryWith(twigdb.Oracle, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.IDs) == 0 {
+		t.Fatalf("%s matches nothing; pick a query with an answer", q)
+	}
+
+	readsBefore, faultsBefore := db.StorageStats().Reads, db.Health().InjectedFaults
+	db.SetFaultsArmed(true)
+	start := time.Now()
+	got, err := db.QueryWith(twigdb.StrategyRootPaths, q)
+	elapsed := time.Since(start)
+	db.SetFaultsArmed(false)
+	if err != nil {
+		t.Fatalf("query under injected latency: %v", err)
+	}
+	if !reflect.DeepEqual(got.IDs, want.IDs) {
+		t.Fatalf("latency changed answers: got %v want %v", got.IDs, want.IDs)
+	}
+	reads := db.StorageStats().Reads - readsBefore
+	if reads == 0 {
+		t.Fatal("query caused no device read despite a pool smaller than the data")
+	}
+	// QueryWith is serial and every counted read slept first, so this is a
+	// true lower bound: time.Sleep never returns early.
+	if floor := time.Duration(reads) * stall; elapsed < floor {
+		t.Fatalf("%d device reads took %v, want >= %v", reads, elapsed, floor)
+	}
+	if fired := db.Health().InjectedFaults - faultsBefore; fired < reads {
+		t.Fatalf("Health.InjectedFaults moved by %d for %d stalled reads", fired, reads)
 	}
 }

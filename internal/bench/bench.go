@@ -1,15 +1,14 @@
 // Package bench builds the evaluation datasets and regenerates every table
-// and figure of the paper's Section 5 (see DESIGN.md for the experiment
-// index). Timings are wall-clock totals over warm repeated runs, as in the
-// paper ("total query execution time of 10 independent runs with a warm
-// cache"), and every row also carries the substrate's work counters so the
-// plan-shape claims can be verified machine-independently.
+// and figure of the paper's Section 5 (PAPER.md maps the paper onto this
+// repository; experiments.go has one function per figure). Timings are
+// wall-clock totals over warm repeated runs, as in the paper ("total query
+// execution time of 10 independent runs with a warm cache"), and every row
+// also carries the substrate's work counters so the plan-shape claims can be
+// verified machine-independently.
 package bench
 
 import (
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -22,16 +21,6 @@ import (
 
 // Repeats is the paper's run count per measurement.
 const Repeats = 10
-
-// Scale returns the dataset scale multiplier from REPRO_SCALE (default 1).
-func Scale() int {
-	if v := os.Getenv("REPRO_SCALE"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 1
-}
 
 // Dataset is one loaded-and-indexed evaluation database.
 type Dataset struct {

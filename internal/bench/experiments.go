@@ -281,7 +281,7 @@ func TableCounts(xm, dblp *Dataset) *Table {
 }
 
 // AllExperiments runs everything and returns the rendered report; this is
-// what cmd/twigbench prints and EXPERIMENTS.md records.
+// what cmd/twigbench -exp all prints.
 func AllExperiments(scale int) (string, error) {
 	xm, err := BuildXMark(scale)
 	if err != nil {

@@ -29,11 +29,6 @@ type Config struct {
 	BufferPoolBytes int64
 	// PathsOptions configures ROOTPATHS/DATAPATHS compression (Section 4).
 	PathsOptions index.PathsOptions
-	// DiskReadLatency, when > 0, adds a simulated device latency to every
-	// buffer pool miss (see storage.Disk.SetReadLatency). The paper's
-	// experiments are disk-resident; this knob recreates that regime so
-	// concurrent-session throughput measurements overlap real I/O stalls.
-	DiskReadLatency storage.Latency
 	// PoolShards forces the buffer pool's lock-stripe count (0 = size-based
 	// default); needed when a deliberately tiny pool must still serve
 	// concurrent faults.
@@ -309,7 +304,6 @@ func Open(cfg Config) (*DB, error) {
 		db.faults = cfg.Faults
 		db.dev = storage.NewFaultDisk(db.dev, cfg.Faults)
 	}
-	db.dev.SetReadLatency(cfg.DiskReadLatency)
 	if cfg.PoolShards > 0 {
 		db.pool = storage.NewPoolShards(db.dev, cfg.BufferPoolBytes, cfg.PoolShards)
 	} else {
@@ -944,11 +938,6 @@ func (db *DB) Spaces() []index.Space {
 	return out
 }
 
-// SetDiskReadLatency reconfigures the simulated device read latency at
-// runtime (e.g. build the indices at memory speed, then measure queries
-// under a disk-resident regime). Safe to call concurrently with queries.
-func (db *DB) SetDiskReadLatency(lat storage.Latency) { db.dev.SetReadLatency(lat) }
-
 // Device exposes the page device (the in-memory Disk or the FileDisk).
 func (db *DB) Device() storage.Device { return db.dev }
 
@@ -958,6 +947,3 @@ func (db *DB) DeviceStats() storage.DeviceStats { return db.dev.DeviceStats() }
 
 // PoolStats returns buffer pool counters.
 func (db *DB) PoolStats() storage.PoolStats { return db.pool.Stats() }
-
-// ResetPoolStats zeroes buffer pool counters between experiment runs.
-func (db *DB) ResetPoolStats() { db.pool.ResetStats() }

@@ -166,22 +166,27 @@ func (tx *Tx) snapshot() *Snapshot {
 	return tx.base
 }
 
-// ensureNext builds the private successor on the first write: a shallow
-// store clone (documents privatize on demand) and page-COW index clones.
-// The COW frontier is the device page count now — a conservative superset
-// of every page the base (or any older snapshot) can reference; pages
-// other in-flight transactions allocate beyond it never enter this
-// transaction's trees, so treating them as "owned" is moot.
-func (tx *Tx) ensureNext() {
-	if tx.next != nil {
-		return
-	}
-	next := tx.base.clone()
-	store := tx.base.store.CloneShallow()
+// successor makes a private successor of base — the one place a
+// transaction's version is made, for the first write and for every commit
+// replay: a shallow store clone (documents privatize on demand) and
+// page-COW index clones. The COW frontier is the device page count now — a
+// conservative superset of every page base (or any older snapshot) can
+// reference; pages other in-flight transactions allocate beyond it never
+// enter this transaction's trees, so treating them as "owned" is moot.
+func (tx *Tx) successor(base *Snapshot) *Snapshot {
+	next := base.clone()
+	store := base.store.CloneShallow()
 	next.store = store
 	next.env.Store = store
 	next.cowIndices(storage.PageID(tx.db.dev.NumPages()))
-	tx.next = next
+	return next
+}
+
+// ensureNext builds the private successor on the first write.
+func (tx *Tx) ensureNext() {
+	if tx.next == nil {
+		tx.next = tx.successor(tx.base)
+	}
 }
 
 // numberTree assigns pre-order ids to every node of root from the global
@@ -448,32 +453,11 @@ func (tx *Tx) Commit() error {
 		}
 		cur := db.current.Load()
 		if cur == preparedBase {
-			db.commitStage(CommitStageValidated)
-			err := db.commitPublish(prepared, writeSet, false) // unlocks writeMu
-			if err != nil {
-				if db.current.Load() != prepared {
-					// The commit record never made it; nothing published.
-					// The ids can be clawed back: a non-conflict failure is
-					// final, the template will not be retried.
-					tx.releaseIDs()
-					return fail(err)
-				}
-				// Published but the group fsync failed (poisoned device):
-				// the state being served includes this commit — applied,
-				// just never durable. Do not abandon.
-				if replayPin != nil {
-					db.unpin(replayPin)
-				}
-				return err
-			}
+			err := tx.publish(prepared, writeSet, start) // unlocks writeMu
 			if replayPin != nil {
 				db.unpin(replayPin)
 			}
-			db.counters.CountTxCommit()
-			db.reg.TxnLatency.Observe(time.Since(start).Nanoseconds())
-			db.commitStage(CommitStagePublished)
-			db.installStats(prepared)
-			return nil
+			return err
 		}
 		if err := db.conflictsSince(tx.base.seq, writeSet); err != nil {
 			db.writeMu.Unlock()
@@ -501,15 +485,39 @@ func (tx *Tx) Commit() error {
 	}
 }
 
+// publish finishes a commit — the one tail the optimistic and the locked
+// path share. The caller holds writeMu (released here) with prepared's base
+// still current, so validation has passed: prepared is sealed under one
+// commit record and becomes the current snapshot, the commit is counted
+// and timed from start, and the successor's statistics are installed.
+func (tx *Tx) publish(prepared *Snapshot, writeSet []int64, start time.Time) error {
+	db := tx.db
+	db.commitStage(CommitStageValidated)
+	if err := db.commitPublish(prepared, writeSet, false); err != nil { // unlocks writeMu
+		if db.current.Load() != prepared {
+			// The commit record never made it; nothing published. The ids
+			// can be clawed back: a non-conflict failure is final, the
+			// template will not be retried.
+			tx.abandon(prepared)
+			tx.releaseIDs()
+		}
+		// Otherwise published but the group fsync failed (poisoned
+		// device): the state being served includes this commit — applied,
+		// just never durable. Do not abandon.
+		return err
+	}
+	db.counters.CountTxCommit()
+	db.reg.TxnLatency.Observe(time.Since(start).Nanoseconds())
+	db.commitStage(CommitStagePublished)
+	db.installStats(prepared)
+	return nil
+}
+
 // replayOnto re-applies the transaction's logical operations onto a newer
 // base snapshot, producing a fresh prepared successor. The caller holds a
 // pin on base.
 func (tx *Tx) replayOnto(base *Snapshot) (*Snapshot, error) {
-	next := base.clone()
-	store := base.store.CloneShallow()
-	next.store = store
-	next.env.Store = store
-	next.cowIndices(storage.PageID(tx.db.dev.NumPages()))
+	next := tx.successor(base)
 	for i := range tx.ops {
 		if err := tx.applyOp(next, &tx.ops[i]); err != nil {
 			return next, err
@@ -660,20 +668,5 @@ func (db *DB) lockedTx(fn func(*Tx) error) error {
 		return nil
 	}
 	start := time.Now()
-	writeSet := tx.next.store.WriteSet()
-	db.commitStage(CommitStageValidated)
-	next := tx.next
-	err := db.commitPublish(next, writeSet, false) // unlocks writeMu
-	if err != nil {
-		if db.current.Load() != next {
-			tx.abandon(next)
-			tx.releaseIDs()
-		}
-		return err
-	}
-	db.counters.CountTxCommit()
-	db.reg.TxnLatency.Observe(time.Since(start).Nanoseconds())
-	db.commitStage(CommitStagePublished)
-	db.installStats(next)
-	return nil
+	return tx.publish(tx.next, tx.next.store.WriteSet(), start) // unlocks writeMu
 }

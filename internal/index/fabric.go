@@ -21,7 +21,7 @@ import (
 //
 // Deviation from the original: rows exist for every rooted path prefix, not
 // only root-to-leaf paths, so that existence probes on interior paths are
-// answerable; see DESIGN.md.
+// answerable; listed under "Deviations" in PAPER.md.
 //
 // Keyed by [pathLen][path][valuefield][lastID].
 type IndexFabric struct {

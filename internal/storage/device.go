@@ -30,9 +30,6 @@ type Device interface {
 	SizeBytes() int64
 	// Counters returns cumulative (reads, writes).
 	Counters() (reads, writes int64)
-	// SetReadLatency configures a simulated per-read device latency
-	// (0 disables it). Safe to call concurrently with reads.
-	SetReadLatency(lat Latency)
 	// DeviceStats returns the full cumulative I/O counters.
 	DeviceStats() DeviceStats
 }

@@ -14,18 +14,9 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
-
-// Latency is a simulated device access time. The in-memory disk serves
-// reads at RAM speed, which hides the I/O overlap benefits of concurrent
-// query sessions; setting a read latency (e.g. 50–100µs for an NVMe device,
-// a few ms for spinning rust) recreates the paper's disk-resident regime,
-// where page faults dominate and parallel sessions win by overlapping
-// stalls.
-type Latency = time.Duration
 
 // PageSize is the size of every page in bytes (8KB, a common RDBMS default).
 const PageSize = 8192
@@ -54,7 +45,6 @@ type Disk struct {
 	writes   atomic.Int64
 	freed    atomic.Int64
 	reused   atomic.Int64
-	readLat  atomic.Int64 // simulated per-read latency in nanoseconds
 }
 
 var _ Device = (*Disk)(nil)
@@ -110,17 +100,8 @@ func (d *Disk) AllocateN(n int) PageID {
 	return first
 }
 
-// SetReadLatency configures the simulated per-read device latency (0
-// disables it, the default). Safe to call concurrently with reads.
-func (d *Disk) SetReadLatency(lat Latency) { d.readLat.Store(int64(lat)) }
-
-// Read copies page id into buf (which must be PageSize bytes). With a
-// configured read latency the call blocks for that long, like a real device
-// would; concurrent reads of distinct pages overlap their stalls.
+// Read copies page id into buf (which must be PageSize bytes).
 func (d *Disk) Read(id PageID, buf []byte) error {
-	if lat := d.readLat.Load(); lat > 0 {
-		time.Sleep(time.Duration(lat))
-	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	if int(id) < 0 || int(id) >= len(d.pages) {
@@ -149,8 +130,8 @@ func (d *Disk) Write(id PageID, buf []byte) error {
 
 // NumPages returns the number of allocated pages.
 func (d *Disk) NumPages() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	return len(d.pages)
 }
 

@@ -357,9 +357,6 @@ func (d *FaultDisk) SizeBytes() int64 { return d.inner.SizeBytes() }
 // Counters returns cumulative (reads, writes).
 func (d *FaultDisk) Counters() (reads, writes int64) { return d.inner.Counters() }
 
-// SetReadLatency configures the wrapped device's simulated read latency.
-func (d *FaultDisk) SetReadLatency(lat Latency) { d.inner.SetReadLatency(lat) }
-
 // DeviceStats returns the wrapped device's counters plus the injector's
 // fault count.
 func (d *FaultDisk) DeviceStats() DeviceStats {

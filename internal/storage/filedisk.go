@@ -181,8 +181,6 @@ type FileDisk struct {
 	// (test-only; runs under mu).
 	ckptHook func(CheckpointStage)
 
-	readLat atomic.Int64
-
 	// statLock groups multi-counter updates so DeviceStats returns one
 	// consistent snapshot (e.g. a WAL append's walAppends and
 	// bytesWritten land together); the counters stay atomic so every
@@ -511,10 +509,6 @@ func (f *FileDisk) FreePages() int {
 	return len(f.freeSet)
 }
 
-// SetReadLatency configures an extra simulated per-read latency (0, the
-// default, serves reads at device speed).
-func (f *FileDisk) SetReadLatency(lat Latency) { f.readLat.Store(int64(lat)) }
-
 // walFramePool recycles frame-sized buffers for read-path WAL frame
 // verification (one whole frame must be read to check its CRC).
 var walFramePool = sync.Pool{
@@ -527,9 +521,6 @@ var walFramePool = sync.Pool{
 // sources are CRC-verified; a mismatch is retried once (a transient fault
 // may not recur) and then reported as ErrCorruptPage.
 func (f *FileDisk) Read(id PageID, buf []byte) error {
-	if lat := f.readLat.Load(); lat > 0 {
-		time.Sleep(time.Duration(lat))
-	}
 	if f.inj != nil {
 		f.inj.sleepLatency()
 		if err := f.inj.readError(); err != nil {

@@ -6,8 +6,8 @@
 // XMark region.
 //
 // The value constants come from the planted selectivities of
-// internal/datagen; one deviation from the paper is documented in
-// DESIGN.md: location values use the single spelling "United States".
+// internal/datagen; one deviation from the paper is listed in PAPER.md
+// ("Deviations"): location values use the single spelling "United States".
 package workload
 
 import "repro/internal/datagen"

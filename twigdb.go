@@ -183,12 +183,6 @@ type Options struct {
 	// which it returns false (Section 4.3 workload-based pruning).
 	KeepHead func(int64) bool
 
-	// SimulatedDiskReadLatency, when > 0, makes every buffer pool miss
-	// block for that long, recreating the paper's disk-resident regime (a
-	// real device would stall the session; concurrent sessions overlap
-	// their stalls). Zero — the default — serves misses at memory speed.
-	SimulatedDiskReadLatency time.Duration
-
 	// Path, when non-empty, backs the database with a durable paged file
 	// at this path plus a write-ahead log at Path+".wal": documents and
 	// indices survive Close and are recovered on the next Open with zero
@@ -199,9 +193,9 @@ type Options struct {
 	Path string
 
 	// FaultInjection, when non-nil, wraps the page device in a
-	// deterministic fault injector for robustness tests and the
-	// twigbench -faults mode: injected read/write/fsync errors, bit
-	// flips, torn writes, ENOSPC and latency spikes, seeded for
+	// deterministic fault injector for robustness tests: injected
+	// read/write/fsync errors, bit flips, torn writes, ENOSPC and
+	// latency (the one way to slow the device down), seeded for
 	// replayability. See docs/FAULTS.md and the FaultInjection type.
 	FaultInjection *FaultInjection
 
@@ -284,7 +278,6 @@ func Open(opts *Options) (*DB, error) {
 			PathIDKeys: opts.CompressSchemaPaths,
 			KeepHead:   opts.KeepHead,
 		}
-		cfg.DiskReadLatency = opts.SimulatedDiskReadLatency
 		cfg.Path = opts.Path
 		cfg.SlowQueryThreshold = opts.SlowQueryThreshold
 		cfg.SlowQueryLogSize = opts.SlowQueryLogSize
