@@ -32,11 +32,13 @@ race:
 	$(GO) test -race ./internal/...
 
 # Shared-plan hot path under the race detector with forced scheduling
-# parallelism: the batched executor's concurrent cached-plan tests must
-# stay clean when goroutines genuinely interleave (GOMAXPROCS=4 even on
-# smaller CI hosts).
+# parallelism: the batched executor's concurrent cached-plan tests, and the
+# public package's queries sharing one memoised parsed pattern, must stay
+# clean when goroutines genuinely interleave (GOMAXPROCS=4 even on smaller
+# CI hosts).
 race-plan:
 	GOMAXPROCS=4 $(GO) test -race ./internal/plan/ ./internal/engine/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestSharedQueryTextConcurrent|TestParseMemo' .
 
 # Fuzz smoke: each target for a short budget, plus the checked-in
 # corpora which already run as part of `go test`.
@@ -44,6 +46,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAgreement -fuzztime $(FUZZTIME) ./internal/idlist/
 	$(GO) test -run '^$$' -fuzz FuzzEncodeRoundTrip -fuzztime $(FUZZTIME) ./internal/idlist/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xpath/
+	$(GO) test -run '^$$' -fuzz FuzzDistinct -fuzztime $(FUZZTIME) ./internal/plan/
 
 # Everything CI runs, in order.
 ci: test race race-plan fuzz

@@ -81,13 +81,16 @@ func TestCachedPlanConcurrentQueries(t *testing.T) {
 }
 
 // TestQueryPatternBestAllocBound keeps the engine's cache-hit query path —
-// the serial Auto read the public DB.Query issues — within a small constant
-// allocation budget. The plan-level executor is
-// allocation-free when warmed (asserted in the plan package); what remains
-// here is the per-query ExecStats, its executed plan view, and the result
-// copy — a handful of objects, independent of data size. The bound is
-// deliberately loose; it exists to catch a regression back to per-row
-// allocation, which shows up as hundreds of objects per query.
+// the serial Auto read the public DB.Query issues — at a fixed handful of
+// allocations, independent of data size and of the plan's operator count.
+// The plan-level executor is allocation-free when warmed (asserted in the
+// plan package); what remains here is exactly five objects: the per-query
+// ExecStats, its executed plan view (the Tree, one slab of operators, one
+// of child links) and the result copy. A sixth means the view went back to
+// allocating per operator or something on the path started allocating per
+// query; per-row allocation shows up as hundreds. Under the race detector
+// the runtime pool drops entries at random and a re-drawn runtime allocates
+// its blocks afresh, so there only the per-row regression is caught.
 func TestQueryPatternBestAllocBound(t *testing.T) {
 	_, doc := diffRig(78, 300)
 	db := New(Config{BufferPoolBytes: 8 << 20})
@@ -108,9 +111,12 @@ func TestQueryPatternBestAllocBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 64
+	budget := 5.0
+	if raceEnabled {
+		budget = 64
+	}
 	if allocs > budget {
-		t.Errorf("cache-hit Auto read allocated %.1f objects/run, want <= %d", allocs, budget)
+		t.Errorf("cache-hit Auto read allocated %.1f objects/run, want <= %.0f", allocs, budget)
 	}
 }
 

@@ -95,34 +95,68 @@ func matchRest(pat []PStep, path Path, step, pos int) bool {
 // a/a/a); each distinct assignment can expose different branch-point ids, so
 // all are returned.
 func EnumerateMatches(pat []PStep, path Path) [][]int {
-	var out [][]int
-	assign := make([]int, len(pat))
-	var rec func(step, pos int)
-	rec = func(step, pos int) {
-		assign[step] = pos
-		if step == len(pat)-1 {
-			if pos == len(path)-1 {
-				out = append(out, append([]int(nil), assign...))
-			}
-			return
-		}
-		next := pat[step+1]
-		if !next.Desc {
-			if pos+1 < len(path) && path[pos+1] == next.Sym {
-				rec(step+1, pos+1)
-			}
-			return
-		}
-		for p := pos + 1; p < len(path); p++ {
-			if path[p] == next.Sym {
-				rec(step+1, p)
-			}
-		}
+	flat := EnumerateMatchesInto(nil, pat, path)
+	if len(flat) == 0 {
+		return nil
 	}
-	for _, pos := range startPositions(pat, path) {
-		rec(0, pos)
+	k := len(pat)
+	out := make([][]int, 0, len(flat)/k)
+	for i := 0; i < len(flat); i += k {
+		out = append(out, flat[i:i+k:i+k])
 	}
 	return out
+}
+
+// EnumerateMatchesInto is EnumerateMatches appending to dst: the
+// assignments follow one another, len(pat) positions each, in the order
+// EnumerateMatches returns them. A caller that passes the same buffer
+// back (dst[:0]) enumerates without allocating once the buffer has grown.
+func EnumerateMatchesInto(dst []int, pat []PStep, path Path) []int {
+	k := len(pat)
+	if k == 0 || len(path) == 0 {
+		return dst
+	}
+	// The last k elements of dst are the assignment being built; a
+	// completed one is kept by appending a copy of it as the next one.
+	dst = append(dst, make([]int, k)...)
+	if !pat[0].Desc {
+		if path[0] == pat[0].Sym {
+			dst = enumerateFrom(dst, pat, path, 0, 0)
+		}
+	} else {
+		for i, s := range path {
+			if s == pat[0].Sym {
+				dst = enumerateFrom(dst, pat, path, 0, i)
+			}
+		}
+	}
+	return dst[:len(dst)-k]
+}
+
+// enumerateFrom binds pat[step] at pos in the assignment under
+// construction and enumerates the bindings of the remaining steps.
+func enumerateFrom(dst []int, pat []PStep, path Path, step, pos int) []int {
+	k := len(pat)
+	dst[len(dst)-k+step] = pos
+	if step == k-1 {
+		if pos == len(path)-1 {
+			dst = append(dst, dst[len(dst)-k:]...)
+		}
+		return dst
+	}
+	next := pat[step+1]
+	if !next.Desc {
+		if pos+1 < len(path) && path[pos+1] == next.Sym {
+			dst = enumerateFrom(dst, pat, path, step+1, pos+1)
+		}
+		return dst
+	}
+	for p := pos + 1; p < len(path); p++ {
+		if path[p] == next.Sym {
+			dst = enumerateFrom(dst, pat, path, step+1, p)
+		}
+	}
+	return dst
 }
 
 // LongestAnchoredSuffix returns the length (in steps, from the end) of the

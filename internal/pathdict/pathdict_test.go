@@ -3,6 +3,8 @@ package pathdict
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -312,6 +314,51 @@ func TestEnumerateMatchesUnique(t *testing.T) {
 	for i := range want {
 		if got[0][i] != want[i] {
 			t.Fatalf("assignment = %v, want %v", got[0], want)
+		}
+	}
+}
+
+// TestEnumerateMatchesInto pins the flat enumeration against assignments
+// written out by hand, in the order EnumerateMatches documents, and its
+// buffer contract: what dst already holds stays, and a buffer handed back
+// is filled in place.
+func TestEnumerateMatchesInto(t *testing.T) {
+	d := testDict()
+	for _, tc := range []struct {
+		name string
+		pat  []PStep
+		path Path
+		want [][]int
+	}{
+		{"//a//a on a/a/a", compile(t, d, "~a", "~a"), d.MustSyms("a", "a", "a"),
+			[][]int{{0, 2}, {1, 2}}},
+		{"//a//a//a on a/a/a/a", compile(t, d, "~a", "~a", "~a"), d.MustSyms("a", "a", "a", "a"),
+			[][]int{{0, 1, 3}, {0, 2, 3}, {1, 2, 3}}},
+		{"/a//a on a/a/a", compile(t, d, "a", "~a"), d.MustSyms("a", "a", "a"),
+			[][]int{{0, 2}}},
+		{"//a/a on a/a/a", compile(t, d, "~a", "a"), d.MustSyms("a", "a", "a"),
+			[][]int{{1, 2}}},
+		{"//a//b/a on a/b/a/b/a", compile(t, d, "~a", "~b", "a"), d.MustSyms("a", "b", "a", "b", "a"),
+			[][]int{{0, 3, 4}, {2, 3, 4}}},
+		{"//a//b on a/a/a", compile(t, d, "~a", "~b"), d.MustSyms("a", "a", "a"), nil},
+		{"//a on a", compile(t, d, "~a"), d.MustSyms("a"), [][]int{{0}}},
+	} {
+		var flat []int
+		for _, m := range tc.want {
+			flat = append(flat, m...)
+		}
+		if got := EnumerateMatches(tc.pat, tc.path); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: EnumerateMatches = %v, want %v", tc.name, got, tc.want)
+		}
+		got := EnumerateMatchesInto([]int{-7}, tc.pat, tc.path)
+		if got[0] != -7 || !slices.Equal(got[1:], flat) {
+			t.Errorf("%s: EnumerateMatchesInto after [-7] = %v, want [-7] then %v", tc.name, got, flat)
+		}
+		// Handed back, the grown buffer is refilled where it is.
+		again := EnumerateMatchesInto(got[:0], tc.pat, tc.path)
+		if !slices.Equal(again, flat) || &again[:1][0] != &got[0] {
+			t.Errorf("%s: EnumerateMatchesInto into its own buffer = %v (moved: %v), want %v in place",
+				tc.name, again, &again[:1][0] != &got[0], flat)
 		}
 	}
 }

@@ -1,5 +1,10 @@
 package plan
 
+import (
+	"slices"
+	"sort"
+)
+
 // Batched execution over decoded id blocks. Operators exchange flat
 // row-major int64 blocks (brel) instead of per-row []int64 tuples: an index
 // probe decodes its id lists once (idlist.DecodeDeltaInto under the index
@@ -78,105 +83,85 @@ func (r *brel) truncate(n int) {
 	r.data = r.data[:n*r.width]
 }
 
-// sortDistinct sorts the rows lexicographically and removes duplicates in
-// place — the block-based replacement for the old map-keyed DistinctTuples.
-// Three-way partitioning keeps duplicate-heavy inputs (the common case:
-// join outputs projected down to a few branch-point columns) linear.
-func (r *brel) sortDistinct() {
-	n := r.rows()
-	if n <= 1 {
-		return
-	}
-	r.quicksort(0, n-1)
-	// Compact adjacent duplicates.
-	w := r.width
-	out := w // rows kept, in elements
-	for i := 1; i < n; i++ {
-		row := r.data[i*w : i*w+w]
-		prev := r.data[out-w : out]
-		if rowsEqual(row, prev) {
-			continue
-		}
-		copy(r.data[out:out+w], row)
-		out += w
-	}
-	r.data = r.data[:out]
+// rowSorter is the DISTINCT kernel's sort.Interface over the rows of one
+// flat block. It lives on the pooled Runtime, so handing it to sort.Sort
+// converts a pointer into an already-allocated struct and a warmed run
+// still allocates nothing.
+type rowSorter struct {
+	data  []int64
+	width int
 }
 
-func rowsEqual(a, b []int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+func (s *rowSorter) Len() int { return len(s.data) / s.width }
+
+func (s *rowSorter) Less(i, j int) bool {
+	w := s.width
+	return slices.Compare(s.data[i*w:i*w+w], s.data[j*w:j*w+w]) < 0
 }
 
-// rowLess compares rows lexicographically.
-func rowLess(a, b []int64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
-}
-
-func (r *brel) swapRows(i, j int) {
-	w := r.width
-	a := r.data[i*w : i*w+w]
-	b := r.data[j*w : j*w+w]
-	for k := 0; k < w; k++ {
+func (s *rowSorter) Swap(i, j int) {
+	w := s.width
+	a, b := s.data[i*w:i*w+w], s.data[j*w:j*w+w]
+	for k := range a {
 		a[k], b[k] = b[k], a[k]
 	}
 }
 
-// quicksort is an in-place three-way (Dutch-flag) quicksort over rows
-// [lo, hi], recursing on the smaller side to bound stack depth.
-func (r *brel) quicksort(lo, hi int) {
-	for hi-lo >= 12 {
-		// Median-of-three pivot, moved to lo.
-		mid := lo + (hi-lo)/2
-		if rowLess(r.row(mid), r.row(lo)) {
-			r.swapRows(mid, lo)
-		}
-		if rowLess(r.row(hi), r.row(lo)) {
-			r.swapRows(hi, lo)
-		}
-		if rowLess(r.row(hi), r.row(mid)) {
-			r.swapRows(hi, mid)
-		}
-		r.swapRows(lo, mid)
-		// Three-way partition around the pivot at lo.
-		lt, i, gt := lo, lo+1, hi
-		for i <= gt {
-			switch {
-			case rowLess(r.row(i), r.row(lt)):
-				r.swapRows(i, lt)
-				lt++
-				i++
-			case rowLess(r.row(lt), r.row(i)):
-				r.swapRows(i, gt)
-				gt--
-			default:
-				i++
-			}
-		}
-		// Recurse on the smaller partition, loop on the larger.
-		if lt-lo < hi-gt {
-			r.quicksort(lo, lt-1)
-			lo = gt + 1
-		} else {
-			r.quicksort(gt+1, hi)
-			hi = lt - 1
-		}
+// distinct is the executor's one DISTINCT: it sorts the width-wide rows of
+// data lexicographically, drops duplicates, and returns the shortened
+// slice, all in place. Index scans deliver ids in key order, so most
+// inputs are already strictly increasing and cost one comparison pass;
+// a single column goes through slices.Sort (linear on the presorted runs a
+// scan produces), wider rows through the library's pattern-defeating sort
+// behind rowSorter.
+func (rt *Runtime) distinct(data []int64, width int) []int64 {
+	if len(data) <= width {
+		return data
 	}
-	// Insertion sort for short runs.
-	for i := lo + 1; i <= hi; i++ {
-		for j := i; j > lo && rowLess(r.row(j), r.row(j-1)); j-- {
-			r.swapRows(j, j-1)
+	sorted, dups := true, false
+	for i := width; i < len(data); i += width {
+		c := slices.Compare(data[i-width:i], data[i:i+width])
+		if c > 0 {
+			sorted = false
+			break
 		}
+		dups = dups || c == 0
 	}
+	if sorted && !dups {
+		return data
+	}
+	if width == 1 {
+		if !sorted {
+			slices.Sort(data)
+		}
+		return compactInts(data)
+	}
+	if !sorted {
+		rt.sorter = rowSorter{data: data, width: width}
+		sort.Sort(&rt.sorter)
+		rt.sorter.data = nil // a block that later grows must not stay pinned here
+	}
+	out := width // elements kept
+	for i := width; i < len(data); i += width {
+		row := data[i : i+width]
+		if slices.Compare(row, data[out-width:out]) == 0 {
+			continue
+		}
+		copy(data[out:out+width], row)
+		out += width
+	}
+	return data[:out]
+}
+
+func compactInts(ids []int64) []int64 {
+	out := ids[:0]
+	for i, id := range ids {
+		if i > 0 && id == out[len(out)-1] {
+			continue
+		}
+		out = append(out, id)
+	}
+	return out
 }
 
 // projectInPlace compacts each row down to the columns in keepIdx (indices

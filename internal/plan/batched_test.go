@@ -99,20 +99,84 @@ func TestWarmedRunZeroAllocs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := plan.HoldRuntime(tree)
-			// Warm the runtime: first runs size the blocks and buffers.
-			for i := 0; i < 3; i++ {
-				if _, err := run(env, 1, false); err != nil {
-					t.Fatal(err)
-				}
+			assertWarmedZeroAllocs(t, env, plan.HoldRuntime(tree), false)
+		})
+	}
+	runExecutorPathCases(t, false)
+}
+
+// assertWarmedZeroAllocs warms a held runtime — the first runs size its
+// blocks and buffers — and requires the runs after that to allocate nothing.
+func assertWarmedZeroAllocs(t *testing.T, env *plan.Env, run func(*plan.Env, int, bool) ([]int64, error), trace bool) {
+	t.Helper()
+	for i := 0; i < 3; i++ {
+		if _, err := run(env, 1, trace); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := run(env, 1, trace); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warmed run (trace=%v) allocated %.1f objects/run, want 0", trace, allocs)
+	}
+}
+
+// nestedMailXML is the fixture of the executor-path cases: 40 items under
+// site/regions/zone, each with two mails of two recipients, so that an
+// interior // has schema paths to enumerate, bound probes have groups of
+// several rows, and a join on mail fans every left row out over two `to`s.
+func nestedMailXML() string {
+	var b strings.Builder
+	b.WriteString("<site><regions><zone>")
+	for i := 0; i < 40; i++ {
+		fmt.Fprintf(&b, "<item><quantity>%d</quantity><mailbox>", i%5)
+		for m := 0; m < 2; m++ {
+			fmt.Fprintf(&b, "<mail><date>d%d</date><to>a</to><to>b</to></mail>", m)
+		}
+		b.WriteString("</mailbox></item>")
+	}
+	b.WriteString("</zone></regions></site>")
+	return b.String()
+}
+
+// runExecutorPathCases holds the two executor paths that are not on every
+// query's way to the zero-allocation contract, and checks each case really
+// takes the path it names: (a) a non-simple pattern, whose rows bind through
+// the schema-match enumeration — as a free probe on ROOTPATHS and DATAPATHS
+// and as the bound probe of an index-nested-loop join; (b) a hash join whose
+// output keeps three columns and arrives out of order (the hash chains hand
+// back each mail's recipients last-first), so DISTINCT has to run its wide
+// sort.
+func runExecutorPathCases(t *testing.T, trace bool) {
+	db := buildDB(t, nestedMailXML())
+	env := db.Env()
+	for _, tc := range []struct {
+		name                      string
+		strat                     plan.Strategy
+		q                         string
+		enumerates, inl, wideSort bool
+	}{
+		{"non-simple-free/rp", plan.RootPathsPlan, `//site//item[quantity = '2']`, true, false, false},
+		{"non-simple-free/dp", plan.DataPathsPlan, `//site//item[quantity = '2']`, true, false, false},
+		{"non-simple-bound/dp", plan.DataPathsPlan, `//item[quantity = '2'][mailbox//to]`, true, true, false},
+		{"wide-unsorted-join/rp", plan.RootPathsPlan, `//item[quantity = '2']/mailbox/mail[date]/to`, false, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree, err := plan.Build(env, tc.strat, xpath.MustParse(tc.q))
+			if err != nil {
+				t.Fatal(err)
 			}
-			allocs := testing.AllocsPerRun(100, func() {
-				if _, err := run(env, 1, false); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("warmed run allocated %.1f objects/run, want 0", allocs)
+			if inl := strings.Contains(tree.Render(), "inl-join"); inl != tc.inl {
+				t.Fatalf("plan has an inl-join: %v, want %v\n%s", inl, tc.inl, tree.Render())
+			}
+			run, observed := plan.HoldRuntimeObserved(tree)
+			assertWarmedZeroAllocs(t, env, run, trace)
+			if enumerated, wideSort := observed(); enumerated != tc.enumerates || wideSort != tc.wideSort {
+				t.Errorf("run enumerated schema matches: %v (want %v), sorted a wide block: %v (want %v)",
+					enumerated, tc.enumerates, wideSort, tc.wideSort)
 			}
 		})
 	}

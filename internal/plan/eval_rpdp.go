@@ -1,9 +1,31 @@
 package plan
 
 import (
+	"slices"
+
 	"repro/internal/index"
 	"repro/internal/pathdict"
 )
+
+// matchMemo holds the assignments of the last (spec, schema path) pair a
+// non-simple probe enumerated. The rows of a prefix scan arrive grouped by
+// schema path, so the enumeration runs once per distinct path rather than
+// once per index row, into storage the evaluator keeps.
+type matchMemo struct {
+	spec *probeSpec
+	path pathdict.Path
+	asn  []int // assignments, len(spec.pat) positions each
+}
+
+// matches returns the assignments of spec.pat on fwd, flat.
+func (m *matchMemo) matches(spec *probeSpec, fwd pathdict.Path) []int {
+	if m.spec != spec || !slices.Equal(m.path, fwd) {
+		m.spec = spec
+		m.path = append(m.path[:0], fwd...)
+		m.asn = pathdict.EnumerateMatchesInto(m.asn[:0], spec.pat, fwd)
+	}
+	return m.asn
+}
 
 // rpEval evaluates branches with single ROOTPATHS lookups (FreeIndex).
 // ROOTPATHS cannot probe by head id, so no bound probes: joins are always
@@ -23,6 +45,7 @@ type rpEval struct {
 	out  *brel
 	spec *probeSpec
 	cb   func(fwd pathdict.Path, ids []int64) error
+	memo matchMemo
 }
 
 func newRPEval(env *Env) *rpEval {
@@ -49,9 +72,10 @@ func (e *rpEval) onRow(fwd pathdict.Path, ids []int64) error {
 		}
 		return nil
 	}
-	for _, pos := range pathdict.EnumerateMatches(pat, fwd) {
+	asn := e.memo.matches(e.spec, fwd)
+	for k := len(pat); len(asn) > 0; asn = asn[k:] {
 		row := e.out.newRow()
-		for i, p := range pos {
+		for i, p := range asn[:k] {
 			row[i] = ids[p]
 		}
 	}
@@ -87,6 +111,7 @@ type dpEval struct {
 	spec *probeSpec
 	cb   func(fwd pathdict.Path, ids []int64) error
 	bcb  func(fwd pathdict.Path, ids []int64) error
+	memo matchMemo
 }
 
 func newDPEval(env *Env) *dpEval {
@@ -110,9 +135,10 @@ func (e *dpEval) onRow(fwd pathdict.Path, ids []int64) error {
 		}
 		return nil
 	}
-	for _, pos := range pathdict.EnumerateMatches(pat, fwd) {
+	asn := e.memo.matches(e.spec, fwd)
+	for k := len(pat); len(asn) > 0; asn = asn[k:] {
 		row := e.out.newRow()
-		for i, p := range pos {
+		for i, p := range asn[:k] {
 			row[i] = ids[p]
 		}
 	}
@@ -135,9 +161,10 @@ func (e *dpEval) onBoundRow(fwd pathdict.Path, ids []int64) error {
 		}
 		return nil
 	}
-	for _, pos := range pathdict.EnumerateMatches(pat, fwd) {
+	asn := e.memo.matches(e.spec, fwd)
+	for k := len(pat); len(asn) > 0; asn = asn[k:] {
 		row := e.bout.newRow()
-		for i, p := range pos[1:] {
+		for i, p := range asn[1:k] {
 			row[i] = ids[p-1]
 		}
 	}

@@ -2,7 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -24,9 +23,10 @@ type Runtime struct {
 	env  *Env
 	eval evaluator
 
-	ids  []int64 // final result ids (owned by the runtime)
-	jids []int64 // scratch: distinct join ids for INL probes
-	ht   hashTab // shared hash table (join build / key set / group lookup)
+	ids    []int64   // final result ids (owned by the runtime)
+	jids   []int64   // scratch: distinct join ids for INL probes
+	ht     hashTab   // shared hash table (join build / key set / group lookup)
+	sorter rowSorter // distinct's sort.Interface over a wide block
 
 	parallel bool
 	// trace records per-operator wall time (and, with env.IOStat, device
@@ -111,22 +111,9 @@ func (rt *Runtime) spine(env *Env) ([]int64, error) {
 		return nil, nil
 	}
 	// r is the project output: width 1. Dedup into the runtime's id buffer.
-	rt.ids = append(rt.ids[:0], r.data...)
-	slices.Sort(rt.ids)
-	rt.ids = compactInts(rt.ids)
+	rt.ids = rt.distinct(append(rt.ids[:0], r.data...), 1)
 	root.act = int64(len(rt.ids))
 	return rt.ids, nil
-}
-
-func compactInts(ids []int64) []int64 {
-	out := ids[:0]
-	for i, id := range ids {
-		if i > 0 && id == out[len(out)-1] {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
 }
 
 // exec evaluates one relation-producing operator into its runState's block.
@@ -187,7 +174,7 @@ func (rt *Runtime) finish(n *Node, st *runState) *brel {
 	if n.keepIdx != nil {
 		st.out.projectInPlace(n.keepIdx)
 	}
-	st.out.sortDistinct()
+	st.out.data = rt.distinct(st.out.data, st.out.width)
 	st.act = int64(st.out.rows())
 	return &st.out
 }
@@ -258,8 +245,7 @@ func (rt *Runtime) runINLJoin(n *Node) (*brel, error) {
 	for i, lrows := 0, left.rows(); i < lrows; i++ {
 		rt.jids = append(rt.jids, left.row(i)[n.jCol])
 	}
-	slices.Sort(rt.jids)
-	rt.jids = compactInts(rt.jids)
+	rt.jids = rt.distinct(rt.jids, 1)
 
 	st.bout.reset(len(n.branch.Nodes) - n.jIdx - 1)
 	ev, err := rt.evaluator()
@@ -372,30 +358,36 @@ func (rt *Runtime) aggregate(es *ExecStats) {
 // view materialises an executed copy of the tree — estimates from the
 // template, actuals from this run — for ExecStats.Plan / EXPLAIN. The copy
 // is what escapes to callers; the template stays immutable and the runtime
-// stays reusable.
+// stays reusable. The operators come out of one slab and their child
+// links out of another, so a view costs three allocations whatever the
+// tree's size. Ordinals are pre-order, which puts every child after its
+// parent: filling the slab back to front has each child's inclusive time
+// ready when its parent's self time is derived.
 func (rt *Runtime) view() *Tree {
-	var clone func(n *Node) *Node
-	clone = func(n *Node) *Node {
-		st := &rt.states[n.ord]
-		vn := &Node{
+	t := rt.tree
+	vnodes := make([]Node, len(t.nodes))
+	links := make([]*Node, 0, len(t.nodes)-1)
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		n, st := t.nodes[i], &rt.states[i]
+		vn := &vnodes[i]
+		*vn = Node{
 			Kind:    n.Kind,
 			Detail:  n.Detail,
 			EstRows: n.EstRows,
 			EstCost: n.EstCost,
 			ActRows: st.act,
 		}
+		if len(n.Children) > 0 {
+			first := len(links)
+			for _, c := range n.Children {
+				links = append(links, &vnodes[c.ord])
+			}
+			vn.Children = links[first:len(links):len(links)]
+		}
 		if rt.trace {
 			vn.ElapsedNS = st.elapsedNS
 			vn.Reads = st.reads
 			vn.ReadBytes = st.readBytes
-		}
-		if len(n.Children) > 0 {
-			vn.Children = make([]*Node, len(n.Children))
-			for i, c := range n.Children {
-				vn.Children[i] = clone(c)
-			}
-		}
-		if rt.trace {
 			// Self time: inclusive minus the children's inclusive times.
 			// Clamped at zero — a parallel run's probes materialise on
 			// workers before (and overlapping) their join's window.
@@ -408,13 +400,11 @@ func (rt *Runtime) view() *Tree {
 			}
 			vn.SelfNS = self
 		}
-		return vn
 	}
-	t := rt.tree
 	return &Tree{
 		Strategy: t.Strategy,
 		Pattern:  t.Pattern,
-		Root:     clone(t.Root),
+		Root:     &vnodes[0],
 		EstCost:  t.EstCost,
 		Branches: t.Branches,
 		Executed: true,

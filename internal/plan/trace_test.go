@@ -173,19 +173,9 @@ func TestZeroAllocsWithTracingCompiledIn(t *testing.T) {
 		trace bool
 	}{{"disabled", false}, {"enabled", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			for i := 0; i < 3; i++ {
-				if _, err := run(env, 1, tc.trace); err != nil {
-					t.Fatal(err)
-				}
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				if _, err := run(env, 1, tc.trace); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("tracing %s: %.1f allocs/run, want 0", tc.name, allocs)
-			}
+			assertWarmedZeroAllocs(t, env, run, tc.trace)
 		})
 	}
+	// Untraced, TestWarmedRunZeroAllocs already runs these.
+	runExecutorPathCases(t, true)
 }

@@ -140,24 +140,45 @@ func publicTrace(n *plan.Node) *TraceNode {
 }
 
 // publicPlan converts an executed internal plan tree to the public mirror.
+// The mirror's operators come out of one slab and their child links out of
+// another, so the conversion costs two allocations whatever the tree's size.
 func publicPlan(t *plan.Tree) *PlanNode {
 	if t == nil {
 		return nil
 	}
+	ops := countOps(t.Root)
+	nodes := make([]PlanNode, 0, ops)
+	links := make([]*PlanNode, 0, ops-1)
 	var conv func(n *plan.Node) *PlanNode
 	conv = func(n *plan.Node) *PlanNode {
-		out := &PlanNode{
+		nodes = append(nodes, PlanNode{
 			Op:         n.Kind.String(),
 			Detail:     n.Detail,
 			EstRows:    n.EstRows,
 			ActualRows: n.ActRows,
-		}
-		for _, c := range n.Children {
-			out.Children = append(out.Children, conv(c))
+		})
+		out := &nodes[len(nodes)-1]
+		if len(n.Children) > 0 {
+			// Reserve this operator's links before descending: the
+			// subtrees below append their own after them.
+			first := len(links)
+			links = links[:first+len(n.Children)]
+			out.Children = links[first:len(links):len(links)]
+			for i, c := range n.Children {
+				out.Children[i] = conv(c)
+			}
 		}
 		return out
 	}
 	return conv(t.Root)
+}
+
+func countOps(n *plan.Node) int {
+	ops := 1
+	for _, c := range n.Children {
+		ops += countOps(c)
+	}
+	return ops
 }
 
 // Count returns the number of matches.

@@ -252,6 +252,42 @@ type DB struct {
 	eng *engine.DB
 	// txRetries is Options.TxRetries resolved (0 → default) for DB.Update.
 	txRetries int
+	parsed    parseMemo
+}
+
+// parseMemoSize bounds the query texts a DB remembers the parse of. An
+// application's distinct query texts are few and repeat; the memo is
+// emptied when full rather than tracking recency, so a stream of unique
+// texts costs one map insert per query and never grows the heap.
+const parseMemoSize = 256
+
+// parseMemo maps query text to its parsed pattern, so a repeated text
+// skips xpath.Parse and the canonical rendering Parse computes for the
+// plan-cache key. Patterns are immutable after Parse, which is what lets
+// concurrent queries share one; parse errors are not remembered.
+type parseMemo struct {
+	mu sync.RWMutex
+	m  map[string]*xpath.Pattern
+}
+
+func (c *parseMemo) parse(q string) (*xpath.Pattern, error) {
+	c.mu.RLock()
+	pat := c.m[q]
+	c.mu.RUnlock()
+	if pat != nil {
+		return pat, nil
+	}
+	pat, err := xpath.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	if c.m == nil || len(c.m) >= parseMemoSize {
+		c.m = make(map[string]*xpath.Pattern, parseMemoSize)
+	}
+	c.m[q] = pat
+	c.mu.Unlock()
+	return pat, nil
 }
 
 // Open creates a database. A nil opts uses the defaults (in-memory, 40MB
@@ -426,7 +462,7 @@ type reader func(*xpath.Pattern, engine.ReadOpts) (engine.ReadResult, error)
 // workers == 1 executes serially, anything else fans branches out (<= 0
 // over GOMAXPROCS goroutines).
 func (db *DB) query(read reader, strat Strategy, q string, workers int, trace bool) (*Result, error) {
-	pat, err := xpath.Parse(q)
+	pat, err := db.parsed.parse(q)
 	if err != nil {
 		return nil, err
 	}
