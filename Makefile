@@ -3,7 +3,7 @@ GO ?= go
 # Short-budget fuzz smoke for CI (full runs: go test -fuzz=... by hand).
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-plan fuzz ci bench paper
+.PHONY: all build vet test race race-plan fuzz ci bench paper loc
 
 all: test
 
@@ -63,3 +63,8 @@ bench:
 # The paper's Section 5 tables and figures as text (docs/PERF.md).
 paper:
 	$(GO) run ./cmd/twigbench -exp all
+
+# Non-test Go lines outside benchmark/: the size figure ROADMAP item 5
+# tracks, from a target rather than from a reviewer's shell history.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l

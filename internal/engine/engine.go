@@ -29,10 +29,6 @@ type Config struct {
 	BufferPoolBytes int64
 	// PathsOptions configures ROOTPATHS/DATAPATHS compression (Section 4).
 	PathsOptions index.PathsOptions
-	// PoolShards forces the buffer pool's lock-stripe count (0 = size-based
-	// default); needed when a deliberately tiny pool must still serve
-	// concurrent faults.
-	PoolShards int
 	// Path, when non-empty, backs the database with a durable paged file
 	// at this path plus a write-ahead log at Path+".wal" (see
 	// docs/STORAGE.md). Empty keeps the historical in-memory device. Use
@@ -304,11 +300,7 @@ func Open(cfg Config) (*DB, error) {
 		db.faults = cfg.Faults
 		db.dev = storage.NewFaultDisk(db.dev, cfg.Faults)
 	}
-	if cfg.PoolShards > 0 {
-		db.pool = storage.NewPoolShards(db.dev, cfg.BufferPoolBytes, cfg.PoolShards)
-	} else {
-		db.pool = storage.NewPool(db.dev, cfg.BufferPoolBytes)
-	}
+	db.pool = storage.NewPool(db.dev, cfg.BufferPoolBytes)
 	db.reg = obs.NewRegistry()
 	logSize := cfg.SlowQueryLogSize
 	if logSize <= 0 {

@@ -86,9 +86,6 @@ type Snapshot struct {
 // Seq returns the snapshot's version number.
 func (s *Snapshot) Seq() uint64 { return s.seq }
 
-// Pins returns the number of readers currently pinning the snapshot.
-func (s *Snapshot) Pins() int64 { return s.pins.Load() }
-
 // Store returns the snapshot's (frozen) XML store.
 func (s *Snapshot) Store() *xmldb.Store { return s.store }
 

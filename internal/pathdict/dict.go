@@ -9,7 +9,6 @@ package pathdict
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -201,17 +200,6 @@ func (t *PathTable) All(fn func(PathID, Path)) {
 	for i, p := range t.paths {
 		fn(PathID(i), p)
 	}
-}
-
-// SortedPaths returns all paths sorted by their encoded byte order; used for
-// deterministic iteration in reports and tests.
-func (t *PathTable) SortedPaths() []Path {
-	t.mu.RLock()
-	out := make([]Path, len(t.paths))
-	copy(out, t.paths)
-	t.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return pathKey(out[i]) < pathKey(out[j]) })
-	return out
 }
 
 // MustSyms converts labels to a Path, panicking on unknown labels; a test

@@ -89,28 +89,13 @@ func matchRest(pat []PStep, path Path, step, pos int) bool {
 	return false
 }
 
-// EnumerateMatches returns every assignment of pattern steps to path
-// positions (one []int per assignment, increasing, len == len(pat)).
-// Patterns with interior // edges can bind in several ways (e.g. //a//a on
-// a/a/a); each distinct assignment can expose different branch-point ids, so
-// all are returned.
-func EnumerateMatches(pat []PStep, path Path) [][]int {
-	flat := EnumerateMatchesInto(nil, pat, path)
-	if len(flat) == 0 {
-		return nil
-	}
-	k := len(pat)
-	out := make([][]int, 0, len(flat)/k)
-	for i := 0; i < len(flat); i += k {
-		out = append(out, flat[i:i+k:i+k])
-	}
-	return out
-}
-
-// EnumerateMatchesInto is EnumerateMatches appending to dst: the
-// assignments follow one another, len(pat) positions each, in the order
-// EnumerateMatches returns them. A caller that passes the same buffer
-// back (dst[:0]) enumerates without allocating once the buffer has grown.
+// EnumerateMatchesInto appends to dst every assignment of pattern steps to
+// path positions: the assignments follow one another, len(pat) increasing
+// positions each. Patterns with interior // edges can bind in several ways
+// (e.g. //a//a on a/a/a); each distinct assignment can expose different
+// branch-point ids, so all are enumerated, ordered by the position of the
+// first step, then the second, and so on. A caller that passes the same
+// buffer back (dst[:0]) enumerates without allocating once it has grown.
 func EnumerateMatchesInto(dst []int, pat []PStep, path Path) []int {
 	k := len(pat)
 	if k == 0 || len(path) == 0 {
@@ -178,7 +163,7 @@ func LongestAnchoredSuffix(pat []PStep) int {
 // uniquely to the last k path positions; if the pattern is additionally
 // root-anchored (no leading //) the only residual check is
 // len(path) == len(pat), and with a leading // no residual check is needed
-// at all. Non-simple patterns verify rows with EnumerateMatches.
+// at all. Non-simple patterns verify rows with EnumerateMatchesInto.
 func SuffixProbe(pat []PStep) (rev Path, simple bool) {
 	k := LongestAnchoredSuffix(pat)
 	rev = make(Path, 0, k)

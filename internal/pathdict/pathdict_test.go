@@ -286,6 +286,38 @@ func TestMatchPath(t *testing.T) {
 	}
 }
 
+// EnumerateMatches is the test oracle for EnumerateMatchesInto: the same
+// enumeration written the plain way, one []int per assignment.
+func EnumerateMatches(pat []PStep, path Path) [][]int {
+	var out [][]int
+	var bind func(pos []int)
+	bind = func(pos []int) {
+		step := len(pos)
+		if step == len(pat) {
+			if pos[step-1] == len(path)-1 {
+				out = append(out, slices.Clone(pos))
+			}
+			return
+		}
+		lo, hi := 0, len(path)
+		if step > 0 {
+			lo = pos[step-1] + 1
+		}
+		if !pat[step].Desc {
+			hi = min(hi, lo+1)
+		}
+		for p := lo; p < hi; p++ {
+			if path[p] == pat[step].Sym {
+				bind(append(pos, p))
+			}
+		}
+	}
+	if len(pat) > 0 {
+		bind(nil)
+	}
+	return out
+}
+
 func TestEnumerateMatchesAmbiguous(t *testing.T) {
 	d := testDict()
 	path := d.MustSyms("a", "a", "a")
@@ -319,7 +351,7 @@ func TestEnumerateMatchesUnique(t *testing.T) {
 }
 
 // TestEnumerateMatchesInto pins the flat enumeration against assignments
-// written out by hand, in the order EnumerateMatches documents, and its
+// written out by hand (and the [][]int oracle above), in the order it documents, and its
 // buffer contract: what dst already holds stays, and a buffer handed back
 // is filled in place.
 func TestEnumerateMatchesInto(t *testing.T) {
@@ -423,8 +455,16 @@ func TestMatchAgainstBruteForce(t *testing.T) {
 		if got := MatchPath(pat, path); got != want {
 			t.Fatalf("iter %d: MatchPath(%v, %v) = %v, want %v", iter, pat, path, got, want)
 		}
-		if got := len(EnumerateMatches(pat, path)) > 0; got != want {
+		oracle := EnumerateMatches(pat, path)
+		if got := len(oracle) > 0; got != want {
 			t.Fatalf("iter %d: EnumerateMatches disagrees with brute force", iter)
+		}
+		var want1 []int
+		for _, m := range oracle {
+			want1 = append(want1, m...)
+		}
+		if flat := EnumerateMatchesInto(nil, pat, path); !slices.Equal(flat, want1) {
+			t.Fatalf("iter %d: EnumerateMatchesInto(%v, %v) = %v, oracle has %v", iter, pat, path, flat, oracle)
 		}
 	}
 }

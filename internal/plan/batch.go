@@ -78,9 +78,51 @@ func (r *brel) appendRow(row []int64) {
 	copy(r.newRow(), row)
 }
 
+// bindRows appends one row per schema-match assignment in asn (k path
+// positions each, flat): column i of a row is ids[asn[i]].
+func (r *brel) bindRows(asn []int, k int, ids []int64) {
+	for ; len(asn) > 0; asn = asn[k:] {
+		row := r.newRow()
+		for i, p := range asn[:k] {
+			row[i] = ids[p]
+		}
+	}
+}
+
 // truncate drops rows from index n on.
 func (r *brel) truncate(n int) {
 	r.data = r.data[:n*r.width]
+}
+
+// rowAfter appends the row t ++ (id), rowBefore the row (id) ++ t. t must be
+// a row of another block: newRow may move this one, and a slice into it
+// would then point at the abandoned copy.
+func (r *brel) rowAfter(t []int64, id int64) {
+	row := r.newRow()
+	copy(row, t)
+	row[len(t)] = id
+}
+
+func (r *brel) rowBefore(id int64, t []int64) {
+	row := r.newRow()
+	row[0] = id
+	copy(row[1:], t)
+}
+
+// keepKeys keeps, in place, the rows whose column col is in keys. Rows only
+// move towards the front — the write cursor never passes the read cursor.
+func (r *brel) keepKeys(col int, keys *hashTab, c *JoinCounters) {
+	n := r.rows()
+	c.TuplesIn += int64(n)
+	kept := 0
+	for i := 0; i < n; i++ {
+		if row := r.row(i); keys.contains(row[col]) {
+			copy(r.row(kept), row)
+			kept++
+		}
+	}
+	r.truncate(kept)
+	c.TuplesOut += int64(kept)
 }
 
 // rowSorter is the DISTINCT kernel's sort.Interface over the rows of one
@@ -215,6 +257,18 @@ func (b *boundRel) newRow() []int64 {
 	return row
 }
 
+// bindRows is brel.bindRows into the open group, for a pattern anchored at
+// the group's head: position 0 is the head itself and adds no column, and
+// position p > 0 binds ids[p-shift].
+func (b *boundRel) bindRows(asn []int, k int, ids []int64, shift int) {
+	for ; len(asn) > 0; asn = asn[k:] {
+		row := b.newRow()
+		for i, p := range asn[1:k] {
+			row[i] = ids[p-shift]
+		}
+	}
+}
+
 // group returns the sub-row range of group g.
 func (b *boundRel) group(g int) (start, end int) {
 	return int(b.offs[g]), int(b.offs[g+1])
@@ -281,6 +335,14 @@ func (h *hashTab) first(key int64) int32 {
 		return 0
 	}
 	return h.heads[i]
+}
+
+// keySet loads the table with ids as a plain key set, for contains.
+func (h *hashTab) keySet(ids []int64) {
+	h.init(len(ids))
+	for i, id := range ids {
+		h.insert(id, int32(i))
+	}
 }
 
 // contains reports key membership (semi-join key-set use).

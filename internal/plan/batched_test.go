@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/naive"
 	"repro/internal/plan"
 	"repro/internal/xpath"
 )
@@ -182,39 +183,72 @@ func runExecutorPathCases(t *testing.T, trace bool) {
 	}
 }
 
-// TestBatchedBlockBoundary drives an intermediate relation across the
-// BlockRows growth quantum: 3000 rows through probe, hash join and dedup,
-// checked against the single-block regime for off-by-one row loss at block
-// boundaries.
+// TestBatchedBlockBoundary drives intermediate relations across the
+// BlockRows growth quantum — 3 * BlockRows rows under one parent — through
+// every path that builds one, checked against the naive matcher for row loss
+// or corruption at block boundaries. Two hazards are particular to blocks: a
+// row(i) slice dies when newRow grows the same block (so a step reads one
+// ping-pong block and writes the other), and an in-place filter relies on
+// its write cursor never passing its read cursor. The inputs, by the path
+// they are here for:
+//
+//   - probe, hash join, dedup on RP/DP: /r/it[k = 'y'];
+//   - the Edge top-down walk and the leaf-then-climb of DG/IF/XRel: /r/it/k;
+//   - the Edge bottom-up walk with its in-place anchor filter, the DG value
+//     semi-join, the JI upward composition in free: /r/it/k[. = 'n'];
+//   - a // step expansion, top-down and bottom-up: /r//k, /r//k[. = 'n'];
+//   - one bound probe whose single group outgrows a block — the Edge walk
+//     with its in-place value filter, the JI downward composition in bound,
+//     the ASR and DP group appends: /r[flag = '1']/it/k[. = 'n'] and, through
+//     a // step, /r[flag = '1']//k.
 func TestBatchedBlockBoundary(t *testing.T) {
 	var b strings.Builder
-	b.WriteString("<r>")
+	b.WriteString("<r><flag>1</flag>")
 	// 3 * BlockRows rows in the probed branch; every third leaf matches.
-	n := 3 * plan.BlockRows
-	var want int64
-	for i := 0; i < n; i++ {
+	for i := 0; i < 3*plan.BlockRows; i++ {
 		v := "n"
 		if i%3 == 0 {
 			v = "y"
-			want++
 		}
 		fmt.Fprintf(&b, "<it><k>%s</k></it>", v)
 	}
 	b.WriteString("</r>")
-	db := buildDB(t, b.String())
+	// The decoy loads first: its r is no document root, so a bottom-up walk
+	// binds it and the anchor filter's first act is to drop a row, shifting
+	// every row behind it.
+	db := buildDB(t, `<x><r><it><k>n</k></it></r></x>`, b.String())
 	env := db.Env()
-	pat := xpath.MustParse(`/r/it[k = 'y']`)
-	for _, strat := range []plan.Strategy{plan.RootPathsPlan, plan.DataPathsPlan} {
-		ids, _, err := execute(env, strat, pat)
-		if err != nil {
-			t.Fatalf("%v: %v", strat, err)
+	for _, tc := range []struct {
+		q   string
+		inl bool // every strategy with a bound access path must take it
+	}{
+		{`/r/it[k = 'y']`, false},
+		{`/r/it/k`, false},
+		{`/r/it/k[. = 'n']`, false},
+		{`/r//k`, false},
+		{`/r//k[. = 'n']`, false},
+		{`/r[flag = '1']/it/k[. = 'n']`, true},
+		{`/r[flag = '1']//k`, true},
+	} {
+		pat := xpath.MustParse(tc.q)
+		want := naive.Match(db.Store(), pat)
+		if len(want) < plan.BlockRows {
+			t.Fatalf("%s: %d matches do not fill a block", tc.q, len(want))
 		}
-		if int64(len(ids)) != want {
-			t.Errorf("%v: %d ids across block boundary, want %d", strat, len(ids), want)
-		}
-		for i := 1; i < len(ids); i++ {
-			if ids[i] <= ids[i-1] {
-				t.Fatalf("%v: ids not sorted distinct at %d: %v <= %v", strat, i, ids[i], ids[i-1])
+		for _, strat := range branchStrategies {
+			tree, err := plan.Build(env, strat, pat)
+			if err != nil {
+				t.Fatalf("%v: %s: %v", strat, tc.q, err)
+			}
+			if inl := strings.Contains(tree.Render(), "inl-join"); inl != (tc.inl && strat != plan.RootPathsPlan) {
+				t.Fatalf("%v: %s: plan has an inl-join: %v\n%s", strat, tc.q, inl, tree.Render())
+			}
+			ids, _, err := plan.ExecuteTree(env, tree)
+			if err != nil {
+				t.Fatalf("%v: %s: %v", strat, tc.q, err)
+			}
+			if !idsEqual(ids, want) {
+				t.Errorf("%v: %s: %d ids across block boundary, naive matcher has %d", strat, tc.q, len(ids), len(want))
 			}
 		}
 	}

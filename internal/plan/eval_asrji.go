@@ -30,12 +30,12 @@ func boundPattern(dict *pathdict.Dict, br xpath.Branch, jIdx int) ([]pathdict.PS
 	return pathdict.CompileSteps(dict, descs, labels)
 }
 
-// relMatch pairs one concrete relation with the assignments of the probe
-// pattern to its path — the per-relation expansion both ASR evaluations
-// enumerate before probing.
-type relMatch struct {
-	relID pathdict.PathID
-	asn   [][]int
+// relSpan is one concrete relation of a probe pattern's expansion; its
+// assignments are asn[lo:hi] of the evaluator's flat buffer, len(pat)
+// positions each.
+type relSpan struct {
+	relID  pathdict.PathID
+	lo, hi int
 }
 
 // asrEval implements the ASR strategy: every branch pattern is expanded
@@ -44,39 +44,36 @@ type relMatch struct {
 // m relation accesses — the Section 5.2.6 effect ("the cost of accessing
 // many small indices is linear in the number of indices").
 type asrEval struct {
-	env *Env
+	env  *Env
+	rels []relSpan
+	asn  []int
 }
 
-// matchingRels expands pat over the relation registry, keeping only
-// relations with at least one assignment.
-func (e *asrEval) matchingRels(pat []pathdict.PStep, needRooted bool) []relMatch {
-	var rels []relMatch
+// matchingRels expands pat over the relation registry into e.rels, keeping
+// only relations with at least one assignment — the per-relation expansion
+// both ASR evaluations enumerate before probing.
+func (e *asrEval) matchingRels(pat []pathdict.PStep, needRooted bool) {
+	e.rels, e.asn = e.rels[:0], e.asn[:0]
 	for _, relID := range e.env.ASR.MatchingPaths(pat, needRooted) {
-		concrete := e.env.ASR.Paths().Path(relID)
-		asn := pathdict.EnumerateMatches(pat, concrete)
-		if len(asn) == 0 {
-			continue
+		lo := len(e.asn)
+		e.asn = pathdict.EnumerateMatchesInto(e.asn, pat, e.env.ASR.Paths().Path(relID))
+		if len(e.asn) > lo {
+			e.rels = append(e.rels, relSpan{relID: relID, lo: lo, hi: len(e.asn)})
 		}
-		rels = append(rels, relMatch{relID: relID, asn: asn})
 	}
-	return rels
 }
 
 func (e *asrEval) free(n *Node, out *brel, es *ExecStats) error {
 	if !n.spec.ok {
 		return nil
 	}
-	br := *n.branch
-	for _, rm := range e.matchingRels(n.spec.anchored, n.spec.needRooted) {
+	br, k := n.branch, len(n.spec.anchored)
+	e.matchingRels(n.spec.anchored, n.spec.needRooted)
+	for _, rm := range e.rels {
 		es.IndexLookups++
 		es.touchRelation(rm.relID)
 		rows, err := e.env.ASR.ProbeValue(rm.relID, br.HasValue, br.Value, n.spec.needRooted, func(ids []int64) error {
-			for _, pos := range rm.asn {
-				row := out.newRow()
-				for i, p := range pos {
-					row[i] = ids[p]
-				}
-			}
+			out.bindRows(e.asn[rm.lo:rm.hi], k, ids)
 			return nil
 		})
 		es.RowsScanned += int64(rows)
@@ -91,14 +88,14 @@ func (e *asrEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) err
 	if !n.bspec.ok {
 		return nil
 	}
-	br := *n.branch
-	rels := e.matchingRels(n.bspec.pat, false)
+	br, k := n.branch, len(n.bspec.pat)
+	e.matchingRels(n.bspec.pat, false)
 	// Probe head-id-outer so each join id's rows land in one contiguous
 	// group; a group is opened lazily on the first matching row, so ids
-	// with no match have no group (the old map-of-slices behaviour).
+	// with no match have no group.
 	for _, jid := range jids {
 		grouped := false
-		for _, rm := range rels {
+		for _, rm := range e.rels {
 			es.INLProbes++
 			es.IndexLookups++
 			es.touchRelation(rm.relID)
@@ -107,14 +104,9 @@ func (e *asrEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) err
 					out.beginGroup(jid)
 					grouped = true
 				}
-				for _, pos := range rm.asn {
-					row := out.newRow()
-					// ASR rows carry the head at position 0; the output
-					// columns are the positions below it.
-					for i, p := range pos[1:] {
-						row[i] = ids[p]
-					}
-				}
+				// ASR rows carry the head at position 0; the output
+				// columns are the positions below it.
+				out.bindRows(e.asn[rm.lo:rm.hi], k, ids, 0)
 				return nil
 			})
 			es.RowsScanned += int64(rows)
@@ -133,34 +125,40 @@ func (e *asrEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) err
 // paper's ranking in Figure 13.
 type jiEval struct {
 	env *Env
+	scratch
+	// segs holds the segment relations of the probe's (relation,
+	// assignment) matches: one run of len(pat)-1 adjacent-pair relations
+	// per match.
+	segs []pathdict.PathID
 }
 
-// segments resolves the JI relation of each adjacent position pair of an
-// assignment over a concrete path.
-func (e *jiEval) segments(concrete pathdict.Path, pos []int) ([]pathdict.PathID, error) {
-	segs := make([]pathdict.PathID, len(pos)-1)
+// addSegments resolves the JI relation of each adjacent position pair of an
+// assignment over a concrete path, appending them to e.segs.
+func (e *jiEval) addSegments(concrete pathdict.Path, pos []int) error {
 	for m := 0; m+1 < len(pos); m++ {
 		sub := concrete[pos[m] : pos[m+1]+1]
 		id, ok := e.env.JI.Paths().Lookup(sub)
 		if !ok {
-			return nil, fmt.Errorf("plan: JI relation missing for subpath %s", sub.String(e.env.Dict))
+			return fmt.Errorf("plan: JI relation missing for subpath %s", sub.String(e.env.Dict))
 		}
-		segs[m] = id
+		e.segs = append(e.segs, id)
 	}
-	return segs, nil
+	return nil
 }
 
 func (e *jiEval) free(n *Node, out *brel, es *ExecStats) error {
 	if !n.spec.ok {
 		return nil
 	}
-	br := *n.branch
+	br := n.branch
 	needRooted := n.spec.needRooted
 	anchored := n.spec.anchored
+	k := len(anchored)
 	for _, relID := range e.env.JI.MatchingPaths(anchored, needRooted) {
 		concrete := e.env.JI.Paths().Path(relID)
-		for _, pos := range pathdict.EnumerateMatches(anchored, concrete) {
-			k := len(pos)
+		e.asn = pathdict.EnumerateMatchesInto(e.asn[:0], anchored, concrete)
+		for asn := e.asn; len(asn) > 0; asn = asn[k:] {
+			pos := asn[:k]
 			if k == 1 {
 				// Single-node pattern: the length-1 relation's rows are
 				// (head == tail).
@@ -180,17 +178,19 @@ func (e *jiEval) free(n *Node, out *brel, es *ExecStats) error {
 				}
 				continue
 			}
-			segs, err := e.segments(concrete, pos)
-			if err != nil {
+			e.segs = e.segs[:0]
+			if err := e.addSegments(concrete, pos); err != nil {
 				return err
 			}
 			// Seed from the last segment (it carries the value).
-			var partials [][]int64 // columns pos[m..k-1] as we extend left
-			last := segs[k-2]
+			cur, next := &e.a, &e.b // columns pos[m..k-1] as we extend left
+			cur.reset(2)
+			last := e.segs[k-2]
 			es.IndexLookups++
 			es.touchRelation(last)
 			rows, err := e.env.JI.BwdByValue(last, br.HasValue, br.Value, false, func(tail, head int64) error {
-				partials = append(partials, []int64{head, tail})
+				row := e.a.newRow()
+				row[0], row[1] = head, tail
 				return nil
 			})
 			es.RowsScanned += int64(rows)
@@ -199,102 +199,89 @@ func (e *jiEval) free(n *Node, out *brel, es *ExecStats) error {
 			}
 			// Compose upward: one BwdByTail probe per tuple per segment.
 			for m := k - 3; m >= 0; m-- {
-				var next [][]int64
-				for _, t := range partials {
+				next.reset(cur.width + 1)
+				for r, crows := 0, cur.rows(); r < crows; r++ {
+					t := cur.row(r)
 					es.IndexLookups++
-					es.touchRelation(segs[m])
-					rows, err := e.env.JI.BwdByTail(segs[m], false, "", t[0], func(head int64) error {
-						next = append(next, prepend(head, t))
-						return nil
-					})
+					es.touchRelation(e.segs[m])
+					e.ids = e.ids[:0]
+					rows, err := e.env.JI.BwdByTail(e.segs[m], false, "", t[0], e.into(&e.ids))
 					es.RowsScanned += int64(rows)
 					if err != nil {
 						return err
 					}
+					for _, head := range e.ids {
+						next.rowBefore(head, t)
+					}
 				}
-				es.Join.TuplesIn += int64(len(partials))
-				es.Join.TuplesOut += int64(len(next))
-				partials = next
+				es.Join.TuplesIn += int64(cur.rows())
+				es.Join.TuplesOut += int64(next.rows())
+				cur, next = next, cur
 			}
-			for _, t := range partials {
-				if needRooted && !e.env.JI.IsDocRoot(t[0]) {
-					continue
+			for r, crows := 0, cur.rows(); r < crows; r++ {
+				if t := cur.row(r); !needRooted || e.env.JI.IsDocRoot(t[0]) {
+					out.appendRow(t)
 				}
-				out.appendRow(t)
 			}
 		}
 	}
 	return nil
 }
 
-// jiMatch is one (relation, assignment) pair of a bound probe with the
-// segment relations of each adjacent position pair pre-resolved.
-type jiMatch struct {
-	segs []pathdict.PathID
-	k    int
-}
-
 func (e *jiEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) error {
 	if !n.bspec.ok {
 		return nil
 	}
-	br := *n.branch
-	pat := n.bspec.pat
-	var matches []jiMatch
+	br, pat := n.branch, n.bspec.pat
+	k, nseg := len(pat), len(pat)-1
+	// A head-only pattern (nseg 0) resolves no segments and so has no
+	// matches: the head alone adds no new columns.
+	e.segs = e.segs[:0]
 	for _, relID := range e.env.JI.MatchingPaths(pat, false) {
 		concrete := e.env.JI.Paths().Path(relID)
-		for _, pos := range pathdict.EnumerateMatches(pat, concrete) {
-			k := len(pos)
-			if k < 2 {
-				continue // the head alone adds no new columns
-			}
-			segs, err := e.segments(concrete, pos)
-			if err != nil {
+		e.asn = pathdict.EnumerateMatchesInto(e.asn[:0], pat, concrete)
+		for asn := e.asn; len(asn) > 0; asn = asn[k:] {
+			if err := e.addSegments(concrete, asn[:k]); err != nil {
 				return err
 			}
-			matches = append(matches, jiMatch{segs: segs, k: k})
 		}
 	}
 	// Head-id-outer so each join id's rows form one contiguous group,
 	// opened lazily on the first surviving composition.
 	for _, jid := range jids {
 		grouped := false
-		for _, m := range matches {
+		for segs := e.segs; len(segs) > 0; segs = segs[nseg:] {
 			es.INLProbes++
-			// Compose downward from the head.
-			partials := [][]int64{{jid}} // columns pos[0..m]
-			for s := 0; s+1 < m.k; s++ {
-				hasVal, val := false, ""
-				if s+1 == m.k-1 {
-					hasVal, val = br.HasValue, br.Value
-				}
-				var next [][]int64
-				for _, t := range partials {
+			// Compose downward from the head; the last segment carries
+			// the value.
+			cur, next := &e.a, &e.b // columns pos[0..s]
+			cur.reset(1)
+			cur.newRow()[0] = jid
+			for s := 0; s < nseg && cur.rows() > 0; s++ {
+				hasVal := br.HasValue && s == nseg-1
+				next.reset(cur.width + 1)
+				for r, crows := 0, cur.rows(); r < crows; r++ {
+					t := cur.row(r)
 					es.IndexLookups++
-					es.touchRelation(m.segs[s])
-					rows, err := e.env.JI.FwdByHead(m.segs[s], t[len(t)-1], hasVal, val, func(tail int64) error {
-						nt := make([]int64, 0, len(t)+1)
-						nt = append(nt, t...)
-						nt = append(nt, tail)
-						next = append(next, nt)
-						return nil
-					})
+					es.touchRelation(segs[s])
+					e.ids = e.ids[:0]
+					rows, err := e.env.JI.FwdByHead(segs[s], t[len(t)-1], hasVal, br.Value, e.into(&e.ids))
 					es.RowsScanned += int64(rows)
 					if err != nil {
 						return err
 					}
+					for _, tail := range e.ids {
+						next.rowAfter(t, tail)
+					}
 				}
-				partials = next
-				if len(partials) == 0 {
-					break
-				}
+				cur, next = next, cur
 			}
-			for _, t := range partials {
+			for r, crows := 0, cur.rows(); r < crows; r++ {
 				if !grouped {
 					out.beginGroup(jid)
 					grouped = true
 				}
-				copy(out.newRow(), t[1:])
+				copy(out.newRow(), cur.row(r)[1:])
 			}
 		}
 	}

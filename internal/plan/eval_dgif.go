@@ -1,159 +1,122 @@
 package plan
 
 import (
+	"slices"
+
 	"repro/internal/pathdict"
+	"repro/internal/xpath"
 )
 
-// dgEval implements the DG+Edge strategy: the DataGuide answers the
-// structural part (the extent of each concrete rooted path), the edge value
-// index answers the content part, and the two are joined — the separated
-// structure/value lookup whose cost Figure 11 isolates. Branch-point ids
-// are then recovered by climbing the backward link index, one join per
-// level (the paper's "5-way join for each branch").
-type dgEval struct {
-	env *Env
+// climbEval is the leaf-then-climb evaluation DG+Edge, IF+Edge and XRel+Edge
+// share: expand the branch pattern over a schema summary into concrete
+// rooted paths, read each path's leaf ids from the strategy's own index,
+// then recover the ids at every pattern position by climbing the backward
+// link index, one join per level (the paper's "5-way join for each
+// branch"). The strategies differ in the two hooks only. None has a bound
+// access path of its own: an index-nested-loop join runs the held edge
+// walker's forward-link bound probe.
+type climbEval struct {
+	edgeEval
+
+	// expand lists the concrete rooted paths matching a pattern (one,
+	// unless the pattern has //).
+	expand func(pat []pathdict.PStep) []pathdict.Path
+	// leaves streams the ids at the end of expand's i-th path p and
+	// returns the index rows visited: one lookup.
+	leaves func(i int, p pathdict.Path, br *xpath.Branch, fn func(int64) error) (int, error)
+	// valueJoin: leaves reads structure only, so a branch's value is a
+	// second lookup in the edge value index, semi-joined with the leaves.
+	valueJoin bool
 }
 
-func (e *dgEval) free(n *Node, out *brel, es *ExecStats) error {
+// newDGEval is the DG+Edge strategy: the DataGuide answers the structural
+// part (the extent of each concrete rooted path), the edge value index the
+// content part, and the two are joined — the separated structure/value
+// lookup whose cost Figure 11 isolates.
+func newDGEval(env *Env) *climbEval {
+	return &climbEval{
+		edgeEval:  edgeEval{env: env},
+		expand:    env.DG.MatchingPaths,
+		valueJoin: true,
+		leaves: func(_ int, p pathdict.Path, _ *xpath.Branch, fn func(int64) error) (int, error) {
+			return env.DG.Extent(p, fn)
+		},
+	}
+}
+
+// newIFEval is the IF+Edge strategy: the simulated Index Fabric answers
+// (rooted path, leaf value) in a single lookup — its strength on fully
+// specified single paths — but branch points still require backward-link
+// climbs, and // requires expanding the pattern over the schema summary.
+func newIFEval(env *Env) *climbEval {
+	return &climbEval{
+		edgeEval: edgeEval{env: env},
+		expand:   env.Stats.MatchingRootedPaths,
+		leaves: func(_ int, p pathdict.Path, br *xpath.Branch, fn func(int64) error) (int, error) {
+			return env.IF.Probe(p, br.HasValue, br.Value, fn)
+		},
+	}
+}
+
+func (e *climbEval) free(n *Node, out *brel, es *ExecStats) error {
 	if !n.spec.ok {
 		return nil
 	}
-	pat := n.spec.pat
-	br := *n.branch
-	// DataGuide-as-summary: enumerate the concrete rooted paths matching
-	// the pattern (one, unless the pattern has //).
-	for _, concrete := range e.env.DG.MatchingPaths(pat) {
-		// Structure: the extent of the concrete path.
-		var leaves []int64
+	e.es = es
+	pat, br := n.spec.pat, n.branch
+	for i, concrete := range e.expand(pat) {
+		e.a.reset(1)
 		es.IndexLookups++
-		rows, err := e.env.DG.Extent(concrete, func(id int64) error {
-			leaves = append(leaves, id)
-			return nil
-		})
+		rows, err := e.leaves(i, concrete, br, e.into(&e.a.data))
 		es.RowsScanned += int64(rows)
 		if err != nil {
 			return err
 		}
-		// Content: the value index, joined against the extent.
-		if br.HasValue {
-			matching := map[int64]struct{}{}
-			es.IndexLookups++
-			rows, err := e.env.Edge.ValueProbe(br.Steps[len(br.Steps)-1].Label, br.Value, func(id int64) error {
-				matching[id] = struct{}{}
-				return nil
-			})
-			es.RowsScanned += int64(rows)
-			if err != nil {
+		if e.valueJoin && br.HasValue {
+			if err := e.valueFilter(br, &e.a); err != nil {
 				return err
 			}
-			tuples := make([][]int64, len(leaves))
-			for i, id := range leaves {
-				tuples[i] = []int64{id}
-			}
-			tuples = semiJoin(tuples, 0, matching, &es.Join)
-			leaves = leaves[:0]
-			for _, t := range tuples {
-				leaves = append(leaves, t[0])
-			}
 		}
-		if err := climbInto(e.env, es, pat, concrete, leaves, out); err != nil {
+		if err := e.climb(pat, concrete, e.a.data, out); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// bound delegates to the edge forward-link walk, which is how a DataGuide
-// plan would run an index-nested-loop join (the guide itself has no bound
-// access path).
-func (e *dgEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) error {
-	ee := edgeEval{env: e.env}
-	return ee.bound(n, jids, out, es)
-}
-
-// ifEval implements the IF+Edge strategy: the simulated Index Fabric
-// answers (rooted path, leaf value) in a single lookup — its strength on
-// fully specified single paths — but branch points still require
-// backward-link climbs, and // requires expanding the pattern over the
-// schema summary.
-type ifEval struct {
-	env *Env
-}
-
-func (e *ifEval) free(n *Node, out *brel, es *ExecStats) error {
-	if !n.spec.ok {
-		return nil
-	}
-	pat := n.spec.pat
-	br := *n.branch
-	for _, concrete := range e.env.Stats.MatchingRootedPaths(pat) {
-		var leaves []int64
-		es.IndexLookups++
-		rows, err := e.env.IF.Probe(concrete, br.HasValue, br.Value, func(id int64) error {
-			leaves = append(leaves, id)
-			return nil
-		})
-		es.RowsScanned += int64(rows)
-		if err != nil {
-			return err
-		}
-		if err := climbInto(e.env, es, pat, concrete, leaves, out); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *ifEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) error {
-	ee := edgeEval{env: e.env}
-	return ee.bound(n, jids, out, es)
-}
-
-// climbInto recovers the ids at every pattern position by climbing the
+// climb recovers the ids at every pattern position by climbing the
 // backward link index from each leaf id along the known concrete path,
 // appending one output row per assignment; a Parent lookup per level is
-// exactly the join cascade the paper charges to the DataGuide and Index
-// Fabric strategies.
-func climbInto(env *Env, es *ExecStats, pat []pathdict.PStep, concrete pathdict.Path, leaves []int64, out *brel) error {
-	asn := pathdict.EnumerateMatches(pat, concrete)
-	if len(asn) == 0 || len(leaves) == 0 {
+// exactly the join cascade the paper charges to these strategies.
+func (e *climbEval) climb(pat []pathdict.PStep, concrete pathdict.Path, leaves []int64, out *brel) error {
+	e.asn = pathdict.EnumerateMatchesInto(e.asn[:0], pat, concrete)
+	if len(e.asn) == 0 || len(leaves) == 0 {
 		return nil
 	}
-	minPos := len(concrete)
-	for _, pos := range asn {
-		if pos[0] < minPos {
-			minPos = pos[0]
-		}
+	k, depth := len(pat), len(concrete)
+	minPos := depth
+	for i := 0; i < len(e.asn); i += k {
+		minPos = min(minPos, e.asn[i])
 	}
-	chain := make([]int64, len(concrete))
+	// chain[i] is the node at path position i above the current leaf;
+	// positions minPos..depth-1 are filled.
+	e.aux = slices.Grow(e.aux[:0], depth)
+	chain := e.aux[:depth]
+nextLeaf:
 	for _, leaf := range leaves {
-		// Fill chain[minPos..len-1]; chain[i] is the node at path
-		// position i above this leaf.
-		chain[len(concrete)-1] = leaf
-		cur := leaf
-		okChain := true
-		for p := len(concrete) - 2; p >= minPos; p-- {
-			es.IndexLookups++
-			pid, _, ok, err := env.Edge.Parent(cur)
+		chain[depth-1] = leaf
+		for p := depth - 2; p >= minPos; p-- {
+			e.es.IndexLookups++
+			pid, _, ok, err := e.env.Edge.Parent(chain[p+1])
 			if err != nil {
 				return err
 			}
 			if !ok || pid == 0 {
-				okChain = false
-				break
+				continue nextLeaf
 			}
 			chain[p] = pid
-			cur = pid
 		}
-		if !okChain {
-			continue
-		}
-		for _, pos := range asn {
-			row := out.newRow()
-			for i, p := range pos {
-				row[i] = chain[p]
-			}
-		}
+		out.bindRows(e.asn, k, chain)
 	}
 	return nil
 }

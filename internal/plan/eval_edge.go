@@ -4,78 +4,85 @@ import (
 	"repro/internal/xpath"
 )
 
+// scratch is the working storage a baseline evaluator keeps between probes:
+// whatever a step-at-a-time evaluation builds on its way to the caller's
+// block. An evaluator belongs to one Runtime or one fan-out worker and is
+// never shared, so neither is its scratch; a warmed evaluator's plan-layer
+// work allocates nothing.
+type scratch struct {
+	a, b brel    // ping-pong relations: a step reads one and writes the other
+	ids  []int64 // id buffer: the output of one index access
+	aux  []int64 // second id buffer: // expansion queue, value-probe ids, ancestor chain
+	keys hashTab // key set of a value semi-join
+	asn  []int   // flat schema-match assignments (pathdict.EnumerateMatchesInto)
+
+	sink    *[]int64
+	collect func(id int64) error
+}
+
+// into returns the index-layer callback that appends each id to *buf. The
+// closure is made once; only its destination changes between accesses.
+func (s *scratch) into(buf *[]int64) func(int64) error {
+	if s.collect == nil {
+		s.collect = func(id int64) error {
+			*s.sink = append(*s.sink, id)
+			return nil
+		}
+	}
+	s.sink = buf
+	return s.collect
+}
+
 // edgeEval evaluates branches one step at a time over the edge-table link
 // indices. Every step is a join through the forward or backward link index;
 // descendant (//) steps expand the whole subtree below each candidate. This
 // is the baseline whose per-step join cost the paper's Figures 11 and 12
 // expose.
 //
-// The walk itself stays tuple-at-a-time — its cost is dominated by the
-// per-step index lookups, not by tuple handling — and converts to the
-// caller's block at the boundary. It ignores the compiled probe spec: the
-// walk works from the branch's label steps directly, and counts a lookup
-// per step even for labels that never occur (as the real link indices
-// would).
+// It ignores the compiled probe spec: the walk works from the branch's
+// label steps directly, and counts a lookup per step even for labels that
+// never occur (as the real link indices would).
 type edgeEval struct {
 	env *Env
 	es  *ExecStats
+	scratch
 }
 
 func (e *edgeEval) free(n *Node, out *brel, es *ExecStats) error {
 	e.es = es
-	br := *n.branch
-	var tuples [][]int64
+	var r *brel
 	var err error
-	if br.HasValue {
-		tuples, err = e.bottomUp(br)
+	if n.branch.HasValue {
+		r, err = e.bottomUp(n.branch)
 	} else {
-		tuples, err = e.topDown(br)
+		// Top down: from the document roots through the forward link index.
+		r, err = e.walkFrom(0, n.branch.Steps)
 	}
 	if err != nil {
 		return err
 	}
-	for _, t := range tuples {
-		out.appendRow(t)
-	}
+	out.data = append(out.data, r.data...)
 	return nil
 }
 
 // bottomUp starts from the value index and climbs to the root through the
 // backward link index, one join per step.
-func (e *edgeEval) bottomUp(br xpath.Branch) ([][]int64, error) {
-	last := len(br.Steps) - 1
-	var tuples [][]int64 // columns br.Nodes[i:] as we climb past i
-	e.es.IndexLookups++
-	rows, err := e.env.Edge.ValueProbe(br.Steps[last].Label, br.Value, func(id int64) error {
-		tuples = append(tuples, []int64{id})
-		return nil
-	})
-	e.es.RowsScanned += int64(rows)
-	if err != nil {
+func (e *edgeEval) bottomUp(br *xpath.Branch) (*brel, error) {
+	cur, next := &e.a, &e.b // columns br.Nodes[i:] as the climb passes i
+	cur.reset(1)
+	if err := e.valueProbe(br, &cur.data); err != nil {
 		return nil, err
 	}
-	for i := last - 1; i >= 0; i-- {
-		axis := br.Steps[i+1].Axis
-		label := br.Steps[i].Label
-		var next [][]int64
-		for _, t := range tuples {
-			top := t[0]
-			if axis == xpath.Child {
+	for i := len(br.Steps) - 2; i >= 0; i-- {
+		axis, label := br.Steps[i+1].Axis, br.Steps[i].Label
+		next.reset(cur.width + 1)
+		for r, rows := 0, cur.rows(); r < rows; r++ {
+			t := cur.row(r)
+			// Child edge: the parent is the one candidate binding.
+			// Descendant edge: so is every proper ancestor with the label.
+			for at := t[0]; ; {
 				e.es.IndexLookups++
-				pid, plabel, ok, err := e.env.Edge.Parent(top)
-				if err != nil {
-					return nil, err
-				}
-				if ok && pid != 0 && plabel == label {
-					next = append(next, prepend(pid, t))
-				}
-				continue
-			}
-			// Descendant edge: every proper ancestor with the right
-			// label is a candidate binding.
-			for cur := top; ; {
-				e.es.IndexLookups++
-				pid, plabel, ok, err := e.env.Edge.Parent(cur)
+				pid, plabel, ok, err := e.env.Edge.Parent(at)
 				if err != nil {
 					return nil, err
 				}
@@ -83,186 +90,145 @@ func (e *edgeEval) bottomUp(br xpath.Branch) ([][]int64, error) {
 					break
 				}
 				if plabel == label {
-					next = append(next, prepend(pid, t))
+					next.rowBefore(pid, t)
 				}
-				cur = pid
+				if axis == xpath.Child {
+					break
+				}
+				at = pid
 			}
 		}
-		e.es.Join.TuplesIn += int64(len(tuples))
-		e.es.Join.TuplesOut += int64(len(next))
-		tuples = next
+		e.es.Join.TuplesIn += int64(cur.rows())
+		e.es.Join.TuplesOut += int64(next.rows())
+		cur, next = next, cur
 	}
-	return e.anchorFilter(br, tuples)
+	return cur, e.anchorFilter(br, cur)
 }
 
-// anchorFilter enforces the root anchor of a branch whose first axis is /:
-// the top binding must be a document root.
-func (e *edgeEval) anchorFilter(br xpath.Branch, tuples [][]int64) ([][]int64, error) {
+// anchorFilter enforces, in place, the root anchor of a branch whose first
+// axis is /: the top binding must be a document root.
+func (e *edgeEval) anchorFilter(br *xpath.Branch, r *brel) error {
 	if br.Steps[0].Axis != xpath.Child {
-		return tuples, nil
+		return nil
 	}
-	var out [][]int64
-	for _, t := range tuples {
+	kept := 0
+	for i, rows := 0, r.rows(); i < rows; i++ {
+		t := r.row(i)
 		e.es.IndexLookups++
 		pid, _, ok, err := e.env.Edge.Parent(t[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if ok && pid == 0 {
-			out = append(out, t)
+			copy(r.row(kept), t)
+			kept++
 		}
 	}
-	return out, nil
+	r.truncate(kept)
+	return nil
 }
 
-// topDown walks from the document roots through the forward link index.
-func (e *edgeEval) topDown(br xpath.Branch) ([][]int64, error) {
-	first, err := e.stepFrom(0, br.Steps[0])
-	if err != nil {
+// walkFrom takes steps[0] from node id into a one-column relation and
+// extends it — the last column is the frontier — through the remaining
+// steps, one join each.
+func (e *edgeEval) walkFrom(id int64, steps []xpath.Step) (*brel, error) {
+	cur, next := &e.a, &e.b
+	cur.reset(1)
+	if err := e.stepFrom(id, steps[0], &cur.data); err != nil {
 		return nil, err
 	}
-	tuples := make([][]int64, len(first))
-	for i, id := range first {
-		tuples[i] = []int64{id}
-	}
-	return e.walkDown(br.Steps[1:], tuples)
-}
-
-// walkDown extends tuples (whose last column is the current frontier)
-// through the remaining steps.
-func (e *edgeEval) walkDown(steps []xpath.Step, tuples [][]int64) ([][]int64, error) {
-	for _, step := range steps {
-		var next [][]int64
-		for _, t := range tuples {
-			ids, err := e.stepFrom(t[len(t)-1], step)
-			if err != nil {
+	for _, step := range steps[1:] {
+		next.reset(cur.width + 1)
+		for r, rows := 0, cur.rows(); r < rows; r++ {
+			t := cur.row(r)
+			e.ids = e.ids[:0]
+			if err := e.stepFrom(t[len(t)-1], step, &e.ids); err != nil {
 				return nil, err
 			}
-			for _, id := range ids {
-				nt := make([]int64, 0, len(t)+1)
-				nt = append(nt, t...)
-				nt = append(nt, id)
-				next = append(next, nt)
+			for _, c := range e.ids {
+				next.rowAfter(t, c)
 			}
 		}
-		e.es.Join.TuplesIn += int64(len(tuples))
-		e.es.Join.TuplesOut += int64(len(next))
-		tuples = next
+		e.es.Join.TuplesIn += int64(cur.rows())
+		e.es.Join.TuplesOut += int64(next.rows())
+		cur, next = next, cur
 	}
-	return tuples, nil
+	return cur, nil
 }
 
-// stepFrom returns the bindings of one step taken from node id: children
-// with the step label for /, or all proper descendants with the label
-// (breadth-first expansion through the forward index) for //.
-func (e *edgeEval) stepFrom(id int64, step xpath.Step) ([]int64, error) {
+// stepFrom appends to dst the bindings of one step taken from node id:
+// children with the step label for /, or all proper descendants with the
+// label (breadth-first expansion through the forward index) for //.
+func (e *edgeEval) stepFrom(id int64, step xpath.Step, dst *[]int64) error {
 	if step.Axis == xpath.Child {
-		var out []int64
-		e.es.IndexLookups++
-		rows, err := e.env.Edge.Children(id, step.Label, func(c int64) error {
-			out = append(out, c)
-			return nil
-		})
-		e.es.RowsScanned += int64(rows)
-		return out, err
+		return e.children(id, step.Label, dst)
 	}
-	var out []int64
-	queue := []int64{id}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		e.es.IndexLookups++
-		rows, err := e.env.Edge.Children(cur, step.Label, func(c int64) error {
-			out = append(out, c)
-			return nil
-		})
-		e.es.RowsScanned += int64(rows)
-		if err != nil {
-			return nil, err
+	e.aux = append(e.aux[:0], id)
+	for head := 0; head < len(e.aux); head++ {
+		cur := e.aux[head]
+		if err := e.children(cur, step.Label, dst); err != nil {
+			return err
 		}
-		e.es.IndexLookups++
-		rows, err = e.env.Edge.Children(cur, "", func(c int64) error {
-			queue = append(queue, c)
-			return nil
-		})
-		e.es.RowsScanned += int64(rows)
-		if err != nil {
-			return nil, err
+		if err := e.children(cur, "", &e.aux); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
+}
+
+// children appends id's children with the label (all of them for "") to
+// dst: one forward-index lookup.
+func (e *edgeEval) children(id int64, label string, dst *[]int64) error {
+	e.es.IndexLookups++
+	rows, err := e.env.Edge.Children(id, label, e.into(dst))
+	e.es.RowsScanned += int64(rows)
+	return err
+}
+
+// valueProbe appends to dst the ids carrying the branch's leaf label and
+// value: one value-index lookup.
+func (e *edgeEval) valueProbe(br *xpath.Branch, dst *[]int64) error {
+	e.es.IndexLookups++
+	rows, err := e.env.Edge.ValueProbe(br.Steps[len(br.Steps)-1].Label, br.Value, e.into(dst))
+	e.es.RowsScanned += int64(rows)
+	return err
 }
 
 // bound walks down from each head id through the forward index — the
 // index-nested-loop strategy available to the edge-based plans. A group is
-// opened only for head ids with surviving matches, as the old map-of-slices
-// result only held matching keys.
+// opened only for head ids with surviving matches.
 func (e *edgeEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) error {
 	e.es = es
-	br := *n.branch
-	sub := br.Steps[n.jIdx+1:]
+	br := n.branch
 	for _, jid := range jids {
 		e.es.INLProbes++
-		first, err := e.stepFrom(jid, sub[0])
+		r, err := e.walkFrom(jid, br.Steps[n.jIdx+1:])
 		if err != nil {
 			return err
 		}
-		tuples := make([][]int64, len(first))
-		for i, id := range first {
-			tuples[i] = []int64{id}
+		if br.HasValue && r.rows() > 0 {
+			if err := e.valueFilter(br, r); err != nil {
+				return err
+			}
 		}
-		tuples, err = e.walkDown(sub[1:], tuples)
-		if err != nil {
-			return err
-		}
-		tuples, err = e.filterValue(br, tuples)
-		if err != nil {
-			return err
-		}
-		if len(tuples) > 0 {
+		if r.rows() > 0 {
 			out.beginGroup(jid)
-			for _, t := range tuples {
-				copy(out.newRow(), t)
+			for i, rows := 0, r.rows(); i < rows; i++ {
+				copy(out.newRow(), r.row(i))
 			}
 		}
 	}
 	return nil
 }
 
-// filterValue keeps tuples whose last column carries the branch's leaf
-// value, verified through the value index.
-func (e *edgeEval) filterValue(br xpath.Branch, tuples [][]int64) ([][]int64, error) {
-	if !br.HasValue || len(tuples) == 0 {
-		return tuples, nil
+// valueFilter keeps the rows of r whose last column carries the branch's
+// leaf value: a value-index probe, semi-joined in place.
+func (e *edgeEval) valueFilter(br *xpath.Branch, r *brel) error {
+	e.aux = e.aux[:0]
+	if err := e.valueProbe(br, &e.aux); err != nil {
+		return err
 	}
-	matching := map[int64]struct{}{}
-	e.es.IndexLookups++
-	rows, err := e.env.Edge.ValueProbe(br.Steps[len(br.Steps)-1].Label, br.Value, func(id int64) error {
-		matching[id] = struct{}{}
-		return nil
-	})
-	e.es.RowsScanned += int64(rows)
-	if err != nil {
-		return nil, err
-	}
-	return semiJoin(tuples, len(tuples[0])-1, matching, &e.es.Join), nil
-}
-
-// semiJoin returns the left rows whose lcol value appears in keys.
-func semiJoin(left [][]int64, lcol int, keys map[int64]struct{}, c *JoinCounters) [][]int64 {
-	c.TuplesIn += int64(len(left))
-	var out [][]int64
-	for _, t := range left {
-		if _, ok := keys[t[lcol]]; ok {
-			out = append(out, t)
-		}
-	}
-	c.TuplesOut += int64(len(out))
-	return out
-}
-
-func prepend(id int64, t []int64) []int64 {
-	nt := make([]int64, 0, len(t)+1)
-	nt = append(nt, id)
-	return append(nt, t...)
+	e.keys.keySet(e.aux)
+	r.keepKeys(r.width-1, &e.keys, &e.es.Join)
+	return nil
 }

@@ -27,59 +27,56 @@ func (m *matchMemo) matches(spec *probeSpec, fwd pathdict.Path) []int {
 	return m.asn
 }
 
-// rpEval evaluates branches with single ROOTPATHS lookups (FreeIndex).
-// ROOTPATHS cannot probe by head id, so no bound probes: joins are always
-// materialize-and-hash — the asymmetry behind Figure 12(d).
-//
-// The rp/dp evaluators are the fully batched hot path: rows are decoded
-// once under the index layer (idlist.DecodeDeltaInto through a reused
-// Scratch) and appended straight into the operator's block. The row
-// callback is created once at construction and the per-probe state (the
-// destination block, the compiled spec) is staged on the evaluator, so a
+// pathRows is the row sink of a free ROOTPATHS/DATAPATHS probe: the
+// destination block and compiled spec are staged on it before each index
+// probe, so the callback handed to the index layer is created once and a
 // steady-state probe performs no allocations at all.
-type rpEval struct {
-	env *Env
-	sc  index.Scratch
-
-	// Per-probe stream state read by cb; set before each index probe.
+type pathRows struct {
 	out  *brel
 	spec *probeSpec
-	cb   func(fwd pathdict.Path, ids []int64) error
 	memo matchMemo
-}
-
-func newRPEval(env *Env) *rpEval {
-	e := &rpEval{env: env}
-	e.cb = e.onRow
-	return e
 }
 
 // onRow appends the bindings of one index row (a concrete forward path
 // with the ids at every position) to the staged block. When the pattern
 // has no interior // the binding is unique and computed in place; otherwise
 // the general schema-match enumeration runs.
-func (e *rpEval) onRow(fwd pathdict.Path, ids []int64) error {
-	pat := e.spec.pat
-	if e.spec.simple {
+func (s *pathRows) onRow(fwd pathdict.Path, ids []int64) error {
+	pat := s.spec.pat
+	if s.spec.simple {
 		k := len(pat)
 		if len(fwd) < k || (!pat[0].Desc && len(fwd) != k) {
 			return nil
 		}
-		row := e.out.newRow()
+		row := s.out.newRow()
 		base := len(fwd) - k
 		for i := range row {
 			row[i] = ids[base+i] // virtual-root rows: position i binds ids[i]
 		}
 		return nil
 	}
-	asn := e.memo.matches(e.spec, fwd)
-	for k := len(pat); len(asn) > 0; asn = asn[k:] {
-		row := e.out.newRow()
-		for i, p := range asn[:k] {
-			row[i] = ids[p]
-		}
-	}
+	s.out.bindRows(s.memo.matches(s.spec, fwd), len(pat), ids)
 	return nil
+}
+
+// rpEval evaluates branches with single ROOTPATHS lookups (FreeIndex).
+// ROOTPATHS cannot probe by head id, so no bound probes: joins are always
+// materialize-and-hash — the asymmetry behind Figure 12(d).
+//
+// The rp/dp evaluators are the fully batched hot path: rows are decoded
+// once under the index layer (idlist.DecodeDeltaInto through a reused
+// Scratch) and appended straight into the operator's block.
+type rpEval struct {
+	env *Env
+	sc  index.Scratch
+	pathRows
+	cb func(fwd pathdict.Path, ids []int64) error
+}
+
+func newRPEval(env *Env) *rpEval {
+	e := &rpEval{env: env}
+	e.cb = e.onRow
+	return e
 }
 
 func (e *rpEval) free(n *Node, out *brel, es *ExecStats) error {
@@ -100,18 +97,14 @@ func (e *rpEval) bound(*Node, []int64, *boundRel, *ExecStats) error {
 // dpEval evaluates branches with DATAPATHS lookups: FreeIndex via the
 // virtual root (head 0) and BoundIndex via real head ids, the latter being
 // the index-nested-loop probe of Section 3.3. Batched and allocation-free
-// like rpEval.
+// like rpEval; free probes stage out, bound probes bout.
 type dpEval struct {
 	env *Env
 	sc  index.Scratch
-
-	// Per-probe stream state; free probes stage out, bound probes bout.
-	out  *brel
+	pathRows
 	bout *boundRel
-	spec *probeSpec
 	cb   func(fwd pathdict.Path, ids []int64) error
 	bcb  func(fwd pathdict.Path, ids []int64) error
-	memo matchMemo
 }
 
 func newDPEval(env *Env) *dpEval {
@@ -119,30 +112,6 @@ func newDPEval(env *Env) *dpEval {
 	e.cb = e.onRow
 	e.bcb = e.onBoundRow
 	return e
-}
-
-func (e *dpEval) onRow(fwd pathdict.Path, ids []int64) error {
-	pat := e.spec.pat
-	if e.spec.simple {
-		k := len(pat)
-		if len(fwd) < k || (!pat[0].Desc && len(fwd) != k) {
-			return nil
-		}
-		row := e.out.newRow()
-		base := len(fwd) - k
-		for i := range row {
-			row[i] = ids[base+i]
-		}
-		return nil
-	}
-	asn := e.memo.matches(e.spec, fwd)
-	for k := len(pat); len(asn) > 0; asn = asn[k:] {
-		row := e.out.newRow()
-		for i, p := range asn[:k] {
-			row[i] = ids[p]
-		}
-	}
-	return nil
 }
 
 // onBoundRow appends the bindings of one bound-probe row. The bound
@@ -161,13 +130,7 @@ func (e *dpEval) onBoundRow(fwd pathdict.Path, ids []int64) error {
 		}
 		return nil
 	}
-	asn := e.memo.matches(e.spec, fwd)
-	for k := len(pat); len(asn) > 0; asn = asn[k:] {
-		row := e.bout.newRow()
-		for i, p := range asn[1:k] {
-			row[i] = ids[p-1]
-		}
-	}
+	e.bout.bindRows(e.memo.matches(e.spec, fwd), len(pat), ids, 1)
 	return nil
 }
 

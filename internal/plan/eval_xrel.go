@@ -1,42 +1,31 @@
 package plan
 
-// xrelEval implements the XRel+Edge strategy: the branch pattern is
-// resolved against the normalised path table into concrete path ids — a //
-// expands into *several* equality conditions, one lookup each, which is the
+import (
+	"repro/internal/pathdict"
+	"repro/internal/xpath"
+)
+
+// newXRelEval is the XRel+Edge strategy: the branch pattern is resolved
+// against the normalised path table into concrete path ids — a // expands
+// into *several* equality conditions, one lookup each, which is the
 // Section 5.2.6 recursion argument — then each path id is probed for
 // (value, node id) rows, and branch-point ids are recovered with
 // backward-link climbs as in the DataGuide plan.
-type xrelEval struct {
-	env *Env
-}
-
-func (e *xrelEval) free(n *Node, out *brel, es *ExecStats) error {
-	if !n.spec.ok {
-		return nil
-	}
-	pat := n.spec.pat
-	br := *n.branch
-	for _, pid := range e.env.XRel.MatchingPathIDs(pat) {
-		concrete := e.env.XRel.Paths().Path(pid)
-		var leaves []int64
-		es.IndexLookups++
-		es.touchRelation(pid)
-		rows, err := e.env.XRel.Probe(pid, br.HasValue, br.Value, func(id int64) error {
-			leaves = append(leaves, id)
-			return nil
-		})
-		es.RowsScanned += int64(rows)
-		if err != nil {
-			return err
+func newXRelEval(env *Env) *climbEval {
+	e := &climbEval{edgeEval: edgeEval{env: env}}
+	var pids []pathdict.PathID
+	var paths []pathdict.Path
+	e.expand = func(pat []pathdict.PStep) []pathdict.Path {
+		pids = env.XRel.MatchingPathIDs(pat)
+		paths = paths[:0]
+		for _, pid := range pids {
+			paths = append(paths, env.XRel.Paths().Path(pid))
 		}
-		if err := climbInto(e.env, es, pat, concrete, leaves, out); err != nil {
-			return err
-		}
+		return paths
 	}
-	return nil
-}
-
-func (e *xrelEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) error {
-	ee := edgeEval{env: e.env}
-	return ee.bound(n, jids, out, es)
+	e.leaves = func(i int, _ pathdict.Path, br *xpath.Branch, fn func(int64) error) (int, error) {
+		e.es.touchRelation(pids[i])
+		return env.XRel.Probe(pids[i], br.HasValue, br.Value, fn)
+	}
+	return e
 }

@@ -108,11 +108,12 @@ type Env struct {
 	Containment *containment.Index
 
 	// INLFactor overrides the index-nested-loop threshold (0 uses the
-	// default; negative disables INL entirely). Exposed for the ablation
-	// benchmarks.
+	// default; negative disables INL entirely). The engine sets -1 on the
+	// env it plans fanned-out reads against, so every branch is a probe
+	// leaf; tests lower it to force bound probes.
 	INLFactor int
 	// NoReorder disables statistics-driven branch ordering (branches run
-	// in pattern order); exposed for the ablation benchmarks.
+	// in pattern order); tests set it to pin the branch order.
 	NoReorder bool
 
 	// TraceAll turns on per-operator wall-time tracing for every
@@ -290,26 +291,6 @@ func estimateBranch(env *Env, br xpath.Branch) int64 {
 	return env.Stats.EstimateBranch(pat, br.HasValue, br.Value)
 }
 
-// assignments enumerates the bindings of pat to the concrete path fwd.
-// When simple (no interior //), the binding is unique and computed directly.
-func assignments(pat []pathdict.PStep, fwd pathdict.Path, simple bool) [][]int {
-	if simple {
-		k := len(pat)
-		if len(fwd) < k {
-			return nil
-		}
-		if !pat[0].Desc && len(fwd) != k {
-			return nil
-		}
-		pos := make([]int, k)
-		for i := range pos {
-			pos[i] = len(fwd) - k + i
-		}
-		return [][]int{pos}
-	}
-	return pathdict.EnumerateMatches(pat, fwd)
-}
-
 // suffixSyms returns the forward designator sequence of the deepest //-free
 // suffix of pat (the probe suffix).
 func suffixSyms(pat []pathdict.PStep) pathdict.Path {
@@ -336,15 +317,15 @@ func newEvaluator(env *Env, strat Strategy) (evaluator, error) {
 	case EdgePlan:
 		return &edgeEval{env: env}, nil
 	case DataGuideEdgePlan:
-		return &dgEval{env: env}, nil
+		return newDGEval(env), nil
 	case FabricEdgePlan:
-		return &ifEval{env: env}, nil
+		return newIFEval(env), nil
 	case ASRPlan:
 		return &asrEval{env: env}, nil
 	case JoinIndexPlan:
 		return &jiEval{env: env}, nil
 	case XRelPlan:
-		return &xrelEval{env: env}, nil
+		return newXRelEval(env), nil
 	}
 	return nil, fmt.Errorf("plan: strategy %v has no branch evaluator", strat)
 }

@@ -1,13 +1,18 @@
 package plan
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestSemiJoin(t *testing.T) {
-	left := [][]int64{{7, 1}, {8, 2}, {9, 3}}
+	r := brel{width: 2, data: []int64{7, 1, 8, 2, 9, 3}}
+	var keys hashTab
+	keys.keySet([]int64{2, 3})
 	var c JoinCounters
-	got := semiJoin(left, 1, map[int64]struct{}{2: {}, 3: {}}, &c)
-	if len(got) != 2 || got[0][0] != 8 || got[1][0] != 9 {
-		t.Fatalf("semiJoin = %v", got)
+	r.keepKeys(1, &keys, &c)
+	if !slices.Equal(r.data, []int64{8, 2, 9, 3}) {
+		t.Fatalf("semiJoin kept %v", r.data)
 	}
 	if c.TuplesIn != 3 || c.TuplesOut != 2 {
 		t.Fatalf("counters = %+v", c)

@@ -118,16 +118,13 @@ func NewPool(dev Device, capacityBytes int64) *Pool {
 	if capPages >= shardThreshold {
 		n = maxShards
 	}
-	return NewPoolShards(dev, capacityBytes, n)
+	return newPoolShards(dev, capacityBytes, n)
 }
 
-// NewPoolShards is NewPool with an explicit lock-stripe count, for pools
-// that must stay concurrent below the auto-sharding threshold (e.g. a
-// deliberately tiny pool in a disk-resident throughput experiment: with one
-// stripe, every fault would serialize on the stripe lock and simulated
-// device stalls could never overlap). shards is clamped to [1, 16] and
-// rounded down to a power of two.
-func NewPoolShards(dev Device, capacityBytes int64, shards int) *Pool {
+// newPoolShards is NewPool with an explicit lock-stripe count (the shard
+// tests pin it to 1). shards is clamped to [1, 16] and rounded down to a
+// power of two.
+func newPoolShards(dev Device, capacityBytes int64, shards int) *Pool {
 	capPages := int(capacityBytes / PageSize)
 	if capPages < 1 {
 		capPages = 1

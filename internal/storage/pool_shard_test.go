@@ -173,7 +173,7 @@ func TestMakeRoomFairnessUnderChurn(t *testing.T) {
 	dev := NewDisk()
 	// One stripe, two frames: every miss needs room, so fetchers fight
 	// over eviction constantly.
-	p := NewPoolShards(dev, 2*PageSize, 1)
+	p := newPoolShards(dev, 2*PageSize, 1)
 	const pages = 8
 	dev.AllocateN(pages)
 
@@ -234,7 +234,7 @@ func TestMakeRoomFairnessUnderChurn(t *testing.T) {
 // fetcher arrives at the same moment — rather than timing out.
 func TestMakeRoomWaiterGetsFreedFrame(t *testing.T) {
 	dev := NewDisk()
-	p := NewPoolShards(dev, PageSize, 1) // capacity 1: one frame total
+	p := newPoolShards(dev, PageSize, 1) // capacity 1: one frame total
 	dev.AllocateN(3)
 
 	held, err := p.Fetch(0)

@@ -487,16 +487,3 @@ func Dump(n *Node) string {
 	rec(n, 0)
 	return b.String()
 }
-
-// SortValue returns children sorted by label then value; used only by tests
-// that need deterministic comparison of generated subtrees.
-func SortValue(nodes []*Node) []*Node {
-	out := append([]*Node(nil), nodes...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Label != out[j].Label {
-			return out[i].Label < out[j].Label
-		}
-		return out[i].Value < out[j].Value
-	})
-	return out
-}
