@@ -4,8 +4,10 @@
 //
 // Usage:
 //
-//	twigq [-index rp,dp,edge,dg,if,asr,ji] [-strategy auto|rp|dp|edge|dg|if|asr|ji] \
+//	twigq [-index rp,dp,...] [-strategy auto|rp|dp|...] \
 //	      [-show] file.xml... -q "/site//item[quantity='2']"
+//
+// twigq -h lists every index and strategy name.
 //
 // With no files, the built-in synthetic XMark dataset is loaded.
 package main
@@ -15,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -38,9 +41,20 @@ var strategyByName = map[string]twigdb.Strategy{
 	"oracle": twigdb.Oracle,
 }
 
+// names lists a flag's accepted values from the map that resolves them, so
+// the help text and the error cannot drift from what is accepted.
+func names[V any](byName map[string]V) string {
+	out := make([]string, 0, len(byName))
+	for name := range byName {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return strings.Join(out, ",")
+}
+
 func main() {
-	indexList := flag.String("index", "rp,dp", "comma-separated indices to build (rp,dp,edge,dg,if,asr,ji)")
-	strategy := flag.String("strategy", "auto", "evaluation strategy")
+	indexList := flag.String("index", "rp,dp", "comma-separated indices to build ("+names(kindByName)+")")
+	strategy := flag.String("strategy", "auto", "evaluation strategy ("+names(strategyByName)+")")
 	query := flag.String("q", "", "twig query (required)")
 	show := flag.Bool("show", false, "print matched subtrees as XML")
 	explain := flag.Bool("explain", false, "print the planned and executed operator trees (est vs act rows; with -strategy auto, also the planner's candidate costs)")
@@ -68,7 +82,7 @@ func run(indexList, strategy, query string, show, explain, analyze bool, files [
 	}
 	strat, ok := strategyByName[strategy]
 	if !ok {
-		return fmt.Errorf("unknown strategy %q", strategy)
+		return fmt.Errorf("unknown strategy %q (want one of %s)", strategy, names(strategyByName))
 	}
 
 	db := twigdb.MustOpen(nil)
@@ -98,7 +112,7 @@ func run(indexList, strategy, query string, show, explain, analyze bool, files [
 	for _, name := range strings.Split(indexList, ",") {
 		k, ok := kindByName[strings.TrimSpace(name)]
 		if !ok {
-			return fmt.Errorf("unknown index %q", name)
+			return fmt.Errorf("unknown index %q (want some of %s)", name, names(kindByName))
 		}
 		kinds = append(kinds, k)
 	}

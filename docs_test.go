@@ -8,6 +8,8 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/plan"
 )
 
 // TestDocsPointAtThingsThatExist keeps the prose honest: every `make
@@ -85,6 +87,43 @@ func TestDocsPointAtThingsThatExist(t *testing.T) {
 					t.Errorf("%s: comment points at %s, which does not exist", f, md)
 				}
 			}
+		}
+	}
+}
+
+// TestPlannerDocStrategyTable checks docs/PLANNER.md's strategy table
+// against plan's descriptor table: one row per strategy, in order, naming
+// the strategy and the index kinds it requires.
+func TestPlannerDocStrategyTable(t *testing.T) {
+	src, err := os.ReadFile("docs/PLANNER.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(src), "| strategy | access method | requires |")
+	if !ok {
+		t.Fatal("docs/PLANNER.md has no strategy table")
+	}
+	var rows [][]string
+	for _, line := range strings.Split(table, "\n")[2:] { // rest of the header, separator
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		rows = append(rows, strings.Split(strings.Trim(line, "|"), "|"))
+	}
+	if len(rows) != int(plan.NumStrategies) {
+		t.Fatalf("strategy table has %d rows, plan has %d strategies", len(rows), plan.NumStrategies)
+	}
+	for i, row := range rows {
+		s := plan.Strategy(i)
+		var requires []string
+		for _, k := range s.Requires() {
+			requires = append(requires, k.String())
+		}
+		if got := strings.Trim(row[0], " `"); got != s.String() {
+			t.Errorf("row %d names %q, strategy %d is %v", i, got, i, s)
+		}
+		if got, want := strings.TrimSpace(row[2]), strings.Join(requires, ", "); got != want {
+			t.Errorf("%v: the doc says it requires %q, plan says %q", s, got, want)
 		}
 	}
 }

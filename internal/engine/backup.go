@@ -13,7 +13,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -73,15 +72,16 @@ func (db *DB) Backup(dstPath string) error {
 	if len(ids) > 0 {
 		base = ids[len(ids)-1] + 1
 	}
-	root, err := writeBackupCatalog(bw, base, encodeCatalog(s))
-	if err != nil {
+	blob := encodeCatalog(s)
+	chain := make([]storage.PageID, catalogChainLen(blob))
+	for i := range chain {
+		chain[i] = base + storage.PageID(i)
+	}
+	if err := layCatalogChain(blob, chain, bw.WritePage); err != nil {
 		bw.Abort()
 		return err
 	}
-	if err := bw.Finish(root); err != nil {
-		return err
-	}
-	return nil
+	return bw.Finish(base)
 }
 
 // walkSnapshotPages enumerates every device page reachable from the
@@ -89,73 +89,10 @@ func (db *DB) Backup(dstPath string) error {
 // the catalog blob, not in pages, so the indices are the entire page
 // footprint.
 func (db *DB) walkSnapshotPages(s *Snapshot, fn func(storage.PageID) error) error {
-	env := &s.env
-	if env.RP != nil {
-		if err := env.RP.WalkPages(fn); err != nil {
-			return err
-		}
-	}
-	if env.DP != nil {
-		if err := env.DP.WalkPages(fn); err != nil {
-			return err
-		}
-	}
-	if env.Edge != nil {
-		if err := env.Edge.WalkPages(fn); err != nil {
-			return err
-		}
-	}
-	if env.DG != nil {
-		if err := env.DG.WalkPages(fn); err != nil {
-			return err
-		}
-	}
-	if env.IF != nil {
-		if err := env.IF.WalkPages(fn); err != nil {
-			return err
-		}
-	}
-	if env.ASR != nil {
-		if err := env.ASR.WalkPages(fn); err != nil {
-			return err
-		}
-	}
-	if env.JI != nil {
-		if err := env.JI.WalkPages(fn); err != nil {
-			return err
-		}
-	}
-	if env.XRel != nil {
-		if err := env.XRel.WalkPages(fn); err != nil {
+	for _, st := range s.env.Structures() {
+		if err := st.WalkPages(fn); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// writeBackupCatalog lays blob out as a catalog page chain starting at
-// base (same per-page format as writeCatalogChain) and returns the chain
-// root.
-func writeBackupCatalog(bw *storage.BackupWriter, base storage.PageID, blob []byte) (storage.PageID, error) {
-	n := (len(blob) + catalogPageCap - 1) / catalogPageCap
-	if n == 0 {
-		n = 1
-	}
-	buf := make([]byte, storage.PageSize)
-	for i := 0; i < n; i++ {
-		next := storage.InvalidPage
-		if i+1 < n {
-			next = base + storage.PageID(i+1)
-		}
-		lo := i * catalogPageCap
-		hi := min(lo+catalogPageCap, len(blob))
-		clear(buf)
-		binary.BigEndian.PutUint32(buf[0:4], uint32(next))
-		binary.BigEndian.PutUint16(buf[4:6], uint16(hi-lo))
-		copy(buf[catalogPageHeader:], blob[lo:hi])
-		if err := bw.WritePage(base+storage.PageID(i), buf); err != nil {
-			return storage.InvalidPage, err
-		}
-	}
-	return base, nil
 }

@@ -2,9 +2,9 @@ package engine
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
-	"repro/internal/btree"
 	"repro/internal/index"
 	"repro/internal/pathdict"
 	"repro/internal/storage"
@@ -14,7 +14,7 @@ import (
 // The engine catalog is the durable root of everything above the page
 // device: the XML store (documents with their node ids and the id
 // counter), the shared designator dictionary and path table, and one
-// snapshot per built index structure (B+-tree roots plus the small
+// record per built index structure (B+-tree roots plus the small
 // in-memory registries). It is serialised at every commit boundary into a
 // chain of ordinary pages — [4B next page id][2B payload length][payload]
 // — whose head the commit record carries as CatalogRoot, so the catalog is
@@ -28,8 +28,13 @@ import (
 //	         (id, label, hasValue[, value], #children, children...)
 //	dict:    #labels, labels in symbol order
 //	ptab:    #paths, each path as #syms + syms
-//	present: u8 bitmask over the persistable index kinds
-//	per present index: its snapshot (see encode below)
+//	present: u8 bitmask, bit 1<<k set when the structure of index.Kind k
+//	         is built (fixed by the file format: kinds are never reordered)
+//	per present structure, in kind order: its record
+//
+// The engine frames the records; what is inside one is its structure's
+// business (Structure.AppendRecord and the family table's open function in
+// internal/index, over the field primitives of index.CatWriter/CatReader).
 
 const (
 	catalogMagic   = "TWIGCAT1"
@@ -40,295 +45,75 @@ const (
 	catalogPageCap    = storage.PageSize - catalogPageHeader
 )
 
-// Presence-mask bits, fixed by the file format (do not reorder).
-const (
-	catHasRP = 1 << iota
-	catHasDP
-	catHasEdge
-	catHasDG
-	catHasIF
-	catHasASR
-	catHasJI
-	catHasXRel
-)
+var errCatalogVersion = errors.New("engine: unsupported catalog version")
 
-// ---------------------------------------------------------------- encoding
-
-type catWriter struct{ b []byte }
-
-func (w *catWriter) u8(v byte)        { w.b = append(w.b, v) }
-func (w *catWriter) uvarint(v uint64) { w.b = binary.AppendUvarint(w.b, v) }
-func (w *catWriter) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.b = append(w.b, s...)
-}
-func (w *catWriter) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *catWriter) path(p pathdict.Path) {
-	w.uvarint(uint64(len(p)))
-	for _, s := range p {
-		w.uvarint(uint64(s))
-	}
-}
-func (w *catWriter) paths(ps []pathdict.Path) {
-	w.uvarint(uint64(len(ps)))
-	for _, p := range ps {
-		w.path(p)
-	}
-}
-func (w *catWriter) treeMeta(m btree.Meta) {
-	w.str(m.Name)
-	w.uvarint(uint64(uint32(m.Root)))
-	w.uvarint(uint64(m.Height))
-	w.uvarint(uint64(m.Pages))
-	w.uvarint(uint64(m.Entries))
-}
-func (w *catWriter) node(n *xmldb.Node) {
-	w.uvarint(uint64(n.ID))
-	w.str(n.Label)
-	w.bool(n.HasValue)
+func writeNode(w *index.CatWriter, n *xmldb.Node) {
+	w.Uvarint(uint64(n.ID))
+	w.Str(n.Label)
+	w.Bool(n.HasValue)
 	if n.HasValue {
-		w.str(n.Value)
+		w.Str(n.Value)
 	}
-	w.uvarint(uint64(len(n.Children)))
+	w.Uvarint(uint64(len(n.Children)))
 	for _, c := range n.Children {
-		w.node(c)
+		writeNode(w, c)
 	}
-}
-func (w *catWriter) pathsOptions(o index.PathsOptions) {
-	var flags byte
-	if o.RawIDs {
-		flags |= 1
-	}
-	if o.PathIDKeys {
-		flags |= 2
-	}
-	w.u8(flags)
 }
 
 // encodeCatalog serialises a snapshot's durable state. Callers hold the
 // writer lock (the snapshot itself is immutable; the lock orders catalog
 // page-chain reuse).
 func encodeCatalog(s *Snapshot) []byte {
-	w := &catWriter{b: make([]byte, 0, 4096)}
-	w.b = append(w.b, catalogMagic...)
-	w.uvarint(catalogVersion)
+	w := &index.CatWriter{Buf: make([]byte, 0, 4096)}
+	w.Buf = append(w.Buf, catalogMagic...)
+	w.Uvarint(catalogVersion)
 
 	// Store.
-	w.uvarint(uint64(s.store.NextID()))
-	w.uvarint(uint64(len(s.store.Docs)))
+	w.Uvarint(uint64(s.store.NextID()))
+	w.Uvarint(uint64(len(s.store.Docs)))
 	for _, d := range s.store.Docs {
-		w.node(d.Root)
+		writeNode(w, d.Root)
 	}
 
 	// Dictionary: labels in symbol order, so re-interning reproduces syms.
 	n := s.dict.Size()
-	w.uvarint(uint64(n))
+	w.Uvarint(uint64(n))
 	for sym := 1; sym <= n; sym++ {
-		w.str(s.dict.Label(pathdict.Sym(sym)))
+		w.Str(s.dict.Label(pathdict.Sym(sym)))
 	}
 
-	// Shared path table.
-	var shared []pathdict.Path
-	s.ptab.All(func(_ pathdict.PathID, p pathdict.Path) { shared = append(shared, p) })
-	w.paths(shared)
+	w.PathTable(s.ptab)
 
-	// Index snapshots.
+	built := s.env.Structures()
 	var mask byte
-	if s.env.RP != nil {
-		mask |= catHasRP
+	for _, st := range built {
+		mask |= 1 << st.Kind()
 	}
-	if s.env.DP != nil {
-		mask |= catHasDP
+	w.U8(mask)
+	for _, st := range built {
+		st.AppendRecord(w)
 	}
-	if s.env.Edge != nil {
-		mask |= catHasEdge
-	}
-	if s.env.DG != nil {
-		mask |= catHasDG
-	}
-	if s.env.IF != nil {
-		mask |= catHasIF
-	}
-	if s.env.ASR != nil {
-		mask |= catHasASR
-	}
-	if s.env.JI != nil {
-		mask |= catHasJI
-	}
-	if s.env.XRel != nil {
-		mask |= catHasXRel
-	}
-	w.u8(mask)
-
-	if rp := s.env.RP; rp != nil {
-		w.pathsOptions(rp.Options())
-		w.treeMeta(rp.TreeMeta())
-	}
-	if dp := s.env.DP; dp != nil {
-		w.pathsOptions(dp.Options())
-		w.treeMeta(dp.TreeMeta())
-	}
-	if e := s.env.Edge; e != nil {
-		v, f, b := e.TreeMetas()
-		w.treeMeta(v)
-		w.treeMeta(f)
-		w.treeMeta(b)
-	}
-	if dg := s.env.DG; dg != nil {
-		var ps []pathdict.Path
-		dg.Paths().All(func(_ pathdict.PathID, p pathdict.Path) { ps = append(ps, p) })
-		w.paths(ps)
-		w.treeMeta(dg.TreeMeta())
-	}
-	if f := s.env.IF; f != nil {
-		w.treeMeta(f.TreeMeta())
-	}
-	if a := s.env.ASR; a != nil {
-		as := a.Snapshot()
-		w.paths(as.Paths)
-		for _, m := range as.Tables {
-			w.treeMeta(m)
-		}
-		w.uvarint(uint64(len(as.Rooted)))
-		for _, id := range as.Rooted {
-			w.uvarint(uint64(id))
-		}
-		w.uvarint(uint64(len(as.Roots)))
-		for _, id := range as.Roots {
-			w.uvarint(uint64(id))
-		}
-	}
-	if j := s.env.JI; j != nil {
-		js := j.Snapshot()
-		w.paths(js.Paths)
-		for i := range js.Paths {
-			w.treeMeta(js.Fwd[i])
-			w.treeMeta(js.Bwd[i])
-		}
-		w.uvarint(uint64(len(js.Rooted)))
-		for _, id := range js.Rooted {
-			w.uvarint(uint64(id))
-		}
-		w.uvarint(uint64(len(js.Roots)))
-		for _, id := range js.Roots {
-			w.uvarint(uint64(id))
-		}
-	}
-	if x := s.env.XRel; x != nil {
-		xs := x.Snapshot()
-		w.paths(xs.Paths)
-		w.treeMeta(xs.Tree)
-	}
-	return w.b
+	return w.Buf
 }
 
-// ---------------------------------------------------------------- decoding
-
-type catReader struct {
-	b   []byte
-	err error
-}
-
-func (r *catReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("engine: corrupt catalog: "+format, args...)
-	}
-}
-func (r *catReader) u8() byte {
-	if r.err != nil {
-		return 0
-	}
-	if len(r.b) < 1 {
-		r.fail("truncated byte")
-		return 0
-	}
-	v := r.b[0]
-	r.b = r.b[1:]
-	return v
-}
-func (r *catReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail("truncated uvarint")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-func (r *catReader) str() string {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
-	}
-	if uint64(len(r.b)) < n {
-		r.fail("truncated string (%d bytes)", n)
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-func (r *catReader) bool() bool { return r.u8() != 0 }
-func (r *catReader) path() pathdict.Path {
-	n := r.uvarint()
-	if r.err != nil || n > uint64(len(r.b)) {
-		r.fail("bad path length %d", n)
-		return nil
-	}
-	p := make(pathdict.Path, 0, n)
-	for i := uint64(0); i < n; i++ {
-		p = append(p, pathdict.Sym(r.uvarint()))
-	}
-	return p
-}
-func (r *catReader) paths() []pathdict.Path {
-	n := r.uvarint()
-	if r.err != nil || n > uint64(len(r.b)) {
-		r.fail("bad path count %d", n)
-		return nil
-	}
-	ps := make([]pathdict.Path, 0, n)
-	for i := uint64(0); i < n; i++ {
-		ps = append(ps, r.path())
-	}
-	return ps
-}
-func (r *catReader) treeMeta() btree.Meta {
-	return btree.Meta{
-		Name:    r.str(),
-		Root:    storage.PageID(int32(uint32(r.uvarint()))),
-		Height:  int(r.uvarint()),
-		Pages:   int64(r.uvarint()),
-		Entries: int64(r.uvarint()),
-	}
-}
-func (r *catReader) node(depth int) *xmldb.Node {
+func readNode(r *index.CatReader, depth int) *xmldb.Node {
 	if depth > 100000 {
-		r.fail("node nesting too deep")
+		r.Fail("node nesting too deep")
 		return nil
 	}
-	n := &xmldb.Node{ID: int64(r.uvarint()), Label: r.str()}
-	if r.bool() {
+	n := &xmldb.Node{ID: int64(r.Uvarint()), Label: r.Str()}
+	if r.Bool() {
 		n.HasValue = true
-		n.Value = r.str()
+		n.Value = r.Str()
 	}
-	kids := r.uvarint()
-	if r.err != nil || kids > uint64(len(r.b)) {
-		r.fail("bad child count %d", kids)
+	kids := r.Uvarint()
+	if r.Err() != nil || kids > r.Len() {
+		r.Fail("bad child count %d", kids)
 		return n
 	}
 	for i := uint64(0); i < kids; i++ {
-		c := r.node(depth + 1)
-		if r.err != nil {
+		c := readNode(r, depth+1)
+		if r.Err() != nil {
 			return n
 		}
 		c.Parent = n
@@ -336,62 +121,48 @@ func (r *catReader) node(depth int) *xmldb.Node {
 	}
 	return n
 }
-func (r *catReader) pathsOptions() index.PathsOptions {
-	flags := r.u8()
-	return index.PathsOptions{RawIDs: flags&1 != 0, PathIDKeys: flags&2 != 0}
-}
 
 // decodeCatalog restores the engine's durable state from blob into the
 // initial snapshot (and the DB's shared dictionary/path table). Called
-// during Open, before the DB is shared.
+// during Open, before the DB is shared. A blob it cannot decode fails with
+// an error matching index.ErrCorruptCatalog or errCatalogVersion.
 func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
-	r := &catReader{b: blob}
 	if len(blob) < len(catalogMagic) || string(blob[:len(catalogMagic)]) != catalogMagic {
-		return fmt.Errorf("engine: corrupt catalog: bad magic")
+		return fmt.Errorf("%w: bad magic", index.ErrCorruptCatalog)
 	}
-	r.b = r.b[len(catalogMagic):]
-	if v := r.uvarint(); r.err == nil && v != catalogVersion {
-		return fmt.Errorf("engine: unsupported catalog version %d", v)
+	r := index.NewCatReader(blob[len(catalogMagic):])
+	if v := r.Uvarint(); r.Err() == nil && v != catalogVersion {
+		return fmt.Errorf("%w %d", errCatalogVersion, v)
 	}
 
 	// Store.
-	nextID := int64(r.uvarint())
-	nDocs := r.uvarint()
-	if r.err != nil || nDocs > uint64(len(r.b)) {
-		return fmt.Errorf("engine: corrupt catalog: bad document count")
+	nextID := int64(r.Uvarint())
+	nDocs := r.Uvarint()
+	if nDocs > r.Len() {
+		r.Fail("bad document count")
 	}
 	store := xmldb.NewStore()
-	for i := uint64(0); i < nDocs; i++ {
-		root := r.node(0)
-		if r.err != nil {
-			return r.err
+	for i := uint64(0); i < nDocs && r.Err() == nil; i++ {
+		if root := readNode(r, 0); r.Err() == nil {
+			store.RestoreDocument(&xmldb.Document{Root: root})
 		}
-		store.RestoreDocument(&xmldb.Document{Root: root})
 	}
 	store.SetNextID(nextID)
 
 	// Dictionary.
 	dict := pathdict.NewDict()
-	nLabels := r.uvarint()
-	if r.err != nil || nLabels > uint64(len(r.b))+1 {
-		return fmt.Errorf("engine: corrupt catalog: bad label count")
+	nLabels := r.Uvarint()
+	if nLabels > r.Len()+1 {
+		r.Fail("bad label count")
 	}
-	for i := uint64(0); i < nLabels; i++ {
-		dict.Intern(r.str())
-	}
-
-	// Shared path table.
-	ptab := pathdict.NewPathTable()
-	for _, p := range r.paths() {
-		ptab.Intern(p)
-	}
-	if r.err != nil {
-		return r.err
+	for i := uint64(0); i < nLabels && r.Err() == nil; i++ {
+		dict.Intern(r.Str())
 	}
 
-	mask := r.u8()
-	if r.err != nil {
-		return r.err
+	ptab := r.PathTable()
+	mask := uint(r.U8())
+	if r.Err() != nil {
+		return r.Err()
 	}
 
 	db.dict = dict
@@ -402,85 +173,50 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 	snap.env.Store = store
 	snap.env.Dict = dict
 
-	if mask&catHasRP != 0 {
-		opts := r.pathsOptions()
-		m := r.treeMeta()
-		if r.err == nil {
-			snap.env.RP = index.OpenRootPaths(db.pool, dict, ptab, m, opts)
+	site := index.Site{Pool: db.pool, Dict: dict, Ptab: ptab, Opts: db.cfg.PathsOptions}
+	for _, k := range index.PersistedKinds() {
+		if mask&(1<<k) == 0 {
+			continue
 		}
+		st := index.Open(k, r, site)
+		if r.Err() != nil {
+			return r.Err()
+		}
+		snap.env.Install(k, st)
 	}
-	if mask&catHasDP != 0 {
-		opts := r.pathsOptions()
-		opts.KeepHead = db.cfg.PathsOptions.KeepHead // not serialisable; re-supplied
-		m := r.treeMeta()
-		if r.err == nil {
-			snap.env.DP = index.OpenDataPaths(db.pool, dict, ptab, m, opts)
-		}
-	}
-	if mask&catHasEdge != 0 {
-		v, f, b := r.treeMeta(), r.treeMeta(), r.treeMeta()
-		if r.err == nil {
-			snap.env.Edge = index.OpenEdge(db.pool, dict, v, f, b)
-		}
-	}
-	if mask&catHasDG != 0 {
-		ps := r.paths()
-		m := r.treeMeta()
-		if r.err == nil {
-			snap.env.DG = index.OpenDataGuide(db.pool, dict, ps, m)
-		}
-	}
-	if mask&catHasIF != 0 {
-		m := r.treeMeta()
-		if r.err == nil {
-			snap.env.IF = index.OpenIndexFabric(db.pool, dict, m)
-		}
-	}
-	if mask&catHasASR != 0 {
-		var s index.ASRSnapshot
-		s.Paths = r.paths()
-		for range s.Paths {
-			s.Tables = append(s.Tables, r.treeMeta())
-		}
-		for i, n := uint64(0), r.uvarint(); i < n && r.err == nil; i++ {
-			s.Rooted = append(s.Rooted, pathdict.PathID(r.uvarint()))
-		}
-		for i, n := uint64(0), r.uvarint(); i < n && r.err == nil; i++ {
-			s.Roots = append(s.Roots, int64(r.uvarint()))
-		}
-		if r.err == nil {
-			snap.env.ASR = index.OpenASR(db.pool, dict, s)
-		}
-	}
-	if mask&catHasJI != 0 {
-		var s index.JoinIndexSnapshot
-		s.Paths = r.paths()
-		for range s.Paths {
-			s.Fwd = append(s.Fwd, r.treeMeta())
-			s.Bwd = append(s.Bwd, r.treeMeta())
-		}
-		for i, n := uint64(0), r.uvarint(); i < n && r.err == nil; i++ {
-			s.Rooted = append(s.Rooted, pathdict.PathID(r.uvarint()))
-		}
-		for i, n := uint64(0), r.uvarint(); i < n && r.err == nil; i++ {
-			s.Roots = append(s.Roots, int64(r.uvarint()))
-		}
-		if r.err == nil {
-			snap.env.JI = index.OpenJoinIndex(db.pool, dict, s)
-		}
-	}
-	if mask&catHasXRel != 0 {
-		var s index.XRelSnapshot
-		s.Paths = r.paths()
-		s.Tree = r.treeMeta()
-		if r.err == nil {
-			snap.env.XRel = index.OpenXRel(db.pool, dict, s)
-		}
-	}
-	return r.err
+	return nil
 }
 
 // ------------------------------------------------------------- page chain
+
+// catalogChainLen is the number of pages blob's chain takes (at least one).
+func catalogChainLen(blob []byte) int {
+	return max(1, (len(blob)+catalogPageCap-1)/catalogPageCap)
+}
+
+// layCatalogChain lays blob out over the pages ids (catalogChainLen of
+// them), each [4B next page id][2B payload length][payload], handing every
+// page image to write. The live commit path and online backup both write
+// the catalog through it.
+func layCatalogChain(blob []byte, ids []storage.PageID, write func(storage.PageID, []byte) error) error {
+	buf := make([]byte, storage.PageSize)
+	for i, id := range ids {
+		next := storage.InvalidPage
+		if i+1 < len(ids) {
+			next = ids[i+1]
+		}
+		lo := i * catalogPageCap
+		hi := min(lo+catalogPageCap, len(blob))
+		clear(buf)
+		binary.BigEndian.PutUint32(buf[0:4], uint32(next))
+		binary.BigEndian.PutUint16(buf[4:6], uint16(hi-lo))
+		copy(buf[catalogPageHeader:], blob[lo:hi])
+		if err := write(id, buf); err != nil {
+			return fmt.Errorf("engine: writing catalog page: %w", err)
+		}
+	}
+	return nil
+}
 
 // writeCatalogChain writes blob across a chain of pages, reusing the ids
 // in reuse (the previous catalog's pages — safe because every overwrite is
@@ -488,10 +224,7 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 // allocating more from dev as needed. It returns the chain head and the
 // full page set to reuse next time.
 func writeCatalogChain(dev storage.Device, reuse []storage.PageID, blob []byte) (storage.PageID, []storage.PageID, error) {
-	n := (len(blob) + catalogPageCap - 1) / catalogPageCap
-	if n == 0 {
-		n = 1
-	}
+	n := catalogChainLen(blob)
 	if n > len(reuse) {
 		grow := n - len(reuse)
 		first := dev.AllocateN(grow)
@@ -509,26 +242,8 @@ func writeCatalogChain(dev storage.Device, reuse []storage.PageID, blob []byte) 
 		}
 		reuse = reuse[:n]
 	}
-	buf := make([]byte, storage.PageSize)
-	for i := 0; i < n; i++ {
-		next := storage.InvalidPage
-		if i+1 < n {
-			next = reuse[i+1]
-		}
-		lo := i * catalogPageCap
-		hi := lo + catalogPageCap
-		if hi > len(blob) {
-			hi = len(blob)
-		}
-		for j := range buf {
-			buf[j] = 0
-		}
-		binary.BigEndian.PutUint32(buf[0:4], uint32(next))
-		binary.BigEndian.PutUint16(buf[4:6], uint16(hi-lo))
-		copy(buf[catalogPageHeader:], blob[lo:hi])
-		if err := dev.Write(reuse[i], buf); err != nil {
-			return storage.InvalidPage, reuse, fmt.Errorf("engine: writing catalog page: %w", err)
-		}
+	if err := layCatalogChain(blob, reuse, dev.Write); err != nil {
+		return storage.InvalidPage, reuse, err
 	}
 	return reuse[0], reuse, nil
 }

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/containment"
 	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/pathdict"
@@ -498,11 +497,8 @@ func (db *DB) publish(next *Snapshot, docs []int64, all bool) {
 // hold writeMu.
 func (db *DB) collectRetired(next *Snapshot) {
 	var pages []storage.PageID
-	if next.env.RP != nil {
-		pages = append(pages, next.env.RP.TakeRetired()...)
-	}
-	if next.env.DP != nil {
-		pages = append(pages, next.env.DP.TakeRetired()...)
+	for _, m := range next.maintained() {
+		pages = append(pages, m.TakeRetired()...)
 	}
 	if len(pages) > 0 {
 		db.retired = append(db.retired, retireBatch{seq: next.seq, pages: pages})
@@ -717,36 +713,14 @@ func (db *DB) Build(kinds ...index.Kind) error {
 	next := cur.clone()
 	next.env.Stats = stats.Collect(next.store, db.dict)
 	next.statsReady.Store(true)
+	site := index.Site{Pool: db.pool, Store: next.store, Dict: db.dict, Ptab: db.ptab, Opts: db.cfg.PathsOptions}
 	for _, k := range kinds {
-		var err error
-		switch k {
-		case index.KindRootPaths:
-			opts := db.cfg.PathsOptions
-			opts.KeepHead = nil // head pruning applies to DATAPATHS only
-			next.env.RP, err = index.BuildRootPaths(db.pool, next.store, db.dict, db.ptab, opts)
-		case index.KindDataPaths:
-			next.env.DP, err = index.BuildDataPaths(db.pool, next.store, db.dict, db.ptab, db.cfg.PathsOptions)
-		case index.KindEdge:
-			next.env.Edge, err = index.BuildEdge(db.pool, next.store, db.dict)
-		case index.KindDataGuide:
-			next.env.DG, err = index.BuildDataGuide(db.pool, next.store, db.dict)
-		case index.KindIndexFabric:
-			next.env.IF, err = index.BuildIndexFabric(db.pool, next.store, db.dict)
-		case index.KindASR:
-			next.env.ASR, err = index.BuildASR(db.pool, next.store, db.dict)
-		case index.KindJoinIndex:
-			next.env.JI, err = index.BuildJoinIndex(db.pool, next.store, db.dict)
-		case index.KindXRel:
-			next.env.XRel, err = index.BuildXRel(db.pool, next.store, db.dict)
-		case index.KindContainment:
-			next.env.Containment, err = containment.Build(db.pool, next.store, db.dict)
-		default:
-			err = fmt.Errorf("engine: unknown index kind %d", k)
-		}
+		built, err := index.Build(k, site)
 		if err != nil {
 			db.writeMu.Unlock()
 			return fmt.Errorf("engine: building %v: %w", k, err)
 		}
+		next.env.Install(k, built)
 	}
 	// all=true: a rebuild touches the whole database, so every in-flight
 	// transaction spanning it conflicts (conservative — Build normally runs
@@ -754,14 +728,9 @@ func (db *DB) Build(kinds ...index.Kind) error {
 	return db.commitPublish(next, nil, true)
 }
 
-// BuildAll constructs every index structure in the family.
-func (db *DB) BuildAll() error {
-	return db.Build(
-		index.KindRootPaths, index.KindDataPaths, index.KindEdge,
-		index.KindDataGuide, index.KindIndexFabric, index.KindASR,
-		index.KindJoinIndex, index.KindXRel,
-	)
-}
+// BuildAll constructs every persisted index structure — the paper's
+// family; the containment extension is built on request.
+func (db *DB) BuildAll() error { return db.Build(index.PersistedKinds()...) }
 
 // InsertSubtree attaches sub (an unattached tree, e.g. a parsed fragment's
 // root) under the node with id parentID and incrementally maintains the
@@ -903,29 +872,8 @@ func (db *DB) Spaces() []index.Space {
 	s := db.pin()
 	defer db.unpin(s)
 	var out []index.Space
-	if s.env.RP != nil {
-		out = append(out, s.env.RP.Space())
-	}
-	if s.env.DP != nil {
-		out = append(out, s.env.DP.Space())
-	}
-	if s.env.Edge != nil {
-		out = append(out, s.env.Edge.Space())
-	}
-	if s.env.DG != nil {
-		out = append(out, s.env.DG.Space())
-	}
-	if s.env.IF != nil {
-		out = append(out, s.env.IF.Space())
-	}
-	if s.env.ASR != nil {
-		out = append(out, s.env.ASR.Space())
-	}
-	if s.env.JI != nil {
-		out = append(out, s.env.JI.Space())
-	}
-	if s.env.XRel != nil {
-		out = append(out, s.env.XRel.Space())
+	for _, st := range s.env.Structures() {
+		out = append(out, st.Space())
 	}
 	return out
 }

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/index"
 	"repro/internal/pathdict"
 	"repro/internal/plan"
 	"repro/internal/stats"
@@ -235,17 +236,22 @@ func (s *Snapshot) clone() *Snapshot {
 // predecessor froze), and drops the index structures that do not support
 // incremental maintenance.
 func (s *Snapshot) cowIndices(frontier storage.PageID) {
-	if s.env.RP != nil {
-		s.env.RP = s.env.RP.CloneCOW(frontier)
+	kept := s.maintained()
+	for k := index.Kind(0); k < index.NumKinds; k++ {
+		s.env.Install(k, nil)
 	}
-	if s.env.DP != nil {
-		s.env.DP = s.env.DP.CloneCOW(frontier)
+	for _, m := range kept {
+		s.env.Install(m.Kind(), m.CloneCOW(frontier))
 	}
-	s.env.Edge = nil
-	s.env.DG = nil
-	s.env.IF = nil
-	s.env.ASR = nil
-	s.env.JI = nil
-	s.env.XRel = nil
-	s.env.Containment = nil
+}
+
+// maintained returns the snapshot's incrementally maintained structures.
+func (s *Snapshot) maintained() []index.Maintained {
+	var out []index.Maintained
+	for _, st := range s.env.Structures() {
+		if m, ok := st.(index.Maintained); ok {
+			out = append(out, m)
+		}
+	}
+	return out
 }

@@ -265,13 +265,8 @@ func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
 		if err := store.AttachNumberedSubtree(parent, cp); err != nil {
 			return err
 		}
-		if next.env.RP != nil {
-			if err := next.env.RP.InsertSubtree(store, cp); err != nil {
-				return err
-			}
-		}
-		if next.env.DP != nil {
-			if err := next.env.DP.InsertSubtree(store, cp); err != nil {
+		for _, m := range next.maintained() {
+			if err := m.InsertSubtree(store, cp); err != nil {
 				return err
 			}
 		}
@@ -283,13 +278,8 @@ func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
 	}
 	// Index rows are derived from the root path, so delete them while the
 	// subtree is still connected.
-	if next.env.RP != nil {
-		if err := next.env.RP.DeleteSubtree(store, n); err != nil {
-			return err
-		}
-	}
-	if next.env.DP != nil {
-		if err := next.env.DP.DeleteSubtree(store, n); err != nil {
+	for _, m := range next.maintained() {
+		if err := m.DeleteSubtree(store, n); err != nil {
 			return err
 		}
 	}
@@ -371,15 +361,10 @@ func (tx *Tx) abandon(s *Snapshot) {
 	if s == nil {
 		return
 	}
-	var fresh []storage.PageID
-	if s.env.RP != nil {
-		fresh = append(fresh, s.env.RP.TakeFresh()...)
-	}
-	if s.env.DP != nil {
-		fresh = append(fresh, s.env.DP.TakeFresh()...)
-	}
-	for _, id := range fresh {
-		_ = tx.db.pool.Free(id)
+	for _, m := range s.maintained() {
+		for _, id := range m.TakeFresh() {
+			_ = tx.db.pool.Free(id)
+		}
 	}
 }
 

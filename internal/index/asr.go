@@ -27,22 +27,32 @@ import (
 type ASR struct {
 	tables map[pathdict.PathID]*btree.Tree
 	ptab   *pathdict.PathTable
+	rootSets
+	dict *pathdict.Dict
+}
+
+// rootSets is the root bookkeeping behind the rooted-only scans of ASR and
+// JoinIndex.
+type rootSets struct {
 	rooted map[pathdict.PathID]bool // some instance starts at a document root
 	roots  map[int64]bool           // document root ids
-	dict   *pathdict.Dict
+}
+
+func newRootSets(store *xmldb.Store) rootSets {
+	s := rootSets{rooted: map[pathdict.PathID]bool{}, roots: map[int64]bool{}}
+	for _, d := range store.Docs {
+		s.roots[d.Root.ID] = true
+	}
+	return s
 }
 
 // BuildASR constructs one relation per distinct schema path.
 func BuildASR(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*ASR, error) {
 	a := &ASR{
-		tables: map[pathdict.PathID]*btree.Tree{},
-		ptab:   pathdict.NewPathTable(),
-		rooted: map[pathdict.PathID]bool{},
-		roots:  map[int64]bool{},
-		dict:   dict,
-	}
-	for _, d := range store.Docs {
-		a.roots[d.Root.ID] = true
+		tables:   map[pathdict.PathID]*btree.Tree{},
+		ptab:     pathdict.NewPathTable(),
+		rootSets: newRootSets(store),
+		dict:     dict,
 	}
 	perPath := map[pathdict.PathID][]btree.Entry{}
 	pathrel.EmitAllPaths(store, dict, func(r pathrel.Row) {
@@ -140,14 +150,38 @@ func (a *ASR) scan(id pathdict.PathID, prefix []byte, rootedOnly bool, fn func(i
 	return rows, it.Err()
 }
 
+func (a *ASR) Kind() Kind { return KindASR }
+
+// trees lists the relation trees in PathID order.
+func (a *ASR) trees() []*btree.Tree {
+	out := make([]*btree.Tree, 0, len(a.tables))
+	a.ptab.All(func(id pathdict.PathID, _ pathdict.Path) { out = append(out, a.tables[id]) })
+	return out
+}
+
 // Space reports the combined footprint of all relations.
-func (a *ASR) Space() Space {
-	s := Space{Kind: KindASR, Name: "ASR", Trees: len(a.tables)}
-	for _, t := range a.tables {
-		st := t.Stats()
-		s.Bytes += st.Bytes
-		s.Pages += st.Pages
-		s.Entries += st.Entries
+func (a *ASR) Space() Space { return treeSpace(KindASR, a.trees()...) }
+
+func (a *ASR) WalkPages(fn func(storage.PageID) error) error { return walkTrees(fn, a.trees()...) }
+
+// AppendRecord writes the ASR record: the registry path table, one
+// relation tree per path in PathID order, #rooted + the ids of the paths
+// with a document-root-headed instance, #roots + the document root ids
+// (both ascending).
+func (a *ASR) AppendRecord(w *CatWriter) {
+	w.PathTable(a.ptab)
+	for _, t := range a.trees() {
+		w.tree(t)
 	}
-	return s
+	idSet(w, a.rooted)
+	idSet(w, a.roots)
+}
+
+func openASR(r *CatReader, s Site) Structure {
+	a := &ASR{tables: map[pathdict.PathID]*btree.Tree{}, ptab: r.PathTable(), dict: s.Dict}
+	for id := 0; id < a.ptab.Len(); id++ {
+		a.tables[pathdict.PathID(id)] = r.tree(s.Pool)
+	}
+	a.rootSets = rootSets{rooted: readIDSet[pathdict.PathID](r), roots: readIDSet[int64](r)}
+	return a
 }

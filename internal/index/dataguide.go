@@ -112,5 +112,19 @@ func (dg *DataGuide) MatchingPaths(pat []pathdict.PStep) []pathdict.Path {
 // Paths exposes the summary path table.
 func (dg *DataGuide) Paths() *pathdict.PathTable { return dg.ptab }
 
+func (dg *DataGuide) Kind() Kind { return KindDataGuide }
+
 // Space reports the index footprint.
-func (dg *DataGuide) Space() Space { return treeSpace(KindDataGuide, "DataGuide", dg.tree) }
+func (dg *DataGuide) Space() Space { return treeSpace(KindDataGuide, dg.tree) }
+
+func (dg *DataGuide) WalkPages(fn func(storage.PageID) error) error { return dg.tree.Walk(fn) }
+
+// AppendRecord writes the DataGuide record: summary path table, tree.
+func (dg *DataGuide) AppendRecord(w *CatWriter) {
+	w.PathTable(dg.ptab)
+	w.tree(dg.tree)
+}
+
+func openDataGuide(r *CatReader, s Site) Structure {
+	return &DataGuide{ptab: r.PathTable(), tree: r.tree(s.Pool), dict: s.Dict}
+}

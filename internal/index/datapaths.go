@@ -145,8 +145,26 @@ func (dp *DataPaths) ProbePathID(headID int64, hasValue bool, value string, path
 	return rows, it.Err()
 }
 
+func (dp *DataPaths) Kind() Kind { return KindDataPaths }
+
 // Space reports the index footprint.
-func (dp *DataPaths) Space() Space { return treeSpace(KindDataPaths, "DATAPATHS", dp.tree) }
+func (dp *DataPaths) Space() Space { return treeSpace(KindDataPaths, dp.tree) }
+
+func (dp *DataPaths) WalkPages(fn func(storage.PageID) error) error { return dp.tree.Walk(fn) }
+
+// AppendRecord writes the DATAPATHS record, laid out as ROOTPATHS'.
+func (dp *DataPaths) AppendRecord(w *CatWriter) {
+	w.pathsOptions(dp.opts)
+	w.tree(dp.tree)
+}
+
+// openDataPaths re-supplies KeepHead from the site — a function is not
+// serialisable — so incremental updates after a reopen prune as before.
+func openDataPaths(r *CatReader, s Site) Structure {
+	opts := r.pathsOptions()
+	opts.KeepHead = s.Opts.KeepHead
+	return &DataPaths{tree: r.tree(s.Pool), dict: s.Dict, ptab: s.Ptab, opts: opts}
+}
 
 // Tree exposes the underlying B+-tree for white-box tests.
 func (dp *DataPaths) Tree() *btree.Tree { return dp.tree }

@@ -160,8 +160,26 @@ func (e *Edge) Parent(childID int64) (parentID int64, label string, ok bool, err
 	return parentID, e.dict.Label(sym), true, nil
 }
 
+func (e *Edge) Kind() Kind { return KindEdge }
+
 // Space reports the combined footprint of the three edge indices.
-func (e *Edge) Space() Space { return treeSpace(KindEdge, "Edge", e.value, e.forward, e.backward) }
+func (e *Edge) Space() Space { return treeSpace(KindEdge, e.value, e.forward, e.backward) }
+
+func (e *Edge) WalkPages(fn func(storage.PageID) error) error {
+	return walkTrees(fn, e.value, e.forward, e.backward)
+}
+
+// AppendRecord writes the Edge record: value tree, forward tree, backward
+// tree.
+func (e *Edge) AppendRecord(w *CatWriter) {
+	w.tree(e.value)
+	w.tree(e.forward)
+	w.tree(e.backward)
+}
+
+func openEdge(r *CatReader, s Site) Structure {
+	return &Edge{value: r.tree(s.Pool), forward: r.tree(s.Pool), backward: r.tree(s.Pool), dict: s.Dict}
+}
 
 func appendSym(dst []byte, s pathdict.Sym) []byte {
 	return binary.BigEndian.AppendUint16(dst, uint16(s))

@@ -72,5 +72,16 @@ func (f *IndexFabric) Probe(p pathdict.Path, hasValue bool, value string, fn fun
 	return rows, it.Err()
 }
 
+func (f *IndexFabric) Kind() Kind { return KindIndexFabric }
+
 // Space reports the index footprint.
-func (f *IndexFabric) Space() Space { return treeSpace(KindIndexFabric, "IndexFabric", f.tree) }
+func (f *IndexFabric) Space() Space { return treeSpace(KindIndexFabric, f.tree) }
+
+func (f *IndexFabric) WalkPages(fn func(storage.PageID) error) error { return f.tree.Walk(fn) }
+
+// AppendRecord writes the Index Fabric record: tree.
+func (f *IndexFabric) AppendRecord(w *CatWriter) { w.tree(f.tree) }
+
+func openIndexFabric(r *CatReader, s Site) Structure {
+	return &IndexFabric{tree: r.tree(s.Pool), dict: s.Dict}
+}

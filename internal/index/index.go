@@ -21,10 +21,14 @@
 package index
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/btree"
+	"repro/internal/containment"
+	"repro/internal/pathdict"
 	"repro/internal/storage"
+	"repro/internal/xmldb"
 )
 
 // Kind identifies a member of the index family.
@@ -42,26 +46,101 @@ const (
 	// KindContainment is the region-encoded element-list index of the
 	// structural-join extension (package containment).
 	KindContainment
+	// NumKinds is the number of family members; it stays last.
+	NumKinds
 )
 
-var kindNames = map[Kind]string{
-	KindRootPaths:   "ROOTPATHS",
-	KindDataPaths:   "DATAPATHS",
-	KindEdge:        "Edge",
-	KindDataGuide:   "DataGuide",
-	KindIndexFabric: "IndexFabric",
-	KindASR:         "ASR",
-	KindJoinIndex:   "JoinIndex",
-	KindXRel:        "XRel",
-	KindContainment: "Containment",
+// Structure is a built, persisted member of the family, as the engine sees
+// it: which member it is, its footprint, the device pages its B+-trees
+// occupy (online backup copies exactly those), and its catalog record.
+type Structure interface {
+	Kind() Kind
+	Space() Space
+	WalkPages(fn func(storage.PageID) error) error
+	// AppendRecord appends the structure's catalog record; the open
+	// function of its family row reads it back.
+	AppendRecord(w *CatWriter)
+}
+
+// Maintained is a Structure that follows subtree updates incrementally
+// (ROOTPATHS and DATAPATHS, Section 7) on a copy-on-write clone.
+type Maintained interface {
+	Structure
+	CloneCOW(frontier storage.PageID) Maintained
+	InsertSubtree(store *xmldb.Store, sub *xmldb.Node) error
+	DeleteSubtree(store *xmldb.Store, sub *xmldb.Node) error
+	TakeRetired() []storage.PageID
+	TakeFresh() []storage.PageID
+}
+
+// Site is where a structure is built or reopened: the pool its trees live
+// in, the store it indexes (nil when reopening), the shared dictionary and
+// path table, and the ROOTPATHS/DATAPATHS options.
+type Site struct {
+	Pool  *storage.Pool
+	Store *xmldb.Store
+	Dict  *pathdict.Dict
+	Ptab  *pathdict.PathTable
+	Opts  PathsOptions
+}
+
+// family is the one table of the index family, indexed by Kind: the
+// paper's name, how a member is built at a site, and how it is reopened
+// from the catalog record its AppendRecord wrote. A nil open marks the one
+// member that is not persisted: the containment index's region table is
+// derived wholly from the store, so it is rebuilt on demand.
+var family = [NumKinds]struct {
+	name  string
+	build func(Site) (any, error)
+	open  func(*CatReader, Site) Structure
+}{
+	KindRootPaths: {"ROOTPATHS", func(s Site) (any, error) {
+		s.Opts.KeepHead = nil // head pruning applies to DATAPATHS only
+		return BuildRootPaths(s.Pool, s.Store, s.Dict, s.Ptab, s.Opts)
+	}, openRootPaths},
+	KindDataPaths: {"DATAPATHS", func(s Site) (any, error) {
+		return BuildDataPaths(s.Pool, s.Store, s.Dict, s.Ptab, s.Opts)
+	}, openDataPaths},
+	KindEdge:        {"Edge", func(s Site) (any, error) { return BuildEdge(s.Pool, s.Store, s.Dict) }, openEdge},
+	KindDataGuide:   {"DataGuide", func(s Site) (any, error) { return BuildDataGuide(s.Pool, s.Store, s.Dict) }, openDataGuide},
+	KindIndexFabric: {"IndexFabric", func(s Site) (any, error) { return BuildIndexFabric(s.Pool, s.Store, s.Dict) }, openIndexFabric},
+	KindASR:         {"ASR", func(s Site) (any, error) { return BuildASR(s.Pool, s.Store, s.Dict) }, openASR},
+	KindJoinIndex:   {"JoinIndex", func(s Site) (any, error) { return BuildJoinIndex(s.Pool, s.Store, s.Dict) }, openJoinIndex},
+	KindXRel:        {"XRel", func(s Site) (any, error) { return BuildXRel(s.Pool, s.Store, s.Dict) }, openXRel},
+	KindContainment: {"Containment", func(s Site) (any, error) { return containment.Build(s.Pool, s.Store, s.Dict) }, nil},
 }
 
 func (k Kind) String() string {
-	if n, ok := kindNames[k]; ok {
-		return n
+	if k < 0 || k >= NumKinds {
+		return "unknown"
 	}
-	return "unknown"
+	return family[k].name
 }
+
+// PersistedKinds lists, in kind order, the members that have a catalog
+// record and so survive a reopen — the paper's family.
+func PersistedKinds() []Kind {
+	var out []Kind
+	for k := range family {
+		if family[k].open != nil {
+			out = append(out, Kind(k))
+		}
+	}
+	return out
+}
+
+// Build constructs member k at the site: a Structure, or for the
+// unpersisted containment index a *containment.Index.
+func Build(k Kind, s Site) (any, error) {
+	if k < 0 || k >= NumKinds {
+		return nil, fmt.Errorf("index: unknown index kind %d", k)
+	}
+	return family[k].build(s)
+}
+
+// Open reconstitutes persisted member k from its catalog record; check
+// r.Err before using the result.
+func Open(k Kind, r *CatReader, s Site) Structure { return family[k].open(r, s) }
 
 // Space summarises the footprint of an index structure.
 type Space struct {
@@ -103,8 +182,8 @@ func compareBytes(a, b []byte) int {
 	return 0
 }
 
-func treeSpace(k Kind, name string, trees ...*btree.Tree) Space {
-	s := Space{Kind: k, Name: name, Trees: len(trees)}
+func treeSpace(k Kind, trees ...*btree.Tree) Space {
+	s := Space{Kind: k, Name: k.String(), Trees: len(trees)}
 	for _, t := range trees {
 		st := t.Stats()
 		s.Bytes += st.Bytes
@@ -112,6 +191,15 @@ func treeSpace(k Kind, name string, trees ...*btree.Tree) Space {
 		s.Entries += st.Entries
 	}
 	return s
+}
+
+func walkTrees(fn func(storage.PageID) error, trees ...*btree.Tree) error {
+	for _, t := range trees {
+		if err := t.Walk(fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // bulk builds one tree from unsorted entries.

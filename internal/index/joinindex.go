@@ -19,26 +19,21 @@ import (
 // which is the extra join work (and the doubled index space) the paper
 // charges against JI.
 type JoinIndex struct {
-	fwd    map[pathdict.PathID]*btree.Tree // [head][valuefield][tail] -> nil
-	bwd    map[pathdict.PathID]*btree.Tree // [valuefield][tail][head] -> nil
-	ptab   *pathdict.PathTable
-	rooted map[pathdict.PathID]bool
-	roots  map[int64]bool
-	dict   *pathdict.Dict
+	fwd  map[pathdict.PathID]*btree.Tree // [head][valuefield][tail] -> nil
+	bwd  map[pathdict.PathID]*btree.Tree // [valuefield][tail][head] -> nil
+	ptab *pathdict.PathTable
+	rootSets
+	dict *pathdict.Dict
 }
 
 // BuildJoinIndex constructs both B+-trees for every distinct schema path.
 func BuildJoinIndex(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*JoinIndex, error) {
 	j := &JoinIndex{
-		fwd:    map[pathdict.PathID]*btree.Tree{},
-		bwd:    map[pathdict.PathID]*btree.Tree{},
-		ptab:   pathdict.NewPathTable(),
-		rooted: map[pathdict.PathID]bool{},
-		roots:  map[int64]bool{},
-		dict:   dict,
-	}
-	for _, d := range store.Docs {
-		j.roots[d.Root.ID] = true
+		fwd:      map[pathdict.PathID]*btree.Tree{},
+		bwd:      map[pathdict.PathID]*btree.Tree{},
+		ptab:     pathdict.NewPathTable(),
+		rootSets: newRootSets(store),
+		dict:     dict,
 	}
 	fwdPer := map[pathdict.PathID][]btree.Entry{}
 	bwdPer := map[pathdict.PathID][]btree.Entry{}
@@ -185,20 +180,39 @@ func (j *JoinIndex) scanPairs(t *btree.Tree, prefix []byte, rootedOnly bool, fn 
 	return rows, it.Err()
 }
 
+func (j *JoinIndex) Kind() Kind { return KindJoinIndex }
+
+// trees lists each path's forward then backward tree, in PathID order.
+func (j *JoinIndex) trees() []*btree.Tree {
+	out := make([]*btree.Tree, 0, 2*len(j.fwd))
+	j.ptab.All(func(id pathdict.PathID, _ pathdict.Path) { out = append(out, j.fwd[id], j.bwd[id]) })
+	return out
+}
+
 // Space reports the combined footprint of all forward and backward trees.
-func (j *JoinIndex) Space() Space {
-	s := Space{Kind: KindJoinIndex, Name: "JoinIndex", Trees: len(j.fwd) + len(j.bwd)}
-	add := func(t *btree.Tree) {
-		st := t.Stats()
-		s.Bytes += st.Bytes
-		s.Pages += st.Pages
-		s.Entries += st.Entries
+func (j *JoinIndex) Space() Space { return treeSpace(KindJoinIndex, j.trees()...) }
+
+func (j *JoinIndex) WalkPages(fn func(storage.PageID) error) error {
+	return walkTrees(fn, j.trees()...)
+}
+
+// AppendRecord writes the JoinIndex record, laid out as ASR's with two
+// trees per path: forward, then backward.
+func (j *JoinIndex) AppendRecord(w *CatWriter) {
+	w.PathTable(j.ptab)
+	for _, t := range j.trees() {
+		w.tree(t)
 	}
-	for _, t := range j.fwd {
-		add(t)
+	idSet(w, j.rooted)
+	idSet(w, j.roots)
+}
+
+func openJoinIndex(r *CatReader, s Site) Structure {
+	j := &JoinIndex{fwd: map[pathdict.PathID]*btree.Tree{}, bwd: map[pathdict.PathID]*btree.Tree{}, ptab: r.PathTable(), dict: s.Dict}
+	for id := 0; id < j.ptab.Len(); id++ {
+		j.fwd[pathdict.PathID(id)] = r.tree(s.Pool)
+		j.bwd[pathdict.PathID(id)] = r.tree(s.Pool)
 	}
-	for _, t := range j.bwd {
-		add(t)
-	}
-	return s
+	j.rootSets = rootSets{rooted: readIDSet[pathdict.PathID](r), roots: readIDSet[int64](r)}
+	return j
 }

@@ -157,8 +157,24 @@ func (rp *RootPaths) ProbePathID(hasValue bool, value string, path pathdict.Path
 	return rows, it.Err()
 }
 
+func (rp *RootPaths) Kind() Kind { return KindRootPaths }
+
 // Space reports the index footprint.
-func (rp *RootPaths) Space() Space { return treeSpace(KindRootPaths, "ROOTPATHS", rp.tree) }
+func (rp *RootPaths) Space() Space { return treeSpace(KindRootPaths, rp.tree) }
+
+func (rp *RootPaths) WalkPages(fn func(storage.PageID) error) error { return rp.tree.Walk(fn) }
+
+// AppendRecord writes the ROOTPATHS record: [1B flags: 1 RawIDs, 2
+// PathIDKeys] tree. The path table is the shared one.
+func (rp *RootPaths) AppendRecord(w *CatWriter) {
+	w.pathsOptions(rp.opts)
+	w.tree(rp.tree)
+}
+
+func openRootPaths(r *CatReader, s Site) Structure {
+	opts := r.pathsOptions()
+	return &RootPaths{tree: r.tree(s.Pool), dict: s.Dict, ptab: s.Ptab, opts: opts}
+}
 
 // Tree exposes the underlying B+-tree for white-box tests.
 func (rp *RootPaths) Tree() *btree.Tree { return rp.tree }

@@ -23,12 +23,12 @@ import (
 // maintains the clone (see btree.Tree.CloneCOW). The dictionary and path
 // table are shared: both are append-only and internally latched, so old
 // snapshots are unaffected by new interning.
-func (rp *RootPaths) CloneCOW(frontier storage.PageID) *RootPaths {
+func (rp *RootPaths) CloneCOW(frontier storage.PageID) Maintained {
 	return &RootPaths{tree: rp.tree.CloneCOW(frontier), dict: rp.dict, ptab: rp.ptab, opts: rp.opts}
 }
 
 // CloneCOW is RootPaths.CloneCOW for DATAPATHS.
-func (dp *DataPaths) CloneCOW(frontier storage.PageID) *DataPaths {
+func (dp *DataPaths) CloneCOW(frontier storage.PageID) Maintained {
 	return &DataPaths{tree: dp.tree.CloneCOW(frontier), dict: dp.dict, ptab: dp.ptab, opts: dp.opts}
 }
 

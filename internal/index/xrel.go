@@ -87,8 +87,19 @@ func (x *XRel) Probe(id pathdict.PathID, hasValue bool, value string, fn func(no
 	return rows, it.Err()
 }
 
+func (x *XRel) Kind() Kind { return KindXRel }
+
 // Space reports the index footprint.
-func (x *XRel) Space() Space {
-	s := treeSpace(KindXRel, "XRel", x.tree)
-	return s
+func (x *XRel) Space() Space { return treeSpace(KindXRel, x.tree) }
+
+func (x *XRel) WalkPages(fn func(storage.PageID) error) error { return x.tree.Walk(fn) }
+
+// AppendRecord writes the XRel record: normalised path table, tree.
+func (x *XRel) AppendRecord(w *CatWriter) {
+	w.PathTable(x.ptab)
+	w.tree(x.tree)
+}
+
+func openXRel(r *CatReader, s Site) Structure {
+	return &XRel{ptab: r.PathTable(), tree: r.tree(s.Pool), dict: s.Dict}
 }

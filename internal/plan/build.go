@@ -7,65 +7,13 @@ import (
 	"repro/internal/xpath"
 )
 
-// checkIndices reports whether the indices a strategy requires are built.
-func checkIndices(env *Env, strat Strategy) error {
-	switch strat {
-	case RootPathsPlan:
-		if env.RP == nil {
-			return fmt.Errorf("plan: ROOTPATHS index not built")
-		}
-	case DataPathsPlan:
-		if env.DP == nil {
-			return fmt.Errorf("plan: DATAPATHS index not built")
-		}
-	case EdgePlan:
-		if env.Edge == nil {
-			return fmt.Errorf("plan: Edge indices not built")
-		}
-	case DataGuideEdgePlan:
-		if env.DG == nil || env.Edge == nil {
-			return fmt.Errorf("plan: DataGuide+Edge requires both indices")
-		}
-	case FabricEdgePlan:
-		if env.IF == nil || env.Edge == nil || env.Stats == nil {
-			return fmt.Errorf("plan: IndexFabric+Edge requires the fabric, edge indices and statistics")
-		}
-	case ASRPlan:
-		if env.ASR == nil {
-			return fmt.Errorf("plan: ASR relations not built")
-		}
-	case JoinIndexPlan:
-		if env.JI == nil {
-			return fmt.Errorf("plan: join indices not built")
-		}
-	case XRelPlan:
-		if env.XRel == nil || env.Edge == nil {
-			return fmt.Errorf("plan: XRel+Edge requires both indices")
-		}
-	case StructuralJoinPlan:
-		if env.Containment == nil || env.Edge == nil {
-			return fmt.Errorf("plan: structural join requires the containment and edge indices")
-		}
-	default:
-		return fmt.Errorf("plan: unknown strategy %d", strat)
-	}
-	return nil
-}
-
-// canBound reports whether a strategy supports bound (index-nested-loop)
-// probes. Only ROOTPATHS cannot probe by head id — the asymmetry behind the
-// paper's Figure 12(d).
-func (s Strategy) canBound() bool {
-	return s != RootPathsPlan && s != StructuralJoinPlan
-}
-
 // Build constructs the physical plan tree for pat under strat, with
 // estimated cardinality and cost on every operator, without executing it.
 // The eight strategies share the tree shape — probe leaves stitched by
 // joins, a projection and a final dedup — except the structural-join
 // extension, whose tree is a twig-wide structural join over region scans.
 func Build(env *Env, strat Strategy, pat *xpath.Pattern) (*Tree, error) {
-	if err := checkIndices(env, strat); err != nil {
+	if err := env.check(strat); err != nil {
 		return nil, err
 	}
 	if strat == StructuralJoinPlan {
@@ -171,7 +119,7 @@ func Build(env *Env, strat Strategy, pat *xpath.Pattern) (*Tree, error) {
 				branch:   &branches[oi],
 			}
 			n.EstCost = acc.EstCost + probe.EstCost + joinCost(accEst, est)
-		case inlAllowed && strat.canBound() && accEst > 0 && est > factor*accEst:
+		case inlAllowed && strategies[strat].canBound && accEst > 0 && est > factor*accEst:
 			// The branch is much less selective than the accumulated
 			// relation: probe it bound, once per distinct join id, instead
 			// of materialising it.

@@ -66,25 +66,6 @@ const (
 	costSJTuple = 0.2
 )
 
-// lookupCost is one free-probe descent for the strategy.
-func lookupCost(strat Strategy) float64 {
-	if strat == DataPathsPlan {
-		return costLookupDP
-	}
-	return costLookup
-}
-
-// rowCost is streaming one probe output row for the strategy.
-func rowCost(strat Strategy) float64 {
-	switch strat {
-	case ASRPlan:
-		return costRowASR
-	case JoinIndexPlan, XRelPlan:
-		return costRowPathTable
-	}
-	return costRow
-}
-
 // schemaSurcharge is the per-probe cost of expanding a branch pattern
 // against the strategy's relation registry / path summary.
 func schemaSurcharge(env *Env, strat Strategy) float64 {
@@ -118,11 +99,11 @@ func probeCost(env *Env, strat Strategy, br xpath.Branch, est int64) float64 {
 	pat, ok := compileBranch(env.Dict, br)
 	if !ok {
 		// A label that never occurs: the probe is a single empty lookup.
-		return lookupCost(strat)
+		return strategies[strat].lookup
 	}
 	switch strat {
 	case RootPathsPlan, DataPathsPlan:
-		return lookupCost(strat) + e*costRow
+		return strategies[strat].lookup + e*costRow
 	case EdgePlan:
 		return edgeWalkCost(env, br, pat, est)
 	case DataGuideEdgePlan:
@@ -141,7 +122,7 @@ func probeCost(env *Env, strat Strategy, br xpath.Branch, est int64) float64 {
 		return schemaSurcharge(env, strat) + m*costLookup + e*costRow + e*(depth-1)*costClimb
 	case ASRPlan:
 		m := matchingPathCount(env, pat)
-		return schemaSurcharge(env, strat) + m*costLookup + e*rowCost(strat)
+		return schemaSurcharge(env, strat) + m*costLookup + e*strategies[strat].row
 	case JoinIndexPlan:
 		// One backward-by-value seed probe per matching path, then one
 		// bound composition probe per partial tuple per extra segment.
@@ -150,10 +131,10 @@ func probeCost(env *Env, strat Strategy, br xpath.Branch, est int64) float64 {
 		if extraSegs < 0 {
 			extraSegs = 0
 		}
-		return schemaSurcharge(env, strat) + m*costLookup + e*rowCost(strat) + e*extraSegs*costBoundProbe
+		return schemaSurcharge(env, strat) + m*costLookup + e*strategies[strat].row + e*extraSegs*costBoundProbe
 	case XRelPlan:
 		m := matchingPathCount(env, pat)
-		return schemaSurcharge(env, strat) + m*costLookup + e*rowCost(strat) + e*(depth-1)*costClimb
+		return schemaSurcharge(env, strat) + m*costLookup + e*strategies[strat].row + e*(depth-1)*costClimb
 	}
 	return costLookup + e*costRow
 }
@@ -252,7 +233,7 @@ func inlJoinCost(env *Env, strat Strategy, accEst, branchEst, jCount int64) floa
 			rows = 1
 		}
 	}
-	return schemaSurcharge(env, strat) + float64(accEst)*costBoundProbe + float64(rows)*rowCost(strat)
+	return schemaSurcharge(env, strat) + float64(accEst)*costBoundProbe + float64(rows)*strategies[strat].row
 }
 
 // projectCost and dedupCost price the final projection / DISTINCT.

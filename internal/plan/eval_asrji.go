@@ -49,6 +49,8 @@ type asrEval struct {
 	asn  []int
 }
 
+func newASREval(env *Env) evaluator { return &asrEval{env: env} }
+
 // matchingRels expands pat over the relation registry into e.rels, keeping
 // only relations with at least one assignment — the per-relation expansion
 // both ASR evaluations enumerate before probing.
@@ -131,6 +133,8 @@ type jiEval struct {
 	// per match.
 	segs []pathdict.PathID
 }
+
+func newJIEval(env *Env) evaluator { return &jiEval{env: env} }
 
 // addSegments resolves the JI relation of each adjacent position pair of an
 // assignment over a concrete path, appending them to e.segs.

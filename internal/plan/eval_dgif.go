@@ -33,7 +33,7 @@ type climbEval struct {
 // part (the extent of each concrete rooted path), the edge value index the
 // content part, and the two are joined — the separated structure/value
 // lookup whose cost Figure 11 isolates.
-func newDGEval(env *Env) *climbEval {
+func newDGEval(env *Env) evaluator {
 	return &climbEval{
 		edgeEval:  edgeEval{env: env},
 		expand:    env.DG.MatchingPaths,
@@ -48,7 +48,7 @@ func newDGEval(env *Env) *climbEval {
 // (rooted path, leaf value) in a single lookup — its strength on fully
 // specified single paths — but branch points still require backward-link
 // climbs, and // requires expanding the pattern over the schema summary.
-func newIFEval(env *Env) *climbEval {
+func newIFEval(env *Env) evaluator {
 	return &climbEval{
 		edgeEval: edgeEval{env: env},
 		expand:   env.Stats.MatchingRootedPaths,

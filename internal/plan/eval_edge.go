@@ -48,6 +48,8 @@ type edgeEval struct {
 	scratch
 }
 
+func newEdgeEval(env *Env) evaluator { return &edgeEval{env: env} }
+
 func (e *edgeEval) free(n *Node, out *brel, es *ExecStats) error {
 	e.es = es
 	var r *brel

@@ -73,7 +73,7 @@ type rpEval struct {
 	cb func(fwd pathdict.Path, ids []int64) error
 }
 
-func newRPEval(env *Env) *rpEval {
+func newRPEval(env *Env) evaluator {
 	e := &rpEval{env: env}
 	e.cb = e.onRow
 	return e
@@ -107,7 +107,7 @@ type dpEval struct {
 	bcb  func(fwd pathdict.Path, ids []int64) error
 }
 
-func newDPEval(env *Env) *dpEval {
+func newDPEval(env *Env) evaluator {
 	e := &dpEval{env: env}
 	e.cb = e.onRow
 	e.bcb = e.onBoundRow

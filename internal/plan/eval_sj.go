@@ -19,8 +19,8 @@ import (
 // top-down semi-join pass (complete for tree patterns) and returns the
 // output node's surviving candidates in rt.ids.
 func runStructural(rt *Runtime, env *Env, pat *xpath.Pattern, sj *Node) ([]int64, error) {
-	if env.Containment == nil || env.Edge == nil {
-		return nil, fmt.Errorf("plan: structural join requires the containment and edge indices")
+	if err := env.check(StructuralJoinPlan); err != nil {
+		return nil, err
 	}
 	scanFor := make(map[*xpath.Node]*Node, len(sj.Children))
 	for _, c := range sj.Children {

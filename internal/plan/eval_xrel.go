@@ -11,7 +11,7 @@ import (
 // Section 5.2.6 recursion argument — then each path id is probed for
 // (value, node id) rows, and branch-point ids are recovered with
 // backward-link climbs as in the DataGuide plan.
-func newXRelEval(env *Env) *climbEval {
+func newXRelEval(env *Env) evaluator {
 	e := &climbEval{edgeEval: edgeEval{env: env}}
 	var pids []pathdict.PathID
 	var paths []pathdict.Path

@@ -180,30 +180,5 @@ func (t *Tree) Walk(fn func(node *Node, depth int)) { t.Root.Walk(fn) }
 
 // probeDetail renders the access-method description of a branch probe.
 func probeDetail(strat Strategy, br xpath.Branch) string {
-	return fmt.Sprintf("%s %s", accessMethodName(strat), br.String())
-}
-
-// accessMethodName names the access method a strategy's probes use.
-func accessMethodName(s Strategy) string {
-	switch s {
-	case RootPathsPlan:
-		return "ROOTPATHS"
-	case DataPathsPlan:
-		return "DATAPATHS"
-	case EdgePlan:
-		return "edge-links"
-	case DataGuideEdgePlan:
-		return "DataGuide+value"
-	case FabricEdgePlan:
-		return "IndexFabric"
-	case ASRPlan:
-		return "ASR"
-	case JoinIndexPlan:
-		return "JoinIndex"
-	case XRelPlan:
-		return "XRel+Edge"
-	case StructuralJoinPlan:
-		return "element-lists"
-	}
-	return "unknown"
+	return fmt.Sprintf("%s %s", strategies[strat].access, br.String())
 }

@@ -66,26 +66,57 @@ const (
 	// structural semi-joins (the containment-join extension; not available
 	// to the paper inside DB2).
 	StructuralJoinPlan
+	// NumStrategies is the number of strategies; it stays last.
+	NumStrategies
 )
 
-var strategyNames = map[Strategy]string{
-	RootPathsPlan:      "RP",
-	DataPathsPlan:      "DP",
-	EdgePlan:           "Edge",
-	DataGuideEdgePlan:  "DG+Edge",
-	FabricEdgePlan:     "IF+Edge",
-	ASRPlan:            "ASR",
-	JoinIndexPlan:      "JI",
-	XRelPlan:           "XRel+Edge",
-	StructuralJoinPlan: "SJ",
+// strategies is the one table of the strategy family, indexed by Strategy:
+// the name the paper's figures use, the access-method name EXPLAIN shows,
+// the index kinds that must be built (and whether statistics must be),
+// whether the access method can probe bound to a head id — only ROOTPATHS
+// cannot among the branch strategies, the asymmetry behind the paper's
+// Figure 12(d) — the cost of one free-probe descent and of streaming one
+// probe output row (cost.go), and the branch evaluator's constructor. The
+// structural join runs twig-wide over region scans, priced and executed on
+// their own (eval_sj.go), so its row stops at what it requires.
+var strategies = [NumStrategies]struct {
+	name, access string
+	requires     []index.Kind
+	needStats    bool
+	canBound     bool
+	lookup, row  float64
+	eval         func(*Env) evaluator
+}{
+	RootPathsPlan: {name: "RP", access: "ROOTPATHS", requires: []index.Kind{index.KindRootPaths},
+		lookup: costLookup, row: costRow, eval: newRPEval},
+	DataPathsPlan: {name: "DP", access: "DATAPATHS", requires: []index.Kind{index.KindDataPaths},
+		canBound: true, lookup: costLookupDP, row: costRow, eval: newDPEval},
+	EdgePlan: {name: "Edge", access: "edge-links", requires: []index.Kind{index.KindEdge},
+		canBound: true, lookup: costLookup, row: costRow, eval: newEdgeEval},
+	DataGuideEdgePlan: {name: "DG+Edge", access: "DataGuide+value", requires: []index.Kind{index.KindDataGuide, index.KindEdge},
+		canBound: true, lookup: costLookup, row: costRow, eval: newDGEval},
+	FabricEdgePlan: {name: "IF+Edge", access: "IndexFabric", requires: []index.Kind{index.KindIndexFabric, index.KindEdge},
+		needStats: true, canBound: true, lookup: costLookup, row: costRow, eval: newIFEval},
+	ASRPlan: {name: "ASR", access: "ASR", requires: []index.Kind{index.KindASR},
+		canBound: true, lookup: costLookup, row: costRowASR, eval: newASREval},
+	JoinIndexPlan: {name: "JI", access: "JoinIndex", requires: []index.Kind{index.KindJoinIndex},
+		canBound: true, lookup: costLookup, row: costRowPathTable, eval: newJIEval},
+	XRelPlan: {name: "XRel+Edge", access: "XRel+Edge", requires: []index.Kind{index.KindXRel, index.KindEdge},
+		canBound: true, lookup: costLookup, row: costRowPathTable, eval: newXRelEval},
+	StructuralJoinPlan: {name: "SJ", access: "element-lists", requires: []index.Kind{index.KindContainment, index.KindEdge}},
 }
 
+func (s Strategy) valid() bool { return s >= 0 && s < NumStrategies }
+
 func (s Strategy) String() string {
-	if n, ok := strategyNames[s]; ok {
-		return n
+	if !s.valid() {
+		return "unknown"
 	}
-	return "unknown"
+	return strategies[s].name
 }
+
+// Requires returns the index kinds the strategy needs built.
+func (s Strategy) Requires() []index.Kind { return strategies[s].requires }
 
 // Env bundles the store and whatever indices have been built. A strategy
 // fails with a descriptive error if an index it needs is missing.
@@ -132,6 +163,66 @@ type Env struct {
 	// probes skip I/O attribution entirely (their deltas would
 	// interleave).
 	IOStat func() (reads, bytes int64)
+}
+
+// slot is one of Env's typed index fields, reached by its kind.
+type slot interface {
+	get() any      // what is built there, nil when nothing is
+	set(built any) // nil clears
+}
+
+type slotOf[P comparable] struct{ field *P }
+
+func (s slotOf[P]) get() any {
+	var unbuilt P
+	if *s.field == unbuilt {
+		return nil
+	}
+	return *s.field
+}
+func (s slotOf[P]) set(built any) { *s.field, _ = built.(P) }
+
+func at[P comparable](field *P) slot { return slotOf[P]{field} }
+
+// slots lists Env's index fields by kind — the one place that does.
+func (e *Env) slots() [index.NumKinds]slot {
+	return [...]slot{
+		index.KindRootPaths: at(&e.RP), index.KindDataPaths: at(&e.DP), index.KindEdge: at(&e.Edge),
+		index.KindDataGuide: at(&e.DG), index.KindIndexFabric: at(&e.IF), index.KindASR: at(&e.ASR),
+		index.KindJoinIndex: at(&e.JI), index.KindXRel: at(&e.XRel), index.KindContainment: at(&e.Containment),
+	}
+}
+
+// Structures returns the built persisted structures in kind order.
+func (e *Env) Structures() []index.Structure {
+	var out []index.Structure
+	for _, s := range e.slots() {
+		if st, ok := s.get().(index.Structure); ok {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
+// Install puts what index.Build or index.Open returned for kind k into its
+// field; nil clears the field.
+func (e *Env) Install(k index.Kind, built any) { e.slots()[k].set(built) }
+
+// check reports whether what strat requires is built.
+func (e *Env) check(strat Strategy) error {
+	if !strat.valid() {
+		return fmt.Errorf("plan: unknown strategy %d", strat)
+	}
+	slots := e.slots()
+	for _, k := range strategies[strat].requires {
+		if slots[k].get() == nil {
+			return fmt.Errorf("plan: %v index not built (strategy %v)", k, strat)
+		}
+	}
+	if strategies[strat].needStats && e.Stats == nil {
+		return fmt.Errorf("plan: strategy %v requires statistics", strat)
+	}
+	return nil
 }
 
 // inlThreshold returns the effective INL factor.
@@ -210,7 +301,7 @@ type evaluator interface {
 	// bound evaluates the branch below branch.Nodes[n.jIdx] for each head
 	// id in jids (sorted, distinct), appending one group per matching id
 	// into out (already reset to the sub-branch width). Feeds OpINLJoin;
-	// only strategies with canBound() support it.
+	// only strategies whose table row says canBound support it.
 	bound(n *Node, jids []int64, out *boundRel, es *ExecStats) error
 }
 
@@ -306,26 +397,11 @@ func suffixSyms(pat []pathdict.PStep) pathdict.Path {
 // per-operator counters are passed per call (each probe operator hands its
 // own stats in, so the work is attributed to the operator that did it).
 func newEvaluator(env *Env, strat Strategy) (evaluator, error) {
-	if err := checkIndices(env, strat); err != nil {
+	if err := env.check(strat); err != nil {
 		return nil, err
 	}
-	switch strat {
-	case RootPathsPlan:
-		return newRPEval(env), nil
-	case DataPathsPlan:
-		return newDPEval(env), nil
-	case EdgePlan:
-		return &edgeEval{env: env}, nil
-	case DataGuideEdgePlan:
-		return newDGEval(env), nil
-	case FabricEdgePlan:
-		return newIFEval(env), nil
-	case ASRPlan:
-		return &asrEval{env: env}, nil
-	case JoinIndexPlan:
-		return &jiEval{env: env}, nil
-	case XRelPlan:
-		return newXRelEval(env), nil
+	if strategies[strat].eval == nil {
+		return nil, fmt.Errorf("plan: strategy %v has no branch evaluator", strat)
 	}
-	return nil, fmt.Errorf("plan: strategy %v has no branch evaluator", strat)
+	return strategies[strat].eval(env), nil
 }

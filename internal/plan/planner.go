@@ -35,7 +35,7 @@ func Choose(env *Env, pat *xpath.Pattern) (*Tree, []Candidate, error) {
 	var best *Tree
 	var cands []Candidate
 	for _, s := range strategyPreference {
-		if err := checkIndices(env, s); err != nil {
+		if err := env.check(s); err != nil {
 			continue
 		}
 		t, err := Build(env, s, pat)

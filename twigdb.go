@@ -39,7 +39,6 @@ package twigdb
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -84,24 +83,11 @@ const (
 	Containment
 )
 
-var kindToInternal = map[IndexKind]index.Kind{
-	RootPaths:   index.KindRootPaths,
-	DataPaths:   index.KindDataPaths,
-	Edge:        index.KindEdge,
-	DataGuide:   index.KindDataGuide,
-	IndexFabric: index.KindIndexFabric,
-	ASR:         index.KindASR,
-	JoinIndex:   index.KindJoinIndex,
-	XRel:        index.KindXRel,
-	Containment: index.KindContainment,
-}
-
 // String returns the paper's name for the index.
 func (k IndexKind) String() string {
-	if ik, ok := kindToInternal[k]; ok {
-		return ik.String()
-	}
-	return "unknown"
+	// IndexKind mirrors index.Kind value for value
+	// (TestPublicEnumsMirrorInternal).
+	return index.Kind(k).String()
 }
 
 // Strategy selects the evaluation strategy for a query.
@@ -137,17 +123,11 @@ const (
 	Oracle
 )
 
-var strategyToInternal = map[Strategy]plan.Strategy{
-	StrategyRootPaths:      plan.RootPathsPlan,
-	StrategyDataPaths:      plan.DataPathsPlan,
-	StrategyEdge:           plan.EdgePlan,
-	StrategyDataGuideEdge:  plan.DataGuideEdgePlan,
-	StrategyFabricEdge:     plan.FabricEdgePlan,
-	StrategyASR:            plan.ASRPlan,
-	StrategyJoinIndex:      plan.JoinIndexPlan,
-	StrategyXRel:           plan.XRelPlan,
-	StrategyStructuralJoin: plan.StructuralJoinPlan,
-}
+// internal converts a pinned strategy to the planner's: the pinned values
+// mirror plan.Strategy shifted by one, Auto taking the zero value
+// (TestPublicEnumsMirrorInternal). Auto, Oracle and out-of-range values
+// land outside plan's range, where plan reports an unknown strategy.
+func (s Strategy) internal() plan.Strategy { return plan.Strategy(s - 1) }
 
 // String names the strategy as the paper's figures do.
 func (s Strategy) String() string {
@@ -157,10 +137,7 @@ func (s Strategy) String() string {
 	case Oracle:
 		return "Oracle"
 	default:
-		if ps, ok := strategyToInternal[s]; ok {
-			return ps.String()
-		}
-		return "unknown"
+		return s.internal().String()
 	}
 }
 
@@ -379,11 +356,7 @@ func (db *DB) LoadXMLString(s string) error { return db.eng.LoadXML(strings.NewR
 func (db *DB) Build(kinds ...IndexKind) error {
 	internal := make([]index.Kind, len(kinds))
 	for i, k := range kinds {
-		ik, ok := kindToInternal[k]
-		if !ok {
-			return fmt.Errorf("twigdb: unknown index kind %d", k)
-		}
-		internal[i] = ik
+		internal[i] = index.Kind(k) // an out-of-range kind fails in index.Build
 	}
 	return db.eng.Build(internal...)
 }
@@ -473,7 +446,7 @@ func (db *DB) query(read reader, strat Strategy, q string, workers int, trace bo
 	case Oracle:
 		opts.Planner = engine.Oracle
 	default:
-		opts.Strategy = strategyToInternal[strat]
+		opts.Strategy = strat.internal()
 	}
 	r, err := read(pat, opts)
 	if err != nil {
@@ -488,12 +461,7 @@ func (db *DB) query(read reader, strat Strategy, q string, workers int, trace bo
 func (db *DB) newResult(q string, strat Strategy, r engine.ReadResult) *Result {
 	res := &Result{Query: q, Strategy: strat, IDs: r.IDs, SnapshotSeq: r.Seq, db: db}
 	if strat == Auto {
-		for pub, internal := range strategyToInternal {
-			if internal == r.Strategy {
-				res.Strategy = pub
-				break
-			}
-		}
+		res.Strategy = Strategy(r.Strategy + 1)
 	}
 	if es := r.Stats; es != nil {
 		res.Stats = ExecStats{
@@ -673,7 +641,7 @@ func (db *DB) Explain(strat Strategy, q string) (string, error) {
 		out, _, err := db.eng.ExplainBest(pat)
 		return out, err
 	}
-	return db.eng.Explain(pat, strategyToInternal[strat])
+	return db.eng.Explain(pat, strat.internal())
 }
 
 // Insert parses xmlFragment as a standalone element and attaches it as the
@@ -715,15 +683,8 @@ type IndexSpace struct {
 func (db *DB) IndexSpaces() []IndexSpace {
 	var out []IndexSpace
 	for _, s := range db.eng.Spaces() {
-		var pub IndexKind
-		for k, ik := range kindToInternal {
-			if ik == s.Kind {
-				pub = k
-				break
-			}
-		}
 		out = append(out, IndexSpace{
-			Kind: pub, Name: s.Name, Bytes: s.Bytes, Pages: s.Pages,
+			Kind: IndexKind(s.Kind), Name: s.Name, Bytes: s.Bytes, Pages: s.Pages,
 			Entries: s.Entries, Trees: s.Trees,
 		})
 	}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	twigdb "repro"
+	"repro/internal/index"
+	"repro/internal/plan"
 )
 
 const bookXML = `
@@ -191,6 +193,73 @@ func TestKindAndStrategyStrings(t *testing.T) {
 	}
 	if twigdb.Oracle.String() != "Oracle" {
 		t.Fatalf("oracle string wrong")
+	}
+}
+
+// TestPublicEnumsMirrorInternal pins the order-preserving correspondence the
+// public enums are converted by: every IndexKind names the index.Kind of the
+// same value, every pinned Strategy the plan.Strategy one below it, and
+// values outside either range take the existing error paths instead of
+// indexing past a table.
+func TestPublicEnumsMirrorInternal(t *testing.T) {
+	kinds := []twigdb.IndexKind{
+		twigdb.RootPaths, twigdb.DataPaths, twigdb.Edge, twigdb.DataGuide, twigdb.IndexFabric,
+		twigdb.ASR, twigdb.JoinIndex, twigdb.XRel, twigdb.Containment,
+	}
+	if len(kinds) != int(index.NumKinds) {
+		t.Fatalf("%d public index kinds, %d internal", len(kinds), index.NumKinds)
+	}
+	for i, k := range kinds {
+		if int(k) != i || k.String() != index.Kind(i).String() || k.String() == "unknown" {
+			t.Errorf("IndexKind %d (%v) does not mirror index.Kind %d (%v)", k, k, i, index.Kind(i))
+		}
+	}
+	pinned := []twigdb.Strategy{
+		twigdb.StrategyRootPaths, twigdb.StrategyDataPaths, twigdb.StrategyEdge, twigdb.StrategyDataGuideEdge,
+		twigdb.StrategyFabricEdge, twigdb.StrategyASR, twigdb.StrategyJoinIndex, twigdb.StrategyXRel,
+		twigdb.StrategyStructuralJoin,
+	}
+	if len(pinned) != int(plan.NumStrategies) {
+		t.Fatalf("%d public pinned strategies, %d internal", len(pinned), plan.NumStrategies)
+	}
+	if twigdb.Auto != 0 || twigdb.Oracle != pinned[len(pinned)-1]+1 {
+		t.Errorf("Auto = %d, Oracle = %d: the pinned strategies must sit between them", twigdb.Auto, twigdb.Oracle)
+	}
+	for i, s := range pinned {
+		if int(s) != i+1 || s.String() != plan.Strategy(i).String() || s.String() == "unknown" {
+			t.Errorf("Strategy %d (%v) does not mirror plan.Strategy %d (%v)", s, s, i, plan.Strategy(i))
+		}
+	}
+
+	db := openBook(t)
+	for _, q := range []string{`//author[fn = 'jane']`, `/book/title`} {
+		res, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := db.QueryWith(res.Strategy, q)
+		if err != nil || again.Strategy != res.Strategy || !reflect.DeepEqual(again.IDs, res.IDs) {
+			t.Errorf("%s: Auto reported %v, pinning it gives %v, %v", q, res.Strategy, again, err)
+		}
+	}
+	for _, s := range db.IndexSpaces() {
+		if s.Kind.String() != s.Name {
+			t.Errorf("IndexSpaces: kind %v carries name %q", s.Kind, s.Name)
+		}
+	}
+
+	bad := twigdb.Oracle + 1
+	if twigdb.IndexKind(99).String() != "unknown" || twigdb.IndexKind(-1).String() != "unknown" || bad.String() != "unknown" {
+		t.Errorf("out-of-range values must print as unknown")
+	}
+	if err := db.Build(twigdb.IndexKind(99)); err == nil || !strings.Contains(err.Error(), "unknown index kind") {
+		t.Errorf("Build(99) = %v, want an unknown-index-kind error", err)
+	}
+	if _, err := db.QueryWith(bad, `/book`); err == nil || !strings.Contains(err.Error(), "unknown strategy") {
+		t.Errorf("QueryWith(%d) = %v, want an unknown-strategy error", bad, err)
+	}
+	if _, err := db.Explain(twigdb.Strategy(-3), `/book`); err == nil {
+		t.Errorf("Explain(-3): want an error")
 	}
 }
 
