@@ -134,7 +134,7 @@ var (
 	pathToken  = regexp.MustCompile(`^[A-Za-z0-9_.*/-]+$`)
 	fileExt    = regexp.MustCompile(`\.(go|md|json|yml|sh|mod)$`)
 	mdRef      = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_]\.md\b`)
-	inlineCode = regexp.MustCompile("`([^`\n]+)`")
+	inlineCode = regexp.MustCompile("`([^`]+)`")
 	// goQualifier is the .Identifier that turns a package path into a Go name.
 	goQualifier = regexp.MustCompile(`\.[A-Z][A-Za-z0-9]*$`)
 )
@@ -177,25 +177,100 @@ func repoFiles(t *testing.T) []string {
 }
 
 // codeSpans returns the text of every inline code span of a markdown file
-// and every line of its fenced code blocks.
+// and every line of its fenced code blocks. Inline spans are matched per
+// paragraph with the line breaks folded, so a span the prose wrapped
+// (`make` at the end of one line, its target on the next) is one span.
 func codeSpans(t *testing.T, file string) []string {
 	src, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var spans []string
+	var spans, para []string
+	flush := func() {
+		for _, m := range inlineCode.FindAllStringSubmatch(strings.Join(para, " "), -1) {
+			spans = append(spans, m[1])
+		}
+		para = para[:0]
+	}
 	fenced := false
 	for _, line := range strings.Split(string(src), "\n") {
 		switch {
 		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			flush()
 			fenced = !fenced
 		case fenced:
 			spans = append(spans, line)
+		case strings.TrimSpace(line) == "":
+			flush()
 		default:
-			for _, m := range inlineCode.FindAllStringSubmatch(line, -1) {
-				spans = append(spans, m[1])
-			}
+			para = append(para, line)
 		}
 	}
+	flush()
 	return spans
+}
+
+var (
+	goTestLine = regexp.MustCompile(`\$\(GO\) test\b(.*)`)
+	runFlag    = regexp.MustCompile(`-run '([^']*)'`)
+	fuzzFlag   = regexp.MustCompile(`-fuzz (\S+)`)
+	testFunc   = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+)
+
+// TestMakefileSelectorsMatchTests makes a renamed test loud: every
+// alternative of every -run '<regex>' the Makefile passes to go test must
+// match a Test or Fuzz function of a package that line is aimed at, and
+// every -fuzz <regex> a Fuzz function. go test itself only warns ("no
+// tests to run", "no fuzz tests to fuzz") and exits 0, so without this a
+// rename silently drops the test from `make fuzz`, `make race-plan` and CI.
+func TestMakefileSelectorsMatchTests(t *testing.T) {
+	src, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range goTestLine.FindAllStringSubmatch(string(src), -1) {
+		line := strings.ReplaceAll(m[1], "$$", "$") // make's escape for $
+		var funcs []string
+		for _, arg := range strings.Fields(line) {
+			if arg != "." && !strings.HasPrefix(arg, "./") || strings.HasSuffix(arg, "...") {
+				continue
+			}
+			files, err := filepath.Glob(filepath.Join(arg, "*_test.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range files {
+				body, err := os.ReadFile(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, fn := range testFunc.FindAllStringSubmatch(string(body), -1) {
+					funcs = append(funcs, fn[1])
+				}
+			}
+		}
+		matches := func(pattern, kind string) bool {
+			re, err := regexp.Compile(pattern)
+			if err != nil {
+				t.Errorf("Makefile: go test%s: %v", line, err)
+				return true
+			}
+			for _, fn := range funcs {
+				if strings.HasPrefix(fn, kind) && re.MatchString(fn) {
+					return true
+				}
+			}
+			return false
+		}
+		if run := runFlag.FindStringSubmatch(line); run != nil && run[1] != "^$" { // '^$' runs nothing, on purpose
+			for _, alt := range strings.Split(run[1], "|") {
+				if !matches(alt, "Test") && !matches(alt, "Fuzz") {
+					t.Errorf("Makefile: go test%s: -run alternative %q matches no test of its packages", line, alt)
+				}
+			}
+		}
+		if fuzz := fuzzFlag.FindStringSubmatch(line); fuzz != nil && !matches(fuzz[1], "Fuzz") {
+			t.Errorf("Makefile: go test%s: -fuzz %s matches no fuzz target of its package", line, fuzz[1])
+		}
+	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Tree is a disk-backed B+-tree. A tree-level reader/writer latch makes it
 // safe for concurrent use: any number of readers (Get, Seek, Scan,
-// SeekPrefix, Stats) may proceed together, while a mutation (Insert, Delete)
+// ScanPrefix, Stats) may proceed together, while a mutation (Insert, Delete)
 // holds the latch exclusively. An open Iterator holds the read latch until
 // Close, so its pinned page can never be mutated underneath it; a goroutine
 // must therefore close its iterators on a tree before mutating that same

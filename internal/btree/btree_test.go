@@ -174,8 +174,8 @@ func TestPrefixScan(t *testing.T) {
 			want++
 		}
 	}
-	it, err := tr.SeekPrefix([]byte("12"))
-	if err != nil {
+	var it PrefixIterator
+	if err := tr.SeekPrefixInto([]byte("12"), &it); err != nil {
 		t.Fatal(err)
 	}
 	defer it.Close()
@@ -337,15 +337,16 @@ func TestModelRandomOps(t *testing.T) {
 				want++
 			}
 		}
-		pit, err := tr.SeekPrefix([]byte(p))
+		ps := PrefixScan{Prefix: []byte(p)}
+		got, err := tr.ScanPrefix(&ps, func(key, _ []byte) error {
+			if !bytes.HasPrefix(key, ps.Prefix) {
+				t.Fatalf("prefix scan of %q leaked key %q", p, key)
+			}
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := 0
-		for ; pit.Valid(); pit.Next() {
-			got++
-		}
-		pit.Close()
 		if got != want {
 			t.Fatalf("prefix %q: got %d, want %d", p, got, want)
 		}

@@ -205,15 +205,10 @@ func TestCloneCOWDuplicateRunAcrossLeaves(t *testing.T) {
 	if got := tr.Stats().Entries; got != dups {
 		t.Fatalf("original entries = %d, want %d", got, dups)
 	}
-	it, err := tr.SeekPrefix([]byte("dup"))
+	n, err := tr.ScanPrefix(&PrefixScan{Prefix: []byte("dup")}, func(_, _ []byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	for ; it.Valid(); it.Next() {
-		n++
-	}
-	it.Close()
 	if n != dups {
 		t.Fatalf("original scan sees %d duplicates, want %d", n, dups)
 	}

@@ -169,10 +169,17 @@ func (it *Iterator) Next() {
 // Key returns the current full key (prefix rejoined with suffix). The slice
 // is reused by the next Key call; copy to retain.
 func (it *Iterator) Key() []byte {
-	suffix, _ := leafCell(it.pg.Data, it.idx)
+	key, _ := it.entry()
+	return key
+}
+
+// entry returns the current full key, rejoined once into the iterator's
+// buffer, and the value as a view into the page.
+func (it *Iterator) entry() (key, val []byte) {
+	suffix, val := leafCell(it.pg.Data, it.idx)
 	it.key = append(it.key[:0], pagePrefix(it.pg.Data)...)
 	it.key = append(it.key, suffix...)
-	return it.key
+	return it.key, val
 }
 
 // ValueRef returns the current value as a zero-copy view into buffer-pool
@@ -203,21 +210,49 @@ func (it *Iterator) Close() {
 	}
 }
 
-// PrefixIterator yields only entries whose key starts with a probe prefix —
-// the primitive behind every index lookup in the family (the probe prefix is
-// the encoded fixed columns plus a reverse-schema-path prefix).
+// PrefixScan is what a stream of prefix scans keeps between probes: the
+// probe prefix, which the caller encodes in place
+// (ps.Prefix = append(ps.Prefix[:0], ...)), and the iterator. One PrefixScan
+// serves any number of trees, one scan at a time: a scan's row callback must
+// not start another scan through the same PrefixScan. The zero value is
+// ready to use; not goroutine-safe.
+type PrefixScan struct {
+	Prefix []byte
+	it     Iterator
+}
+
+// ScanPrefix is the primitive behind every index lookup in the family (the
+// probe prefix is the encoded fixed columns plus a reverse-schema-path
+// prefix): it seeks to the first entry >= ps.Prefix and calls row, in key
+// order, with each entry that starts with the prefix — the key rejoined
+// once per entry, the value a view into the page, both valid only during
+// the call. It returns the number of entries row was called with and the
+// first error of the descent, the iteration or row; the iterator is closed
+// when it returns. A warmed PrefixScan scans without allocating.
+func (t *Tree) ScanPrefix(ps *PrefixScan, row func(key, val []byte) error) (rows int, err error) {
+	it := &ps.it
+	if err := t.SeekInto(ps.Prefix, it); err != nil {
+		return 0, err
+	}
+	defer it.Close()
+	for ; it.Valid(); it.Next() {
+		key, val := it.entry()
+		if !bytes.HasPrefix(key, ps.Prefix) {
+			break
+		}
+		rows++
+		if err := row(key, val); err != nil {
+			return rows, err
+		}
+	}
+	return rows, it.err
+}
+
+// PrefixIterator is the pull form of a prefix scan: an Iterator that is
+// Valid only while its entry starts with the probe prefix.
 type PrefixIterator struct {
 	Iterator
 	prefix []byte
-}
-
-// SeekPrefix returns an iterator over all entries with the given key prefix.
-func (t *Tree) SeekPrefix(prefix []byte) (*PrefixIterator, error) {
-	it := &PrefixIterator{}
-	if err := t.SeekPrefixInto(prefix, it); err != nil {
-		return nil, err
-	}
-	return it, nil
 }
 
 // SeekPrefixInto positions it over all entries with the given key prefix,

@@ -14,8 +14,10 @@
 package containment
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/btree"
@@ -81,15 +83,7 @@ func Build(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*Index,
 	for _, d := range store.Docs {
 		walk(d.Root, 1)
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		ki, kj := entries[i].Key, entries[j].Key
-		for x := 0; x < len(ki); x++ {
-			if ki[x] != kj[x] {
-				return ki[x] < kj[x]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(entries, func(a, b btree.Entry) int { return bytes.Compare(a.Key, b.Key) })
 	tree, err := btree.BulkLoad(pool, "Containment/elements", entries)
 	if err != nil {
 		return nil, err
@@ -106,35 +100,24 @@ func (ix *Index) Region(id int64) (Region, bool) {
 
 // Candidates streams the regions of all nodes with the given label in
 // document (start) order — the sorted input a structural join consumes.
-func (ix *Index) Candidates(label string, fn func(Region) error) (int, error) {
+// The probe prefix and iterator are drawn from ps.
+func (ix *Index) Candidates(ps *btree.PrefixScan, label string, fn func(Region) error) (int, error) {
 	sym, ok := ix.dict.Sym(label)
 	if !ok {
 		return 0, nil
 	}
-	prefix := binary.BigEndian.AppendUint16(nil, uint16(sym))
-	it, err := ix.tree.SeekPrefix(prefix)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
-	rows := 0
-	for ; it.Valid(); it.Next() {
-		key, val := it.Key(), it.ValueRef()
-		if len(val) != 20 {
-			return rows, fmt.Errorf("containment: corrupt element entry (%d bytes)", len(val))
+	ps.Prefix = binary.BigEndian.AppendUint16(ps.Prefix[:0], uint16(sym))
+	return ix.tree.ScanPrefix(ps, func(key, val []byte) error {
+		if len(key) != 10 || len(val) != 20 {
+			return fmt.Errorf("containment: corrupt element entry (%d-byte key, %d-byte value)", len(key), len(val))
 		}
-		r := Region{
+		return fn(Region{
 			Start:  int64(binary.BigEndian.Uint64(key[2:])),
 			End:    int64(binary.BigEndian.Uint64(val[:8])),
 			Level:  int32(binary.BigEndian.Uint32(val[8:12])),
 			NodeID: int64(binary.BigEndian.Uint64(val[12:])),
-		}
-		rows++
-		if err := fn(r); err != nil {
-			return rows, err
-		}
-	}
-	return rows, it.Err()
+		})
+	})
 }
 
 // Space returns the element-list tree footprint in bytes.

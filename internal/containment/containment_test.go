@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/pathdict"
 	"repro/internal/storage"
 	"repro/internal/xmldb"
@@ -61,7 +62,7 @@ func TestRegionEncodingProperties(t *testing.T) {
 func TestCandidatesSortedByStart(t *testing.T) {
 	ix, _ := buildIndex(t, `<a><b/><a><b/><b/></a></a>`)
 	var prev int64 = -1
-	n, err := ix.Candidates("b", func(r Region) error {
+	n, err := ix.Candidates(new(btree.PrefixScan), "b", func(r Region) error {
 		if r.Start <= prev {
 			t.Fatalf("candidates not in start order")
 		}
@@ -71,7 +72,7 @@ func TestCandidatesSortedByStart(t *testing.T) {
 	if err != nil || n != 3 {
 		t.Fatalf("candidates = %d, %v", n, err)
 	}
-	n, err = ix.Candidates("nosuch", func(Region) error { return nil })
+	n, err = ix.Candidates(new(btree.PrefixScan), "nosuch", func(Region) error { return nil })
 	if err != nil || n != 0 {
 		t.Fatalf("unknown label = %d, %v", n, err)
 	}
@@ -186,5 +187,21 @@ func TestSpaceNonZero(t *testing.T) {
 	ix, _ := buildIndex(t, `<a><b/></a>`)
 	if ix.Space() <= 0 {
 		t.Fatalf("Space = %d", ix.Space())
+	}
+}
+
+// TestCandidatesRejectShortKey: an element entry whose key stops after the
+// label designator (no start position) is an error, not a slice panic.
+func TestCandidatesRejectShortKey(t *testing.T) {
+	dict := pathdict.NewDict()
+	sym := dict.Intern("b")
+	pool := storage.NewPool(storage.NewDisk(), 1<<20)
+	tree, err := btree.BulkLoad(pool, "short", []btree.Entry{{Key: []byte{byte(sym >> 8), byte(sym)}, Val: make([]byte, 20)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := &Index{tree: tree, dict: dict}
+	if _, err := ix.Candidates(new(btree.PrefixScan), "b", func(Region) error { return nil }); err == nil {
+		t.Fatal("scan over a 2-byte element key returned no error")
 	}
 }

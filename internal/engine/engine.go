@@ -742,13 +742,14 @@ func (db *DB) BuildAll() error { return db.Build(index.PersistedKinds()...) }
 // copy-on-write against a successor snapshot — concurrent queries keep
 // reading the current one, unblocked — validated against concurrently
 // committed write-sets, and published atomically. Conflicts are retried
-// internally (optimistically, then under the writer lock), so this call
-// never surfaces ErrConflict. On a file-backed database the call returns
+// internally on a fresh base, without limit — first committer wins, so
+// some contender always makes progress — and this call never surfaces
+// ErrConflict. On a file-backed database the call returns
 // once the commit is durable; concurrent committers share their WAL fsync
 // (group commit). sub is numbered from the global allocator; the caller's
 // tree is the template and stays unattached (read ids from it as before).
 func (db *DB) InsertSubtree(parentID int64, sub *xmldb.Node) error {
-	return db.autoTx(func(tx *Tx) error { return tx.Insert(parentID, sub) })
+	return db.Update(func(tx *Tx) error { return tx.Insert(parentID, sub) }, -1)
 }
 
 // installStats re-derives the statistics of a freshly published snapshot
@@ -773,7 +774,7 @@ func (db *DB) installStats(next *Snapshot) {
 // transaction, prepared copy-on-write and published atomically, like
 // InsertSubtree.
 func (db *DB) DeleteSubtree(nodeID int64) error {
-	return db.autoTx(func(tx *Tx) error { return tx.Delete(nodeID) })
+	return db.Update(func(tx *Tx) error { return tx.Delete(nodeID) }, -1)
 }
 
 // QueryCounters returns a snapshot of the engine-lifetime query counters.

@@ -137,14 +137,13 @@ type txOp struct {
 // exactly one Commit or Rollback.
 type Tx struct {
 	db   *DB
-	base *Snapshot // pinned at Begin (not pinned when locked)
+	base *Snapshot // pinned at Begin
 	next *Snapshot // private successor, built lazily on the first write
 
 	ops      []txOp
 	reserved [][2]int64 // node-id ranges taken from the global allocator
 	broken   error      // a failed statement left the successor inconsistent
 	done     bool
-	locked   bool // prepared under writeMu (the contention fallback path)
 }
 
 // Begin starts a transaction against the current snapshot. The returned
@@ -379,9 +378,7 @@ func (tx *Tx) Rollback() {
 	tx.abandon(tx.next)
 	tx.next = nil
 	tx.releaseIDs()
-	if !tx.locked {
-		tx.db.unpin(tx.base)
-	}
+	tx.db.unpin(tx.base)
 }
 
 // Commit validates the transaction's write-set against every commit
@@ -399,9 +396,6 @@ func (tx *Tx) Commit() error {
 	db := tx.db
 	if tx.done {
 		return ErrTxDone
-	}
-	if tx.locked {
-		return errors.New("engine: locked transaction must not call Commit")
 	}
 	tx.done = true
 	defer db.unpin(tx.base)
@@ -470,8 +464,8 @@ func (tx *Tx) Commit() error {
 	}
 }
 
-// publish finishes a commit — the one tail the optimistic and the locked
-// path share. The caller holds writeMu (released here) with prepared's base
+// publish finishes a commit — the one tail of every commit, explicit,
+// Update's or an implicit operation's. The caller holds writeMu (released here) with prepared's base
 // still current, so validation has passed: prepared is sealed under one
 // commit record and becomes the current snapshot, the commit is counted
 // and timed from start, and the successor's statistics are installed.
@@ -577,33 +571,6 @@ func overlaps(a, b []int64) (int64, bool) {
 	return 0, false
 }
 
-// autoTxAttempts is how many optimistic tries an implicit
-// single-statement transaction (InsertSubtree/DeleteSubtree) gets before
-// falling back to preparing under the writer lock, which cannot conflict.
-// The fallback makes the implicit operations livelock-free: they never
-// surface ErrConflict, exactly like the pre-transaction write path.
-const autoTxAttempts = 3
-
-// autoTx runs fn as one transaction with automatic conflict retries and
-// the locked fallback.
-func (db *DB) autoTx(fn func(*Tx) error) error {
-	for attempt := 0; attempt < autoTxAttempts; attempt++ {
-		if attempt > 0 {
-			db.counters.CountTxRetry()
-		}
-		tx := db.Begin()
-		if err := fn(tx); err != nil {
-			tx.Rollback()
-			return err
-		}
-		if err := tx.Commit(); err == nil || !errors.Is(err, ErrConflict) {
-			return err
-		}
-	}
-	db.counters.CountTxRetry()
-	return db.lockedTx(fn)
-}
-
 // Update runs fn inside a transaction: committed when fn returns nil,
 // rolled back when it errors, and — unlike a bare Begin/Commit — retried
 // on ErrConflict up to the given number of retries (negative = unlimited).
@@ -627,31 +594,4 @@ func (db *DB) Update(fn func(*Tx) error, retries int) error {
 			return err
 		}
 	}
-}
-
-// lockedTx prepares and publishes a transaction entirely under the writer
-// lock: nothing can intervene, so it cannot conflict. The contention
-// fallback for implicit operations — equivalent to the historical
-// writeMu-per-statement path.
-func (db *DB) lockedTx(fn func(*Tx) error) error {
-	db.writeMu.Lock()
-	if err := db.writeGate(); err != nil {
-		db.writeMu.Unlock()
-		return err
-	}
-	tx := &Tx{db: db, base: db.current.Load(), locked: true}
-	if err := fn(tx); err != nil {
-		tx.done = true
-		tx.abandon(tx.next)
-		tx.releaseIDs()
-		db.writeMu.Unlock()
-		return err
-	}
-	tx.done = true
-	if tx.next == nil || len(tx.ops) == 0 {
-		db.writeMu.Unlock()
-		return nil
-	}
-	start := time.Now()
-	return tx.publish(tx.next, tx.next.store.WriteSet(), start) // unlocks writeMu
 }

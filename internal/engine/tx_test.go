@@ -3,12 +3,15 @@ package engine
 // Transaction-layer tests: multi-statement atomicity and isolation,
 // rollback, optimistic conflict detection, the disjoint-commit replay
 // path, AS OF snapshot retention, and the implicit single-statement
-// fallback that must never surface a conflict.
+// operations that must never surface a conflict.
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -475,28 +478,49 @@ func TestRetainSnapshotsAsOf(t *testing.T) {
 	}
 }
 
+// implicitScript is one writer's share of TestImplicitOpsNeverConflict:
+// every third operation deletes the node the one before it inserted.
+func implicitScript(db *DB, rootID int64, w, ops int) error {
+	var last *xmldb.Node
+	for i := 0; i < ops; i++ {
+		if i%3 == 2 {
+			if err := db.DeleteSubtree(last.ID); err != nil {
+				return fmt.Errorf("writer %d op %d: delete: %w", w, i, err)
+			}
+			continue
+		}
+		last = xmldb.Text("n", fmt.Sprintf("w%d-%d", w, i))
+		if err := db.InsertSubtree(rootID, last); err != nil {
+			return fmt.Errorf("writer %d op %d: insert: %w", w, i, err)
+		}
+	}
+	return nil
+}
+
 // TestImplicitOpsNeverConflict hammers one document from several
-// goroutines through the implicit single-statement path, which retries
-// optimistically and then falls back to a pessimistic commit — it must
-// never surface ErrConflict, and every statement must land exactly once.
+// goroutines through the implicit single-statement path — Update without
+// a retry bound, every attempt prepared outside the writer lock. Each
+// writer yields between preparing and validating, so attempts do collide;
+// none may surface ErrConflict, retries must have happened, and the final
+// state must be what the same scripts leave when run one after another.
 func TestImplicitOpsNeverConflict(t *testing.T) {
 	db, rootID := txTestDB(t, `<a><b>v0</b></a>`)
 	defer db.Close()
+	db.SetCommitHook(func(s CommitStage) {
+		if s == CommitStagePrepared {
+			runtime.Gosched()
+		}
+	})
 
-	const writers, perWriter = 4, 25
+	const writers, perWriter = 8, 50
+	retriesBefore := db.QueryCounters().TxRetries
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				sub := mustSub(t, fmt.Sprintf(`<n>w%d-%d</n>`, w, i))
-				if err := db.InsertSubtree(rootID, sub); err != nil {
-					errs[w] = fmt.Errorf("writer %d op %d: %w", w, i, err)
-					return
-				}
-			}
+			errs[w] = implicitScript(db, rootID, w, perWriter)
 		}(w)
 	}
 	wg.Wait()
@@ -505,10 +529,31 @@ func TestImplicitOpsNeverConflict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := matchIDs(t, db, `/a/n`); len(got) != writers*perWriter {
-		t.Fatalf("%d /a/n nodes, want %d", len(got), writers*perWriter)
+	if got := db.QueryCounters().TxRetries - retriesBefore; got == 0 {
+		t.Errorf("no implicit operation was retried: the writers never collided")
 	}
-	// Every value is distinct and present exactly once: no double-applies.
+
+	oracle, oracleRoot := txTestDB(t, `<a><b>v0</b></a>`)
+	defer oracle.Close()
+	for w := 0; w < writers; w++ {
+		if err := implicitScript(oracle, oracleRoot, w, perWriter); err != nil {
+			t.Fatal(err)
+		}
+	}
+	values := func(db *DB) []string {
+		var out []string
+		ids := matchIDs(t, db, `/a/n`)
+		db.ViewNodes(func(byID func(int64) *xmldb.Node) {
+			for _, id := range ids {
+				out = append(out, byID(id).Value)
+			}
+		})
+		sort.Strings(out)
+		return out
+	}
+	if got, want := values(db), values(oracle); !slices.Equal(got, want) {
+		t.Fatalf("concurrent implicit operations left %d values %v, run serially they leave %d", len(got), got, len(want))
+	}
 	pat, err := xpath.Parse(`/a/n`)
 	if err != nil {
 		t.Fatal(err)
@@ -518,7 +563,7 @@ func TestImplicitOpsNeverConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !equalIDs(ids, matchIDs(t, db, `/a/n`)) {
-		t.Fatalf("planner/naive disagree after concurrent inserts")
+		t.Fatalf("planner/naive disagree after concurrent implicit operations")
 	}
 }
 

@@ -26,36 +26,54 @@ import (
 //   - the id columns cannot be differentially encoded.
 type ASR struct {
 	tables map[pathdict.PathID]*btree.Tree
-	ptab   *pathdict.PathTable
-	rootSets
+	registry
 	dict *pathdict.Dict
 }
 
-// rootSets is the root bookkeeping behind the rooted-only scans of ASR and
-// JoinIndex.
-type rootSets struct {
+// registry is a structure's own table of the distinct schema paths it
+// indexes — one relation per entry for ASR and JoinIndex, the normalised
+// "path" relation of XRel, the DataGuide's summary — with the root
+// bookkeeping behind the rooted-only scans of ASR and JoinIndex, whose
+// paths start anywhere (the sets stay nil for the other two, whose paths
+// are all rooted and which never ask).
+type registry struct {
+	ptab   *pathdict.PathTable
 	rooted map[pathdict.PathID]bool // some instance starts at a document root
 	roots  map[int64]bool           // document root ids
 }
 
-func newRootSets(store *xmldb.Store) rootSets {
-	s := rootSets{rooted: map[pathdict.PathID]bool{}, roots: map[int64]bool{}}
+// newRootedRegistry is an empty registry that tracks the store's roots.
+func newRootedRegistry(store *xmldb.Store) registry {
+	r := registry{ptab: pathdict.NewPathTable(), rooted: map[pathdict.PathID]bool{}, roots: map[int64]bool{}}
 	for _, d := range store.Docs {
-		s.roots[d.Root.ID] = true
+		r.roots[d.Root.ID] = true
 	}
-	return s
+	return r
+}
+
+// Paths exposes the path table.
+func (r *registry) Paths() *pathdict.PathTable { return r.ptab }
+
+// MatchingPaths resolves a linear pattern against the path table into the
+// ids of the concrete schema paths matching it — the step that turns a //
+// into several equality conditions, each costing one separate lookup. With
+// rootedOnly, only paths with a document-root-headed instance qualify (for
+// root-anchored patterns).
+func (r *registry) MatchingPaths(pat []pathdict.PStep, rootedOnly bool) []pathdict.PathID {
+	var out []pathdict.PathID
+	r.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
+		if (!rootedOnly || r.rooted[id]) && pathdict.MatchPath(pat, p) {
+			out = append(out, id)
+		}
+	})
+	return out
 }
 
 // BuildASR constructs one relation per distinct schema path.
 func BuildASR(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*ASR, error) {
-	a := &ASR{
-		tables:   map[pathdict.PathID]*btree.Tree{},
-		ptab:     pathdict.NewPathTable(),
-		rootSets: newRootSets(store),
-		dict:     dict,
-	}
+	a := &ASR{tables: map[pathdict.PathID]*btree.Tree{}, registry: newRootedRegistry(store), dict: dict}
 	perPath := map[pathdict.PathID][]btree.Entry{}
-	pathrel.EmitAllPaths(store, dict, func(r pathrel.Row) {
+	pathrel.Emit(store, dict, nil, true, func(r pathrel.Row) {
 		if r.HeadID == 0 {
 			return // virtual-root rows belong to the unified indices only
 		}
@@ -83,71 +101,46 @@ func BuildASR(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*ASR
 	return a, nil
 }
 
-// Paths exposes the relation registry (one relation per entry).
-func (a *ASR) Paths() *pathdict.PathTable { return a.ptab }
-
 // NumTables returns the number of materialised relations (the paper reports
 // 902 for XMark, 235 for DBLP).
 func (a *ASR) NumTables() int { return len(a.tables) }
 
-// MatchingPaths enumerates the concrete schema paths matching a linear
-// pattern. With rootedOnly, only paths with document-root-headed instances
-// qualify (for root-anchored patterns).
-func (a *ASR) MatchingPaths(pat []pathdict.PStep, rootedOnly bool) []pathdict.PathID {
-	var out []pathdict.PathID
-	a.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
-		if rootedOnly && !a.rooted[id] {
-			return
-		}
-		if pathdict.MatchPath(pat, p) {
-			out = append(out, id)
-		}
-	})
-	return out
-}
-
 // ProbeValue scans the relation for path id by leaf value, streaming the
 // full id tuple (head first) of each instance. With rootedOnly, instances
 // not headed at a document root are skipped. fn's slice is reused.
-func (a *ASR) ProbeValue(id pathdict.PathID, hasValue bool, value string, rootedOnly bool, fn func(ids []int64) error) (int, error) {
-	prefix := pathdict.AppendValueField(nil, hasValue, value)
-	return a.scan(id, prefix, rootedOnly, fn)
+func (a *ASR) ProbeValue(sc *Scratch, id pathdict.PathID, hasValue bool, value string, rootedOnly bool, fn func(ids []int64) error) (int, error) {
+	sc.Prefix = pathdict.AppendValueField(sc.Prefix[:0], hasValue, value)
+	return a.scan(sc, id, rootedOnly, fn)
 }
 
 // ProbeBound scans the relation for instances headed at headID with a
 // matching value — the index-nested-loop probe.
-func (a *ASR) ProbeBound(id pathdict.PathID, headID int64, hasValue bool, value string, fn func(ids []int64) error) (int, error) {
-	prefix := pathdict.AppendValueField(nil, hasValue, value)
-	prefix = pathdict.AppendID(prefix, headID)
-	return a.scan(id, prefix, false, fn)
+func (a *ASR) ProbeBound(sc *Scratch, id pathdict.PathID, headID int64, hasValue bool, value string, fn func(ids []int64) error) (int, error) {
+	sc.Prefix = pathdict.AppendID(pathdict.AppendValueField(sc.Prefix[:0], hasValue, value), headID)
+	return a.scan(sc, id, false, fn)
 }
 
-func (a *ASR) scan(id pathdict.PathID, prefix []byte, rootedOnly bool, fn func(ids []int64) error) (int, error) {
+func (a *ASR) scan(sc *Scratch, id pathdict.PathID, rootedOnly bool, fn func(ids []int64) error) (int, error) {
 	t, ok := a.tables[id]
 	if !ok {
 		return 0, fmt.Errorf("index: ASR relation %d does not exist", id)
 	}
-	it, err := t.SeekPrefix(prefix)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
-	rows := 0
-	var ids []int64
-	for ; it.Valid(); it.Next() {
-		ids, err = idlist.DecodeRaw(ids[:0], it.ValueRef())
-		if err != nil {
-			return rows, err
+	skipped := 0
+	rows, err := t.ScanPrefix(&sc.PrefixScan, func(_, val []byte) error {
+		var err error
+		if sc.ids, err = idlist.DecodeRaw(sc.ids[:0], val); err != nil {
+			return corrupt(err)
 		}
-		if rootedOnly && !a.roots[ids[0]] {
-			continue
+		if len(sc.ids) == 0 {
+			return corrupt(fmt.Errorf("empty ASR id tuple"))
 		}
-		rows++
-		if err := fn(ids); err != nil {
-			return rows, err
+		if rootedOnly && !a.roots[sc.ids[0]] {
+			skipped++
+			return nil
 		}
-	}
-	return rows, it.Err()
+		return fn(sc.ids)
+	})
+	return rows - skipped, err
 }
 
 func (a *ASR) Kind() Kind { return KindASR }
@@ -178,10 +171,10 @@ func (a *ASR) AppendRecord(w *CatWriter) {
 }
 
 func openASR(r *CatReader, s Site) Structure {
-	a := &ASR{tables: map[pathdict.PathID]*btree.Tree{}, ptab: r.PathTable(), dict: s.Dict}
+	a := &ASR{tables: map[pathdict.PathID]*btree.Tree{}, registry: registry{ptab: r.PathTable()}, dict: s.Dict}
 	for id := 0; id < a.ptab.Len(); id++ {
 		a.tables[pathdict.PathID(id)] = r.tree(s.Pool)
 	}
-	a.rootSets = rootSets{rooted: readIDSet[pathdict.PathID](r), roots: readIDSet[int64](r)}
+	a.rooted, a.roots = readIDSet[pathdict.PathID](r), readIDSet[int64](r)
 	return a
 }

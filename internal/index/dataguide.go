@@ -24,9 +24,9 @@ const dgChunk = 192
 //
 // Keyed by [pathLen][path][chunkNo]; extents are split into chunks.
 type DataGuide struct {
-	tree *btree.Tree
-	dict *pathdict.Dict
-	ptab *pathdict.PathTable // rooted paths, for // expansion over the summary
+	tree     *btree.Tree
+	dict     *pathdict.Dict
+	registry // rooted paths, for // expansion over the summary
 }
 
 // BuildDataGuide constructs the summary. The registered rooted paths double
@@ -36,7 +36,7 @@ type DataGuide struct {
 func BuildDataGuide(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*DataGuide, error) {
 	ptab := pathdict.NewPathTable()
 	extents := map[pathdict.PathID][]int64{}
-	pathrel.EmitRootPaths(store, dict, func(r pathrel.Row) {
+	pathrel.Emit(store, dict, nil, false, func(r pathrel.Row) {
 		if r.HasValue {
 			return // structure only
 		}
@@ -52,7 +52,7 @@ func BuildDataGuide(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict)
 			if hi > len(ext) {
 				hi = len(ext)
 			}
-			key := dgKey(p, uint32(chunk))
+			key := binary.BigEndian.AppendUint32(dgPath(nil, p), uint32(chunk))
 			entries = append(entries, btree.Entry{Key: key, Val: idlist.EncodeDelta(nil, ext[lo:hi])})
 		}
 	})
@@ -60,57 +60,47 @@ func BuildDataGuide(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict)
 	if err != nil {
 		return nil, err
 	}
-	return &DataGuide{tree: tree, dict: dict, ptab: ptab}, nil
+	return &DataGuide{tree: tree, dict: dict, registry: registry{ptab: ptab}}, nil
 }
 
-func dgKey(p pathdict.Path, chunk uint32) []byte {
-	key := binary.BigEndian.AppendUint16(nil, uint16(len(p)))
-	key = pathdict.AppendPath(key, p)
-	return binary.BigEndian.AppendUint32(key, chunk)
+// dgPath appends the key columns ahead of the chunk number.
+func dgPath(dst []byte, p pathdict.Path) []byte {
+	return pathdict.AppendPath(binary.BigEndian.AppendUint16(dst, uint16(len(p))), p)
 }
 
 // Extent returns the ids at the end of the exact rooted path, streaming
 // them to fn. Patterns with // must be expanded to concrete paths first
 // (see MatchingPaths).
-func (dg *DataGuide) Extent(p pathdict.Path, fn func(id int64) error) (int, error) {
-	prefix := binary.BigEndian.AppendUint16(nil, uint16(len(p)))
-	prefix = pathdict.AppendPath(prefix, p)
-	it, err := dg.tree.SeekPrefix(prefix)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
-	rows := 0
-	var ids []int64
-	for ; it.Valid(); it.Next() {
-		ids, err = idlist.DecodeDeltaInto(ids[:0], it.ValueRef())
-		if err != nil {
-			return rows, err
+func (dg *DataGuide) Extent(sc *Scratch, p pathdict.Path, fn func(id int64) error) (int, error) {
+	sc.Prefix = dgPath(sc.Prefix[:0], p)
+	ids := 0
+	_, err := dg.tree.ScanPrefix(&sc.PrefixScan, func(_, val []byte) error {
+		var err error
+		if sc.ids, err = idlist.DecodeDeltaInto(sc.ids[:0], val); err != nil {
+			return corrupt(err)
 		}
-		for _, id := range ids {
-			rows++
+		for _, id := range sc.ids {
+			ids++
 			if err := fn(id); err != nil {
-				return rows, err
+				return err
 			}
 		}
-	}
-	return rows, it.Err()
+		return nil
+	})
+	return ids, err
 }
 
 // MatchingPaths enumerates the rooted summary paths that match a linear
-// pattern — the DataGuide-as-automaton traversal that handles //.
+// pattern — the DataGuide-as-automaton traversal that handles //. The
+// summary's tree is keyed by path, so it hands back the paths themselves
+// where the registry hands back their ids.
 func (dg *DataGuide) MatchingPaths(pat []pathdict.PStep) []pathdict.Path {
 	var out []pathdict.Path
-	dg.ptab.All(func(_ pathdict.PathID, p pathdict.Path) {
-		if pathdict.MatchPath(pat, p) {
-			out = append(out, p)
-		}
-	})
+	for _, id := range dg.registry.MatchingPaths(pat, false) {
+		out = append(out, dg.ptab.Path(id))
+	}
 	return out
 }
-
-// Paths exposes the summary path table.
-func (dg *DataGuide) Paths() *pathdict.PathTable { return dg.ptab }
 
 func (dg *DataGuide) Kind() Kind { return KindDataGuide }
 
@@ -126,5 +116,5 @@ func (dg *DataGuide) AppendRecord(w *CatWriter) {
 }
 
 func openDataGuide(r *CatReader, s Site) Structure {
-	return &DataGuide{ptab: r.PathTable(), tree: r.tree(s.Pool), dict: s.Dict}
+	return &DataGuide{registry: registry{ptab: r.PathTable()}, tree: r.tree(s.Pool), dict: s.Dict}
 }

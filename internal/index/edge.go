@@ -78,76 +78,41 @@ func BuildEdge(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*Ed
 
 // ValueProbe returns the ids of nodes labeled label that carry the given
 // leaf value (the Lore value index).
-func (e *Edge) ValueProbe(label, value string, fn func(id int64) error) (int, error) {
+func (e *Edge) ValueProbe(sc *Scratch, label, value string, fn func(id int64) error) (int, error) {
 	sym, ok := e.dict.Sym(label)
 	if !ok {
 		return 0, nil
 	}
-	prefix := appendSym(nil, sym)
-	prefix = pathdict.AppendValueField(prefix, true, value)
-	it, err := e.value.SeekPrefix(prefix)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
-	rows := 0
-	for ; it.Valid(); it.Next() {
-		key := it.Key()
-		id, _, err := pathdict.DecodeID(key[len(key)-8:])
-		if err != nil {
-			return rows, err
-		}
-		rows++
-		if err := fn(id); err != nil {
-			return rows, err
-		}
-	}
-	return rows, it.Err()
+	sc.Prefix = pathdict.AppendValueField(appendSym(sc.Prefix[:0], sym), true, value)
+	return sc.scanTrailingIDs(e.value, fn)
 }
 
 // Children returns the child ids of parentID, optionally restricted to one
 // tag (the Lore forward link index). label == "" iterates all children.
-func (e *Edge) Children(parentID int64, label string, fn func(id int64) error) (int, error) {
-	prefix := pathdict.AppendID(nil, parentID)
+func (e *Edge) Children(sc *Scratch, parentID int64, label string, fn func(id int64) error) (int, error) {
+	sc.Prefix = pathdict.AppendID(sc.Prefix[:0], parentID)
 	if label != "" {
 		sym, ok := e.dict.Sym(label)
 		if !ok {
 			return 0, nil
 		}
-		prefix = appendSym(prefix, sym)
+		sc.Prefix = appendSym(sc.Prefix, sym)
 	}
-	it, err := e.forward.SeekPrefix(prefix)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
-	rows := 0
-	for ; it.Valid(); it.Next() {
-		key := it.Key()
-		id, _, err := pathdict.DecodeID(key[len(key)-8:])
-		if err != nil {
-			return rows, err
-		}
-		rows++
-		if err := fn(id); err != nil {
-			return rows, err
-		}
-	}
-	return rows, it.Err()
+	return sc.scanTrailingIDs(e.forward, fn)
 }
 
 // Parent returns the parent id and label of childID (the backward link
 // index). The virtual root's parent is reported as (0, "", false).
-func (e *Edge) Parent(childID int64) (parentID int64, label string, ok bool, err error) {
-	key := pathdict.AppendID(nil, childID)
+func (e *Edge) Parent(sc *Scratch, childID int64) (parentID int64, label string, ok bool, err error) {
+	sc.Prefix = pathdict.AppendID(sc.Prefix[:0], childID)
 	var sym pathdict.Sym
-	err = e.backward.GetRef(key, func(val []byte) error {
+	err = e.backward.GetRef(sc.Prefix, func(val []byte) error {
 		id, rest, err := pathdict.DecodeID(val)
 		if err != nil {
-			return err
+			return corrupt(err)
 		}
 		if len(rest) != 2 {
-			return fmt.Errorf("index: corrupt backward link value")
+			return corrupt(fmt.Errorf("backward link value of %d bytes", len(val)))
 		}
 		parentID = id
 		sym = pathdict.Sym(binary.BigEndian.Uint16(rest))

@@ -32,7 +32,7 @@ type IndexFabric struct {
 // BuildIndexFabric constructs the index.
 func BuildIndexFabric(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*IndexFabric, error) {
 	var entries []btree.Entry
-	pathrel.EmitRootPaths(store, dict, func(r pathrel.Row) {
+	pathrel.Emit(store, dict, nil, false, func(r pathrel.Row) {
 		key := binary.BigEndian.AppendUint16(nil, uint16(len(r.Path)))
 		key = pathdict.AppendPath(key, r.Path)
 		key = pathdict.AppendValueField(key, r.HasValue, r.Value)
@@ -48,28 +48,10 @@ func BuildIndexFabric(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dic
 
 // Probe returns the ids at the end of the exact rooted path whose leaf
 // value matches (hasValue=false probes existence rows).
-func (f *IndexFabric) Probe(p pathdict.Path, hasValue bool, value string, fn func(id int64) error) (int, error) {
-	prefix := binary.BigEndian.AppendUint16(nil, uint16(len(p)))
-	prefix = pathdict.AppendPath(prefix, p)
-	prefix = pathdict.AppendValueField(prefix, hasValue, value)
-	it, err := f.tree.SeekPrefix(prefix)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
-	rows := 0
-	for ; it.Valid(); it.Next() {
-		key := it.Key()
-		id, _, err := pathdict.DecodeID(key[len(key)-8:])
-		if err != nil {
-			return rows, err
-		}
-		rows++
-		if err := fn(id); err != nil {
-			return rows, err
-		}
-	}
-	return rows, it.Err()
+func (f *IndexFabric) Probe(sc *Scratch, p pathdict.Path, hasValue bool, value string, fn func(id int64) error) (int, error) {
+	sc.Prefix = binary.BigEndian.AppendUint16(sc.Prefix[:0], uint16(len(p)))
+	sc.Prefix = pathdict.AppendValueField(pathdict.AppendPath(sc.Prefix, p), hasValue, value)
+	return sc.scanTrailingIDs(f.tree, fn)
 }
 
 func (f *IndexFabric) Kind() Kind { return KindIndexFabric }

@@ -18,11 +18,23 @@
 // Every structure is an ordinary B+-tree over order-preservingly encoded
 // byte keys, so all of them can be driven by a relational query processor —
 // the paper's central integration requirement.
+//
+// The table is the design, and the package says each part of it once. The
+// rows of the relation come from one walk, pathrel.Emit, whatever subset of
+// heads and columns a builder — or Section 7 maintenance — keeps of them.
+// ROOTPATHS and DATAPATHS are one type, Paths: the last two rows differ by
+// the HeadId key column alone. And every probe is the same act — encode the
+// indexed columns a query fixes as a key prefix into the caller's Scratch,
+// run btree.Tree.ScanPrefix, decode one row — so every probe method has the
+// shape (sc *Scratch, fixed columns..., fn) (rows, err), draws its buffers
+// from sc, and reports an entry too short for its columns as
+// ErrCorruptEntry.
 package index
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/containment"
@@ -94,13 +106,10 @@ var family = [NumKinds]struct {
 	build func(Site) (any, error)
 	open  func(*CatReader, Site) Structure
 }{
-	KindRootPaths: {"ROOTPATHS", func(s Site) (any, error) {
-		s.Opts.KeepHead = nil // head pruning applies to DATAPATHS only
-		return BuildRootPaths(s.Pool, s.Store, s.Dict, s.Ptab, s.Opts)
-	}, openRootPaths},
-	KindDataPaths: {"DATAPATHS", func(s Site) (any, error) {
-		return BuildDataPaths(s.Pool, s.Store, s.Dict, s.Ptab, s.Opts)
-	}, openDataPaths},
+	KindRootPaths: {"ROOTPATHS", func(s Site) (any, error) { return BuildPaths(false, s) },
+		func(r *CatReader, s Site) Structure { return openPaths(false, r, s) }},
+	KindDataPaths: {"DATAPATHS", func(s Site) (any, error) { return BuildPaths(true, s) },
+		func(r *CatReader, s Site) Structure { return openPaths(true, r, s) }},
 	KindEdge:        {"Edge", func(s Site) (any, error) { return BuildEdge(s.Pool, s.Store, s.Dict) }, openEdge},
 	KindDataGuide:   {"DataGuide", func(s Site) (any, error) { return BuildDataGuide(s.Pool, s.Store, s.Dict) }, openDataGuide},
 	KindIndexFabric: {"IndexFabric", func(s Site) (any, error) { return BuildIndexFabric(s.Pool, s.Store, s.Dict) }, openIndexFabric},
@@ -152,36 +161,6 @@ type Space struct {
 	Trees   int // number of B+-trees ("tables"); 1 for the unified indices
 }
 
-// sortEntries sorts bulk-load input by key (stable so equal keys keep
-// emission order).
-func sortEntries(entries []btree.Entry) {
-	sort.SliceStable(entries, func(i, j int) bool {
-		return compareBytes(entries[i].Key, entries[j].Key) < 0
-	})
-}
-
-func compareBytes(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}
-
 func treeSpace(k Kind, trees ...*btree.Tree) Space {
 	s := Space{Kind: k, Name: k.String(), Trees: len(trees)}
 	for _, t := range trees {
@@ -202,8 +181,9 @@ func walkTrees(fn func(storage.PageID) error, trees ...*btree.Tree) error {
 	return nil
 }
 
-// bulk builds one tree from unsorted entries.
+// bulk builds one tree from unsorted entries, sorted by key — stably, so
+// equal keys keep emission order.
 func bulk(pool *storage.Pool, name string, entries []btree.Entry) (*btree.Tree, error) {
-	sortEntries(entries)
+	slices.SortStableFunc(entries, func(a, b btree.Entry) int { return bytes.Compare(a.Key, b.Key) })
 	return btree.BulkLoad(pool, name, entries)
 }

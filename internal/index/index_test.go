@@ -52,6 +52,11 @@ func newFixture(t testing.TB) *fixture {
 	}
 }
 
+// site is the fixture as a build site over pool.
+func (f *fixture) site(pool *storage.Pool, opts PathsOptions) Site {
+	return Site{Pool: pool, Store: f.store, Dict: f.dict, Ptab: f.ptab, Opts: opts}
+}
+
 func (f *fixture) syms(t testing.TB, labels ...string) pathdict.Path {
 	t.Helper()
 	p := make(pathdict.Path, len(labels))
@@ -73,14 +78,14 @@ func sortedIDs(ids []int64) []int64 {
 
 func TestRootPathsProbeSuffix(t *testing.T) {
 	f := newFixture(t)
-	rp, err := BuildRootPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	rp, err := BuildPaths(false, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Paper Section 3.2: //author[fn='jane'] is the lookup ('jane', FA*).
 	var authorIDs []int64
-	rows, err := rp.Probe(true, "jane", f.syms(t, "author", "fn"), func(fwd pathdict.Path, ids []int64) error {
+	rows, err := rp.Probe(new(Scratch), 0, true, "jane", f.syms(t, "author", "fn"), func(fwd pathdict.Path, ids []int64) error {
 		authorIDs = append(authorIDs, ids[len(ids)-2]) // penultimate id
 		return nil
 	})
@@ -95,7 +100,7 @@ func TestRootPathsProbeSuffix(t *testing.T) {
 	}
 
 	// (null, FA*): all author/fn paths regardless of value.
-	rows, err = rp.Probe(false, "", f.syms(t, "author", "fn"), func(pathdict.Path, []int64) error { return nil })
+	rows, err = rp.Probe(new(Scratch), 0, false, "", f.syms(t, "author", "fn"), func(pathdict.Path, []int64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +110,7 @@ func TestRootPathsProbeSuffix(t *testing.T) {
 
 	// Suffix must not match interior positions: //title matches both
 	// book/title and book/chapter/title.
-	rows, err = rp.Probe(false, "", f.syms(t, "title"), func(pathdict.Path, []int64) error { return nil })
+	rows, err = rp.Probe(new(Scratch), 0, false, "", f.syms(t, "title"), func(pathdict.Path, []int64) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +119,7 @@ func TestRootPathsProbeSuffix(t *testing.T) {
 	}
 
 	// Absent value.
-	rows, err = rp.Probe(true, "nosuch", f.syms(t, "author", "fn"), func(pathdict.Path, []int64) error { return nil })
+	rows, err = rp.Probe(new(Scratch), 0, true, "nosuch", f.syms(t, "author", "fn"), func(pathdict.Path, []int64) error { return nil })
 	if err != nil || rows != 0 {
 		t.Fatalf("absent value rows = %d, err %v", rows, err)
 	}
@@ -122,12 +127,12 @@ func TestRootPathsProbeSuffix(t *testing.T) {
 
 func TestRootPathsFullIdList(t *testing.T) {
 	f := newFixture(t)
-	rp, err := BuildRootPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	rp, err := BuildPaths(false, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var got [][]int64
-	_, err = rp.Probe(true, "poe", f.syms(t, "ln"), func(fwd pathdict.Path, ids []int64) error {
+	_, err = rp.Probe(new(Scratch), 0, true, "poe", f.syms(t, "ln"), func(fwd pathdict.Path, ids []int64) error {
 		got = append(got, append([]int64(nil), ids...))
 		if fwd.String(f.dict) != "book/allauthors/author/ln" {
 			t.Fatalf("fwd path = %s", fwd.String(f.dict))
@@ -145,13 +150,13 @@ func TestRootPathsFullIdList(t *testing.T) {
 
 func TestDataPathsBoundProbe(t *testing.T) {
 	f := newFixture(t)
-	dp, err := BuildDataPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	dp, err := BuildPaths(true, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// FreeIndex via virtual root: /book.
 	var bookID int64 = -1
-	rows, err := dp.Probe(0, false, "", f.syms(t, "book"), func(fwd pathdict.Path, ids []int64) error {
+	rows, err := dp.Probe(new(Scratch), 0, false, "", f.syms(t, "book"), func(fwd pathdict.Path, ids []int64) error {
 		bookID = ids[len(ids)-1]
 		return nil
 	})
@@ -161,7 +166,7 @@ func TestDataPathsBoundProbe(t *testing.T) {
 
 	// BoundIndex: //author[fn='jane'] rooted at book id 1.
 	var authors []int64
-	rows, err = dp.Probe(1, true, "jane", f.syms(t, "author", "fn"), func(fwd pathdict.Path, ids []int64) error {
+	rows, err = dp.Probe(new(Scratch), 1, true, "jane", f.syms(t, "author", "fn"), func(fwd pathdict.Path, ids []int64) error {
 		// Path is headed at book: book/allauthors/author/fn, IdList
 		// excludes the head, so author is ids[len-2].
 		authors = append(authors, ids[len(ids)-2])
@@ -175,7 +180,7 @@ func TestDataPathsBoundProbe(t *testing.T) {
 	}
 
 	// BoundIndex rooted at a node with no such descendant path.
-	rows, err = dp.Probe(2, true, "jane", f.syms(t, "author", "fn"), func(pathdict.Path, []int64) error { return nil })
+	rows, err = dp.Probe(new(Scratch), 2, true, "jane", f.syms(t, "author", "fn"), func(pathdict.Path, []int64) error { return nil })
 	if err != nil || rows != 0 {
 		t.Fatalf("title-rooted probe rows=%d err=%v", rows, err)
 	}
@@ -183,7 +188,7 @@ func TestDataPathsBoundProbe(t *testing.T) {
 
 func TestDataPathsMatchesFigure5Row(t *testing.T) {
 	f := newFixture(t)
-	dp, err := BuildDataPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	dp, err := BuildPaths(true, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +196,7 @@ func TestDataPathsMatchesFigure5Row(t *testing.T) {
 	// allauthors/author/fn.
 	var got []int64
 	var fwdStr string
-	rows, err := dp.Probe(5, true, "jane", f.syms(t, "fn"), func(fwd pathdict.Path, ids []int64) error {
+	rows, err := dp.Probe(new(Scratch), 5, true, "jane", f.syms(t, "fn"), func(fwd pathdict.Path, ids []int64) error {
 		if got == nil {
 			got = append([]int64(nil), ids...)
 			fwdStr = fwd.String(f.dict)
@@ -211,13 +216,13 @@ func TestDataPathsMatchesFigure5Row(t *testing.T) {
 
 func TestDataPathsPruneHeads(t *testing.T) {
 	f := newFixture(t)
-	full, err := BuildDataPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	full, err := BuildPaths(true, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := BuildDataPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{
+	pruned, err := BuildPaths(true, f.site(f.pool, PathsOptions{
 		KeepHead: func(id int64) bool { return id == 1 }, // only book is a branch point
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,17 +230,17 @@ func TestDataPathsPruneHeads(t *testing.T) {
 		t.Fatalf("pruning did not drop entries: %d vs %d", pruned.Space().Entries, full.Space().Entries)
 	}
 	// FreeIndex (head 0) must survive pruning.
-	rows, err := pruned.Probe(0, false, "", f.syms(t, "book"), func(pathdict.Path, []int64) error { return nil })
+	rows, err := pruned.Probe(new(Scratch), 0, false, "", f.syms(t, "book"), func(pathdict.Path, []int64) error { return nil })
 	if err != nil || rows != 1 {
 		t.Fatalf("FreeIndex after pruning: rows=%d err=%v", rows, err)
 	}
 	// Bound probes at the kept head survive.
-	rows, err = pruned.Probe(1, true, "jane", f.syms(t, "author", "fn"), func(pathdict.Path, []int64) error { return nil })
+	rows, err = pruned.Probe(new(Scratch), 1, true, "jane", f.syms(t, "author", "fn"), func(pathdict.Path, []int64) error { return nil })
 	if err != nil || rows != 2 {
 		t.Fatalf("bound probe at kept head: rows=%d err=%v", rows, err)
 	}
 	// Bound probes at pruned heads return nothing (lost functionality).
-	rows, err = pruned.Probe(5, true, "jane", f.syms(t, "fn"), func(pathdict.Path, []int64) error { return nil })
+	rows, err = pruned.Probe(new(Scratch), 5, true, "jane", f.syms(t, "fn"), func(pathdict.Path, []int64) error { return nil })
 	if err != nil || rows != 0 {
 		t.Fatalf("bound probe at pruned head: rows=%d err=%v", rows, err)
 	}
@@ -243,14 +248,14 @@ func TestDataPathsPruneHeads(t *testing.T) {
 
 func TestPathIDCompression(t *testing.T) {
 	f := newFixture(t)
-	rp, err := BuildRootPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{PathIDKeys: true})
+	rp, err := BuildPaths(false, f.site(f.pool, PathsOptions{PathIDKeys: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Exact path probes still work.
 	path := f.syms(t, "book", "allauthors", "author", "fn")
 	var count int
-	rows, err := rp.ProbePathID(true, "jane", path, func(ids []int64) error {
+	rows, err := rp.ProbePathID(new(Scratch), 0, true, "jane", path, func(_ pathdict.Path, ids []int64) error {
 		count++
 		if len(ids) != 4 {
 			t.Fatalf("ids = %v", ids)
@@ -261,11 +266,11 @@ func TestPathIDCompression(t *testing.T) {
 		t.Fatalf("ProbePathID rows=%d err=%v", rows, err)
 	}
 	// Suffix probes are refused: the compression is lossy for //.
-	if _, err := rp.Probe(true, "jane", f.syms(t, "fn"), nil); err == nil {
+	if _, err := rp.Probe(new(Scratch), 0, true, "jane", f.syms(t, "fn"), nil); err == nil {
 		t.Fatalf("suffix probe on PathIDKeys build: want error")
 	}
 	// Unknown path: no rows, no error.
-	rows, err = rp.ProbePathID(false, "", f.syms(t, "fn"), func([]int64) error { return nil })
+	rows, err = rp.ProbePathID(new(Scratch), 0, false, "", f.syms(t, "fn"), func(pathdict.Path, []int64) error { return nil })
 	if err != nil || rows != 0 {
 		t.Fatalf("unknown path rows=%d err=%v", rows, err)
 	}
@@ -273,11 +278,11 @@ func TestPathIDCompression(t *testing.T) {
 
 func TestRawVsDeltaSpace(t *testing.T) {
 	f := newFixture(t)
-	delta, err := BuildDataPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	delta, err := BuildPaths(true, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := BuildDataPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{RawIDs: true})
+	raw, err := BuildPaths(true, f.site(f.pool, PathsOptions{RawIDs: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +299,7 @@ func TestEdgeIndices(t *testing.T) {
 	}
 	// Value index: fn='jane' -> two fn nodes.
 	var fns []int64
-	rows, err := e.ValueProbe("fn", "jane", func(id int64) error {
+	rows, err := e.ValueProbe(new(Scratch), "fn", "jane", func(id int64) error {
 		fns = append(fns, id)
 		return nil
 	})
@@ -303,7 +308,7 @@ func TestEdgeIndices(t *testing.T) {
 	}
 	// Forward: children of book (id 1) labeled title.
 	var titles []int64
-	_, err = e.Children(1, "title", func(id int64) error {
+	_, err = e.Children(new(Scratch), 1, "title", func(id int64) error {
 		titles = append(titles, id)
 		return nil
 	})
@@ -312,7 +317,7 @@ func TestEdgeIndices(t *testing.T) {
 	}
 	// Forward from the virtual root finds document roots.
 	var roots []int64
-	_, err = e.Children(0, "book", func(id int64) error {
+	_, err = e.Children(new(Scratch), 0, "book", func(id int64) error {
 		roots = append(roots, id)
 		return nil
 	})
@@ -321,7 +326,7 @@ func TestEdgeIndices(t *testing.T) {
 	}
 	// All children without a tag filter.
 	var all []int64
-	_, err = e.Children(1, "", func(id int64) error {
+	_, err = e.Children(new(Scratch), 1, "", func(id int64) error {
 		all = append(all, id)
 		return nil
 	})
@@ -329,22 +334,22 @@ func TestEdgeIndices(t *testing.T) {
 		t.Fatalf("Children(book) = %v (%d), err %v", all, len(all), err)
 	}
 	// Backward: parent of title(2) is book(1).
-	pid, plabel, ok, err := e.Parent(2)
+	pid, plabel, ok, err := e.Parent(new(Scratch), 2)
 	if err != nil || !ok || pid != 1 || plabel != "book" {
 		t.Fatalf("Parent(2) = %d %q %v %v", pid, plabel, ok, err)
 	}
 	// Parent of the document root is the virtual root.
-	pid, plabel, ok, err = e.Parent(1)
+	pid, plabel, ok, err = e.Parent(new(Scratch), 1)
 	if err != nil || !ok || pid != 0 || plabel != "" {
 		t.Fatalf("Parent(1) = %d %q %v %v", pid, plabel, ok, err)
 	}
 	// Unknown node.
-	_, _, ok, err = e.Parent(9999)
+	_, _, ok, err = e.Parent(new(Scratch), 9999)
 	if err != nil || ok {
 		t.Fatalf("Parent(9999) ok=%v err=%v", ok, err)
 	}
 	// Unknown label.
-	rows, err = e.ValueProbe("nolabel", "x", func(int64) error { return nil })
+	rows, err = e.ValueProbe(new(Scratch), "nolabel", "x", func(int64) error { return nil })
 	if err != nil || rows != 0 {
 		t.Fatalf("unknown label rows=%d err=%v", rows, err)
 	}
@@ -358,7 +363,7 @@ func TestDataGuide(t *testing.T) {
 	}
 	// Extent of book/allauthors/author = three author ids.
 	var authors []int64
-	rows, err := dg.Extent(f.syms(t, "book", "allauthors", "author"), func(id int64) error {
+	rows, err := dg.Extent(new(Scratch), f.syms(t, "book", "allauthors", "author"), func(id int64) error {
 		authors = append(authors, id)
 		return nil
 	})
@@ -367,7 +372,7 @@ func TestDataGuide(t *testing.T) {
 	}
 	// A path must not match its extensions: extent of book/title is 1 id
 	// even though book/chapter/title also exists.
-	rows, err = dg.Extent(f.syms(t, "book", "title"), func(int64) error { return nil })
+	rows, err = dg.Extent(new(Scratch), f.syms(t, "book", "title"), func(int64) error { return nil })
 	if err != nil || rows != 1 {
 		t.Fatalf("Extent(book/title) rows=%d err=%v", rows, err)
 	}
@@ -398,7 +403,7 @@ func TestDataGuideChunking(t *testing.T) {
 	}
 	p := pathdict.Path{mustSym(t, dict, "r"), mustSym(t, dict, "c")}
 	seen := map[int64]bool{}
-	rows, err := dg.Extent(p, func(id int64) error {
+	rows, err := dg.Extent(new(Scratch), p, func(id int64) error {
 		seen[id] = true
 		return nil
 	})
@@ -424,7 +429,7 @@ func TestIndexFabric(t *testing.T) {
 	}
 	// Exact (path, value) lookup -> leaf ids.
 	var ids []int64
-	rows, err := fab.Probe(f.syms(t, "book", "allauthors", "author", "fn"), true, "jane", func(id int64) error {
+	rows, err := fab.Probe(new(Scratch), f.syms(t, "book", "allauthors", "author", "fn"), true, "jane", func(id int64) error {
 		ids = append(ids, id)
 		return nil
 	})
@@ -432,12 +437,12 @@ func TestIndexFabric(t *testing.T) {
 		t.Fatalf("Probe rows=%d err=%v", rows, err)
 	}
 	// Existence probe on an interior path.
-	rows, err = fab.Probe(f.syms(t, "book", "allauthors"), false, "", func(int64) error { return nil })
+	rows, err = fab.Probe(new(Scratch), f.syms(t, "book", "allauthors"), false, "", func(int64) error { return nil })
 	if err != nil || rows != 1 {
 		t.Fatalf("existence probe rows=%d err=%v", rows, err)
 	}
 	// Path prefix must not leak into longer paths.
-	rows, err = fab.Probe(f.syms(t, "book", "title"), false, "", func(int64) error { return nil })
+	rows, err = fab.Probe(new(Scratch), f.syms(t, "book", "title"), false, "", func(int64) error { return nil })
 	if err != nil || rows != 1 {
 		t.Fatalf("book/title probe rows=%d err=%v", rows, err)
 	}
@@ -464,7 +469,7 @@ func TestASR(t *testing.T) {
 		t.Fatalf("matching rooted paths = %d, want 1", len(paths))
 	}
 	var tuples [][]int64
-	rows, err := a.ProbeValue(paths[0], true, "jane", true, func(ids []int64) error {
+	rows, err := a.ProbeValue(new(Scratch), paths[0], true, "jane", true, func(ids []int64) error {
 		tuples = append(tuples, append([]int64(nil), ids...))
 		return nil
 	})
@@ -485,7 +490,7 @@ func TestASR(t *testing.T) {
 	if len(subPaths) != 1 {
 		t.Fatalf("sub paths = %d, want 1", len(subPaths))
 	}
-	rows, err = a.ProbeBound(subPaths[0], 6, true, "jane", func(ids []int64) error {
+	rows, err = a.ProbeBound(new(Scratch), subPaths[0], 6, true, "jane", func(ids []int64) error {
 		if ids[0] != 6 {
 			t.Fatalf("bound tuple = %v", ids)
 		}
@@ -495,7 +500,7 @@ func TestASR(t *testing.T) {
 		t.Fatalf("ProbeBound rows=%d err=%v", rows, err)
 	}
 	// Unknown relation id errors.
-	if _, err := a.ProbeValue(pathdict.PathID(99999), false, "", false, nil); err == nil {
+	if _, err := a.ProbeValue(new(Scratch), pathdict.PathID(99999), false, "", false, nil); err == nil {
 		t.Fatalf("unknown relation: want error")
 	}
 }
@@ -519,7 +524,7 @@ func TestJoinIndex(t *testing.T) {
 		t.Fatalf("matching paths = %d, want 1", len(ids))
 	}
 	var heads []int64
-	rows, err := j.BwdByValue(ids[0], true, "jane", false, func(tail, head int64) error {
+	rows, err := j.BwdByValue(new(Scratch), ids[0], true, "jane", false, func(tail, head int64) error {
 		heads = append(heads, head)
 		return nil
 	})
@@ -529,7 +534,7 @@ func TestJoinIndex(t *testing.T) {
 
 	// Forward by head: fn children of author 6 with value jane.
 	var tails []int64
-	rows, err = j.FwdByHead(ids[0], 6, true, "jane", func(tail int64) error {
+	rows, err = j.FwdByHead(new(Scratch), ids[0], 6, true, "jane", func(tail int64) error {
 		tails = append(tails, tail)
 		return nil
 	})
@@ -539,7 +544,7 @@ func TestJoinIndex(t *testing.T) {
 
 	// Backward by tail: heads of author/fn instances ending at fn 7.
 	var heads2 []int64
-	rows, err = j.BwdByTail(ids[0], false, "", 7, func(head int64) error {
+	rows, err = j.BwdByTail(new(Scratch), ids[0], false, "", 7, func(head int64) error {
 		heads2 = append(heads2, head)
 		return nil
 	})
@@ -560,11 +565,11 @@ func TestJoinIndex(t *testing.T) {
 func TestSpaceOrdering(t *testing.T) {
 	// On the (deep-ish) book store: DATAPATHS entries > ROOTPATHS entries.
 	f := newFixture(t)
-	rp, err := BuildRootPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	rp, err := BuildPaths(false, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := BuildDataPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	dp, err := BuildPaths(true, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,9 @@ import (
 // which is the extra join work (and the doubled index space) the paper
 // charges against JI.
 type JoinIndex struct {
-	fwd  map[pathdict.PathID]*btree.Tree // [head][valuefield][tail] -> nil
-	bwd  map[pathdict.PathID]*btree.Tree // [valuefield][tail][head] -> nil
-	ptab *pathdict.PathTable
-	rootSets
+	fwd map[pathdict.PathID]*btree.Tree // [head][valuefield][tail] -> nil
+	bwd map[pathdict.PathID]*btree.Tree // [valuefield][tail][head] -> nil
+	registry
 	dict *pathdict.Dict
 }
 
@@ -31,13 +30,12 @@ func BuildJoinIndex(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict)
 	j := &JoinIndex{
 		fwd:      map[pathdict.PathID]*btree.Tree{},
 		bwd:      map[pathdict.PathID]*btree.Tree{},
-		ptab:     pathdict.NewPathTable(),
-		rootSets: newRootSets(store),
+		registry: newRootedRegistry(store),
 		dict:     dict,
 	}
 	fwdPer := map[pathdict.PathID][]btree.Entry{}
 	bwdPer := map[pathdict.PathID][]btree.Entry{}
-	pathrel.EmitAllPaths(store, dict, func(r pathrel.Row) {
+	pathrel.Emit(store, dict, nil, true, func(r pathrel.Row) {
 		if r.HeadID == 0 {
 			return
 		}
@@ -73,111 +71,60 @@ func BuildJoinIndex(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict)
 	return j, nil
 }
 
-// Paths exposes the relation registry.
-func (j *JoinIndex) Paths() *pathdict.PathTable { return j.ptab }
-
 // IsDocRoot reports whether id is a document root.
 func (j *JoinIndex) IsDocRoot(id int64) bool { return j.roots[id] }
 
 // NumTables returns the number of materialised relations.
 func (j *JoinIndex) NumTables() int { return len(j.fwd) }
 
-// MatchingPaths enumerates concrete paths matching a linear pattern.
-func (j *JoinIndex) MatchingPaths(pat []pathdict.PStep, rootedOnly bool) []pathdict.PathID {
-	var out []pathdict.PathID
-	j.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
-		if rootedOnly && !j.rooted[id] {
-			return
-		}
-		if pathdict.MatchPath(pat, p) {
-			out = append(out, id)
-		}
-	})
-	return out
-}
-
 // BwdByValue scans the backward index by leaf value, yielding (tail, head)
 // pairs. With rootedOnly, pairs whose head is not a document root are
 // skipped.
-func (j *JoinIndex) BwdByValue(id pathdict.PathID, hasValue bool, value string, rootedOnly bool, fn func(tail, head int64) error) (int, error) {
-	t, ok := j.bwd[id]
-	if !ok {
-		return 0, fmt.Errorf("index: JI relation %d does not exist", id)
-	}
-	prefix := pathdict.AppendValueField(nil, hasValue, value)
-	return j.scanPairs(t, prefix, rootedOnly, fn)
+func (j *JoinIndex) BwdByValue(sc *Scratch, id pathdict.PathID, hasValue bool, value string, rootedOnly bool, fn func(tail, head int64) error) (int, error) {
+	sc.Prefix = pathdict.AppendValueField(sc.Prefix[:0], hasValue, value)
+	return j.scanPairs(sc, j.bwd[id], id, rootedOnly, fn)
 }
 
 // BwdByTail probes the backward index by (value, tail), yielding the heads
 // of instances ending at tail — the probe that verifies a candidate node
 // against the upper half of a path.
-func (j *JoinIndex) BwdByTail(id pathdict.PathID, hasValue bool, value string, tail int64, fn func(head int64) error) (int, error) {
-	t, ok := j.bwd[id]
-	if !ok {
-		return 0, fmt.Errorf("index: JI relation %d does not exist", id)
-	}
-	prefix := pathdict.AppendValueField(nil, hasValue, value)
-	prefix = pathdict.AppendID(prefix, tail)
-	return j.scanPairs(t, prefix, false, func(head, _ int64) error {
-		// bwd keys are [value][tail][head]: the decoded pair order is
-		// (tail, head); scanPairs yields (first, second) = (tail, head)
-		// for full-prefix scans, but here tail is fixed so the first
-		// decoded id is the head.
-		return fn(head)
-	})
+func (j *JoinIndex) BwdByTail(sc *Scratch, id pathdict.PathID, hasValue bool, value string, tail int64, fn func(head int64) error) (int, error) {
+	sc.Prefix = pathdict.AppendID(pathdict.AppendValueField(sc.Prefix[:0], hasValue, value), tail)
+	return j.scanPairs(sc, j.bwd[id], id, false, func(head, _ int64) error { return fn(head) })
 }
 
 // FwdByHead probes the forward index by head id (the index-nested-loop
 // probe), yielding tails with a matching value.
-func (j *JoinIndex) FwdByHead(id pathdict.PathID, headID int64, hasValue bool, value string, fn func(tail int64) error) (int, error) {
-	t, ok := j.fwd[id]
-	if !ok {
-		return 0, fmt.Errorf("index: JI relation %d does not exist", id)
-	}
-	prefix := pathdict.AppendID(nil, headID)
-	prefix = pathdict.AppendValueField(prefix, hasValue, value)
-	return j.scanPairs(t, prefix, false, func(tail, _ int64) error {
-		return fn(tail)
-	})
+func (j *JoinIndex) FwdByHead(sc *Scratch, id pathdict.PathID, headID int64, hasValue bool, value string, fn func(tail int64) error) (int, error) {
+	sc.Prefix = pathdict.AppendValueField(pathdict.AppendID(sc.Prefix[:0], headID), hasValue, value)
+	return j.scanPairs(sc, j.fwd[id], id, false, func(tail, _ int64) error { return fn(tail) })
 }
 
-// scanPairs iterates entries with the given key prefix and decodes the
-// trailing 8 or 16 bytes after the prefix as one or two ids. fn receives
-// (first, second); second is 0 when only one id follows the prefix.
-func (j *JoinIndex) scanPairs(t *btree.Tree, prefix []byte, rootedOnly bool, fn func(a, b int64) error) (int, error) {
-	it, err := t.SeekPrefix(prefix)
-	if err != nil {
-		return 0, err
+// scanPairs scans relation id's tree t under sc.Prefix and decodes the 8 or
+// 16 key bytes after the prefix as one or two ids. fn receives (first,
+// second); second is 0 when only one id follows the prefix.
+func (j *JoinIndex) scanPairs(sc *Scratch, t *btree.Tree, id pathdict.PathID, rootedOnly bool, fn func(a, b int64) error) (int, error) {
+	if t == nil {
+		return 0, fmt.Errorf("index: JI relation %d does not exist", id)
 	}
-	defer it.Close()
-	rows := 0
-	for ; it.Valid(); it.Next() {
-		key := it.Key()
-		rest := key[len(prefix):]
-		var a, b int64
-		switch len(rest) {
-		case 8:
-			a, _, err = pathdict.DecodeID(rest)
-		case 16:
-			a, rest, err = pathdict.DecodeID(rest)
-			if err == nil {
-				b, _, err = pathdict.DecodeID(rest)
-			}
-		default:
-			err = fmt.Errorf("index: JI key tail of %d bytes", len(rest))
+	skipped := 0
+	rows, err := t.ScanPrefix(&sc.PrefixScan, func(key, _ []byte) error {
+		rest := key[len(sc.Prefix):]
+		if len(rest) != 8 && len(rest) != 16 {
+			return corrupt(fmt.Errorf("JI key tail of %d bytes", len(rest)))
 		}
-		if err != nil {
-			return rows, err
+		a, rest, _ := pathdict.DecodeID(rest)
+		var b int64
+		if len(rest) == 8 {
+			b, _, _ = pathdict.DecodeID(rest)
 		}
 		if rootedOnly && !j.roots[b] {
-			continue
+			skipped++
+			return nil
 		}
-		rows++
-		if err := fn(a, b); err != nil {
-			return rows, err
-		}
-	}
-	return rows, it.Err()
+		return fn(a, b)
+	})
+	return rows - skipped, err
 }
 
 func (j *JoinIndex) Kind() Kind { return KindJoinIndex }
@@ -208,11 +155,11 @@ func (j *JoinIndex) AppendRecord(w *CatWriter) {
 }
 
 func openJoinIndex(r *CatReader, s Site) Structure {
-	j := &JoinIndex{fwd: map[pathdict.PathID]*btree.Tree{}, bwd: map[pathdict.PathID]*btree.Tree{}, ptab: r.PathTable(), dict: s.Dict}
+	j := &JoinIndex{fwd: map[pathdict.PathID]*btree.Tree{}, bwd: map[pathdict.PathID]*btree.Tree{}, registry: registry{ptab: r.PathTable()}, dict: s.Dict}
 	for id := 0; id < j.ptab.Len(); id++ {
 		j.fwd[pathdict.PathID(id)] = r.tree(s.Pool)
 		j.bwd[pathdict.PathID(id)] = r.tree(s.Pool)
 	}
-	j.rootSets = rootSets{rooted: readIDSet[pathdict.PathID](r), roots: readIDSet[int64](r)}
+	j.rooted, j.roots = readIDSet[pathdict.PathID](r), readIDSet[int64](r)
 	return j
 }

@@ -61,11 +61,11 @@ func entriesEqual(a, b []btree.Entry) bool {
 // a from-scratch build over the mutated store.
 func TestInsertSubtreeMatchesRebuild(t *testing.T) {
 	f := newFixture(t)
-	rp, err := BuildRootPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	rp, err := BuildPaths(false, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := BuildDataPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	dp, err := BuildPaths(true, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestInsertSubtreeMatchesRebuild(t *testing.T) {
 
 	// Rebuild both indices from the mutated store and compare contents.
 	pool2 := storage.NewPool(storage.NewDisk(), 16<<20)
-	rp2, err := BuildRootPaths(pool2, f.store, f.dict, f.ptab, PathsOptions{})
+	rp2, err := BuildPaths(false, f.site(pool2, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp2, err := BuildDataPaths(pool2, f.store, f.dict, f.ptab, PathsOptions{})
+	dp2, err := BuildPaths(true, f.site(pool2, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestInsertSubtreeMatchesRebuild(t *testing.T) {
 	}
 
 	// The new author is immediately queryable.
-	rows, err := rp.Probe(true, "mary", f.syms(t, "author", "fn"), func(pathdict.Path, []int64) error { return nil })
+	rows, err := rp.Probe(new(Scratch), 0, true, "mary", f.syms(t, "author", "fn"), func(pathdict.Path, []int64) error { return nil })
 	if err != nil || rows != 1 {
 		t.Fatalf("new author probe rows=%d err=%v", rows, err)
 	}
-	rows, err = dp.Probe(1, true, "shelley", f.syms(t, "ln"), func(pathdict.Path, []int64) error { return nil })
+	rows, err = dp.Probe(new(Scratch), 1, true, "shelley", f.syms(t, "ln"), func(pathdict.Path, []int64) error { return nil })
 	if err != nil || rows != 1 {
 		t.Fatalf("bound probe for new author rows=%d err=%v", rows, err)
 	}
@@ -116,11 +116,11 @@ func TestInsertSubtreeMatchesRebuild(t *testing.T) {
 
 func TestDeleteSubtreeMatchesRebuild(t *testing.T) {
 	f := newFixture(t)
-	rp, err := BuildRootPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	rp, err := BuildPaths(false, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := BuildDataPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	dp, err := BuildPaths(true, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestDeleteSubtreeMatchesRebuild(t *testing.T) {
 	}
 
 	pool2 := storage.NewPool(storage.NewDisk(), 16<<20)
-	rp2, err := BuildRootPaths(pool2, f.store, f.dict, f.ptab, PathsOptions{})
+	rp2, err := BuildPaths(false, f.site(pool2, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp2, err := BuildDataPaths(pool2, f.store, f.dict, f.ptab, PathsOptions{})
+	dp2, err := BuildPaths(true, f.site(pool2, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDeleteSubtreeMatchesRebuild(t *testing.T) {
 	// jane/poe (under the deleted author) is gone; jane under the third
 	// author remains.
 	var remaining int
-	_, err = rp.Probe(true, "jane", f.syms(t, "author", "fn"), func(_ pathdict.Path, ids []int64) error {
+	_, err = rp.Probe(new(Scratch), 0, true, "jane", f.syms(t, "author", "fn"), func(_ pathdict.Path, ids []int64) error {
 		remaining++
 		return nil
 	})
@@ -170,7 +170,7 @@ func TestDeleteSubtreeMatchesRebuild(t *testing.T) {
 
 func TestDeleteSubtreeMissingRows(t *testing.T) {
 	f := newFixture(t)
-	rp, err := BuildRootPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	rp, err := BuildPaths(false, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,11 +188,11 @@ func TestDeleteSubtreeMissingRows(t *testing.T) {
 // incremental index equals a rebuild after every step.
 func TestRandomUpdateChurn(t *testing.T) {
 	f := newFixture(t)
-	rp, err := BuildRootPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	rp, err := BuildPaths(false, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := BuildDataPaths(f.pool, f.store, f.dict, f.ptab, PathsOptions{})
+	dp, err := BuildPaths(true, f.site(f.pool, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +249,11 @@ func TestRandomUpdateChurn(t *testing.T) {
 		}
 	}
 	pool2 := storage.NewPool(storage.NewDisk(), 32<<20)
-	rp2, err := BuildRootPaths(pool2, f.store, f.dict, f.ptab, PathsOptions{})
+	rp2, err := BuildPaths(false, f.site(pool2, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp2, err := BuildDataPaths(pool2, f.store, f.dict, f.ptab, PathsOptions{})
+	dp2, err := BuildPaths(true, f.site(pool2, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,16 +22,16 @@ import (
 // retrieval, so twig stitching needs Edge climbs; the paper's argument is
 // about its recursion behaviour, which this reproduces).
 type XRel struct {
-	tree *btree.Tree
-	dict *pathdict.Dict
-	ptab *pathdict.PathTable // the normalised path table
+	tree     *btree.Tree
+	dict     *pathdict.Dict
+	registry // the normalised path table (the "path" relation of XRel)
 }
 
 // BuildXRel constructs the index.
 func BuildXRel(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*XRel, error) {
-	x := &XRel{dict: dict, ptab: pathdict.NewPathTable()}
+	x := &XRel{dict: dict, registry: registry{ptab: pathdict.NewPathTable()}}
 	var entries []btree.Entry
-	pathrel.EmitRootPaths(store, dict, func(r pathrel.Row) {
+	pathrel.Emit(store, dict, nil, false, func(r pathrel.Row) {
 		id := x.ptab.Intern(r.Path)
 		key := appendPathID(nil, id)
 		key = pathdict.AppendValueField(key, r.HasValue, r.Value)
@@ -46,45 +46,11 @@ func BuildXRel(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*XR
 	return x, nil
 }
 
-// Paths exposes the normalised path table (the "path" relation of XRel).
-func (x *XRel) Paths() *pathdict.PathTable { return x.ptab }
-
-// MatchingPathIDs resolves a linear pattern against the path table — the
-// XRel step that turns a // query into several equality conditions on the
-// path id. The returned ids each cost one separate index lookup.
-func (x *XRel) MatchingPathIDs(pat []pathdict.PStep) []pathdict.PathID {
-	var out []pathdict.PathID
-	x.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
-		if pathdict.MatchPath(pat, p) {
-			out = append(out, id)
-		}
-	})
-	return out
-}
-
 // Probe returns the node ids at the end of one concrete path id, optionally
 // restricted by leaf value.
-func (x *XRel) Probe(id pathdict.PathID, hasValue bool, value string, fn func(nodeID int64) error) (int, error) {
-	prefix := appendPathID(nil, id)
-	prefix = pathdict.AppendValueField(prefix, hasValue, value)
-	it, err := x.tree.SeekPrefix(prefix)
-	if err != nil {
-		return 0, err
-	}
-	defer it.Close()
-	rows := 0
-	for ; it.Valid(); it.Next() {
-		key := it.Key()
-		nid, _, err := pathdict.DecodeID(key[len(key)-8:])
-		if err != nil {
-			return rows, err
-		}
-		rows++
-		if err := fn(nid); err != nil {
-			return rows, err
-		}
-	}
-	return rows, it.Err()
+func (x *XRel) Probe(sc *Scratch, id pathdict.PathID, hasValue bool, value string, fn func(nodeID int64) error) (int, error) {
+	sc.Prefix = pathdict.AppendValueField(appendPathID(sc.Prefix[:0], id), hasValue, value)
+	return sc.scanTrailingIDs(x.tree, fn)
 }
 
 func (x *XRel) Kind() Kind { return KindXRel }
@@ -101,5 +67,5 @@ func (x *XRel) AppendRecord(w *CatWriter) {
 }
 
 func openXRel(r *CatReader, s Site) Structure {
-	return &XRel{ptab: r.PathTable(), tree: r.tree(s.Pool), dict: s.Dict}
+	return &XRel{registry: registry{ptab: r.PathTable()}, tree: r.tree(s.Pool), dict: s.Dict}
 }

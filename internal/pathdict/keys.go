@@ -159,44 +159,17 @@ func AppendPathReversed(dst Path, buf []byte) (Path, error) {
 	return dst, nil
 }
 
-// RootPathsKey encodes the ROOTPATHS index key
-// LeafValue · ReverseSchemaPath (paper Section 3.2). Pass the path already
-// reversed. With a reverse-path *prefix* it is also the probe prefix for a
-// PCsubpath pattern with a leading //.
-func RootPathsKey(dst []byte, hasValue bool, value string, rev Path) []byte {
+// PathsKey encodes the key of the two path indices: ROOTPATHS'
+// LeafValue · ReverseSchemaPath (paper Section 3.2) and, when headed,
+// DATAPATHS' HeadId · LeafValue · ReverseSchemaPath (Section 3.3) — the
+// same key behind a head column. Pass the path already reversed. With a
+// reverse-path *prefix* it is the probe prefix for a PCsubpath pattern with
+// a leading //; HeadId 0 is the virtual root, which turns a FreeIndex probe
+// into a BoundIndex probe.
+func PathsKey(dst []byte, headed bool, headID int64, hasValue bool, value string, rev Path) []byte {
+	if headed {
+		dst = AppendID(dst, headID)
+	}
 	dst = AppendValueField(dst, hasValue, value)
 	return AppendPath(dst, rev)
-}
-
-// DecodeRootPathsKey splits a ROOTPATHS key back into its columns.
-func DecodeRootPathsKey(key []byte) (hasValue bool, value string, rev Path, err error) {
-	hasValue, value, rest, err := DecodeValueField(key)
-	if err != nil {
-		return false, "", nil, err
-	}
-	rev, err = DecodePath(rest)
-	return hasValue, value, rev, err
-}
-
-// DataPathsKey encodes the DATAPATHS index key
-// HeadId · LeafValue · ReverseSchemaPath (paper Section 3.3). HeadId 0 is
-// the virtual root, which turns a FreeIndex probe into a BoundIndex probe.
-func DataPathsKey(dst []byte, headID int64, hasValue bool, value string, rev Path) []byte {
-	dst = AppendID(dst, headID)
-	dst = AppendValueField(dst, hasValue, value)
-	return AppendPath(dst, rev)
-}
-
-// DecodeDataPathsKey splits a DATAPATHS key back into its columns.
-func DecodeDataPathsKey(key []byte) (headID int64, hasValue bool, value string, rev Path, err error) {
-	headID, rest, err := DecodeID(key)
-	if err != nil {
-		return 0, false, "", nil, err
-	}
-	hasValue, value, rest, err = DecodeValueField(rest)
-	if err != nil {
-		return 0, false, "", nil, err
-	}
-	rev, err = DecodePath(rest)
-	return headID, hasValue, value, rev, err
 }

@@ -183,21 +183,37 @@ func TestValueFieldDecodeErrors(t *testing.T) {
 	}
 }
 
+// decodePathsKey splits a ROOTPATHS (or, headed, DATAPATHS) key back into
+// its columns.
+func decodePathsKey(key []byte, headed bool) (headID int64, hasValue bool, value string, rev Path, err error) {
+	if headed {
+		if headID, key, err = DecodeID(key); err != nil {
+			return 0, false, "", nil, err
+		}
+	}
+	hasValue, value, rest, err := DecodeValueField(key)
+	if err != nil {
+		return 0, false, "", nil, err
+	}
+	rev, err = DecodePath(rest)
+	return headID, hasValue, value, rev, err
+}
+
 func TestRootPathsKeyRoundTrip(t *testing.T) {
 	rev := Path{5, 4, 3}
-	key := RootPathsKey(nil, true, "jane", rev)
-	has, val, p, err := DecodeRootPathsKey(key)
+	key := PathsKey(nil, false, 0, true, "jane", rev)
+	_, has, val, p, err := decodePathsKey(key, false)
 	if err != nil || !has || val != "jane" || !p.Equal(rev) {
 		t.Fatalf("round trip = %v %q %v %v", has, val, p, err)
 	}
-	key2 := RootPathsKey(nil, false, "", rev)
-	has, val, p, err = DecodeRootPathsKey(key2)
+	key2 := PathsKey(nil, false, 0, false, "", rev)
+	_, has, val, p, err = decodePathsKey(key2, false)
 	if err != nil || has || val != "" || !p.Equal(rev) {
 		t.Fatalf("null round trip = %v %q %v %v", has, val, p, err)
 	}
 	// A probe prefix for ('jane', FA*) must be a byte prefix of the full
 	// key for ('jane', FAUB).
-	probe := RootPathsKey(nil, true, "jane", Path{5, 4})
+	probe := PathsKey(nil, false, 0, true, "jane", Path{5, 4})
 	if !bytes.HasPrefix(key, probe) {
 		t.Fatalf("path prefix is not a key prefix")
 	}
@@ -205,13 +221,13 @@ func TestRootPathsKeyRoundTrip(t *testing.T) {
 
 func TestDataPathsKeyRoundTrip(t *testing.T) {
 	rev := Path{9, 1}
-	key := DataPathsKey(nil, 41, true, "doe", rev)
-	head, has, val, p, err := DecodeDataPathsKey(key)
+	key := PathsKey(nil, true, 41, true, "doe", rev)
+	head, has, val, p, err := decodePathsKey(key, true)
 	if err != nil || head != 41 || !has || val != "doe" || !p.Equal(rev) {
 		t.Fatalf("round trip = %d %v %q %v %v", head, has, val, p, err)
 	}
 	// Probes for different head ids must not overlap.
-	k1 := DataPathsKey(nil, 1, true, "doe", rev)
+	k1 := PathsKey(nil, true, 1, true, "doe", rev)
 	if bytes.HasPrefix(key, k1[:8]) {
 		t.Fatalf("head id ranges overlap")
 	}
@@ -224,10 +240,10 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := DecodePath([]byte{1}); err == nil {
 		t.Fatalf("odd path: want error")
 	}
-	if _, _, _, err := DecodeRootPathsKey([]byte{0x02, 'a', 0x00, 0x01, 0x09}); err == nil {
+	if _, _, _, _, err := decodePathsKey([]byte{0x02, 'a', 0x00, 0x01, 0x09}, false); err == nil {
 		t.Fatalf("odd path tail: want error")
 	}
-	if _, _, _, _, err := DecodeDataPathsKey([]byte{1}); err == nil {
+	if _, _, _, _, err := decodePathsKey([]byte{1}, true); err == nil {
 		t.Fatalf("short DP key: want error")
 	}
 }

@@ -52,132 +52,65 @@ func (r Row) LastID() int64 {
 	return r.HeadID
 }
 
-// EmitRootPaths enumerates only the rows headed at the virtual root — the
-// root-to-node path prefixes that ROOTPATHS stores. Labels encountered are
-// interned into dict.
-func EmitRootPaths(store *xmldb.Store, dict *pathdict.Dict, fn func(Row)) {
+// Emit enumerates the rows of the 4-ary relation whose chain ends inside
+// the subtree rooted at sub — or, with a nil sub, anywhere in the store,
+// document by document. Without allHeads only the chains headed at the
+// virtual root are emitted: the root-to-node path prefixes ROOTPATHS
+// stores. With allHeads every chain is, one per head — the virtual root,
+// then each ancestor-or-self from the document root down: the DATAPATHS
+// input, whose size grows with data depth (the paper's explanation for
+// DATAPATHS being much larger on XMark than on shallow DBLP). Labels
+// encountered are interned into dict.
+//
+// Any chain that touches a subtree node ends at one (chains run downward),
+// so the rows of a subtree are exactly what ROOTPATHS and DATAPATHS must
+// insert when it is attached, or delete while it is still attached. The
+// paper's Section 7 example is the ROOTPATHS case: "inserting an author
+// with a certain name to an existing book requires inserting all prefixes
+// of the /book/author/name path" — one row per new node (plus value rows),
+// each carrying the full root path.
+//
+// Nodes are visited in pre-order; a node's null-value rows come before its
+// value rows, and within each the heads run top down. Bulk loads sort
+// stably and equal keys are common (two same-valued siblings under one
+// head), so this order reaches the page images.
+func Emit(store *xmldb.Store, dict *pathdict.Dict, sub *xmldb.Node, allHeads bool, fn func(Row)) {
 	var (
 		syms pathdict.Path
 		ids  []int64
 	)
-	var rec func(n *xmldb.Node)
-	rec = func(n *xmldb.Node) {
-		syms = append(syms, dict.Intern(n.Label))
-		ids = append(ids, n.ID)
-		fn(Row{HeadID: 0, Path: syms, IDs: ids})
-		if n.HasValue {
-			fn(Row{HeadID: 0, Path: syms, HasValue: true, Value: n.Value, IDs: ids})
-		}
-		for _, c := range n.Children {
-			rec(c)
-		}
-		syms = syms[:len(syms)-1]
-		ids = ids[:len(ids)-1]
-	}
-	for _, d := range store.Docs {
-		rec(d.Root)
-	}
-}
-
-// EmitAllPaths enumerates every row of the 4-ary relation: for each node d,
-// one chain per ancestor head (plus the virtual root). This is the DATAPATHS
-// input; its size grows with data depth, which is the paper's explanation
-// for DATAPATHS being much larger on XMark than on shallow DBLP.
-func EmitAllPaths(store *xmldb.Store, dict *pathdict.Dict, fn func(Row)) {
-	var (
-		syms pathdict.Path
-		ids  []int64
-	)
-	var rec func(n *xmldb.Node)
-	rec = func(n *xmldb.Node) {
-		syms = append(syms, dict.Intern(n.Label))
-		ids = append(ids, n.ID)
-		k := len(syms)
-		// Virtual-root head.
-		fn(Row{HeadID: 0, Path: syms, IDs: ids})
-		if n.HasValue {
-			fn(Row{HeadID: 0, Path: syms, HasValue: true, Value: n.Value, IDs: ids})
-		}
-		// Real heads: chains starting at each ancestor (including d).
-		for s := 0; s < k; s++ {
-			r := Row{HeadID: ids[s], Path: syms[s:], IDs: ids[s+1:]}
-			fn(r)
-			if n.HasValue {
-				r.HasValue, r.Value = true, n.Value
-				fn(r)
+	// chains emits the rows of the chains ending at the current node.
+	chains := func(hasValue bool, value string) {
+		fn(Row{Path: syms, HasValue: hasValue, Value: value, IDs: ids})
+		if allHeads {
+			for s := range syms {
+				fn(Row{HeadID: ids[s], Path: syms[s:], HasValue: hasValue, Value: value, IDs: ids[s+1:]})
 			}
 		}
+	}
+	var rec func(n *xmldb.Node)
+	rec = func(n *xmldb.Node) {
+		syms = append(syms, dict.Intern(n.Label))
+		ids = append(ids, n.ID)
+		chains(false, "")
+		if n.HasValue {
+			chains(true, n.Value)
+		}
 		for _, c := range n.Children {
 			rec(c)
 		}
 		syms = syms[:len(syms)-1]
 		ids = ids[:len(ids)-1]
 	}
-	for _, d := range store.Docs {
-		rec(d.Root)
+	if sub == nil {
+		for _, d := range store.Docs {
+			rec(d.Root)
+		}
+		return
 	}
-}
-
-// EmitSubtreeRows enumerates the rows whose chain *ends* inside the subtree
-// rooted at sub — exactly the rows ROOTPATHS (all=false) or DATAPATHS
-// (all=true) must insert when the subtree is attached, or delete when it is
-// detached. Any chain that touches a subtree node ends at one (chains run
-// downward), so this set is complete.
-//
-// The paper's Section 7 example is the all=false case: "inserting an author
-// with a certain name to an existing book requires inserting all prefixes
-// of the /book/author/name path" — here, one row per new node (plus value
-// rows), each carrying the full root path.
-func EmitSubtreeRows(store *xmldb.Store, dict *pathdict.Dict, sub *xmldb.Node, all bool, fn func(Row)) {
-	anc := store.Ancestors(sub)
-	syms := make(pathdict.Path, 0, len(anc)+4)
-	ids := make([]int64, 0, len(anc)+4)
-	for _, a := range anc {
+	for _, a := range store.Ancestors(sub) {
 		syms = append(syms, dict.Intern(a.Label))
 		ids = append(ids, a.ID)
 	}
-	var rec func(n *xmldb.Node)
-	rec = func(n *xmldb.Node) {
-		syms = append(syms, dict.Intern(n.Label))
-		ids = append(ids, n.ID)
-		emit := func(hasVal bool, val string) {
-			fn(Row{HeadID: 0, Path: syms, HasValue: hasVal, Value: val, IDs: ids})
-			if all {
-				for s := 0; s < len(syms); s++ {
-					fn(Row{HeadID: ids[s], Path: syms[s:], HasValue: hasVal, Value: val, IDs: ids[s+1:]})
-				}
-			}
-		}
-		emit(false, "")
-		if n.HasValue {
-			emit(true, n.Value)
-		}
-		for _, c := range n.Children {
-			rec(c)
-		}
-		syms = syms[:len(syms)-1]
-		ids = ids[:len(ids)-1]
-	}
 	rec(sub)
-}
-
-// CountRows returns the number of rows each enumeration would produce;
-// used for pre-sizing and reporting.
-func CountRows(store *xmldb.Store) (rootRows, allRows int64) {
-	var rec func(n *xmldb.Node, d int)
-	rec = func(n *xmldb.Node, d int) {
-		rows := int64(1)
-		if n.HasValue {
-			rows = 2
-		}
-		rootRows += rows
-		allRows += rows * int64(d+1) // d real heads + the virtual root
-		for _, c := range n.Children {
-			rec(c, d+1)
-		}
-	}
-	for _, doc := range store.Docs {
-		rec(doc.Root, 1)
-	}
-	return rootRows, allRows
 }

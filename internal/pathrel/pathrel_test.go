@@ -46,7 +46,7 @@ func TestEmitRootPathsMatchesFigure4(t *testing.T) {
 	s := paperStore(t)
 	d := pathdict.NewDict()
 	got := map[string]bool{}
-	EmitRootPaths(s, d, func(r Row) { got[rowString(d, r)] = true })
+	Emit(s, d, nil, false, func(r Row) { got[rowString(d, r)] = true })
 
 	// Figure 4 rows (HeadId dropped = 0), with our padded ids:
 	want := []string{
@@ -71,7 +71,7 @@ func TestEmitAllPathsMatchesFigure5(t *testing.T) {
 	s := paperStore(t)
 	d := pathdict.NewDict()
 	got := map[string]bool{}
-	EmitAllPaths(s, d, func(r Row) { got[rowString(d, r)] = true })
+	Emit(s, d, nil, true, func(r Row) { got[rowString(d, r)] = true })
 
 	// Figure 5 rows for heads 1 and 5 (SchemaPath stored reversed there;
 	// we check the forward form).
@@ -109,15 +109,37 @@ func keys(m map[string]bool) string {
 	return b.String()
 }
 
+// countRows is the closed form of what the two enumerations produce: one
+// row per node (two with a value) for the virtual root, times depth+1 with
+// every head.
+func countRows(store *xmldb.Store) (rootRows, allRows int64) {
+	var rec func(n *xmldb.Node, d int)
+	rec = func(n *xmldb.Node, d int) {
+		rows := int64(1)
+		if n.HasValue {
+			rows = 2
+		}
+		rootRows += rows
+		allRows += rows * int64(d+1) // d real heads + the virtual root
+		for _, c := range n.Children {
+			rec(c, d+1)
+		}
+	}
+	for _, doc := range store.Docs {
+		rec(doc.Root, 1)
+	}
+	return rootRows, allRows
+}
+
 func TestCountRowsAgreesWithEmit(t *testing.T) {
 	s := paperStore(t)
 	d := pathdict.NewDict()
 	var root, all int64
-	EmitRootPaths(s, d, func(Row) { root++ })
-	EmitAllPaths(s, d, func(Row) { all++ })
-	gotRoot, gotAll := CountRows(s)
+	Emit(s, d, nil, false, func(Row) { root++ })
+	Emit(s, d, nil, true, func(Row) { all++ })
+	gotRoot, gotAll := countRows(s)
 	if gotRoot != root || gotAll != all {
-		t.Fatalf("CountRows = (%d, %d), emitted (%d, %d)", gotRoot, gotAll, root, all)
+		t.Fatalf("countRows = (%d, %d), emitted (%d, %d)", gotRoot, gotAll, root, all)
 	}
 	if all <= root {
 		t.Fatalf("all-paths (%d) should exceed root-paths (%d)", all, root)
@@ -152,7 +174,7 @@ func TestRowsPerNodeEqualsDepthPlusOne(t *testing.T) {
 	s.AddDocument(doc)
 	d := pathdict.NewDict()
 	perLast := map[int64]int{}
-	EmitAllPaths(s, d, func(r Row) {
+	Emit(s, d, nil, true, func(r Row) {
 		if !r.HasValue {
 			perLast[r.LastID()]++
 		}

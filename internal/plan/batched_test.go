@@ -125,6 +125,49 @@ func assertWarmedZeroAllocs(t *testing.T, env *plan.Env, run func(*plan.Env, int
 	}
 }
 
+// TestWarmedRunAllocRatchet extends the allocation contract to all eight
+// pinned strategies as a ratchet: warmed objects/run on the executor-path
+// queries may not rise above what was measured when every probe started
+// drawing its prefix and iterator from the evaluator's index.Scratch (under
+// the race detector, which reads a few objects higher than a plain build).
+// ROOTPATHS and DATAPATHS stay at exactly zero. What is left for the
+// baselines is the B+-tree point lookup behind Edge.Parent and the
+// per-probe result slice of MatchingPaths. In the comments: the same
+// measurement one commit earlier.
+func TestWarmedRunAllocRatchet(t *testing.T) {
+	db := buildDB(t, nestedMailXML())
+	env := db.Env()
+	for _, tc := range []struct {
+		q       string
+		ceiling [8]float64 // by strategy: RP DP Edge DG+Edge IF+Edge ASR JI XRel+Edge
+	}{
+		{`//site//item[quantity = '2']`, [8]float64{0, 0, 120, 108, 107, 2, 4, 107}},              // 0 0 164 148 144 8 46 143
+		{`//item[quantity = '2'][mailbox//to]`, [8]float64{0, 0, 24, 33, 32, 4, 7, 32}},           // 0 0 876 889 885 79 88 884
+		{`//item[quantity = '2']/mailbox/mail[date]/to`, [8]float64{0, 0, 24, 33, 32, 6, 11, 32}}, // 0 0 324 337 333 184 251 332
+	} {
+		for i, strat := range branchStrategies {
+			tree, err := plan.Build(env, strat, xpath.MustParse(tc.q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := plan.HoldRuntime(tree)
+			for warm := 0; warm < 3; warm++ {
+				if _, err := run(env, 1, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := run(env, 1, false); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > tc.ceiling[i] {
+				t.Errorf("%v: %s: warmed run allocated %.0f objects/run, ceiling %.0f", strat, tc.q, allocs, tc.ceiling[i])
+			}
+		}
+	}
+}
+
 // nestedMailXML is the fixture of the executor-path cases: 40 items under
 // site/regions/zone, each with two mails of two recipients, so that an
 // interior // has schema paths to enumerate, bound probes have groups of

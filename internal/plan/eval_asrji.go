@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 
+	"repro/internal/index"
 	"repro/internal/pathdict"
 	"repro/internal/xpath"
 )
@@ -45,6 +46,7 @@ type relSpan struct {
 // many small indices is linear in the number of indices").
 type asrEval struct {
 	env  *Env
+	sc   index.Scratch
 	rels []relSpan
 	asn  []int
 }
@@ -74,7 +76,7 @@ func (e *asrEval) free(n *Node, out *brel, es *ExecStats) error {
 	for _, rm := range e.rels {
 		es.IndexLookups++
 		es.touchRelation(rm.relID)
-		rows, err := e.env.ASR.ProbeValue(rm.relID, br.HasValue, br.Value, n.spec.needRooted, func(ids []int64) error {
+		rows, err := e.env.ASR.ProbeValue(&e.sc, rm.relID, br.HasValue, br.Value, n.spec.needRooted, func(ids []int64) error {
 			out.bindRows(e.asn[rm.lo:rm.hi], k, ids)
 			return nil
 		})
@@ -101,7 +103,7 @@ func (e *asrEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) err
 			es.INLProbes++
 			es.IndexLookups++
 			es.touchRelation(rm.relID)
-			rows, err := e.env.ASR.ProbeBound(rm.relID, jid, br.HasValue, br.Value, func(ids []int64) error {
+			rows, err := e.env.ASR.ProbeBound(&e.sc, rm.relID, jid, br.HasValue, br.Value, func(ids []int64) error {
 				if !grouped {
 					out.beginGroup(jid)
 					grouped = true
@@ -172,7 +174,7 @@ func (e *jiEval) free(n *Node, out *brel, es *ExecStats) error {
 				}
 				es.IndexLookups++
 				es.touchRelation(segID)
-				rows, err := e.env.JI.BwdByValue(segID, br.HasValue, br.Value, needRooted, func(tail, _ int64) error {
+				rows, err := e.env.JI.BwdByValue(&e.sc, segID, br.HasValue, br.Value, needRooted, func(tail, _ int64) error {
 					out.newRow()[0] = tail
 					return nil
 				})
@@ -192,7 +194,7 @@ func (e *jiEval) free(n *Node, out *brel, es *ExecStats) error {
 			last := e.segs[k-2]
 			es.IndexLookups++
 			es.touchRelation(last)
-			rows, err := e.env.JI.BwdByValue(last, br.HasValue, br.Value, false, func(tail, head int64) error {
+			rows, err := e.env.JI.BwdByValue(&e.sc, last, br.HasValue, br.Value, false, func(tail, head int64) error {
 				row := e.a.newRow()
 				row[0], row[1] = head, tail
 				return nil
@@ -209,7 +211,7 @@ func (e *jiEval) free(n *Node, out *brel, es *ExecStats) error {
 					es.IndexLookups++
 					es.touchRelation(e.segs[m])
 					e.ids = e.ids[:0]
-					rows, err := e.env.JI.BwdByTail(e.segs[m], false, "", t[0], e.into(&e.ids))
+					rows, err := e.env.JI.BwdByTail(&e.sc, e.segs[m], false, "", t[0], e.into(&e.ids))
 					es.RowsScanned += int64(rows)
 					if err != nil {
 						return err
@@ -269,7 +271,7 @@ func (e *jiEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) erro
 					es.IndexLookups++
 					es.touchRelation(segs[s])
 					e.ids = e.ids[:0]
-					rows, err := e.env.JI.FwdByHead(segs[s], t[len(t)-1], hasVal, br.Value, e.into(&e.ids))
+					rows, err := e.env.JI.FwdByHead(&e.sc, segs[s], t[len(t)-1], hasVal, br.Value, e.into(&e.ids))
 					es.RowsScanned += int64(rows)
 					if err != nil {
 						return err

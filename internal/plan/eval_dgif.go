@@ -34,14 +34,11 @@ type climbEval struct {
 // content part, and the two are joined — the separated structure/value
 // lookup whose cost Figure 11 isolates.
 func newDGEval(env *Env) evaluator {
-	return &climbEval{
-		edgeEval:  edgeEval{env: env},
-		expand:    env.DG.MatchingPaths,
-		valueJoin: true,
-		leaves: func(_ int, p pathdict.Path, _ *xpath.Branch, fn func(int64) error) (int, error) {
-			return env.DG.Extent(p, fn)
-		},
+	e := &climbEval{edgeEval: edgeEval{env: env}, expand: env.DG.MatchingPaths, valueJoin: true}
+	e.leaves = func(_ int, p pathdict.Path, _ *xpath.Branch, fn func(int64) error) (int, error) {
+		return env.DG.Extent(&e.sc, p, fn)
 	}
+	return e
 }
 
 // newIFEval is the IF+Edge strategy: the simulated Index Fabric answers
@@ -49,13 +46,11 @@ func newDGEval(env *Env) evaluator {
 // specified single paths — but branch points still require backward-link
 // climbs, and // requires expanding the pattern over the schema summary.
 func newIFEval(env *Env) evaluator {
-	return &climbEval{
-		edgeEval: edgeEval{env: env},
-		expand:   env.Stats.MatchingRootedPaths,
-		leaves: func(_ int, p pathdict.Path, br *xpath.Branch, fn func(int64) error) (int, error) {
-			return env.IF.Probe(p, br.HasValue, br.Value, fn)
-		},
+	e := &climbEval{edgeEval: edgeEval{env: env}, expand: env.Stats.MatchingRootedPaths}
+	e.leaves = func(_ int, p pathdict.Path, br *xpath.Branch, fn func(int64) error) (int, error) {
+		return env.IF.Probe(&e.sc, p, br.HasValue, br.Value, fn)
 	}
+	return e
 }
 
 func (e *climbEval) free(n *Node, out *brel, es *ExecStats) error {
@@ -107,7 +102,7 @@ nextLeaf:
 		chain[depth-1] = leaf
 		for p := depth - 2; p >= minPos; p-- {
 			e.es.IndexLookups++
-			pid, _, ok, err := e.env.Edge.Parent(chain[p+1])
+			pid, _, ok, err := e.env.Edge.Parent(&e.sc, chain[p+1])
 			if err != nil {
 				return err
 			}

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"repro/internal/index"
 	"repro/internal/xpath"
 )
 
@@ -10,11 +11,12 @@ import (
 // never shared, so neither is its scratch; a warmed evaluator's plan-layer
 // work allocates nothing.
 type scratch struct {
-	a, b brel    // ping-pong relations: a step reads one and writes the other
-	ids  []int64 // id buffer: the output of one index access
-	aux  []int64 // second id buffer: // expansion queue, value-probe ids, ancestor chain
-	keys hashTab // key set of a value semi-join
-	asn  []int   // flat schema-match assignments (pathdict.EnumerateMatchesInto)
+	sc   index.Scratch // the index layer's probe prefix, iterator and decode buffers
+	a, b brel          // ping-pong relations: a step reads one and writes the other
+	ids  []int64       // id buffer: the output of one index access
+	aux  []int64       // second id buffer: // expansion queue, value-probe ids, ancestor chain
+	keys hashTab       // key set of a value semi-join
+	asn  []int         // flat schema-match assignments (pathdict.EnumerateMatchesInto)
 
 	sink    *[]int64
 	collect func(id int64) error
@@ -84,7 +86,7 @@ func (e *edgeEval) bottomUp(br *xpath.Branch) (*brel, error) {
 			// Descendant edge: so is every proper ancestor with the label.
 			for at := t[0]; ; {
 				e.es.IndexLookups++
-				pid, plabel, ok, err := e.env.Edge.Parent(at)
+				pid, plabel, ok, err := e.env.Edge.Parent(&e.sc, at)
 				if err != nil {
 					return nil, err
 				}
@@ -117,7 +119,7 @@ func (e *edgeEval) anchorFilter(br *xpath.Branch, r *brel) error {
 	for i, rows := 0, r.rows(); i < rows; i++ {
 		t := r.row(i)
 		e.es.IndexLookups++
-		pid, _, ok, err := e.env.Edge.Parent(t[0])
+		pid, _, ok, err := e.env.Edge.Parent(&e.sc, t[0])
 		if err != nil {
 			return err
 		}
@@ -182,7 +184,7 @@ func (e *edgeEval) stepFrom(id int64, step xpath.Step, dst *[]int64) error {
 // dst: one forward-index lookup.
 func (e *edgeEval) children(id int64, label string, dst *[]int64) error {
 	e.es.IndexLookups++
-	rows, err := e.env.Edge.Children(id, label, e.into(dst))
+	rows, err := e.env.Edge.Children(&e.sc, id, label, e.into(dst))
 	e.es.RowsScanned += int64(rows)
 	return err
 }
@@ -191,7 +193,7 @@ func (e *edgeEval) children(id int64, label string, dst *[]int64) error {
 // value: one value-index lookup.
 func (e *edgeEval) valueProbe(br *xpath.Branch, dst *[]int64) error {
 	e.es.IndexLookups++
-	rows, err := e.env.Edge.ValueProbe(br.Steps[len(br.Steps)-1].Label, br.Value, e.into(dst))
+	rows, err := e.env.Edge.ValueProbe(&e.sc, br.Steps[len(br.Steps)-1].Label, br.Value, e.into(dst))
 	e.es.RowsScanned += int64(rows)
 	return err
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/pathdict"
+	"repro/internal/xpath"
 )
 
 // matchMemo holds the assignments of the last (spec, schema path) pair a
@@ -59,56 +60,32 @@ func (s *pathRows) onRow(fwd pathdict.Path, ids []int64) error {
 	return nil
 }
 
-// rpEval evaluates branches with single ROOTPATHS lookups (FreeIndex).
-// ROOTPATHS cannot probe by head id, so no bound probes: joins are always
-// materialize-and-hash — the asymmetry behind Figure 12(d).
+// pathsEval evaluates branches over a path index. ROOTPATHS answers each
+// with a single FreeIndex lookup and cannot probe by head id, so its joins
+// are always materialize-and-hash — the asymmetry behind Figure 12(d); its
+// strategies row says canBound false and bound is never reached. DATAPATHS
+// runs FreeIndex lookups through the virtual root (head 0) and BoundIndex
+// lookups through real head ids, the latter being the index-nested-loop
+// probe of Section 3.3.
 //
-// The rp/dp evaluators are the fully batched hot path: rows are decoded
-// once under the index layer (idlist.DecodeDeltaInto through a reused
-// Scratch) and appended straight into the operator's block.
-type rpEval struct {
-	env *Env
-	sc  index.Scratch
-	pathRows
-	cb func(fwd pathdict.Path, ids []int64) error
-}
-
-func newRPEval(env *Env) evaluator {
-	e := &rpEval{env: env}
-	e.cb = e.onRow
-	return e
-}
-
-func (e *rpEval) free(n *Node, out *brel, es *ExecStats) error {
-	if !n.spec.ok {
-		return nil
-	}
-	e.out, e.spec = out, &n.spec
-	es.IndexLookups++
-	rows, err := e.env.RP.ProbeWith(&e.sc, n.branch.HasValue, n.branch.Value, n.spec.suffix, e.cb)
-	es.RowsScanned += int64(rows)
-	return err
-}
-
-func (e *rpEval) bound(*Node, []int64, *boundRel, *ExecStats) error {
-	panic("plan: ROOTPATHS does not support bound probes")
-}
-
-// dpEval evaluates branches with DATAPATHS lookups: FreeIndex via the
-// virtual root (head 0) and BoundIndex via real head ids, the latter being
-// the index-nested-loop probe of Section 3.3. Batched and allocation-free
-// like rpEval; free probes stage out, bound probes bout.
-type dpEval struct {
-	env *Env
-	sc  index.Scratch
+// This is the fully batched hot path: rows are decoded once under the index
+// layer (idlist.DecodeDeltaInto through a reused Scratch) and appended
+// straight into the operator's block — free probes stage out, bound probes
+// bout.
+type pathsEval struct {
+	ix *index.Paths
+	sc index.Scratch
 	pathRows
 	bout *boundRel
 	cb   func(fwd pathdict.Path, ids []int64) error
 	bcb  func(fwd pathdict.Path, ids []int64) error
 }
 
-func newDPEval(env *Env) evaluator {
-	e := &dpEval{env: env}
+func newRPEval(env *Env) evaluator { return newPathsEval(env.RP) }
+func newDPEval(env *Env) evaluator { return newPathsEval(env.DP) }
+
+func newPathsEval(ix *index.Paths) evaluator {
+	e := &pathsEval{ix: ix}
 	e.cb = e.onRow
 	e.bcb = e.onBoundRow
 	return e
@@ -118,7 +95,7 @@ func newDPEval(env *Env) evaluator {
 // pattern is anchored at the head (child axis at position 0), so row
 // positions shift by one: position 0 is the head itself and position p > 0
 // binds ids[p-1].
-func (e *dpEval) onBoundRow(fwd pathdict.Path, ids []int64) error {
+func (e *pathsEval) onBoundRow(fwd pathdict.Path, ids []int64) error {
 	pat := e.spec.pat
 	if e.spec.simple {
 		if len(fwd) != len(pat) {
@@ -134,29 +111,40 @@ func (e *dpEval) onBoundRow(fwd pathdict.Path, ids []int64) error {
 	return nil
 }
 
-func (e *dpEval) free(n *Node, out *brel, es *ExecStats) error {
-	if !n.spec.ok {
-		return nil
-	}
-	e.out, e.spec = out, &n.spec
+// probe runs the staged spec's lookup headed at headID. An index built
+// under SchemaPathId compression keeps no schema path to prefix-match, so
+// only an exact spec — every step a child step, the first included — can
+// be answered, by its path id; Probe reports anything else as unanswerable.
+func (e *pathsEval) probe(headID int64, br *xpath.Branch, cb func(pathdict.Path, []int64) error, es *ExecStats) error {
 	es.IndexLookups++
-	rows, err := e.env.DP.ProbeWith(&e.sc, 0, n.branch.HasValue, n.branch.Value, n.spec.suffix, e.cb)
+	var rows int
+	var err error
+	if e.ix.PathIDKeys() && e.spec.simple && !e.spec.pat[0].Desc {
+		rows, err = e.ix.ProbePathID(&e.sc, headID, br.HasValue, br.Value, e.spec.suffix, cb)
+	} else {
+		rows, err = e.ix.Probe(&e.sc, headID, br.HasValue, br.Value, e.spec.suffix, cb)
+	}
 	es.RowsScanned += int64(rows)
 	return err
 }
 
-func (e *dpEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) error {
+func (e *pathsEval) free(n *Node, out *brel, es *ExecStats) error {
+	if !n.spec.ok {
+		return nil
+	}
+	e.out, e.spec = out, &n.spec
+	return e.probe(0, n.branch, e.cb, es)
+}
+
+func (e *pathsEval) bound(n *Node, jids []int64, out *boundRel, es *ExecStats) error {
 	if !n.bspec.ok {
 		return nil
 	}
 	e.bout, e.spec = out, &n.bspec
 	for _, jid := range jids {
 		es.INLProbes++
-		es.IndexLookups++
 		out.beginGroup(jid)
-		rows, err := e.env.DP.ProbeWith(&e.sc, jid, n.branch.HasValue, n.branch.Value, n.bspec.suffix, e.bcb)
-		es.RowsScanned += int64(rows)
-		if err != nil {
+		if err := e.probe(jid, n.branch, e.bcb, es); err != nil {
 			return err
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/containment"
+	"repro/internal/index"
 	"repro/internal/xpath"
 )
 
@@ -28,6 +29,7 @@ func runStructural(rt *Runtime, env *Env, pat *xpath.Pattern, sj *Node) ([]int64
 	}
 
 	cands := map[*xpath.Node][]containment.Region{}
+	var sc index.Scratch
 	var build func(n *xpath.Node) error
 	build = func(n *xpath.Node) error {
 		scan := scanFor[n]
@@ -43,7 +45,7 @@ func runStructural(rt *Runtime, env *Env, pat *xpath.Pattern, sj *Node) ([]int64
 		var list []containment.Region
 		if n.HasValue {
 			es.IndexLookups++
-			rows, err := env.Edge.ValueProbe(n.Label, n.Value, func(id int64) error {
+			rows, err := env.Edge.ValueProbe(&sc, n.Label, n.Value, func(id int64) error {
 				if r, ok := env.Containment.Region(id); ok {
 					list = append(list, r)
 				}
@@ -56,7 +58,7 @@ func runStructural(rt *Runtime, env *Env, pat *xpath.Pattern, sj *Node) ([]int64
 			containment.SortRegions(list)
 		} else {
 			es.IndexLookups++
-			rows, err := env.Containment.Candidates(n.Label, func(r containment.Region) error {
+			rows, err := env.Containment.Candidates(&sc.PrefixScan, n.Label, func(r containment.Region) error {
 				list = append(list, r)
 				return nil
 			})

@@ -16,7 +16,7 @@ func newXRelEval(env *Env) evaluator {
 	var pids []pathdict.PathID
 	var paths []pathdict.Path
 	e.expand = func(pat []pathdict.PStep) []pathdict.Path {
-		pids = env.XRel.MatchingPathIDs(pat)
+		pids = env.XRel.MatchingPaths(pat, false)
 		paths = paths[:0]
 		for _, pid := range pids {
 			paths = append(paths, env.XRel.Paths().Path(pid))
@@ -25,7 +25,7 @@ func newXRelEval(env *Env) evaluator {
 	}
 	e.leaves = func(i int, _ pathdict.Path, br *xpath.Branch, fn func(int64) error) (int, error) {
 		e.es.touchRelation(pids[i])
-		return env.XRel.Probe(pids[i], br.HasValue, br.Value, fn)
+		return env.XRel.Probe(&e.sc, pids[i], br.HasValue, br.Value, fn)
 	}
 	return e
 }

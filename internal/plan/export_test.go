@@ -18,14 +18,8 @@ func HoldRuntime(t *Tree) func(env *Env, workers int, trace bool) ([]int64, erro
 func HoldRuntimeObserved(t *Tree) (run func(env *Env, workers int, trace bool) ([]int64, error), observed func() (enumerated, wideSort bool)) {
 	rt := t.runtime()
 	return rt.run, func() (bool, bool) {
-		var memo *matchMemo
-		switch ev := rt.eval.(type) {
-		case *rpEval:
-			memo = &ev.memo
-		case *dpEval:
-			memo = &ev.memo
-		}
-		return memo != nil && memo.spec != nil, rt.sorter.width > 1
+		ev, ok := rt.eval.(*pathsEval)
+		return ok && ev.memo.spec != nil, rt.sorter.width > 1
 	}
 }
 

@@ -125,8 +125,8 @@ type Env struct {
 	Dict  *pathdict.Dict
 	Stats *stats.Stats
 
-	RP   *index.RootPaths
-	DP   *index.DataPaths
+	RP   *index.Paths // ROOTPATHS
+	DP   *index.Paths // DATAPATHS: the headed shape
 	Edge *index.Edge
 	DG   *index.DataGuide
 	IF   *index.IndexFabric

@@ -64,7 +64,7 @@ func Collect(store *xmldb.Store, dict *pathdict.Dict) *Stats {
 		estCache:   map[estKey]int64{},
 		matchCache: map[patRef]int64{},
 	}
-	pathrel.EmitRootPaths(store, dict, func(r pathrel.Row) {
+	pathrel.Emit(store, dict, nil, false, func(r pathrel.Row) {
 		id := s.ptab.Intern(r.Path)
 		if r.HasValue {
 			s.valCount[valKey{id, r.Value}]++

@@ -170,14 +170,24 @@ func TestIndexSpaces(t *testing.T) {
 }
 
 func TestCompressionOptions(t *testing.T) {
-	// SchemaPathId compression: exact-path queries would need planner
-	// support; the public contract is that // queries fail loudly.
+	// SchemaPathId compression: the public contract is that //-free
+	// queries answer as ever and // queries fail loudly.
 	db := twigdb.MustOpen(&twigdb.Options{CompressSchemaPaths: true})
 	if err := db.LoadXMLString(bookXML); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Build(twigdb.RootPaths); err != nil {
+	if err := db.Build(twigdb.RootPaths, twigdb.DataPaths); err != nil {
 		t.Fatal(err)
+	}
+	const exact = `/book/allauthors/author[fn = 'jane']/ln`
+	want, err := db.QueryWith(twigdb.Oracle, exact)
+	if err != nil || len(want.IDs) == 0 {
+		t.Fatalf("oracle: %v %v", want, err)
+	}
+	for _, s := range []twigdb.Strategy{twigdb.Auto, twigdb.StrategyRootPaths, twigdb.StrategyDataPaths} {
+		if got, err := db.QueryWith(s, exact); err != nil || !reflect.DeepEqual(got.IDs, want.IDs) {
+			t.Errorf("%s via %v on compressed indices: %v, %v; oracle %v", exact, s, got, err, want.IDs)
+		}
 	}
 	if _, err := db.QueryWith(twigdb.StrategyRootPaths, `//author`); err == nil {
 		t.Fatalf("// query on compressed index: want error")
