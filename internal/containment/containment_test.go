@@ -35,7 +35,7 @@ func TestRegionEncodingProperties(t *testing.T) {
 		return true
 	})
 	isAncestor := func(a, d *xmldb.Node) bool {
-		for cur := d.Parent; cur != nil; cur = cur.Parent {
+		for cur := s.Parent(d); cur != nil; cur = s.Parent(cur) {
 			if cur == a {
 				return true
 			}
@@ -52,7 +52,7 @@ func TestRegionEncodingProperties(t *testing.T) {
 			if got, want := ra.Contains(rd), isAncestor(a, d); got != want {
 				t.Fatalf("Contains(%s#%d, %s#%d) = %v, want %v", a.Label, a.ID, d.Label, d.ID, got, want)
 			}
-			if got, want := ra.ParentOf(rd), d.Parent == a; got != want {
+			if got, want := ra.ParentOf(rd), s.Parent(d) == a; got != want {
 				t.Fatalf("ParentOf(%s#%d, %s#%d) = %v, want %v", a.Label, a.ID, d.Label, d.ID, got, want)
 			}
 		}

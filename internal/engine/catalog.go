@@ -116,7 +116,6 @@ func readNode(r *index.CatReader, depth int) *xmldb.Node {
 		if r.Err() != nil {
 			return n
 		}
-		c.Parent = n
 		n.Children = append(n.Children, c)
 	}
 	return n
@@ -144,7 +143,9 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 	store := xmldb.NewStore()
 	for i := uint64(0); i < nDocs && r.Err() == nil; i++ {
 		if root := readNode(r, 0); r.Err() == nil {
-			store.RestoreDocument(&xmldb.Document{Root: root})
+			if err := store.RestoreDocument(&xmldb.Document{Root: root}); err != nil {
+				r.Fail("%v", err)
+			}
 		}
 	}
 	store.SetNextID(nextID)

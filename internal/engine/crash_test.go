@@ -58,7 +58,7 @@ func applyOp(t *testing.T, db *DB, op torOp) {
 func liveNodeIDs(db *DB) (parents, victims []int64) {
 	db.Store().Walk(func(n *xmldb.Node) bool {
 		parents = append(parents, n.ID)
-		if n.Parent != nil && n.Parent.ID != 0 {
+		if n.ParentID != 0 {
 			victims = append(victims, n.ID)
 		}
 		return true

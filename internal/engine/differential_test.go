@@ -89,29 +89,23 @@ func genQueryFor(rng *rand.Rand, doc *xmldb.Document) string {
 }
 
 func genQueryFromDoc(rng *rand.Rand, doc *xmldb.Document) string {
-	// Pick a random node, uniformly-ish, by reservoir sampling the tree.
-	var pick *xmldb.Node
+	// Pick a random node, uniformly-ish, by reservoir sampling the tree,
+	// keeping its ancestor chain, root first.
+	var chain, path []*xmldb.Node
 	count := 0
 	var walk func(n *xmldb.Node)
 	walk = func(n *xmldb.Node) {
+		path = append(path, n)
 		count++
 		if rng.Intn(count) == 0 {
-			pick = n
+			chain = append(chain[:0], path...)
 		}
 		for _, c := range n.Children {
 			walk(c)
 		}
+		path = path[:len(path)-1]
 	}
 	walk(doc.Root)
-	if pick == nil {
-		return ""
-	}
-	// Ancestor chain, root first (stopping short of the store's virtual
-	// root, which has no label, when the document is already attached).
-	var chain []*xmldb.Node
-	for n := pick; n != nil && n.Label != ""; n = n.Parent {
-		chain = append([]*xmldb.Node{n}, chain...)
-	}
 	if len(chain) == 0 {
 		return ""
 	}
@@ -219,16 +213,21 @@ func genQuery(rng *rand.Rand) string {
 
 // diffMismatch describes one strategy disagreeing with the oracle.
 type diffMismatch struct {
-	strat plan.Strategy
-	auto  bool // cost-based planner chose the strategy
-	par   bool // parallel executor
-	got   []int64
-	err   error
+	strat  plan.Strategy
+	auto   bool // cost-based planner chose the strategy
+	par    bool // parallel executor
+	oracle bool // the engine's Oracle read
+	post   bool // after writes through the copy-on-write path
+	got    []int64
+	err    error
 }
 
 // runDifferential builds the full index family over doc and compares every
 // strategy (serial and parallel executor, all strategies concurrently)
-// against the naive oracle. It returns the observed mismatches.
+// against the naive oracle. Then it writes through the copy-on-write path
+// (writeSome) and compares the maintained strategies, Auto and the
+// engine's Oracle read against naive matching over an independently
+// rebuilt copy of the written store. It returns the observed mismatches.
 func runDifferential(doc *xmldb.Document, pat *xpath.Pattern) []diffMismatch {
 	db := New(Config{BufferPoolBytes: 4 << 20})
 	db.AddDocument(doc)
@@ -240,60 +239,113 @@ func runDifferential(doc *xmldb.Document, pat *xpath.Pattern) []diffMismatch {
 	if err := db.Build(index.KindContainment); err != nil {
 		return []diffMismatch{{err: fmt.Errorf("Build(Containment): %w", err)}}
 	}
-	want := naive.Match(db.Store(), pat)
-
-	type run struct {
-		strat plan.Strategy
-		auto  bool
-		par   bool
-	}
-	var runs []run
+	var runs []diffMismatch
 	for _, s := range diffStrategies {
-		runs = append(runs, run{strat: s}, run{strat: s, par: true})
+		runs = append(runs, diffMismatch{strat: s}, diffMismatch{strat: s, par: true})
 	}
 	// The ninth contender: whatever the cost-based planner picks, serial
 	// and parallel, must agree with the oracle too.
-	runs = append(runs, run{auto: true}, run{auto: true, par: true})
+	runs = append(runs, diffMismatch{auto: true}, diffMismatch{auto: true, par: true})
+	mm := contend(db, pat, naive.Match(db.Store(), pat), runs)
+
+	if err := writeSome(db); err != nil {
+		return append(mm, diffMismatch{post: true, err: err})
+	}
+	runs = runs[:0]
+	for _, s := range []plan.Strategy{plan.RootPathsPlan, plan.DataPathsPlan} {
+		runs = append(runs, diffMismatch{strat: s, post: true}, diffMismatch{strat: s, par: true, post: true})
+	}
+	runs = append(runs, diffMismatch{auto: true, post: true}, diffMismatch{auto: true, par: true, post: true},
+		diffMismatch{oracle: true, post: true})
+	return append(mm, contend(db, pat, naive.Match(rebuiltCopy(db.Store()), pat), runs)...)
+}
+
+// contend runs every contender concurrently against db and returns those
+// that disagree with want.
+func contend(db *DB, pat *xpath.Pattern, want []int64, runs []diffMismatch) []diffMismatch {
 	out := make([]diffMismatch, len(runs))
 	var wg sync.WaitGroup
 	for i, r := range runs {
 		wg.Add(1)
-		go func(i int, r run) {
+		go func(i int, r diffMismatch) {
 			defer wg.Done()
 			opts := ReadOpts{Strategy: r.strat, Workers: 1}
-			if r.auto {
+			switch {
+			case r.auto:
 				opts.Planner = Auto
+			case r.oracle:
+				opts.Planner = Oracle
 			}
 			if r.par {
 				opts.Workers = 4
 			}
 			res, err := db.Read(pat, opts)
-			got := res.IDs
+			if err == nil && equalIDs(res.IDs, want) {
+				return
+			}
 			if r.auto {
-				out[i].strat = res.Strategy
+				r.strat = res.Strategy
 			}
-			if err != nil || !equalIDs(got, want) {
-				out[i].got, out[i].err = got, err
-				if err == nil && out[i].got == nil {
-					out[i].got = []int64{} // distinguish "empty" from "no mismatch"
-				}
-			} else {
-				out[i] = diffMismatch{}
+			r.got, r.err = res.IDs, err
+			if err == nil && r.got == nil {
+				r.got = []int64{} // distinguish "empty" from "no mismatch"
 			}
+			out[i] = r
 		}(i, r)
 	}
 	wg.Wait()
 	var mm []diffMismatch
-	for i, r := range runs {
-		if out[i].err != nil || out[i].got != nil {
-			if !r.auto {
-				out[i].strat = r.strat
-			}
-			out[i].auto, out[i].par = r.auto, r.par
-			mm = append(mm, out[i])
+	for _, m := range out {
+		if m.err != nil || m.got != nil {
+			mm = append(mm, m)
 		}
 	}
 	return mm
+}
+
+// writeSome applies a fixed, document-determined sequence of writes: an
+// insert under some node, one under the subtree just inserted, a delete of
+// some non-root node and a new document under the virtual root.
+func writeSome(db *DB) error {
+	var ids []int64
+	db.Store().Walk(func(n *xmldb.Node) bool { ids = append(ids, n.ID); return true })
+	rng := rand.New(rand.NewSource(int64(len(ids))))
+	sub := func() *xmldb.Node {
+		return xmldb.Elem("b", xmldb.Attr("x", "v0"), xmldb.Text("c", "v1"), xmldb.Elem("a", xmldb.Text("d", "v2")))
+	}
+	first := sub()
+	if err := db.InsertSubtree(ids[rng.Intn(len(ids))], first); err != nil {
+		return err
+	}
+	if err := db.InsertSubtree(first.Children[2].ID, sub()); err != nil {
+		return err
+	}
+	if len(ids) > 1 {
+		if err := db.DeleteSubtree(ids[1+rng.Intn(len(ids)-1)]); err != nil {
+			return err
+		}
+	}
+	return db.InsertSubtree(0, sub())
+}
+
+// rebuiltCopy deep-copies every document of store, ids included, into a
+// fresh store: nothing in it is shared with any version of the original.
+func rebuiltCopy(store *xmldb.Store) *xmldb.Store {
+	var cp func(n *xmldb.Node) *xmldb.Node
+	cp = func(n *xmldb.Node) *xmldb.Node {
+		c := &xmldb.Node{ID: n.ID, Label: n.Label, Value: n.Value, HasValue: n.HasValue}
+		for _, ch := range n.Children {
+			c.AddChild(cp(ch))
+		}
+		return c
+	}
+	out := xmldb.NewStore()
+	for _, d := range store.Docs {
+		if err := out.RestoreDocument(&xmldb.Document{Root: cp(d.Root)}); err != nil {
+			panic(err)
+		}
+	}
+	return out
 }
 
 func equalIDs(a, b []int64) bool {
@@ -410,13 +462,17 @@ func TestDifferentialStrategies(t *testing.T) {
 					if m.par {
 						exec = "parallel"
 					}
+					if m.post {
+						exec += ", after writes"
+					}
 					name := m.strat.String()
-					if m.auto {
-						if m.err != nil {
-							name = "auto" // planning failed; no strategy was chosen
-						} else {
-							name = "auto→" + name
-						}
+					switch {
+					case m.oracle:
+						name = "oracle"
+					case m.auto && m.err != nil:
+						name = "auto" // planning failed; no strategy was chosen
+					case m.auto:
+						name = "auto→" + name
 					}
 					if m.err != nil {
 						report += fmt.Sprintf("  %v/%s: error %v\n", name, exec, m.err)

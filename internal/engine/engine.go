@@ -653,22 +653,21 @@ func (db *DB) AddDocument(doc *xmldb.Document) error {
 	}
 	cur := db.current.Load()
 	next := cur.clone()
-	store, _, err := cur.store.CloneForWrite(0)
-	if err != nil {
-		panic(err) // unreachable: the virtual root always exists
-	}
+	store := cur.store.CloneShallow()
 	// Ids come from the global allocator (shared with transactions), then
 	// the pre-numbered tree is attached; the store counter follows the
 	// allocator so both agree on what is handed out.
 	db.numberTree(doc.Root)
-	store.RestoreDocument(doc)
+	if err := store.RestoreDocument(doc); err != nil {
+		return err
+	}
 	store.SetNextID(db.nextNodeID.Load())
 	next.store = store
 	next.env.Store = store
-	// No stale fallback: statistics describing a store without this
-	// document must not be reused indefinitely (nothing re-derives them
-	// for a load — the next query collects lazily, as loads always have).
-	next.stale = nil
+	next.successorStats()
+	if st := next.env.Stats; st != nil {
+		st.Apply(store, db.dict, doc.Root, +1)
+	}
 	db.publish(next, nil, false)
 	return nil
 }
@@ -752,22 +751,6 @@ func (db *DB) InsertSubtree(parentID int64, sub *xmldb.Node) error {
 	return db.Update(func(tx *Tx) error { return tx.Insert(parentID, sub) }, -1)
 }
 
-// installStats re-derives the statistics of a freshly published snapshot
-// on the writer's time, outside every lock — after the commit record is
-// appended, after the pointer swap, after the group-commit fsync — so it
-// neither stretches the writer critical section (which would break fsync
-// coalescing) nor leaves the first reader of the new version stalling on
-// a full collection. Readers arriving before it finishes plan with the
-// predecessor's statistics (bounded staleness; see Snapshot.queryEnv).
-// Skipped when the version was never analysed (bulk-load phases) or has
-// already been superseded (the newer version's writer installs instead).
-func (db *DB) installStats(next *Snapshot) {
-	if next.stale == nil || db.current.Load() != next {
-		return
-	}
-	next.deriveStats()
-}
-
 // DeleteSubtree removes the node with the given id and its subtree,
 // incrementally maintaining ROOTPATHS and DATAPATHS and invalidating the
 // non-updatable index structures. An implicit single-statement
@@ -780,13 +763,13 @@ func (db *DB) DeleteSubtree(nodeID int64) error {
 // QueryCounters returns a snapshot of the engine-lifetime query counters.
 func (db *DB) QueryCounters() stats.QuerySnapshot { return db.counters.Snapshot() }
 
-// ViewNodes invokes fn once with an id-to-node lookup over the pinned
-// snapshot, so callers can materialise node details at a consistent
-// version. The looked-up nodes must not be retained after fn returns.
-func (db *DB) ViewNodes(fn func(byID func(int64) *xmldb.Node)) {
+// ViewNodes invokes fn once with the pinned snapshot's store, so callers
+// can materialise node details (NodeByID, Path) at a consistent version.
+// The store and its nodes must not be retained after fn returns.
+func (db *DB) ViewNodes(fn func(*xmldb.Store)) {
 	s := db.pin()
 	defer db.unpin(s)
-	fn(s.store.NodeByID)
+	fn(s.store)
 }
 
 // NodeCount returns the number of element/attribute nodes in the current

@@ -27,10 +27,10 @@ import (
 )
 
 // Snapshot is one immutable version of the database. Everything reachable
-// from it is frozen — except the lazily built statistics (guarded by the
-// build-once latch below) and the plan cache (its own mutex), both of
-// which are monotonic caches whose content is derived purely from the
-// frozen state.
+// from it is frozen — except the statistics of a never-analysed version,
+// collected lazily (guarded by the build-once latch below), and the plan
+// cache (its own mutex), both monotonic caches whose content is derived
+// purely from the frozen state.
 type Snapshot struct {
 	// seq is the snapshot's position in the version chain (0 = the state
 	// at Open).
@@ -67,21 +67,13 @@ type Snapshot struct {
 	planMu    sync.RWMutex
 	planCache map[string]*plan.Tree
 
-	// statsMu serialises the statistics (re)build so concurrent
-	// first-queries collect exactly once; statsReady lets the steady state
-	// skip the latch with one atomic load (the statsReady store is ordered
-	// after the env.Stats write, so a reader observing true also observes
-	// the built stats).
+	// statsMu serialises the lazy statistics collection of a never-analysed
+	// version so concurrent first-queries collect exactly once; statsReady
+	// lets the steady state skip the latch with one atomic load (the
+	// statsReady store is ordered after the env.Stats write, so a reader
+	// observing true also observes the built stats).
 	statsMu    sync.Mutex
 	statsReady atomic.Bool
-
-	// stale is the predecessor's statistics, carried over as a
-	// bounded-staleness planning fallback: queries arriving before this
-	// version's own statistics are derived plan with the predecessor's
-	// instead of stalling on a full collection — the writer re-derives
-	// fresh ones right after publishing (outside every lock) and installs
-	// them through the statsMu protocol. Immutable after publish.
-	stale *stats.Stats
 }
 
 // Seq returns the snapshot's version number.
@@ -93,64 +85,24 @@ func (s *Snapshot) Store() *xmldb.Store { return s.store }
 // Env returns the snapshot's planner environment.
 func (s *Snapshot) Env() *plan.Env { return &s.env }
 
-// ensureStats builds the statistics exactly once per snapshot, holding the
-// stats latch across the collection so concurrent first-queries collect
-// once and the rest wait. Only used on the no-fallback path (a snapshot
-// with a stale predecessor uses deriveStats/queryEnv instead, which never
-// make a reader wait out a collection). Because the snapshot's store is
-// immutable, the collected statistics describe exactly the state every
-// reader of this snapshot sees — a query can never plan against statistics
-// from a different version than the indices it probes.
-func (s *Snapshot) ensureStats() {
-	if s.statsReady.Load() {
-		return
-	}
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	if s.env.Stats == nil {
-		s.env.Stats = stats.Collect(s.store, s.dict)
-	}
-	s.statsReady.Store(true)
-}
-
-// deriveStats collects the snapshot's statistics WITHOUT holding the stats
-// latch — readers on the stale fallback take that latch for their env copy,
-// and must never block behind a full collection — then installs them under
-// it. The writer calls this after publishing a successor version.
-func (s *Snapshot) deriveStats() {
-	if s.statsReady.Load() {
-		return
-	}
-	st := stats.Collect(s.store, s.dict)
-	s.statsMu.Lock()
-	if s.env.Stats == nil {
-		s.env.Stats = st
-	}
-	s.statsMu.Unlock()
-	s.statsReady.Store(true)
-}
-
-// queryEnv returns the environment a query should plan and execute with:
-// the snapshot's env once its own statistics are derived; otherwise a copy
-// falling back to the predecessor's statistics (bounded staleness — the
-// writer is re-deriving fresh ones concurrently, and estimates a handful
-// of updates old only affect plan choice, never correctness); and only
-// when no statistics have ever been collected does the query pay a lazy
-// collection itself.
+// queryEnv returns the environment a query plans and executes with. A
+// version derived from an analysed one carries its own statistics from the
+// moment it is published (see Tx.successor); only a never-analysed store
+// collects them here, exactly once, holding the stats latch across the
+// collection so concurrent first-queries collect once and the rest wait.
+// Because the snapshot's store is immutable, the statistics describe
+// exactly the state every reader of this snapshot sees — a query can never
+// plan against statistics from a different version than the indices it
+// probes.
 func (s *Snapshot) queryEnv() *plan.Env {
-	if s.statsReady.Load() {
-		return &s.env
-	}
-	if s.stale != nil {
+	if !s.statsReady.Load() {
 		s.statsMu.Lock()
-		env := s.env
-		s.statsMu.Unlock()
-		if env.Stats == nil {
-			env.Stats = s.stale
+		if s.env.Stats == nil {
+			s.env.Stats = stats.Collect(s.store, s.dict)
 		}
-		return &env
+		s.statsMu.Unlock()
+		s.statsReady.Store(true)
 	}
-	s.ensureStats()
 	return &s.env
 }
 
@@ -204,11 +156,13 @@ func (s *Snapshot) planFor(env *plan.Env, pat *xpath.Pattern, opts ReadOpts) (tr
 }
 
 // clone returns a mutable successor of the snapshot sharing every
-// component; the writer swaps in copied or rebuilt components before
-// publishing it. The plan cache and statistics start empty (both derive
-// from state the successor is about to change). The env copy happens under
-// the stats latch: a concurrent reader may be installing lazily built
-// statistics into this snapshot at the same moment.
+// component, statistics included; the writer swaps in copied or rebuilt
+// components before publishing it (statistics it is about to change go
+// through stats.Successor first). The plan cache starts empty: a new
+// version means new statistics, which can change every choice. The env
+// copy happens under the stats latch: a concurrent reader may be
+// installing lazily collected statistics into this snapshot at the same
+// moment.
 func (s *Snapshot) clone() *Snapshot {
 	next := &Snapshot{
 		seq:   s.seq + 1,
@@ -219,15 +173,17 @@ func (s *Snapshot) clone() *Snapshot {
 	s.statsMu.Lock()
 	next.env = s.env
 	s.statsMu.Unlock()
-	// The successor's statistics slot starts empty (its writer re-derives
-	// them after publishing); the predecessor's become the staleness
-	// fallback so no reader ever stalls on a collection.
-	next.stale = next.env.Stats
-	if next.stale == nil {
-		next.stale = s.stale
-	}
-	next.env.Stats = nil
+	next.statsReady.Store(next.env.Stats != nil)
 	return next
+}
+
+// successorStats gives the snapshot a private copy-on-write successor of
+// the statistics it shares with its base, for a writer about to change the
+// store; a never-analysed version keeps none.
+func (s *Snapshot) successorStats() {
+	if s.env.Stats != nil {
+		s.env.Stats = s.env.Stats.Successor()
+	}
 }
 
 // cowIndices replaces the incrementally maintained indices (ROOTPATHS /

@@ -167,8 +167,8 @@ func (tx *Tx) snapshot() *Snapshot {
 
 // successor makes a private successor of base — the one place a
 // transaction's version is made, for the first write and for every commit
-// replay: a shallow store clone (documents privatize on demand) and
-// page-COW index clones. The COW frontier is the device page count now — a
+// replay: a shallow store clone (root-to-target spines privatize on
+// demand), copy-on-write statistics and page-COW index clones. The COW frontier is the device page count now — a
 // conservative superset of every page base (or any older snapshot) can
 // reference; pages other in-flight transactions allocate beyond it never
 // enter this transaction's trees, so treating them as "owned" is moot.
@@ -177,6 +177,7 @@ func (tx *Tx) successor(base *Snapshot) *Snapshot {
 	store := base.store.CloneShallow()
 	next.store = store
 	next.env.Store = store
+	next.successorStats()
 	next.cowIndices(storage.PageID(tx.db.dev.NumPages()))
 	return next
 }
@@ -242,19 +243,17 @@ func cloneNumbered(n *xmldb.Node) *xmldb.Node {
 	if len(n.Children) > 0 {
 		c.Children = make([]*xmldb.Node, len(n.Children))
 		for i, ch := range n.Children {
-			cc := cloneNumbered(ch)
-			cc.Parent = c
-			c.Children[i] = cc
+			c.Children[i] = cloneNumbered(ch)
 		}
 	}
 	return c
 }
 
-// applyOp applies one logical operation to a prepared successor: the
-// initial application and every commit replay go through this single
-// path, so they cannot diverge.
+// applyOp applies one logical operation to a prepared successor — store,
+// statistics and maintained indices: the initial application and every
+// commit replay go through this single path, so they cannot diverge.
 func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
-	store := next.store
+	store, st := next.store, next.env.Stats
 	if op.insert {
 		parent, err := store.Privatize(op.parentID)
 		if err != nil {
@@ -263,6 +262,9 @@ func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
 		cp := cloneNumbered(op.sub)
 		if err := store.AttachNumberedSubtree(parent, cp); err != nil {
 			return err
+		}
+		if st != nil {
+			st.Apply(store, next.dict, cp, +1)
 		}
 		for _, m := range next.maintained() {
 			if err := m.InsertSubtree(store, cp); err != nil {
@@ -275,8 +277,11 @@ func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
 	if err != nil {
 		return err
 	}
-	// Index rows are derived from the root path, so delete them while the
-	// subtree is still connected.
+	// Statistics and index rows are derived from the root path, so remove
+	// them while the subtree is still connected.
+	if st != nil {
+		st.Apply(store, next.dict, n, -1)
+	}
 	for _, m := range next.maintained() {
 		if err := m.DeleteSubtree(store, n); err != nil {
 			return err
@@ -305,9 +310,6 @@ func (tx *Tx) Insert(parentID int64, sub *xmldb.Node) error {
 	}
 	if sub == nil {
 		return fmt.Errorf("engine: insert of nil subtree")
-	}
-	if sub.Parent != nil {
-		return fmt.Errorf("xmldb: subtree already attached")
 	}
 	if tx.snapshot().store.NodeByID(parentID) == nil {
 		return fmt.Errorf("engine: no node with id %d", parentID)
@@ -465,10 +467,11 @@ func (tx *Tx) Commit() error {
 }
 
 // publish finishes a commit — the one tail of every commit, explicit,
-// Update's or an implicit operation's. The caller holds writeMu (released here) with prepared's base
-// still current, so validation has passed: prepared is sealed under one
-// commit record and becomes the current snapshot, the commit is counted
-// and timed from start, and the successor's statistics are installed.
+// Update's or an implicit operation's. The caller holds writeMu (released
+// here) with prepared's base still current, so validation has passed:
+// prepared — statistics included — is sealed under one commit record and
+// becomes the current snapshot, and the commit is counted and timed from
+// start.
 func (tx *Tx) publish(prepared *Snapshot, writeSet []int64, start time.Time) error {
 	db := tx.db
 	db.commitStage(CommitStageValidated)
@@ -488,7 +491,6 @@ func (tx *Tx) publish(prepared *Snapshot, writeSet []int64, start time.Time) err
 	db.counters.CountTxCommit()
 	db.reg.TxnLatency.Observe(time.Since(start).Nanoseconds())
 	db.commitStage(CommitStagePublished)
-	db.installStats(prepared)
 	return nil
 }
 

@@ -543,9 +543,9 @@ func TestImplicitOpsNeverConflict(t *testing.T) {
 	values := func(db *DB) []string {
 		var out []string
 		ids := matchIDs(t, db, `/a/n`)
-		db.ViewNodes(func(byID func(int64) *xmldb.Node) {
+		db.ViewNodes(func(store *xmldb.Store) {
 			for _, id := range ids {
-				out = append(out, byID(id).Value)
+				out = append(out, store.NodeByID(id).Value)
 			}
 		})
 		sort.Strings(out)

@@ -102,6 +102,7 @@ func (m *matcher) existsBelow(pc *xpath.Node, d *xmldb.Node) bool {
 // ancestor with the right axis relationship, carries its own node
 // conditions, and embeds all of its other (off-path) child subtrees.
 func (m *matcher) upMatch(store *xmldb.Store, p *xpath.Node, d *xmldb.Node) bool {
+	up := store.Parent(d)
 	pp := p.Parent
 	if pp == nil {
 		// p is the pattern root: anchor at a document root for /, any
@@ -109,7 +110,7 @@ func (m *matcher) upMatch(store *xmldb.Store, p *xpath.Node, d *xmldb.Node) bool
 		if p.Axis == xpath.Descendant {
 			return true
 		}
-		return d.Parent != nil && d.Parent.ID == 0
+		return up != nil && up.ID == 0
 	}
 	check := func(da *xmldb.Node) bool {
 		if !labelValueOK(pp, da) {
@@ -126,9 +127,9 @@ func (m *matcher) upMatch(store *xmldb.Store, p *xpath.Node, d *xmldb.Node) bool
 		return m.upMatch(store, pp, da)
 	}
 	if p.Axis == xpath.Child {
-		return d.Parent != nil && d.Parent.ID != 0 && check(d.Parent)
+		return up != nil && up.ID != 0 && check(up)
 	}
-	for da := d.Parent; da != nil && da.ID != 0; da = da.Parent {
+	for da := up; da != nil && da.ID != 0; da = store.Parent(da) {
 		if check(da) {
 			return true
 		}

@@ -18,8 +18,8 @@ type Runtime struct {
 	states []runState
 
 	// env and eval cache the evaluator for the environment the runtime last
-	// ran against; a different env pointer (e.g. the bounded-staleness env
-	// copies the engine hands out while statistics derive) rebuilds it.
+	// ran against; a different env pointer (a caller running one tree
+	// against a copied env) rebuilds it.
 	env  *Env
 	eval evaluator
 

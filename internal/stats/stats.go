@@ -9,21 +9,27 @@ package stats
 import (
 	"sync"
 
+	"repro/internal/cowmap"
 	"repro/internal/pathdict"
 	"repro/internal/pathrel"
 	"repro/internal/xmldb"
 )
 
-// Stats holds match counts over the rooted schema paths of a store. After
-// Collect returns, the count maps are immutable, so concurrent readers need
-// no synchronisation; only the estimate memo caches are mutated afterwards
-// and they are guarded by a read-write latch (reads vastly outnumber writes
-// once the workload's branch patterns have been seen).
+// Stats holds match counts over the rooted schema paths of one version of
+// a store. Once the version is published the counts are immutable, so
+// concurrent readers need no synchronisation; only the estimate memo
+// caches are mutated afterwards and they are guarded by a read-write latch
+// (reads vastly outnumber writes once the workload's branch patterns have
+// been seen).
+//
+// Collect derives the counts from scratch. A writer's version instead
+// takes a Successor of its base's statistics and Applies the rows of each
+// subtree it attaches or detaches: the counts are copy-on-write maps
+// (cowmap.Map) sharing the base's, so the cost follows the change.
 type Stats struct {
-	ptab      *pathdict.PathTable // rooted paths
-	pathCount map[pathdict.PathID]int64
-	valCount  map[valKey]int64
-	byLast    map[pathdict.Sym][]pathdict.PathID // rooted paths by final designator
+	reg       *registry
+	pathCount cowmap.Map[pathdict.PathID, int64]
+	valCount  cowmap.Map[valKey, int64]
 
 	mu sync.RWMutex
 	// patIDs interns compiled linear patterns into dense references so the
@@ -34,6 +40,41 @@ type Stats struct {
 	nextPat    patRef
 	estCache   map[estKey]int64
 	matchCache map[patRef]int64
+}
+
+// registry holds every rooted path any version derived from one Collect
+// has counted, shared by all of them: append-only, so a path id means the
+// same path in every version. A path is part of a version's rooted-path
+// set only while its count there is positive.
+type registry struct {
+	ptab *pathdict.PathTable
+
+	mu     sync.RWMutex
+	byLast map[pathdict.Sym][]pathdict.PathID // paths by final designator
+}
+
+// intern returns the id of p, registering it (and indexing it by its
+// final designator) if new.
+func (r *registry) intern(p pathdict.Path) pathdict.PathID {
+	if id, ok := r.ptab.Lookup(p); ok {
+		return id
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := r.ptab.Len()
+	id := r.ptab.Intern(p)
+	if int(id) == n {
+		last := p[len(p)-1]
+		r.byLast[last] = append(r.byLast[last], id)
+	}
+	return id
+}
+
+// endingWith returns the registered paths whose final designator is sym.
+func (r *registry) endingWith(sym pathdict.Sym) []pathdict.PathID {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.byLast[sym]
 }
 
 type valKey struct {
@@ -55,42 +96,101 @@ type estKey struct {
 // Collect walks the store once and builds the statistics. Labels are
 // interned into dict.
 func Collect(store *xmldb.Store, dict *pathdict.Dict) *Stats {
-	s := &Stats{
-		ptab:       pathdict.NewPathTable(),
-		pathCount:  map[pathdict.PathID]int64{},
-		valCount:   map[valKey]int64{},
-		byLast:     map[pathdict.Sym][]pathdict.PathID{},
-		patIDs:     map[string]patRef{},
-		estCache:   map[estKey]int64{},
-		matchCache: map[patRef]int64{},
-	}
+	reg := &registry{ptab: pathdict.NewPathTable(), byLast: map[pathdict.Sym][]pathdict.PathID{}}
+	pathCount := map[pathdict.PathID]int64{}
+	valCount := map[valKey]int64{}
 	pathrel.Emit(store, dict, nil, false, func(r pathrel.Row) {
-		id := s.ptab.Intern(r.Path)
+		id := reg.ptab.Intern(r.Path)
 		if r.HasValue {
-			s.valCount[valKey{id, r.Value}]++
+			valCount[valKey{id, r.Value}]++
 		} else {
-			s.pathCount[id]++
+			pathCount[id]++
 		}
 	})
-	s.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
+	reg.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
 		last := p[len(p)-1]
-		s.byLast[last] = append(s.byLast[last], id)
+		reg.byLast[last] = append(reg.byLast[last], id)
 	})
+	s := &Stats{reg: reg, pathCount: cowmap.From(pathCount), valCount: cowmap.From(valCount)}
+	s.resetMemo()
 	return s
 }
 
-// RootedPaths returns the registry of distinct rooted schema paths; the
-// planner uses it to expand // patterns against the schema (DataGuide-style
-// summary traversal).
-func (s *Stats) RootedPaths() *pathdict.PathTable { return s.ptab }
+// Successor returns statistics for a new version of the store that starts
+// out equal to s: the counts are shared copy-on-write, the memo caches
+// start empty. s must not be changed afterwards.
+func (s *Stats) Successor() *Stats {
+	next := &Stats{reg: s.reg, pathCount: s.pathCount.Clone(), valCount: s.valCount.Clone()}
+	next.resetMemo()
+	return next
+}
+
+// Apply counts the rooted-path rows of the subtree at sub (sign +1) or
+// discounts them (sign -1). sub must be attached to store: call it after
+// attaching a subtree, and before detaching one. Only a version no reader
+// can see yet may be changed.
+func (s *Stats) Apply(store *xmldb.Store, dict *pathdict.Dict, sub *xmldb.Node, sign int64) {
+	pathrel.Emit(store, dict, sub, false, func(r pathrel.Row) {
+		id := s.reg.intern(r.Path)
+		if r.HasValue {
+			k := valKey{id, r.Value}
+			s.valCount.Set(k, s.valCount.Get(k)+sign)
+		} else {
+			s.pathCount.Set(id, s.pathCount.Get(id)+sign)
+		}
+	})
+	s.resetMemo()
+}
+
+func (s *Stats) resetMemo() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.patIDs = map[string]patRef{}
+	s.nextPat = 0
+	s.estCache = map[estKey]int64{}
+	s.matchCache = map[patRef]int64{}
+}
+
+// RootedPaths is the set of distinct rooted schema paths with at least one
+// instance; the planner uses it to expand // patterns against the schema
+// (DataGuide-style summary traversal).
+type RootedPaths struct{ s *Stats }
+
+// RootedPaths returns the version's rooted-path set.
+func (s *Stats) RootedPaths() RootedPaths { return RootedPaths{s} }
+
+// Len returns the number of rooted paths (the paper reports 235 for DBLP
+// and 902 for XMark).
+func (r RootedPaths) Len() int { return r.s.pathCount.Len() }
+
+// Lookup returns the id of path p, if it is in the set.
+func (r RootedPaths) Lookup(p pathdict.Path) (pathdict.PathID, bool) {
+	id, ok := r.s.reg.ptab.Lookup(p)
+	return id, ok && r.s.pathCount.Get(id) > 0
+}
+
+// All calls fn for every path in the set, in id order.
+func (r RootedPaths) All(fn func(pathdict.PathID, pathdict.Path)) {
+	r.s.reg.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
+		if r.s.pathCount.Get(id) > 0 {
+			fn(id, p)
+		}
+	})
+}
 
 // PathCount returns the number of instances of an exact rooted path.
-func (s *Stats) PathCount(id pathdict.PathID) int64 { return s.pathCount[id] }
+func (s *Stats) PathCount(id pathdict.PathID) int64 { return s.pathCount.Get(id) }
 
 // ValueCount returns the number of instances of an exact rooted path whose
 // end node carries the given leaf value.
 func (s *Stats) ValueCount(id pathdict.PathID, value string) int64 {
-	return s.valCount[valKey{id, value}]
+	return s.valCount.Get(valKey{id, value})
+}
+
+// Values calls fn for every (rooted path, leaf value) pair with a positive
+// count, in no particular order.
+func (s *Stats) Values(fn func(p pathdict.Path, value string, n int64)) {
+	s.valCount.Range(func(k valKey, n int64) { fn(s.reg.ptab.Path(k.path), k.value, n) })
 }
 
 // patRefFor interns the compiled pattern, returning its dense reference.
@@ -140,8 +240,8 @@ func (s *Stats) EstimateBranch(pat []pathdict.PStep, hasValue bool, value string
 	}
 
 	var total int64
-	for _, id := range s.byLast[pat[len(pat)-1].Sym] {
-		if !pathdict.MatchPath(pat, s.ptab.Path(id)) {
+	for _, id := range s.reg.endingWith(pat[len(pat)-1].Sym) {
+		if !pathdict.MatchPath(pat, s.reg.ptab.Path(id)) {
 			continue
 		}
 		if hasValue {
@@ -173,8 +273,8 @@ func (s *Stats) CountMatchingRootedPaths(pat []pathdict.PStep) int64 {
 		return v
 	}
 	var total int64
-	for _, id := range s.byLast[pat[len(pat)-1].Sym] {
-		if pathdict.MatchPath(pat, s.ptab.Path(id)) {
+	for _, id := range s.reg.endingWith(pat[len(pat)-1].Sym) {
+		if s.PathCount(id) > 0 && pathdict.MatchPath(pat, s.reg.ptab.Path(id)) {
 			total++
 		}
 	}
@@ -187,7 +287,7 @@ func (s *Stats) CountMatchingRootedPaths(pat []pathdict.PStep) int64 {
 // MatchingRootedPaths returns the rooted paths matching a linear pattern.
 func (s *Stats) MatchingRootedPaths(pat []pathdict.PStep) []pathdict.Path {
 	var out []pathdict.Path
-	s.ptab.All(func(_ pathdict.PathID, p pathdict.Path) {
+	s.RootedPaths().All(func(_ pathdict.PathID, p pathdict.Path) {
 		if pathdict.MatchPath(pat, p) {
 			out = append(out, p)
 		}

@@ -8,8 +8,10 @@ package xmldb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+
+	"repro/internal/cowmap"
 )
 
 // AttrPrefix distinguishes attribute labels from element tags in schema
@@ -22,6 +24,11 @@ const AttrPrefix = "@"
 // character data (or an attribute's value) records it in Value with HasValue
 // set. This mirrors the paper's 4-ary relation, where IdList contains only
 // element/attribute ids and the leaf value is a separate column.
+//
+// A node reaches its parent by id, through the Store version it is read
+// from (Store.Parent): versions share every node they did not change, so a
+// parent pointer would lead a reader of one version into another's child
+// lists.
 type Node struct {
 	// ID is the unique document-order identifier. The virtual root that
 	// parents all documents has ID 0; real nodes start at 1.
@@ -37,30 +44,21 @@ type Node struct {
 	// empty string value from no value at all).
 	HasValue bool
 
-	Parent   *Node
+	// ParentID is the id of the parent node, set when the node is
+	// registered in a store (0 for document roots, whose parent is the
+	// virtual root, and for nodes not yet in any store).
+	ParentID int64
+
 	Children []*Node
 }
 
 // IsAttr reports whether the node is an attribute node.
 func (n *Node) IsAttr() bool { return strings.HasPrefix(n.Label, AttrPrefix) }
 
-// AddChild appends c to n's children and sets the parent pointer.
+// AddChild appends c to n's children (a builder for unattached trees; a
+// store sets parent ids when the tree is registered).
 func (n *Node) AddChild(c *Node) {
-	c.Parent = n
 	n.Children = append(n.Children, c)
-}
-
-// Path returns the slash-separated label path from the document root to n,
-// e.g. "site/regions/namerica/item". Useful in error messages and tests.
-func (n *Node) Path() string {
-	var labels []string
-	for cur := n; cur != nil && cur.ID != 0; cur = cur.Parent {
-		labels = append(labels, cur.Label)
-	}
-	for i, j := 0, len(labels)-1; i < j; i, j = i+1, j-1 {
-		labels[i], labels[j] = labels[j], labels[i]
-	}
-	return strings.Join(labels, "/")
 }
 
 // Document is a single XML tree.
@@ -70,79 +68,84 @@ type Document struct {
 
 // Store is a forest of documents sharing one id space, rooted at a virtual
 // root node with id 0 (the paper's Section 3.3 device that lets DATAPATHS
-// answer FreeIndex as a BoundIndex on the virtual root).
+// answer FreeIndex as a BoundIndex on the virtual root). Docs[i].Root is
+// VirtualRoot.Children[i].
+//
+// Versions of a store made by CloneShallow share every node they have not
+// changed. A writer copies only the spine from the virtual root down to
+// the node it changes (Privatize); the id index is a frozen base map
+// shared by pointer plus a small per-version delta (cowmap.Map).
 type Store struct {
 	VirtualRoot *Node
 	Docs        []*Document
 
 	nextID int64
-	byID   map[int64]*Node
+	byID   cowmap.Map[int64, *Node]
 
-	// privatized and writeSet exist only on handles made by CloneShallow:
-	// privatized marks the top-level subtrees this handle has deep-copied
-	// (further Privatize calls into them are free), and writeSet records the
-	// top-level subtree ids the handle has declared it will mutate — the
-	// document-granularity write-set the engine validates transactions with.
-	privatized map[int64]bool
-	writeSet   map[int64]bool
+	// owned and writeSet exist only on handles made by CloneShallow. owned
+	// holds the ids of the nodes this handle copied and of the roots of the
+	// subtrees it attached: those it may mutate in place, and Privatize
+	// through them copies nothing. A nil owned set means every node is
+	// private to this store. writeSet records the top-level subtree ids the
+	// handle has declared it will mutate — the document-granularity
+	// write-set the engine validates transactions with.
+	owned    map[int64]bool
+	writeSet map[int64]bool
 }
 
 // NewStore returns an empty store whose next node id is 1.
 func NewStore() *Store {
 	vr := &Node{ID: 0, Label: ""}
-	return &Store{
-		VirtualRoot: vr,
-		nextID:      1,
-		byID:        map[int64]*Node{0: vr},
-	}
+	s := &Store{VirtualRoot: vr, nextID: 1}
+	s.byID.Set(0, vr)
+	return s
 }
 
 // NextID returns the next unassigned node id without consuming it.
 func (s *Store) NextID() int64 { return s.nextID }
 
-// AddDocument numbers every node of doc in pre-order, registers the nodes,
-// and attaches the document root under the virtual root.
+// AddDocument numbers every node of doc in pre-order from the store's id
+// counter, registers the nodes, and attaches the document root under the
+// virtual root.
 func (s *Store) AddDocument(doc *Document) {
 	if doc == nil || doc.Root == nil {
 		return
 	}
 	s.number(doc.Root)
-	doc.Root.Parent = s.VirtualRoot
-	s.VirtualRoot.Children = append(s.VirtualRoot.Children, doc.Root)
-	s.Docs = append(s.Docs, doc)
+	_ = s.RestoreDocument(doc) // fresh ids cannot collide
 }
 
+// number assigns pre-order ids to the subtree at n from the id counter.
 func (s *Store) number(n *Node) {
 	n.ID = s.nextID
 	s.nextID++
-	s.byID[n.ID] = n
 	for _, c := range n.Children {
 		s.number(c)
 	}
 }
 
 // NodeByID returns the node with the given id, or nil if unknown.
-func (s *Store) NodeByID(id int64) *Node { return s.byID[id] }
+func (s *Store) NodeByID(id int64) *Node { return s.byID.Get(id) }
+
+// Parent returns n's parent in this store: the virtual root for a document
+// root, nil for the virtual root and for nodes not in this store.
+func (s *Store) Parent(n *Node) *Node {
+	if n.ID == 0 || s.byID.Get(n.ID) != n {
+		return nil
+	}
+	return s.byID.Get(n.ParentID)
+}
 
 // RestoreDocument attaches a document whose nodes already carry their ids
 // (the persistence path: the engine catalog deserialises documents with
 // the ids they were saved with, so index rows keep pointing at the right
 // nodes). Combine with SetNextID to restore the id counter.
-func (s *Store) RestoreDocument(doc *Document) {
+func (s *Store) RestoreDocument(doc *Document) error {
 	if doc == nil || doc.Root == nil {
-		return
+		return nil
 	}
-	var register func(n *Node)
-	register = func(n *Node) {
-		s.byID[n.ID] = n
-		for _, c := range n.Children {
-			register(c)
-		}
-	}
-	register(doc.Root)
-	doc.Root.Parent = s.VirtualRoot
-	s.VirtualRoot.Children = append(s.VirtualRoot.Children, doc.Root)
-	s.Docs = append(s.Docs, doc)
+	vr, _ := s.Privatize(0) // the virtual root always exists
+	return s.AttachNumberedSubtree(vr, doc.Root)
 }
 
 // SetNextID restores the id counter; ids at or above next must be unused.
@@ -152,45 +155,67 @@ func (s *Store) SetNextID(next int64) { s.nextID = next }
 // assigned by the engine's global id allocator, so concurrent transaction
 // writers never collide — as the last child of parent. The subtree's ids
 // must be unused in this store; the id counter is raised past them so a
-// later SetNextID-free numbering cannot reuse them.
+// later SetNextID-free numbering cannot reuse them. A subtree attached
+// under the virtual root becomes a document of its own.
 func (s *Store) AttachNumberedSubtree(parent *Node, sub *Node) error {
-	if parent == nil {
-		return fmt.Errorf("xmldb: attach to nil parent")
-	}
-	if s.byID[parent.ID] != parent {
-		return fmt.Errorf("xmldb: parent #%d is not part of this store", parent.ID)
-	}
-	if sub.Parent != nil {
-		return fmt.Errorf("xmldb: subtree already attached")
+	if err := s.checkParent(parent); err != nil {
+		return err
 	}
 	if sub.ID == 0 {
 		return fmt.Errorf("xmldb: subtree is not numbered")
 	}
-	var register func(n *Node) error
-	register = func(n *Node) error {
-		if _, dup := s.byID[n.ID]; dup {
+	if s.byID.Get(sub.ID) != nil {
+		return fmt.Errorf("xmldb: subtree already attached")
+	}
+	// A duplicate id deeper down fails the attach half-done: the version is
+	// broken, and its writer discards it.
+	var register func(n *Node, parentID int64) error
+	register = func(n *Node, parentID int64) error {
+		n.ParentID = parentID
+		if !s.byID.Add(n.ID, n) {
 			return fmt.Errorf("xmldb: node id %d already present in store", n.ID)
 		}
-		s.byID[n.ID] = n
 		if n.ID >= s.nextID {
 			s.nextID = n.ID + 1
 		}
 		for _, c := range n.Children {
-			if err := register(c); err != nil {
+			if err := register(c, n.ID); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := register(sub); err != nil {
+	if err := register(sub, parent.ID); err != nil {
 		return err
 	}
-	sub.Parent = parent
+	if s.owned != nil {
+		// Inserting under the new root needs no copy; deeper nodes are
+		// spine-copied like any other should a later write reach them.
+		s.owned[sub.ID] = true
+	}
 	parent.Children = append(parent.Children, sub)
-	if parent.ID == 0 && s.writeSet != nil {
-		// A new top-level subtree is its own "document" for conflict
-		// purposes; record it so the write-set is complete.
-		s.writeSet[sub.ID] = true
+	if parent.ID == 0 {
+		s.Docs = append(s.Docs, &Document{Root: sub})
+		if s.writeSet != nil {
+			// A new top-level subtree is its own "document" for conflict
+			// purposes; record it so the write-set is complete.
+			s.writeSet[sub.ID] = true
+		}
+	}
+	return nil
+}
+
+// checkParent verifies parent is a node of this store the caller may
+// mutate: on a CloneShallow handle, one Privatize returned.
+func (s *Store) checkParent(parent *Node) error {
+	if parent == nil {
+		return fmt.Errorf("xmldb: attach to nil parent")
+	}
+	if s.byID.Get(parent.ID) != parent {
+		return fmt.Errorf("xmldb: parent #%d is not part of this store", parent.ID)
+	}
+	if s.owned != nil && !s.owned[parent.ID] {
+		return fmt.Errorf("xmldb: parent #%d is shared with other versions (Privatize it first)", parent.ID)
 	}
 	return nil
 }
@@ -201,71 +226,54 @@ func (s *Store) AttachNumberedSubtree(parent *Node, sub *Node) error {
 // existing ones; document order among ids is preserved only per subtree,
 // which is all the indices require (ids are opaque join keys).
 func (s *Store) AttachSubtree(parent *Node, sub *Node) error {
-	if parent == nil {
-		return fmt.Errorf("xmldb: attach to nil parent")
+	if err := s.checkParent(parent); err != nil {
+		return err
 	}
-	if s.byID[parent.ID] != parent {
-		return fmt.Errorf("xmldb: parent #%d is not part of this store", parent.ID)
-	}
-	if sub.ID != 0 || sub.Parent != nil {
+	if sub.ID != 0 {
 		return fmt.Errorf("xmldb: subtree already attached")
 	}
 	s.number(sub)
-	sub.Parent = parent
-	parent.Children = append(parent.Children, sub)
-	return nil
+	return s.AttachNumberedSubtree(parent, sub)
 }
 
 // DetachSubtree removes n (and its subtree) from the store and from its
 // parent's child list. The virtual root and document roots cannot be
-// detached.
+// detached. On a CloneShallow handle, n must come from Privatize.
 func (s *Store) DetachSubtree(n *Node) error {
 	if n == nil || n.ID == 0 {
 		return fmt.Errorf("xmldb: cannot detach the virtual root")
 	}
-	if s.byID[n.ID] != n {
+	if s.byID.Get(n.ID) != n {
 		return fmt.Errorf("xmldb: node #%d is not part of this store", n.ID)
 	}
-	p := n.Parent
-	if p == nil || p.ID == 0 {
+	if n.ParentID == 0 {
 		return fmt.Errorf("xmldb: cannot detach a document root")
 	}
-	idx := -1
-	for i, c := range p.Children {
-		if c == n {
-			idx = i
-			break
-		}
+	p := s.byID.Get(n.ParentID)
+	if err := s.checkParent(p); err != nil {
+		return err
 	}
+	idx := slices.Index(p.Children, n)
 	if idx < 0 {
 		return fmt.Errorf("xmldb: node #%d missing from its parent's children", n.ID)
 	}
-	p.Children = append(p.Children[:idx], p.Children[idx+1:]...)
+	p.Children = slices.Delete(p.Children, idx, idx+1)
 	var unregister func(n *Node)
 	unregister = func(n *Node) {
-		delete(s.byID, n.ID)
+		s.byID.Set(n.ID, nil)
 		for _, c := range n.Children {
 			unregister(c)
 		}
 	}
 	unregister(n)
-	n.Parent = nil
 	return nil
 }
 
 // CloneForWrite returns a copy of the store prepared for mutating the
-// subtree location identified by targetID, plus target's node in the copy.
-// The document containing the target is deep-copied (every node fresh, so
-// parent/child pointers inside it are internally consistent); all other
-// documents are shared by pointer with the original, which must from now on
-// be treated as immutable — this is the store half of the engine's
-// copy-on-write snapshots, at document granularity. A targetID of 0 (the
-// virtual root) copies only the root itself and shares every document.
-//
-// Shared documents keep their original root nodes, whose Parent still
-// points at the original store's virtual root; that pointer is only ever
-// used for its ID (the `ID == 0` root checks), never traversed for
-// children, so the aliasing is harmless.
+// subtree location identified by targetID, plus target's node in the copy:
+// CloneShallow followed by Privatize(targetID). The original must from now
+// on be treated as immutable — this is the store half of the engine's
+// copy-on-write snapshots.
 func (s *Store) CloneForWrite(targetID int64) (*Store, *Node, error) {
 	clone := s.CloneShallow()
 	n, err := clone.Privatize(targetID)
@@ -275,94 +283,73 @@ func (s *Store) CloneForWrite(targetID int64) (*Store, *Node, error) {
 	return clone, n, nil
 }
 
-// CloneShallow returns a copy of the store that shares every document tree
-// with the original by pointer: only the virtual root, the byID map, and
-// the Docs slice are copied. The original must from now on be treated as
-// immutable. Individual documents are deep-copied on demand by Privatize —
-// together they are the document-granularity copy-on-write substrate of
-// the engine's transactions, which also read the accumulated write-set off
-// the clone (see WriteSet).
-//
-// Shared documents keep their original root nodes, whose Parent still
-// points at the original store's virtual root; that pointer is only ever
-// used for its ID (the `ID == 0` root checks), never traversed for
-// children, so the aliasing is harmless.
+// CloneShallow returns a new version of the store that shares every node
+// with the original, in O(changes the original's id index has not yet
+// folded): no node and no child list is copied until Privatize. The
+// original must from now on be treated as immutable. Together with
+// Privatize this is the copy-on-write substrate of the engine's
+// transactions, which also read the accumulated write-set off the clone
+// (see WriteSet).
 func (s *Store) CloneShallow() *Store {
-	vr := &Node{ID: 0, Label: ""}
-	clone := &Store{
-		VirtualRoot: vr,
-		Docs:        append([]*Document(nil), s.Docs...),
+	return &Store{
+		VirtualRoot: s.VirtualRoot,
+		Docs:        s.Docs,
 		nextID:      s.nextID,
-		byID:        make(map[int64]*Node, len(s.byID)+8),
-		privatized:  make(map[int64]bool),
+		byID:        s.byID.Clone(),
+		owned:       make(map[int64]bool),
 		writeSet:    make(map[int64]bool),
 	}
-	for id, n := range s.byID {
-		clone.byID[id] = n
-	}
-	clone.byID[0] = vr
-	vr.Children = append([]*Node(nil), s.VirtualRoot.Children...)
-	return clone
 }
 
-// Privatize prepares the store for mutating the location identified by
-// targetID: the top-level subtree (document) containing the target is
-// deep-copied — unless this handle already privatized it — swapped into
-// Docs and the virtual root's child list, and recorded in the write-set.
-// It returns the target's node in the private copy. Only meaningful on
-// handles made by CloneShallow; on other stores every document is already
-// private and the call just resolves the node.
+// Privatize prepares the store for mutating the node identified by
+// targetID: every node on the path from the virtual root down to the
+// target that this handle does not already own is copied —
+// the copy gets a fresh Children slice, everything off the path stays
+// shared — and re-linked into its (private) parent, Docs included. The
+// target's document is recorded in the write-set. It returns the target's
+// private node, whose Children slice may be changed in place. On stores
+// not made by CloneShallow every node is private and the call just
+// resolves the node.
 func (s *Store) Privatize(targetID int64) (*Node, error) {
-	target := s.byID[targetID]
+	target := s.byID.Get(targetID)
 	if target == nil {
 		return nil, fmt.Errorf("xmldb: no node with id %d", targetID)
 	}
-	if targetID == 0 {
-		return s.VirtualRoot, nil
+	spine := []*Node{target} // target first, virtual root last
+	for n := target; n.ID != 0; {
+		n = s.byID.Get(n.ParentID)
+		spine = append(spine, n)
 	}
-	top := target
-	for top.Parent != nil && top.Parent.ID != 0 {
-		top = top.Parent
+	if s.writeSet != nil && targetID != 0 {
+		s.writeSet[spine[len(spine)-2].ID] = true
 	}
-	if s.writeSet != nil {
-		s.writeSet[top.ID] = true
-	}
-	if s.privatized == nil || s.privatized[top.ID] {
-		// Not a shallow clone (every document private already), or this
-		// document was privatized earlier: byID resolves into the copy.
+	if s.owned == nil {
 		return target, nil
 	}
-	var newTarget *Node
-	var copyTree func(n *Node, parent *Node) *Node
-	copyTree = func(n *Node, parent *Node) *Node {
-		c := &Node{ID: n.ID, Label: n.Label, Value: n.Value, HasValue: n.HasValue, Parent: parent}
-		if len(n.Children) > 0 {
-			c.Children = make([]*Node, len(n.Children))
-			for j, ch := range n.Children {
-				c.Children[j] = copyTree(ch, c)
+	var parent *Node
+	for i := len(spine) - 1; i >= 0; i-- {
+		n := spine[i]
+		if s.owned[n.ID] {
+			parent = n
+			continue
+		}
+		c := &Node{ID: n.ID, Label: n.Label, Value: n.Value, HasValue: n.HasValue,
+			ParentID: n.ParentID, Children: slices.Clone(n.Children)}
+		s.owned[c.ID] = true
+		s.byID.Set(c.ID, c)
+		if parent == nil {
+			s.VirtualRoot = c
+			s.Docs = slices.Clone(s.Docs)
+		} else {
+			j := slices.Index(parent.Children, n)
+			parent.Children[j] = c
+			if parent.ID == 0 {
+				s.Docs[j] = &Document{Root: c}
 			}
 		}
-		s.byID[c.ID] = c
-		if n == target {
-			newTarget = c
-		}
-		return c
+		parent = c
 	}
-	newTop := copyTree(top, s.VirtualRoot)
-	for i, d := range s.Docs {
-		if d.Root == top {
-			s.Docs[i] = &Document{Root: newTop}
-			break
-		}
-	}
-	for i, c := range s.VirtualRoot.Children {
-		if c == top {
-			s.VirtualRoot.Children[i] = newTop
-			break
-		}
-	}
-	s.privatized[top.ID] = true
-	return newTarget, nil
+	return parent, nil
 }
 
 // WriteSet returns the ids of the top-level subtrees (documents) this
@@ -378,7 +365,7 @@ func (s *Store) WriteSet() []int64 {
 	for id := range s.writeSet {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -386,18 +373,26 @@ func (s *Store) WriteSet() []int64 {
 // (excluding the virtual root and n itself).
 func (s *Store) Ancestors(n *Node) []*Node {
 	var up []*Node
-	for cur := n.Parent; cur != nil && cur.ID != 0; cur = cur.Parent {
+	for cur := s.Parent(n); cur != nil && cur.ID != 0; cur = s.Parent(cur) {
 		up = append(up, cur)
 	}
-	for i, j := 0, len(up)-1; i < j; i, j = i+1, j-1 {
-		up[i], up[j] = up[j], up[i]
-	}
+	slices.Reverse(up)
 	return up
+}
+
+// Path returns the slash-separated label path from the document root to n,
+// e.g. "site/regions/namerica/item". Useful in error messages and tests.
+func (s *Store) Path(n *Node) string {
+	var labels []string
+	for _, a := range s.Ancestors(n) {
+		labels = append(labels, a.Label)
+	}
+	return strings.Join(append(labels, n.Label), "/")
 }
 
 // NodeCount returns the number of element/attribute nodes in the store
 // (excluding the virtual root).
-func (s *Store) NodeCount() int { return len(s.byID) - 1 }
+func (s *Store) NodeCount() int { return s.byID.Len() - 1 }
 
 // Walk calls fn for every node of every document in pre-order. Returning
 // false from fn skips the node's subtree.

@@ -26,7 +26,7 @@ func TestAttachSubtree(t *testing.T) {
 	if sub.ID == 0 || sub.Children[0].ID != sub.ID+1 {
 		t.Fatalf("ids not assigned pre-order: %d, %d", sub.ID, sub.Children[0].ID)
 	}
-	if sub.Parent != doc.Root {
+	if s.Parent(sub) != doc.Root {
 		t.Fatalf("parent not set")
 	}
 	if s.NodeByID(sub.ID) != sub {
@@ -71,8 +71,8 @@ func TestDetachSubtree(t *testing.T) {
 	if len(doc.Root.Children) != 1 || doc.Root.Children[0].Label != "c" {
 		t.Fatalf("children after detach = %v", doc.Root.Children)
 	}
-	if b.Parent != nil {
-		t.Fatalf("detached parent pointer not cleared")
+	if s.Parent(b) != nil {
+		t.Fatalf("detached node still resolves a parent")
 	}
 }
 

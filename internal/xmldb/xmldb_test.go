@@ -98,7 +98,7 @@ func TestStoreMultipleDocuments(t *testing.T) {
 	if len(s.VirtualRoot.Children) != 2 {
 		t.Fatalf("virtual root children = %d", len(s.VirtualRoot.Children))
 	}
-	if d1.Root.Parent != s.VirtualRoot {
+	if s.Parent(d1.Root) != s.VirtualRoot {
 		t.Fatalf("document root not parented at virtual root")
 	}
 }
@@ -185,7 +185,7 @@ func TestNodePath(t *testing.T) {
 	doc := mustParse(t, bookXML)
 	s.AddDocument(doc)
 	fn := doc.Root.Children[1].Children[0].Children[0]
-	if got := fn.Path(); got != "book/allauthors/author/fn" {
+	if got := s.Path(fn); got != "book/allauthors/author/fn" {
 		t.Fatalf("Path = %q", got)
 	}
 }
@@ -210,8 +210,10 @@ func TestCollectStats(t *testing.T) {
 
 func TestBuilders(t *testing.T) {
 	n := Elem("a", Text("b", "v"), Attr("c", "w"))
-	if n.Children[0].Parent != n || n.Children[1].Parent != n {
-		t.Fatalf("builders did not set parent")
+	s := NewStore()
+	s.AddDocument(&Document{Root: n})
+	if s.Parent(n.Children[0]) != n || s.Parent(n.Children[1]) != n {
+		t.Fatalf("builder children not parented at their builder")
 	}
 	if !n.Children[1].IsAttr() || n.Children[0].IsAttr() {
 		t.Fatalf("IsAttr misclassifies")
@@ -275,7 +277,7 @@ func TestCloneForWriteIsolation(t *testing.T) {
 		t.Fatalf("clone <c> has %d children, want 2", len(target.Children))
 	}
 	// Parent chains inside the copied document are internally consistent.
-	for n := target; n != nil && n.ID != 0; n = n.Parent {
+	for n := target; n != nil && n.ID != 0; n = clone.Parent(n) {
 		if clone.NodeByID(n.ID) != n {
 			t.Fatalf("clone byID[%d] does not resolve to the copied node", n.ID)
 		}

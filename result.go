@@ -197,13 +197,13 @@ type Node struct {
 // have since been deleted are skipped).
 func (r *Result) Nodes() []Node {
 	out := make([]Node, 0, len(r.IDs))
-	r.db.eng.ViewNodes(func(byID func(int64) *xmldb.Node) {
+	r.db.eng.ViewNodes(func(store *xmldb.Store) {
 		for _, id := range r.IDs {
-			n := byID(id)
+			n := store.NodeByID(id)
 			if n == nil {
 				continue
 			}
-			out = append(out, Node{ID: id, Label: n.Label, Value: n.Value, Path: n.Path()})
+			out = append(out, Node{ID: id, Label: n.Label, Value: n.Value, Path: store.Path(n)})
 		}
 	})
 	return out
@@ -213,8 +213,8 @@ func (r *Result) Nodes() []Node {
 // database's shared lock.
 func (r *Result) WriteXML(w io.Writer, id int64) error {
 	err := fmt.Errorf("twigdb: no node with id %d", id)
-	r.db.eng.ViewNodes(func(byID func(int64) *xmldb.Node) {
-		if n := byID(id); n != nil {
+	r.db.eng.ViewNodes(func(store *xmldb.Store) {
+		if n := store.NodeByID(id); n != nil {
 			err = xmldb.WriteXML(w, n)
 		}
 	})

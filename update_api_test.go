@@ -1,6 +1,8 @@
 package twigdb_test
 
 import (
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	twigdb "repro"
@@ -96,4 +98,64 @@ func TestUpdateErrors(t *testing.T) {
 	if err := db.Delete(1); err == nil {
 		t.Fatalf("delete of a document root: want error")
 	}
+}
+
+// TestInsertUnderVirtualRootPersists: a subtree inserted under the virtual
+// root (id 0) is a document of its own — answered by the indices and the
+// oracle alike, written to the catalog so it survives a reopen, and seen
+// by a later Build.
+func TestInsertUnderVirtualRootPersists(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "zone.twigdb")
+	db, err := twigdb.Open(&twigdb.Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.LoadXMLString(persistDoc); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildAll(); err != nil {
+		t.Fatal(err)
+	}
+	id, err := db.Insert(0, `<zone><entry>z1</entry><entry>z2</entry></zone>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q = `/zone[entry='z2']/entry`
+	check := func(db *twigdb.DB, tag string, strategies ...twigdb.Strategy) {
+		t.Helper()
+		want, err := db.QueryWith(twigdb.Oracle, q)
+		if err != nil || want.Count() != 2 {
+			t.Fatalf("%s: oracle %v %v, want two entries", tag, want, err)
+		}
+		if nodes := want.Nodes(); len(nodes) != 2 || nodes[0].Path != "zone/entry" {
+			t.Fatalf("%s: oracle nodes %+v", tag, nodes)
+		}
+		for _, s := range append(strategies, twigdb.Auto) {
+			got, err := db.QueryWith(s, q)
+			if err != nil || !reflect.DeepEqual(got.IDs, want.IDs) {
+				t.Fatalf("%s via %v: %v (%v), oracle %v", tag, s, got, err, want.IDs)
+			}
+		}
+	}
+	check(db, "after insert", twigdb.StrategyRootPaths, twigdb.StrategyDataPaths)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := twigdb.Open(&twigdb.Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check(re, "after reopen", twigdb.StrategyRootPaths, twigdb.StrategyDataPaths)
+	if res, err := re.QueryWith(twigdb.Oracle, `/zone`); err != nil || !reflect.DeepEqual(res.IDs, []int64{id}) {
+		t.Fatalf("zone root after reopen: %v %v, want [%d]", res, err, id)
+	}
+	if err := re.BuildAll(); err != nil {
+		t.Fatal(err)
+	}
+	check(re, "after rebuild",
+		twigdb.StrategyRootPaths, twigdb.StrategyDataPaths, twigdb.StrategyEdge,
+		twigdb.StrategyDataGuideEdge, twigdb.StrategyFabricEdge,
+		twigdb.StrategyASR, twigdb.StrategyJoinIndex, twigdb.StrategyXRel)
 }
