@@ -3,7 +3,7 @@ GO ?= go
 # Short-budget fuzz smoke for CI (full runs: go test -fuzz=... by hand).
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race race-plan fuzz ci bench paper loc
+.PHONY: all build vet test race fuzz ci bench paper loc
 
 all: test
 
@@ -26,19 +26,12 @@ test: build vet
 # observability guards all run here — there are no per-subsystem -run
 # targets whose test-name lists could rot. The root package runs twice: its
 # reader/writer and serialization-anomaly stress tests are scheduling
-# lotteries, and a second draw is cheap.
+# lotteries, and a second draw is cheap. GOMAXPROCS=4 even on smaller CI
+# hosts, so goroutines sharing one cached plan tree or one memoised parsed
+# pattern genuinely interleave.
 race:
-	$(GO) test -race -count=2 .
-	$(GO) test -race ./internal/...
-
-# Shared-plan hot path under the race detector with forced scheduling
-# parallelism: the batched executor's concurrent cached-plan tests, and the
-# public package's queries sharing one memoised parsed pattern, must stay
-# clean when goroutines genuinely interleave (GOMAXPROCS=4 even on smaller
-# CI hosts).
-race-plan:
-	GOMAXPROCS=4 $(GO) test -race ./internal/plan/ ./internal/engine/
-	GOMAXPROCS=4 $(GO) test -race -run 'TestSharedQueryTextConcurrent|TestParseMemo' .
+	GOMAXPROCS=4 $(GO) test -race -count=2 .
+	GOMAXPROCS=4 $(GO) test -race ./internal/...
 
 # Fuzz smoke: each target for a short budget, plus the checked-in
 # corpora which already run as part of `go test`.
@@ -51,7 +44,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStoreCOW -fuzztime $(FUZZTIME) ./internal/xmldb/
 
 # Everything CI runs, in order.
-ci: test race race-plan fuzz
+ci: test race fuzz
 
 # The four benchmark workloads, untraced, as the driver runs them: one JSON
 # object of end-to-end metrics per workload on standard output, tables on

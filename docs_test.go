@@ -222,7 +222,7 @@ var (
 // match a Test or Fuzz function of a package that line is aimed at, and
 // every -fuzz <regex> a Fuzz function. go test itself only warns ("no
 // tests to run", "no fuzz tests to fuzz") and exits 0, so without this a
-// rename silently drops the test from `make fuzz`, `make race-plan` and CI.
+// rename silently drops the test from `make fuzz` and CI.
 func TestMakefileSelectorsMatchTests(t *testing.T) {
 	src, err := os.ReadFile("Makefile")
 	if err != nil {

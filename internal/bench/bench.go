@@ -61,7 +61,7 @@ type Measurement struct {
 
 // pinnedOpts is a serial read pinned to strategy s.
 func pinnedOpts(s plan.Strategy) engine.ReadOpts {
-	return engine.ReadOpts{Strategy: s, Workers: 1}
+	return engine.ReadOpts{Strategy: s}
 }
 
 // Run measures a query under a strategy: one warm-up run, then Repeats

@@ -78,7 +78,7 @@ func TestCatalogGolden(t *testing.T) {
 			pat := xpath.MustParse(q)
 			want := naive.Match(re.store, pat)
 			for _, s := range diffStrategies {
-				opts := ReadOpts{Strategy: s, Workers: 1}
+				opts := ReadOpts{Strategy: s}
 				res, err := db.run(re, pat, opts)
 				if _, origErr := db.run(db.CurrentSnapshot(), pat, opts); origErr != nil {
 					// SchemaPathId keys cannot serve the path strategies'

@@ -375,9 +375,9 @@ func TestRetainedVersionsSurviveWrites(t *testing.T) {
 		for qi, q := range queries {
 			for _, opts := range []ReadOpts{
 				{Planner: Oracle},
-				{Planner: Auto, Workers: 1},
-				{Strategy: plan.RootPathsPlan, Workers: 1},
-				{Strategy: plan.DataPathsPlan, Workers: 1},
+				{Planner: Auto},
+				{Strategy: plan.RootPathsPlan},
+				{Strategy: plan.DataPathsPlan},
 			} {
 				res, err := db.ReadAsOf(seq, q, opts)
 				if err != nil {

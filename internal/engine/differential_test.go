@@ -13,6 +13,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -215,7 +216,6 @@ func genQuery(rng *rand.Rand) string {
 type diffMismatch struct {
 	strat  plan.Strategy
 	auto   bool // cost-based planner chose the strategy
-	par    bool // parallel executor
 	oracle bool // the engine's Oracle read
 	post   bool // after writes through the copy-on-write path
 	got    []int64
@@ -223,8 +223,7 @@ type diffMismatch struct {
 }
 
 // runDifferential builds the full index family over doc and compares every
-// strategy (serial and parallel executor, all strategies concurrently)
-// against the naive oracle. Then it writes through the copy-on-write path
+// strategy (all strategies concurrently) against the naive oracle. Then it writes through the copy-on-write path
 // (writeSome) and compares the maintained strategies, Auto and the
 // engine's Oracle read against naive matching over an independently
 // rebuilt copy of the written store. It returns the observed mismatches.
@@ -241,11 +240,11 @@ func runDifferential(doc *xmldb.Document, pat *xpath.Pattern) []diffMismatch {
 	}
 	var runs []diffMismatch
 	for _, s := range diffStrategies {
-		runs = append(runs, diffMismatch{strat: s}, diffMismatch{strat: s, par: true})
+		runs = append(runs, diffMismatch{strat: s})
 	}
-	// The ninth contender: whatever the cost-based planner picks, serial
-	// and parallel, must agree with the oracle too.
-	runs = append(runs, diffMismatch{auto: true}, diffMismatch{auto: true, par: true})
+	// The ninth contender: whatever the cost-based planner picks must agree
+	// with the oracle too.
+	runs = append(runs, diffMismatch{auto: true})
 	mm := contend(db, pat, naive.Match(db.Store(), pat), runs)
 
 	if err := writeSome(db); err != nil {
@@ -253,10 +252,9 @@ func runDifferential(doc *xmldb.Document, pat *xpath.Pattern) []diffMismatch {
 	}
 	runs = runs[:0]
 	for _, s := range []plan.Strategy{plan.RootPathsPlan, plan.DataPathsPlan} {
-		runs = append(runs, diffMismatch{strat: s, post: true}, diffMismatch{strat: s, par: true, post: true})
+		runs = append(runs, diffMismatch{strat: s, post: true})
 	}
-	runs = append(runs, diffMismatch{auto: true, post: true}, diffMismatch{auto: true, par: true, post: true},
-		diffMismatch{oracle: true, post: true})
+	runs = append(runs, diffMismatch{auto: true, post: true}, diffMismatch{oracle: true, post: true})
 	return append(mm, contend(db, pat, naive.Match(rebuiltCopy(db.Store()), pat), runs)...)
 }
 
@@ -269,15 +267,12 @@ func contend(db *DB, pat *xpath.Pattern, want []int64, runs []diffMismatch) []di
 		wg.Add(1)
 		go func(i int, r diffMismatch) {
 			defer wg.Done()
-			opts := ReadOpts{Strategy: r.strat, Workers: 1}
+			opts := ReadOpts{Strategy: r.strat}
 			switch {
 			case r.auto:
 				opts.Planner = Auto
 			case r.oracle:
 				opts.Planner = Oracle
-			}
-			if r.par {
-				opts.Workers = 4
 			}
 			res, err := db.Read(pat, opts)
 			if err == nil && equalIDs(res.IDs, want) {
@@ -424,9 +419,9 @@ func cloneNodeWithout(n, victim *xmldb.Node) *xmldb.Node {
 	return c
 }
 
-// TestDifferentialStrategies is the randomized cross-strategy harness. Both
-// executors run for every strategy, all concurrently against one engine, so
-// `go test -race` exercises the shared read path on every trial.
+// TestDifferentialStrategies is the randomized cross-strategy harness. Every
+// strategy runs concurrently against one engine, so `go test -race`
+// exercises the shared read path on every trial.
 func TestDifferentialStrategies(t *testing.T) {
 	trials := 60
 	if testing.Short() {
@@ -458,12 +453,9 @@ func TestDifferentialStrategies(t *testing.T) {
 				want := naive.Match(db.Store(), pat)
 				report += fmt.Sprintf("oracle: %v\n", want)
 				for _, m := range mm {
-					exec := "serial"
-					if m.par {
-						exec = "parallel"
-					}
+					exec := ""
 					if m.post {
-						exec += ", after writes"
+						exec = " after writes"
 					}
 					name := m.strat.String()
 					switch {
@@ -475,9 +467,9 @@ func TestDifferentialStrategies(t *testing.T) {
 						name = "auto→" + name
 					}
 					if m.err != nil {
-						report += fmt.Sprintf("  %v/%s: error %v\n", name, exec, m.err)
+						report += fmt.Sprintf("  %v%s: error %v\n", name, exec, m.err)
 					} else {
-						report += fmt.Sprintf("  %v/%s: got %v\n", name, exec, m.got)
+						report += fmt.Sprintf("  %v%s: got %v\n", name, exec, m.got)
 					}
 				}
 				t.Fatal(report)
@@ -531,13 +523,12 @@ func TestDifferentialFixedCorpus(t *testing.T) {
 }
 
 // TestDifferentialAcrossGOMAXPROCS reruns the differential comparison —
-// batched executor (serial and parallel) for every strategy against the
-// naive oracle — pinned at GOMAXPROCS 1 and 8, so the batched fan-out is
-// exercised both fully serialised and genuinely preempted. The corpus
+// every strategy, all contending concurrently against one engine, against
+// the naive oracle — pinned at GOMAXPROCS 1 and 8, so the shared read path
+// is exercised both fully serialised and genuinely preempted. The corpus
 // targets executor edge cases: empty results (no group, no block), a
-// single-branch plan (no joins at all, and a parallel fan-out of one),
-// duplicate output ids from multiple assignments (dedup across blocks),
-// and recursive // matches.
+// single-branch plan (no joins at all), duplicate output ids from multiple
+// assignments (dedup across blocks), and recursive // matches.
 func TestDifferentialAcrossGOMAXPROCS(t *testing.T) {
 	doc := func() *xmldb.Document {
 		return &xmldb.Document{Root: xmldb.Elem("a",
@@ -568,18 +559,17 @@ func TestDifferentialAcrossGOMAXPROCS(t *testing.T) {
 	for _, procs := range []int{1, 8} {
 		procs := procs
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
-			withGOMAXPROCS(t, procs, func() {
-				for _, q := range queries {
-					pat, err := xpath.Parse(q)
-					if err != nil {
-						t.Fatalf("%s: %v", q, err)
-					}
-					if mm := runDifferential(doc(), pat); len(mm) != 0 {
-						t.Errorf("GOMAXPROCS=%d %s: %d strategy mismatches: %+v",
-							procs, q, len(mm), mm)
-					}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, q := range queries {
+				pat, err := xpath.Parse(q)
+				if err != nil {
+					t.Fatalf("%s: %v", q, err)
 				}
-			})
+				if mm := runDifferential(doc(), pat); len(mm) != 0 {
+					t.Errorf("GOMAXPROCS=%d %s: %d strategy mismatches: %+v",
+						procs, q, len(mm), mm)
+				}
+			}
 		})
 	}
 }

@@ -32,7 +32,7 @@ func newDB(t *testing.T) *DB {
 
 // pinnedIDs is a serial read of the current snapshot under strat.
 func pinnedIDs(db *DB, pat *xpath.Pattern, strat plan.Strategy) ([]int64, error) {
-	res, err := db.Read(pat, ReadOpts{Strategy: strat, Workers: 1})
+	res, err := db.Read(pat, ReadOpts{Strategy: strat})
 	return res.IDs, err
 }
 
@@ -233,7 +233,7 @@ func TestFamilyTablesComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("strategy %v with every kind built: %v", s, err)
 		}
-		if got, _, err := plan.Run(&env, tree, 1, false); err != nil || !equalIDs(got, want) {
+		if got, _, err := plan.Run(&env, tree, false); err != nil || !equalIDs(got, want) {
 			t.Fatalf("strategy %v: %v, %v; naive %v", s, got, err, want)
 		}
 		// Without what it requires the strategy is refused, not run.

@@ -28,9 +28,6 @@ const (
 type ReadOpts struct {
 	Planner  Planner
 	Strategy plan.Strategy // the pinned strategy; ignored under Auto and Oracle
-	// Workers goes through plan.ResolveWorkers: 1 runs serially, anything
-	// else fans the probe leaves out (<= 0 means GOMAXPROCS).
-	Workers int
 	// Trace forces per-operator tracing for this one read (EXPLAIN
 	// ANALYZE); Config.SlowQueryThreshold turns it on for every read.
 	Trace bool
@@ -84,9 +81,10 @@ func (tx *Tx) Read(pat *xpath.Pattern, opts ReadOpts) (ReadResult, error) {
 	return res, err
 }
 
-// QueryPatternBest is Read under the cost-based planner.
+// QueryPatternBest is Read under the cost-based planner. Every read runs
+// on the calling goroutine; the workers argument is ignored.
 func (db *DB) QueryPatternBest(pat *xpath.Pattern, workers int) ([]int64, *plan.ExecStats, plan.Strategy, error) {
-	res, err := db.Read(pat, ReadOpts{Planner: Auto, Workers: workers})
+	res, err := db.Read(pat, ReadOpts{Planner: Auto})
 	return res.IDs, res.Stats, res.Strategy, err
 }
 
@@ -97,8 +95,8 @@ func (db *DB) MatchNaive(pat *xpath.Pattern) []int64 {
 }
 
 // run is the one query path: every read of the database — current, AS OF
-// or inside a transaction; pinned, planned or naive; serial or fanned out;
-// traced or not — is this function applied to a snapshot the caller holds.
+// or inside a transaction; pinned, planned or naive; traced or not — is
+// this function applied to a snapshot the caller holds.
 // It resolves the plan tree, executes it, and observes and counts the read.
 //
 // A read that fails before it has a tree (no index built, a strategy whose
@@ -122,9 +120,9 @@ func (db *DB) run(s *Snapshot, pat *xpath.Pattern, opts ReadOpts) (ReadResult, e
 		db.counters.CountPlanCacheHit()
 	}
 	res.Strategy = tree.Strategy
-	res.IDs, res.Stats, err = plan.Run(env, tree, opts.Workers, opts.Trace)
+	res.IDs, res.Stats, err = plan.Run(env, tree, opts.Trace)
 	db.observeQuery(s, pat, res.Stats, time.Since(start))
-	db.counters.CountQuery(res.Stats.Parallel, res.Stats.BranchesJoined)
+	db.counters.CountQuery(res.Stats.BranchesJoined)
 	return res, err
 }
 

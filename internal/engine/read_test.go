@@ -1,8 +1,7 @@
 package engine
 
 // The one query path (query.go) under every combination of its arguments:
-// three snapshot sources × three planners × serial/fanned-out × traced or
-// not. Whatever the combination, a read must answer like the naive matcher
+// three snapshot sources × three planners × traced or not. Whatever the combination, a read must answer like the naive matcher
 // on the snapshot it was given, report that snapshot's sequence number,
 // carry a trace exactly when asked to, and be observed and counted exactly
 // once — the properties the per-entry-point forks had drifted apart on.
@@ -98,72 +97,66 @@ func TestReadMatrix(t *testing.T) {
 		{"auto", ReadOpts{Planner: Auto}},
 		{"oracle", ReadOpts{Planner: Oracle}},
 	}
-	// A single path and a three-branch twig: the twig is what four workers
-	// can actually fan out.
+	// A single path and two twigs; the last one tells the sources apart.
 	queries := []string{`//person/name`, `/site/people/person[city = 'oslo'][name]/@id`, `//person[city = 'oslo']`}
 	wantSizes := map[string]int{"as-of": 2, "current": 3, "tx": 4}
 
 	for _, src := range sources {
 		for _, pl := range planners {
-			for _, workers := range []int{1, 4} {
-				for _, trace := range []bool{false, true} {
-					opts := pl.opts
-					opts.Workers, opts.Trace = workers, trace
-					name := fmt.Sprintf("%s/%s/workers=%d/trace=%v", src.name, pl.name, workers, trace)
-					t.Run(name, func(t *testing.T) {
-						for _, q := range queries {
-							pat := xpath.MustParse(q)
-							want := naive.Match(src.store, pat)
-							if q == queries[2] && len(want) != wantSizes[src.name] {
-								t.Fatalf("%s: oracle sees %d residents, want %d — sources do not differ", q, len(want), wantSizes[src.name])
+			for _, trace := range []bool{false, true} {
+				opts := pl.opts
+				opts.Trace = trace
+				name := fmt.Sprintf("%s/%s/trace=%v", src.name, pl.name, trace)
+				t.Run(name, func(t *testing.T) {
+					for _, q := range queries {
+						pat := xpath.MustParse(q)
+						want := naive.Match(src.store, pat)
+						if q == queries[2] && len(want) != wantSizes[src.name] {
+							t.Fatalf("%s: oracle sees %d residents, want %d — sources do not differ", q, len(want), wantSizes[src.name])
+						}
+						before, latBefore := db.QueryCounters(), db.Obs().QueryLatency.Snapshot()
+						res, err := src.read(pat, opts)
+						if err != nil {
+							t.Fatalf("%s: %v", q, err)
+						}
+						after, lat := db.QueryCounters(), db.Obs().QueryLatency.Snapshot().Sub(latBefore)
+						if !equalIDs(res.IDs, want) {
+							t.Errorf("%s: ids %v, naive matcher on this snapshot has %v", q, res.IDs, want)
+						}
+						if res.Seq != src.seq {
+							t.Errorf("%s: Seq = %d, want %d", q, res.Seq, src.seq)
+						}
+						counted := int64(1)
+						if opts.Planner == Oracle {
+							counted = 0
+							if res.Stats != nil {
+								t.Errorf("%s: Oracle read carries plan stats", q)
 							}
-							before, latBefore := db.QueryCounters(), db.Obs().QueryLatency.Snapshot()
-							res, err := src.read(pat, opts)
-							if err != nil {
-								t.Fatalf("%s: %v", q, err)
+						} else {
+							if got := res.Stats.Plan.Traced; got != trace {
+								t.Errorf("%s: traced view = %v, asked for %v", q, got, trace)
 							}
-							after, lat := db.QueryCounters(), db.Obs().QueryLatency.Snapshot().Sub(latBefore)
-							if !equalIDs(res.IDs, want) {
-								t.Errorf("%s: ids %v, naive matcher on this snapshot has %v", q, res.IDs, want)
-							}
-							if res.Seq != src.seq {
-								t.Errorf("%s: Seq = %d, want %d", q, res.Seq, src.seq)
-							}
-							counted := int64(1)
-							if opts.Planner == Oracle {
-								counted = 0
-								if res.Stats != nil {
-									t.Errorf("%s: Oracle read carries plan stats", q)
-								}
-							} else {
-								if got := res.Stats.Plan.Traced; got != trace {
-									t.Errorf("%s: traced view = %v, asked for %v", q, got, trace)
-								}
-								if opts.Planner == Pinned && res.Strategy != opts.Strategy {
-									t.Errorf("%s: ran %v, pinned %v", q, res.Strategy, opts.Strategy)
-								}
-								if q == queries[1] && res.Stats.Parallel != (workers > 1) {
-									t.Errorf("%s: Parallel = %v with %d workers", q, res.Stats.Parallel, workers)
-								}
-							}
-							if d := after.Queries - before.Queries; d != counted {
-								t.Errorf("%s: query counter moved by %d, want %d", q, d, counted)
-							}
-							if lat.Count != counted {
-								t.Errorf("%s: latency histogram took %d observations, want %d", q, lat.Count, counted)
+							if opts.Planner == Pinned && res.Strategy != opts.Strategy {
+								t.Errorf("%s: ran %v, pinned %v", q, res.Strategy, opts.Strategy)
 							}
 						}
-					})
-				}
+						if d := after.Queries - before.Queries; d != counted {
+							t.Errorf("%s: query counter moved by %d, want %d", q, d, counted)
+						}
+						if lat.Count != counted {
+							t.Errorf("%s: latency histogram took %d observations, want %d", q, lat.Count, counted)
+						}
+					}
+				})
 			}
 		}
 	}
 
 	// Every source keeps its own plan cache warm: by now each pattern has
-	// been planned in both keyspaces, so one more Auto read is a hit.
+	// been planned, so one more Auto read is a hit.
 	for _, src := range sources {
 		before := db.QueryCounters().PlanCacheHits
-		if _, err := src.read(xpath.MustParse(queries[0]), ReadOpts{Planner: Auto, Workers: 1}); err != nil {
+		if _, err := src.read(xpath.MustParse(queries[0]), ReadOpts{Planner: Auto}); err != nil {
 			t.Fatal(err)
 		}
 		if d := db.QueryCounters().PlanCacheHits - before; d != 1 {
@@ -177,7 +170,7 @@ func TestReadSlowQueryLogFromEverySource(t *testing.T) {
 	db, sources := readSources(t, Config{SlowQueryThreshold: time.Nanosecond})
 	for _, src := range sources {
 		before := db.SlowQueryLog().Total()
-		if _, err := src.read(xpath.MustParse(`//person/name`), ReadOpts{Planner: Auto, Workers: 1}); err != nil {
+		if _, err := src.read(xpath.MustParse(`//person/name`), ReadOpts{Planner: Auto}); err != nil {
 			t.Fatal(err)
 		}
 		if d := db.SlowQueryLog().Total() - before; d != 1 {
@@ -208,12 +201,11 @@ func TestReadWithoutPlanIsNotCounted(t *testing.T) {
 			t.Errorf("%s: observed %d latencies, want 0", what, d)
 		}
 	}
-	check("auto, no index built", ReadOpts{Planner: Auto, Workers: 1})
+	check("auto, no index built", ReadOpts{Planner: Auto})
 	if err := db.Build(index.KindRootPaths); err != nil {
 		t.Fatal(err)
 	}
-	check("pinned, index missing", ReadOpts{Strategy: plan.ASRPlan, Workers: 1})
-	check("pinned fan-out, index missing", ReadOpts{Strategy: plan.ASRPlan, Workers: 4})
+	check("pinned, index missing", ReadOpts{Strategy: plan.ASRPlan})
 }
 
 // A finished transaction refuses every read, the Oracle's included.
@@ -233,8 +225,8 @@ func TestReadOnFinishedTx(t *testing.T) {
 			tx.Rollback()
 		}
 		for _, opts := range []ReadOpts{
-			{Strategy: plan.RootPathsPlan, Workers: 1},
-			{Planner: Auto, Workers: 1},
+			{Strategy: plan.RootPathsPlan},
+			{Planner: Auto},
 			{Planner: Oracle},
 		} {
 			if _, err := tx.Read(pat, opts); !errors.Is(err, ErrTxDone) {

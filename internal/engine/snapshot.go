@@ -110,26 +110,13 @@ func (s *Snapshot) queryEnv() *plan.Env {
 // is built for the call. Under Auto the cheapest tree comes from the
 // per-pattern plan cache, planned on a miss; the cache key is the pattern's
 // canonical rendering, so syntactically different but equivalent queries
-// share an entry, and cacheHit reports whether planning was skipped. A
-// read that will fan out plans against an INL-disabled environment — a
-// fan-out materialises every branch, so costing bound-probe plans would
-// price trees that never run — and caches such trees under a separate
-// keyspace.
+// share an entry, and cacheHit reports whether planning was skipped.
 func (s *Snapshot) planFor(env *plan.Env, pat *xpath.Pattern, opts ReadOpts) (tree *plan.Tree, cacheHit bool, err error) {
-	parallel := plan.ResolveWorkers(opts.Workers, 0) > 1
-	if parallel {
-		penv := *env
-		penv.INLFactor = -1
-		env = &penv
-	}
 	if opts.Planner == Pinned {
 		t, err := plan.Build(env, opts.Strategy, pat)
 		return t, false, err
 	}
 	key := pat.String()
-	if parallel {
-		key = "par|" + key
-	}
 	s.planMu.RLock()
 	cached, ok := s.planCache[key]
 	s.planMu.RUnlock()

@@ -63,7 +63,7 @@ func txMatch(t *testing.T, tx *Tx, q string) []int64 {
 
 // asOfIDs is a serial planner-chosen read of the version numbered seq.
 func asOfIDs(db *DB, pat *xpath.Pattern, seq uint64) ([]int64, error) {
-	res, err := db.ReadAsOf(seq, pat, ReadOpts{Planner: Auto, Workers: 1})
+	res, err := db.ReadAsOf(seq, pat, ReadOpts{Planner: Auto})
 	return res.IDs, err
 }
 
@@ -115,7 +115,7 @@ func TestTxMultiStatementAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tx.Read(pat, ReadOpts{Planner: Auto, Workers: 1})
+	res, err := tx.Read(pat, ReadOpts{Planner: Auto})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,19 @@ import (
 	"repro/internal/xpath"
 )
 
+// statsEqual compares the counter fields two runs of the same plan must
+// agree on (Plan, the executed view, is a fresh tree per run).
+func statsEqual(a, b *plan.ExecStats) bool {
+	return a.IndexLookups == b.IndexLookups &&
+		a.RowsScanned == b.RowsScanned &&
+		a.INLProbes == b.INLProbes &&
+		a.UsedINL == b.UsedINL &&
+		a.RelationsUsed == b.RelationsUsed &&
+		a.Join.TuplesIn == b.Join.TuplesIn &&
+		a.Join.TuplesOut == b.Join.TuplesOut &&
+		a.BranchesJoined == b.BranchesJoined
+}
+
 // TestSharedTreeConcurrentExecution is the shared-cached-plan regression
 // test: one immutable plan tree (as the engine's plan cache hands out)
 // executed from many goroutines at once must produce identical ids and
@@ -108,15 +121,15 @@ func TestWarmedRunZeroAllocs(t *testing.T) {
 
 // assertWarmedZeroAllocs warms a held runtime — the first runs size its
 // blocks and buffers — and requires the runs after that to allocate nothing.
-func assertWarmedZeroAllocs(t *testing.T, env *plan.Env, run func(*plan.Env, int, bool) ([]int64, error), trace bool) {
+func assertWarmedZeroAllocs(t *testing.T, env *plan.Env, run func(*plan.Env, bool) ([]int64, error), trace bool) {
 	t.Helper()
 	for i := 0; i < 3; i++ {
-		if _, err := run(env, 1, trace); err != nil {
+		if _, err := run(env, trace); err != nil {
 			t.Fatal(err)
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := run(env, 1, trace); err != nil {
+		if _, err := run(env, trace); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -152,12 +165,12 @@ func TestWarmedRunAllocRatchet(t *testing.T) {
 			}
 			run := plan.HoldRuntime(tree)
 			for warm := 0; warm < 3; warm++ {
-				if _, err := run(env, 1, false); err != nil {
+				if _, err := run(env, false); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				if _, err := run(env, 1, false); err != nil {
+				if _, err := run(env, false); err != nil {
 					t.Fatal(err)
 				}
 			})

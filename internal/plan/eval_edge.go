@@ -7,9 +7,9 @@ import (
 
 // scratch is the working storage a baseline evaluator keeps between probes:
 // whatever a step-at-a-time evaluation builds on its way to the caller's
-// block. An evaluator belongs to one Runtime or one fan-out worker and is
-// never shared, so neither is its scratch; a warmed evaluator's plan-layer
-// work allocates nothing.
+// block. An evaluator belongs to one Runtime and is never shared, so
+// neither is its scratch; a warmed evaluator's plan-layer work allocates
+// nothing.
 type scratch struct {
 	sc   index.Scratch // the index layer's probe prefix, iterator and decode buffers
 	a, b brel          // ping-pong relations: a step reads one and writes the other

@@ -5,7 +5,7 @@ package plan
 // and copying the result out. The zero-allocation tests hold one runtime
 // for their whole measurement, so a GC emptying the sync.Pool cannot show
 // up as an allocation.
-func HoldRuntime(t *Tree) func(env *Env, workers int, trace bool) ([]int64, error) {
+func HoldRuntime(t *Tree) func(env *Env, trace bool) ([]int64, error) {
 	return t.runtime().run
 }
 
@@ -15,7 +15,7 @@ func HoldRuntime(t *Tree) func(env *Env, workers int, trace bool) ([]int64, erro
 // and wideSort — DISTINCT had to sort a block of two or more columns. The
 // zero-allocation tests use it to prove a case still reaches the path it
 // was added for.
-func HoldRuntimeObserved(t *Tree) (run func(env *Env, workers int, trace bool) ([]int64, error), observed func() (enumerated, wideSort bool)) {
+func HoldRuntimeObserved(t *Tree) (run func(env *Env, trace bool) ([]int64, error), observed func() (enumerated, wideSort bool)) {
 	rt := t.runtime()
 	return rt.run, func() (bool, bool) {
 		ev, ok := rt.eval.(*pathsEval)

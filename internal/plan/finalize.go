@@ -18,9 +18,6 @@ func (t *Tree) finalize(env *Env) error {
 		n.ord = ord
 		ord++
 		t.nodes = append(t.nodes, n)
-		if n.Kind == OpIndexProbe {
-			t.probes = append(t.probes, n)
-		}
 	})
 	if t.Root.Kind == OpStructuralJoin {
 		return nil

@@ -29,9 +29,9 @@ var branchStrategies = allStrategies[:8]
 // RowsScanned, INLProbes, RelationsUsed, Join.TuplesIn/Out — against a
 // checked-in file. The counters are the cost model ("a lookup per step, even
 // for labels that never occur"), so an evaluator rewrite must leave the
-// file byte-identical. Each query runs serially, with two workers, and
-// serially with the INL threshold at 1 so that every strategy with a bound
-// access path goes through it. Regenerate with -update.
+// file byte-identical. Each query runs under the default INL threshold and
+// again with the threshold at 1, so that every strategy with a bound access
+// path goes through it. Regenerate with -update.
 func TestStrategyCountersGolden(t *testing.T) {
 	type set struct {
 		name    string
@@ -63,10 +63,9 @@ func TestStrategyCountersGolden(t *testing.T) {
 		inl := *env
 		inl.INLFactor = 1
 		modes := []struct {
-			name    string
-			env     *plan.Env
-			workers int
-		}{{"serial", env, 1}, {"workers2", env, 2}, {"inl1", &inl, 1}}
+			name string
+			env  *plan.Env
+		}{{"serial", env}, {"inl1", &inl}}
 		for _, q := range s.queries {
 			pat := xpath.MustParse(q[1])
 			want := naive.Match(s.db.Store(), pat)
@@ -76,7 +75,7 @@ func TestStrategyCountersGolden(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s %v: %v", q[0], strat, err)
 					}
-					ids, es, err := plan.Run(m.env, tree, m.workers, false)
+					ids, es, err := plan.Run(m.env, tree, false)
 					if err != nil {
 						t.Fatalf("%s %v %s: %v", q[0], strat, m.name, err)
 					}

@@ -88,8 +88,8 @@ type Node struct {
 	// Trace measurements, filled on executed view trees of traced runs
 	// only (Tree.Traced). ElapsedNS is the operator's inclusive subtree
 	// wall time; SelfNS is ElapsedNS minus the children's inclusive
-	// times, clamped at zero (parallel probe materialisation overlaps
-	// its join's window, so the difference can go negative there).
+	// times (a child runs inside its parent's window, so it never goes
+	// negative).
 	// Reads/ReadBytes attribute device-read deltas sampled around the
 	// operator when the env supplies an IOStat source.
 	ElapsedNS int64
@@ -160,19 +160,14 @@ type Tree struct {
 	// Executed reports whether this tree carries actuals. False on plan
 	// templates; true on the executed view trees ExecStats.Plan carries.
 	Executed bool
-	// Parallel reports whether the probe leaves were fanned out over
-	// worker goroutines when the tree ran (view trees only).
-	Parallel bool
 	// Traced reports whether the run recorded per-operator wall time —
 	// the nodes of this view carry ElapsedNS/SelfNS (view trees only).
 	Traced bool
 
-	// Finalize products: the flat operator list (index = Node.ord), the
-	// identity-deduplicated probe leaves a multi-worker run fans out,
-	// and the pool of reusable Runtimes.
-	nodes  []*Node
-	probes []*Node
-	pool   sync.Pool
+	// Finalize products: the flat operator list (index = Node.ord) and the
+	// pool of reusable Runtimes.
+	nodes []*Node
+	pool  sync.Pool
 }
 
 // Walk visits every operator of the tree in depth-first pre-order.

@@ -139,16 +139,15 @@ type Env struct {
 	Containment *containment.Index
 
 	// INLFactor overrides the index-nested-loop threshold (0 uses the
-	// default; negative disables INL entirely). The engine sets -1 on the
-	// env it plans fanned-out reads against, so every branch is a probe
-	// leaf; tests lower it to force bound probes.
+	// default; negative disables INL entirely). Tests set it to force or
+	// forbid bound probes.
 	INLFactor int
 	// NoReorder disables statistics-driven branch ordering (branches run
 	// in pattern order); tests set it to pin the branch order.
 	NoReorder bool
 
 	// TraceAll turns on per-operator wall-time tracing for every
-	// execution against this env, serial or fanned out. The engine sets
+	// execution against this env. The engine sets
 	// it when a slow-query threshold is configured, so any
 	// over-threshold query already carries its trace; Run's trace
 	// argument forces tracing for a single run regardless. When off,
@@ -158,10 +157,8 @@ type Env struct {
 	// IOStat, when non-nil and tracing is on, is sampled around each
 	// operator to attribute device reads (count and bytes) to the
 	// operator that triggered them. The counters are process-global, so
-	// the attribution is exact for serial runs and approximate when
-	// other queries run concurrently; a multi-worker run's fanned-out
-	// probes skip I/O attribution entirely (their deltas would
-	// interleave).
+	// the attribution is exact when the query runs alone and approximate
+	// when other queries run concurrently.
 	IOStat func() (reads, bytes int64)
 }
 
@@ -262,10 +259,6 @@ type ExecStats struct {
 	RelationsUsed  int // distinct ASR/JI relations touched
 	Join           JoinCounters
 	BranchesJoined int
-	// Parallel reports whether the probe leaves were actually fanned out
-	// over worker goroutines (Run executes single-branch patterns and
-	// structural joins serially whatever worker count was asked for).
-	Parallel bool
 	// Plan is the executed physical plan tree, with per-operator estimated
 	// and actual cardinalities (nil when execution failed before a tree
 	// was built).
@@ -292,7 +285,7 @@ const inlFactor = 4
 // count their work into the caller's per-operator stats; one evaluator is
 // cached on each Runtime and reused across executions, so its internal
 // scratch (decode buffers, iterators) amortises to zero allocations. An
-// evaluator is not goroutine-safe — a fan-out builds one per worker.
+// evaluator is not goroutine-safe; neither is the Runtime that owns it.
 type evaluator interface {
 	// free evaluates n's branch from scratch, appending rows with one
 	// column per branch.Nodes entry into out (already reset to that

@@ -28,7 +28,6 @@ type Runtime struct {
 	ht     hashTab   // shared hash table (join build / key set / group lookup)
 	sorter rowSorter // distinct's sort.Interface over a wide block
 
-	parallel bool
 	// trace records per-operator wall time (and, with env.IOStat, device
 	// read deltas) into the runStates. All trace state lives in the
 	// pooled runtime, so tracing allocates nothing; when off, the only
@@ -38,11 +37,10 @@ type Runtime struct {
 
 // runState is one operator's execution state.
 type runState struct {
-	act    int64
-	stats  ExecStats
-	out    brel
-	bout   boundRel
-	cached bool // out holds probe output pre-materialised by fanOut
+	act   int64
+	stats ExecStats
+	out   brel
+	bout  boundRel
 
 	// Trace measurements of the last run (traced runs only): inclusive
 	// subtree wall time and attributed device-read deltas.
@@ -66,13 +64,11 @@ func (rt *Runtime) reset(env *Env) {
 		st := &rt.states[i]
 		st.act = -1
 		st.stats.reset()
-		st.cached = false
 		st.elapsedNS = 0
 		st.reads = 0
 		st.readBytes = 0
 	}
 	rt.ids = rt.ids[:0]
-	rt.parallel = false
 	rt.trace = false
 	if rt.env != env {
 		rt.env = env
@@ -93,29 +89,6 @@ func (rt *Runtime) evaluator() (evaluator, error) {
 	return rt.eval, nil
 }
 
-// spine runs the operator tree without resetting: run resets, lets fanOut
-// install any pre-materialised probe blocks, then calls spine.
-func (rt *Runtime) spine(env *Env) ([]int64, error) {
-	t := rt.tree
-	if t.Root.Kind == OpStructuralJoin {
-		return runStructural(rt, env, t.Pattern, t.Root)
-	}
-	// The root is always Dedup over Project.
-	r, err := rt.exec(t.Root.Children[0])
-	if err != nil {
-		return nil, err
-	}
-	root := &rt.states[t.Root.ord]
-	if r.rows() == 0 {
-		root.act = 0
-		return nil, nil
-	}
-	// r is the project output: width 1. Dedup into the runtime's id buffer.
-	rt.ids = rt.distinct(append(rt.ids[:0], r.data...), 1)
-	root.act = int64(len(rt.ids))
-	return rt.ids, nil
-}
-
 // exec evaluates one relation-producing operator into its runState's block.
 // When an operator's input relation is empty it short-circuits: the
 // remaining side of the join is never evaluated (its act stays -1, rendered
@@ -131,9 +104,8 @@ func (rt *Runtime) exec(n *Node) (*brel, error) {
 // execTraced wraps execOp with monotonic wall-time measurement and
 // optional device-read attribution. Inclusive semantics: a child's
 // execTraced runs inside the parent's window, so every state holds its
-// subtree's time; self time falls out at view() time. Adds, not stores,
-// so a parallel run's worker-recorded probe time survives the spine's
-// cheap cached re-visit.
+// subtree's time; self time falls out at view() time. Each operator runs
+// exactly once per run, so the measurement is stored, not accumulated.
 func (rt *Runtime) execTraced(n *Node) (*brel, error) {
 	var r0, b0 int64
 	io := rt.env.IOStat
@@ -143,11 +115,11 @@ func (rt *Runtime) execTraced(n *Node) (*brel, error) {
 	start := time.Now()
 	r, err := rt.execOp(n)
 	st := &rt.states[n.ord]
-	st.elapsedNS += time.Since(start).Nanoseconds()
+	st.elapsedNS = time.Since(start).Nanoseconds()
 	if io != nil {
 		r1, b1 := io()
-		st.reads += r1 - r0
-		st.readBytes += b1 - b0
+		st.reads = r1 - r0
+		st.readBytes = b1 - b0
 	}
 	return r, err
 }
@@ -181,17 +153,14 @@ func (rt *Runtime) finish(n *Node, st *runState) *brel {
 
 func (rt *Runtime) runProbe(n *Node) (*brel, error) {
 	st := &rt.states[n.ord]
-	if !st.cached {
-		st.out.reset(len(n.branch.Nodes))
-		ev, err := rt.evaluator()
-		if err != nil {
-			return nil, err
-		}
-		if err := ev.free(n, &st.out, &st.stats); err != nil {
-			return nil, err
-		}
+	st.out.reset(len(n.branch.Nodes))
+	ev, err := rt.evaluator()
+	if err != nil {
+		return nil, err
 	}
-	st.cached = false
+	if err := ev.free(n, &st.out, &st.stats); err != nil {
+		return nil, err
+	}
 	return rt.finish(n, st), nil
 }
 
@@ -352,7 +321,6 @@ func (rt *Runtime) aggregate(es *ExecStats) {
 		}
 	}
 	es.BranchesJoined = t.Branches
-	es.Parallel = rt.parallel
 }
 
 // view materialises an executed copy of the tree — estimates from the
@@ -388,17 +356,12 @@ func (rt *Runtime) view() *Tree {
 			vn.ElapsedNS = st.elapsedNS
 			vn.Reads = st.reads
 			vn.ReadBytes = st.readBytes
-			// Self time: inclusive minus the children's inclusive times.
-			// Clamped at zero — a parallel run's probes materialise on
-			// workers before (and overlapping) their join's window.
-			self := vn.ElapsedNS
+			// Self time: inclusive minus the children's inclusive times,
+			// which nest inside the parent's window.
+			vn.SelfNS = vn.ElapsedNS
 			for _, c := range vn.Children {
-				self -= c.ElapsedNS
+				vn.SelfNS -= c.ElapsedNS
 			}
-			if self < 0 {
-				self = 0
-			}
-			vn.SelfNS = self
 		}
 	}
 	return &Tree{
@@ -408,7 +371,6 @@ func (rt *Runtime) view() *Tree {
 		EstCost:  t.EstCost,
 		Branches: t.Branches,
 		Executed: true,
-		Parallel: rt.parallel,
 		Traced:   rt.trace,
 	}
 }

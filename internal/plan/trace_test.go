@@ -1,7 +1,9 @@
 package plan_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/plan"
@@ -16,11 +18,21 @@ var traceQueries = []string{
 }
 
 // A traced run must report exactly the ids, per-operator actual rows and
-// aggregate counters of an untraced serial run — tracing is a measurement
-// overlay, never a second execution semantics.
+// aggregate counters of an untraced run — tracing is a measurement overlay,
+// never a second execution semantics. Both ways to turn it on are checked:
+// Run's trace argument (EXPLAIN ANALYZE) and Env.TraceAll (every run).
 func TestTraceParity(t *testing.T) {
 	db := buildDB(t, auctionXML, bookXML)
 	env := db.Env()
+	traceAll := *env
+	traceAll.TraceAll = true
+	traced := []struct {
+		name string
+		run  func(*plan.Tree) ([]int64, *plan.ExecStats, error)
+	}{
+		{"Run(trace)", func(tree *plan.Tree) ([]int64, *plan.ExecStats, error) { return plan.ExecuteTreeTraced(env, tree) }},
+		{"Env.TraceAll", func(tree *plan.Tree) ([]int64, *plan.ExecStats, error) { return plan.ExecuteTree(&traceAll, tree) }},
+	}
 	for _, q := range traceQueries {
 		pat := xpath.MustParse(q)
 		tree, err := plan.Build(env, plan.DataPathsPlan, pat)
@@ -31,35 +43,40 @@ func TestTraceParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gotIDs, gotES, err := plan.ExecuteTreeTraced(env, tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !idsEqual(gotIDs, wantIDs) {
-			t.Errorf("%s: traced ids %v, want %v", q, gotIDs, wantIDs)
-		}
-		if !statsEqual(gotES, wantES) {
-			t.Errorf("%s: traced stats %+v, want %+v", q, gotES, wantES)
-		}
-		if !gotES.Plan.Traced || wantES.Plan.Traced {
-			t.Fatalf("%s: Traced flags wrong (traced=%v untraced=%v)",
-				q, gotES.Plan.Traced, wantES.Plan.Traced)
-		}
-		// Per-operator actual rows must match node for node.
-		var wantNodes, gotNodes []*plan.Node
-		wantES.Plan.Walk(func(n *plan.Node, _ int) { wantNodes = append(wantNodes, n) })
-		gotES.Plan.Walk(func(n *plan.Node, _ int) { gotNodes = append(gotNodes, n) })
-		if len(wantNodes) != len(gotNodes) {
-			t.Fatalf("%s: node counts differ: %d vs %d", q, len(gotNodes), len(wantNodes))
-		}
-		for i := range wantNodes {
-			if gotNodes[i].ActRows != wantNodes[i].ActRows {
-				t.Errorf("%s: node %d (%s) act=%d, want %d",
-					q, i, gotNodes[i].Kind, gotNodes[i].ActRows, wantNodes[i].ActRows)
+		for _, tr := range traced {
+			gotIDs, gotES, err := tr.run(tree)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if wantNodes[i].ElapsedNS != 0 || wantNodes[i].SelfNS != 0 {
-				t.Errorf("%s: untraced node %d carries elapsed=%d self=%d",
-					q, i, wantNodes[i].ElapsedNS, wantNodes[i].SelfNS)
+			if !idsEqual(gotIDs, wantIDs) {
+				t.Errorf("%s %s: traced ids %v, want %v", tr.name, q, gotIDs, wantIDs)
+			}
+			if !statsEqual(gotES, wantES) {
+				t.Errorf("%s %s: traced stats %+v, want %+v", tr.name, q, gotES, wantES)
+			}
+			if !gotES.Plan.Traced || wantES.Plan.Traced {
+				t.Fatalf("%s %s: Traced flags wrong (traced=%v untraced=%v)",
+					tr.name, q, gotES.Plan.Traced, wantES.Plan.Traced)
+			}
+			if gotES.Plan.Root.ElapsedNS <= 0 {
+				t.Errorf("%s %s: root elapsed %d, want > 0", tr.name, q, gotES.Plan.Root.ElapsedNS)
+			}
+			// Per-operator actual rows must match node for node.
+			var wantNodes, gotNodes []*plan.Node
+			wantES.Plan.Walk(func(n *plan.Node, _ int) { wantNodes = append(wantNodes, n) })
+			gotES.Plan.Walk(func(n *plan.Node, _ int) { gotNodes = append(gotNodes, n) })
+			if len(wantNodes) != len(gotNodes) {
+				t.Fatalf("%s %s: node counts differ: %d vs %d", tr.name, q, len(gotNodes), len(wantNodes))
+			}
+			for i := range wantNodes {
+				if gotNodes[i].ActRows != wantNodes[i].ActRows {
+					t.Errorf("%s %s: node %d (%s) act=%d, want %d",
+						tr.name, q, i, gotNodes[i].Kind, gotNodes[i].ActRows, wantNodes[i].ActRows)
+				}
+				if wantNodes[i].ElapsedNS != 0 || wantNodes[i].SelfNS != 0 {
+					t.Errorf("%s: untraced node %d carries elapsed=%d self=%d",
+						q, i, wantNodes[i].ElapsedNS, wantNodes[i].SelfNS)
+				}
 			}
 		}
 	}
@@ -102,8 +119,8 @@ func TestTraceTimingInvariants(t *testing.T) {
 					q, n.Kind, childSum, n.ElapsedNS)
 			}
 		})
-		// With no clamping in a serial run the telescoped self times equal
-		// the root span exactly.
+		// Children nest inside their parent, so the telescoped self times
+		// equal the root span exactly.
 		if selfSum != root.ElapsedNS {
 			t.Errorf("%s: self times sum to %d, root span %d", q, selfSum, root.ElapsedNS)
 		}
@@ -115,10 +132,10 @@ func TestTraceTimingInvariants(t *testing.T) {
 	}
 }
 
-// A fanned-out run's traced view keeps the same invariant at the root: the
-// span covers fan-out plus spine, and probe spans are recorded by the
-// workers that materialised them. Tracing comes from Env.TraceAll here, the
-// other way to turn it on.
+// Parallel traced sessions over one shared tree: with Env.TraceAll every
+// concurrent run records its spans in its own pooled runtime, so each
+// returned view must carry the serial ids and telescope exactly to its own
+// root span — no run may see another's timings.
 func TestTraceParallel(t *testing.T) {
 	db := buildDB(t, auctionXML, bookXML)
 	env := db.Env()
@@ -129,25 +146,45 @@ func TestTraceParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, es, err := plan.Run(&tenv, tree, 4, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !es.Parallel {
-		t.Fatal("4 workers over a three-branch tree did not fan out")
-	}
 	wantIDs, _, err := execute(env, plan.RootPathsPlan, pat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !idsEqual(ids, wantIDs) {
-		t.Fatalf("parallel traced ids %v, want %v", ids, wantIDs)
+	const goroutines, iters = 4, 10
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				ids, es, err := plan.ExecuteTree(&tenv, tree)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !idsEqual(ids, wantIDs) {
+					errs <- fmt.Errorf("traced ids %v, want %v", ids, wantIDs)
+					return
+				}
+				if !es.Plan.Traced || es.Plan.Root.ElapsedNS <= 0 {
+					errs <- fmt.Errorf("view traced=%v root elapsed %d, want traced and > 0",
+						es.Plan.Traced, es.Plan.Root.ElapsedNS)
+					return
+				}
+				var selfSum int64
+				es.Plan.Walk(func(n *plan.Node, _ int) { selfSum += n.SelfNS })
+				if selfSum != es.Plan.Root.ElapsedNS {
+					errs <- fmt.Errorf("self times sum to %d, root span %d", selfSum, es.Plan.Root.ElapsedNS)
+					return
+				}
+			}
+		}()
 	}
-	if !es.Plan.Traced {
-		t.Fatal("parallel view not marked traced")
-	}
-	if es.Plan.Root.ElapsedNS <= 0 {
-		t.Fatalf("parallel root elapsed %d, want > 0", es.Plan.Root.ElapsedNS)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 type QueryCounters struct {
 	lock              obs.StatLock
 	queries           atomic.Int64
-	parallelQueries   atomic.Int64
 	branchesEvaluated atomic.Int64
 	planCacheHits     atomic.Int64
 	snapshotsPinned   atomic.Int64
@@ -25,15 +24,11 @@ type QueryCounters struct {
 	txRetries         atomic.Int64
 }
 
-// CountQuery records one executed query; parallel marks it as served by the
-// parallel branch executor, and branches is the number of covering branches
-// the plan evaluated.
-func (c *QueryCounters) CountQuery(parallel bool, branches int) {
+// CountQuery records one executed query; branches is the number of
+// covering branches the plan evaluated.
+func (c *QueryCounters) CountQuery(branches int) {
 	c.lock.Lock()
 	c.queries.Add(1)
-	if parallel {
-		c.parallelQueries.Add(1)
-	}
 	c.branchesEvaluated.Add(int64(branches))
 	c.lock.Unlock()
 }
@@ -81,7 +76,6 @@ func (c *QueryCounters) CountTxRetry() {
 // QuerySnapshot is a point-in-time copy of the counters.
 type QuerySnapshot struct {
 	Queries           int64 // queries executed
-	ParallelQueries   int64 // of which fanned probe leaves out over workers
 	BranchesEvaluated int64 // covering branches evaluated across all queries
 	PlanCacheHits     int64 // auto-planned queries answered from the plan cache
 	SnapshotsPinned   int64 // snapshot pins taken by readers (one per query)
@@ -99,7 +93,6 @@ func (c *QueryCounters) Snapshot() QuerySnapshot {
 	c.lock.Read(func() {
 		s = QuerySnapshot{
 			Queries:           c.queries.Load(),
-			ParallelQueries:   c.parallelQueries.Load(),
 			BranchesEvaluated: c.branchesEvaluated.Load(),
 			PlanCacheHits:     c.planCacheHits.Load(),
 			SnapshotsPinned:   c.snapshotsPinned.Load(),

@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// Regression for the torn QueryStats snapshot: CountQuery bumps three
+// Regression for the torn QueryStats snapshot: CountQuery bumps two
 // counters; a concurrent Snapshot must never observe them out of step.
 // Every writer counts a 3-branch query, so BranchesEvaluated == 3*Queries
 // must hold in every snapshot exactly, not just at quiescence. Run under
@@ -17,12 +17,12 @@ func TestQuerySnapshotConsistentUnderConcurrency(t *testing.T) {
 	done := make(chan struct{})
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < perW; i++ {
-				c.CountQuery(w%2 == 0, 3)
+				c.CountQuery(3)
 			}
-		}(w)
+		}()
 	}
 	go func() { wg.Wait(); close(done) }()
 	for {
@@ -30,9 +30,6 @@ func TestQuerySnapshotConsistentUnderConcurrency(t *testing.T) {
 		if s.BranchesEvaluated != 3*s.Queries {
 			t.Fatalf("torn snapshot: queries=%d branches=%d (want 3x)",
 				s.Queries, s.BranchesEvaluated)
-		}
-		if s.ParallelQueries > s.Queries {
-			t.Fatalf("torn snapshot: parallel=%d > queries=%d", s.ParallelQueries, s.Queries)
 		}
 		select {
 		case <-done:

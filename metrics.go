@@ -166,7 +166,6 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 	reg := db.eng.Obs()
 
 	p.Counter("twigdb_queries_total", "Queries executed (Oracle not counted).", qs.Queries)
-	p.Counter("twigdb_parallel_queries_total", "Queries that fanned branches out over worker goroutines.", qs.ParallelQueries)
 	p.Counter("twigdb_branches_evaluated_total", "Covering branches evaluated across all queries.", qs.BranchesEvaluated)
 	p.Counter("twigdb_plan_cache_hits_total", "Auto-planned queries answered from the per-snapshot plan cache.", qs.PlanCacheHits)
 	p.Counter("twigdb_snapshots_pinned_total", "Reader-side snapshot pins (one per query).", qs.SnapshotsPinned)

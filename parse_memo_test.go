@@ -31,8 +31,8 @@ func openMemoTestDB(t *testing.T) *DB {
 // hands out — through the plan cache (Auto), through a plan built from the
 // pattern per call (pinned strategies), through the naive matcher (Oracle)
 // and through a traced run. Nothing may write to a pattern after Parse; the
-// race detector is the assertion (make race, and make race-plan with
-// genuinely parallel goroutines), the ids only show the runs were real.
+// race detector is the assertion (make race, whose GOMAXPROCS=4 makes the
+// goroutines genuinely parallel), the ids only show the runs were real.
 func TestSharedQueryTextConcurrent(t *testing.T) {
 	db := openMemoTestDB(t)
 	const q = `//author[fn = 'jane'][ln = 'doe']`

@@ -39,7 +39,6 @@ func TestEveryReadMethodTakesTheOnePath(t *testing.T) {
 		{"Query", func() (*twigdb.Result, error) { return db.Query(q) }, curSeq, 2, 1, false},
 		{"QueryWith/pinned", func() (*twigdb.Result, error) { return db.QueryWith(twigdb.StrategyRootPaths, q) }, curSeq, 2, 1, false},
 		{"QueryWith/oracle", func() (*twigdb.Result, error) { return db.QueryWith(twigdb.Oracle, q) }, curSeq, 2, 0, false},
-		{"QueryParallel", func() (*twigdb.Result, error) { return db.QueryParallel(twigdb.StrategyDataPaths, q, 4) }, curSeq, 2, 1, false},
 		{"ExplainAnalyze", func() (*twigdb.Result, error) { return db.ExplainAnalyze(twigdb.Auto, q) }, curSeq, 2, 1, true},
 		{"QueryAsOf", func() (*twigdb.Result, error) { return db.QueryAsOf(q, preSeq) }, preSeq, 1, 1, false},
 		{"Tx.Query", func() (*twigdb.Result, error) { return tx.Query(q) }, curSeq, 3, 1, false},

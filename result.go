@@ -77,9 +77,8 @@ func (n *PlanNode) Render() string {
 // TraceNode is one operator span of a traced query execution (EXPLAIN
 // ANALYZE): the plan operator plus its measured wall time and attributed
 // device I/O. Elapsed is inclusive of the operator's children; Self is
-// Elapsed minus the children's (clamped at zero — under the parallel
-// executor probe work overlaps the joins, so self times are per-span
-// measurements, not a partition of the total).
+// Elapsed minus the children's, so the self times of a trace sum to the
+// root's Elapsed.
 type TraceNode struct {
 	Op         string
 	Detail     string

@@ -217,8 +217,9 @@ type Options struct {
 // subset of the index family.
 //
 // A DB is safe for concurrent use, and reads never block on writes: any
-// number of goroutines may query it (Query, QueryWith, QueryParallel,
-// QueryBatch) while others call Insert, Delete, or Build. Every query pins
+// number of goroutines may query it (Query, QueryWith, QueryBatch) while
+// others call Insert, Delete, or Build. Each query runs on the goroutine
+// that issued it; concurrency comes from concurrent queries. Every query pins
 // an immutable snapshot of the database — store, statistics and indices at
 // one version — for its whole lifetime, so it observes either all of a
 // concurrent update or none of it, and never waits for a writer. Writers
@@ -379,16 +380,7 @@ func (db *DB) Query(q string) (*Result, error) { return db.QueryWith(Auto, q) }
 // QueryWith evaluates a query under an explicit strategy — the pin that
 // bypasses the cost-based planner (Auto re-enables it).
 func (db *DB) QueryWith(strat Strategy, q string) (*Result, error) {
-	return db.query(db.eng.Read, strat, q, 1, false)
-}
-
-// QueryParallel evaluates a query under an explicit strategy (Auto allowed)
-// with the parallel twig executor: the pattern's branches are evaluated
-// concurrently on up to `workers` goroutines and merged with the usual
-// positional joins. Results are identical to QueryWith's. workers <= 0
-// picks GOMAXPROCS; workers == 1 is exactly QueryWith.
-func (db *DB) QueryParallel(strat Strategy, q string, workers int) (*Result, error) {
-	return db.query(db.eng.Read, strat, q, workers, false)
+	return db.query(db.eng.Read, strat, q, false)
 }
 
 // QueryBatch serves all queries concurrently against the shared buffer
@@ -432,14 +424,12 @@ type reader func(*xpath.Pattern, engine.ReadOpts) (engine.ReadResult, error)
 
 // query is the package's one query path: parse, translate the public
 // strategy into the engine's read options, read, assemble the Result.
-// workers == 1 executes serially, anything else fans branches out (<= 0
-// over GOMAXPROCS goroutines).
-func (db *DB) query(read reader, strat Strategy, q string, workers int, trace bool) (*Result, error) {
+func (db *DB) query(read reader, strat Strategy, q string, trace bool) (*Result, error) {
 	pat, err := db.parsed.parse(q)
 	if err != nil {
 		return nil, err
 	}
-	opts := engine.ReadOpts{Workers: workers, Trace: trace}
+	opts := engine.ReadOpts{Trace: trace}
 	switch strat {
 	case Auto:
 		opts.Planner = engine.Auto
@@ -494,7 +484,7 @@ func (db *DB) ExplainAnalyze(strat Strategy, q string) (*Result, error) {
 	if strat == Oracle {
 		return nil, errors.New("twigdb: ExplainAnalyze needs a plan-running strategy; Oracle has no plan")
 	}
-	return db.query(db.eng.Read, strat, q, 1, true)
+	return db.query(db.eng.Read, strat, q, true)
 }
 
 // QueryStats is a snapshot of the database's lifetime query counters
@@ -506,7 +496,6 @@ func (db *DB) ExplainAnalyze(strat Strategy, q string) (*Result, error) {
 // exercised, and WALFsyncs always zero for them).
 type QueryStats struct {
 	Queries           int64 // indexed queries executed (Oracle not counted)
-	ParallelQueries   int64 // of which actually fanned branches out over workers
 	BranchesEvaluated int64 // covering branches evaluated across all queries
 	PlanCacheHits     int64 // auto-planned queries whose strategy came from the plan cache
 
@@ -540,7 +529,6 @@ func (db *DB) QueryStats() QueryStats {
 	d := db.eng.DeviceStats()
 	return QueryStats{
 		Queries:            s.Queries,
-		ParallelQueries:    s.ParallelQueries,
 		BranchesEvaluated:  s.BranchesEvaluated,
 		PlanCacheHits:      s.PlanCacheHits,
 		SnapshotsPinned:    s.SnapshotsPinned,

@@ -89,7 +89,7 @@ func (tx *Tx) Query(q string) (*Result, error) { return tx.QueryWith(Auto, q) }
 // QueryWith is Query under an explicit strategy (Auto re-enables the
 // planner; Oracle runs the naive in-memory matcher).
 func (tx *Tx) QueryWith(strat Strategy, q string) (*Result, error) {
-	return tx.db.query(tx.etx.Read, strat, q, 1, false)
+	return tx.db.query(tx.etx.Read, strat, q, false)
 }
 
 // Commit atomically publishes every statement of the transaction, or none:
@@ -139,7 +139,7 @@ func (db *DB) CurrentSeq() uint64 { return db.eng.CurrentSeq() }
 func (db *DB) QueryAsOf(q string, seq uint64) (*Result, error) {
 	return db.query(func(pat *xpath.Pattern, opts engine.ReadOpts) (engine.ReadResult, error) {
 		return db.eng.ReadAsOf(seq, pat, opts)
-	}, Auto, q, 1, false)
+	}, Auto, q, false)
 }
 
 // TxStats is a snapshot of the lifetime transaction counters.
