@@ -1,6 +1,9 @@
 package twigdb_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path"
@@ -91,6 +94,119 @@ func TestDocsPointAtThingsThatExist(t *testing.T) {
 	}
 }
 
+// TestDocsNameDeclaredGo keeps the prose's Go names honest: every code span
+// of README.md, PAPER.md or docs/*.md that is a qualified Go name —
+// `pkg.Name` or `pkg.Name.member`, Name capitalised, possibly called with
+// arguments — must resolve to a declaration in internal/<pkg> (twigdb is
+// the root package): a type, func, var or const, and for .member a field or
+// method of Name. Spans whose pkg is not one of the module's (`errors.Is`)
+// are skipped. Deleting or renaming a declaration without chasing its
+// mentions fails here.
+func TestDocsNameDeclaredGo(t *testing.T) {
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decls := map[string]map[string]bool{} // package directory → declared names
+	checked := 0
+	for _, doc := range append([]string{"README.md", "PAPER.md"}, docs...) {
+		for _, span := range codeSpans(t, doc) {
+			m := goName.FindStringSubmatch(span)
+			if m == nil {
+				continue
+			}
+			dir := filepath.Join("internal", m[1])
+			if m[1] == "twigdb" {
+				dir = "."
+			}
+			if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+				continue
+			}
+			if decls[dir] == nil {
+				decls[dir] = declaredNames(t, dir)
+			}
+			if !decls[dir][m[2]] {
+				t.Errorf("%s: `%s`: package %s declares no %s", doc, span, dir, m[2])
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no code span named a Go declaration: the span pattern no longer matches the docs")
+	}
+}
+
+// declaredNames returns the package-level names the non-test Go files of
+// dir declare, plus Type.member for every field, interface method and
+// method of a declared type.
+func declaredNames(t *testing.T, dir string) map[string]bool {
+	notTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, notTest, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						names[d.Name.Name] = true
+					} else {
+						names[typeName(d.Recv.List[0].Type)+"."+d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								names[n.Name] = true
+							}
+						case *ast.TypeSpec:
+							names[spec.Name.Name] = true
+							var members []*ast.Field
+							switch ty := spec.Type.(type) {
+							case *ast.StructType:
+								members = ty.Fields.List
+							case *ast.InterfaceType:
+								members = ty.Methods.List
+							}
+							for _, field := range members {
+								for _, n := range field.Names {
+									names[spec.Name.Name+"."+n.Name] = true
+								}
+								if field.Names == nil { // embedded: named by its type
+									names[spec.Name.Name+"."+typeName(field.Type)] = true
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// typeName is the bare name of a receiver or embedded type expression:
+// *T, T[P], pkg.T all name T.
+func typeName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.StarExpr:
+		return typeName(e.X)
+	case *ast.IndexExpr:
+		return typeName(e.X)
+	case *ast.IndexListExpr:
+		return typeName(e.X)
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	case *ast.Ident:
+		return e.Name
+	}
+	return ""
+}
+
 // TestPlannerDocStrategyTable checks docs/PLANNER.md's strategy table
 // against plan's descriptor table: one row per strategy, in order, naming
 // the strategy and the index kinds it requires.
@@ -137,6 +253,10 @@ var (
 	inlineCode = regexp.MustCompile("`([^`]+)`")
 	// goQualifier is the .Identifier that turns a package path into a Go name.
 	goQualifier = regexp.MustCompile(`\.[A-Z][A-Za-z0-9]*$`)
+	// goName is a whole code span naming a Go declaration: pkg.Name or
+	// pkg.Name.member, optionally called. Name is capitalised, so metric
+	// names such as storage.wal_bytes_per_commit do not match.
+	goName = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)?)(?:\(.*\))?$`)
 )
 
 // makeTargets returns the rule names of the Makefile.

@@ -43,10 +43,10 @@ const (
 	// FaultFsyncError fails an fsync. On a file-backed database this
 	// poisons the device and degrades the engine to read-only mode.
 	FaultFsyncError
-	// FaultBitFlip flips one bit of the data being moved. On a file-backed
-	// database the flip lands below the checksum, so it is detected and
-	// surfaces as ErrCorruptPage; on an in-memory database it is silent
-	// corruption by design.
+	// FaultBitFlip flips one bit of a page image as it is read from the
+	// file. The flip lands below the page checksum, so it is detected: a
+	// one-shot flip is healed by a transparent re-read, a sticky one
+	// surfaces as ErrCorruptPage.
 	FaultBitFlip
 	// FaultTornWrite persists only a prefix of a write while reporting
 	// success — the classic crash/power-loss failure mode.

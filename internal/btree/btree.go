@@ -3,26 +3,21 @@ package btree
 import (
 	"bytes"
 	"fmt"
-	"sync"
 
 	"repro/internal/storage"
 )
 
-// Tree is a disk-backed B+-tree. A tree-level reader/writer latch makes it
-// safe for concurrent use: any number of readers (Get, Seek, Scan,
-// ScanPrefix, Stats) may proceed together, while a mutation (Insert, Delete)
-// holds the latch exclusively. An open Iterator holds the read latch until
-// Close, so its pinned page can never be mutated underneath it; a goroutine
-// must therefore close its iterators on a tree before mutating that same
-// tree.
+// Tree is a disk-backed B+-tree. It takes no latch. A handle is mutated
+// (Insert, Delete, TakeRetired, TakeFresh) by one goroutine, and only while
+// no other goroutine can reach it; any number of goroutines may read a
+// handle nobody mutates (Get, Seek, Scan, ScanPrefix, Walk, Meta, Stats,
+// CloneCOW). The engine meets this by construction: a writer mutates a
+// private CloneCOW of the published handle, whose copy-on-write never
+// touches a page the original reaches, and hands it to readers only by
+// publishing a snapshot; a published handle is only read.
 type Tree struct {
 	pool *storage.Pool
 	name string
-
-	// mu is the tree latch. It guards root/height/pages/entries and — via
-	// iterator-lifetime read latching — the page contents reachable from
-	// the root against in-place mutation.
-	mu sync.RWMutex
 
 	root    storage.PageID
 	height  int
@@ -91,10 +86,8 @@ type Meta struct {
 	Entries int64
 }
 
-// Meta snapshots the tree's durable description under the read latch.
+// Meta returns the tree's durable description.
 func (t *Tree) Meta() Meta {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return Meta{Name: t.name, Root: t.root, Height: t.height, Pages: t.pages, Entries: t.entries}
 }
 
@@ -124,8 +117,6 @@ func Open(pool *storage.Pool, m Meta) *Tree {
 // recorded for TakeRetired, and the engine returns them to the device free
 // list once the snapshots that could still read them drain.
 func (t *Tree) CloneCOW(frontier storage.PageID) *Tree {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return &Tree{
 		pool:        t.pool,
 		name:        t.name,
@@ -225,8 +216,6 @@ func (t *Tree) freeOrRetire(id storage.PageID) {
 // has been released; nothing may free them earlier, because readers of
 // older tree versions still descend through them.
 func (t *Tree) TakeRetired() []storage.PageID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	r := t.retired
 	t.retired = nil
 	return r
@@ -239,8 +228,6 @@ func (t *Tree) TakeRetired() []storage.PageID {
 // no published version can reference a page only the abandoned clone ever
 // reached. The handle must not be used after draining its fresh set.
 func (t *Tree) TakeFresh() []storage.PageID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if len(t.fresh) == 0 {
 		return nil
 	}
@@ -254,8 +241,6 @@ func (t *Tree) TakeFresh() []storage.PageID {
 
 // Stats returns the tree's current shape.
 func (t *Tree) Stats() Stats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return Stats{
 		Name:    t.name,
 		Pages:   t.pages,
@@ -294,8 +279,6 @@ func (t *Tree) write(id storage.PageID, pc *pageContent) error {
 
 // Insert adds (key, val); duplicate keys are allowed.
 func (t *Tree) Insert(key, val []byte) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if len(key)+len(val) > MaxEntrySize {
 		return fmt.Errorf("btree %s: entry too large (%d bytes, max %d)", t.name, len(key)+len(val), MaxEntrySize)
 	}

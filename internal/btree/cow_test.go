@@ -3,9 +3,12 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/storage"
@@ -214,9 +217,13 @@ func TestCloneCOWDuplicateRunAcrossLeaves(t *testing.T) {
 	}
 }
 
-// TestCloneCOWConcurrentReaders: readers iterating the frozen original
-// while a clone churns must always observe the exact snapshot (run with
-// -race to catch torn page accesses).
+// TestCloneCOWConcurrentReaders runs the engine's whole handle life cycle
+// on one tree, with no latch anywhere: readers of the frozen original —
+// full scans, one reused PrefixScan per reader through ScanPrefix, Meta,
+// Stats and Walk — must always observe the exact snapshot while a clone
+// inserts and deletes, hands over its retired pages (TakeRetired), and is
+// then abandoned (TakeFresh), its fresh pages freed and immediately reused
+// by another tree. Run with -race to catch torn page accesses.
 func TestCloneCOWConcurrentReaders(t *testing.T) {
 	dev := storage.NewDisk()
 	pool := storage.NewPool(dev, 1<<20) // small pool: forces faults + evictions
@@ -231,38 +238,88 @@ func TestCloneCOWConcurrentReaders(t *testing.T) {
 		}
 	}
 	want := dumpAll(t, tr)
-	clone := tr.CloneCOW(storage.PageID(dev.NumPages()))
+	prefixes := []string{"k0000", "k0001", "k00199", "k0019", "k1"}
+	wantRows := map[string]int{}
+	for _, p := range prefixes {
+		for _, kv := range want {
+			if strings.HasPrefix(kv, p) {
+				wantRows[p]++
+			}
+		}
+	}
+	walk := func() (map[storage.PageID]bool, error) {
+		pages := map[storage.PageID]bool{}
+		err := tr.Walk(func(id storage.PageID) error { pages[id] = true; return nil })
+		return pages, err
+	}
+	wantPages, err := walk()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantMeta, wantStats := tr.Meta(), tr.Stats()
+	frontier := storage.PageID(dev.NumPages())
+	clone := tr.CloneCOW(frontier)
 
 	var wg sync.WaitGroup
+	var writerDone atomic.Bool
 	errs := make(chan error, 4)
+	read := func(ps *PrefixScan) error {
+		it, err := tr.Scan()
+		if err != nil {
+			return err
+		}
+		i := 0
+		for ; it.Valid(); it.Next() {
+			kv := string(it.Key()) + "=" + string(it.Value())
+			if i >= len(want) || kv != want[i] {
+				it.Close()
+				return fmt.Errorf("reader saw %q at %d, want %q", kv, i, want[i])
+			}
+			i++
+		}
+		err = it.Err()
+		it.Close()
+		if err != nil {
+			return err
+		}
+		if i != len(want) {
+			return fmt.Errorf("reader saw %d entries, want %d", i, len(want))
+		}
+		for _, p := range prefixes {
+			ps.Prefix = append(ps.Prefix[:0], p...)
+			n, err := tr.ScanPrefix(ps, func(key, _ []byte) error {
+				if !bytes.HasPrefix(key, ps.Prefix) {
+					return fmt.Errorf("ScanPrefix(%q) handed over %q", p, key)
+				}
+				return nil
+			})
+			if err != nil {
+				return err
+			}
+			if n != wantRows[p] {
+				return fmt.Errorf("ScanPrefix(%q) = %d rows, want %d", p, n, wantRows[p])
+			}
+		}
+		if m, s := tr.Meta(), tr.Stats(); m != wantMeta || s != wantStats {
+			return fmt.Errorf("original's Meta/Stats moved: %+v %+v, want %+v %+v", m, s, wantMeta, wantStats)
+		}
+		pages, err := walk()
+		if err != nil {
+			return err
+		}
+		if !maps.Equal(pages, wantPages) {
+			return fmt.Errorf("Walk reached %d pages, want the original %d", len(pages), len(wantPages))
+		}
+		return nil
+	}
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for pass := 0; pass < 3; pass++ {
-				it, err := tr.Scan()
-				if err != nil {
+			var ps PrefixScan // reused across every probe of this reader
+			for pass := 0; pass < 3 || !writerDone.Load(); pass++ {
+				if err := read(&ps); err != nil {
 					errs <- err
-					return
-				}
-				i := 0
-				for ; it.Valid(); it.Next() {
-					kv := string(it.Key()) + "=" + string(it.Value())
-					if i >= len(want) || kv != want[i] {
-						it.Close()
-						errs <- fmt.Errorf("reader saw %q at %d, want %q", kv, i, want[i])
-						return
-					}
-					i++
-				}
-				err = it.Err()
-				it.Close()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if i != len(want) {
-					errs <- fmt.Errorf("reader saw %d entries, want %d", i, len(want))
 					return
 				}
 			}
@@ -271,6 +328,7 @@ func TestCloneCOWConcurrentReaders(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer writerDone.Store(true)
 		for i := 0; i < 3000; i++ {
 			k := fmt.Sprintf("k%06d", rng.Intn(3000))
 			if rng.Intn(2) == 0 {
@@ -282,6 +340,39 @@ func TestCloneCOWConcurrentReaders(t *testing.T) {
 				errs <- err
 				return
 			}
+		}
+		// Retired pages are originals the readers may still be on: they are
+		// collected, never freed here. Fresh pages only the clone reached:
+		// an abandoned writer frees them at once, and reusing them must not
+		// disturb a reader.
+		retired := clone.TakeRetired()
+		fresh := clone.TakeFresh()
+		if len(retired) == 0 || len(fresh) == 0 {
+			errs <- fmt.Errorf("churn retired %d and allocated %d pages", len(retired), len(fresh))
+			return
+		}
+		for _, id := range retired {
+			if id >= frontier || !wantPages[id] {
+				errs <- fmt.Errorf("retired page %d is not one of the original's", id)
+				return
+			}
+		}
+		for _, id := range fresh {
+			if wantPages[id] {
+				errs <- fmt.Errorf("fresh page %d is reachable from the original", id)
+				return
+			}
+			if err := pool.Free(id); err != nil {
+				errs <- err
+				return
+			}
+		}
+		reuse, err := New(pool, "reuse")
+		for i := 0; err == nil && i < 2000; i++ {
+			err = reuse.Insert([]byte(fmt.Sprintf("r%06d", i)), bytes.Repeat([]byte("x"), 64))
+		}
+		if err != nil {
+			errs <- err
 		}
 	}()
 	wg.Wait()

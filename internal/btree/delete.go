@@ -22,8 +22,6 @@ import (
 // frontier (see CloneCOW) the modified spine is copied instead of
 // modified, and the replaced originals are retired.
 func (t *Tree) Delete(key, val []byte) (bool, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	newRoot, found, _, emptied, err := t.deleteAt(t.root, key, val, t.height)
 	if err != nil {
 		return false, err
@@ -185,9 +183,7 @@ func (t *Tree) deleteInLeaf(id storage.PageID, key, val []byte) (storage.PageID,
 }
 
 // DeleteAll removes every entry with exactly the given key, returning the
-// number removed. It is a sequence of individually-latched Get/Delete pairs,
-// not one atomic operation; concurrent readers may observe intermediate
-// states.
+// number removed, as a sequence of Get/Delete pairs.
 func (t *Tree) DeleteAll(key []byte) (int, error) {
 	removed := 0
 	for {

@@ -17,9 +17,8 @@ import (
 // sibling's pointer without copying the whole level), while the descent
 // path is always internally consistent for the tree version being read.
 //
-// An open iterator holds the tree's read latch, so concurrent readers are
-// fine but a mutation of the same tree from the owning goroutine would
-// self-deadlock: always Close iterators before calling Insert or Delete.
+// An open iterator pins its current leaf in the buffer pool; Close unpins
+// it. Mutating the tree it reads invalidates it (see Tree): Close it first.
 //
 // Usage:
 //
@@ -31,13 +30,12 @@ import (
 //	}
 //	if err := it.Err(); err != nil { ... }
 type Iterator struct {
-	tree    *Tree
-	path    []iterLevel  // descent path above the current leaf (root first)
-	pg      storage.Page // pinned current leaf; Data == nil when done
-	idx     int
-	err     error
-	key     []byte // reusable buffer for prefix+suffix
-	latched bool   // true while this iterator holds tree.mu.RLock
+	tree *Tree
+	path []iterLevel  // descent path above the current leaf (root first)
+	pg   storage.Page // pinned current leaf; Data == nil when done
+	idx  int
+	err  error
+	key  []byte // reusable buffer for prefix+suffix
 }
 
 // iterLevel records one internal page of the descent path and which child
@@ -48,7 +46,7 @@ type iterLevel struct {
 }
 
 // Seek returns an iterator positioned at the first entry >= key. The
-// iterator holds the tree's read latch until Close.
+// iterator pins a leaf until Close.
 func (t *Tree) Seek(key []byte) (*Iterator, error) {
 	it := &Iterator{}
 	if err := t.SeekInto(key, it); err != nil {
@@ -61,15 +59,13 @@ func (t *Tree) Seek(key []byte) (*Iterator, error) {
 // and key buffers — the allocation-free variant of Seek for callers that
 // keep an Iterator across probes. it must not be mid-iteration (Close any
 // previous use first; a Closed iterator is reusable). On error the
-// iterator is left Closed and unlatched.
+// iterator is left Closed.
 func (t *Tree) SeekInto(key []byte, it *Iterator) error {
-	t.mu.RLock()
 	it.tree = t
 	it.path = it.path[:0]
 	it.pg = storage.Page{}
 	it.idx = 0
 	it.err = nil
-	it.latched = true
 	id := t.root
 	for h := t.height; h > 1; h-- {
 		pg, err := t.fetch(id)
@@ -197,16 +193,11 @@ func (it *Iterator) Value() []byte {
 // Err returns the first error encountered while iterating.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases the iterator's pinned page and the tree's read latch. It
-// is safe to call twice.
+// Close unpins the iterator's current leaf. It is safe to call twice.
 func (it *Iterator) Close() {
 	if it.pg.Data != nil {
 		it.tree.pool.Unpin(it.pg, false)
 		it.pg = storage.Page{}
-	}
-	if it.latched {
-		it.latched = false
-		it.tree.mu.RUnlock()
 	}
 }
 

@@ -3,14 +3,11 @@ package btree
 import "repro/internal/storage"
 
 // Walk invokes fn with the id of every page reachable from the tree's root
-// — the complete physical footprint of this version of the tree. It holds
-// the read latch for the duration, so a concurrent writer cannot unlink or
-// free pages mid-walk (and under a COW frontier a writer never modifies
-// reachable pages in place at all). Online backup uses this to enumerate
-// the pages it must copy out of a pinned snapshot.
+// — the complete physical footprint of this version of the tree. A writer
+// works on a COW clone, which never modifies or frees a page this version
+// reaches. Online backup uses this to enumerate the pages it must copy out
+// of a pinned snapshot.
 func (t *Tree) Walk(fn func(storage.PageID) error) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.walk(t.root, t.height, fn)
 }
 

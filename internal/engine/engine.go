@@ -33,10 +33,11 @@ type Config struct {
 	// docs/STORAGE.md). Empty keeps the historical in-memory device. Use
 	// Open (not New) for file-backed databases.
 	Path string
-	// Faults, when non-nil, wraps the device in a storage.FaultDisk driven
-	// by this injector (see docs/FAULTS.md). The injector is live from the
-	// moment the device is opened — disarm it first if recovery and setup
-	// should run un-faulted, then Arm it (or use SetFaultsArmed).
+	// Faults, when non-nil, is attached to the FileDisk at the media level,
+	// below the page checksums (see docs/FAULTS.md); it needs a Path, and
+	// Open fails with ErrFaultsNeedPath without one. The injector is live
+	// from the moment the device is opened — disarm it first if recovery
+	// and setup should run un-faulted, then Arm it (or use SetFaultsArmed).
 	Faults *storage.FaultInjector
 	// CheckpointWALBytes is the WAL size beyond which a commit wakes the
 	// background checkpointer, which migrates committed frames into the
@@ -250,16 +251,21 @@ func (db *DB) SetFaultsArmed(armed bool) {
 	}
 }
 
+// ErrFaultsNeedPath fails Open when Config.Faults is set without a Path:
+// faults are injected below the FileDisk's page checksums, and the
+// in-memory device has none to detect a flipped bit or a torn page.
+var ErrFaultsNeedPath = errors.New("engine: fault injection needs a file-backed database (Config.Path)")
+
 // New creates an empty in-memory database. File-backed databases (Config
 // with Path set) must go through Open, which can report I/O and recovery
-// errors; New panics if given a Path.
+// errors; New panics if given a Path, or Faults (which need a Path).
 func New(cfg Config) *DB {
 	if cfg.Path != "" {
 		panic("engine: New with Config.Path; use Open for file-backed databases")
 	}
 	db, err := Open(cfg)
 	if err != nil {
-		panic(err) // unreachable: the in-memory path cannot fail
+		panic(err) // only ErrFaultsNeedPath: the in-memory path cannot fail
 	}
 	return db
 }
@@ -278,26 +284,24 @@ func Open(cfg Config) (*DB, error) {
 		cfg.CheckpointWALBytes = walCheckpointBytes
 	}
 	db := &DB{
-		cfg:  cfg,
-		dict: pathdict.NewDict(),
-		ptab: pathdict.NewPathTable(),
+		cfg:    cfg,
+		dict:   pathdict.NewDict(),
+		ptab:   pathdict.NewPathTable(),
+		faults: cfg.Faults,
 	}
-	if cfg.Path == "" {
-		db.dev = storage.NewDisk()
-	} else {
+	switch {
+	case cfg.Path != "":
 		fdisk, err := storage.OpenFileDisk(cfg.Path)
 		if err != nil {
 			return nil, err
 		}
+		fdisk.SetFaultInjector(cfg.Faults)
 		db.fdisk = fdisk
 		db.dev = fdisk
-	}
-	if cfg.Faults != nil {
-		// For a FileDisk the injector is handed down to the media level
-		// (bit flips land below the checksum); for the in-memory Disk the
-		// FaultDisk applies faults at the Device interface.
-		db.faults = cfg.Faults
-		db.dev = storage.NewFaultDisk(db.dev, cfg.Faults)
+	case cfg.Faults != nil:
+		return nil, ErrFaultsNeedPath
+	default:
+		db.dev = storage.NewDisk()
 	}
 	db.pool = storage.NewPool(db.dev, cfg.BufferPoolBytes)
 	db.reg = obs.NewRegistry()
@@ -632,7 +636,7 @@ func (db *DB) Close() error {
 }
 
 // LoadXML parses one document from r and adds it to the store. Documents
-// must be loaded before indices are built.
+// must be loaded before indices are built (see AddDocument).
 func (db *DB) LoadXML(r io.Reader) error {
 	doc, err := xmldb.Parse(r)
 	if err != nil {
@@ -641,10 +645,16 @@ func (db *DB) LoadXML(r io.Reader) error {
 	return db.AddDocument(doc)
 }
 
+// ErrLoadAfterBuild rejects LoadXML and AddDocument on a database with any
+// index built: the bulk-load path does not maintain indices, so they would
+// silently miss the new document. InsertSubtree(0, …), which maintains
+// ROOTPATHS/DATAPATHS, adds a document to an indexed database.
+var ErrLoadAfterBuild = errors.New("engine: cannot bulk-load into an indexed database; add the document with Insert(0, …), which maintains ROOTPATHS/DATAPATHS")
+
 // AddDocument adds an already-built document tree, publishing a new
-// snapshot that shares every existing document. Index handles carry over
-// unchanged (they do not cover the new document until rebuilt — load
-// documents before building). Returns ErrReadOnly on a degraded database.
+// snapshot that shares every existing document. It is the bulk-load path,
+// for use before any index is built: afterwards it returns
+// ErrLoadAfterBuild. Returns ErrReadOnly on a degraded database.
 func (db *DB) AddDocument(doc *xmldb.Document) error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -652,6 +662,9 @@ func (db *DB) AddDocument(doc *xmldb.Document) error {
 		return err
 	}
 	cur := db.current.Load()
+	if len(cur.env.Structures()) > 0 || cur.env.Containment != nil {
+		return ErrLoadAfterBuild
+	}
 	next := cur.clone()
 	store := cur.store.CloneShallow()
 	// Ids come from the global allocator (shared with transactions), then
@@ -685,19 +698,6 @@ func (db *DB) Env() *plan.Env { return db.current.Load().queryEnv() }
 
 // Pool exposes the shared buffer pool.
 func (db *DB) Pool() *storage.Pool { return db.pool }
-
-// CollectStats runs statistics collection (RUNSTATS); it is invoked
-// automatically by Build and lazily by queries. It publishes a successor
-// snapshot with freshly collected statistics.
-func (db *DB) CollectStats() {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	cur := db.current.Load()
-	next := cur.clone()
-	next.env.Stats = stats.Collect(next.store, db.dict)
-	next.statsReady.Store(true)
-	db.publish(next, nil, false)
-}
 
 // Build constructs the given index structures, publishing a successor
 // snapshot that carries them (plus fresh statistics). Indices already
@@ -862,7 +862,8 @@ func (db *DB) Spaces() []index.Space {
 	return out
 }
 
-// Device exposes the page device (the in-memory Disk or the FileDisk).
+// Device exposes the page device (the in-memory Disk or the FileDisk,
+// which carries the fault injector when one is configured).
 func (db *DB) Device() storage.Device { return db.dev }
 
 // DeviceStats returns cumulative device I/O counters, including the WAL

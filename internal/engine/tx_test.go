@@ -194,7 +194,7 @@ func TestTxConflictOverlappingDocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddDocument(docB); err != nil {
+	if err := db.InsertSubtree(0, docB.Root); err != nil {
 		t.Fatal(err)
 	}
 	rootA := matchIDs(t, db, `/a`)[0]
@@ -251,7 +251,7 @@ func TestTxDisjointCommitReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.AddDocument(docB); err != nil {
+	if err := db.InsertSubtree(0, docB.Root); err != nil {
 		t.Fatal(err)
 	}
 
@@ -293,7 +293,7 @@ func TestTxDisjointCommitReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	od2, _ := xmldb.ParseString(`<q><r>v1</r><s>v2</s></q>`)
-	if err := oracle.AddDocument(od2); err != nil {
+	if err := oracle.InsertSubtree(0, od2.Root); err != nil {
 		t.Fatal(err)
 	}
 	if err := oracle.InsertSubtree(od1.Root.ID, cloneDoc(&xmldb.Document{Root: subA.Root}).Root); err != nil {

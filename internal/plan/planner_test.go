@@ -135,7 +135,9 @@ func TestPlannerConsidersOnlyBuiltIndices(t *testing.T) {
 	}
 	pat := xpath.MustParse(`/site/people/person/name`)
 
-	db.CollectStats()
+	if err := db.Build(); err != nil { // statistics, no index
+		t.Fatal(err)
+	}
 	if _, _, err := plan.Choose(db.Env(), pat); err == nil {
 		t.Fatalf("Choose with no index: want error")
 	}

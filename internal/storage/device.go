@@ -3,9 +3,11 @@ package storage
 // Device is the page-device abstraction beneath the buffer pool. Two
 // implementations exist: Disk, the historical simulated in-memory page
 // array, and FileDisk, a durable single-file database with a write-ahead
-// log and crash recovery. The pool, the B+-trees and the engine are written
-// against this interface, so the two are interchangeable — an in-memory
-// database and a file-backed one run the same code above the device.
+// log, page checksums and crash recovery. The pool, the B+-trees and the
+// engine are written against this interface, so an in-memory database and
+// a file-backed one run the same code above the device. Only FileDisk
+// takes a FaultInjector: faults are injected below its checksums, so every
+// corruption they cause is detected.
 type Device interface {
 	// Allocate reserves one new zeroed page and returns its id.
 	Allocate() PageID
@@ -26,8 +28,6 @@ type Device interface {
 	Free(id PageID) error
 	// NumPages returns the number of allocated pages.
 	NumPages() int
-	// SizeBytes returns the allocated size in bytes.
-	SizeBytes() int64
 	// Counters returns cumulative (reads, writes).
 	Counters() (reads, writes int64)
 	// DeviceStats returns the full cumulative I/O counters.
@@ -63,7 +63,7 @@ type DeviceStats struct {
 	// FreeHead to InvalidPage instead of risking double allocation.
 	FreeListResets int64
 
-	// Fault-hardening counters (FileDisk and FaultDisk; zero elsewhere).
+	// Fault-hardening counters (FileDisk only; zero on the in-memory Disk).
 	ChecksumFailures  int64 // page reads that failed CRC validation
 	ChecksumRetries   int64 // transparent re-reads after a CRC failure
 	InjectedFaults    int64 // faults fired by an attached FaultInjector

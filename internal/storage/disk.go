@@ -135,9 +135,6 @@ func (d *Disk) NumPages() int {
 	return len(d.pages)
 }
 
-// SizeBytes returns the total allocated size in bytes.
-func (d *Disk) SizeBytes() int64 { return int64(d.NumPages()) * PageSize }
-
 // Counters returns cumulative (reads, writes).
 func (d *Disk) Counters() (reads, writes int64) {
 	return d.reads.Load(), d.writes.Load()

@@ -10,16 +10,13 @@ import (
 
 // Fault injection.
 //
-// A FaultInjector is a deterministic, seedable source of storage faults; a
-// FaultDisk wraps any Device and consults the injector on every operation.
-// The FileDisk cooperates: when a FaultDisk wraps a FileDisk, the injector
-// is handed down so faults fire at the *media* level — a bit flip lands on
-// the raw bytes read from the file, below the checksum, so the corruption
-// is detected rather than silently served; a torn write really persists
-// only a prefix of the WAL record while the process believes it succeeded.
-// Wrapping the in-memory Disk applies faults at the Device interface
-// instead (there is no checksum below it, so bit flips and torn writes are
-// silent there — useful for testing callers that must tolerate garbage).
+// A FaultInjector is a deterministic, seedable source of storage faults. It
+// has one mode: FileDisk.SetFaultInjector attaches it at the *media* level —
+// a bit flip lands on the raw bytes read from the file, below the checksum,
+// so the corruption is detected rather than silently served; a torn write
+// really persists only a prefix of the WAL record while the process
+// believes it succeeded. The in-memory Disk has no checksum to detect
+// either, so it takes no injector.
 
 // FaultKind enumerates the injectable fault classes.
 type FaultKind int
@@ -29,17 +26,15 @@ const (
 	FaultReadErr FaultKind = iota
 	// FaultWriteErr makes a page write (or WAL append) fail.
 	FaultWriteErr
-	// FaultFsyncErr makes an fsync fail. On a FileDisk this poisons the
-	// device (see ErrPoisoned); the in-memory Disk has no fsync, so the
-	// kind is inert there.
+	// FaultFsyncErr makes an fsync fail, which poisons the device (see
+	// ErrPoisoned).
 	FaultFsyncErr
 	// FaultBitFlip flips one random bit of a page image as it is read from
-	// the media. Under a FileDisk the checksum catches it; under the
-	// in-memory Disk it is silent corruption.
+	// the media, below the checksum that catches it.
 	FaultBitFlip
 	// FaultTornWrite persists only a prefix of a write while reporting
-	// success — the classic torn page. Under a FileDisk the torn WAL frame
-	// fails its CRC on the next read of that page.
+	// success — the classic torn page. The torn WAL frame fails its CRC on
+	// the next read of that page.
 	FaultTornWrite
 	// FaultENOSPC makes a write fail with an error wrapping ErrNoSpace.
 	FaultENOSPC
@@ -249,118 +244,4 @@ func (fi *FaultInjector) sleepLatency() {
 	if spec, ok := fi.fire(FaultLatency); ok && spec.Latency > 0 {
 		time.Sleep(spec.Latency)
 	}
-}
-
-// faultSink is implemented by devices that apply injected faults at the
-// media level themselves (FileDisk). NewFaultDisk hands the injector down
-// and becomes a pure pass-through, so faults are applied exactly once and
-// below any integrity checks.
-type faultSink interface {
-	SetFaultInjector(*FaultInjector)
-}
-
-// FaultDisk wraps a Device and injects faults from a FaultInjector. For
-// devices implementing faultSink (FileDisk) it delegates injection to the
-// device; for plain devices (the in-memory Disk) it applies read/write
-// faults, bit flips and torn writes at the Device interface, and fsync
-// faults are inert.
-type FaultDisk struct {
-	inner Device
-	inj   *FaultInjector
-	media bool // inner applies faults itself
-}
-
-var _ Device = (*FaultDisk)(nil)
-
-// NewFaultDisk wraps dev with fault injection driven by inj.
-func NewFaultDisk(dev Device, inj *FaultInjector) *FaultDisk {
-	fd := &FaultDisk{inner: dev, inj: inj}
-	if sink, ok := dev.(faultSink); ok {
-		sink.SetFaultInjector(inj)
-		fd.media = true
-	}
-	return fd
-}
-
-// Injector returns the driving injector.
-func (d *FaultDisk) Injector() *FaultInjector { return d.inj }
-
-// Unwrap returns the wrapped device.
-func (d *FaultDisk) Unwrap() Device { return d.inner }
-
-// Allocate reserves one new zeroed page.
-func (d *FaultDisk) Allocate() PageID { return d.inner.Allocate() }
-
-// AllocateN reserves n consecutive zeroed pages.
-func (d *FaultDisk) AllocateN(n int) PageID { return d.inner.AllocateN(n) }
-
-// Free returns page id to the wrapped device's free list. Free-list
-// mutations ride the same WAL append path as page writes, so for a
-// media-level device (FileDisk) write faults over free-list pages fire
-// there; for plain devices an injected write error fails the free cleanly
-// (the page simply stays allocated — never a double allocation).
-func (d *FaultDisk) Free(id PageID) error {
-	if d.media {
-		return d.inner.Free(id)
-	}
-	d.inj.sleepLatency()
-	if err := d.inj.writeError(); err != nil {
-		return fmt.Errorf("storage: free of page %d: %w", id, err)
-	}
-	return d.inner.Free(id)
-}
-
-// Read reads page id, possibly failing, stalling, or flipping a bit.
-func (d *FaultDisk) Read(id PageID, buf []byte) error {
-	if d.media {
-		return d.inner.Read(id, buf)
-	}
-	d.inj.sleepLatency()
-	if err := d.inj.readError(); err != nil {
-		return fmt.Errorf("storage: read of page %d: %w", id, err)
-	}
-	if err := d.inner.Read(id, buf); err != nil {
-		return err
-	}
-	d.inj.bitFlip(buf[:PageSize])
-	return nil
-}
-
-// Write writes page id, possibly failing or persisting only a torn prefix.
-func (d *FaultDisk) Write(id PageID, buf []byte) error {
-	if d.media {
-		return d.inner.Write(id, buf)
-	}
-	d.inj.sleepLatency()
-	if err := d.inj.writeError(); err != nil {
-		return fmt.Errorf("storage: write of page %d: %w", id, err)
-	}
-	if cut, ok := d.inj.tornCut(PageSize); ok {
-		// Persist buf[:cut] over the old image: read-modify-write so the
-		// tail keeps its previous contents, as a real torn write would.
-		torn := make([]byte, PageSize)
-		if err := d.inner.Read(id, torn); err != nil {
-			return err
-		}
-		copy(torn[:cut], buf[:cut])
-		return d.inner.Write(id, torn)
-	}
-	return d.inner.Write(id, buf)
-}
-
-// NumPages returns the number of allocated pages.
-func (d *FaultDisk) NumPages() int { return d.inner.NumPages() }
-
-// SizeBytes returns the allocated size in bytes.
-func (d *FaultDisk) SizeBytes() int64 { return d.inner.SizeBytes() }
-
-// Counters returns cumulative (reads, writes).
-func (d *FaultDisk) Counters() (reads, writes int64) { return d.inner.Counters() }
-
-// DeviceStats returns the wrapped device's counters plus the injector's
-// fault count.
-func (d *FaultDisk) DeviceStats() DeviceStats {
-	st := d.inner.DeviceStats()
-	st.InjectedFaults = d.inj.TotalInjected()
-	return st
 }

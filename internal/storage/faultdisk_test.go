@@ -25,69 +25,117 @@ func (m faultMode) String() string {
 	return "one-shot"
 }
 
-// TestFaultDiskKinds drives every injectable fault kind in both one-shot
-// and sticky mode against the in-memory Disk (where faults apply at the
-// Device interface: errors are typed, bit flips and torn writes are silent
-// corruption by design). For each kind it checks the first eligible
-// operation is affected, then that a second operation is affected exactly
-// when the rule is sticky.
+// faultedFD opens a FileDisk in a temporary directory with inj attached,
+// writes and commits one page filled with 's' while inj is disarmed, and
+// returns the disk and that page's id; the caller arms inj.
+func faultedFD(t *testing.T, inj *FaultInjector) (*FileDisk, PageID) {
+	t.Helper()
+	inj.Disarm()
+	f := mustOpenFD(t, tmpDB(t))
+	t.Cleanup(func() { f.Close() })
+	f.SetFaultInjector(inj)
+	id := f.AllocateN(1)
+	if err := f.Write(id, fillPage('s')); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
+		t.Fatal(err)
+	}
+	return f, id
+}
+
+// readVerified reads page id and fails the test on a wrong answer: a read
+// that succeeds must return want, and a failed one must be ErrCorruptPage.
+// It returns the read's error.
+func readVerified(t *testing.T, f *FileDisk, id PageID, want []byte) error {
+	t.Helper()
+	buf := make([]byte, PageSize)
+	err := f.Read(id, buf)
+	if err == nil && !bytes.Equal(buf, want) {
+		t.Fatalf("read of page %d succeeded with a corrupt image", id)
+	}
+	if err != nil && !errors.Is(err, ErrCorruptPage) {
+		t.Fatalf("read of page %d: got %v, want ErrCorruptPage", id, err)
+	}
+	return err
+}
+
+// TestFaultDiskKinds drives every injectable fault kind but fsync (see
+// TestFileDiskFsyncPoison) in both one-shot and sticky mode against a
+// FileDisk. Errors are typed; bit flips and torn writes land below the
+// page checksum, so they are detected and never served. For each kind it
+// checks the first eligible operation is affected, then that a second
+// operation is affected exactly when the rule is sticky.
 func TestFaultDiskKinds(t *testing.T) {
-	newPage := func(b byte) []byte { return fillPage(b) }
 	type tc struct {
 		kind FaultKind
 		// op performs one eligible operation and reports whether the fault
-		// fired on it (via error or observed corruption).
-		op func(t *testing.T, d *FaultDisk, id PageID, round int) bool
+		// fired on it (via error or a detected checksum failure).
+		op func(t *testing.T, f *FileDisk, id PageID, round int, sticky bool) bool
 	}
 	cases := []tc{
-		{FaultReadErr, func(t *testing.T, d *FaultDisk, id PageID, _ int) bool {
-			err := d.Read(id, make([]byte, PageSize))
+		{FaultReadErr, func(t *testing.T, f *FileDisk, id PageID, _ int, _ bool) bool {
+			err := f.Read(id, make([]byte, PageSize))
 			if err != nil && !errors.Is(err, ErrInjected) {
 				t.Fatalf("read error not ErrInjected: %v", err)
 			}
 			return err != nil
 		}},
-		{FaultWriteErr, func(t *testing.T, d *FaultDisk, id PageID, round int) bool {
-			err := d.Write(id, newPage(byte('w'+round)))
+		{FaultWriteErr, func(t *testing.T, f *FileDisk, id PageID, round int, _ bool) bool {
+			err := f.Write(id, fillPage(byte('w'+round)))
 			if err != nil && !errors.Is(err, ErrInjected) {
 				t.Fatalf("write error not ErrInjected: %v", err)
 			}
 			return err != nil
 		}},
-		{FaultENOSPC, func(t *testing.T, d *FaultDisk, id PageID, round int) bool {
-			err := d.Write(id, newPage(byte('w'+round)))
+		{FaultENOSPC, func(t *testing.T, f *FileDisk, id PageID, round int, _ bool) bool {
+			err := f.Write(id, fillPage(byte('w'+round)))
 			if err != nil && (!errors.Is(err, ErrNoSpace) || !errors.Is(err, ErrInjected)) {
 				t.Fatalf("enospc error not ErrNoSpace+ErrInjected: %v", err)
 			}
 			return err != nil
 		}},
-		{FaultBitFlip, func(t *testing.T, d *FaultDisk, id PageID, _ int) bool {
-			buf := make([]byte, PageSize)
-			if err := d.Read(id, buf); err != nil {
-				t.Fatalf("bit-flip read failed: %v", err)
+		{FaultBitFlip, func(t *testing.T, f *FileDisk, id PageID, _ int, sticky bool) bool {
+			before := f.DeviceStats()
+			err := readVerified(t, f, id, fillPage('s'))
+			after := f.DeviceStats()
+			if after.ChecksumFailures == before.ChecksumFailures {
+				if err != nil {
+					t.Fatalf("read failed without a checksum failure: %v", err)
+				}
+				return false
 			}
-			return !bytes.Equal(buf, newPage('s')) // differs from stored image
+			// A one-shot flip is healed by the transparent re-read; a
+			// sticky one survives it and surfaces typed.
+			if sticky && err == nil {
+				t.Fatal("sticky flip: read succeeded, want ErrCorruptPage")
+			}
+			if !sticky && (err != nil || after.ChecksumRetries != before.ChecksumRetries+1) {
+				t.Fatalf("one-shot flip not healed by one retry: err=%v retries %d -> %d",
+					err, before.ChecksumRetries, after.ChecksumRetries)
+			}
+			return true
 		}},
-		{FaultTornWrite, func(t *testing.T, d *FaultDisk, id PageID, round int) bool {
-			v := byte('A' + round)
-			if err := d.Write(id, newPage(v)); err != nil {
+		{FaultTornWrite, func(t *testing.T, f *FileDisk, id PageID, round int, _ bool) bool {
+			v := fillPage(byte('A' + round))
+			if err := f.Write(id, v); err != nil {
 				t.Fatalf("torn write failed: %v", err)
 			}
-			buf := make([]byte, PageSize)
-			if err := d.Read(id, buf); err != nil {
-				t.Fatal(err)
+			// The torn frame is on the media, so no re-read heals it: one
+			// that was torn reads as ErrCorruptPage in either mode.
+			before := f.DeviceStats().ChecksumFailures
+			err := readVerified(t, f, id, v)
+			if (err != nil) != (f.DeviceStats().ChecksumFailures > before) {
+				t.Fatalf("round %d: read error %v without a matching checksum failure", round, err)
 			}
-			if buf[0] != v {
-				t.Fatalf("round %d: first byte %q, want %q (prefix must land)", round, buf[0], v)
-			}
-			return buf[PageSize-1] != v // tail kept the previous image
+			return err != nil
 		}},
-		{FaultLatency, func(t *testing.T, d *FaultDisk, id PageID, _ int) bool {
-			before := d.Injector().TotalInjected()
-			if err := d.Read(id, make([]byte, PageSize)); err != nil {
+		{FaultLatency, func(t *testing.T, f *FileDisk, id PageID, _ int, _ bool) bool {
+			before := f.DeviceStats().InjectedFaults
+			if err := readVerified(t, f, id, fillPage('s')); err != nil {
 				t.Fatalf("latency read failed: %v", err)
 			}
-			return d.Injector().TotalInjected() > before
+			return f.DeviceStats().InjectedFaults > before
 		}},
 	}
 	for _, c := range cases {
@@ -95,17 +143,12 @@ func TestFaultDiskKinds(t *testing.T) {
 			t.Run(c.kind.String()+"/"+mode.String(), func(t *testing.T) {
 				spec := FaultSpec{Kind: c.kind, Sticky: mode == sticky, Latency: time.Microsecond}
 				inj := NewFaultInjector(1, spec)
-				inj.Disarm()
-				d := NewFaultDisk(NewDisk(), inj)
-				id := d.Allocate()
-				if err := d.Write(id, fillPage('s')); err != nil {
-					t.Fatal(err)
-				}
+				f, id := faultedFD(t, inj)
 				inj.Arm()
-				if !c.op(t, d, id, 0) {
+				if !c.op(t, f, id, 0, mode == sticky) {
 					t.Fatalf("first armed op not affected")
 				}
-				again := c.op(t, d, id, 1)
+				again := c.op(t, f, id, 1, mode == sticky)
 				if mode == sticky && !again {
 					t.Fatalf("sticky rule did not fire on second op")
 				}
@@ -115,7 +158,7 @@ func TestFaultDiskKinds(t *testing.T) {
 				if inj.Stats().Counts[c.kind] == 0 {
 					t.Fatalf("injector did not count the %s fault", c.kind)
 				}
-				if got := d.DeviceStats().InjectedFaults; got == 0 {
+				if got := f.DeviceStats().InjectedFaults; got == 0 {
 					t.Fatalf("DeviceStats.InjectedFaults = %d", got)
 				}
 			})
@@ -127,21 +170,18 @@ func TestFaultDiskKinds(t *testing.T) {
 // eligible operations.
 func TestFaultDiskAfterCounting(t *testing.T) {
 	inj := NewFaultInjector(1, FaultSpec{Kind: FaultReadErr, After: 2})
-	d := NewFaultDisk(NewDisk(), inj)
-	id := d.Allocate()
-	if err := d.Write(id, fillPage('s')); err != nil {
-		t.Fatal(err)
-	}
+	f, id := faultedFD(t, inj)
+	inj.Arm()
 	buf := make([]byte, PageSize)
 	for i := 0; i < 2; i++ {
-		if err := d.Read(id, buf); err != nil {
+		if err := f.Read(id, buf); err != nil {
 			t.Fatalf("read %d failed before After: %v", i, err)
 		}
 	}
-	if err := d.Read(id, buf); !errors.Is(err, ErrInjected) {
+	if err := f.Read(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("read 2: got %v, want ErrInjected", err)
 	}
-	if err := d.Read(id, buf); err != nil {
+	if err := f.Read(id, buf); err != nil {
 		t.Fatalf("read after one-shot firing: %v", err)
 	}
 }
@@ -151,15 +191,12 @@ func TestFaultDiskAfterCounting(t *testing.T) {
 func TestFaultInjectorDeterminism(t *testing.T) {
 	run := func() []bool {
 		inj := NewFaultInjector(99, FaultSpec{Kind: FaultReadErr, Prob: 0.3})
-		d := NewFaultDisk(NewDisk(), inj)
-		id := d.Allocate()
-		if err := d.Write(id, fillPage('s')); err != nil {
-			t.Fatal(err)
-		}
+		f, id := faultedFD(t, inj)
+		inj.Arm()
 		buf := make([]byte, PageSize)
 		var pattern []bool
 		for i := 0; i < 64; i++ {
-			pattern = append(pattern, d.Read(id, buf) != nil)
+			pattern = append(pattern, f.Read(id, buf) != nil)
 		}
 		return pattern
 	}
@@ -175,21 +212,16 @@ func TestFaultInjectorDeterminism(t *testing.T) {
 // counted rules.
 func TestFaultDiskArmGate(t *testing.T) {
 	inj := NewFaultInjector(1, FaultSpec{Kind: FaultReadErr})
-	inj.Disarm()
-	d := NewFaultDisk(NewDisk(), inj)
-	id := d.Allocate()
-	if err := d.Write(id, fillPage('s')); err != nil {
-		t.Fatal(err)
-	}
+	f, id := faultedFD(t, inj)
 	buf := make([]byte, PageSize)
 	for i := 0; i < 5; i++ {
-		if err := d.Read(id, buf); err != nil {
+		if err := f.Read(id, buf); err != nil {
 			t.Fatalf("disarmed read %d failed: %v", i, err)
 		}
 	}
 	inj.Arm()
 	// The rule's After=0 counter must not have been consumed while disarmed.
-	if err := d.Read(id, buf); !errors.Is(err, ErrInjected) {
+	if err := f.Read(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("armed read: got %v, want ErrInjected", err)
 	}
 }
@@ -203,7 +235,7 @@ func TestFileDiskFsyncPoison(t *testing.T) {
 	inj := NewFaultInjector(1, FaultSpec{Kind: FaultFsyncErr})
 	inj.Disarm()
 	f := mustOpenFD(t, path)
-	fd := NewFaultDisk(f, inj)
+	f.SetFaultInjector(inj)
 	f.AllocateN(1)
 	if err := f.Write(0, fillPage('a')); err != nil {
 		t.Fatal(err)
@@ -247,7 +279,7 @@ func TestFileDiskFsyncPoison(t *testing.T) {
 	if !bytes.Equal(buf, fillPage('b')) {
 		t.Fatalf("poisoned read served %q-fill", buf[0])
 	}
-	if st := fd.DeviceStats(); !st.Poisoned || st.InjectedFaults == 0 {
+	if st := f.DeviceStats(); !st.Poisoned || st.InjectedFaults == 0 {
 		t.Fatalf("stats after poison: %+v", st)
 	}
 	f.Close()
@@ -276,7 +308,7 @@ func TestFileDiskInjectedWriteErrorRetryable(t *testing.T) {
 	inj.Disarm()
 	f := mustOpenFD(t, path)
 	defer f.Close()
-	NewFaultDisk(f, inj)
+	f.SetFaultInjector(inj)
 	f.AllocateN(1)
 	inj.Arm()
 	if err := f.Write(0, fillPage('a')); !errors.Is(err, ErrInjected) {
@@ -310,7 +342,7 @@ func TestFileDiskBitFlipRetry(t *testing.T) {
 		inj.Disarm()
 		f := mustOpenFD(t, path)
 		defer f.Close()
-		NewFaultDisk(f, inj)
+		f.SetFaultInjector(inj)
 		f.AllocateN(1)
 		f.Write(0, fillPage('a'))
 		f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
@@ -333,7 +365,7 @@ func TestFileDiskBitFlipRetry(t *testing.T) {
 		inj.Disarm()
 		f := mustOpenFD(t, path)
 		defer f.Close()
-		NewFaultDisk(f, inj)
+		f.SetFaultInjector(inj)
 		f.AllocateN(1)
 		f.Write(0, fillPage('a'))
 		f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})

@@ -361,7 +361,7 @@ func parseFreePage(buf []byte) (PageID, bool) {
 // land on the raw bytes read from the file (below the CRC check, so they
 // are detected), torn writes persist only a prefix of a WAL record, fsync
 // faults poison the disk. Must be called before the disk is shared across
-// goroutines; NewFaultDisk calls it for wrapped FileDisks.
+// goroutines; engine.Open calls it when Config.Faults is set.
 func (f *FileDisk) SetFaultInjector(inj *FaultInjector) { f.inj = inj }
 
 // Poisoned returns the fsync error that poisoned the disk, or nil while it
@@ -1134,9 +1134,6 @@ func (f *FileDisk) NumPages() int {
 	defer f.mu.RUnlock()
 	return f.numPages
 }
-
-// SizeBytes returns the logical database size in bytes.
-func (f *FileDisk) SizeBytes() int64 { return int64(f.NumPages()) * PageSize }
 
 // Counters returns cumulative (reads, writes).
 func (f *FileDisk) Counters() (reads, writes int64) {

@@ -341,10 +341,10 @@ func TestFileDiskCompactSkipsPending(t *testing.T) {
 // later allocation can never hand it out twice.
 func TestFaultDiskFree(t *testing.T) {
 	path := tmpDB(t)
-	inner := mustOpenFD(t, path)
+	d := mustOpenFD(t, path)
 	inj := NewFaultInjector(1, FaultSpec{Kind: FaultWriteErr, After: 0})
-	d := NewFaultDisk(inner, inj)
-	defer inner.Close()
+	d.SetFaultInjector(inj)
+	defer d.Close()
 	inj.Disarm() // un-faulted setup; armed right before the Free under test
 	d.AllocateN(2)
 	if err := d.Write(0, fillPage('a')); err != nil {
@@ -353,7 +353,7 @@ func TestFaultDiskFree(t *testing.T) {
 	if err := d.Write(1, fillPage('b')); err != nil {
 		t.Fatal(err)
 	}
-	if err := inner.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
+	if err := d.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
 		t.Fatal(err)
 	}
 	inj.Arm()
@@ -364,7 +364,7 @@ func TestFaultDiskFree(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("Free fault not ErrInjected: %v", err)
 	}
-	if got := inner.FreePages(); got != 0 {
+	if got := d.FreePages(); got != 0 {
 		t.Fatalf("failed Free left %d chain entries", got)
 	}
 	// The one-shot rule is exhausted: the retry succeeds and the page comes

@@ -31,8 +31,8 @@ func TestDiskReadWrite(t *testing.T) {
 	if r != 1 || w != 1 {
 		t.Fatalf("counters = %d, %d", r, w)
 	}
-	if d.SizeBytes() != PageSize {
-		t.Fatalf("SizeBytes = %d", d.SizeBytes())
+	if d.NumPages() != 1 {
+		t.Fatalf("NumPages = %d", d.NumPages())
 	}
 }
 

@@ -169,11 +169,13 @@ type Options struct {
 	// docs/STORAGE.md for the file format and durability guarantees.
 	Path string
 
-	// FaultInjection, when non-nil, wraps the page device in a
-	// deterministic fault injector for robustness tests: injected
+	// FaultInjection, when non-nil, attaches a deterministic fault
+	// injector to the database file for robustness tests: injected
 	// read/write/fsync errors, bit flips, torn writes, ENOSPC and
 	// latency (the one way to slow the device down), seeded for
-	// replayability. See docs/FAULTS.md and the FaultInjection type.
+	// replayability. It needs Path: faults land below the page checksums,
+	// which an in-memory database does not have, so Open without a Path
+	// fails. See docs/FAULTS.md and the FaultInjection type.
 	FaultInjection *FaultInjection
 
 	// SlowQueryThreshold, when > 0, enables per-operator tracing on every
@@ -346,8 +348,15 @@ func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 // checkpointed database. Returns an error for in-memory databases.
 func (db *DB) Backup(dstPath string) error { return db.eng.Backup(dstPath) }
 
+// ErrLoadAfterBuild is returned by LoadXML and LoadXMLString once any
+// index is built: bulk loading does not maintain indices, so they would
+// silently miss the new document. Add a document to an indexed database
+// with Insert(0, …), which maintains ROOTPATHS and DATAPATHS.
+var ErrLoadAfterBuild = engine.ErrLoadAfterBuild
+
 // LoadXML parses one XML document from r and adds it to the database.
-// Load all documents before building indices.
+// Load all documents before building indices; afterwards LoadXML returns
+// ErrLoadAfterBuild.
 func (db *DB) LoadXML(r io.Reader) error { return db.eng.LoadXML(r) }
 
 // LoadXMLString parses one XML document from a string.
@@ -633,11 +642,13 @@ func (db *DB) Explain(strat Strategy, q string) (string, error) {
 }
 
 // Insert parses xmlFragment as a standalone element and attaches it as the
-// last child of the node with id parentID. The ROOTPATHS and DATAPATHS
-// indices are maintained incrementally (the paper's Section 7 update
-// scheme: one entry per root-path prefix of each new node); the other index
-// structures cannot be maintained incrementally and are dropped — rebuild
-// them with Build if needed. Returns the id of the new subtree's root.
+// last child of the node with id parentID; parentID 0 adds it as a new
+// document, the way to load into an indexed database. The ROOTPATHS and
+// DATAPATHS indices are maintained incrementally (the paper's Section 7
+// update scheme: one entry per root-path prefix of each new node); the
+// other index structures cannot be maintained incrementally and are
+// dropped — rebuild them with Build if needed. Returns the id of the new
+// subtree's root.
 func (db *DB) Insert(parentID int64, xmlFragment string) (int64, error) {
 	doc, err := xmldb.ParseString(xmlFragment)
 	if err != nil {

@@ -1,11 +1,13 @@
 package twigdb_test
 
 import (
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	twigdb "repro"
+	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/plan"
 )
@@ -144,6 +146,18 @@ func TestLoadErrors(t *testing.T) {
 	db := twigdb.MustOpen(nil)
 	if err := db.LoadXMLString(`<unclosed>`); err == nil {
 		t.Fatalf("bad XML: want error")
+	}
+}
+
+// TestFaultInjectionNeedsPath: faults are injected below the file's page
+// checksums, so an in-memory database cannot take them; Open says so,
+// typed, rather than serving silently corrupted pages.
+func TestFaultInjectionNeedsPath(t *testing.T) {
+	db, err := twigdb.Open(&twigdb.Options{FaultInjection: &twigdb.FaultInjection{
+		Specs: []twigdb.FaultSpec{{Kind: twigdb.FaultBitFlip}},
+	}})
+	if !errors.Is(err, engine.ErrFaultsNeedPath) || db != nil {
+		t.Fatalf("in-memory Open with faults: got %v, %v; want ErrFaultsNeedPath", db, err)
 	}
 }
 

@@ -1,8 +1,11 @@
 package twigdb_test
 
 import (
+	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	twigdb "repro"
@@ -158,4 +161,56 @@ func TestInsertUnderVirtualRootPersists(t *testing.T) {
 		twigdb.StrategyRootPaths, twigdb.StrategyDataPaths, twigdb.StrategyEdge,
 		twigdb.StrategyDataGuideEdge, twigdb.StrategyFabricEdge,
 		twigdb.StrategyASR, twigdb.StrategyJoinIndex, twigdb.StrategyXRel)
+}
+
+// TestLoadAfterBuildRefused: bulk loading does not maintain indices, so a
+// LoadXML after any Build — Containment alone included — is refused with
+// ErrLoadAfterBuild and leaves the database as it was, instead of publishing
+// a version whose indices miss the new document. Insert(0, …) is the way in,
+// and afterwards every maintained strategy and Auto agree with the oracle.
+func TestLoadAfterBuildRefused(t *testing.T) {
+	book := func(title string) string {
+		return fmt.Sprintf(`<lib><book><title>%s</title></book></lib>`, title)
+	}
+	for _, kinds := range [][]twigdb.IndexKind{{twigdb.Containment}, {twigdb.RootPaths, twigdb.DataPaths}, nil} {
+		db := twigdb.MustOpen(nil)
+		if err := db.LoadXMLString(book("a")); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if kinds == nil {
+			err = db.BuildAll()
+		} else {
+			err = db.Build(kinds...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := db.NodeCount()
+		err = db.LoadXMLString(book("b"))
+		if !errors.Is(err, twigdb.ErrLoadAfterBuild) || !strings.Contains(err.Error(), "Insert(0, ") {
+			t.Fatalf("load after Build(%v): got %v, want ErrLoadAfterBuild naming Insert(0, …)", kinds, err)
+		}
+		if n := db.NodeCount(); n != nodes {
+			t.Fatalf("refused load after Build(%v) changed the node count %d -> %d", kinds, nodes, n)
+		}
+		if kinds != nil {
+			continue
+		}
+		if _, err := db.Insert(0, book("b")); err != nil {
+			t.Fatal(err)
+		}
+		for q, n := range map[string]int{`/lib/book/title`: 2, `//book[title='b']`: 1} {
+			want, err := db.QueryWith(twigdb.Oracle, q)
+			if err != nil || want.Count() != n {
+				t.Fatalf("%s: oracle %v %v, want %d ids", q, want, err, n)
+			}
+			for _, s := range []twigdb.Strategy{twigdb.Auto, twigdb.StrategyRootPaths, twigdb.StrategyDataPaths} {
+				got, err := db.QueryWith(s, q)
+				if err != nil || !reflect.DeepEqual(got.IDs, want.IDs) {
+					t.Fatalf("%s via %v: %v (%v), oracle %v", q, s, got, err, want.IDs)
+				}
+			}
+		}
+	}
 }
