@@ -58,7 +58,7 @@ func main() {
 	query := flag.String("q", "", "twig query (required)")
 	show := flag.Bool("show", false, "print matched subtrees as XML")
 	explain := flag.Bool("explain", false, "print the planned and executed operator trees (est vs act rows; with -strategy auto, also the planner's candidate costs)")
-	analyze := flag.Bool("analyze", false, "EXPLAIN ANALYZE: execute with per-operator tracing and print the span tree (est vs act rows, inclusive/self wall time, attributed device reads)")
+	analyze := flag.Bool("analyze", false, "EXPLAIN ANALYZE: execute with per-operator tracing and print the executed plan (est vs act rows, inclusive/self wall time, attributed device reads)")
 	flag.Parse()
 
 	if err := run(*indexList, *strategy, *query, *show, *explain, *analyze, flag.Args()); err != nil {
@@ -140,9 +140,9 @@ func run(indexList, strategy, query string, show, explain, analyze bool, files [
 	if explain && res.Plan != nil {
 		fmt.Printf("executed plan (strategy %s, est vs act rows):\n%s", res.Strategy, res.Plan.Render())
 	}
-	if analyze && res.Trace != nil {
+	if analyze && res.Plan != nil {
 		fmt.Printf("explain analyze (strategy %s, total %s):\n%s",
-			res.Strategy, res.Trace.Elapsed.Round(time.Microsecond), res.Trace.Render())
+			res.Strategy, res.Plan.Elapsed.Round(time.Microsecond), res.Plan.Render())
 	}
 	fmt.Println(res)
 	for _, n := range res.Nodes() {

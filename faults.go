@@ -109,9 +109,11 @@ type FaultInjection struct {
 	Specs []FaultSpec
 }
 
-// Health describes the database's availability state plus the storage
-// counters that explain it. ReadOnly only means mutations are rejected —
-// queries keep being served from the last published snapshot.
+// Health describes the database's availability state. ReadOnly only means
+// mutations are rejected — queries keep being served from the last
+// published snapshot. The storage counters that explain it (Poisoned,
+// checksum failures, injected faults, the last recovery) are in
+// StorageStats.
 type Health struct {
 	// ReadOnly reports degraded read-only mode; Cause carries its root
 	// cause ("" while healthy).
@@ -120,37 +122,13 @@ type Health struct {
 	// SnapshotSeq is the published snapshot's version number — the state
 	// queries are served from.
 	SnapshotSeq uint64
-	// Poisoned reports that a failed fsync poisoned the device (always
-	// true when ReadOnly is).
-	Poisoned bool
-	// ChecksumFailures counts page or WAL-frame checksum verifications
-	// that failed; ChecksumRetries counts the transparent re-reads that
-	// recovered one.
-	ChecksumFailures int64
-	ChecksumRetries  int64
-	// InjectedFaults counts faults fired by the configured injector.
-	InjectedFaults int64
-	// RecoveredCommits and WALBytesDiscarded describe the last recovery:
-	// commits replayed from the WAL, and bytes of torn/corrupt tail
-	// discarded beyond the last valid commit.
-	RecoveredCommits  int64
-	WALBytesDiscarded int64
 }
 
 // Health returns the current availability state; lock-free and safe to
 // call from monitoring paths at any frequency.
 func (db *DB) Health() Health {
 	h := db.eng.Health()
-	out := Health{
-		ReadOnly:          h.ReadOnly,
-		SnapshotSeq:       h.SnapshotSeq,
-		Poisoned:          h.Device.Poisoned,
-		ChecksumFailures:  h.Device.ChecksumFailures,
-		ChecksumRetries:   h.Device.ChecksumRetries,
-		InjectedFaults:    h.Device.InjectedFaults,
-		RecoveredCommits:  h.Device.RecoveredCommits,
-		WALBytesDiscarded: h.Device.WALBytesDiscarded,
-	}
+	out := Health{ReadOnly: h.ReadOnly, SnapshotSeq: h.SnapshotSeq}
 	if h.Cause != nil {
 		out.Cause = h.Cause.Error()
 	}
@@ -163,9 +141,9 @@ func (db *DB) Health() Health {
 func (db *DB) SetFaultsArmed(armed bool) { db.eng.SetFaultsArmed(armed) }
 
 // FaultStats reports how many faults the configured injector has fired,
-// total and per kind. Zero-valued when fault injection is not configured.
+// per kind (the total is StorageStats.InjectedFaults). Zero-valued when
+// fault injection is not configured.
 type FaultStats struct {
-	Total  int64
 	Counts map[FaultKind]int64
 }
 
@@ -176,7 +154,7 @@ func (db *DB) FaultStats() FaultStats {
 		return FaultStats{}
 	}
 	s := inj.Stats()
-	out := FaultStats{Total: s.Total, Counts: make(map[FaultKind]int64)}
+	out := FaultStats{Counts: make(map[FaultKind]int64)}
 	for pub, internal := range faultKindToInternal {
 		if n := s.Counts[internal]; n != 0 {
 			out.Counts[pub] = n

@@ -123,6 +123,9 @@ func (ix *Index) Candidates(ps *btree.PrefixScan, label string, fn func(Region) 
 // Space returns the element-list tree footprint in bytes.
 func (ix *Index) Space() int64 { return ix.tree.Stats().Bytes }
 
+// WalkPages visits every device page of the element-list tree.
+func (ix *Index) WalkPages(fn func(storage.PageID) error) error { return ix.tree.Walk(fn) }
+
 // SortRegions sorts regions by start; structural joins require it.
 func SortRegions(rs []Region) {
 	sort.Slice(rs, func(i, j int) bool { return rs[i].Start < rs[j].Start })

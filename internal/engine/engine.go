@@ -48,10 +48,9 @@ type Config struct {
 	// SlowQueryThreshold, when > 0, enables per-operator tracing on every
 	// query (the zero-alloc hot path is preserved; see docs/OBSERVABILITY.md)
 	// and captures queries at least this slow — pattern, strategy, snapshot
-	// version and traced plan — in a bounded ring read via SlowQueries.
+	// version and traced plan — in a ring of the last slowLogSize entries
+	// read via SlowQueries.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLogSize caps the slow-query ring (0 = 64 entries).
-	SlowQueryLogSize int
 	// RetainSnapshots, when > 0, keeps that many superseded snapshots
 	// pinned after publication so AS OF reads (SnapshotAt, ReadAsOf) can
 	// query recent history by sequence number. A retained snapshot holds
@@ -202,7 +201,7 @@ func (db *DB) noteCommitErr(err error) error {
 	return err
 }
 
-// Health describes the database's availability state plus the device
+// Health describes the database's availability state; DeviceStats has the
 // counters that explain it (checksum failures, injected faults, retries,
 // poisoned). Queries keep running in read-only mode; ReadOnly only means
 // mutations are rejected.
@@ -214,18 +213,12 @@ type Health struct {
 	// SnapshotSeq is the published snapshot's version number — the state
 	// reads are served from.
 	SnapshotSeq uint64
-	// Device is the full device counter set, including ChecksumFailures,
-	// ChecksumRetries, InjectedFaults, RecoveredCommits and Poisoned.
-	Device storage.DeviceStats
 }
 
 // Health returns the current availability state; lock-free, safe to call
 // from monitoring paths at any frequency.
 func (db *DB) Health() Health {
-	h := Health{
-		SnapshotSeq: db.current.Load().Seq(),
-		Device:      db.dev.DeviceStats(),
-	}
+	h := Health{SnapshotSeq: db.current.Load().Seq()}
 	if d := db.degradedCause.Load(); d != nil {
 		h.ReadOnly = true
 		h.Cause = d.cause
@@ -305,11 +298,7 @@ func Open(cfg Config) (*DB, error) {
 	}
 	db.pool = storage.NewPool(db.dev, cfg.BufferPoolBytes)
 	db.reg = obs.NewRegistry()
-	logSize := cfg.SlowQueryLogSize
-	if logSize <= 0 {
-		logSize = 64
-	}
-	db.slowLog = obs.NewSlowLog(logSize)
+	db.slowLog = obs.NewSlowLog(slowLogSize)
 	// Observers must be installed before the pool and device are shared
 	// with readers; from here on they record lock-free.
 	db.pool.SetMissObserver(db.reg.PoolMissLatency)
@@ -424,6 +413,9 @@ func (db *DB) CurrentSnapshot() *Snapshot { return db.current.Load() }
 // log growth and recovery time.
 const walCheckpointBytes = 64 << 20
 
+// slowLogSize is how many slow queries the ring keeps, oldest evicted first.
+const slowLogSize = 64
+
 // retireBatch is one publish's worth of deferred page frees: pages that
 // snapshots with sequence >= seq no longer reference.
 type retireBatch struct {
@@ -493,17 +485,25 @@ func (db *DB) publish(next *Snapshot, docs []int64, all bool) {
 	db.logCommit(next.seq, docs, all)
 }
 
-// collectRetired drains the pages next's COW index clones stopped
-// referencing into the deferred-free queue, tagged with next's sequence:
-// only snapshots older than next can still read them. Call only once
-// next's commit record is appended (an aborted commit discards the clone,
-// and its replaced originals stay live in the current version). Callers
-// hold writeMu.
+// collectRetired drains into the deferred-free queue the pages next's COW
+// index clones stopped referencing and every page of the structures next
+// dropped, tagged with next's sequence: only snapshots older than next can
+// still read them. Call only once next's commit record is appended (an
+// aborted commit discards next, and what it replaced stays live in the
+// current version). Callers hold writeMu.
 func (db *DB) collectRetired(next *Snapshot) {
 	var pages []storage.PageID
 	for _, m := range next.maintained() {
 		pages = append(pages, m.TakeRetired()...)
 	}
+	for _, d := range next.dropped {
+		// A failed walk leaks the rest of d's pages, which is always safe.
+		_ = d.WalkPages(func(id storage.PageID) error {
+			pages = append(pages, id)
+			return nil
+		})
+	}
+	next.dropped = nil
 	if len(pages) > 0 {
 		db.retired = append(db.retired, retireBatch{seq: next.seq, pages: pages})
 	}
@@ -624,6 +624,7 @@ func (db *DB) Close() error {
 		// last durable state; reopening recovers it.
 		return db.fdisk.Close()
 	}
+	db.reclaimRetired() // the last commits' deferred frees ride the close commit
 	if _, err := db.commitAppend(db.current.Load()); err != nil {
 		db.fdisk.Close()
 		return db.noteCommitErr(err)
@@ -719,7 +720,9 @@ func (db *DB) Build(kinds ...index.Kind) error {
 			db.writeMu.Unlock()
 			return fmt.Errorf("engine: building %v: %w", k, err)
 		}
-		next.env.Install(k, built)
+		if old, ok := next.env.Install(k, built).(pageWalker); ok {
+			next.dropped = append(next.dropped, old)
+		}
 	}
 	// all=true: a rebuild touches the whole database, so every in-flight
 	// transaction spanning it conflicts (conservative — Build normally runs

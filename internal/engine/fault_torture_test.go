@@ -164,7 +164,7 @@ func TestFaultTortureDifferential(t *testing.T) {
 			// Endgame: if the engine degraded, reads must still be exact and
 			// writers must be rejected with ErrReadOnly carrying the cause.
 			if h := db.Health(); h.ReadOnly {
-				if h.Cause == nil || !h.Device.Poisoned {
+				if h.Cause == nil || !db.DeviceStats().Poisoned {
 					t.Fatalf("degraded without cause/poison: %+v", h)
 				}
 				parents, _ := liveNodeIDs(oracle)
@@ -236,7 +236,7 @@ func TestStickyWriteErrorKeepsSnapshot(t *testing.T) {
 	if h.SnapshotSeq != seqBefore {
 		t.Fatalf("failed insert advanced snapshot %d -> %d", seqBefore, h.SnapshotSeq)
 	}
-	if h.ReadOnly || h.Device.Poisoned {
+	if h.ReadOnly || db.DeviceStats().Poisoned {
 		t.Fatalf("write error must not degrade/poison: %+v", h)
 	}
 	got, err := pinnedIDs(db, pat, plan.RootPathsPlan)
@@ -304,7 +304,7 @@ func TestFsyncFailureDegradesToReadOnly(t *testing.T) {
 		t.Fatalf("insert with failed fsync: got %v, want ErrPoisoned", insErr)
 	}
 	h := db.Health()
-	if !h.ReadOnly || h.Cause == nil || !h.Device.Poisoned {
+	if !h.ReadOnly || h.Cause == nil || !db.DeviceStats().Poisoned {
 		t.Fatalf("engine not degraded after fsync failure: %+v", h)
 	}
 	if !errors.Is(h.Cause, storage.ErrInjected) {

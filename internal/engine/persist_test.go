@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/naive"
+	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/xmldb"
 	"repro/internal/xpath"
 )
@@ -76,6 +78,7 @@ func TestPersistReopen(t *testing.T) {
 	if got := re.NodeCount(); got != wantNodes {
 		t.Fatalf("reopened store has %d nodes, want %d", got, wantNodes)
 	}
+	assertPagesAccounted(t, re)
 	for _, q := range persistQueries {
 		pat, _ := xpath.Parse(q)
 		// The restored store must agree with the indices: the naive matcher
@@ -177,4 +180,92 @@ func TestPersistIncrementalAcrossReopen(t *testing.T) {
 	if !equalIDs(ids, want) {
 		t.Fatalf("after delete: got %v want %v", ids, want)
 	}
+}
+
+// assertPagesAccounted checks a file-backed database's page accounting:
+// every page id below the device's page count is exactly one of reachable
+// from the current version's indices, in the catalog chain, or on the free
+// chain. A page that is none of them is referenced by nothing, for good.
+func assertPagesAccounted(t *testing.T, db *DB) {
+	t.Helper()
+	owner := map[storage.PageID]string{}
+	claim := func(what string) func(storage.PageID) error {
+		return func(id storage.PageID) error {
+			if prev, dup := owner[id]; dup {
+				t.Fatalf("page %d is %s and %s", id, prev, what)
+			}
+			owner[id] = what
+			return nil
+		}
+	}
+	if err := db.walkSnapshotPages(db.CurrentSnapshot(), claim("reachable")); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range db.catalogPages {
+		claim("catalog")(id)
+	}
+	for _, id := range db.fdisk.FreeList() {
+		claim("free")(id)
+	}
+	n := db.dev.NumPages()
+	orphans := 0
+	for id := 0; id < n; id++ {
+		if _, ok := owner[storage.PageID(id)]; !ok {
+			orphans++
+		}
+	}
+	if orphans > 0 || len(owner) != n {
+		t.Fatalf("%d of %d pages are referenced by nothing (%d accounted for)", orphans, n, len(owner))
+	}
+}
+
+// TestReopenAccountsForEveryPage drops and replaces whole index structures
+// — the family plus Containment, then an insert, which keeps only
+// ROOTPATHS/DATAPATHS, then a rebuild — and checks after Close and reopen
+// that every page is reachable, catalog or free. A reader pinned before the
+// drop keeps answering through the dropped Edge index until it finishes.
+func TestReopenAccountsForEveryPage(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "twig.db")
+	rng := rand.New(rand.NewSource(11))
+	db, err := Open(Config{Path: path, BufferPoolBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AddDocument(genDoc(rng, 120))
+	db.AddDocument(genDoc(rng, 60))
+	if err := db.Build(append(allKinds, index.KindContainment)...); err != nil {
+		t.Fatal(err)
+	}
+	reader := db.Begin() // pins the version that holds every structure
+	if err := db.InsertSubtree(db.Store().Docs[0].Root.ID, genDoc(rng, 20).Root); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Build(allKinds...); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range persistQueries {
+		pat := xpath.MustParse(q)
+		want, err := reader.Read(pat, ReadOpts{Planner: Oracle})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reader.Read(pat, ReadOpts{Strategy: plan.EdgePlan})
+		if err != nil {
+			t.Fatalf("%s via Edge on the pinned version: %v", q, err)
+		}
+		if !equalIDs(got.IDs, want.IDs) {
+			t.Fatalf("%s via Edge on the pinned version: got %v want %v", q, got.IDs, want.IDs)
+		}
+	}
+	reader.Rollback()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(Config{Path: path, BufferPoolBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	assertPagesAccounted(t, re)
 }

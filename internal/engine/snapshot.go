@@ -74,6 +74,18 @@ type Snapshot struct {
 	// observing true also observes the built stats).
 	statsMu    sync.Mutex
 	statsReady atomic.Bool
+
+	// dropped are the structures the writer took out of this version
+	// wholesale — replaced by a rebuild, or not maintainable across an
+	// update. Their pages are retired when this version publishes
+	// (DB.collectRetired); an aborted commit discards the list with the
+	// version. Writer-owned until publish.
+	dropped []pageWalker
+}
+
+// pageWalker is what a dropped structure must offer: its device pages.
+type pageWalker interface {
+	WalkPages(fn func(storage.PageID) error) error
 }
 
 // Seq returns the snapshot's version number.
@@ -179,12 +191,13 @@ func (s *Snapshot) successorStats() {
 // predecessor froze), and drops the index structures that do not support
 // incremental maintenance.
 func (s *Snapshot) cowIndices(frontier storage.PageID) {
-	kept := s.maintained()
 	for k := index.Kind(0); k < index.NumKinds; k++ {
-		s.env.Install(k, nil)
-	}
-	for _, m := range kept {
-		s.env.Install(m.Kind(), m.CloneCOW(frontier))
+		switch old := s.env.Install(k, nil).(type) {
+		case index.Maintained:
+			s.env.Install(k, old.CloneCOW(frontier))
+		case pageWalker:
+			s.dropped = append(s.dropped, old)
+		}
 	}
 }
 

@@ -53,42 +53,44 @@ func (t *Tree) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "strategy %s, %d branch(es), output %s, est cost %.0f\n",
 		t.Strategy, t.Branches, t.Pattern.Output.Label, t.EstCost)
-	renderNode(&b, t.Root, t.Executed, t.Traced)
+	DrawTree(&b, t.Root, func(c *Node) string {
+		return OpLine(c.Kind.String(), c.Detail, c.EstRows, c.ActRows, t.Executed, t.Traced,
+			time.Duration(c.ElapsedNS), time.Duration(c.SelfNS), c.Reads)
+	}, func(c *Node) []*Node { return c.Children })
 	return b.String()
 }
 
-func renderNode(b *strings.Builder, n *Node, executed, traced bool) {
-	DrawTree(b, n, func(c *Node) string {
-		line := c.Kind.String()
-		if c.Detail != "" {
-			line += " " + c.Detail
+// OpLine is one operator's line of a rendered plan: the operator and its
+// detail, the estimated rows and — once executed — the actual rows (act < 0:
+// the operator never ran), plus inclusive and self wall time and attributed
+// device reads when the run was traced. Tree.Render and the public plan
+// tree both print through it, so EXPLAIN and EXPLAIN ANALYZE cannot drift
+// apart.
+func OpLine(op, detail string, est, act int64, executed, traced bool, elapsed, self time.Duration, reads int64) string {
+	line := op
+	if detail != "" {
+		line += " " + detail
+	}
+	switch {
+	case executed && act >= 0 && traced:
+		line += fmt.Sprintf("  (est=%d rows, act=%d, time=%s, self=%s",
+			est, act, elapsed.Round(time.Microsecond), self.Round(time.Microsecond))
+		if reads > 0 {
+			line += fmt.Sprintf(", reads=%d", reads)
 		}
-		switch {
-		case executed && c.ActRows >= 0:
-			if traced {
-				line += fmt.Sprintf("  (est=%d rows, act=%d, time=%s, self=%s",
-					c.EstRows, c.ActRows,
-					time.Duration(c.ElapsedNS).Round(time.Microsecond),
-					time.Duration(c.SelfNS).Round(time.Microsecond))
-				if c.Reads > 0 {
-					line += fmt.Sprintf(", reads=%d", c.Reads)
-				}
-				line += ")"
-			} else {
-				line += fmt.Sprintf("  (est=%d rows, act=%d)", c.EstRows, c.ActRows)
-			}
-		case executed:
-			line += fmt.Sprintf("  (est=%d rows, not run)", c.EstRows)
-		default:
-			line += fmt.Sprintf("  (est=%d rows)", c.EstRows)
-		}
-		return line
-	}, func(c *Node) []*Node { return c.Children })
+		return line + ")"
+	case executed && act >= 0:
+		return line + fmt.Sprintf("  (est=%d rows, act=%d)", est, act)
+	case executed:
+		return line + fmt.Sprintf("  (est=%d rows, not run)", est)
+	default:
+		return line + fmt.Sprintf("  (est=%d rows)", est)
+	}
 }
 
 // DrawTree renders a tree with box-drawing connectors: label produces a
-// node's line, kids its children. Shared by the EXPLAIN renderer and the
-// public Result.Plan renderer, so the two cannot drift apart.
+// node's line, kids its children. Shared by Tree.Render and the public
+// Result.Plan renderer, so the two cannot drift apart.
 func DrawTree[T any](b *strings.Builder, root T, label func(T) string, kids func(T) []T) {
 	var rec func(n T, prefix, childPrefix string)
 	rec = func(n T, prefix, childPrefix string) {

@@ -202,8 +202,14 @@ func (e *Env) Structures() []index.Structure {
 }
 
 // Install puts what index.Build or index.Open returned for kind k into its
-// field; nil clears the field.
-func (e *Env) Install(k index.Kind, built any) { e.slots()[k].set(built) }
+// field, returning what was there before (nil when nothing was); nil
+// clears the field.
+func (e *Env) Install(k index.Kind, built any) (prev any) {
+	s := e.slots()[k]
+	prev = s.get()
+	s.set(built)
+	return prev
+}
 
 // check reports whether what strat requires is built.
 func (e *Env) check(strat Strategy) error {

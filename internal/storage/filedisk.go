@@ -501,12 +501,16 @@ func (f *FileDisk) AllocateN(n int) PageID {
 	return first
 }
 
-// FreePages returns the current length of the free chain (committed plus
-// uncommitted mutations).
-func (f *FileDisk) FreePages() int {
+// FreeList returns the ids on the free chain (committed plus uncommitted
+// mutations), in no particular order.
+func (f *FileDisk) FreeList() []PageID {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return len(f.freeSet)
+	ids := make([]PageID, 0, len(f.freeSet))
+	for id := range f.freeSet {
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 // walFramePool recycles frame-sized buffers for read-path WAL frame

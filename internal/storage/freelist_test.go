@@ -33,8 +33,8 @@ func TestFileDiskFreeReuse(t *testing.T) {
 	if err := f.Commit(Meta{NumPages: 4, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.FreePages(); got != 2 {
-		t.Fatalf("FreePages = %d, want 2", got)
+	if got := len(f.FreeList()); got != 2 {
+		t.Fatalf("free pages = %d, want 2", got)
 	}
 	// LIFO: the last free is the first reuse.
 	if got := f.Allocate(); got != 2 {
@@ -84,8 +84,8 @@ func TestFileDiskFreeErrors(t *testing.T) {
 	if err := f.Free(99); err == nil {
 		t.Fatal("free of unallocated page succeeded")
 	}
-	if got := f.FreePages(); got != 1 {
-		t.Fatalf("FreePages = %d after rejected frees, want 1", got)
+	if got := len(f.FreeList()); got != 1 {
+		t.Fatalf("free pages = %d after rejected frees, want 1", got)
 	}
 	if got := f.Allocate(); got != 1 {
 		t.Fatalf("reuse after rejected frees = %d, want 1", got)
@@ -115,8 +115,8 @@ func TestFileDiskFreeListRecovery(t *testing.T) {
 	f.Close() // crash
 
 	re := mustOpenFD(t, path)
-	if got := re.FreePages(); got != 2 {
-		t.Fatalf("recovered FreePages = %d, want 2 (uncommitted free kept?)", got)
+	if got := len(re.FreeList()); got != 2 {
+		t.Fatalf("recovered free pages = %d, want 2 (uncommitted free kept?)", got)
 	}
 	if got := re.Allocate(); got != 3 {
 		t.Fatalf("recovered head = %d, want 3", got)
@@ -144,8 +144,8 @@ func TestFileDiskFreeListRecovery(t *testing.T) {
 	if got := re2.Meta().FreeHead; got != 1 {
 		t.Fatalf("superblock FreeHead = %d, want 1", got)
 	}
-	if got := re2.FreePages(); got != 2 {
-		t.Fatalf("FreePages from superblock chain = %d, want 2", got)
+	if got := len(re2.FreeList()); got != 2 {
+		t.Fatalf("free pages from superblock chain = %d, want 2", got)
 	}
 	if st := re2.DeviceStats(); st.FreeListResets != 0 {
 		t.Fatalf("valid chain counted a reset: %+v", st)
@@ -189,7 +189,7 @@ func TestFileDiskFreeListCorruptChain(t *testing.T) {
 	if st := re.DeviceStats(); st.FreeListResets != 1 {
 		t.Fatalf("FreeListResets = %d, want 1", st.FreeListResets)
 	}
-	if got := re.FreePages(); got != 0 {
+	if got := len(re.FreeList()); got != 0 {
 		t.Fatalf("corrupt chain kept %d entries", got)
 	}
 	// Fallback: tail allocation, never a page from the abandoned chain.
@@ -270,8 +270,8 @@ func TestFileDiskCompact(t *testing.T) {
 	if got := f.NumPages(); got != 4 {
 		t.Fatalf("NumPages after compact = %d, want 4", got)
 	}
-	if got := f.FreePages(); got != 1 {
-		t.Fatalf("FreePages after compact = %d, want 1 (page 2)", got)
+	if got := len(f.FreeList()); got != 1 {
+		t.Fatalf("free pages after compact = %d, want 1 (page 2)", got)
 	}
 	if got := fileSize(t, path); got >= sizeBefore {
 		t.Fatalf("file did not shrink: %d -> %d bytes", sizeBefore, got)
@@ -302,8 +302,8 @@ func TestFileDiskCompact(t *testing.T) {
 			t.Fatalf("live page %d damaged by compact", pg)
 		}
 	}
-	if got := re.FreePages(); got != 1 {
-		t.Fatalf("reopened FreePages = %d, want 1", got)
+	if got := len(re.FreeList()); got != 1 {
+		t.Fatalf("reopened free pages = %d, want 1", got)
 	}
 }
 
@@ -364,7 +364,7 @@ func TestFaultDiskFree(t *testing.T) {
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("Free fault not ErrInjected: %v", err)
 	}
-	if got := d.FreePages(); got != 0 {
+	if got := len(d.FreeList()); got != 0 {
 		t.Fatalf("failed Free left %d chain entries", got)
 	}
 	// The one-shot rule is exhausted: the retry succeeds and the page comes

@@ -79,7 +79,7 @@ type shard struct {
 	// freed frames directly — without that rule a woken waiter loses every
 	// freed frame to a faster fetcher and eventually exhausts its wait
 	// budget with frames passing it by (a spurious all-pinned error under
-	// saturated QueryBatch traffic).
+	// saturated concurrent-query traffic).
 	waitHead, waitTail *roomWaiter
 }
 

@@ -13,9 +13,9 @@ import (
 )
 
 // TestExplainAnalyze checks the EXPLAIN ANALYZE surface: a traced run
-// returns the same answer as an untraced one, carries a span tree aligned
-// with the plan, and renders per-operator wall time. A query without
-// tracing enabled must not carry a trace.
+// returns the same answer as an untraced one, its plan carries and renders
+// per-operator wall time, and the self times sum to the root's. A query
+// without tracing enabled must carry no timings.
 func TestExplainAnalyze(t *testing.T) {
 	db := twigdb.MustOpen(nil)
 	if err := db.LoadXMLString(persistDoc); err != nil {
@@ -29,8 +29,20 @@ func TestExplainAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if plain.Trace != nil {
-		t.Fatalf("untraced query carries a trace")
+	var walk func(n *twigdb.PlanNode, fn func(*twigdb.PlanNode))
+	walk = func(n *twigdb.PlanNode, fn func(*twigdb.PlanNode)) {
+		fn(n)
+		for _, c := range n.Children {
+			walk(c, fn)
+		}
+	}
+	walk(plain.Plan, func(n *twigdb.PlanNode) {
+		if n.Elapsed != 0 || n.Self != 0 || n.Reads != 0 || n.ReadBytes != 0 {
+			t.Errorf("untraced %s carries timings: %+v", n.Op, n)
+		}
+	})
+	if out := plain.Plan.Render(); strings.Contains(out, "time=") {
+		t.Errorf("untraced plan renders timings:\n%s", out)
 	}
 	res, err := db.ExplainAnalyze(twigdb.Auto, q)
 	if err != nil {
@@ -39,35 +51,17 @@ func TestExplainAnalyze(t *testing.T) {
 	if len(res.IDs) != len(plain.IDs) {
 		t.Fatalf("traced run returned %d ids, untraced %d", len(res.IDs), len(plain.IDs))
 	}
-	if res.Trace == nil {
-		t.Fatalf("ExplainAnalyze returned no trace")
+	if res.Plan.Elapsed <= 0 {
+		t.Fatalf("root elapsed = %v, want > 0", res.Plan.Elapsed)
 	}
-	if res.Trace.Elapsed <= 0 {
-		t.Fatalf("root span elapsed = %v, want > 0", res.Trace.Elapsed)
+	var self time.Duration
+	walk(res.Plan, func(n *twigdb.PlanNode) { self += n.Self })
+	if self != res.Plan.Elapsed {
+		t.Fatalf("self times sum to %v, root elapsed %v", self, res.Plan.Elapsed)
 	}
-	// The trace is aligned one-to-one with the plan tree.
-	var countPlan func(*twigdb.PlanNode) int
-	countPlan = func(n *twigdb.PlanNode) int {
-		c := 1
-		for _, ch := range n.Children {
-			c += countPlan(ch)
-		}
-		return c
-	}
-	var countTrace func(*twigdb.TraceNode) int
-	countTrace = func(n *twigdb.TraceNode) int {
-		c := 1
-		for _, ch := range n.Children {
-			c += countTrace(ch)
-		}
-		return c
-	}
-	if p, tr := countPlan(res.Plan), countTrace(res.Trace); p != tr {
-		t.Fatalf("plan has %d operators, trace has %d", p, tr)
-	}
-	out := res.Trace.Render()
+	out := res.Plan.Render()
 	if !strings.Contains(out, "time=") || !strings.Contains(out, "self=") {
-		t.Fatalf("trace render missing timings:\n%s", out)
+		t.Fatalf("traced plan render missing timings:\n%s", out)
 	}
 	if _, err := db.ExplainAnalyze(twigdb.Oracle, q); err == nil {
 		t.Fatalf("ExplainAnalyze(Oracle) succeeded, want error")
@@ -76,8 +70,8 @@ func TestExplainAnalyze(t *testing.T) {
 
 // TestMetricsAndSlowQueries drives the always-on tracing path: with a
 // 1ns threshold every query is slow, so the latency histogram fills, the
-// slow-query ring captures traced plans, and Result.Trace is set on
-// ordinary queries.
+// slow-query ring captures traced plans, and Result.Plan carries timings
+// on ordinary queries.
 func TestMetricsAndSlowQueries(t *testing.T) {
 	db := twigdb.MustOpen(&twigdb.Options{SlowQueryThreshold: time.Nanosecond})
 	if err := db.LoadXMLString(persistDoc); err != nil {
@@ -92,8 +86,8 @@ func TestMetricsAndSlowQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
-		if res.Trace == nil {
-			t.Fatalf("%s: threshold-enabled tracing did not set Result.Trace", q)
+		if res.Plan.Elapsed <= 0 {
+			t.Fatalf("%s: threshold-enabled tracing left Result.Plan untimed", q)
 		}
 	}
 	m := db.Metrics()

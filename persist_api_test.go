@@ -50,7 +50,7 @@ func TestOptionsPathRoundTrip(t *testing.T) {
 		}
 		want[q] = res.IDs
 	}
-	if st := db.QueryStats(); st.WALFsyncs == 0 || st.BytesWritten == 0 {
+	if st := db.StorageStats(); st.WALFsyncs == 0 || st.BytesWritten == 0 {
 		t.Fatalf("durable build left no storage trace: %+v", st)
 	}
 	if err := db.Close(); err != nil {
@@ -123,7 +123,7 @@ func TestInMemoryCloseNoop(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.QueryStats(); st.WALFsyncs != 0 {
+	if st := db.StorageStats(); st.WALFsyncs != 0 {
 		t.Fatalf("in-memory database reported WAL fsyncs: %+v", st)
 	}
 }

@@ -57,8 +57,8 @@ func TestEveryReadMethodTakesTheOnePath(t *testing.T) {
 		if res.SnapshotSeq != r.seq {
 			t.Errorf("%s: SnapshotSeq = %d, want %d", r.name, res.SnapshotSeq, r.seq)
 		}
-		if (res.Trace != nil) != r.traced {
-			t.Errorf("%s: trace present = %v, want %v", r.name, res.Trace != nil, r.traced)
+		if traced := res.Plan != nil && res.Plan.Elapsed > 0; traced != r.traced {
+			t.Errorf("%s: plan timed = %v, want %v", r.name, traced, r.traced)
 		}
 		if d := db.QueryStats().Queries - before; d != r.counted {
 			t.Errorf("%s: QueryStats.Queries moved by %d, want %d", r.name, d, r.counted)

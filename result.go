@@ -22,13 +22,9 @@ type Result struct {
 	Stats    ExecStats
 	// Plan is the executed physical-operator tree: probe/join/filter/
 	// project operators with the planner's estimated and the executor's
-	// actual cardinality per operator. Nil for Oracle queries.
+	// actual cardinality per operator, plus per-operator timings when the
+	// run was traced. Nil for Oracle queries.
 	Plan *PlanNode
-	// Trace is the per-operator span tree of a traced execution — set by
-	// ExplainAnalyze, and on every query when Options.SlowQueryThreshold
-	// enables always-on tracing. Nil otherwise. Aligned one-to-one with
-	// Plan; see docs/OBSERVABILITY.md for the timing semantics.
-	Trace *TraceNode
 
 	// SnapshotSeq is the sequence number of the database version that
 	// answered, set on every Result: the version current when an ordinary
@@ -52,90 +48,35 @@ type PlanNode struct {
 	// ActualRows is the executed cardinality, or -1 when the operator was
 	// skipped (an earlier operator produced an empty relation).
 	ActualRows int64
-	Children   []*PlanNode
+
+	// Elapsed, Self, Reads and ReadBytes are set when the run was traced —
+	// by ExplainAnalyze, and on every query when Options.SlowQueryThreshold
+	// enables always-on tracing — and zero otherwise. Elapsed is the
+	// operator's wall time including its children; Self is Elapsed minus
+	// the children's, so the self times of a plan sum to the root's
+	// Elapsed. Reads and ReadBytes are the page-device reads (buffer pool
+	// misses) observed while the operator ran: exact for a query running
+	// alone, approximate when concurrent queries on the same DB attribute
+	// each other's reads. See docs/OBSERVABILITY.md.
+	Elapsed   time.Duration
+	Self      time.Duration
+	Reads     int64
+	ReadBytes int64
+
+	Children []*PlanNode
+
+	traced bool
 }
 
 // Render draws the plan subtree as an indented text tree with estimated
-// vs. actual cardinalities per operator.
+// vs. actual cardinalities per operator, and — for a traced run —
+// inclusive and self time and attributed device reads.
 func (n *PlanNode) Render() string {
 	var b strings.Builder
 	plan.DrawTree(&b, n, func(p *PlanNode) string {
-		line := p.Op
-		if p.Detail != "" {
-			line += " " + p.Detail
-		}
-		if p.ActualRows >= 0 {
-			line += fmt.Sprintf("  (est=%d rows, act=%d)", p.EstRows, p.ActualRows)
-		} else {
-			line += fmt.Sprintf("  (est=%d rows, not run)", p.EstRows)
-		}
-		return line
+		return plan.OpLine(p.Op, p.Detail, p.EstRows, p.ActualRows, true, p.traced, p.Elapsed, p.Self, p.Reads)
 	}, func(p *PlanNode) []*PlanNode { return p.Children })
 	return b.String()
-}
-
-// TraceNode is one operator span of a traced query execution (EXPLAIN
-// ANALYZE): the plan operator plus its measured wall time and attributed
-// device I/O. Elapsed is inclusive of the operator's children; Self is
-// Elapsed minus the children's, so the self times of a trace sum to the
-// root's Elapsed.
-type TraceNode struct {
-	Op         string
-	Detail     string
-	EstRows    int64
-	ActualRows int64 // -1 when the operator never ran
-	Elapsed    time.Duration
-	Self       time.Duration
-	// Reads and ReadBytes are the page-device reads (buffer pool misses)
-	// observed while the operator ran. Exact for serial executions;
-	// concurrent queries on the same DB may attribute each other's reads.
-	Reads     int64
-	ReadBytes int64
-	Children  []*TraceNode
-}
-
-// Render draws the trace as an indented tree with per-operator estimated
-// vs. actual rows, inclusive and self time, and attributed device reads.
-func (n *TraceNode) Render() string {
-	var b strings.Builder
-	plan.DrawTree(&b, n, func(p *TraceNode) string {
-		line := p.Op
-		if p.Detail != "" {
-			line += " " + p.Detail
-		}
-		if p.ActualRows < 0 {
-			return line + fmt.Sprintf("  (est=%d rows, not run)", p.EstRows)
-		}
-		line += fmt.Sprintf("  (est=%d rows, act=%d, time=%s, self=%s",
-			p.EstRows, p.ActualRows,
-			p.Elapsed.Round(time.Microsecond), p.Self.Round(time.Microsecond))
-		if p.Reads > 0 {
-			line += fmt.Sprintf(", reads=%d", p.Reads)
-		}
-		return line + ")"
-	}, func(p *TraceNode) []*TraceNode { return p.Children })
-	return b.String()
-}
-
-// publicTrace converts a traced internal plan view to the public span tree.
-func publicTrace(n *plan.Node) *TraceNode {
-	if n == nil {
-		return nil
-	}
-	out := &TraceNode{
-		Op:         n.Kind.String(),
-		Detail:     n.Detail,
-		EstRows:    n.EstRows,
-		ActualRows: n.ActRows,
-		Elapsed:    time.Duration(n.ElapsedNS),
-		Self:       time.Duration(n.SelfNS),
-		Reads:      n.Reads,
-		ReadBytes:  n.ReadBytes,
-	}
-	for _, c := range n.Children {
-		out.Children = append(out.Children, publicTrace(c))
-	}
-	return out
 }
 
 // publicPlan converts an executed internal plan tree to the public mirror.
@@ -155,6 +96,11 @@ func publicPlan(t *plan.Tree) *PlanNode {
 			Detail:     n.Detail,
 			EstRows:    n.EstRows,
 			ActualRows: n.ActRows,
+			Elapsed:    time.Duration(n.ElapsedNS),
+			Self:       time.Duration(n.SelfNS),
+			Reads:      n.Reads,
+			ReadBytes:  n.ReadBytes,
+			traced:     t.Traced,
 		})
 		out := &nodes[len(nodes)-1]
 		if len(n.Children) > 0 {

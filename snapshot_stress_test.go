@@ -14,7 +14,7 @@ import (
 // TestSnapshotConsistencyUnderChurn is the snapshot-isolation stress
 // harness: continuous writers churn "marker pair" subtrees — every insert
 // attaches <m><x>…</x><x>…</x></m>, two <x> leaves that enter and leave
-// the database atomically — while QueryBatch readers hammer //m/x. The
+// the database atomically — while reader goroutines hammer //m/x. The
 // post-hoc oracle invariant: every query's result must contain an even
 // number of <x> ids, because a snapshot either contains both halves of a
 // pair or neither. A torn read (a query observing a half-applied subtree
@@ -81,28 +81,27 @@ func TestSnapshotConsistencyUnderChurn(t *testing.T) {
 	}
 
 	queries := []string{`//m/x`, `/root/zone[title = 'stable']`, `//m/x`, `//zone//x`}
-	for r := 0; r < 2; r++ {
+	for r := 0; r < 8; r++ {
+		q := queries[r%len(queries)]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for round := 0; round < readRounds; round++ {
-				results, err := db.QueryBatch(twigdb.Auto, queries, 4)
+				res, err := db.Query(q)
 				if err != nil {
-					errs <- fmt.Errorf("batch: %w", err)
+					errs <- fmt.Errorf("reader: %s: %w", q, err)
 					return
 				}
-				for i, res := range results {
-					switch queries[i] {
-					case `//m/x`, `//zone//x`:
-						if res.Count()%2 != 0 {
-							errs <- fmt.Errorf("torn read: %s saw %d ids (odd — half a marker pair)", queries[i], res.Count())
-							return
-						}
-					case `/root/zone[title = 'stable']`:
-						if res.Count() != writers {
-							errs <- fmt.Errorf("stable zones = %d, want %d", res.Count(), writers)
-							return
-						}
+				switch q {
+				case `//m/x`, `//zone//x`:
+					if res.Count()%2 != 0 {
+						errs <- fmt.Errorf("torn read: %s saw %d ids (odd — half a marker pair)", q, res.Count())
+						return
+					}
+				case `/root/zone[title = 'stable']`:
+					if res.Count() != writers {
+						errs <- fmt.Errorf("stable zones = %d, want %d", res.Count(), writers)
+						return
 					}
 				}
 			}

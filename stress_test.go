@@ -158,9 +158,10 @@ func TestStressReadersWriters(t *testing.T) {
 	}
 }
 
-// TestStressQueryBatchDuringWrites drives the batch API concurrently with a
-// writer, making sure N-in-flight sessions and mutations compose.
-func TestStressQueryBatchDuringWrites(t *testing.T) {
+// TestStressConcurrentQueriesDuringWrites runs queries from several
+// goroutines concurrently with a writer, making sure N-in-flight sessions
+// and mutations compose.
+func TestStressConcurrentQueriesDuringWrites(t *testing.T) {
 	db := twigdb.MustOpen(nil)
 	if err := db.LoadXMLString(`<root><zone><title>stable</title></zone></root>`); err != nil {
 		t.Fatal(err)
@@ -203,20 +204,29 @@ func TestStressQueryBatchDuringWrites(t *testing.T) {
 			queries[i] = `//zone`
 		}
 	}
-	for round := 0; round < 5; round++ {
-		results, err := db.QueryBatch(twigdb.StrategyDataPaths, queries, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, res := range results {
-			if res == nil {
-				t.Fatalf("round %d: missing result %d", round, i)
+	const readers = 8
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		r := r
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 5; round++ {
+				for i := r; i < len(queries); i += readers {
+					res, err := db.QueryWith(twigdb.StrategyDataPaths, queries[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if queries[i] == `/root/zone[title = 'stable']` && res.Count() != 1 {
+						t.Errorf("round %d: stable zone count %d", round, res.Count())
+						return
+					}
+				}
 			}
-			if queries[i] == `/root/zone[title = 'stable']` && res.Count() != 1 {
-				t.Fatalf("round %d: stable zone count %d", round, res.Count())
-			}
-		}
+		}()
 	}
+	wg.Wait()
 	<-done
 
 	want, _ := db.QueryWith(twigdb.Oracle, `//item/name`)

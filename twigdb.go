@@ -187,10 +187,6 @@ type Options struct {
 	// ExplainAnalyze regardless of this setting.
 	SlowQueryThreshold time.Duration
 
-	// SlowQueryLogSize caps the slow-query ring; 0 keeps the default of
-	// 64 entries (oldest evicted first).
-	SlowQueryLogSize int
-
 	// CheckpointWALBytes is the write-ahead-log size beyond which a commit
 	// wakes the background checkpointer, which migrates committed WAL
 	// frames into the database file in bounded batches and compacts any
@@ -219,15 +215,16 @@ type Options struct {
 // subset of the index family.
 //
 // A DB is safe for concurrent use, and reads never block on writes: any
-// number of goroutines may query it (Query, QueryWith, QueryBatch) while
-// others call Insert, Delete, or Build. Each query runs on the goroutine
-// that issued it; concurrency comes from concurrent queries. Every query pins
-// an immutable snapshot of the database — store, statistics and indices at
-// one version — for its whole lifetime, so it observes either all of a
-// concurrent update or none of it, and never waits for a writer. Writers
-// serialise among themselves, prepare the next version copy-on-write, and
-// publish it atomically; on file-backed databases their commits share WAL
-// fsyncs (group commit). See docs/CONCURRENCY.md for the exact guarantees.
+// number of goroutines may query it (Query, QueryWith) while others call
+// Insert, Delete, or Build. Each query runs on the goroutine that issued
+// it; to run queries concurrently, issue them from several goroutines.
+// Every query pins an immutable snapshot of the database — store,
+// statistics and indices at one version — for its whole lifetime, so it
+// observes either all of a concurrent update or none of it, and never
+// waits for a writer. Writers serialise among themselves, prepare the next
+// version copy-on-write, and publish it atomically; on file-backed
+// databases their commits share WAL fsyncs (group commit). See
+// docs/CONCURRENCY.md for the exact guarantees.
 type DB struct {
 	eng *engine.DB
 	// txRetries is Options.TxRetries resolved (0 → default) for DB.Update.
@@ -296,7 +293,6 @@ func Open(opts *Options) (*DB, error) {
 		}
 		cfg.Path = opts.Path
 		cfg.SlowQueryThreshold = opts.SlowQueryThreshold
-		cfg.SlowQueryLogSize = opts.SlowQueryLogSize
 		cfg.CheckpointWALBytes = opts.CheckpointWALBytes
 		if opts.FaultInjection != nil {
 			inj, err := newFaultInjector(opts.FaultInjection)
@@ -392,40 +388,6 @@ func (db *DB) QueryWith(strat Strategy, q string) (*Result, error) {
 	return db.query(db.eng.Read, strat, q, false)
 }
 
-// QueryBatch serves all queries concurrently against the shared buffer
-// pool, each as its own session on a bounded pool of `workers` goroutines —
-// the N-in-flight-queries API behind the repository's throughput
-// benchmarks. Results are positional (results[i] answers queries[i]); any
-// failed queries leave a nil slot and their errors are joined into the
-// returned error.
-func (db *DB) QueryBatch(strat Strategy, queries []string, workers int) ([]*Result, error) {
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	results := make([]*Result, len(queries))
-	errs := make([]error, len(queries))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i], errs[i] = db.QueryWith(strat, queries[i])
-			}
-		}()
-	}
-	for i := range queries {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return results, errors.Join(errs...)
-}
-
 // reader is one of the engine's three snapshot sources: the current
 // version (engine.DB.Read), a retained one (ReadAsOf) or a transaction's
 // view (engine.Tx.Read).
@@ -455,8 +417,8 @@ func (db *DB) query(read reader, strat Strategy, q string, trace bool) (*Result,
 }
 
 // newResult assembles the public Result from an internal execution:
-// strategy resolution for Auto, counter mirroring, the executed plan view,
-// and — when the run was traced — the per-operator trace tree.
+// strategy resolution for Auto, counter mirroring and the executed plan
+// view, per-operator timings included when the run was traced.
 func (db *DB) newResult(q string, strat Strategy, r engine.ReadResult) *Result {
 	res := &Result{Query: q, Strategy: strat, IDs: r.IDs, SnapshotSeq: r.Seq, db: db}
 	if strat == Auto {
@@ -474,21 +436,17 @@ func (db *DB) newResult(q string, strat Strategy, r engine.ReadResult) *Result {
 			BranchesJoined: es.BranchesJoined,
 		}
 		res.Plan = publicPlan(es.Plan)
-		if es.Plan != nil && es.Plan.Traced {
-			res.Trace = publicTrace(es.Plan.Root)
-		}
 	}
 	return res
 }
 
 // ExplainAnalyze executes the query with per-operator tracing forced on —
 // EXPLAIN ANALYZE. The returned Result is a full query result (IDs, Stats,
-// Plan) whose Trace field additionally carries the span tree aligned with
-// the plan: per operator, estimated vs. actual rows, inclusive and self
-// wall time, and buffer-pool-miss device reads attributed to it. Render it
-// with Result.Trace.Render. Tracing one run costs two clock reads per
-// operator; it does not require Options.SlowQueryThreshold. Oracle is not
-// supported (it runs no plan).
+// Plan) whose Plan additionally carries, per operator, inclusive and self
+// wall time and the buffer-pool-miss device reads attributed to it (see
+// PlanNode). Render it with Result.Plan.Render. Tracing one run costs two
+// clock reads per operator; it does not require
+// Options.SlowQueryThreshold. Oracle is not supported (it runs no plan).
 func (db *DB) ExplainAnalyze(strat Strategy, q string) (*Result, error) {
 	if strat == Oracle {
 		return nil, errors.New("twigdb: ExplainAnalyze needs a plan-running strategy; Oracle has no plan")
@@ -498,11 +456,8 @@ func (db *DB) ExplainAnalyze(strat Strategy, q string) (*Result, error) {
 
 // QueryStats is a snapshot of the database's lifetime query counters
 // (maintained with atomics, so reading them is safe and cheap at any
-// moment, including mid-traffic), plus the device I/O counters that make
-// the persistence subsystem observable through the same surface: bytes
-// moved across the page device and the WAL fsyncs paid at commit
-// boundaries (both zero for in-memory databases until the device is
-// exercised, and WALFsyncs always zero for them).
+// moment, including mid-traffic). Device I/O is counted in StorageStats,
+// transactions in TxStats.
 type QueryStats struct {
 	Queries           int64 // indexed queries executed (Oracle not counted)
 	BranchesEvaluated int64 // covering branches evaluated across all queries
@@ -513,41 +468,16 @@ type QueryStats struct {
 	// statistics and indices) for its whole lifetime instead of taking a
 	// database lock, so reads never block on writes. One pin per query.
 	SnapshotsPinned int64
-
-	BytesRead    int64 // bytes read from the page device
-	BytesWritten int64 // bytes written (for file-backed: WAL + checkpoints)
-	WALFsyncs    int64 // WAL fsyncs (one per durable batch, not per commit)
-
-	// GroupCommitBatches counts the coalesced fsync batches of the WAL
-	// group-commit path: concurrent Insert/Delete commits share one fsync,
-	// so under write concurrency this stays below the number of committed
-	// updates (the amortisation the mixed benchmark records).
-	GroupCommitBatches int64
-
-	// TxCommits/TxConflicts/TxRetries mirror TxStats (also exposed there
-	// with the retained-snapshot gauge): transactions committed, commits
-	// rejected with ErrConflict, and automatic conflict retries.
-	TxCommits   int64
-	TxConflicts int64
-	TxRetries   int64
 }
 
 // QueryStats returns the lifetime query counters.
 func (db *DB) QueryStats() QueryStats {
 	s := db.eng.QueryCounters()
-	d := db.eng.DeviceStats()
 	return QueryStats{
-		Queries:            s.Queries,
-		BranchesEvaluated:  s.BranchesEvaluated,
-		PlanCacheHits:      s.PlanCacheHits,
-		SnapshotsPinned:    s.SnapshotsPinned,
-		BytesRead:          d.BytesRead,
-		BytesWritten:       d.BytesWritten,
-		WALFsyncs:          d.WALFsyncs,
-		GroupCommitBatches: d.GroupCommitBatches,
-		TxCommits:          s.TxCommits,
-		TxConflicts:        s.TxConflicts,
-		TxRetries:          s.TxRetries,
+		Queries:           s.Queries,
+		BranchesEvaluated: s.BranchesEvaluated,
+		PlanCacheHits:     s.PlanCacheHits,
+		SnapshotsPinned:   s.SnapshotsPinned,
 	}
 }
 
@@ -560,11 +490,11 @@ type StorageStats struct {
 	Reads              int64
 	Writes             int64
 	BytesRead          int64
-	BytesWritten       int64
+	BytesWritten       int64 // for file-backed databases: WAL + checkpoints
 	WALAppends         int64
-	WALFsyncs          int64
+	WALFsyncs          int64 // one per durable batch, not per commit
 	WALBytes           int64
-	GroupCommitBatches int64
+	GroupCommitBatches int64 // coalesced fsync batches: concurrent commits share one fsync
 	Checkpoints        int64
 
 	PagesFreed     int64 // pages returned to the on-disk free list
@@ -577,7 +507,7 @@ type StorageStats struct {
 	InjectedFaults    int64 // faults fired by the configured injector
 	RecoveredCommits  int64 // commits replayed from the WAL at the last open
 	WALBytesDiscarded int64 // torn/corrupt WAL tail bytes discarded at the last open
-	Poisoned          bool  // a failed fsync poisoned the device
+	Poisoned          bool  // a failed fsync poisoned the device (always true when Health.ReadOnly is)
 }
 
 // StorageStats returns the device I/O counters.

@@ -293,3 +293,24 @@ func TestNodeCount(t *testing.T) {
 		t.Fatalf("NodeCount = %d", db.NodeCount())
 	}
 }
+
+// TestCountersHaveOneHome guards the public counter surface against
+// mirrors: a field name may appear in only one of the stats types, so a
+// counter is read in one place and added in one place.
+func TestCountersHaveOneHome(t *testing.T) {
+	home := map[string]string{}
+	for _, v := range []any{
+		twigdb.QueryStats{}, twigdb.StorageStats{}, twigdb.TxStats{},
+		twigdb.Health{}, twigdb.FaultStats{}, twigdb.Metrics{},
+	} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			name := typ.Field(i).Name
+			if other, ok := home[name]; ok {
+				t.Errorf("%s.%s mirrors %s.%s", typ.Name(), name, other, name)
+				continue
+			}
+			home[name] = typ.Name()
+		}
+	}
+}
