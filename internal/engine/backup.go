@@ -3,13 +3,14 @@
 // backup pins one snapshot — which defers every free of pages that
 // snapshot references (see reclaimRetired), so its reachable page set is
 // frozen for the duration even as writers COW, unlink and commit around
-// it — walks the B+-tree pages of every index the snapshot carries,
-// copies each through the checksum-verified device read path at its
-// original id, and re-encodes the snapshot's catalog into fresh pages at
-// the tail of the backup (the live catalog chain is rewritten in place by
-// concurrent commits, so its pages are the one thing that cannot be
-// copied raw). The result is a standalone database file with an empty
-// WAL that Open recovers like any cleanly checkpointed database.
+// it — walks the B+-tree pages of the snapshot's node table and of every
+// index it carries, copies each through the checksum-verified device read
+// path at its original id, and re-encodes the snapshot's catalog into
+// fresh pages at the tail of the backup (the live catalog chain is
+// rewritten in place by concurrent commits, so its pages are the one thing
+// that cannot be copied raw). The result is a standalone database file
+// with an empty WAL that Open recovers like any cleanly checkpointed
+// database.
 package engine
 
 import (
@@ -26,7 +27,10 @@ func (db *DB) Backup(dstPath string) error {
 	if db.fdisk == nil {
 		return fmt.Errorf("engine: backup requires a file-backed database")
 	}
-	s := db.pin()
+	s, err := db.pinSealed()
+	if err != nil {
+		return err
+	}
 	defer db.unpin(s)
 
 	reach := map[storage.PageID]struct{}{}
@@ -84,11 +88,43 @@ func (db *DB) Backup(dstPath string) error {
 	return bw.Finish(base)
 }
 
+// pinSealed pins the current snapshot once it carries a node table whose
+// pages are on the device, committing the current state first when it
+// has none (see commitCurrent).
+func (db *DB) pinSealed() (*Snapshot, error) {
+	s := db.pin()
+	if s.nodes != nil {
+		return s, nil
+	}
+	db.unpin(s)
+	db.writeMu.Lock()
+	seq, err := int64(0), db.writeGate()
+	if err == nil {
+		seq, err = db.commitCurrent()
+	}
+	if err != nil {
+		db.writeMu.Unlock()
+		return nil, db.noteCommitErr(err)
+	}
+	s = db.pin()
+	db.writeMu.Unlock()
+	if err := db.noteCommitErr(db.fdisk.SyncTo(seq)); err != nil {
+		db.unpin(s)
+		return nil, err
+	}
+	return s, nil
+}
+
 // walkSnapshotPages enumerates every device page reachable from the
-// snapshot's index handles. The store, dictionaries and statistics live in
-// the catalog blob, not in pages, so the indices are the entire page
-// footprint.
+// snapshot: its node table's and its index handles'. The dictionaries and
+// statistics live in the catalog blob, not in pages, so these trees are
+// the entire page footprint.
 func (db *DB) walkSnapshotPages(s *Snapshot, fn func(storage.PageID) error) error {
+	if s.nodes != nil {
+		if err := s.nodes.WalkPages(fn); err != nil {
+			return err
+		}
+	}
 	for _, st := range s.env.Structures() {
 		if err := st.WalkPages(fn); err != nil {
 			return err

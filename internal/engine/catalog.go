@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/btree"
 	"repro/internal/index"
 	"repro/internal/pathdict"
 	"repro/internal/storage"
@@ -12,25 +13,33 @@ import (
 )
 
 // The engine catalog is the durable root of everything above the page
-// device: the XML store (documents with their node ids and the id
-// counter), the shared designator dictionary and path table, and one
-// record per built index structure (B+-tree roots plus the small
-// in-memory registries). It is serialised at every commit boundary into a
-// chain of ordinary pages — [4B next page id][2B payload length][payload]
-// — whose head the commit record carries as CatalogRoot, so the catalog is
-// covered by exactly the same WAL/commit/checkpoint discipline as the
-// index pages it describes.
+// device: the id counter, the shared designator dictionary and path table,
+// the node table's B+-tree Meta (the documents themselves live in that
+// tree, see nodeTable), and one record per built index structure (B+-tree
+// roots plus the small in-memory registries). It is serialised at every
+// commit boundary into a chain of ordinary pages — [4B next page id][2B
+// payload length][payload] — whose head the commit record carries as
+// CatalogRoot, so the catalog is covered by exactly the same
+// WAL/commit/checkpoint discipline as the index pages it describes. With
+// the documents out of it the catalog is a few KB whatever the database
+// size, usually one page.
 //
-// Catalog layout (all integers varint/uvarint unless noted):
+// Catalog layout, version 2 (all integers varint/uvarint unless noted):
 //
 //	magic "TWIGCAT1", version
-//	store:   nextID, #docs, then each document tree in pre-order
-//	         (id, label, hasValue[, value], #children, children...)
+//	nextID
 //	dict:    #labels, labels in symbol order
 //	ptab:    #paths, each path as #syms + syms
-//	present: u8 bitmask, bit 1<<k set when the structure of index.Kind k
-//	         is built (fixed by the file format: kinds are never reordered)
+//	nodes:   the node table's Meta (name, root, height, pages, entries)
+//	present: bitmask, bit 1<<k set when the structure of index.Kind k is
+//	         built (fixed by the file format: kinds are never reordered)
 //	per present structure, in kind order: its record
+//
+// Version 1 carried the documents themselves where version 2 has nextID:
+// nextID, #docs, then each document tree in pre-order (id, label,
+// hasValue[, value], #children, children...); it had no nodes field, and
+// its present mask was one byte, full at the eight persisted kinds. Open
+// still reads version 1 (readNode); the next commit writes version 2.
 //
 // The engine frames the records; what is inside one is its structure's
 // business (Structure.AppendRecord and the family table's open function in
@@ -38,7 +47,7 @@ import (
 
 const (
 	catalogMagic   = "TWIGCAT1"
-	catalogVersion = 1
+	catalogVersion = 2
 
 	// catalogPageHeader is [4B next][2B length] at the head of each page.
 	catalogPageHeader = 6
@@ -47,33 +56,23 @@ const (
 
 var errCatalogVersion = errors.New("engine: unsupported catalog version")
 
-func writeNode(w *index.CatWriter, n *xmldb.Node) {
-	w.Uvarint(uint64(n.ID))
-	w.Str(n.Label)
-	w.Bool(n.HasValue)
-	if n.HasValue {
-		w.Str(n.Value)
+// presentMask is the present bitmask of the built structures.
+func presentMask(built []index.Structure) uint64 {
+	var mask uint64
+	for _, st := range built {
+		mask |= 1 << st.Kind()
 	}
-	w.Uvarint(uint64(len(n.Children)))
-	for _, c := range n.Children {
-		writeNode(w, c)
-	}
+	return mask
 }
 
-// encodeCatalog serialises a snapshot's durable state. Callers hold the
-// writer lock (the snapshot itself is immutable; the lock orders catalog
-// page-chain reuse).
+// encodeCatalog serialises a snapshot's durable state; the snapshot must
+// carry its node table. Callers hold the writer lock (the snapshot itself
+// is immutable; the lock orders catalog page-chain reuse).
 func encodeCatalog(s *Snapshot) []byte {
 	w := &index.CatWriter{Buf: make([]byte, 0, 4096)}
 	w.Buf = append(w.Buf, catalogMagic...)
 	w.Uvarint(catalogVersion)
-
-	// Store.
 	w.Uvarint(uint64(s.store.NextID()))
-	w.Uvarint(uint64(len(s.store.Docs)))
-	for _, d := range s.store.Docs {
-		writeNode(w, d.Root)
-	}
 
 	// Dictionary: labels in symbol order, so re-interning reproduces syms.
 	n := s.dict.Size()
@@ -83,19 +82,17 @@ func encodeCatalog(s *Snapshot) []byte {
 	}
 
 	w.PathTable(s.ptab)
+	w.Tree(s.nodes.tree)
 
 	built := s.env.Structures()
-	var mask byte
-	for _, st := range built {
-		mask |= 1 << st.Kind()
-	}
-	w.U8(mask)
+	w.Uvarint(presentMask(built))
 	for _, st := range built {
 		st.AppendRecord(w)
 	}
 	return w.Buf
 }
 
+// readNode reads one version-1 document tree.
 func readNode(r *index.CatReader, depth int) *xmldb.Node {
 	if depth > 100000 {
 		r.Fail("node nesting too deep")
@@ -121,21 +118,8 @@ func readNode(r *index.CatReader, depth int) *xmldb.Node {
 	return n
 }
 
-// decodeCatalog restores the engine's durable state from blob into the
-// initial snapshot (and the DB's shared dictionary/path table). Called
-// during Open, before the DB is shared. A blob it cannot decode fails with
-// an error matching index.ErrCorruptCatalog or errCatalogVersion.
-func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
-	if len(blob) < len(catalogMagic) || string(blob[:len(catalogMagic)]) != catalogMagic {
-		return fmt.Errorf("%w: bad magic", index.ErrCorruptCatalog)
-	}
-	r := index.NewCatReader(blob[len(catalogMagic):])
-	if v := r.Uvarint(); r.Err() == nil && v != catalogVersion {
-		return fmt.Errorf("%w %d", errCatalogVersion, v)
-	}
-
-	// Store.
-	nextID := int64(r.Uvarint())
+// readStoreV1 reads a version-1 catalog's documents.
+func readStoreV1(r *index.CatReader) *xmldb.Store {
 	nDocs := r.Uvarint()
 	if nDocs > r.Len() {
 		r.Fail("bad document count")
@@ -148,7 +132,28 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 			}
 		}
 	}
-	store.SetNextID(nextID)
+	return store
+}
+
+// decodeCatalog restores the engine's durable state from blob into the
+// initial snapshot (and the DB's shared dictionary/path table), reading a
+// version-2 catalog's documents from the node table on db's device. Called
+// during Open, before the DB is shared. A blob it cannot decode fails with
+// an error matching index.ErrCorruptCatalog or errCatalogVersion.
+func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
+	if len(blob) < len(catalogMagic) || string(blob[:len(catalogMagic)]) != catalogMagic {
+		return fmt.Errorf("%w: bad magic", index.ErrCorruptCatalog)
+	}
+	r := index.NewCatReader(blob[len(catalogMagic):])
+	version := r.Uvarint()
+	if r.Err() == nil && version != 1 && version != catalogVersion {
+		return fmt.Errorf("%w %d", errCatalogVersion, version)
+	}
+	nextID := int64(r.Uvarint())
+	var store *xmldb.Store
+	if version == 1 {
+		store = readStoreV1(r)
+	}
 
 	// Dictionary.
 	dict := pathdict.NewDict()
@@ -161,10 +166,28 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 	}
 
 	ptab := r.PathTable()
-	mask := uint(r.U8())
+	var nodes btree.Meta
+	var mask uint64
+	if version == 1 {
+		mask = uint64(r.U8())
+	} else {
+		nodes = r.TreeMeta()
+		mask = r.Uvarint()
+	}
 	if r.Err() != nil {
 		return r.Err()
 	}
+	if version != 1 {
+		var err error
+		if store, err = readNodeTable(db.dev, nodes, dict); err != nil {
+			return err
+		}
+		if nextID < store.NextID() {
+			return fmt.Errorf("%w: id counter %d below node %d", index.ErrCorruptCatalog, nextID, store.NextID()-1)
+		}
+		snap.nodes = &nodeTable{tree: btree.Open(db.pool, nodes), dict: dict}
+	}
+	store.SetNextID(nextID)
 
 	db.dict = dict
 	db.ptab = ptab
@@ -179,11 +202,15 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 		if mask&(1<<k) == 0 {
 			continue
 		}
+		mask &^= 1 << k
 		st := index.Open(k, r, site)
 		if r.Err() != nil {
 			return r.Err()
 		}
 		snap.env.Install(k, st)
+	}
+	if mask != 0 && version != 1 {
+		return fmt.Errorf("%w: present mask names unknown structures %#x", index.ErrCorruptCatalog, mask)
 	}
 	return nil
 }

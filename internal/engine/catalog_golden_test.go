@@ -12,12 +12,14 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/naive"
+	"repro/internal/xmldb"
 	"repro/internal/xpath"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
-// goldenDocs is the fixed corpus behind catalog_v1.golden: labels a and b
+// goldenDocs is the fixed corpus behind catalog_v1.golden and
+// catalog_v2.golden: labels a and b
 // recur at several depths, so ASR, JoinIndex and XRel register several
 // paths and ASR/JoinIndex carry non-empty rooted-path and root-id sets.
 var goldenDocs = []string{
@@ -37,9 +39,15 @@ var goldenConfigs = []struct {
 	{"raw-pathid", index.PathsOptions{RawIDs: true, PathIDKeys: true}},
 }
 
-func goldenDB(t testing.TB, opts index.PathsOptions) *DB {
+// goldenDB loads goldenDocs and builds the whole persisted family, in
+// memory when path is empty and file-backed (so with a node table) at path
+// otherwise.
+func goldenDB(t testing.TB, opts index.PathsOptions, path string) *DB {
 	t.Helper()
-	db := New(Config{BufferPoolBytes: 8 << 20, PathsOptions: opts})
+	db, err := Open(Config{BufferPoolBytes: 8 << 20, PathsOptions: opts, Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, doc := range goldenDocs {
 		if err := db.LoadXML(strings.NewReader(doc)); err != nil {
 			t.Fatal(err)
@@ -51,19 +59,61 @@ func goldenDB(t testing.TB, opts index.PathsOptions) *DB {
 	return db
 }
 
-const catalogGolden = "catalog_v1.golden"
+const (
+	catalogGoldenV1 = "catalog_v1.golden"
+	catalogGolden   = "catalog_v2.golden"
+)
+
+// dumpDocs renders every document of store in order.
+func dumpDocs(store *xmldb.Store) string {
+	var b strings.Builder
+	for _, d := range store.Docs {
+		b.WriteString(xmldb.Dump(d.Root))
+	}
+	return b.String()
+}
+
+// checkDecoded checks a snapshot decoded from a golden blob against the
+// database that built it: the same documents, and the eight pinned
+// strategies — reading the same pool — answering as the naive matcher does.
+func checkDecoded(t *testing.T, tag string, db *DB, re *Snapshot) {
+	t.Helper()
+	if got, want := dumpDocs(re.store), dumpDocs(db.CurrentSnapshot().store); got != want {
+		t.Errorf("%s: decoded store differs\ngot:\n%s\nwant:\n%s", tag, got, want)
+	}
+	for _, q := range goldenQueries {
+		pat := xpath.MustParse(q)
+		want := naive.Match(re.store, pat)
+		for _, s := range diffStrategies {
+			opts := ReadOpts{Strategy: s}
+			res, err := db.run(re, pat, opts)
+			if _, origErr := db.run(db.CurrentSnapshot(), pat, opts); origErr != nil {
+				// SchemaPathId keys cannot serve the path strategies'
+				// suffix probes; the decoded flags must say so too.
+				if err == nil || err.Error() != origErr.Error() {
+					t.Errorf("%s: %s via %v on the decoded snapshot: error %v, built snapshot's %v", tag, q, s, err, origErr)
+				}
+			} else if err != nil {
+				t.Errorf("%s: %s via %v on the decoded snapshot: %v", tag, q, s, err)
+			} else if !equalIDs(res.IDs, want) {
+				t.Errorf("%s: %s via %v on the decoded snapshot: %v, naive %v", tag, q, s, res.IDs, want)
+			}
+		}
+	}
+}
 
 // TestCatalogGolden pins the catalog's bytes: the encoding of a fixed
-// corpus with all eight persisted structures built, under default options
-// and under RawIDs+PathIDKeys, must equal the checked-in file, which was
-// generated before each structure took over its own record codec. The blob
-// must also survive decode → encode unchanged, and the decoded snapshot —
-// reading the same pool — must answer the eight pinned strategies as the
-// naive matcher does. Regenerate with -update only for a format bump.
+// corpus with all eight persisted structures built on a file-backed
+// database, under default options and under RawIDs+PathIDKeys, must equal
+// catalog_v2.golden. The blob must also survive decode → encode unchanged,
+// and the decoded snapshot — its store read back from the node table —
+// must hold the same documents and answer the eight pinned strategies as
+// the naive matcher does. Regenerate with -update only for a format bump.
 func TestCatalogGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, cfg := range goldenConfigs {
-		db := goldenDB(t, cfg.opts)
+		db := goldenDB(t, cfg.opts, filepath.Join(t.TempDir(), "golden.db"))
+		defer db.Close()
 		blob := encodeCatalog(db.CurrentSnapshot())
 		got.WriteString(cfg.name + " " + hex.EncodeToString(blob) + "\n")
 
@@ -74,25 +124,7 @@ func TestCatalogGolden(t *testing.T) {
 		if again := encodeCatalog(re); !bytes.Equal(again, blob) {
 			t.Errorf("%s: encode(decode(blob)) differs from blob (%d vs %d bytes)", cfg.name, len(again), len(blob))
 		}
-		for _, q := range goldenQueries {
-			pat := xpath.MustParse(q)
-			want := naive.Match(re.store, pat)
-			for _, s := range diffStrategies {
-				opts := ReadOpts{Strategy: s}
-				res, err := db.run(re, pat, opts)
-				if _, origErr := db.run(db.CurrentSnapshot(), pat, opts); origErr != nil {
-					// SchemaPathId keys cannot serve the path strategies'
-					// suffix probes; the decoded flags must say so too.
-					if err == nil || err.Error() != origErr.Error() {
-						t.Errorf("%s: %s via %v on the decoded snapshot: error %v, built snapshot's %v", cfg.name, q, s, err, origErr)
-					}
-				} else if err != nil {
-					t.Errorf("%s: %s via %v on the decoded snapshot: %v", cfg.name, q, s, err)
-				} else if !equalIDs(res.IDs, want) {
-					t.Errorf("%s: %s via %v on the decoded snapshot: %v, naive %v", cfg.name, q, s, res.IDs, want)
-				}
-			}
-		}
+		checkDecoded(t, cfg.name, db, re)
 	}
 
 	path := filepath.Join("testdata", catalogGolden)
@@ -111,10 +143,60 @@ func TestCatalogGolden(t *testing.T) {
 	}
 }
 
-// goldenBlobs returns the checked-in catalog encodings.
-func goldenBlobs(t testing.TB) [][]byte {
+// TestCatalogV1Golden keeps the version-1 reader honest: catalog_v1.golden,
+// generated before the documents moved into the node table and never
+// rewritten since, must still decode — documents from the blob itself —
+// into the store the same corpus builds, whose indices (reading the pool
+// of an identically built in-memory database) answer as the naive matcher.
+func TestCatalogV1Golden(t *testing.T) {
+	blobs := goldenBlobs(t, catalogGoldenV1)
+	if len(blobs) != len(goldenConfigs) {
+		t.Fatalf("%s has %d blobs, want %d", catalogGoldenV1, len(blobs), len(goldenConfigs))
+	}
+	for i, cfg := range goldenConfigs {
+		db := goldenDB(t, cfg.opts, "")
+		re := &Snapshot{}
+		if err := decodeCatalog(db, re, blobs[i]); err != nil {
+			t.Fatalf("%s: decode: %v", cfg.name, err)
+		}
+		if re.nodes != nil {
+			t.Fatalf("%s: a version-1 catalog decoded with a node table", cfg.name)
+		}
+		checkDecoded(t, cfg.name+" v1", db, re)
+	}
+}
+
+// TestEveryPersistedKindRoundTrips: every persisted kind survives encode →
+// decode, and the present mask — a uvarint since version 2 — keeps a bit
+// past the eighth kind, where version 1's single byte ran out.
+func TestEveryPersistedKindRoundTrips(t *testing.T) {
+	db := goldenDB(t, index.PathsOptions{}, filepath.Join(t.TempDir(), "kinds.db"))
+	defer db.Close()
+	re := &Snapshot{}
+	if err := decodeCatalog(db, re, encodeCatalog(db.CurrentSnapshot())); err != nil {
+		t.Fatal(err)
+	}
+	got := map[index.Kind]bool{}
+	for _, st := range re.env.Structures() {
+		got[st.Kind()] = true
+	}
+	for _, k := range index.PersistedKinds() {
+		if !got[k] {
+			t.Errorf("%v did not survive the catalog round trip", k)
+		}
+	}
+	mask := presentMask(db.CurrentSnapshot().env.Structures()) | 1<<index.NumKinds
+	w := &index.CatWriter{}
+	w.Uvarint(mask)
+	if back := index.NewCatReader(w.Buf).Uvarint(); back != mask {
+		t.Fatalf("present mask %#x read back as %#x", mask, back)
+	}
+}
+
+// goldenBlobs returns the catalog encodings checked in as name.
+func goldenBlobs(t testing.TB, name string) [][]byte {
 	t.Helper()
-	src, err := os.ReadFile(filepath.Join("testdata", catalogGolden))
+	src, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,14 +216,19 @@ func goldenBlobs(t testing.TB) [][]byte {
 // file for: whatever the bytes, decodeCatalog returns a snapshot (which
 // then re-encodes) or an error matching index.ErrCorruptCatalog or
 // errCatalogVersion — it never panics, and no count read from the input
-// sizes an allocation before it is checked against the bytes left. Seeds:
-// the golden blobs, plus the truncated and bit-flipped variants checked in
-// under testdata/fuzz/FuzzDecodeCatalog.
+// sizes an allocation before it is checked against the bytes left. The
+// blobs are decoded against a file-backed database built from the golden
+// corpus, so a version-2 blob's node table and index roots name real
+// pages. Seeds: the golden blobs of both versions, plus the truncated and
+// bit-flipped variants checked in under testdata/fuzz/FuzzDecodeCatalog.
 func FuzzDecodeCatalog(f *testing.F) {
-	for _, blob := range goldenBlobs(f) {
-		f.Add(blob)
+	for _, name := range []string{catalogGoldenV1, catalogGolden} {
+		for _, blob := range goldenBlobs(f, name) {
+			f.Add(blob)
+		}
 	}
-	db := New(Config{BufferPoolBytes: 1 << 20})
+	db := goldenDB(f, index.PathsOptions{}, filepath.Join(f.TempDir(), "fuzz.db"))
+	f.Cleanup(func() { db.Close() })
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		snap := &Snapshot{}
 		if err := decodeCatalog(db, snap, blob); err != nil {
@@ -150,6 +237,8 @@ func FuzzDecodeCatalog(f *testing.F) {
 			}
 			return
 		}
-		encodeCatalog(snap)
+		if snap.nodes != nil {
+			encodeCatalog(snap)
+		}
 	})
 }

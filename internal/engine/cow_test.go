@@ -272,11 +272,15 @@ func listing(n int) *xmldb.Node {
 	return doc.Root
 }
 
-// xmarkItems builds an in-memory XMark database with ROOTPATHS and
-// DATAPATHS and returns it with its item ids.
+// xmarkItems builds an XMark database with ROOTPATHS and DATAPATHS —
+// in memory, or file-backed when cfg has a Path — and returns it with its
+// item ids.
 func xmarkItems(t *testing.T, itemsPerRegion int, cfg Config) (*DB, []int64) {
 	t.Helper()
-	db := New(cfg)
+	db, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := db.AddDocument(datagen.XMark(datagen.XMarkConfig{ItemsPerRegion: itemsPerRegion})); err != nil {
 		t.Fatal(err)
 	}

@@ -424,15 +424,31 @@ type retireBatch struct {
 }
 
 // commitAppend is the writer's commit step for file-backed databases:
-// flush every dirty pool frame to the device (WAL frames), serialise next's
-// catalog into its page chain, and append — without fsyncing — the commit
-// record that seals them. It returns the commit sequence to pass to
-// FileDisk.SyncTo once the writer lock is released, so concurrent commits
-// coalesce their fsyncs (group commit). No-op for in-memory databases.
-// Callers hold writeMu.
-func (db *DB) commitAppend(next *Snapshot) (int64, error) {
+// bulk-load next's node table if it has none yet, flush every dirty pool
+// frame to the device (WAL frames), serialise next's catalog into its page
+// chain, and append — without fsyncing — the commit record that seals
+// them. It returns the commit sequence to pass to FileDisk.SyncTo once the
+// writer lock is released, so concurrent commits coalesce their fsyncs
+// (group commit). No-op for in-memory databases. next is unpublished or
+// already carries its node table (see commitCurrent). Callers hold
+// writeMu.
+func (db *DB) commitAppend(next *Snapshot) (seq int64, err error) {
 	if db.fdisk == nil {
 		return 0, nil
+	}
+	if next.nodes == nil {
+		// The first commit since the store was loaded, or read from a
+		// version-1 catalog. Should the commit fail, the table's pages go
+		// back to the free list with it.
+		if next.nodes, err = bulkLoadNodeTable(db.pool, db.dict, next.store); err != nil {
+			return 0, fmt.Errorf("engine: building the node table: %w", err)
+		}
+		defer func() {
+			if err != nil {
+				_ = next.nodes.WalkPages(db.pool.Free)
+				next.nodes = nil
+			}
+		}()
 	}
 	if err := db.pool.FlushAll(); err != nil {
 		return 0, fmt.Errorf("engine: commit flush: %w", err)
@@ -442,7 +458,7 @@ func (db *DB) commitAppend(next *Snapshot) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	seq, err := db.fdisk.CommitAsync(storage.Meta{
+	seq, err = db.fdisk.CommitAsync(storage.Meta{
 		NumPages:    int32(db.dev.NumPages()),
 		CatalogRoot: root,
 		// FreeHead is owned by the FileDisk: CommitAsync stamps the live
@@ -488,9 +504,10 @@ func (db *DB) publish(next *Snapshot, docs []int64, all bool) {
 // collectRetired drains into the deferred-free queue the pages next's COW
 // index clones stopped referencing and every page of the structures next
 // dropped, tagged with next's sequence: only snapshots older than next can
-// still read them. Call only once next's commit record is appended (an
+// still read them. Call only once next is sure to be published — its
+// commit record appended, or (AddDocument) no commit needed — because an
 // aborted commit discards next, and what it replaced stays live in the
-// current version). Callers hold writeMu.
+// current version. Callers hold writeMu.
 func (db *DB) collectRetired(next *Snapshot) {
 	var pages []storage.PageID
 	for _, m := range next.maintained() {
@@ -603,10 +620,30 @@ func (db *DB) Checkpoint() error {
 		return err
 	}
 	db.reclaimRetired() // drained snapshots' pages ride this commit
-	if _, err := db.commitAppend(db.current.Load()); err != nil {
+	if _, err := db.commitCurrent(); err != nil {
 		return db.noteCommitErr(err)
 	}
 	return db.noteCommitErr(db.fdisk.Checkpoint())
+}
+
+// commitCurrent appends a commit record sealing the current state — the
+// commit of Checkpoint, Close and a Backup that needs one. A current
+// snapshot without a node table (a store loaded, or read from a version-1
+// catalog, and not committed since) is never changed after publication:
+// a successor is committed instead, whose commitAppend bulk-loads the
+// table, and published with an empty write-set, as it changes no data.
+// Callers hold writeMu.
+func (db *DB) commitCurrent() (int64, error) {
+	cur := db.current.Load()
+	if db.fdisk == nil || cur.nodes != nil {
+		return db.commitAppend(cur)
+	}
+	next := cur.clone()
+	seq, err := db.commitAppend(next)
+	if err == nil {
+		db.publish(next, nil, false)
+	}
+	return seq, err
 }
 
 // Close commits, checkpoints and closes a file-backed database; a closed
@@ -625,7 +662,7 @@ func (db *DB) Close() error {
 		return db.fdisk.Close()
 	}
 	db.reclaimRetired() // the last commits' deferred frees ride the close commit
-	if _, err := db.commitAppend(db.current.Load()); err != nil {
+	if _, err := db.commitCurrent(); err != nil {
 		db.fdisk.Close()
 		return db.noteCommitErr(err)
 	}
@@ -667,6 +704,12 @@ func (db *DB) AddDocument(doc *xmldb.Document) error {
 		return ErrLoadAfterBuild
 	}
 	next := cur.clone()
+	if next.nodes != nil {
+		// A committed store grows by a bulk load: the next commit
+		// bulk-loads a node table for the whole store, as the first one did.
+		next.dropped = append(next.dropped, next.nodes)
+		next.nodes = nil
+	}
 	store := cur.store.CloneShallow()
 	// Ids come from the global allocator (shared with transactions), then
 	// the pre-numbered tree is attached; the store counter follows the
@@ -682,6 +725,7 @@ func (db *DB) AddDocument(doc *xmldb.Document) error {
 	if st := next.env.Stats; st != nil {
 		st.Apply(store, db.dict, doc.Root, +1)
 	}
+	db.collectRetired(next)
 	db.publish(next, nil, false)
 	return nil
 }

@@ -42,6 +42,12 @@ type Snapshot struct {
 
 	env plan.Env
 
+	// nodes is the store's durable form on a file-backed database (see
+	// nodeTable); nil on an in-memory one, and on a file-backed one until
+	// the first commit after the store was loaded or read from a v1
+	// catalog. It is set before the snapshot is published, never after.
+	nodes *nodeTable
+
 	// pins counts readers currently inside a query against this snapshot.
 	// It is load-bearing: the engine's deferred-free queue only returns a
 	// page to the device free list once every snapshot that could read it
@@ -168,6 +174,7 @@ func (s *Snapshot) clone() *Snapshot {
 		store: s.store,
 		dict:  s.dict,
 		ptab:  s.ptab,
+		nodes: s.nodes,
 	}
 	s.statsMu.Lock()
 	next.env = s.env
@@ -186,11 +193,14 @@ func (s *Snapshot) successorStats() {
 }
 
 // cowIndices replaces the incrementally maintained indices (ROOTPATHS /
-// DATAPATHS) with copy-on-write clones whose mutations cannot touch pages
-// the predecessor references (frontier = device page count when the
-// predecessor froze), and drops the index structures that do not support
-// incremental maintenance.
+// DATAPATHS) and the node table with copy-on-write clones whose mutations
+// cannot touch pages the predecessor references (frontier = device page
+// count when the predecessor froze), and drops the index structures that
+// do not support incremental maintenance.
 func (s *Snapshot) cowIndices(frontier storage.PageID) {
+	if s.nodes != nil {
+		s.nodes = s.nodes.CloneCOW(frontier)
+	}
 	for k := index.Kind(0); k < index.NumKinds; k++ {
 		switch old := s.env.Install(k, nil).(type) {
 		case index.Maintained:
@@ -201,13 +211,17 @@ func (s *Snapshot) cowIndices(frontier storage.PageID) {
 	}
 }
 
-// maintained returns the snapshot's incrementally maintained structures.
-func (s *Snapshot) maintained() []index.Maintained {
-	var out []index.Maintained
+// maintained returns the structures a write carries forward copy-on-write:
+// the incrementally maintained indices and the node table.
+func (s *Snapshot) maintained() []index.Lifecycle {
+	var out []index.Lifecycle
 	for _, st := range s.env.Structures() {
 		if m, ok := st.(index.Maintained); ok {
 			out = append(out, m)
 		}
+	}
+	if s.nodes != nil {
+		out = append(out, s.nodes)
 	}
 	return out
 }

@@ -168,8 +168,9 @@ func (tx *Tx) snapshot() *Snapshot {
 // successor makes a private successor of base — the one place a
 // transaction's version is made, for the first write and for every commit
 // replay: a shallow store clone (root-to-target spines privatize on
-// demand), copy-on-write statistics and page-COW index clones. The COW frontier is the device page count now — a
-// conservative superset of every page base (or any older snapshot) can
+// demand), copy-on-write statistics and page-COW clones of the maintained
+// indices and the node table. The COW frontier is the device page count
+// now — a conservative superset of every page base (or any older snapshot) can
 // reference; pages other in-flight transactions allocate beyond it never
 // enter this transaction's trees, so treating them as "owned" is moot.
 func (tx *Tx) successor(base *Snapshot) *Snapshot {
@@ -250,7 +251,7 @@ func cloneNumbered(n *xmldb.Node) *xmldb.Node {
 }
 
 // applyOp applies one logical operation to a prepared successor — store,
-// statistics and maintained indices: the initial application and every
+// statistics, maintained indices and node table: the initial application and every
 // commit replay go through this single path, so they cannot diverge.
 func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
 	store, st := next.store, next.env.Stats

@@ -164,7 +164,7 @@ func (a *ASR) WalkPages(fn func(storage.PageID) error) error { return walkTrees(
 func (a *ASR) AppendRecord(w *CatWriter) {
 	w.PathTable(a.ptab)
 	for _, t := range a.trees() {
-		w.tree(t)
+		w.Tree(t)
 	}
 	idSet(w, a.rooted)
 	idSet(w, a.roots)

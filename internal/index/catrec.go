@@ -50,7 +50,8 @@ func (w *CatWriter) PathTable(t *pathdict.PathTable) {
 	})
 }
 
-func (w *CatWriter) tree(t *btree.Tree) {
+// Tree writes the Meta of t, which CatReader.TreeMeta reads back.
+func (w *CatWriter) Tree(t *btree.Tree) {
 	m := t.Meta()
 	w.Str(m.Name)
 	w.Uvarint(uint64(uint32(m.Root)))
@@ -177,15 +178,18 @@ func (r *CatReader) PathTable() *pathdict.PathTable {
 	return t
 }
 
-func (r *CatReader) tree(pool *storage.Pool) *btree.Tree {
-	return btree.Open(pool, btree.Meta{
+// TreeMeta reads what CatWriter.Tree wrote.
+func (r *CatReader) TreeMeta() btree.Meta {
+	return btree.Meta{
 		Name:    r.Str(),
 		Root:    storage.PageID(int32(uint32(r.Uvarint()))),
 		Height:  int(r.Uvarint()),
 		Pages:   int64(r.Uvarint()),
 		Entries: int64(r.Uvarint()),
-	})
+	}
 }
+
+func (r *CatReader) tree(pool *storage.Pool) *btree.Tree { return btree.Open(pool, r.TreeMeta()) }
 
 func (r *CatReader) pathsOptions() PathsOptions {
 	flags := r.U8()

@@ -112,7 +112,7 @@ func (dg *DataGuide) WalkPages(fn func(storage.PageID) error) error { return dg.
 // AppendRecord writes the DataGuide record: summary path table, tree.
 func (dg *DataGuide) AppendRecord(w *CatWriter) {
 	w.PathTable(dg.ptab)
-	w.tree(dg.tree)
+	w.Tree(dg.tree)
 }
 
 func openDataGuide(r *CatReader, s Site) Structure {

@@ -137,9 +137,9 @@ func (e *Edge) WalkPages(fn func(storage.PageID) error) error {
 // AppendRecord writes the Edge record: value tree, forward tree, backward
 // tree.
 func (e *Edge) AppendRecord(w *CatWriter) {
-	w.tree(e.value)
-	w.tree(e.forward)
-	w.tree(e.backward)
+	w.Tree(e.value)
+	w.Tree(e.forward)
+	w.Tree(e.backward)
 }
 
 func openEdge(r *CatReader, s Site) Structure {

@@ -62,7 +62,7 @@ func (f *IndexFabric) Space() Space { return treeSpace(KindIndexFabric, f.tree) 
 func (f *IndexFabric) WalkPages(fn func(storage.PageID) error) error { return f.tree.Walk(fn) }
 
 // AppendRecord writes the Index Fabric record: tree.
-func (f *IndexFabric) AppendRecord(w *CatWriter) { w.tree(f.tree) }
+func (f *IndexFabric) AppendRecord(w *CatWriter) { w.Tree(f.tree) }
 
 func openIndexFabric(r *CatReader, s Site) Structure {
 	return &IndexFabric{tree: r.tree(s.Pool), dict: s.Dict}

@@ -74,15 +74,28 @@ type Structure interface {
 	AppendRecord(w *CatWriter)
 }
 
-// Maintained is a Structure that follows subtree updates incrementally
-// (ROOTPATHS and DATAPATHS, Section 7) on a copy-on-write clone.
-type Maintained interface {
-	Structure
-	CloneCOW(frontier storage.PageID) Maintained
+// Lifecycle is the copy-on-write life a writer carries a B+-tree-backed
+// structure through: follow each subtree insert and delete on a private
+// clone, hand back the shared pages the clone stopped referencing
+// (TakeRetired, freed once older snapshots drain) or, when the clone is
+// abandoned, every page it allocated (TakeFresh), and name its pages for
+// backup and page accounting. ROOTPATHS and DATAPATHS live it as
+// Maintained structures; the engine's node table, which the planner never
+// sees, lives it too.
+type Lifecycle interface {
+	WalkPages(fn func(storage.PageID) error) error
 	InsertSubtree(store *xmldb.Store, sub *xmldb.Node) error
 	DeleteSubtree(store *xmldb.Store, sub *xmldb.Node) error
 	TakeRetired() []storage.PageID
 	TakeFresh() []storage.PageID
+}
+
+// Maintained is a Structure that follows subtree updates incrementally
+// (ROOTPATHS and DATAPATHS, Section 7) on a copy-on-write clone.
+type Maintained interface {
+	Structure
+	Lifecycle
+	CloneCOW(frontier storage.PageID) Maintained
 }
 
 // Site is where a structure is built or reopened: the pool its trees live

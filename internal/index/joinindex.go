@@ -148,7 +148,7 @@ func (j *JoinIndex) WalkPages(fn func(storage.PageID) error) error {
 func (j *JoinIndex) AppendRecord(w *CatWriter) {
 	w.PathTable(j.ptab)
 	for _, t := range j.trees() {
-		w.tree(t)
+		w.Tree(t)
 	}
 	idSet(w, j.rooted)
 	idSet(w, j.roots)

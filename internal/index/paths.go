@@ -201,7 +201,7 @@ func (p *Paths) WalkPages(fn func(storage.PageID) error) error { return p.tree.W
 // RawIDs, 2 PathIDKeys] tree. The path table is the shared one.
 func (p *Paths) AppendRecord(w *CatWriter) {
 	w.pathsOptions(p.opts)
-	w.tree(p.tree)
+	w.Tree(p.tree)
 }
 
 // openPaths reads the record back. KeepHead is re-supplied from the site —

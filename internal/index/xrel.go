@@ -63,7 +63,7 @@ func (x *XRel) WalkPages(fn func(storage.PageID) error) error { return x.tree.Wa
 // AppendRecord writes the XRel record: normalised path table, tree.
 func (x *XRel) AppendRecord(w *CatWriter) {
 	w.PathTable(x.ptab)
-	w.tree(x.tree)
+	w.Tree(x.tree)
 }
 
 func openXRel(r *CatReader, s Site) Structure {

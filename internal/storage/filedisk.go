@@ -147,6 +147,12 @@ type FileDisk struct {
 	freeHead PageID
 	freeSet  map[PageID]struct{}
 
+	// frame is the scratch every appended frame record is encoded into
+	// (guarded by mu, written out before mu is released): a commit appends
+	// one frame per dirtied or freed page, and a fresh 8KB buffer each
+	// would make the commit path's garbage grow with its page count.
+	frame []byte
+
 	// ckptMu serialises checkpoints and compactions with each other (never
 	// with writers — that is the point of the incremental checkpointer).
 	// Lock order: ckptMu before mu.
@@ -473,9 +479,9 @@ func (f *FileDisk) Free(id PageID) error {
 	img := (*buf)[:PageSize]
 	freePageImage(img, f.freeHead)
 	start := f.walSize
-	rec := appendWALFrame(make([]byte, 0, walFrameSize), id, img)
+	f.frame = appendWALFrame(f.frame[:0], id, img)
 	walFramePool.Put(buf)
-	if err := f.appendLocked(rec, fmt.Sprintf("free page %d", id)); err != nil {
+	if err := f.appendLocked(f.frame, "free page", id); err != nil {
 		return err
 	}
 	f.pending[id] = start + walFrameHeaderSize
@@ -649,19 +655,26 @@ func allZero(b []byte) bool {
 // write persists only a prefix yet advances walSize and reports success —
 // the process believes the append worked, and the corruption surfaces
 // later as a CRC failure on the read path or a discarded commit during
-// recovery.
-func (f *FileDisk) appendLocked(rec []byte, what string) error {
+// recovery. what and id name the record in an error (id InvalidPage: what
+// alone); they are formatted only then.
+func (f *FileDisk) appendLocked(rec []byte, what string, id PageID) error {
+	fail := func(err error) error {
+		if id != InvalidPage {
+			what = fmt.Sprintf("%s %d", what, id)
+		}
+		return fmt.Errorf("storage: wal append (%s): %w", what, err)
+	}
 	out := rec
 	if f.inj != nil {
 		if err := f.inj.writeError(); err != nil {
-			return fmt.Errorf("storage: wal append (%s): %w", what, err)
+			return fail(err)
 		}
 		if cut, ok := f.inj.tornCut(len(rec)); ok {
 			out = rec[:cut]
 		}
 	}
 	if _, err := f.wal.WriteAt(out, f.walSize); err != nil {
-		return fmt.Errorf("storage: wal append (%s): %w", what, err)
+		return fail(err)
 	}
 	f.walSize += int64(len(rec))
 	f.statLock.Lock()
@@ -683,8 +696,8 @@ func (f *FileDisk) Write(id PageID, buf []byte) error {
 		return fmt.Errorf("storage: write of unallocated page %d", id)
 	}
 	start := f.walSize
-	rec := appendWALFrame(make([]byte, 0, walFrameSize), id, buf[:PageSize])
-	if err := f.appendLocked(rec, fmt.Sprintf("page %d", id)); err != nil {
+	f.frame = appendWALFrame(f.frame[:0], id, buf[:PageSize])
+	if err := f.appendLocked(f.frame, "page", id); err != nil {
 		return err
 	}
 	f.pending[id] = start + walFrameHeaderSize
@@ -732,7 +745,7 @@ func (f *FileDisk) commitAsyncLocked(meta Meta) (int64, error) {
 		return f.commitSeq, nil
 	}
 	rec := appendWALCommit(make([]byte, 0, walCommitSize), meta)
-	if err := f.appendLocked(rec, "commit"); err != nil {
+	if err := f.appendLocked(rec, "commit", InvalidPage); err != nil {
 		return 0, err
 	}
 	for id, off := range f.pending {
@@ -1054,8 +1067,8 @@ func (f *FileDisk) Compact() (int, error) {
 		}
 		freePageImage(img, next)
 		start := f.walSize
-		rec := appendWALFrame(make([]byte, 0, walFrameSize), id, img)
-		if err := f.appendLocked(rec, fmt.Sprintf("compact splice page %d", id)); err != nil {
+		f.frame = appendWALFrame(f.frame[:0], id, img)
+		if err := f.appendLocked(f.frame, "compact splice page", id); err != nil {
 			return 0, err
 		}
 		f.pending[id] = start + walFrameHeaderSize
