@@ -254,3 +254,59 @@ func TestFaultInjectionLatency(t *testing.T) {
 		t.Fatalf("StorageStats.InjectedFaults moved by %d for %d stalled reads", fired, reads)
 	}
 }
+
+// TestFaultInjectionInMemory: an in-memory database runs the same
+// checksummed device as a file-backed one, so injected bit flips land
+// below a page CRC there too. Behind a pool far smaller than its indices,
+// a one-shot flip is healed by one transparent re-read and the answer
+// equals the oracle's; a sticky flip fails the query with ErrCorruptPage
+// and never serves a wrong answer.
+func TestFaultInjectionInMemory(t *testing.T) {
+	const q = `/site//item[quantity='3']/name`
+	var doc bytes.Buffer
+	if err := xmldb.WriteXML(&doc, datagen.XMark(datagen.XMarkConfig{ItemsPerRegion: 10}).Root); err != nil {
+		t.Fatal(err)
+	}
+	for _, sticky := range []bool{false, true} {
+		db := twigdb.MustOpen(&twigdb.Options{
+			BufferPoolBytes: 64 << 10, // 8 pages
+			FaultInjection: &twigdb.FaultInjection{
+				Seed:  7,
+				Specs: []twigdb.FaultSpec{{Kind: twigdb.FaultBitFlip, Sticky: sticky}},
+			},
+		})
+		defer db.Close()
+		if err := db.LoadXML(bytes.NewReader(doc.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Build(twigdb.RootPaths); err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.QueryWith(twigdb.Oracle, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.SetFaultsArmed(true)
+		got, err := db.QueryWith(twigdb.StrategyRootPaths, q)
+		db.SetFaultsArmed(false)
+		st := db.StorageStats()
+		if st.InjectedFaults == 0 {
+			t.Fatalf("sticky=%v: flip never reached the device despite an 8-page pool", sticky)
+		}
+		if sticky {
+			if !errors.Is(err, twigdb.ErrCorruptPage) {
+				t.Fatalf("sticky flip: got %v, want ErrCorruptPage", err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("query under one-shot flip: %v", err)
+		}
+		if !reflect.DeepEqual(got.IDs, want.IDs) {
+			t.Fatalf("one-shot flip changed answers: got %v want %v", got.IDs, want.IDs)
+		}
+		if st.ChecksumFailures != 1 || st.ChecksumRetries != 1 {
+			t.Fatalf("failures=%d retries=%d, want 1/1", st.ChecksumFailures, st.ChecksumRetries)
+		}
+	}
+}

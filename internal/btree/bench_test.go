@@ -32,7 +32,7 @@ var benchVal = []byte("0123456789abcdef")
 // BenchmarkInsert measures amortised single-key inserts into a growing tree,
 // the write path behind incremental index maintenance (paper Section 7).
 func BenchmarkInsert(b *testing.B) {
-	pool := storage.NewPool(storage.NewDisk(), 64<<20)
+	pool := storage.NewPool(storage.NewMemFileDisk(), 64<<20)
 	tr, err := New(pool, "bench")
 	if err != nil {
 		b.Fatal(err)
@@ -54,7 +54,7 @@ func BenchmarkBuildAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pool := storage.NewPool(storage.NewDisk(), 64<<20)
+		pool := storage.NewPool(storage.NewMemFileDisk(), 64<<20)
 		tr, err := New(pool, "bench")
 		if err != nil {
 			b.Fatal(err)
@@ -72,7 +72,7 @@ func BenchmarkBuildAll(b *testing.B) {
 func BenchmarkConcurrentQuery(b *testing.B) {
 	for _, procs := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("goroutines=%d", procs), func(b *testing.B) {
-			pool := storage.NewPool(storage.NewDisk(), 64<<20)
+			pool := storage.NewPool(storage.NewMemFileDisk(), 64<<20)
 			keys := benchKeys(1 << 16)
 			entries := make([]Entry, len(keys))
 			for i, k := range keys {

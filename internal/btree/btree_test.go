@@ -12,7 +12,7 @@ import (
 
 func newPool(t testing.TB, bytes int64) *storage.Pool {
 	t.Helper()
-	return storage.NewPool(storage.NewDisk(), bytes)
+	return storage.NewPool(storage.NewMemFileDisk(), bytes)
 }
 
 func TestEmptyTree(t *testing.T) {

@@ -48,7 +48,7 @@ func sameStrings(a, b []string) bool {
 // what the original handle reads — the page-level foundation of snapshot
 // isolation.
 func TestCloneCOWIsolation(t *testing.T) {
-	dev := storage.NewDisk()
+	dev := storage.NewMemFileDisk()
 	pool := storage.NewPool(dev, 4<<20)
 	tr, err := New(pool, "t")
 	if err != nil {
@@ -91,7 +91,7 @@ func TestCloneCOWIsolation(t *testing.T) {
 // mutated tree — verified against a plain map oracle, across multiple
 // clone generations (as successive engine snapshots produce).
 func TestCloneCOWContents(t *testing.T) {
-	dev := storage.NewDisk()
+	dev := storage.NewMemFileDisk()
 	pool := storage.NewPool(dev, 4<<20)
 	tr, err := New(pool, "t")
 	if err != nil {
@@ -176,7 +176,7 @@ func TestCloneCOWContents(t *testing.T) {
 // COW path (it exercises the descend-and-continue scan, not the leaf
 // chain).
 func TestCloneCOWDuplicateRunAcrossLeaves(t *testing.T) {
-	dev := storage.NewDisk()
+	dev := storage.NewMemFileDisk()
 	pool := storage.NewPool(dev, 4<<20)
 	tr, err := New(pool, "t")
 	if err != nil {
@@ -225,7 +225,7 @@ func TestCloneCOWDuplicateRunAcrossLeaves(t *testing.T) {
 // then abandoned (TakeFresh), its fresh pages freed and immediately reused
 // by another tree. Run with -race to catch torn page accesses.
 func TestCloneCOWConcurrentReaders(t *testing.T) {
-	dev := storage.NewDisk()
+	dev := storage.NewMemFileDisk()
 	pool := storage.NewPool(dev, 1<<20) // small pool: forces faults + evictions
 	tr, err := New(pool, "t")
 	if err != nil {

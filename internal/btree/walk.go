@@ -57,7 +57,7 @@ const maxReadHeight = 48
 // only during fn. A page that is not the node its position demands, or
 // whose cells overflow it, fails with storage.ErrCorruptPage; a walk
 // visiting more pages than dev holds fails as a cycle.
-func ReadEntries(dev storage.Device, m Meta, fn func(key, val []byte) error) error {
+func ReadEntries(dev *storage.FileDisk, m Meta, fn func(key, val []byte) error) error {
 	if m.Height < 1 || m.Height > maxReadHeight {
 		return fmt.Errorf("btree %s: bad height %d: %w", m.Name, m.Height, storage.ErrCorruptPage)
 	}
@@ -66,7 +66,7 @@ func ReadEntries(dev storage.Device, m Meta, fn func(key, val []byte) error) err
 }
 
 type entryReader struct {
-	dev     storage.Device
+	dev     *storage.FileDisk
 	name    string
 	bufs    [][]byte // bufs[h-1] holds the page being read at height h
 	key     []byte

@@ -19,7 +19,7 @@ func buildIndex(t *testing.T, xml string) (*Index, *xmldb.Store) {
 	}
 	s := xmldb.NewStore()
 	s.AddDocument(doc)
-	ix, err := Build(storage.NewPool(storage.NewDisk(), 8<<20), s, pathdict.NewDict())
+	ix, err := Build(storage.NewPool(storage.NewMemFileDisk(), 8<<20), s, pathdict.NewDict())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestSpaceNonZero(t *testing.T) {
 func TestCandidatesRejectShortKey(t *testing.T) {
 	dict := pathdict.NewDict()
 	sym := dict.Intern("b")
-	pool := storage.NewPool(storage.NewDisk(), 1<<20)
+	pool := storage.NewPool(storage.NewMemFileDisk(), 1<<20)
 	tree, err := btree.BulkLoad(pool, "short", []btree.Entry{{Key: []byte{byte(sym >> 8), byte(sym)}, Val: make([]byte, 20)}})
 	if err != nil {
 		t.Fatal(err)

@@ -1,4 +1,4 @@
-// Online backup: a snapshot-consistent copy of a file-backed database is
+// Online backup: a snapshot-consistent copy of a database is
 // written to a new file while queries and writers keep running. The
 // backup pins one snapshot — which defers every free of pages that
 // snapshot references (see reclaimRetired), so its reachable page set is
@@ -21,12 +21,9 @@ import (
 )
 
 // Backup writes a transactionally consistent copy of the database to
-// dstPath while the database stays fully live. Returns an error on
-// in-memory databases (nothing durable to copy).
+// dstPath while the database stays fully live. An in-memory database backs
+// up to a file like any other.
 func (db *DB) Backup(dstPath string) error {
-	if db.fdisk == nil {
-		return fmt.Errorf("engine: backup requires a file-backed database")
-	}
 	s, err := db.pinSealed()
 	if err != nil {
 		return err
@@ -59,7 +56,7 @@ func (db *DB) Backup(dstPath string) error {
 		// The device read path verifies the slot checksum (or reads the
 		// newer WAL copy), so a backup can never capture a silently
 		// corrupt page.
-		if err := db.dev.Read(id, buf); err != nil {
+		if err := db.fdisk.Read(id, buf); err != nil {
 			bw.Abort()
 			return fmt.Errorf("engine: backup read page %d: %w", id, err)
 		}

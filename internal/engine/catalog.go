@@ -179,7 +179,7 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 	}
 	if version != 1 {
 		var err error
-		if store, err = readNodeTable(db.dev, nodes, dict); err != nil {
+		if store, err = readNodeTable(db.fdisk, nodes, dict); err != nil {
 			return err
 		}
 		if nextID < store.NextID() {
@@ -251,7 +251,7 @@ func layCatalogChain(blob []byte, ids []storage.PageID, write func(storage.PageI
 // a WAL frame that only supersedes the old image at the next commit) and
 // allocating more from dev as needed. It returns the chain head and the
 // full page set to reuse next time.
-func writeCatalogChain(dev storage.Device, reuse []storage.PageID, blob []byte) (storage.PageID, []storage.PageID, error) {
+func writeCatalogChain(dev *storage.FileDisk, reuse []storage.PageID, blob []byte) (storage.PageID, []storage.PageID, error) {
 	n := catalogChainLen(blob)
 	if n > len(reuse) {
 		grow := n - len(reuse)
@@ -278,7 +278,7 @@ func writeCatalogChain(dev storage.Device, reuse []storage.PageID, blob []byte) 
 
 // readCatalogChain reads the catalog blob starting at root and returns it
 // with the chain's page ids (kept for reuse by the next commit).
-func readCatalogChain(dev storage.Device, root storage.PageID) ([]byte, []storage.PageID, error) {
+func readCatalogChain(dev *storage.FileDisk, root storage.PageID) ([]byte, []storage.PageID, error) {
 	var blob []byte
 	var pages []storage.PageID
 	buf := make([]byte, storage.PageSize)

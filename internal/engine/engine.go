@@ -1,5 +1,5 @@
 // Package engine is the integration layer: it owns the XML store, the
-// shared dictionary and path registry, the simulated disk and buffer pool,
+// shared dictionary and path registry, the page device and buffer pool,
 // builds any subset of the index family, and executes queries under a
 // chosen strategy.
 package engine
@@ -30,20 +30,21 @@ type Config struct {
 	PathsOptions index.PathsOptions
 	// Path, when non-empty, backs the database with a durable paged file
 	// at this path plus a write-ahead log at Path+".wal" (see
-	// docs/STORAGE.md). Empty keeps the historical in-memory device. Use
-	// Open (not New) for file-backed databases.
+	// docs/STORAGE.md). Empty puts the same two files in memory: the
+	// database runs the same device code and nothing outlives the process.
+	// Use Open (not New) for file-backed databases.
 	Path string
 	// Faults, when non-nil, is attached to the FileDisk at the media level,
-	// below the page checksums (see docs/FAULTS.md); it needs a Path, and
-	// Open fails with ErrFaultsNeedPath without one. The injector is live
+	// below the page checksums (see docs/FAULTS.md). The injector is live
 	// from the moment the device is opened — disarm it first if recovery
 	// and setup should run un-faulted, then Arm it (or use SetFaultsArmed).
 	Faults *storage.FaultInjector
-	// CheckpointWALBytes is the WAL size beyond which a commit wakes the
-	// background checkpointer, which migrates committed frames into the
+	// CheckpointWALBytes is the WAL size beyond which a commit starts a
+	// background checkpoint, which migrates committed frames into the
 	// database file in bounded batches and then compacts the file tail —
 	// off the commit path, so writers never stall behind migration. 0
-	// means the 64MB default; only meaningful for file-backed databases.
+	// means the 64MB default. An in-memory database holds up to this much
+	// WAL in memory beside its pages.
 	CheckpointWALBytes int64
 	// SlowQueryThreshold, when > 0, enables per-operator tracing on every
 	// query (the zero-alloc hot path is preserved; see docs/OBSERVABILITY.md)
@@ -73,15 +74,14 @@ func DefaultConfig() Config {
 // pointer — and runs entirely against it, while mutations (loading
 // documents, building indices, subtree insert/delete) serialise on a
 // writer lock, prepare the *next* snapshot copy-on-write off to the side,
-// and publish it with a single pointer swap. On file-backed databases,
-// commits group-coalesce their WAL fsyncs (storage.FileDisk.SyncTo). See
+// and publish it with a single pointer swap. Commits group-coalesce their
+// WAL fsyncs (storage.FileDisk.SyncTo). See
 // docs/CONCURRENCY.md for the full design and lock hierarchy.
 type DB struct {
 	cfg    Config
 	dict   *pathdict.Dict
 	ptab   *pathdict.PathTable
-	dev    storage.Device
-	fdisk  *storage.FileDisk // non-nil when file-backed
+	fdisk  *storage.FileDisk // on disk with Config.Path, in memory without
 	faults *storage.FaultInjector
 	pool   *storage.Pool
 
@@ -144,12 +144,11 @@ type DB struct {
 	// boundaries (crash kill-point tests).
 	commitHook atomic.Pointer[func(CommitStage)]
 
-	// ckptWake nudges the background checkpointer (buffered, lossy sends);
-	// ckptQuit/ckptDone manage its shutdown. Nil on in-memory databases.
-	ckptWake chan struct{}
-	ckptQuit chan struct{}
-	ckptDone chan struct{}
-	ckptOnce sync.Once
+	// ckptRunning is set while a background checkpoint runs; ckptDone
+	// counts it. A commit starts one only under writeMu, which Close holds
+	// while it waits, so the wait never races a new Add.
+	ckptRunning atomic.Bool
+	ckptDone    sync.WaitGroup
 
 	counters stats.QueryCounters
 
@@ -193,7 +192,7 @@ func (db *DB) writeGate() error {
 // database writable; the failed snapshot was simply never published or
 // never became durable, depending on where the commit path stopped.
 func (db *DB) noteCommitErr(err error) error {
-	if err != nil && db.fdisk != nil {
+	if err != nil {
 		if cause := db.fdisk.Poisoned(); cause != nil {
 			db.degrade(cause)
 		}
@@ -244,31 +243,26 @@ func (db *DB) SetFaultsArmed(armed bool) {
 	}
 }
 
-// ErrFaultsNeedPath fails Open when Config.Faults is set without a Path:
-// faults are injected below the FileDisk's page checksums, and the
-// in-memory device has none to detect a flipped bit or a torn page.
-var ErrFaultsNeedPath = errors.New("engine: fault injection needs a file-backed database (Config.Path)")
-
 // New creates an empty in-memory database. File-backed databases (Config
 // with Path set) must go through Open, which can report I/O and recovery
-// errors; New panics if given a Path, or Faults (which need a Path).
+// errors; New panics if given a Path.
 func New(cfg Config) *DB {
 	if cfg.Path != "" {
 		panic("engine: New with Config.Path; use Open for file-backed databases")
 	}
 	db, err := Open(cfg)
 	if err != nil {
-		panic(err) // only ErrFaultsNeedPath: the in-memory path cannot fail
+		panic(err) // an empty in-memory device cannot fail to open
 	}
 	return db
 }
 
-// Open creates a database over the configured device. With an empty Path
-// it is New; with a Path it opens (creating if absent) the database file
-// and its write-ahead log, recovers to the last committed state (replaying
-// the committed WAL prefix and discarding any torn tail), and restores the
-// persisted catalog — store, dictionaries and every built index — so
-// queries run immediately, with zero rebuild work.
+// Open creates a database over a FileDisk. With an empty Path the disk's
+// files are in memory and Open is New; with a Path it opens (creating if
+// absent) the database file and its write-ahead log, recovers to the last
+// committed state (replaying the committed WAL prefix and discarding any
+// torn tail), and restores the persisted catalog — store, dictionaries and
+// every built index — so queries run immediately, with zero rebuild work.
 func Open(cfg Config) (*DB, error) {
 	if cfg.BufferPoolBytes <= 0 {
 		cfg.BufferPoolBytes = 40 << 20
@@ -282,103 +276,72 @@ func Open(cfg Config) (*DB, error) {
 		ptab:   pathdict.NewPathTable(),
 		faults: cfg.Faults,
 	}
-	switch {
-	case cfg.Path != "":
+	if cfg.Path == "" {
+		db.fdisk = storage.NewMemFileDisk()
+	} else {
 		fdisk, err := storage.OpenFileDisk(cfg.Path)
 		if err != nil {
 			return nil, err
 		}
-		fdisk.SetFaultInjector(cfg.Faults)
 		db.fdisk = fdisk
-		db.dev = fdisk
-	case cfg.Faults != nil:
-		return nil, ErrFaultsNeedPath
-	default:
-		db.dev = storage.NewDisk()
 	}
-	db.pool = storage.NewPool(db.dev, cfg.BufferPoolBytes)
+	db.fdisk.SetFaultInjector(cfg.Faults)
+	db.pool = storage.NewPool(db.fdisk, cfg.BufferPoolBytes)
 	db.reg = obs.NewRegistry()
 	db.slowLog = obs.NewSlowLog(slowLogSize)
 	// Observers must be installed before the pool and device are shared
 	// with readers; from here on they record lock-free.
 	db.pool.SetMissObserver(db.reg.PoolMissLatency)
-	if db.fdisk != nil {
-		db.fdisk.SetLatencyObservers(db.reg.WALFsyncLatency, db.reg.GroupCommitBatch, db.reg.CheckpointDuration)
-	}
+	db.fdisk.SetLatencyObservers(db.reg.WALFsyncLatency, db.reg.GroupCommitBatch, db.reg.CheckpointDuration)
 	snap := &Snapshot{store: xmldb.NewStore(), dict: db.dict, ptab: db.ptab}
 	snap.env.Store = snap.store
 	snap.env.Dict = db.dict
 	// TraceAll and IOStat are carried into every successor snapshot by
 	// Snapshot.clone's env copy.
 	snap.env.TraceAll = cfg.SlowQueryThreshold > 0
-	dev := db.dev
+	fdisk := db.fdisk
 	snap.env.IOStat = func() (reads, bytes int64) {
-		r, _ := dev.Counters()
+		r, _ := fdisk.Counters()
 		return r, r * storage.PageSize
 	}
-	if db.fdisk != nil {
-		if root := db.fdisk.Meta().CatalogRoot; root != storage.InvalidPage {
-			blob, pages, err := readCatalogChain(db.dev, root)
-			if err == nil {
-				err = decodeCatalog(db, snap, blob)
-			}
-			if err != nil {
-				db.fdisk.Close()
-				return nil, err
-			}
-			db.catalogPages = pages
+	if root := db.fdisk.Meta().CatalogRoot; root != storage.InvalidPage {
+		blob, pages, err := readCatalogChain(db.fdisk, root)
+		if err == nil {
+			err = decodeCatalog(db, snap, blob)
 		}
+		if err != nil {
+			db.fdisk.Close()
+			return nil, err
+		}
+		db.catalogPages = pages
 	}
 	db.current.Store(snap)
-	db.frontier = storage.PageID(db.dev.NumPages())
+	db.frontier = storage.PageID(db.fdisk.NumPages())
 	db.nextNodeID.Store(snap.store.NextID())
-	if db.fdisk != nil {
-		db.ckptWake = make(chan struct{}, 1)
-		db.ckptQuit = make(chan struct{})
-		db.ckptDone = make(chan struct{})
-		go db.checkpointLoop()
-	}
 	return db, nil
 }
 
-// checkpointLoop is the background checkpointer: woken when a commit sees
-// the WAL past its budget, it migrates committed frames into the database
-// file in bounded batches (storage.FileDisk.Checkpoint) and then returns
-// any all-free file tail to the filesystem (Compact). It deliberately does
-// NOT take writeMu — commits keep appending and fsyncing the WAL while
-// migration runs; the FileDisk interleaves the two safely.
-func (db *DB) checkpointLoop() {
-	defer close(db.ckptDone)
-	for {
-		select {
-		case <-db.ckptQuit:
-			return
-		case <-db.ckptWake:
-		}
-		if db.degradedCause.Load() != nil {
-			continue
-		}
-		if err := db.fdisk.Checkpoint(); err != nil {
-			db.noteCommitErr(err)
-			continue
-		}
-		if _, err := db.fdisk.Compact(); err != nil {
-			db.noteCommitErr(err)
-		}
-	}
-}
-
-// stopCheckpointer shuts the background checkpointer down and waits for it
-// (idempotent; no-op for in-memory databases). Must be called before the
-// FileDisk is closed.
-func (db *DB) stopCheckpointer() {
-	if db.ckptQuit == nil {
+// checkpoint is one background checkpoint, started by a commit that found
+// the WAL past its budget: it migrates committed frames into the database
+// file in bounded batches (storage.FileDisk.Checkpoint), returns any
+// all-free file tail to the filesystem (Compact), and exits. It
+// deliberately does NOT take writeMu — commits keep appending and fsyncing
+// the WAL while migration runs; the FileDisk interleaves the two safely.
+// Nothing runs between checkpoints, so a database dropped without Close
+// leaves no goroutine behind that keeps it reachable.
+func (db *DB) checkpoint() {
+	defer db.ckptDone.Done()
+	defer db.ckptRunning.Store(false)
+	if db.degradedCause.Load() != nil {
 		return
 	}
-	db.ckptOnce.Do(func() {
-		close(db.ckptQuit)
-		<-db.ckptDone
-	})
+	if err := db.fdisk.Checkpoint(); err != nil {
+		db.noteCommitErr(err)
+		return
+	}
+	if _, err := db.fdisk.Compact(); err != nil {
+		db.noteCommitErr(err)
+	}
 }
 
 // pin loads the current snapshot and pins it for the duration of one query.
@@ -409,7 +372,7 @@ func (db *DB) unpin(s *Snapshot) { s.pins.Add(-1) }
 func (db *DB) CurrentSnapshot() *Snapshot { return db.current.Load() }
 
 // walCheckpointBytes is the default Config.CheckpointWALBytes: the WAL
-// size beyond which a commit wakes the background checkpointer, bounding
+// size beyond which a commit starts a background checkpoint, bounding
 // log growth and recovery time.
 const walCheckpointBytes = 64 << 20
 
@@ -423,19 +386,15 @@ type retireBatch struct {
 	pages []storage.PageID
 }
 
-// commitAppend is the writer's commit step for file-backed databases:
-// bulk-load next's node table if it has none yet, flush every dirty pool
-// frame to the device (WAL frames), serialise next's catalog into its page
-// chain, and append — without fsyncing — the commit record that seals
-// them. It returns the commit sequence to pass to FileDisk.SyncTo once the
-// writer lock is released, so concurrent commits coalesce their fsyncs
-// (group commit). No-op for in-memory databases. next is unpublished or
-// already carries its node table (see commitCurrent). Callers hold
-// writeMu.
+// commitAppend is the writer's commit step: bulk-load next's node table if
+// it has none yet, flush every dirty pool frame to the device (WAL
+// frames), serialise next's catalog into its page chain, and append —
+// without fsyncing — the commit record that seals them. It returns the
+// commit sequence to pass to FileDisk.SyncTo once the writer lock is
+// released, so concurrent commits coalesce their fsyncs (group commit).
+// next is unpublished or already carries its node table (see
+// commitCurrent). Callers hold writeMu.
 func (db *DB) commitAppend(next *Snapshot) (seq int64, err error) {
-	if db.fdisk == nil {
-		return 0, nil
-	}
 	if next.nodes == nil {
 		// The first commit since the store was loaded, or read from a
 		// version-1 catalog. Should the commit fail, the table's pages go
@@ -453,13 +412,13 @@ func (db *DB) commitAppend(next *Snapshot) (seq int64, err error) {
 	if err := db.pool.FlushAll(); err != nil {
 		return 0, fmt.Errorf("engine: commit flush: %w", err)
 	}
-	root, pages, err := writeCatalogChain(db.dev, db.catalogPages, encodeCatalog(next))
+	root, pages, err := writeCatalogChain(db.fdisk, db.catalogPages, encodeCatalog(next))
 	db.catalogPages = pages
 	if err != nil {
 		return 0, err
 	}
 	seq, err = db.fdisk.CommitAsync(storage.Meta{
-		NumPages:    int32(db.dev.NumPages()),
+		NumPages:    int32(db.fdisk.NumPages()),
 		CatalogRoot: root,
 		// FreeHead is owned by the FileDisk: CommitAsync stamps the live
 		// free-list head over whatever is passed here.
@@ -481,7 +440,7 @@ func (db *DB) commitAppend(next *Snapshot) (seq int64, err error) {
 // Callers hold writeMu.
 func (db *DB) publish(next *Snapshot, docs []int64, all bool) {
 	prev := db.current.Load()
-	db.frontier = storage.PageID(db.dev.NumPages())
+	db.frontier = storage.PageID(db.fdisk.NumPages())
 	if k := db.cfg.RetainSnapshots; k > 0 {
 		prev.pins.Add(1)
 		db.retainMu.Lock()
@@ -564,14 +523,15 @@ func (db *DB) reclaimRetired() {
 }
 
 // commitPublish commits next (appending its commit record), publishes it,
-// wakes the background checkpointer if the WAL has outgrown its budget,
-// releases the writer lock, and finally waits for durability — the fsync
-// wait happens outside writeMu, which is what lets N concurrent committers
-// share one fsync. The checkpoint itself never runs here: migration is the
-// background goroutine's job, so the commit path's tail latency stays
-// fsync-bound even while the WAL is being drained. docs/all are the
-// commit's write-set, logged at publish for transaction validation. The
-// caller must hold writeMu and must not touch it afterwards.
+// starts a background checkpoint if the WAL has outgrown its budget and
+// none is running, releases the writer lock, and finally waits for
+// durability — the fsync wait happens outside writeMu, which is what lets N
+// concurrent committers share one fsync. The checkpoint itself never runs
+// here: migration is the background goroutine's job, so the commit path's
+// tail latency stays fsync-bound even while the WAL is being drained.
+// docs/all are the commit's write-set, logged at publish for transaction
+// validation. The caller must hold writeMu and must not touch it
+// afterwards.
 func (db *DB) commitPublish(next *Snapshot, docs []int64, all bool) error {
 	start := time.Now()
 	// Reclaim before appending the commit record, so the free-page frames
@@ -588,34 +548,24 @@ func (db *DB) commitPublish(next *Snapshot, docs []int64, all bool) error {
 	}
 	db.collectRetired(next)
 	db.publish(next, docs, all)
-	wake := db.fdisk != nil && db.fdisk.WALSize() > db.cfg.CheckpointWALBytes
+	if db.fdisk.WALSize() > db.cfg.CheckpointWALBytes && db.ckptRunning.CompareAndSwap(false, true) {
+		db.ckptDone.Add(1)
+		go db.checkpoint()
+	}
 	db.writeMu.Unlock()
-	if wake {
-		select {
-		case db.ckptWake <- struct{}{}:
-		default: // a wake-up is already queued
-		}
-	}
-	if db.fdisk != nil {
-		// The snapshot is already published: if this fsync fails and
-		// poisons the disk, the state served in read-only mode includes
-		// this commit — applied, just never durable (see docs/FAULTS.md).
-		err := db.noteCommitErr(db.fdisk.SyncTo(seq))
-		db.reg.CommitLatency.Observe(time.Since(start).Nanoseconds())
-		return err
-	}
-	return nil
+	// The snapshot is already published: if this fsync fails and poisons
+	// the disk, the state served in read-only mode includes this commit —
+	// applied, just never durable (see docs/FAULTS.md).
+	err = db.noteCommitErr(db.fdisk.SyncTo(seq))
+	db.reg.CommitLatency.Observe(time.Since(start).Nanoseconds())
+	return err
 }
 
 // Checkpoint commits the current state and migrates the WAL into the
 // database file, truncating the log (so the next open replays nothing).
-// No-op for in-memory databases.
 func (db *DB) Checkpoint() error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if db.fdisk == nil {
-		return nil
-	}
 	if err := db.writeGate(); err != nil {
 		return err
 	}
@@ -635,7 +585,7 @@ func (db *DB) Checkpoint() error {
 // Callers hold writeMu.
 func (db *DB) commitCurrent() (int64, error) {
 	cur := db.current.Load()
-	if db.fdisk == nil || cur.nodes != nil {
+	if cur.nodes != nil {
 		return db.commitAppend(cur)
 	}
 	next := cur.clone()
@@ -646,15 +596,13 @@ func (db *DB) commitCurrent() (int64, error) {
 	return seq, err
 }
 
-// Close commits, checkpoints and closes a file-backed database; a closed
-// DB must not be used further. No-op for in-memory databases.
+// Close waits for a running background checkpoint, then commits,
+// checkpoints and closes the database, releasing an in-memory database's
+// files; a closed DB must not be used further.
 func (db *DB) Close() error {
-	db.stopCheckpointer()
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if db.fdisk == nil {
-		return nil
-	}
+	db.ckptDone.Wait()
 	if db.writeGate() != nil {
 		// Degraded: nothing new can be made durable (the disk is
 		// poisoned), so just release the handles. The file still holds the
@@ -746,7 +694,10 @@ func (db *DB) Pool() *storage.Pool { return db.pool }
 
 // Build constructs the given index structures, publishing a successor
 // snapshot that carries them (plus fresh statistics). Indices already
-// built are rebuilt from scratch; other index handles carry over.
+// built are rebuilt from scratch; other index handles carry over. Build
+// writes every page of what it builds, so its WAL is a second copy of
+// those pages: it checkpoints before it returns, bounding memory and
+// recovery time.
 func (db *DB) Build(kinds ...index.Kind) error {
 	db.writeMu.Lock()
 	if err := db.writeGate(); err != nil {
@@ -771,7 +722,10 @@ func (db *DB) Build(kinds ...index.Kind) error {
 	// all=true: a rebuild touches the whole database, so every in-flight
 	// transaction spanning it conflicts (conservative — Build normally runs
 	// during setup, not under concurrent transactions).
-	return db.commitPublish(next, nil, true)
+	if err := db.commitPublish(next, nil, true); err != nil {
+		return err
+	}
+	return db.noteCommitErr(db.fdisk.Checkpoint())
 }
 
 // BuildAll constructs every persisted index structure — the paper's
@@ -788,12 +742,12 @@ func (db *DB) BuildAll() error { return db.Build(index.PersistedKinds()...) }
 // copy-on-write against a successor snapshot — concurrent queries keep
 // reading the current one, unblocked — validated against concurrently
 // committed write-sets, and published atomically. Conflicts are retried
-// internally on a fresh base, without limit — first committer wins, so
-// some contender always makes progress — and this call never surfaces
-// ErrConflict. On a file-backed database the call returns
-// once the commit is durable; concurrent committers share their WAL fsync
-// (group commit). sub is numbered from the global allocator; the caller's
-// tree is the template and stays unattached (read ids from it as before).
+// internally on a fresh base, without limit — first committer wins, so some
+// contender always makes progress — and this call never surfaces
+// ErrConflict. The call returns once the commit is durable; concurrent
+// committers share their WAL fsync (group commit). sub is numbered from the
+// global allocator; the caller's tree is the template and stays unattached
+// (read ids from it as before).
 func (db *DB) InsertSubtree(parentID int64, sub *xmldb.Node) error {
 	return db.Update(func(tx *Tx) error { return tx.Insert(parentID, sub) }, -1)
 }
@@ -909,13 +863,13 @@ func (db *DB) Spaces() []index.Space {
 	return out
 }
 
-// Device exposes the page device (the in-memory Disk or the FileDisk,
-// which carries the fault injector when one is configured).
-func (db *DB) Device() storage.Device { return db.dev }
+// Device exposes the page device, which carries the fault injector when
+// one is configured.
+func (db *DB) Device() *storage.FileDisk { return db.fdisk }
 
 // DeviceStats returns cumulative device I/O counters, including the WAL
-// append/fsync/checkpoint work of a file-backed database.
-func (db *DB) DeviceStats() storage.DeviceStats { return db.dev.DeviceStats() }
+// append/fsync/checkpoint work.
+func (db *DB) DeviceStats() storage.DeviceStats { return db.fdisk.DeviceStats() }
 
 // PoolStats returns buffer pool counters.
 func (db *DB) PoolStats() storage.PoolStats { return db.pool.Stats() }

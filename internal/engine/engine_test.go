@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"errors"
 	"strings"
 	"testing"
 
@@ -10,7 +9,6 @@ import (
 	"repro/internal/naive"
 	"repro/internal/plan"
 	"repro/internal/stats"
-	"repro/internal/storage"
 	"repro/internal/xmldb"
 	"repro/internal/xpath"
 )
@@ -255,20 +253,4 @@ func TestFamilyTablesComplete(t *testing.T) {
 	if _, err := plan.Build(&env, plan.NumStrategies, pat); err == nil {
 		t.Fatalf("planning an out-of-range strategy: want error")
 	}
-}
-
-// TestFaultsNeedPath: fault injection has one mode, below the FileDisk's
-// page checksums. Faults without a Path fail Open with ErrFaultsNeedPath,
-// and New panics on them as it does on a Path.
-func TestFaultsNeedPath(t *testing.T) {
-	inj := storage.NewFaultInjector(1, storage.FaultSpec{Kind: storage.FaultTornWrite})
-	if db, err := Open(Config{Faults: inj}); !errors.Is(err, ErrFaultsNeedPath) || db != nil {
-		t.Fatalf("Open(Faults, no Path) = %v, %v; want ErrFaultsNeedPath", db, err)
-	}
-	defer func() {
-		if err, _ := recover().(error); !errors.Is(err, ErrFaultsNeedPath) {
-			t.Fatalf("New(Faults, no Path) recovered %v, want an ErrFaultsNeedPath panic", err)
-		}
-	}()
-	New(Config{Faults: inj})
 }

@@ -17,11 +17,11 @@ import (
 
 // The node table is the durable form of the XML store: the paper's Edge
 // relation kept as one B+-tree, one entry per element or attribute node
-// keyed by its id. A file-backed database's first commit bulk-loads it from
+// keyed by its id. A database's first commit bulk-loads it from
 // the store; every later commit changes only the entries of the nodes its
 // write-set inserted or deleted, copy-on-write like ROOTPATHS and DATAPATHS,
 // so what a commit writes follows the change and not the database. The
-// catalog keeps only the tree's Meta. In-memory databases have none.
+// catalog keeps only the tree's Meta.
 //
 // Entry layout (integers uvarint):
 //
@@ -296,7 +296,7 @@ func decodeNodeHeader(val []byte) (h nodeHeader) {
 // node read up to its document root — where key order, which is mostly
 // document order, nearly always puts it — and otherwise by binary search
 // over every node read so far, which key order keeps sorted by id.
-func readNodeTable(dev storage.Device, m btree.Meta, dict *pathdict.Dict) (*xmldb.Store, error) {
+func readNodeTable(dev *storage.FileDisk, m btree.Meta, dict *pathdict.Dict) (*xmldb.Store, error) {
 	labels := make([]string, dict.Size()+1)
 	for sym := range labels[1:] {
 		labels[sym+1] = dict.Label(pathdict.Sym(sym + 1))

@@ -22,12 +22,12 @@ import (
 	"repro/internal/xpath"
 )
 
-// outOfOrderDB builds a file-backed database whose store the node table
-// cannot rebuild from id order alone: a parent whose children are out of
-// id order (an insert that conflicted, retried with its template's ids
-// after a later-numbered sibling committed), top-level documents out of
-// id order (a transaction's new document replayed behind one numbered
-// after it), an empty value, and deletes.
+// outOfOrderDB builds a database (in memory when path is empty) whose store
+// the node table cannot rebuild from id order alone: a parent whose
+// children are out of id order (an insert that conflicted, retried with its
+// template's ids after a later-numbered sibling committed), top-level
+// documents out of id order (a transaction's new document replayed behind
+// one numbered after it), an empty value, and deletes.
 func outOfOrderDB(t *testing.T, path string) *DB {
 	t.Helper()
 	db, err := Open(Config{Path: path, BufferPoolBytes: 4 << 20, CheckpointWALBytes: 1 << 30})
@@ -97,15 +97,25 @@ func reopenDump(t *testing.T, path string) (*DB, string) {
 	return db, dumpDocs(db.Store())
 }
 
-// TestNodeTableReopenFidelity: after Close and reopen, and in a Backup,
-// every document dumps byte for byte as it did before — child lists out of
-// id order included — and the indices still agree with the rebuilt store.
+// TestNodeTableReopenFidelity: after Close and reopen, and in a Backup of
+// a file-backed or an in-memory database, every document dumps byte for
+// byte as it did before — child lists out of id order included — and the
+// planner and the indices still agree with the rebuilt store.
 func TestNodeTableReopenFidelity(t *testing.T) {
+	for _, inMemory := range []bool{false, true} {
+		nodeTableReopenFidelity(t, inMemory)
+	}
+}
+
+func nodeTableReopenFidelity(t *testing.T, inMemory bool) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "twig.db")
+	path, backup := filepath.Join(dir, "twig.db"), filepath.Join(dir, "backup.db")
+	reopen := []string{path, backup}
+	if inMemory {
+		path, reopen = "", []string{backup}
+	}
 	db := outOfOrderDB(t, path)
 	want, wantNext := dumpDocs(db.Store()), db.Store().NextID()
-	backup := filepath.Join(dir, "backup.db")
 	if err := db.Backup(backup); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +123,7 @@ func TestNodeTableReopenFidelity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, p := range []string{path, backup} {
+	for _, p := range reopen {
 		re, got := reopenDump(t, p)
 		if got != want {
 			t.Fatalf("%s: reopened store differs\ngot:\n%s\nwant:\n%s", filepath.Base(p), got, want)
@@ -129,6 +139,9 @@ func TestNodeTableReopenFidelity(t *testing.T) {
 				if got, err := pinnedIDs(re, pat, s); err != nil || !equalIDs(got, want) {
 					t.Fatalf("%s: %s via %v: %v %v, naive %v", filepath.Base(p), q, s, got, err, want)
 				}
+			}
+			if got, err := re.Read(pat, ReadOpts{Planner: Auto}); err != nil || !equalIDs(got.IDs, want) {
+				t.Fatalf("%s: %s via Auto: %v %v, naive %v", filepath.Base(p), q, got.IDs, err, want)
 			}
 		}
 		// The reopened table takes further writes, marked nodes included.

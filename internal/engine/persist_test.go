@@ -207,7 +207,7 @@ func assertPagesAccounted(t *testing.T, db *DB) {
 	for _, id := range db.fdisk.FreeList() {
 		claim("free")(id)
 	}
-	n := db.dev.NumPages()
+	n := db.fdisk.NumPages()
 	orphans := 0
 	for id := 0; id < n; id++ {
 		if _, ok := owner[storage.PageID(id)]; !ok {

@@ -42,10 +42,9 @@ type Snapshot struct {
 
 	env plan.Env
 
-	// nodes is the store's durable form on a file-backed database (see
-	// nodeTable); nil on an in-memory one, and on a file-backed one until
-	// the first commit after the store was loaded or read from a v1
-	// catalog. It is set before the snapshot is published, never after.
+	// nodes is the store's paged form (see nodeTable); nil until the first
+	// commit after the store was loaded or read from a v1 catalog. It is
+	// set before the snapshot is published, never after.
 	nodes *nodeTable
 
 	// pins counts readers currently inside a query against this snapshot.

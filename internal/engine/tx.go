@@ -179,7 +179,7 @@ func (tx *Tx) successor(base *Snapshot) *Snapshot {
 	next.store = store
 	next.env.Store = store
 	next.successorStats()
-	next.cowIndices(storage.PageID(tx.db.dev.NumPages()))
+	next.cowIndices(storage.PageID(tx.db.fdisk.NumPages()))
 	return next
 }
 

@@ -20,7 +20,7 @@ func TestProbesRejectShortEntries(t *testing.T) {
 	l := dict.Intern("l")
 	ptab := pathdict.NewPathTable()
 	pid := ptab.Intern(pathdict.Path{l})
-	pool := storage.NewPool(storage.NewDisk(), 1<<20)
+	pool := storage.NewPool(storage.NewMemFileDisk(), 1<<20)
 	tree := func(key, val []byte) *btree.Tree {
 		t.Helper()
 		tr, err := btree.BulkLoad(pool, "short", []btree.Entry{{Key: key, Val: val}})

@@ -47,7 +47,7 @@ func newFixture(t testing.TB) *fixture {
 	return &fixture{
 		store: s,
 		dict:  pathdict.NewDict(),
-		pool:  storage.NewPool(storage.NewDisk(), 16<<20),
+		pool:  storage.NewPool(storage.NewMemFileDisk(), 16<<20),
 		ptab:  pathdict.NewPathTable(),
 	}
 }
@@ -396,7 +396,7 @@ func TestDataGuideChunking(t *testing.T) {
 	}
 	s.AddDocument(&xmldb.Document{Root: root})
 	dict := pathdict.NewDict()
-	pool := storage.NewPool(storage.NewDisk(), 16<<20)
+	pool := storage.NewPool(storage.NewMemFileDisk(), 16<<20)
 	dg, err := BuildDataGuide(pool, s, dict)
 	if err != nil {
 		t.Fatal(err)

@@ -64,7 +64,7 @@ func TestTreeImagesGolden(t *testing.T) {
 		}
 		var clones []clone
 		for k := Kind(0); k < NumKinds; k++ {
-			dev := storage.NewDisk()
+			dev := storage.NewMemFileDisk()
 			pool := storage.NewPool(dev, 8<<20)
 			built, err := Build(k, Site{Pool: pool, Store: store, Dict: dict, Ptab: ptab, Opts: cfg.opts})
 			if err != nil {

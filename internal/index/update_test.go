@@ -87,7 +87,7 @@ func TestInsertSubtreeMatchesRebuild(t *testing.T) {
 	}
 
 	// Rebuild both indices from the mutated store and compare contents.
-	pool2 := storage.NewPool(storage.NewDisk(), 16<<20)
+	pool2 := storage.NewPool(storage.NewMemFileDisk(), 16<<20)
 	rp2, err := BuildPaths(false, f.site(pool2, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +140,7 @@ func TestDeleteSubtreeMatchesRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool2 := storage.NewPool(storage.NewDisk(), 16<<20)
+	pool2 := storage.NewPool(storage.NewMemFileDisk(), 16<<20)
 	rp2, err := BuildPaths(false, f.site(pool2, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestRandomUpdateChurn(t *testing.T) {
 			attached = append(attached, sub)
 		}
 	}
-	pool2 := storage.NewPool(storage.NewDisk(), 32<<20)
+	pool2 := storage.NewPool(storage.NewMemFileDisk(), 32<<20)
 	rp2, err := BuildPaths(false, f.site(pool2, PathsOptions{}))
 	if err != nil {
 		t.Fatal(err)

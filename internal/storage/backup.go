@@ -21,7 +21,7 @@ import (
 // written directly into its slot and the superblock carries the committed
 // metadata, so the restored file replays nothing.
 type BackupWriter struct {
-	file    *os.File
+	file    File
 	path    string
 	written map[PageID]struct{}
 	maxID   PageID
@@ -35,7 +35,7 @@ func NewBackupWriter(path string) (*BackupWriter, error) {
 		return nil, fmt.Errorf("storage: backup create: %w", err)
 	}
 	return &BackupWriter{
-		file:    file,
+		file:    osFile{file},
 		path:    path,
 		written: map[PageID]struct{}{},
 		maxID:   InvalidPage,

@@ -15,8 +15,8 @@ import (
 // a bit flip lands on the raw bytes read from the file, below the checksum,
 // so the corruption is detected rather than silently served; a torn write
 // really persists only a prefix of the WAL record while the process
-// believes it succeeded. The in-memory Disk has no checksum to detect
-// either, so it takes no injector.
+// believes it succeeded. An in-memory FileDisk takes an injector the same
+// way: its files are in memory, its checksums are not.
 
 // FaultKind enumerates the injectable fault classes.
 type FaultKind int

@@ -25,13 +25,13 @@ func (m faultMode) String() string {
 	return "one-shot"
 }
 
-// faultedFD opens a FileDisk in a temporary directory with inj attached,
-// writes and commits one page filled with 's' while inj is disarmed, and
-// returns the disk and that page's id; the caller arms inj.
+// faultedFD opens an in-memory FileDisk with inj attached, writes and
+// commits one page filled with 's' while inj is disarmed, and returns the
+// disk and that page's id; the caller arms inj.
 func faultedFD(t *testing.T, inj *FaultInjector) (*FileDisk, PageID) {
 	t.Helper()
 	inj.Disarm()
-	f := mustOpenFD(t, tmpDB(t))
+	f := NewMemFileDisk()
 	t.Cleanup(func() { f.Close() })
 	f.SetFaultInjector(inj)
 	id := f.AllocateN(1)

@@ -17,8 +17,9 @@ import (
 
 // File format (see docs/STORAGE.md for the full specification):
 //
-//   - the database is a single file: a 4KB superblock followed by page
-//     slots of pageSlotSize bytes at offset superblockSize + id*pageSlotSize;
+//   - the database is a single file (a File: on disk or in memory): a 4KB
+//     superblock followed by page slots of pageSlotSize bytes at offset
+//     superblockSize + id*pageSlotSize;
 //     each slot is the 8KB page image followed by a CRC32-IEEE trailer,
 //     verified on every read so a flipped bit surfaces as ErrCorruptPage
 //     instead of garbage keys;
@@ -105,12 +106,13 @@ const (
 // atomic.Pointer.
 type poisonCause struct{ err error }
 
-// FileDisk is the durable Device: a single paged database file plus a
-// write-ahead log. All writes are WAL appends; Commit fsyncs the log and
-// marks everything before it durable; Checkpoint migrates committed frames
-// into the database file and truncates the log; OpenFileDisk replays the
-// committed WAL prefix and discards torn tails, recovering the last
-// committed state after a crash.
+// FileDisk is the page device beneath the buffer pool: a single paged
+// database file plus a write-ahead log, both Files — on disk for a durable
+// database, in memory otherwise. All writes are WAL appends; Commit fsyncs
+// the log and marks everything before it durable; Checkpoint migrates
+// committed frames into the database file and truncates the log;
+// OpenFileDisk replays the committed WAL prefix and discards torn tails,
+// recovering the last committed state after a crash.
 //
 // Integrity: every database-file page slot carries a CRC trailer and every
 // WAL frame a CRC suffix, both verified on the read path (with one
@@ -125,9 +127,9 @@ type poisonCause struct{ err error }
 // owns the file.
 type FileDisk struct {
 	mu   sync.RWMutex
-	file *os.File
-	wal  *os.File
-	path string
+	file File
+	wal  File
+	path string // "" for an in-memory disk
 
 	numPages int
 	meta     Meta             // last committed metadata
@@ -214,8 +216,6 @@ type FileDisk struct {
 	walDiscarded     int64
 }
 
-var _ Device = (*FileDisk)(nil)
-
 // OpenFileDisk opens (creating if absent) the database file at path and its
 // WAL at path+".wal", validates the superblock, and recovers: the WAL is
 // scanned, frames covered by a valid commit record become the current page
@@ -231,6 +231,24 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 		file.Close()
 		return nil, fmt.Errorf("storage: open %s%s: %w", path, WALSuffix, err)
 	}
+	return openFileDisk(osFile{file}, osFile{wal}, path)
+}
+
+// NewMemFileDisk returns an empty FileDisk over two in-memory files — the
+// device of a database opened without a path. It runs the same page, WAL,
+// checksum, free-list and checkpoint code as a FileDisk on disk; fsyncs are
+// no-ops, and nothing outlives the process.
+func NewMemFileDisk() *FileDisk {
+	f, err := openFileDisk(&memFile{}, &memFile{}, "")
+	if err != nil {
+		panic(err) // writing and scanning empty in-memory files cannot fail
+	}
+	return f
+}
+
+// openFileDisk validates or stamps the superblock of file and recovers the
+// committed prefix of wal (see OpenFileDisk).
+func openFileDisk(file, wal File, path string) (*FileDisk, error) {
 	f := &FileDisk{
 		file:     file,
 		wal:      wal,
@@ -241,12 +259,12 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 		freeHead: InvalidPage,
 		freeSet:  map[PageID]struct{}{},
 	}
-	st, err := file.Stat()
+	size, err := file.Size()
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if st.Size() > 0 {
+	if size > 0 {
 		if f.meta, err = readSuperblock(file); err != nil {
 			f.Close()
 			return nil, err
@@ -266,7 +284,7 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 			return nil, fmt.Errorf("storage: initial superblock sync: %w", err)
 		}
 	}
-	wst, err := wal.Stat()
+	walSize, err := wal.Size()
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -289,7 +307,7 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 	f.committedEnd = scan.committedEnd
 	f.numPages = int(f.meta.NumPages)
 	f.recoveredCommits = scan.commits
-	f.walDiscarded = wst.Size() - scan.committedEnd
+	f.walDiscarded = walSize - scan.committedEnd
 	f.recoverFreeList()
 	return f, nil
 }
@@ -411,7 +429,7 @@ func (f *FileDisk) WALSize() int64 {
 	return f.walSize
 }
 
-// Path returns the database file path.
+// Path returns the database file path ("" for an in-memory disk).
 func (f *FileDisk) Path() string { return f.path }
 
 // Allocate reserves one new page, preferring the free list: popping the
@@ -1106,7 +1124,7 @@ func (f *FileDisk) Compact() (int, error) {
 	storeMax(&f.durableSeq, seq)
 	f.ckptStage(CkptFreeSpliced)
 	target := superblockSize + int64(n)*pageSlotSize
-	if st, err := f.file.Stat(); err == nil && st.Size() > target {
+	if size, err := f.file.Size(); err == nil && size > target {
 		if err := f.file.Truncate(target); err != nil {
 			// The logical shrink is already committed; physical bytes past
 			// the end are harmless, so report without poisoning.
@@ -1192,8 +1210,8 @@ func (f *FileDisk) DeviceStats() DeviceStats {
 		}
 	})
 	st.WALBytes = f.WALSize()
-	if fst, err := f.file.Stat(); err == nil {
-		st.FileBytes = fst.Size()
+	if size, err := f.file.Size(); err == nil {
+		st.FileBytes = size
 	}
 	st.RecoveredCommits = f.recoveredCommits
 	st.WALBytesDiscarded = f.walDiscarded
@@ -1205,7 +1223,7 @@ func (f *FileDisk) DeviceStats() DeviceStats {
 }
 
 // writeSuperblock renders meta into the 4KB superblock at offset 0.
-func writeSuperblock(file *os.File, m Meta) error {
+func writeSuperblock(file File, m Meta) error {
 	buf := make([]byte, superblockSize)
 	copy(buf, fileFormatMagic)
 	binary.BigEndian.PutUint32(buf[8:], fileFormatVer)
@@ -1222,7 +1240,7 @@ func writeSuperblock(file *os.File, m Meta) error {
 }
 
 // readSuperblock validates and decodes the superblock.
-func readSuperblock(file *os.File) (Meta, error) {
+func readSuperblock(file File) (Meta, error) {
 	buf := make([]byte, superblockUsed)
 	if _, err := file.ReadAt(buf, 0); err != nil {
 		return Meta{}, fmt.Errorf("storage: superblock read: %w", err)

@@ -67,7 +67,7 @@ const maxShards = 16
 type shard struct {
 	mu       sync.Mutex
 	unpinned *sync.Cond // signalled when a frame becomes evictable
-	dev      Device
+	dev      *FileDisk
 	capacity int
 	frames   map[PageID]*frame
 	lru      frame // ring sentinel: lru.next = least recently used
@@ -86,16 +86,15 @@ type shard struct {
 // roomWaiter is one queued makeRoom caller (intrusive FIFO link).
 type roomWaiter struct{ next *roomWaiter }
 
-// Pool is an LRU buffer pool over a Device (the in-memory Disk or the
-// durable FileDisk), lock-striped into shards keyed by PageID. All access
-// to page contents goes through Fetch/Unpin; pinned pages are never
-// evicted. Capacity is enforced per shard (total across shards equals the
-// configured capacity). Dirty frames are written back on eviction and on
-// FlushAll — the flush hook the engine's commit boundaries use to move
-// every modification into the device (and, for FileDisk, its WAL) before a
+// Pool is an LRU buffer pool over a FileDisk, lock-striped into shards
+// keyed by PageID. All access to page contents goes through Fetch/Unpin;
+// pinned pages are never evicted. Capacity is enforced per shard (total
+// across shards equals the configured capacity). Dirty frames are written
+// back on eviction and on FlushAll — the flush hook the engine's commit
+// boundaries use to move every modification into the device's WAL before a
 // commit record seals them.
 type Pool struct {
-	dev      Device
+	dev      *FileDisk
 	capacity int
 	mask     uint32
 	shards   []shard
@@ -112,7 +111,7 @@ func (p *Pool) SetMissObserver(h *obs.Histogram) { p.missHist = h }
 
 // NewPool returns a pool holding at most capacityBytes of pages (minimum
 // one page).
-func NewPool(dev Device, capacityBytes int64) *Pool {
+func NewPool(dev *FileDisk, capacityBytes int64) *Pool {
 	capPages := int(capacityBytes / PageSize)
 	n := 1
 	if capPages >= shardThreshold {
@@ -124,7 +123,7 @@ func NewPool(dev Device, capacityBytes int64) *Pool {
 // newPoolShards is NewPool with an explicit lock-stripe count (the shard
 // tests pin it to 1). shards is clamped to [1, 16] and rounded down to a
 // power of two.
-func newPoolShards(dev Device, capacityBytes int64, shards int) *Pool {
+func newPoolShards(dev *FileDisk, capacityBytes int64, shards int) *Pool {
 	capPages := int(capacityBytes / PageSize)
 	if capPages < 1 {
 		capPages = 1

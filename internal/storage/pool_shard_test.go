@@ -11,7 +11,7 @@ import (
 // TestPoolShardSelection: tiny pools stay unsharded (preserving the exact
 // global-LRU semantics the eviction tests rely on); realistic pools stripe.
 func TestPoolShardSelection(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	if n := NewPool(d, 4*PageSize).NumShards(); n != 1 {
 		t.Fatalf("tiny pool sharded: %d shards", n)
 	}
@@ -34,7 +34,7 @@ func TestPoolShardSelection(t *testing.T) {
 // observe the page's own id stamped in its data, and the summed counters
 // must account for every fetch.
 func TestPoolShardedConcurrentReaders(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	p := NewPool(d, int64(shardThreshold)*PageSize)
 	if p.NumShards() == 1 {
 		t.Fatalf("pool not sharded")
@@ -97,7 +97,7 @@ func TestPoolShardedConcurrentReaders(t *testing.T) {
 // must not half-empty a shard (frames deleted from the map but still linked
 // in the LRU ring would corrupt capacity accounting).
 func TestDropAllErrorLeavesPoolConsistent(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	p := NewPool(d, 4*PageSize)
 	var clean []PageID
 	for i := 0; i < 2; i++ {
@@ -136,7 +136,7 @@ func TestDropAllErrorLeavesPoolConsistent(t *testing.T) {
 // TestPoolShardedPinnedNotEvicted: with every unpinned frame of one shard
 // evicted, a pinned page in that shard must survive capacity pressure.
 func TestPoolShardedPinnedNotEvicted(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	p := NewPool(d, int64(shardThreshold)*PageSize)
 	// Pin one page, then flood its shard with 2x its capacity.
 	pinned, err := p.Allocate()
@@ -170,7 +170,7 @@ func TestPoolShardedPinnedNotEvicted(t *testing.T) {
 // FIFO hand-off, freed frames go to the oldest waiter and newcomers queue
 // behind it, so under continuous churn every fetch must succeed.
 func TestMakeRoomFairnessUnderChurn(t *testing.T) {
-	dev := NewDisk()
+	dev := NewMemFileDisk()
 	// One stripe, two frames: every miss needs room, so fetchers fight
 	// over eviction constantly.
 	p := newPoolShards(dev, 2*PageSize, 1)
@@ -233,7 +233,7 @@ func TestMakeRoomFairnessUnderChurn(t *testing.T) {
 // fetcher must obtain the one frame an Unpin frees — even when a rival
 // fetcher arrives at the same moment — rather than timing out.
 func TestMakeRoomWaiterGetsFreedFrame(t *testing.T) {
-	dev := NewDisk()
+	dev := NewMemFileDisk()
 	p := newPoolShards(dev, PageSize, 1) // capacity 1: one frame total
 	dev.AllocateN(3)
 

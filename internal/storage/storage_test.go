@@ -7,7 +7,7 @@ import (
 )
 
 func TestDiskReadWrite(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	id := d.Allocate()
 	buf := make([]byte, PageSize)
 	buf[0], buf[PageSize-1] = 0xAA, 0xBB
@@ -37,7 +37,7 @@ func TestDiskReadWrite(t *testing.T) {
 }
 
 func TestPoolAllocateFetchRoundTrip(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	p := NewPool(d, 4*PageSize)
 	pg, err := p.Allocate()
 	if err != nil {
@@ -62,7 +62,7 @@ func TestPoolAllocateFetchRoundTrip(t *testing.T) {
 }
 
 func TestPoolEvictionWritesDirty(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	p := NewPool(d, 2*PageSize) // 2-frame pool
 	var ids []PageID
 	for i := 0; i < 3; i++ {
@@ -93,7 +93,7 @@ func TestPoolEvictionWritesDirty(t *testing.T) {
 }
 
 func TestPoolLRUOrder(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	p := NewPool(d, 2*PageSize)
 	a, _ := p.Allocate()
 	p.Unpin(a, true)
@@ -120,7 +120,7 @@ func TestPoolLRUOrder(t *testing.T) {
 }
 
 func TestPoolPinnedNotEvicted(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	p := NewPool(d, 1*PageSize)
 	a, _ := p.Allocate() // pinned
 	if _, err := p.Allocate(); err == nil {
@@ -133,7 +133,7 @@ func TestPoolPinnedNotEvicted(t *testing.T) {
 }
 
 func TestPoolDoubleUnpinError(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	p := NewPool(d, 2*PageSize)
 	a, _ := p.Allocate()
 	if err := p.Unpin(a, false); err != nil {
@@ -148,7 +148,7 @@ func TestPoolDoubleUnpinError(t *testing.T) {
 }
 
 func TestPoolMultiplePins(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	p := NewPool(d, 2*PageSize)
 	a, _ := p.Allocate()
 	a2, err := p.Fetch(a.ID)
@@ -164,7 +164,7 @@ func TestPoolMultiplePins(t *testing.T) {
 }
 
 func TestDropAllRefusesPinned(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	p := NewPool(d, 2*PageSize)
 	a, _ := p.Allocate()
 	if err := p.DropAll(); err == nil {
@@ -174,7 +174,7 @@ func TestDropAllRefusesPinned(t *testing.T) {
 }
 
 func TestPoolStatsHitsMisses(t *testing.T) {
-	d := NewDisk()
+	d := NewMemFileDisk()
 	p := NewPool(d, 8*PageSize)
 	a, _ := p.Allocate()
 	p.Unpin(a, true)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
 // Write-ahead log record framing.
@@ -104,7 +103,7 @@ type walScanResult struct {
 // A short read at EOF is the torn tail; any other read error is a device
 // fault and must be reported, never treated as a tail to truncate (that
 // would silently roll back committed state).
-func scanWAL(wal *os.File) (walScanResult, error) {
+func scanWAL(wal File) (walScanResult, error) {
 	res := walScanResult{index: map[PageID]int64{}}
 	pending := map[PageID]int64{}
 	buf := make([]byte, walFrameSize)

@@ -1,6 +1,8 @@
 package twigdb_test
 
 import (
+	"errors"
+	"io/fs"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -110,20 +112,29 @@ func TestOptionsPathRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInMemoryCloseNoop: Close/Checkpoint are safe no-ops without a Path,
-// so `defer db.Close()` is universally correct.
-func TestInMemoryCloseNoop(t *testing.T) {
+// TestInMemoryCloseCheckpoints: an in-memory database runs the same
+// device as a file-backed one, so Checkpoint and Close do real work and
+// succeed, leaving the WAL empty; a second Close — `defer db.Close()`
+// after an explicit one — reports the closed files instead of panicking.
+func TestInMemoryCloseCheckpoints(t *testing.T) {
 	db := twigdb.MustOpen(nil)
+	defer db.Close()
 	if err := db.LoadXMLString(persistDoc); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	if st := db.StorageStats(); st.WALBytes != 0 || st.Checkpoints == 0 {
+		t.Fatalf("in-memory Checkpoint left WALBytes=%d Checkpoints=%d", st.WALBytes, st.Checkpoints)
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := db.StorageStats(); st.WALFsyncs != 0 {
-		t.Fatalf("in-memory database reported WAL fsyncs: %+v", st)
+	if st := db.StorageStats(); st.WALBytes != 0 {
+		t.Fatalf("in-memory Close left %d WAL bytes", st.WALBytes)
+	}
+	if err := db.Close(); !errors.Is(err, fs.ErrClosed) {
+		t.Fatalf("second Close: got %v, want fs.ErrClosed", err)
 	}
 }

@@ -165,17 +165,18 @@ type Options struct {
 	// indices survive Close and are recovered on the next Open with zero
 	// rebuild work, and a crash loses at most the work since the last
 	// commit boundary (Build, Insert, Delete, Checkpoint or Close). Empty
-	// — the default — keeps the historical in-memory database. See
-	// docs/STORAGE.md for the file format and durability guarantees.
+	// — the default — puts the same file and log in memory: the database
+	// runs the same paged, checksummed storage, and nothing outlives the
+	// process. See docs/STORAGE.md for the file format and durability
+	// guarantees.
 	Path string
 
 	// FaultInjection, when non-nil, attaches a deterministic fault
 	// injector to the database file for robustness tests: injected
 	// read/write/fsync errors, bit flips, torn writes, ENOSPC and
 	// latency (the one way to slow the device down), seeded for
-	// replayability. It needs Path: faults land below the page checksums,
-	// which an in-memory database does not have, so Open without a Path
-	// fails. See docs/FAULTS.md and the FaultInjection type.
+	// replayability. Faults land below the page checksums, in memory as on
+	// disk. See docs/FAULTS.md and the FaultInjection type.
 	FaultInjection *FaultInjection
 
 	// SlowQueryThreshold, when > 0, enables per-operator tracing on every
@@ -188,11 +189,12 @@ type Options struct {
 	SlowQueryThreshold time.Duration
 
 	// CheckpointWALBytes is the write-ahead-log size beyond which a commit
-	// wakes the background checkpointer, which migrates committed WAL
-	// frames into the database file in bounded batches and compacts any
-	// all-free file tail — entirely off the commit path, so writers keep
+	// starts a background checkpoint, which migrates committed WAL frames
+	// into the database file in bounded batches and compacts any all-free
+	// file tail — entirely off the commit path, so writers keep
 	// group-committing at fsync speed while the log drains. 0 keeps the
-	// 64MB default; only meaningful with Path set.
+	// 64MB default. Without Path the log is in memory, so this also bounds
+	// the memory it holds beside the database.
 	CheckpointWALBytes int64
 
 	// TxRetries caps how many times DB.Update re-runs its closure after an
@@ -313,7 +315,7 @@ func Open(opts *Options) (*DB, error) {
 const defaultTxRetries = 8
 
 // MustOpen is Open for programs and tests where an open failure is fatal
-// (it cannot happen for in-memory databases).
+// (an in-memory database cannot fail to open).
 func MustOpen(opts *Options) *DB {
 	db, err := Open(opts)
 	if err != nil {
@@ -322,26 +324,27 @@ func MustOpen(opts *Options) *DB {
 	return db
 }
 
-// Close commits, checkpoints and closes a file-backed database; the DB
-// must not be used afterwards. For in-memory databases it is a no-op, so
-// `defer db.Close()` is always safe.
+// Close commits, checkpoints and closes the database — for an in-memory
+// one, releasing its memory; the DB must not be used afterwards. A second
+// Close reports fs.ErrClosed, so `defer db.Close()` after an explicit
+// Close is harmless.
 func (db *DB) Close() error { return db.eng.Close() }
 
 // Checkpoint makes the current state durable and truncates the write-ahead
 // log (the next Open replays nothing). Mutations already commit at their
 // own boundaries, and a background checkpointer bounds WAL growth on its
 // own (see Options.CheckpointWALBytes); Checkpoint forces a full
-// synchronous pass at a moment the application chooses. No-op for
-// in-memory databases.
+// synchronous pass at a moment the application chooses.
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
-// Backup writes a transactionally consistent copy of a file-backed
-// database to dstPath while the database stays fully live: queries keep
-// reading and writers keep committing during the copy. The backup pins one
-// snapshot, copies every page that snapshot reaches through the
-// checksum-verified read path, and seals the result as a standalone
-// database file (empty WAL) that Open restores like any cleanly
-// checkpointed database. Returns an error for in-memory databases.
+// Backup writes a transactionally consistent copy of the database to
+// dstPath while the database stays fully live: queries keep reading and
+// writers keep committing during the copy. The backup pins one snapshot,
+// copies every page that snapshot reaches through the checksum-verified
+// read path, and seals the result as a standalone database file (empty
+// WAL) that Open restores like any cleanly checkpointed database. An
+// in-memory database backs up the same way, so Backup is how one is saved
+// to a file.
 func (db *DB) Backup(dstPath string) error { return db.eng.Backup(dstPath) }
 
 // ErrLoadAfterBuild is returned by LoadXML and LoadXMLString once any
@@ -490,7 +493,7 @@ type StorageStats struct {
 	Reads              int64
 	Writes             int64
 	BytesRead          int64
-	BytesWritten       int64 // for file-backed databases: WAL + checkpoints
+	BytesWritten       int64 // WAL appends + checkpoint copies
 	WALAppends         int64
 	WALFsyncs          int64 // one per durable batch, not per commit
 	WALBytes           int64
@@ -499,7 +502,7 @@ type StorageStats struct {
 
 	PagesFreed     int64 // pages returned to the on-disk free list
 	PagesReused    int64 // allocations served from the free list instead of growing the file
-	FileBytes      int64 // current database file size in bytes (file-backed only)
+	FileBytes      int64 // current database file size in bytes (0 once closed)
 	FreeListResets int64 // recoveries that found an invalid free chain and reset it
 
 	ChecksumFailures  int64 // page/WAL-frame checksum verifications that failed
