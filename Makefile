@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDistinct -fuzztime $(FUZZTIME) ./internal/plan/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCatalog -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzStoreCOW -fuzztime $(FUZZTIME) ./internal/xmldb/
+	$(GO) test -run '^$$' -fuzz FuzzRecoverFreeList -fuzztime $(FUZZTIME) ./internal/storage/
 
 # Everything CI runs, in order.
 ci: test race fuzz

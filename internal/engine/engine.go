@@ -472,16 +472,23 @@ func (db *DB) collectRetired(next *Snapshot) {
 	for _, m := range next.maintained() {
 		pages = append(pages, m.TakeRetired()...)
 	}
-	for _, d := range next.dropped {
+	db.retire(next.seq, pages, next.dropped)
+	next.dropped = nil
+}
+
+// retire queues pages plus every page of the dropped structures as one
+// deferred-free batch, freed once no pinned snapshot older than seq
+// remains. Callers hold writeMu.
+func (db *DB) retire(seq uint64, pages []storage.PageID, dropped []pageWalker) {
+	for _, d := range dropped {
 		// A failed walk leaks the rest of d's pages, which is always safe.
 		_ = d.WalkPages(func(id storage.PageID) error {
 			pages = append(pages, id)
 			return nil
 		})
 	}
-	next.dropped = nil
 	if len(pages) > 0 {
-		db.retired = append(db.retired, retireBatch{seq: next.seq, pages: pages})
+		db.retired = append(db.retired, retireBatch{seq: seq, pages: pages})
 	}
 }
 
@@ -609,6 +616,7 @@ func (db *DB) Close() error {
 		// last durable state; reopening recovers it.
 		return db.fdisk.Close()
 	}
+	db.releaseAtClose()
 	db.reclaimRetired() // the last commits' deferred frees ride the close commit
 	if _, err := db.commitCurrent(); err != nil {
 		db.fdisk.Close()
@@ -619,6 +627,26 @@ func (db *DB) Close() error {
 		return db.noteCommitErr(err)
 	}
 	return db.fdisk.Close()
+}
+
+// releaseAtClose lets go of what only this open database holds on to: the
+// AS OF window's standing pins, and the pages of a Containment index,
+// which has no catalog record, so nothing reopens it. Both are left to the
+// deferred-free queue — the Containment pages tagged with the current
+// version, as only older versions (pinned ones block the free) share
+// them — and the reclaim before the close commit frees them. Callers hold
+// writeMu.
+func (db *DB) releaseAtClose() {
+	db.retainMu.Lock()
+	for _, s := range db.retained {
+		s.pins.Add(-1)
+	}
+	db.retained = nil
+	db.retainMu.Unlock()
+	cur := db.current.Load()
+	if c := cur.env.Containment; c != nil {
+		db.retire(cur.seq, nil, []pageWalker{c})
+	}
 }
 
 // LoadXML parses one document from r and adds it to the store. Documents

@@ -269,3 +269,60 @@ func TestReopenAccountsForEveryPage(t *testing.T) {
 	defer re.Close()
 	assertPagesAccounted(t, re)
 }
+
+// TestCloseReleasesRetainedSnapshots: the AS OF window's standing pins end
+// with the database, so the pages only retained versions still read are
+// freed by the close commit rather than orphaned.
+func TestCloseReleasesRetainedSnapshots(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "twig.db")
+	rng := rand.New(rand.NewSource(12))
+	db, err := Open(Config{Path: path, BufferPoolBytes: 1 << 20, RetainSnapshots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AddDocument(genDoc(rng, 80))
+	if err := db.Build(index.KindRootPaths, index.KindDataPaths); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		if err := db.InsertSubtree(db.Store().Docs[0].Root.ID, genDoc(rng, 8).Root); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := db.RetainedSnapshots(); got != 4 {
+		t.Fatalf("retained snapshots = %d, want 4", got)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Config{Path: path, BufferPoolBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	assertPagesAccounted(t, re)
+}
+
+// TestCloseRetiresContainment: a Containment index has no catalog record,
+// so nothing reopens it; Close retires its pages with the close commit
+// rather than orphaning them.
+func TestCloseRetiresContainment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "twig.db")
+	db, err := Open(Config{Path: path, BufferPoolBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.AddDocument(genDoc(rand.New(rand.NewSource(13)), 120))
+	if err := db.Build(index.KindRootPaths, index.KindContainment); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Config{Path: path, BufferPoolBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	assertPagesAccounted(t, re)
+}

@@ -345,7 +345,7 @@ func TestCrashDuringCompact(t *testing.T) {
 			t.Fatalf("splice capture %d: reopen: %v", i, err)
 		}
 		if st := rec.DeviceStats(); st.FreeListResets != 0 {
-			t.Fatalf("splice capture %d: recovery abandoned the free chain (%+v)", i, st)
+			t.Fatalf("splice capture %d: recovery abandoned the free list (%+v)", i, st)
 		}
 		if got := dumpStore(rec); got != expect[i] {
 			t.Fatalf("splice capture %d: recovered store diverges from state at capture time", i)

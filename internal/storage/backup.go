@@ -5,11 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
-	"sort"
 )
 
 // BackupWriter assembles a standalone database file in the FileDisk format
-// — superblock, CRC-trailed page slots, free-page chain — from pages the
+// — superblock, CRC-trailed page slots, free-list trunks — from pages the
 // caller streams in. The engine's online backup pins a snapshot, walks its
 // reachable pages, copies each through the checksum-verified read path and
 // hands them here at their original ids (so the catalog's tree roots stay
@@ -63,10 +62,10 @@ func (b *BackupWriter) WritePage(id PageID, data []byte) error {
 }
 
 // Finish seals the backup: every id below the page count that was never
-// written becomes a link of the free-page chain (ascending order, so the
-// result is deterministic), the superblock is written with the final
-// metadata, and the file is fsynced and closed. The backup then opens with
-// OpenFileDisk like any checkpointed database file.
+// written goes onto the free list, laid out as trunks that are drained in
+// ascending order (so the result is deterministic), the superblock is
+// written with the final metadata, and the file is fsynced and closed. The
+// backup then opens with OpenFileDisk like any checkpointed database file.
 func (b *BackupWriter) Finish(catalogRoot PageID) (err error) {
 	defer func() {
 		closeErr := b.file.Close()
@@ -81,18 +80,15 @@ func (b *BackupWriter) Finish(catalogRoot PageID) (err error) {
 			free = append(free, id)
 		}
 	}
-	sort.Slice(free, func(i, j int) bool { return free[i] < free[j] })
-	head := InvalidPage
+	trunks := buildTrunks(free)
 	img := make([]byte, PageSize)
-	// Chain back to front so each link points at the next-higher free id.
-	for i := len(free) - 1; i >= 0; i-- {
-		freePageImage(img, head)
-		if err := b.writeSlot(free[i], img); err != nil {
+	for i, t := range trunks {
+		trunks.render(i, img)
+		if err := b.writeSlot(t.id, img); err != nil {
 			return err
 		}
-		head = free[i]
 	}
-	meta := Meta{NumPages: numPages, CatalogRoot: catalogRoot, FreeHead: head}
+	meta := Meta{NumPages: numPages, CatalogRoot: catalogRoot, FreeHead: trunks.head()}
 	if err := writeSuperblock(b.file, meta); err != nil {
 		return err
 	}

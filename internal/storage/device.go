@@ -45,9 +45,11 @@ type DeviceStats struct {
 	PagesFreed  int64 // pages pushed onto the free list
 	PagesReused int64 // allocations served from the free list
 	FileBytes   int64 // current database file size in bytes
-	// FreeListResets counts recoveries that found an invalid free-list
-	// chain (bad marker, out-of-range or cyclic next pointer) and reset
-	// FreeHead to InvalidPage instead of risking double allocation.
+	// FreeListResets counts recoveries that found an invalid free list (a
+	// trunk without its marker or with a count above capacity, an id out
+	// of range, equal to the catalog root or listed twice, a trunk cycle,
+	// or an unreadable trunk) and emptied it instead of risking double
+	// allocation.
 	FreeListResets int64
 
 	// Fault-hardening counters.

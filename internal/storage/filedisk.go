@@ -7,7 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,31 +32,43 @@ import (
 //
 //	offset  size  field
 //	0       8     magic "TWIGDBF1"
-//	8       4     format version (2; v1 had no page checksum trailers)
+//	8       4     format version (3; v2 chained free pages, v1 had no
+//	              page checksum trailers)
 //	12      4     page size (8192)
 //	16      4     numPages
 //	20      4     catalog root page id
-//	24      4     free-list head page id (InvalidPage = empty list)
+//	24      4     free-list head trunk page id (InvalidPage = empty list)
 //	28      4     crc32
 //
-// Free pages are chained through their own images: a free page's payload is
-// the marker "TWIGFREE" followed by the big-endian id of the next free page
-// (InvalidPage terminates the chain). Pushing and popping rewrite those
-// images through the ordinary WAL frame path and move the head through the
-// commit record's FreeHead field, so free-list mutations commit and recover
-// atomically with the page writes they accompany. Files that predate
-// reclamation always carry FreeHead == InvalidPage and open unchanged.
+// The free list is a stack of trunk pages. A trunk is itself a free page
+// whose image is
+//
+//	"TWIGTRNK" | next trunk u32 | count u32 | count × free page id u32
+//
+// (big-endian, at most trunkCapacity ids, InvalidPage ends the stack). The
+// trunks are read and validated once at open and then kept in memory: Free
+// and Allocate push and pop ids there without device I/O, and each commit
+// appends one frame per trunk changed since the previous commit just before
+// its commit record, whose FreeHead names the head trunk. Free-list
+// mutations therefore commit and recover atomically with the page writes
+// they accompany. A version-2 file chains its free pages through their own
+// images ("TWIGFREE" | next free page u32); that chain is read at open and
+// rewritten as trunks by the first commit.
 const (
 	superblockSize  = 4096
 	fileFormatMagic = "TWIGDBF1"
-	fileFormatVer   = 2
+	fileFormatVer   = 3
+	fileFormatV2    = 2  // still opened: its free chain is upgraded to trunks
 	superblockUsed  = 32 // bytes covered by the layout above, incl. crc
 
 	pageTrailerSize = 4 // CRC32-IEEE of the page image
 	pageSlotSize    = PageSize + pageTrailerSize
 
-	freePageMagic = "TWIGFREE" // first 8 bytes of every free page image
-	freePageUsed  = len(freePageMagic) + 4
+	trunkMagic    = "TWIGTRNK" // first 8 bytes of every trunk image
+	trunkHeader   = len(trunkMagic) + 4 + 4
+	trunkCapacity = (PageSize - trunkHeader) / 4 // 2,044 ids per trunk
+
+	chainMagic = "TWIGFREE" // first 8 bytes of a version-2 free page image
 )
 
 // WALSuffix is appended to the database path to name the write-ahead log.
@@ -87,7 +99,7 @@ const (
 	// migration phase — committed frames are being copied into the file
 	// while writers keep committing; the WAL still holds everything.
 	CkptBatchMigrated
-	// CkptFreeSpliced fires inside Compact after the rebuilt free chain and
+	// CkptFreeSpliced fires inside Compact after the rebuilt free list and
 	// the shrunken metadata are committed and fsynced to the WAL, before
 	// the database file is physically truncated.
 	CkptFreeSpliced
@@ -141,18 +153,22 @@ type FileDisk struct {
 	// [committedEnd, walSize) are pending frames of an open transaction.
 	committedEnd int64
 
-	// freeHead is the working head of the free page chain, including
-	// uncommitted pushes and pops; it is stamped into every commit record,
-	// so a crash rolls it back to the last committed head exactly as it
-	// rolls back the page images. freeSet mirrors the chain's membership
-	// for O(1) double-free detection and for Compact.
-	freeHead PageID
-	freeSet  map[PageID]struct{}
+	// trunks is the working free list, uncommitted pushes and pops
+	// included; its head is stamped into every commit record, so a crash
+	// rolls the list back to the last commit exactly as it rolls back the
+	// page images. Only the head trunk ever changes, so the trunks whose
+	// committed image is stale are always the top ones: trunks[:cleanTrunks]
+	// match their images, and a commit writes the rest. freeSet mirrors
+	// the membership (trunk pages and listed ids) for O(1) double-free
+	// detection and for Compact.
+	trunks      trunkStack
+	cleanTrunks int
+	freeSet     map[PageID]struct{}
 
 	// frame is the scratch every appended frame record is encoded into
 	// (guarded by mu, written out before mu is released): a commit appends
-	// one frame per dirtied or freed page, and a fresh 8KB buffer each
-	// would make the commit path's garbage grow with its page count.
+	// one frame per dirtied page, and a fresh 8KB buffer each would make
+	// the commit path's garbage grow with its page count.
 	frame []byte
 
 	// ckptMu serialises checkpoints and compactions with each other (never
@@ -256,7 +272,6 @@ func openFileDisk(file, wal File, path string) (*FileDisk, error) {
 		meta:     Meta{NumPages: 0, CatalogRoot: InvalidPage, FreeHead: InvalidPage},
 		walIndex: map[PageID]int64{},
 		pending:  map[PageID]int64{},
-		freeHead: InvalidPage,
 		freeSet:  map[PageID]struct{}{},
 	}
 	size, err := file.Size()
@@ -312,29 +327,109 @@ func openFileDisk(file, wal File, path string) (*FileDisk, error) {
 	return f, nil
 }
 
-// recoverFreeList walks the recovered free chain from meta.FreeHead,
-// validating every link: each id must be in range, unvisited (no cycles),
-// and its image must carry the free-page marker. A valid chain populates
-// freeHead/freeSet; any anomaly abandons the whole chain — freeHead resets
-// to InvalidPage (persisted at the next commit) and FreeListResets counts
-// the reset. Abandoning leaks the chained pages, which is always safe;
-// trusting a corrupt chain could hand out a live page twice, which never is.
-// Runs before the disk is shared, so the read helpers need no latch.
+// trunk is one free-list trunk page as kept in memory: its own id and the
+// free page ids it lists, popped from the end.
+type trunk struct {
+	id  PageID
+	ids []PageID
+}
+
+// trunkStack is a free list, head trunk last; each trunk's next pointer is
+// the trunk below it.
+type trunkStack []trunk
+
+// head returns the head trunk's id, InvalidPage for an empty list.
+func (s trunkStack) head() PageID {
+	if len(s) == 0 {
+		return InvalidPage
+	}
+	return s[len(s)-1].id
+}
+
+// render writes the image of trunk i into buf.
+func (s trunkStack) render(i int, buf []byte) {
+	next := InvalidPage
+	if i > 0 {
+		next = s[i-1].id
+	}
+	clear(buf[:PageSize])
+	copy(buf, trunkMagic)
+	binary.BigEndian.PutUint32(buf[len(trunkMagic):], uint32(next))
+	binary.BigEndian.PutUint32(buf[len(trunkMagic)+4:], uint32(len(s[i].ids)))
+	for j, id := range s[i].ids {
+		binary.BigEndian.PutUint32(buf[trunkHeader+4*j:], uint32(id))
+	}
+}
+
+// parseTrunk decodes a trunk image. The count is checked against the
+// trunk's capacity before anything is sized by it.
+func parseTrunk(buf []byte) (next PageID, ids []PageID, ok bool) {
+	if string(buf[:len(trunkMagic)]) != trunkMagic {
+		return InvalidPage, nil, false
+	}
+	next = PageID(binary.BigEndian.Uint32(buf[len(trunkMagic):]))
+	count := binary.BigEndian.Uint32(buf[len(trunkMagic)+4:])
+	if count > uint32(trunkCapacity) {
+		return InvalidPage, nil, false
+	}
+	ids = make([]PageID, count)
+	for j := range ids {
+		ids[j] = PageID(binary.BigEndian.Uint32(buf[trunkHeader+4*j:]))
+	}
+	return next, ids, true
+}
+
+// buildTrunks lays out a free list that Allocate drains in exactly the
+// given order: each run of trunkCapacity+1 ids becomes one trunk, whose
+// last id is the trunk page itself (handed out once its list is empty),
+// and the first run is the head.
+func buildTrunks(order []PageID) trunkStack {
+	const run = trunkCapacity + 1
+	if len(order) == 0 {
+		return nil
+	}
+	var s trunkStack
+	for start := (len(order) - 1) / run * run; start >= 0; start -= run {
+		g := order[start:min(start+run, len(order))]
+		ids := slices.Clone(g[:len(g)-1])
+		slices.Reverse(ids)
+		s = append(s, trunk{id: g[len(g)-1], ids: ids})
+	}
+	return s
+}
+
+// recoverFreeList loads the recovered free list named by meta.FreeHead,
+// validating it as it goes: every trunk image must carry the trunk marker
+// and a count within capacity, and every id on the list — trunk pages and
+// listed ids alike — must be in range, must not be the catalog root, and
+// must appear once (which also rules out trunk cycles). A version-2 chain
+// of "TWIGFREE" images is validated link by link the same way and rebuilt
+// as trunks in its pop order, marked changed, so the first commit rewrites
+// it. Any anomaly abandons the whole list: it resets to empty (persisted
+// at the next commit) and FreeListResets counts the reset. Abandoning leaks
+// the listed pages, which is always safe; trusting a corrupt list could
+// hand out a live page twice, which never is. Runs before the disk is
+// shared, so the read helpers need no latch.
 func (f *FileDisk) recoverFreeList() {
 	head := f.meta.FreeHead
 	if head == InvalidPage {
 		return
 	}
 	seen := map[PageID]struct{}{}
-	buf := make([]byte, PageSize)
-	for id := head; id != InvalidPage; {
-		if int(id) < 0 || int(id) >= f.numPages {
-			f.resetFreeList()
-			return
+	claim := func(id PageID) bool {
+		if id < 0 || int(id) >= f.numPages || id == f.meta.CatalogRoot {
+			return false
 		}
 		if _, dup := seen[id]; dup {
-			f.resetFreeList()
-			return
+			return false
+		}
+		seen[id] = struct{}{}
+		return true
+	}
+	buf := make([]byte, PageSize)
+	visit := func(id PageID) bool {
+		if !claim(id) {
+			return false
 		}
 		var err error
 		if off, inWAL := f.walIndex[id]; inWAL {
@@ -342,43 +437,69 @@ func (f *FileDisk) recoverFreeList() {
 		} else {
 			err = f.readChecked(func() error { return f.readFileSlotLocked(id, buf) })
 		}
-		if err != nil {
-			f.resetFreeList()
-			return
+		return err == nil
+	}
+	if !visit(head) {
+		f.resetFreeList()
+		return
+	}
+	if next, ok := parseFreePage(buf); ok {
+		order := []PageID{head}
+		for next != InvalidPage {
+			if !visit(next) {
+				f.resetFreeList()
+				return
+			}
+			order = append(order, next)
+			if next, ok = parseFreePage(buf); !ok {
+				f.resetFreeList()
+				return
+			}
 		}
-		next, ok := parseFreePage(buf)
+		f.trunks, f.cleanTrunks, f.freeSet = buildTrunks(order), 0, seen
+		return
+	}
+	var s trunkStack
+	for id := head; ; {
+		next, ids, ok := parseTrunk(buf)
 		if !ok {
 			f.resetFreeList()
 			return
 		}
-		seen[id] = struct{}{}
-		id = next
+		for _, x := range ids {
+			if !claim(x) {
+				f.resetFreeList()
+				return
+			}
+		}
+		s = append(s, trunk{id: id, ids: ids})
+		if next == InvalidPage {
+			break
+		}
+		if id = next; !visit(id) {
+			f.resetFreeList()
+			return
+		}
 	}
-	f.freeHead = head
-	f.freeSet = seen
+	slices.Reverse(s)
+	f.trunks, f.cleanTrunks, f.freeSet = s, len(s), seen
 }
 
-// resetFreeList abandons the free chain after a validation failure.
+// parseFreePage decodes a version-2 free page image, returning the id of
+// the next free page on the chain.
+func parseFreePage(buf []byte) (PageID, bool) {
+	if string(buf[:len(chainMagic)]) != chainMagic {
+		return InvalidPage, false
+	}
+	return PageID(binary.BigEndian.Uint32(buf[len(chainMagic):])), true
+}
+
+// resetFreeList abandons the free list after a validation failure.
 func (f *FileDisk) resetFreeList() {
-	f.freeHead = InvalidPage
+	f.trunks, f.cleanTrunks = nil, 0
 	f.freeSet = map[PageID]struct{}{}
 	f.meta.FreeHead = InvalidPage
 	f.freeResets.Add(1)
-}
-
-// freePageImage renders the image of a free page chaining to next.
-func freePageImage(buf []byte, next PageID) {
-	clear(buf[:PageSize])
-	copy(buf, freePageMagic)
-	binary.BigEndian.PutUint32(buf[len(freePageMagic):], uint32(next))
-}
-
-// parseFreePage decodes a free page image, returning the next free id.
-func parseFreePage(buf []byte) (PageID, bool) {
-	if string(buf[:len(freePageMagic)]) != freePageMagic {
-		return InvalidPage, false
-	}
-	return PageID(binary.BigEndian.Uint32(buf[len(freePageMagic):freePageUsed])), true
 }
 
 // SetFaultInjector attaches a fault injector at the media level: bit flips
@@ -432,55 +553,45 @@ func (f *FileDisk) WALSize() int64 {
 // Path returns the database file path ("" for an in-memory disk).
 func (f *FileDisk) Path() string { return f.path }
 
-// Allocate reserves one new page, preferring the free list: popping the
-// head re-reads its image (through the ordinary checksummed read path) to
-// follow the chain. The pop itself writes nothing — the new head rides the
-// next commit record, and until then a crash restores the old chain, which
-// still lists the popped page; that is safe because the allocation it
-// served was uncommitted too. Any validation failure abandons the chain
-// and falls back to tail allocation rather than risk double-allocating.
+// Allocate reserves one new page, preferring the free list: it pops the
+// last id of the head trunk, or, when that trunk lists none, the trunk page
+// itself. The pop is in memory only — no device read — and the new list
+// rides the next commit; until then a crash restores the committed list,
+// which still holds the popped page, and that is safe because the
+// allocation it served was uncommitted too.
 //
-// The caller owns the popped page's stale free-marker image; every
-// allocation path above (Pool.NewPage) installs a fresh image before the
-// page can be read, exactly as it must for never-written tail pages.
+// The caller owns the popped page's stale image; every allocation path
+// above (Pool.NewPage) installs a fresh image before the page can be read,
+// exactly as it must for never-written tail pages.
 func (f *FileDisk) Allocate() PageID {
 	f.mu.Lock()
-	if f.freeHead != InvalidPage {
-		id := f.freeHead
-		buf := walFramePool.Get().(*[]byte)
-		img := (*buf)[:PageSize]
-		var err error
-		if off, inWAL := f.pending[id]; inWAL {
-			err = f.readChecked(func() error { return f.readWALFrameLocked(id, off, img) })
-		} else if off, inWAL := f.walIndex[id]; inWAL {
-			err = f.readChecked(func() error { return f.readWALFrameLocked(id, off, img) })
-		} else {
-			err = f.readChecked(func() error { return f.readFileSlotLocked(id, img) })
-		}
-		next, ok := InvalidPage, false
-		if err == nil {
-			next, ok = parseFreePage(img)
-		}
-		walFramePool.Put(buf)
-		if ok && int(id) >= 0 && int(id) < f.numPages {
-			f.freeHead = next
-			delete(f.freeSet, id)
-			f.mu.Unlock()
-			f.pagesReused.Add(1)
-			return id
-		}
-		f.resetFreeList()
+	n := len(f.trunks)
+	if n == 0 {
+		first := PageID(f.numPages)
+		f.numPages++
+		f.mu.Unlock()
+		return first
 	}
-	first := PageID(f.numPages)
-	f.numPages++
+	head := &f.trunks[n-1]
+	var id PageID
+	if k := len(head.ids); k > 0 {
+		id = head.ids[k-1]
+		head.ids = head.ids[:k-1]
+	} else {
+		id = head.id
+		f.trunks = f.trunks[:n-1]
+	}
+	f.cleanTrunks = min(f.cleanTrunks, n-1)
+	delete(f.freeSet, id)
 	f.mu.Unlock()
-	return first
+	f.pagesReused.Add(1)
+	return id
 }
 
-// Free pushes page id onto the free chain: its image is rewritten (via the
-// WAL, like any page write) to the free marker chaining to the previous
-// head, and the head moves to id in the next commit record. A crash before
-// that commit rolls the free back; a double free is rejected.
+// Free pushes page id onto the free list: onto the head trunk's list, or,
+// when that is full or the list is empty, as a new head trunk. Nothing is
+// written until the next commit, which carries the changed trunk; a crash
+// before it rolls the free back. A double free is rejected.
 func (f *FileDisk) Free(id PageID) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -493,17 +604,12 @@ func (f *FileDisk) Free(id PageID) error {
 	if _, dup := f.freeSet[id]; dup {
 		return fmt.Errorf("storage: double free of page %d", id)
 	}
-	buf := walFramePool.Get().(*[]byte)
-	img := (*buf)[:PageSize]
-	freePageImage(img, f.freeHead)
-	start := f.walSize
-	f.frame = appendWALFrame(f.frame[:0], id, img)
-	walFramePool.Put(buf)
-	if err := f.appendLocked(f.frame, "free page", id); err != nil {
-		return err
+	if n := len(f.trunks); n > 0 && len(f.trunks[n-1].ids) < trunkCapacity {
+		f.trunks[n-1].ids = append(f.trunks[n-1].ids, id)
+		f.cleanTrunks = min(f.cleanTrunks, n-1)
+	} else {
+		f.trunks = append(f.trunks, trunk{id: id})
 	}
-	f.pending[id] = start + walFrameHeaderSize
-	f.freeHead = id
 	f.freeSet[id] = struct{}{}
 	f.pagesFreed.Add(1)
 	return nil
@@ -525,8 +631,8 @@ func (f *FileDisk) AllocateN(n int) PageID {
 	return first
 }
 
-// FreeList returns the ids on the free chain (committed plus uncommitted
-// mutations), in no particular order.
+// FreeList returns the ids on the free list — trunk pages and the ids
+// they list, committed plus uncommitted mutations — in no particular order.
 func (f *FileDisk) FreeList() []PageID {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -538,7 +644,8 @@ func (f *FileDisk) FreeList() []PageID {
 }
 
 // walFramePool recycles frame-sized buffers for read-path WAL frame
-// verification (one whole frame must be read to check its CRC).
+// verification (one whole frame must be read to check its CRC) and for
+// rendering trunk images.
 var walFramePool = sync.Pool{
 	New: func() any { b := make([]byte, walFrameSize); return &b },
 }
@@ -746,8 +853,9 @@ func (f *FileDisk) Commit(meta Meta) error {
 // Pass the sequence to SyncTo to wait for durability. When nothing changed
 // since the last commit the call is a no-op and returns the current
 // sequence (already durable or about to be). The disk owns meta.FreeHead:
-// whatever the caller passes is replaced by the current free-chain head,
-// so frees and reuses commit atomically with the page images.
+// whatever the caller passes is replaced by the current head trunk, and a
+// frame for every changed trunk precedes the commit record, so frees and
+// reuses commit atomically with the page images.
 func (f *FileDisk) CommitAsync(meta Meta) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -758,9 +866,25 @@ func (f *FileDisk) commitAsyncLocked(meta Meta) (int64, error) {
 	if err := f.poisonedError(); err != nil {
 		return 0, err
 	}
-	meta.FreeHead = f.freeHead
-	if len(f.pending) == 0 && meta == f.meta {
+	meta.FreeHead = f.trunks.head()
+	if len(f.pending) == 0 && f.cleanTrunks == len(f.trunks) && meta == f.meta {
 		return f.commitSeq, nil
+	}
+	if f.cleanTrunks < len(f.trunks) {
+		buf := walFramePool.Get().(*[]byte)
+		img := (*buf)[:PageSize]
+		for i := f.cleanTrunks; i < len(f.trunks); i++ {
+			id := f.trunks[i].id
+			f.trunks.render(i, img)
+			start := f.walSize
+			f.frame = appendWALFrame(f.frame[:0], id, img)
+			if err := f.appendLocked(f.frame, "free-list trunk", id); err != nil {
+				walFramePool.Put(buf)
+				return 0, err
+			}
+			f.pending[id] = start + walFrameHeaderSize
+		}
+		walFramePool.Put(buf)
 	}
 	rec := appendWALCommit(make([]byte, 0, walCommitSize), meta)
 	if err := f.appendLocked(rec, "commit", InvalidPage); err != nil {
@@ -770,6 +894,7 @@ func (f *FileDisk) commitAsyncLocked(meta Meta) (int64, error) {
 		f.walIndex[id] = off
 	}
 	f.pending = map[PageID]int64{}
+	f.cleanTrunks = len(f.trunks)
 	f.meta = meta
 	f.commitSeq++
 	f.committedEnd = f.walSize
@@ -1039,15 +1164,16 @@ func (f *FileDisk) Checkpoint() error {
 }
 
 // Compact trims the maximal all-free suffix of the page array off the file:
-// the free chain is rebuilt over the surviving free pages (ascending, so
-// repeated compactions converge), the shrunken page count and new head are
-// committed and fsynced through the WAL, and only then is the physical file
-// truncated — a crash in between leaves harmless extra bytes past the
-// logical end, never a lost page. Returns the number of pages trimmed.
+// the free list is rebuilt as trunks over the surviving free pages (drained
+// ascending, so repeated compactions converge), the shrunken page count and
+// new trunks are committed and fsynced through the WAL, and only then is
+// the physical file truncated — a crash in between leaves harmless extra
+// bytes past the logical end, never a lost page. Returns the number of
+// pages trimmed.
 //
-// Compact skips (returning 0) while a transaction has uncommitted frames:
-// the splice needs a commit record, and committing would prematurely seal
-// someone else's open transaction.
+// Compact skips (returning 0) while a transaction has uncommitted frames or
+// free-list changes: the splice needs a commit record, and committing would
+// prematurely seal someone else's open transaction.
 func (f *FileDisk) Compact() (int, error) {
 	f.ckptMu.Lock()
 	defer f.ckptMu.Unlock()
@@ -1056,7 +1182,7 @@ func (f *FileDisk) Compact() (int, error) {
 	if err := f.poisonedError(); err != nil {
 		return 0, err
 	}
-	if len(f.pending) > 0 {
+	if len(f.pending) > 0 || f.cleanTrunks < len(f.trunks) {
 		return 0, nil
 	}
 	n := f.numPages
@@ -1076,25 +1202,8 @@ func (f *FileDisk) Compact() (int, error) {
 			survivors = append(survivors, id)
 		}
 	}
-	sort.Slice(survivors, func(i, j int) bool { return survivors[i] < survivors[j] })
-	img := make([]byte, PageSize)
-	for i, id := range survivors {
-		next := InvalidPage
-		if i+1 < len(survivors) {
-			next = survivors[i+1]
-		}
-		freePageImage(img, next)
-		start := f.walSize
-		f.frame = appendWALFrame(f.frame[:0], id, img)
-		if err := f.appendLocked(f.frame, "compact splice page", id); err != nil {
-			return 0, err
-		}
-		f.pending[id] = start + walFrameHeaderSize
-	}
-	f.freeHead = InvalidPage
-	if len(survivors) > 0 {
-		f.freeHead = survivors[0]
-	}
+	slices.Sort(survivors)
+	f.trunks, f.cleanTrunks = buildTrunks(survivors), 0
 	for id := range f.freeSet {
 		if int(id) >= n {
 			delete(f.freeSet, id)
@@ -1251,8 +1360,8 @@ func readSuperblock(file File) (Meta, error) {
 	if crc32.ChecksumIEEE(buf[:superblockUsed-4]) != binary.BigEndian.Uint32(buf[superblockUsed-4:]) {
 		return Meta{}, fmt.Errorf("storage: superblock checksum mismatch")
 	}
-	if v := binary.BigEndian.Uint32(buf[8:]); v != fileFormatVer {
-		return Meta{}, fmt.Errorf("storage: unsupported format version %d (this build reads version %d)", v, fileFormatVer)
+	if v := binary.BigEndian.Uint32(buf[8:]); v != fileFormatVer && v != fileFormatV2 {
+		return Meta{}, fmt.Errorf("storage: unsupported format version %d (this build reads versions %d and %d)", v, fileFormatV2, fileFormatVer)
 	}
 	if ps := binary.BigEndian.Uint32(buf[12:]); ps != PageSize {
 		return Meta{}, fmt.Errorf("storage: page size mismatch (file %d, build %d)", ps, PageSize)

@@ -41,13 +41,14 @@ type Meta struct {
 	// CatalogRoot is the first page of the engine catalog chain
 	// (InvalidPage when no catalog has been written).
 	CatalogRoot PageID
-	// FreeHead is the head of the on-disk free page list: each free page's
-	// image is a marker plus the id of the next free page (see the free
-	// list section in docs/STORAGE.md), so the chain rides the ordinary
-	// WAL frame/commit machinery and frees are exactly as crash-safe as
-	// page writes. InvalidPage means the list is empty — which is also
-	// what every file written before reclamation landed carries, so old
-	// files open unchanged.
+	// FreeHead is the head trunk of the on-disk free list: a trunk is a
+	// free page whose image lists up to 2,044 free page ids and the next
+	// trunk (see the free list section in docs/STORAGE.md). A commit
+	// appends a frame for each trunk it changed before its commit record,
+	// so frees are exactly as crash-safe as page writes. InvalidPage means
+	// the list is empty. In a version-2 file it names the head of a chain
+	// of free page images instead, which the first commit rewrites as
+	// trunks.
 	FreeHead PageID
 }
 

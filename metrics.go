@@ -193,7 +193,7 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 	p.Counter("twigdb_pages_freed_total", "Pages returned to the on-disk free list.", d.PagesFreed)
 	p.Counter("twigdb_pages_reused_total", "Allocations served from the free list instead of growing the file.", d.PagesReused)
 	p.Gauge("twigdb_file_bytes", "Current database file length in bytes.", float64(d.FileBytes))
-	p.Counter("twigdb_free_list_resets_total", "Free-list chains discarded at recovery because validation failed.", d.FreeListResets)
+	p.Counter("twigdb_free_list_resets_total", "Free lists discarded at recovery because validation failed.", d.FreeListResets)
 
 	p.Counter("twigdb_pool_fetches_total", "Buffer pool fetches.", pool.Fetches)
 	p.Counter("twigdb_pool_hits_total", "Buffer pool fetches served without device I/O.", pool.Hits)

@@ -503,7 +503,7 @@ type StorageStats struct {
 	PagesFreed     int64 // pages returned to the on-disk free list
 	PagesReused    int64 // allocations served from the free list instead of growing the file
 	FileBytes      int64 // current database file size in bytes (0 once closed)
-	FreeListResets int64 // recoveries that found an invalid free chain and reset it
+	FreeListResets int64 // recoveries that found an invalid free list and emptied it
 
 	ChecksumFailures  int64 // page/WAL-frame checksum verifications that failed
 	ChecksumRetries   int64 // transparent re-reads that recovered a failure
