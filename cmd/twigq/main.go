@@ -145,7 +145,11 @@ func run(indexList, strategy, query string, show, explain, analyze bool, files [
 			res.Strategy, res.Plan.Elapsed.Round(time.Microsecond), res.Plan.Render())
 	}
 	fmt.Println(res)
-	for _, n := range res.Nodes() {
+	nodes, err := res.Nodes()
+	if err != nil {
+		return err
+	}
+	for _, n := range nodes {
 		fmt.Printf("  #%d %s", n.ID, n.Path)
 		if n.Value != "" {
 			fmt.Printf(" = %q", n.Value)

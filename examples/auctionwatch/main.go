@@ -61,7 +61,11 @@ func report(db *twigdb.DB, q string) *twigdb.Result {
 		log.Fatal(err)
 	}
 	fmt.Println(res)
-	for i, n := range res.Nodes() {
+	nodes, err := res.Nodes()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, n := range nodes {
 		if i >= 3 {
 			fmt.Printf("  ... and %d more\n", res.Count()-3)
 			break

@@ -51,7 +51,11 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Println(res)
-		for i, n := range res.Nodes() {
+		nodes, err := res.Nodes()
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i, n := range nodes {
 			if i >= 2 {
 				fmt.Printf("  ...\n")
 				break

@@ -41,7 +41,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(res)
-	for _, n := range res.Nodes() {
+	nodes, err := res.Nodes()
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, n := range nodes {
 		fmt.Printf("match #%d at %s:\n", n.ID, n.Path)
 		if err := res.WriteXML(os.Stdout, n.ID); err != nil {
 			log.Fatal(err)

@@ -72,7 +72,7 @@ func encodeCatalog(s *Snapshot) []byte {
 	w := &index.CatWriter{Buf: make([]byte, 0, 4096)}
 	w.Buf = append(w.Buf, catalogMagic...)
 	w.Uvarint(catalogVersion)
-	w.Uvarint(uint64(s.store.NextID()))
+	w.Uvarint(uint64(s.nextID))
 
 	// Dictionary: labels in symbol order, so re-interning reproduces syms.
 	n := s.dict.Size()
@@ -136,10 +136,13 @@ func readStoreV1(r *index.CatReader) *xmldb.Store {
 }
 
 // decodeCatalog restores the engine's durable state from blob into the
-// initial snapshot (and the DB's shared dictionary/path table), reading a
-// version-2 catalog's documents from the node table on db's device. Called
-// during Open, before the DB is shared. A blob it cannot decode fails with
-// an error matching index.ErrCorruptCatalog or errCatalogVersion.
+// initial snapshot (and the DB's shared dictionary/path table). A
+// version-2 catalog's documents stay in the node table on db's device:
+// the snapshot gets the statistics read from it (readNodeStats), and its
+// store is loaded on first need. Called during Open, before the DB is
+// shared. A blob it cannot decode fails with an error matching
+// index.ErrCorruptCatalog or errCatalogVersion, as does a node table
+// readNodeStats rejects.
 func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 	if len(blob) < len(catalogMagic) || string(blob[:len(catalogMagic)]) != catalogMagic {
 		return fmt.Errorf("%w: bad magic", index.ErrCorruptCatalog)
@@ -177,24 +180,27 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if version != 1 {
-		var err error
-		if store, err = readNodeTable(db.fdisk, nodes, dict); err != nil {
+	if version == 1 {
+		store.SetNextID(nextID)
+		snap.setStore(store)
+	} else {
+		st, last, err := readNodeStats(db.fdisk, nodes, dict)
+		if err != nil {
 			return err
 		}
-		if nextID < store.NextID() {
-			return fmt.Errorf("%w: id counter %d below node %d", index.ErrCorruptCatalog, nextID, store.NextID()-1)
+		if nextID <= last {
+			return fmt.Errorf("%w: id counter %d below node %d", index.ErrCorruptCatalog, nextID, last)
 		}
 		snap.nodes = &nodeTable{tree: btree.Open(db.pool, nodes), dict: dict}
+		snap.env.Stats = st
+		snap.statsReady.Store(true)
 	}
-	store.SetNextID(nextID)
 
 	db.dict = dict
 	db.ptab = ptab
-	snap.store = store
+	snap.nextID = nextID
 	snap.dict = dict
 	snap.ptab = ptab
-	snap.env.Store = store
 	snap.env.Dict = dict
 
 	site := index.Site{Pool: db.pool, Dict: dict, Ptab: ptab, Opts: db.cfg.PathsOptions}

@@ -78,12 +78,16 @@ func dumpDocs(store *xmldb.Store) string {
 // strategies — reading the same pool — answering as the naive matcher does.
 func checkDecoded(t *testing.T, tag string, db *DB, re *Snapshot) {
 	t.Helper()
-	if got, want := dumpDocs(re.store), dumpDocs(db.CurrentSnapshot().store); got != want {
+	store, err := db.storeOf(re)
+	if err != nil {
+		t.Fatalf("%s: loading the decoded store: %v", tag, err)
+	}
+	if got, want := dumpDocs(store), dumpDocs(db.CurrentSnapshot().store); got != want {
 		t.Errorf("%s: decoded store differs\ngot:\n%s\nwant:\n%s", tag, got, want)
 	}
 	for _, q := range goldenQueries {
 		pat := xpath.MustParse(q)
-		want := naive.Match(re.store, pat)
+		want := naive.Match(store, pat)
 		for _, s := range diffStrategies {
 			opts := ReadOpts{Strategy: s}
 			res, err := db.run(re, pat, opts)

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/datagen"
@@ -259,6 +261,48 @@ func TestIncrementalStatsEqualCollect(t *testing.T) {
 		}
 		check(tag)
 	}
+
+	// Statistics streamed from the node table at Open equal a Collect of
+	// the store then loaded from it: for a backup of this database, and
+	// across close and reopen of files holding marked (out-of-order) nodes
+	// and values long enough to continue in chunk entries.
+	dir := t.TempDir()
+	backup := filepath.Join(dir, "backup.db")
+	if err := db.Backup(backup); err != nil {
+		t.Fatal(err)
+	}
+	requireStreamedStatsEqual(t, "backup", backup)
+	marked := filepath.Join(dir, "marked.db")
+	if err := outOfOrderDB(t, marked).Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireStreamedStatsEqual(t, "marked nodes", marked)
+	long := filepath.Join(dir, "long.db")
+	ldb, err := Open(Config{Path: long, BufferPoolBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := strings.Repeat("0123456789", nodeChunk/4)
+	if err := ldb.LoadXML(strings.NewReader(`<a><b>` + value + `</b><b>v1</b></a>`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ldb.Build(); err != nil {
+		t.Fatal(err)
+	}
+	gone := xmldb.Text("b", value)
+	for _, err := range []error{
+		ldb.InsertSubtree(ldb.Store().Docs[0].Root.ID, xmldb.Text("c", value+value)),
+		ldb.InsertSubtree(ldb.Store().Docs[0].Root.ID, gone),
+		ldb.DeleteSubtree(gone.ID),
+	} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ldb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireStreamedStatsEqual(t, "chunked values", long)
 }
 
 // listing is the benchmark's commit-durable subtree: 7 element and

@@ -152,6 +152,10 @@ type DB struct {
 
 	counters stats.QueryCounters
 
+	// storeLoads counts the stores read from the node table on first need
+	// (storeOf), for the tests that check nothing else reads them.
+	storeLoads atomic.Int64
+
 	// reg holds the engine's latency histograms (query end-to-end, WAL
 	// fsync, group-commit batch size, pool-miss reads, checkpoints); the
 	// storage layer records into them directly via observers installed at
@@ -261,8 +265,12 @@ func New(cfg Config) *DB {
 // files are in memory and Open is New; with a Path it opens (creating if
 // absent) the database file and its write-ahead log, recovers to the last
 // committed state (replaying the committed WAL prefix and discarding any
-// torn tail), and restores the persisted catalog — store, dictionaries and
-// every built index — so queries run immediately, with zero rebuild work.
+// torn tail), and restores the persisted catalog — dictionaries and every
+// built index — so queries run immediately, with zero rebuild work. The
+// documents stay in the node table: Open reads it once to validate it and
+// to derive the planner's statistics, and builds the XML store from it
+// only when something needs one — an Oracle read, a write, Build,
+// ViewNodes or Store.
 func Open(cfg Config) (*DB, error) {
 	if cfg.BufferPoolBytes <= 0 {
 		cfg.BufferPoolBytes = 40 << 20
@@ -293,8 +301,7 @@ func Open(cfg Config) (*DB, error) {
 	// with readers; from here on they record lock-free.
 	db.pool.SetMissObserver(db.reg.PoolMissLatency)
 	db.fdisk.SetLatencyObservers(db.reg.WALFsyncLatency, db.reg.GroupCommitBatch, db.reg.CheckpointDuration)
-	snap := &Snapshot{store: xmldb.NewStore(), dict: db.dict, ptab: db.ptab}
-	snap.env.Store = snap.store
+	snap := &Snapshot{nextID: 1, dict: db.dict, ptab: db.ptab}
 	snap.env.Dict = db.dict
 	// TraceAll and IOStat are carried into every successor snapshot by
 	// Snapshot.clone's env copy.
@@ -314,11 +321,40 @@ func Open(cfg Config) (*DB, error) {
 			return nil, err
 		}
 		db.catalogPages = pages
+	} else {
+		snap.setStore(xmldb.NewStore())
 	}
 	db.current.Store(snap)
 	db.frontier = storage.PageID(db.fdisk.NumPages())
-	db.nextNodeID.Store(snap.store.NextID())
+	db.nextNodeID.Store(snap.nextID)
 	return db, nil
+}
+
+// storeOf returns the snapshot's store, reading it from the node table if
+// the snapshot was opened from a file and nothing has needed it since.
+// The caller holds a pin on s (or writeMu, with s current), which keeps
+// the table's pages from being freed under the read. Concurrent first
+// needs read it once: the rest wait on the latch and share the result. A
+// failed read leaves the snapshot without a store and is reported to
+// every caller that needs one, wrapping index.ErrCorruptCatalog and the
+// device's error (storage.ErrCorruptPage for a failed checksum).
+func (db *DB) storeOf(s *Snapshot) (*xmldb.Store, error) {
+	if s.storeReady.Load() {
+		return s.store, nil
+	}
+	s.storeMu.Lock()
+	defer s.storeMu.Unlock()
+	if s.storeReady.Load() {
+		return s.store, nil
+	}
+	store, err := readNodeTable(db.fdisk, s.nodes.tree.Meta(), s.dict)
+	if err != nil {
+		return nil, err
+	}
+	store.SetNextID(s.nextID)
+	db.storeLoads.Add(1)
+	s.setStore(store)
+	return store, nil
 }
 
 // checkpoint is one background checkpoint, started by a commit that found
@@ -679,6 +715,10 @@ func (db *DB) AddDocument(doc *xmldb.Document) error {
 	if len(cur.env.Structures()) > 0 || cur.env.Containment != nil {
 		return ErrLoadAfterBuild
 	}
+	base, err := db.storeOf(cur)
+	if err != nil {
+		return err
+	}
 	next := cur.clone()
 	if next.nodes != nil {
 		// A committed store grows by a bulk load: the next commit
@@ -686,7 +726,7 @@ func (db *DB) AddDocument(doc *xmldb.Document) error {
 		next.dropped = append(next.dropped, next.nodes)
 		next.nodes = nil
 	}
-	store := cur.store.CloneShallow()
+	store := base.CloneShallow()
 	// Ids come from the global allocator (shared with transactions), then
 	// the pre-numbered tree is attached; the store counter follows the
 	// allocator so both agree on what is handed out.
@@ -695,8 +735,8 @@ func (db *DB) AddDocument(doc *xmldb.Document) error {
 		return err
 	}
 	store.SetNextID(db.nextNodeID.Load())
-	next.store = store
-	next.env.Store = store
+	next.setStore(store)
+	next.nextID = store.NextID()
 	next.successorStats()
 	if st := next.env.Stats; st != nil {
 		st.Apply(store, db.dict, doc.Root, +1)
@@ -706,8 +746,15 @@ func (db *DB) AddDocument(doc *xmldb.Document) error {
 	return nil
 }
 
-// Store exposes the current snapshot's XML store.
-func (db *DB) Store() *xmldb.Store { return db.current.Load().store }
+// Store exposes the current snapshot's XML store, loading it if need be;
+// nil if its node table cannot be read (Oracle reads and ViewNodes report
+// why).
+func (db *DB) Store() *xmldb.Store {
+	s := db.pin()
+	defer db.unpin(s)
+	store, _ := db.storeOf(s)
+	return store
+}
 
 // Dict exposes the shared designator dictionary.
 func (db *DB) Dict() *pathdict.Dict { return db.dict }
@@ -733,10 +780,15 @@ func (db *DB) Build(kinds ...index.Kind) error {
 		return err
 	}
 	cur := db.current.Load()
+	store, err := db.storeOf(cur)
+	if err != nil {
+		db.writeMu.Unlock()
+		return err
+	}
 	next := cur.clone()
-	next.env.Stats = stats.Collect(next.store, db.dict)
+	next.env.Stats = stats.Collect(store, db.dict)
 	next.statsReady.Store(true)
-	site := index.Site{Pool: db.pool, Store: next.store, Dict: db.dict, Ptab: db.ptab, Opts: db.cfg.PathsOptions}
+	site := index.Site{Pool: db.pool, Store: store, Dict: db.dict, Ptab: db.ptab, Opts: db.cfg.PathsOptions}
 	for _, k := range kinds {
 		built, err := index.Build(k, site)
 		if err != nil {
@@ -794,17 +846,29 @@ func (db *DB) QueryCounters() stats.QuerySnapshot { return db.counters.Snapshot(
 
 // ViewNodes invokes fn once with the pinned snapshot's store, so callers
 // can materialise node details (NodeByID, Path) at a consistent version.
-// The store and its nodes must not be retained after fn returns.
-func (db *DB) ViewNodes(fn func(*xmldb.Store)) {
+// The store and its nodes must not be retained after fn returns. It fails,
+// without calling fn, when the store has to be read from the node table and
+// cannot be.
+func (db *DB) ViewNodes(fn func(*xmldb.Store)) error {
 	s := db.pin()
 	defer db.unpin(s)
-	fn(s.store)
+	store, err := db.storeOf(s)
+	if err != nil {
+		return err
+	}
+	fn(store)
+	return nil
 }
 
 // NodeCount returns the number of element/attribute nodes in the current
-// snapshot.
+// snapshot. A snapshot that has not loaded its store answers from its
+// statistics, which count every node once.
 func (db *DB) NodeCount() int {
-	return db.current.Load().store.NodeCount()
+	s := db.current.Load()
+	if store := s.Store(); store != nil {
+		return store.NodeCount()
+	}
+	return int(s.env.Stats.NodeCount())
 }
 
 // Explain renders the plan for a pattern under a strategy.

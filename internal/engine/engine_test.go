@@ -178,7 +178,7 @@ func TestFamilyTablesComplete(t *testing.T) {
 	for _, k := range index.PersistedKinds() {
 		persisted[k] = true
 	}
-	env := plan.Env{Store: site.Store, Dict: site.Dict}
+	env := plan.Env{Dict: site.Dict}
 	for k := index.Kind(0); k < index.NumKinds; k++ {
 		if name := k.String(); name == "" || name == "unknown" {
 			t.Fatalf("kind %d has no name", k)

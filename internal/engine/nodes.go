@@ -11,6 +11,7 @@ import (
 	"repro/internal/btree"
 	"repro/internal/index"
 	"repro/internal/pathdict"
+	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/xmldb"
 )
@@ -285,67 +286,70 @@ func decodeNodeHeader(val []byte) (h nodeHeader) {
 	return h
 }
 
-// readNodeTable rebuilds the store the table m describes, reading its
-// pages from dev (see btree.ReadEntries) and its labels from dict. Any
+// tableNode is one node as scanNodeTable hands it over: its entry decoded,
+// its value reassembled from its continuations.
+type tableNode struct {
+	id       int64
+	parent   int    // the parent's position in scan order (0: the virtual root)
+	order    uint64 // sibling order: the id unless the entry is marked
+	sym      pathdict.Sym
+	hasValue bool
+	value    []byte // valid only during the call
+}
+
+// scanNodeTable reads the table m describes, its pages from dev (see
+// btree.ReadEntries), and hands every node to fn in key order, numbering
+// them by position from 1 so that fn can find a node's parent among the
+// nodes it was handed before. It returns the last (largest) id read. Any
 // entry that is short, out of key order, names a symbol dict lacks, has a
-// value without hasValue, or whose parent is not already read fails with
-// an error matching index.ErrCorruptCatalog.
+// value without hasValue, or whose parent was not read before it fails
+// the scan with an error matching index.ErrCorruptCatalog.
 //
-// The documents are built detached and then restored whole, as a version-1
-// catalog's are. A node's parent is looked up on the path from the last
-// node read up to its document root — where key order, which is mostly
-// document order, nearly always puts it — and otherwise by binary search
-// over every node read so far, which key order keeps sorted by id.
-func readNodeTable(dev *storage.FileDisk, m btree.Meta, dict *pathdict.Dict) (*xmldb.Store, error) {
-	labels := make([]string, dict.Size()+1)
-	for sym := range labels[1:] {
-		labels[sym+1] = dict.Label(pathdict.Sym(sym + 1))
-	}
-	vr := &xmldb.Node{} // stands in for the store's virtual root
+// A node's parent is looked up on the path from the last node read up to
+// its document root — where key order, which is mostly document order,
+// nearly always puts it — and otherwise by binary search over the ids read
+// so far, which key order keeps sorted.
+func scanNodeTable(dev *storage.FileDisk, m btree.Meta, dict *pathdict.Dict, fn func(*tableNode)) (int64, error) {
 	var (
-		nodes    = []*xmldb.Node{vr} // every node read, ascending by id
-		path     = []*xmldb.Node{vr} // the last node read and known ancestors
-		cont     int                 // continuation chunks read for the last node
-		pend     []byte              // the last node's value while continuations arrive
-		explicit map[int64]uint64    // order of every marked node
-		resort   map[*xmldb.Node]bool
+		ids  = []int64{0} // every id read, by position; 0 is the virtual root
+		path = []int{0}   // positions of the last node read and its known ancestors
+		cur  tableNode    // the last node read, handed over once its value is whole
+		cont int          // continuation chunks read for it
+		held bool         // cur is not yet handed over
+		syms = dict.Size()
 	)
-	last := func() *xmldb.Node { return nodes[len(nodes)-1] }
-	flush := func() {
-		if pend != nil {
-			last().Value = string(pend)
-			pend = nil
-		}
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("%w: node table: "+format, append([]any{index.ErrCorruptCatalog}, args...)...)
 	}
-	find := func(id int64) *xmldb.Node {
+	find := func(id int64) int {
 		for i := len(path) - 1; i >= 0; i-- {
-			if path[i].ID == id {
+			if ids[path[i]] == id {
 				path = path[:i+1]
 				return path[i]
 			}
 		}
-		i, ok := slices.BinarySearchFunc(nodes, id, func(n *xmldb.Node, id int64) int { return cmp.Compare(n.ID, id) })
+		pos, ok := slices.BinarySearch(ids, id)
 		if !ok {
-			return nil
+			return -1
 		}
-		path = append(path[:0], nodes[i])
-		return nodes[i]
+		path = append(path[:0], pos)
+		return pos
 	}
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("%w: node table: "+format, append([]any{index.ErrCorruptCatalog}, args...)...)
+	flush := func() {
+		if held {
+			held = false
+			fn(&cur)
+		}
 	}
 	err := btree.ReadEntries(dev, m, func(key, val []byte) error {
 		switch len(key) {
 		case chunkKeyLen:
 			id := int64(binary.BigEndian.Uint64(key))
 			c := int(binary.BigEndian.Uint16(key[nodeKeyLen:]))
-			if n := last(); id != n.ID || c != cont+1 || !n.HasValue {
+			if !held || id != cur.id || c != cont+1 || !cur.hasValue {
 				return corrupt("stray value continuation %d of node %d", c, id)
 			}
-			if pend == nil {
-				pend = []byte(last().Value)
-			}
-			pend = append(pend, val...)
+			cur.value = append(cur.value, val...)
 			cont = c
 			return nil
 		case nodeKeyLen:
@@ -354,48 +358,81 @@ func readNodeTable(dev *storage.FileDisk, m btree.Meta, dict *pathdict.Dict) (*x
 		}
 		flush()
 		id := int64(binary.BigEndian.Uint64(key))
-		if id <= last().ID {
+		if id <= ids[len(ids)-1] {
 			return corrupt("node %d out of key order", id)
 		}
 		h := decodeNodeHeader(val)
 		if h.err != nil {
 			return corrupt("node %d: %v", id, h.err)
 		}
-		if h.sym == 0 || int(h.sym) >= len(labels) {
+		if h.sym == 0 || int(h.sym) > syms {
 			return corrupt("node %d: symbol %d not in the dictionary", id, h.sym)
 		}
 		if !h.hasValue && len(h.rest) > 0 {
 			return corrupt("node %d: value bytes without a value", id)
 		}
 		parentID := id - int64(h.delta)
-		parent := find(parentID)
-		if parent == nil || parentID >= id {
+		parent := -1
+		if parentID < id {
+			parent = find(parentID)
+		}
+		if parent < 0 {
 			return corrupt("node %d: parent %d not read before it", id, parentID)
 		}
-		n := &xmldb.Node{ID: id, Label: labels[h.sym], HasValue: h.hasValue}
-		if h.hasValue {
-			n.Value = string(h.rest)
-		}
+		cur = tableNode{id: id, parent: parent, order: uint64(id), sym: h.sym,
+			hasValue: h.hasValue, value: append(cur.value[:0], h.rest...)}
 		if h.marked {
-			if explicit == nil {
-				explicit, resort = map[int64]uint64{}, map[*xmldb.Node]bool{}
-			}
-			explicit[id] = h.order
-			resort[parent] = true
+			cur.order = h.order
 		}
-		parent.Children = append(parent.Children, n)
-		nodes = append(nodes, n)
-		path = append(path, n)
-		cont = 0
+		held, cont = true, 0
+		ids = append(ids, id)
+		path = append(path, len(ids)-1)
 		return nil
 	})
 	if err != nil {
 		if !errors.Is(err, index.ErrCorruptCatalog) {
 			err = fmt.Errorf("%w: node table: %w", index.ErrCorruptCatalog, err)
 		}
-		return nil, err
+		return 0, err
 	}
 	flush()
+	return ids[len(ids)-1], nil
+}
+
+// readNodeTable rebuilds the store the table m describes (see
+// scanNodeTable), its labels from dict. The documents are built detached
+// and then restored whole, as a version-1 catalog's are; a parent with a
+// child whose order is not its id has its children sorted by order.
+func readNodeTable(dev *storage.FileDisk, m btree.Meta, dict *pathdict.Dict) (*xmldb.Store, error) {
+	labels := make([]string, dict.Size()+1)
+	for sym := range labels[1:] {
+		labels[sym+1] = dict.Label(pathdict.Sym(sym + 1))
+	}
+	vr := &xmldb.Node{} // stands in for the store's virtual root
+	var (
+		nodes    = []*xmldb.Node{vr} // every node read, by position
+		explicit map[int64]uint64    // order of every marked node
+		resort   map[*xmldb.Node]bool
+	)
+	_, err := scanNodeTable(dev, m, dict, func(tn *tableNode) {
+		parent := nodes[tn.parent]
+		n := &xmldb.Node{ID: tn.id, Label: labels[tn.sym], HasValue: tn.hasValue}
+		if tn.hasValue {
+			n.Value = string(tn.value)
+		}
+		if tn.order != uint64(tn.id) {
+			if explicit == nil {
+				explicit, resort = map[int64]uint64{}, map[*xmldb.Node]bool{}
+			}
+			explicit[tn.id] = tn.order
+			resort[parent] = true
+		}
+		parent.Children = append(parent.Children, n)
+		nodes = append(nodes, n)
+	})
+	if err != nil {
+		return nil, err
+	}
 	order := func(n *xmldb.Node) uint64 {
 		if o, ok := explicit[n.ID]; ok {
 			return o
@@ -408,8 +445,24 @@ func readNodeTable(dev *storage.FileDisk, m btree.Meta, dict *pathdict.Dict) (*x
 	store := xmldb.NewStore()
 	for _, root := range vr.Children {
 		if err := store.RestoreDocument(&xmldb.Document{Root: root}); err != nil {
-			return nil, corrupt("%v", err)
+			return nil, fmt.Errorf("%w: node table: %v", index.ErrCorruptCatalog, err)
 		}
 	}
 	return store, nil
+}
+
+// readNodeStats streams the table m describes into the statistics
+// stats.Collect would derive from the store it holds, without building
+// that store (see scanNodeTable), and returns them with the last id read.
+// A node's rooted path is its parent's plus its own label.
+func readNodeStats(dev *storage.FileDisk, m btree.Meta, dict *pathdict.Dict) (*stats.Stats, int64, error) {
+	c := stats.NewCollector()
+	paths := []pathdict.PathID{stats.NoPath} // every node's rooted path, by position
+	last, err := scanNodeTable(dev, m, dict, func(tn *tableNode) {
+		paths = append(paths, c.Node(paths[tn.parent], tn.sym, tn.hasValue, tn.value))
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	return c.Stats(), last, nil
 }

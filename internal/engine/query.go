@@ -20,7 +20,8 @@ const (
 	// the snapshot's per-pattern plan cache.
 	Auto
 	// Oracle runs no plan: the naive in-memory matcher over the snapshot's
-	// frozen store, the reference of the differential tests.
+	// frozen store, the reference of the differential tests. It loads the
+	// store of a snapshot opened from a file.
 	Oracle
 )
 
@@ -88,7 +89,8 @@ func (db *DB) QueryPatternBest(pat *xpath.Pattern, workers int) ([]int64, *plan.
 	return res.IDs, res.Stats, res.Strategy, err
 }
 
-// MatchNaive is Read under the Oracle, which cannot fail.
+// MatchNaive is Read under the Oracle; nil when the store cannot be
+// loaded.
 func (db *DB) MatchNaive(pat *xpath.Pattern) []int64 {
 	res, _ := db.Read(pat, ReadOpts{Planner: Oracle})
 	return res.IDs
@@ -107,7 +109,11 @@ func (db *DB) MatchNaive(pat *xpath.Pattern) []int64 {
 func (db *DB) run(s *Snapshot, pat *xpath.Pattern, opts ReadOpts) (ReadResult, error) {
 	res := ReadResult{Seq: s.seq}
 	if opts.Planner == Oracle {
-		res.IDs = naive.Match(s.store, pat)
+		store, err := db.storeOf(s)
+		if err != nil {
+			return res, err
+		}
+		res.IDs = naive.Match(store, pat)
 		return res, nil
 	}
 	env := s.queryEnv()

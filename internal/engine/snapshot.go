@@ -27,18 +27,32 @@ import (
 )
 
 // Snapshot is one immutable version of the database. Everything reachable
-// from it is frozen — except the statistics of a never-analysed version,
-// collected lazily (guarded by the build-once latch below), and the plan
-// cache (its own mutex), both monotonic caches whose content is derived
-// purely from the frozen state.
+// from it is frozen — except the store of a version opened from a file,
+// loaded on first need, the statistics of a never-analysed version,
+// collected lazily (each guarded by a load-once latch below), and the plan
+// cache (its own mutex): monotonic caches whose content is derived purely
+// from the frozen state.
 type Snapshot struct {
 	// seq is the snapshot's position in the version chain (0 = the state
 	// at Open).
 	seq uint64
 
-	store *xmldb.Store
-	dict  *pathdict.Dict      // shared across versions: append-only, latched
-	ptab  *pathdict.PathTable // shared across versions: append-only, latched
+	// nextID is the version's id counter: no node of it has an id at or
+	// above. It is what the catalog persists, so a commit needs no store.
+	nextID int64
+
+	// store is the version's XML store. A snapshot opened from a file (and
+	// a clone of it made before it loaded) has none until something needs
+	// it (DB.storeOf), which reads it from the node table once, holding
+	// storeMu; storeReady is stored after store, so a reader observing true
+	// also observes the store. Every other snapshot is created with its
+	// store.
+	store      *xmldb.Store
+	storeMu    sync.Mutex
+	storeReady atomic.Bool
+
+	dict *pathdict.Dict      // shared across versions: append-only, latched
+	ptab *pathdict.PathTable // shared across versions: append-only, latched
 
 	env plan.Env
 
@@ -96,17 +110,31 @@ type pageWalker interface {
 // Seq returns the snapshot's version number.
 func (s *Snapshot) Seq() uint64 { return s.seq }
 
-// Store returns the snapshot's (frozen) XML store.
-func (s *Snapshot) Store() *xmldb.Store { return s.store }
+// Store returns the snapshot's (frozen) XML store, or nil while a
+// snapshot opened from a file has not loaded it (DB.Store loads it).
+func (s *Snapshot) Store() *xmldb.Store {
+	if !s.storeReady.Load() {
+		return nil
+	}
+	return s.store
+}
+
+// setStore gives a snapshot no reader can see yet its store.
+func (s *Snapshot) setStore(store *xmldb.Store) {
+	s.store = store
+	s.storeReady.Store(true)
+}
 
 // Env returns the snapshot's planner environment.
 func (s *Snapshot) Env() *plan.Env { return &s.env }
 
 // queryEnv returns the environment a query plans and executes with. A
 // version derived from an analysed one carries its own statistics from the
-// moment it is published (see Tx.successor); only a never-analysed store
-// collects them here, exactly once, holding the stats latch across the
-// collection so concurrent first-queries collect once and the rest wait.
+// moment it is published (see Tx.successor), and Open streams a file's
+// statistics from its node table; only a never-analysed store — always
+// one the snapshot holds — collects them here, exactly once, holding the
+// stats latch across the collection so concurrent first-queries collect
+// once and the rest wait.
 // Because the snapshot's store is immutable, the statistics describe
 // exactly the state every reader of this snapshot sees — a query can never
 // plan against statistics from a different version than the indices it
@@ -162,18 +190,22 @@ func (s *Snapshot) planFor(env *plan.Env, pat *xpath.Pattern, opts ReadOpts) (tr
 // clone returns a mutable successor of the snapshot sharing every
 // component, statistics included; the writer swaps in copied or rebuilt
 // components before publishing it (statistics it is about to change go
-// through stats.Successor first). The plan cache starts empty: a new
-// version means new statistics, which can change every choice. The env
-// copy happens under the stats latch: a concurrent reader may be
-// installing lazily collected statistics into this snapshot at the same
-// moment.
+// through stats.Successor first). A successor of a snapshot that has not
+// loaded its store shares its node table and can load the same store. The
+// plan cache starts empty: a new version means new statistics, which can
+// change every choice. The env copy happens under the stats latch: a
+// concurrent reader may be installing lazily collected statistics into
+// this snapshot at the same moment.
 func (s *Snapshot) clone() *Snapshot {
 	next := &Snapshot{
-		seq:   s.seq + 1,
-		store: s.store,
-		dict:  s.dict,
-		ptab:  s.ptab,
-		nodes: s.nodes,
+		seq:    s.seq + 1,
+		nextID: s.nextID,
+		dict:   s.dict,
+		ptab:   s.ptab,
+		nodes:  s.nodes,
+	}
+	if store := s.Store(); store != nil {
+		next.setStore(store)
 	}
 	s.statsMu.Lock()
 	next.env = s.env

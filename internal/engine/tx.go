@@ -173,21 +173,37 @@ func (tx *Tx) snapshot() *Snapshot {
 // now — a conservative superset of every page base (or any older snapshot) can
 // reference; pages other in-flight transactions allocate beyond it never
 // enter this transaction's trees, so treating them as "owned" is moot.
-func (tx *Tx) successor(base *Snapshot) *Snapshot {
+func (tx *Tx) successor(base *Snapshot) (*Snapshot, error) {
+	store, err := tx.db.storeOf(base)
+	if err != nil {
+		return nil, err
+	}
 	next := base.clone()
-	store := base.store.CloneShallow()
-	next.store = store
-	next.env.Store = store
+	next.setStore(store.CloneShallow())
 	next.successorStats()
 	next.cowIndices(storage.PageID(tx.db.fdisk.NumPages()))
-	return next
+	return next, nil
+}
+
+// view returns the store the transaction's statements see, loading its
+// base's if need be.
+func (tx *Tx) view() (*xmldb.Store, error) {
+	if tx.next != nil {
+		return tx.next.store, nil
+	}
+	return tx.db.storeOf(tx.base)
 }
 
 // ensureNext builds the private successor on the first write.
-func (tx *Tx) ensureNext() {
+func (tx *Tx) ensureNext() error {
 	if tx.next == nil {
-		tx.next = tx.successor(tx.base)
+		next, err := tx.successor(tx.base)
+		if err != nil {
+			return err
+		}
+		tx.next = next
 	}
+	return nil
 }
 
 // numberTree assigns pre-order ids to every node of root from the global
@@ -264,6 +280,7 @@ func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
 		if err := store.AttachNumberedSubtree(parent, cp); err != nil {
 			return err
 		}
+		next.nextID = store.NextID()
 		if st != nil {
 			st.Apply(store, next.dict, cp, +1)
 		}
@@ -312,16 +329,23 @@ func (tx *Tx) Insert(parentID int64, sub *xmldb.Node) error {
 	if sub == nil {
 		return fmt.Errorf("engine: insert of nil subtree")
 	}
-	if tx.snapshot().store.NodeByID(parentID) == nil {
+	view, err := tx.view()
+	if err != nil {
+		return err
+	}
+	if view.NodeByID(parentID) == nil {
 		return fmt.Errorf("engine: no node with id %d", parentID)
+	}
+	if sub.ID != 0 && view.NodeByID(sub.ID) != nil {
+		return fmt.Errorf("xmldb: subtree already attached")
+	}
+	if err := tx.ensureNext(); err != nil {
+		return err
 	}
 	if sub.ID == 0 {
 		lo, hi := tx.db.numberTree(sub)
 		tx.reserved = append(tx.reserved, [2]int64{lo, hi})
-	} else if tx.snapshot().store.NodeByID(sub.ID) != nil {
-		return fmt.Errorf("xmldb: subtree already attached")
 	}
-	tx.ensureNext()
 	op := txOp{insert: true, parentID: parentID, sub: sub}
 	if err := tx.applyOp(tx.next, &op); err != nil {
 		tx.broken = err
@@ -343,10 +367,16 @@ func (tx *Tx) Delete(nodeID int64) error {
 	if err := tx.db.writeGate(); err != nil {
 		return err
 	}
-	if tx.snapshot().store.NodeByID(nodeID) == nil {
+	view, err := tx.view()
+	if err != nil {
+		return err
+	}
+	if view.NodeByID(nodeID) == nil {
 		return fmt.Errorf("engine: no node with id %d", nodeID)
 	}
-	tx.ensureNext()
+	if err := tx.ensureNext(); err != nil {
+		return err
+	}
 	op := txOp{nodeID: nodeID}
 	if err := tx.applyOp(tx.next, &op); err != nil {
 		tx.broken = err
@@ -499,7 +529,10 @@ func (tx *Tx) publish(prepared *Snapshot, writeSet []int64, start time.Time) err
 // base snapshot, producing a fresh prepared successor. The caller holds a
 // pin on base.
 func (tx *Tx) replayOnto(base *Snapshot) (*Snapshot, error) {
-	next := tx.successor(base)
+	next, err := tx.successor(base)
+	if err != nil {
+		return nil, err
+	}
 	for i := range tx.ops {
 		if err := tx.applyOp(next, &tx.ops[i]); err != nil {
 			return next, err

@@ -27,7 +27,8 @@ type PathsOptions struct {
 	// KeepHead, when non-nil, prunes rows whose head is a data node for
 	// which KeepHead returns false (Section 4.3, HeadId pruning by
 	// workload branch points). Virtual-root rows (HeadId 0) are always
-	// kept. DATAPATHS only.
+	// kept, so free probes stay complete; bound ones may not be (see
+	// Paths.PrunesHeads). DATAPATHS only.
 	KeepHead func(int64) bool
 }
 
@@ -86,6 +87,11 @@ func newPaths(headed bool, tree *btree.Tree, s Site) *Paths {
 	}
 	return &Paths{tree: tree, dict: s.Dict, ptab: s.Ptab, opts: s.Opts, headed: headed}
 }
+
+// PrunesHeads reports whether the index was built, or opened, with HeadId
+// pruning: then rows headed at data nodes may be missing, and only probes
+// at the virtual root (HeadId 0) are complete.
+func (p *Paths) PrunesHeads() bool { return p.opts.KeepHead != nil }
 
 // keep applies the HeadId pruning option to a row.
 func (p *Paths) keep(r pathrel.Row) bool {

@@ -119,7 +119,7 @@ func Build(env *Env, strat Strategy, pat *xpath.Pattern) (*Tree, error) {
 				branch:   &branches[oi],
 			}
 			n.EstCost = acc.EstCost + probe.EstCost + joinCost(accEst, est)
-		case inlAllowed && strategies[strat].canBound && accEst > 0 && est > factor*accEst:
+		case inlAllowed && env.canBound(strat) && accEst > 0 && est > factor*accEst:
 			// The branch is much less selective than the accumulated
 			// relation: probe it bound, once per distinct join id, instead
 			// of materialising it.

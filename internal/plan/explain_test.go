@@ -51,7 +51,7 @@ func TestExplainOrderMatchesEstimates(t *testing.T) {
 	}
 
 	// Missing index errors.
-	envNone := plan.Env{Store: db.Store(), Dict: db.Dict()}
+	envNone := plan.Env{Dict: db.Dict()}
 	if _, err := plan.Explain(&envNone, plan.DataPathsPlan, pat); err == nil {
 		t.Fatalf("Explain without index: want error")
 	}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/pathdict"
 	"repro/internal/stats"
-	"repro/internal/xmldb"
 	"repro/internal/xpath"
 )
 
@@ -118,10 +117,10 @@ func (s Strategy) String() string {
 // Requires returns the index kinds the strategy needs built.
 func (s Strategy) Requires() []index.Kind { return strategies[s].requires }
 
-// Env bundles the store and whatever indices have been built. A strategy
-// fails with a descriptive error if an index it needs is missing.
+// Env bundles the dictionary, the statistics and whatever indices have
+// been built. A strategy fails with a descriptive error if an index it
+// needs is missing.
 type Env struct {
-	Store *xmldb.Store
 	Dict  *pathdict.Dict
 	Stats *stats.Stats
 
@@ -238,6 +237,15 @@ func (e *Env) inlThreshold() (int64, bool) {
 	default:
 		return int64(e.INLFactor), true
 	}
+}
+
+// canBound reports whether strat may answer a branch bound at a known node
+// id: its table row says it can, and the index it probes holds every
+// head's rows. A DATAPATHS index built with HeadId pruning does not, so
+// its bound probes could miss matches; the branch is then probed free and
+// hash-joined, which the virtual root's rows always answer.
+func (e *Env) canBound(strat Strategy) bool {
+	return strategies[strat].canBound && !(strat == DataPathsPlan && e.DP.PrunesHeads())
 }
 
 // JoinCounters accumulates the join work of a plan over rows of node ids

@@ -96,24 +96,91 @@ type estKey struct {
 // Collect walks the store once and builds the statistics. Labels are
 // interned into dict.
 func Collect(store *xmldb.Store, dict *pathdict.Dict) *Stats {
-	reg := &registry{ptab: pathdict.NewPathTable(), byLast: map[pathdict.Sym][]pathdict.PathID{}}
+	ptab := pathdict.NewPathTable()
 	pathCount := map[pathdict.PathID]int64{}
 	valCount := map[valKey]int64{}
 	pathrel.Emit(store, dict, nil, false, func(r pathrel.Row) {
-		id := reg.ptab.Intern(r.Path)
+		id := ptab.Intern(r.Path)
 		if r.HasValue {
 			valCount[valKey{id, r.Value}]++
 		} else {
 			pathCount[id]++
 		}
 	})
-	reg.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
+	return newStats(ptab, pathCount, valCount)
+}
+
+// newStats wraps counts over the paths of ptab, which it indexes by final
+// designator.
+func newStats(ptab *pathdict.PathTable, pathCount map[pathdict.PathID]int64, valCount map[valKey]int64) *Stats {
+	reg := &registry{ptab: ptab, byLast: map[pathdict.Sym][]pathdict.PathID{}}
+	ptab.All(func(id pathdict.PathID, p pathdict.Path) {
 		last := p[len(p)-1]
 		reg.byLast[last] = append(reg.byLast[last], id)
 	})
 	s := &Stats{reg: reg, pathCount: cowmap.From(pathCount), valCount: cowmap.From(valCount)}
 	s.resetMemo()
 	return s
+}
+
+// NoPath is the rooted path of the virtual root: the parent path of a
+// document root.
+const NoPath pathdict.PathID = -1
+
+// Collector builds the statistics Collect would, from nodes handed over
+// one at a time with no store behind them — the way a node table is read,
+// where every node follows its parent. A node's rooted path is its
+// parent's plus its own label, so the caller keeps each node's path (the
+// one Node returns) until its children have been counted.
+type Collector struct {
+	ptab      *pathdict.PathTable
+	pathCount []int64 // by path id
+	valCount  map[valKey]int64
+	child     map[uint64]pathdict.PathID // parent path<<16 | sym → path
+	buf       pathdict.Path
+}
+
+// NewCollector returns an empty collector.
+func NewCollector() *Collector {
+	return &Collector{
+		ptab:     pathdict.NewPathTable(),
+		valCount: map[valKey]int64{},
+		child:    map[uint64]pathdict.PathID{},
+	}
+}
+
+// Node counts one node labelled sym whose parent's rooted path is parent
+// (NoPath for a document root), and returns the node's own rooted path.
+// value is only read during the call.
+func (c *Collector) Node(parent pathdict.PathID, sym pathdict.Sym, hasValue bool, value []byte) pathdict.PathID {
+	k := uint64(parent+1)<<16 | uint64(sym)
+	id, ok := c.child[k]
+	if !ok {
+		c.buf = c.buf[:0]
+		if parent != NoPath {
+			c.buf = append(c.buf, c.ptab.Path(parent)...)
+		}
+		c.buf = append(c.buf, sym)
+		// A new (parent path, symbol) pair is a new path: the next id.
+		id = c.ptab.Intern(c.buf)
+		c.child[k] = id
+		c.pathCount = append(c.pathCount, 0)
+	}
+	c.pathCount[id]++
+	if hasValue {
+		c.valCount[valKey{id, string(value)}]++
+	}
+	return id
+}
+
+// Stats returns the statistics of every node counted; the collector must
+// not be used afterwards.
+func (c *Collector) Stats() *Stats {
+	pathCount := make(map[pathdict.PathID]int64, len(c.pathCount))
+	for id, n := range c.pathCount {
+		pathCount[pathdict.PathID(id)] = n
+	}
+	return newStats(c.ptab, pathCount, c.valCount)
 }
 
 // Successor returns statistics for a new version of the store that starts
@@ -176,6 +243,14 @@ func (r RootedPaths) All(fn func(pathdict.PathID, pathdict.Path)) {
 			fn(id, p)
 		}
 	})
+}
+
+// NodeCount returns the number of nodes the statistics describe: every
+// node has one rooted path, so it is the sum of the path counts.
+func (s *Stats) NodeCount() int64 {
+	var n int64
+	s.pathCount.Range(func(_ pathdict.PathID, c int64) { n += c })
+	return n
 }
 
 // PathCount returns the number of instances of an exact rooted path.

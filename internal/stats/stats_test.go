@@ -109,3 +109,46 @@ func TestMatchingRootedPaths(t *testing.T) {
 		t.Fatalf("matching rooted paths = %d, want 2 (namerica, europe)", len(got))
 	}
 }
+
+// TestCollectorEqualsCollect: nodes handed to a Collector parent before
+// child, each with its parent's rooted path, count what Collect counts,
+// and NodeCount is the number of nodes.
+func TestCollectorEqualsCollect(t *testing.T) {
+	s, d, want := testStore(t)
+	c := NewCollector()
+	var walk func(n *xmldb.Node, parent pathdict.PathID)
+	walk = func(n *xmldb.Node, parent pathdict.PathID) {
+		id := c.Node(parent, d.Intern(n.Label), n.HasValue, []byte(n.Value))
+		for _, ch := range n.Children {
+			walk(ch, id)
+		}
+	}
+	for _, doc := range s.Docs {
+		walk(doc.Root, NoPath)
+	}
+	got := c.Stats()
+	if got.RootedPaths().Len() != want.RootedPaths().Len() {
+		t.Fatalf("%d rooted paths, Collect has %d", got.RootedPaths().Len(), want.RootedPaths().Len())
+	}
+	want.RootedPaths().All(func(wid pathdict.PathID, p pathdict.Path) {
+		id, ok := got.RootedPaths().Lookup(p)
+		if !ok || got.PathCount(id) != want.PathCount(wid) {
+			t.Fatalf("path %s: counted %d, Collect says %d", p.String(d), got.PathCount(id), want.PathCount(wid))
+		}
+	})
+	pairs := 0
+	want.Values(func(p pathdict.Path, v string, n int64) {
+		id, _ := got.RootedPaths().Lookup(p)
+		if got.ValueCount(id, v) != n {
+			t.Fatalf("%s = %q: counted %d, Collect says %d", p.String(d), v, got.ValueCount(id, v), n)
+		}
+		pairs++
+	})
+	got.Values(func(pathdict.Path, string, int64) { pairs-- })
+	if pairs != 0 {
+		t.Fatalf("the collector counts %d (path, value) pairs more than Collect", -pairs)
+	}
+	if n := got.NodeCount(); n != int64(s.NodeCount()) || want.NodeCount() != n {
+		t.Fatalf("NodeCount %d (Collect %d), store has %d", n, want.NodeCount(), s.NodeCount())
+	}
+}

@@ -137,12 +137,15 @@ type Node struct {
 	Path  string // slash-separated label path from the document root
 }
 
-// Nodes materialises the matched nodes (under the database's shared lock,
-// so it is safe to call concurrently with Insert/Delete; ids whose nodes
-// have since been deleted are skipped).
-func (r *Result) Nodes() []Node {
+// Nodes materialises the matched nodes from the current version (safe to
+// call concurrently with Insert/Delete; ids whose nodes have since been
+// deleted are skipped). A database opened from a file reads its documents
+// from disk the first time anything needs them; if that read fails, Nodes
+// returns the error, which matches ErrCorruptPage when a page failed its
+// checksum.
+func (r *Result) Nodes() ([]Node, error) {
 	out := make([]Node, 0, len(r.IDs))
-	r.db.eng.ViewNodes(func(store *xmldb.Store) {
+	err := r.db.eng.ViewNodes(func(store *xmldb.Store) {
 		for _, id := range r.IDs {
 			n := store.NodeByID(id)
 			if n == nil {
@@ -151,18 +154,23 @@ func (r *Result) Nodes() []Node {
 			out = append(out, Node{ID: id, Label: n.Label, Value: n.Value, Path: store.Path(n)})
 		}
 	})
-	return out
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// WriteXML serialises the subtree of one matched node to w, under the
-// database's shared lock.
+// WriteXML serialises the subtree of one matched node to w, from the
+// current version; like Nodes, it may have to read the documents first.
 func (r *Result) WriteXML(w io.Writer, id int64) error {
 	err := fmt.Errorf("twigdb: no node with id %d", id)
-	r.db.eng.ViewNodes(func(store *xmldb.Store) {
+	if verr := r.db.eng.ViewNodes(func(store *xmldb.Store) {
 		if n := store.NodeByID(id); n != nil {
 			err = xmldb.WriteXML(w, n)
 		}
-	})
+	}); verr != nil {
+		return verr
+	}
 	return err
 }
 

@@ -157,7 +157,10 @@ type Options struct {
 	RawIDLists bool
 
 	// KeepHead, when set, prunes DATAPATHS rows headed at data nodes for
-	// which it returns false (Section 4.3 workload-based pruning).
+	// which it returns false (Section 4.3 workload-based pruning). The
+	// planner then never probes DATAPATHS bound at a node (no
+	// index-nested-loop joins over it). It is not persisted: pass it again
+	// when reopening a file whose DATAPATHS was built with it.
 	KeepHead func(int64) bool
 
 	// Path, when non-empty, backs the database with a durable paged file

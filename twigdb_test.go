@@ -46,7 +46,10 @@ func TestQuickStartFlow(t *testing.T) {
 	if res.Count() != 1 {
 		t.Fatalf("count = %d, want 1", res.Count())
 	}
-	nodes := res.Nodes()
+	nodes, err := res.Nodes()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(nodes) != 1 || nodes[0].Label != "author" || nodes[0].Path != "book/allauthors/author" {
 		t.Fatalf("nodes = %+v", nodes)
 	}

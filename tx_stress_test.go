@@ -217,8 +217,8 @@ func TestTxSerializationAnomalies(t *testing.T) {
 	if err != nil || final.Count() != 1 {
 		t.Fatalf("slot tag: %v %v", final, err)
 	}
-	nodes := final.Nodes()
-	if len(nodes) != 1 || !strings.HasPrefix(nodes[0].Value, "shared w") {
+	nodes, err := final.Nodes()
+	if err != nil || len(nodes) != 1 || !strings.HasPrefix(nodes[0].Value, "shared w") {
 		t.Fatalf("final slot tag %+v is not a committed writer's token", nodes)
 	}
 }

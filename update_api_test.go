@@ -130,8 +130,8 @@ func TestInsertUnderVirtualRootPersists(t *testing.T) {
 		if err != nil || want.Count() != 2 {
 			t.Fatalf("%s: oracle %v %v, want two entries", tag, want, err)
 		}
-		if nodes := want.Nodes(); len(nodes) != 2 || nodes[0].Path != "zone/entry" {
-			t.Fatalf("%s: oracle nodes %+v", tag, nodes)
+		if nodes, err := want.Nodes(); err != nil || len(nodes) != 2 || nodes[0].Path != "zone/entry" {
+			t.Fatalf("%s: oracle nodes %+v %v", tag, nodes, err)
 		}
 		for _, s := range append(strategies, twigdb.Auto) {
 			got, err := db.QueryWith(s, q)
