@@ -258,13 +258,19 @@ func (t *Tree) alloc(pc *pageContent) (storage.PageID, error) {
 	if err != nil {
 		return storage.InvalidPage, err
 	}
-	t.pages++
-	err = encodePage(pc, pg.Data)
-	t.pool.Unpin(pg, true)
-	if err != nil {
+	if err := t.encodeNew(pg, pc); err != nil {
 		return storage.InvalidPage, err
 	}
 	return pg.ID, nil
+}
+
+// encodeNew encodes pc into pg, a pinned page newly allocated to this
+// tree, and unpins it.
+func (t *Tree) encodeNew(pg storage.Page, pc *pageContent) error {
+	t.pages++
+	err := encodePage(pc, pg.Data)
+	t.pool.Unpin(pg, true)
+	return err
 }
 
 func (t *Tree) write(id storage.PageID, pc *pageContent) error {

@@ -202,28 +202,31 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 	}
 	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].Key, entries[j].Key) < 0 })
 
-	bl, err := BulkLoad(newPool(t, 8<<20), "bulk", entries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := bl.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	i := 0
-	for ; it.Valid(); it.Next() {
-		if !bytes.Equal(it.Key(), entries[i].Key) {
-			t.Fatalf("bulk scan[%d] = %q, want %q", i, it.Key(), entries[i].Key)
+	// A one-page pool loads too: the load pins one page at a time.
+	var bl *Tree
+	for _, poolBytes := range []int64{storage.PageSize, 8 << 20} {
+		var err error
+		if bl, err = BulkLoad(newPool(t, poolBytes), "bulk", entries); err != nil {
+			t.Fatalf("%d-byte pool: %v", poolBytes, err)
 		}
-		i++
-	}
-	if i != len(entries) {
-		t.Fatalf("bulk scan %d entries, want %d", i, len(entries))
-	}
-	st := bl.Stats()
-	if st.Height < 2 || st.Entries != int64(len(entries)) {
-		t.Fatalf("bulk stats = %+v", st)
+		it, err := bl.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		for ; it.Valid(); it.Next() {
+			if !bytes.Equal(it.Key(), entries[i].Key) {
+				t.Fatalf("%d-byte pool: bulk scan[%d] = %q, want %q", poolBytes, i, it.Key(), entries[i].Key)
+			}
+			i++
+		}
+		it.Close()
+		if i != len(entries) {
+			t.Fatalf("%d-byte pool: bulk scan %d entries, want %d", poolBytes, i, len(entries))
+		}
+		if st := bl.Stats(); st.Height < 2 || st.Entries != int64(len(entries)) {
+			t.Fatalf("%d-byte pool: bulk stats = %+v", poolBytes, st)
+		}
 	}
 
 	// Random Seeks agree with binary search over the sorted input.

@@ -31,12 +31,10 @@ type span struct{ lo, hi int }
 
 // BulkLoad builds a tree from entries, which must be sorted by key
 // (duplicates allowed). It is the fast path for index construction: pages
-// are written once, left-to-right, at a uniform fill factor.
-//
-// Each level's layout is computed first and its pages are then reserved
-// with a single Pool.AllocateRun (one device mutex acquisition per level
-// instead of one per page), so the pages of a level are contiguous on the
-// device and the leaf chain is known before any page is written — no
+// are written once, left-to-right, at a uniform fill factor. Every page
+// comes from Pool.Allocate, so a load reuses the device's free pages
+// before it grows the file; each leaf's page is reserved before its left
+// neighbour is written, so the leaf chain is linked as it is written — no
 // fix-up pass re-fetching leaves to link them.
 func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 	for i, e := range entries {
@@ -75,7 +73,7 @@ func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 
 	if len(leaves) == 0 {
 		// Empty input: single empty leaf.
-		id, err := t.writeNew(pool.AllocateRun(1), &pageContent{leaf: true, aux: storage.InvalidPage})
+		id, err := t.alloc(&pageContent{leaf: true, aux: storage.InvalidPage})
 		if err != nil {
 			return nil, err
 		}
@@ -83,21 +81,32 @@ func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 		return t, nil
 	}
 
-	// Write the leaves into one contiguous run, chained left to right.
-	firstLeaf := pool.AllocateRun(len(leaves))
+	// Write the leaves, chained left to right. Each leaf's page is reserved
+	// — allocated and unpinned, a zeroed frame left in the pool — before
+	// its left neighbour is written, so the neighbour's next pointer is
+	// known when it is encoded while only one page is pinned at a time.
 	level := make([]entry, len(leaves)) // (first key, page id) per node
 	var cells []entry
+	next, err := reserve(pool)
+	if err != nil {
+		return nil, err
+	}
 	for i, sp := range leaves {
+		id := next
+		if next = storage.InvalidPage; i+1 < len(leaves) {
+			if next, err = reserve(pool); err != nil {
+				return nil, err
+			}
+		}
 		cells = cells[:0]
 		for _, e := range entries[sp.lo:sp.hi] {
 			cells = append(cells, entry{key: e.Key, val: e.Val})
 		}
-		next := storage.InvalidPage
-		if i+1 < len(leaves) {
-			next = firstLeaf + storage.PageID(i+1)
-		}
-		id, err := t.writeNew(firstLeaf+storage.PageID(i), &pageContent{leaf: true, aux: next, entries: cells})
+		pg, err := pool.Fetch(id)
 		if err != nil {
+			return nil, err
+		}
+		if err := t.encodeNew(pg, &pageContent{leaf: true, aux: next, entries: cells}); err != nil {
 			return nil, err
 		}
 		level[i] = entry{key: entries[sp.lo].Key, child: id}
@@ -123,10 +132,9 @@ func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 		}
 		nodes = append(nodes, span{start, len(level)})
 
-		first := pool.AllocateRun(len(nodes))
 		next := make([]entry, len(nodes))
 		for i, sp := range nodes {
-			id, err := t.writeNew(first+storage.PageID(i), &pageContent{
+			id, err := t.alloc(&pageContent{
 				leaf:    false,
 				aux:     level[sp.lo].child,
 				entries: level[sp.lo+1 : sp.hi],
@@ -143,17 +151,14 @@ func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 	return t, nil
 }
 
-// writeNew encodes pc into the reserved (but still unwritten) page id.
-func (t *Tree) writeNew(id storage.PageID, pc *pageContent) (storage.PageID, error) {
-	pg, err := t.pool.NewPage(id)
+// reserve allocates a page from pool and unpins it at once, returning its
+// id: the page stays allocated, its zeroed frame dirty in the pool (or,
+// once evicted, on the device) until the caller fetches it to write its
+// image.
+func reserve(pool *storage.Pool) (storage.PageID, error) {
+	pg, err := pool.Allocate()
 	if err != nil {
 		return storage.InvalidPage, err
 	}
-	t.pages++
-	err = encodePage(pc, pg.Data)
-	t.pool.Unpin(pg, true)
-	if err != nil {
-		return storage.InvalidPage, err
-	}
-	return pg.ID, nil
+	return pg.ID, pool.Unpin(pg, true)
 }

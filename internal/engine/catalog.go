@@ -2,14 +2,12 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"repro/internal/btree"
 	"repro/internal/index"
 	"repro/internal/pathdict"
 	"repro/internal/storage"
-	"repro/internal/xmldb"
 )
 
 // The engine catalog is the durable root of everything above the page
@@ -35,11 +33,7 @@ import (
 //	         built (fixed by the file format: kinds are never reordered)
 //	per present structure, in kind order: its record
 //
-// Version 1 carried the documents themselves where version 2 has nextID:
-// nextID, #docs, then each document tree in pre-order (id, label,
-// hasValue[, value], #children, children...); it had no nodes field, and
-// its present mask was one byte, full at the eight persisted kinds. Open
-// still reads version 1 (readNode); the next commit writes version 2.
+// Open reads version 2 only; any other fails with storage.ErrFormatVersion.
 //
 // The engine frames the records; what is inside one is its structure's
 // business (Structure.AppendRecord and the family table's open function in
@@ -53,8 +47,6 @@ const (
 	catalogPageHeader = 6
 	catalogPageCap    = storage.PageSize - catalogPageHeader
 )
-
-var errCatalogVersion = errors.New("engine: unsupported catalog version")
 
 // presentMask is the present bitmask of the built structures.
 func presentMask(built []index.Structure) uint64 {
@@ -92,71 +84,23 @@ func encodeCatalog(s *Snapshot) []byte {
 	return w.Buf
 }
 
-// readNode reads one version-1 document tree.
-func readNode(r *index.CatReader, depth int) *xmldb.Node {
-	if depth > 100000 {
-		r.Fail("node nesting too deep")
-		return nil
-	}
-	n := &xmldb.Node{ID: int64(r.Uvarint()), Label: r.Str()}
-	if r.Bool() {
-		n.HasValue = true
-		n.Value = r.Str()
-	}
-	kids := r.Uvarint()
-	if r.Err() != nil || kids > r.Len() {
-		r.Fail("bad child count %d", kids)
-		return n
-	}
-	for i := uint64(0); i < kids; i++ {
-		c := readNode(r, depth+1)
-		if r.Err() != nil {
-			return n
-		}
-		n.Children = append(n.Children, c)
-	}
-	return n
-}
-
-// readStoreV1 reads a version-1 catalog's documents.
-func readStoreV1(r *index.CatReader) *xmldb.Store {
-	nDocs := r.Uvarint()
-	if nDocs > r.Len() {
-		r.Fail("bad document count")
-	}
-	store := xmldb.NewStore()
-	for i := uint64(0); i < nDocs && r.Err() == nil; i++ {
-		if root := readNode(r, 0); r.Err() == nil {
-			if err := store.RestoreDocument(&xmldb.Document{Root: root}); err != nil {
-				r.Fail("%v", err)
-			}
-		}
-	}
-	return store
-}
-
 // decodeCatalog restores the engine's durable state from blob into the
-// initial snapshot (and the DB's shared dictionary/path table). A
-// version-2 catalog's documents stay in the node table on db's device:
-// the snapshot gets the statistics read from it (readNodeStats), and its
-// store is loaded on first need. Called during Open, before the DB is
-// shared. A blob it cannot decode fails with an error matching
-// index.ErrCorruptCatalog or errCatalogVersion, as does a node table
-// readNodeStats rejects.
+// initial snapshot (and the DB's shared dictionary/path table). The
+// documents stay in the node table on db's device: the snapshot gets the
+// statistics read from it (readNodeStats), and its store is loaded on
+// first need. Called during Open, before the DB is shared. A blob it
+// cannot decode fails with an error matching index.ErrCorruptCatalog, or
+// storage.ErrFormatVersion for a version other than catalogVersion, as
+// does a node table readNodeStats rejects.
 func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 	if len(blob) < len(catalogMagic) || string(blob[:len(catalogMagic)]) != catalogMagic {
 		return fmt.Errorf("%w: bad magic", index.ErrCorruptCatalog)
 	}
 	r := index.NewCatReader(blob[len(catalogMagic):])
-	version := r.Uvarint()
-	if r.Err() == nil && version != 1 && version != catalogVersion {
-		return fmt.Errorf("%w %d", errCatalogVersion, version)
+	if version := r.Uvarint(); r.Err() == nil && version != catalogVersion {
+		return fmt.Errorf("%w: catalog version %d (this build reads version %d only)", storage.ErrFormatVersion, version, catalogVersion)
 	}
 	nextID := int64(r.Uvarint())
-	var store *xmldb.Store
-	if version == 1 {
-		store = readStoreV1(r)
-	}
 
 	// Dictionary.
 	dict := pathdict.NewDict()
@@ -169,32 +113,21 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 	}
 
 	ptab := r.PathTable()
-	var nodes btree.Meta
-	var mask uint64
-	if version == 1 {
-		mask = uint64(r.U8())
-	} else {
-		nodes = r.TreeMeta()
-		mask = r.Uvarint()
-	}
+	nodes := r.TreeMeta()
+	mask := r.Uvarint()
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if version == 1 {
-		store.SetNextID(nextID)
-		snap.setStore(store)
-	} else {
-		st, last, err := readNodeStats(db.fdisk, nodes, dict)
-		if err != nil {
-			return err
-		}
-		if nextID <= last {
-			return fmt.Errorf("%w: id counter %d below node %d", index.ErrCorruptCatalog, nextID, last)
-		}
-		snap.nodes = &nodeTable{tree: btree.Open(db.pool, nodes), dict: dict}
-		snap.env.Stats = st
-		snap.statsReady.Store(true)
+	st, last, err := readNodeStats(db.fdisk, nodes, dict)
+	if err != nil {
+		return err
 	}
+	if nextID <= last {
+		return fmt.Errorf("%w: id counter %d below node %d", index.ErrCorruptCatalog, nextID, last)
+	}
+	snap.nodes = &nodeTable{tree: btree.Open(db.pool, nodes), dict: dict}
+	snap.env.Stats = st
+	snap.statsReady.Store(true)
 
 	db.dict = dict
 	db.ptab = ptab
@@ -215,7 +148,7 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 		}
 		snap.env.Install(k, st)
 	}
-	if mask != 0 && version != 1 {
+	if mask != 0 {
 		return fmt.Errorf("%w: present mask names unknown structures %#x", index.ErrCorruptCatalog, mask)
 	}
 	return nil
@@ -255,17 +188,15 @@ func layCatalogChain(blob []byte, ids []storage.PageID, write func(storage.PageI
 // writeCatalogChain writes blob across a chain of pages, reusing the ids
 // in reuse (the previous catalog's pages — safe because every overwrite is
 // a WAL frame that only supersedes the old image at the next commit) and
-// allocating more from dev as needed. It returns the chain head and the
-// full page set to reuse next time.
+// allocating more from dev, free list first, as needed. It returns the
+// chain head and the full page set to reuse next time.
 func writeCatalogChain(dev *storage.FileDisk, reuse []storage.PageID, blob []byte) (storage.PageID, []storage.PageID, error) {
 	n := catalogChainLen(blob)
-	if n > len(reuse) {
-		grow := n - len(reuse)
-		first := dev.AllocateN(grow)
-		for i := 0; i < grow; i++ {
-			reuse = append(reuse, first+storage.PageID(i))
-		}
-	} else if n < len(reuse) {
+	for len(reuse) < n {
+		// An exhausted id space yields InvalidPage, which the write refuses.
+		reuse = append(reuse, dev.Allocate())
+	}
+	if n < len(reuse) {
 		// The catalog shrank: return the excess chain pages to the device
 		// free list. Immediate (not deferred like tree pages) because
 		// catalog pages are only ever read at Open, never by snapshots at

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"flag"
@@ -12,14 +13,14 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/naive"
+	"repro/internal/storage"
 	"repro/internal/xmldb"
 	"repro/internal/xpath"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
-// goldenDocs is the fixed corpus behind catalog_v1.golden and
-// catalog_v2.golden: labels a and b
+// goldenDocs is the fixed corpus behind catalog_v2.golden: labels a and b
 // recur at several depths, so ASR, JoinIndex and XRel register several
 // paths and ASR/JoinIndex carry non-empty rooted-path and root-id sets.
 var goldenDocs = []string{
@@ -59,10 +60,7 @@ func goldenDB(t testing.TB, opts index.PathsOptions, path string) *DB {
 	return db
 }
 
-const (
-	catalogGoldenV1 = "catalog_v1.golden"
-	catalogGolden   = "catalog_v2.golden"
-)
+const catalogGolden = "catalog_v2.golden"
 
 // dumpDocs renders every document of store in order.
 func dumpDocs(store *xmldb.Store) string {
@@ -147,32 +145,26 @@ func TestCatalogGolden(t *testing.T) {
 	}
 }
 
-// TestCatalogV1Golden keeps the version-1 reader honest: catalog_v1.golden,
-// generated before the documents moved into the node table and never
-// rewritten since, must still decode — documents from the blob itself —
-// into the store the same corpus builds, whose indices (reading the pool
-// of an identically built in-memory database) answer as the naive matcher.
-func TestCatalogV1Golden(t *testing.T) {
-	blobs := goldenBlobs(t, catalogGoldenV1)
-	if len(blobs) != len(goldenConfigs) {
-		t.Fatalf("%s has %d blobs, want %d", catalogGoldenV1, len(blobs), len(goldenConfigs))
-	}
-	for i, cfg := range goldenConfigs {
-		db := goldenDB(t, cfg.opts, "")
-		re := &Snapshot{}
-		if err := decodeCatalog(db, re, blobs[i]); err != nil {
-			t.Fatalf("%s: decode: %v", cfg.name, err)
+// TestCatalogRejectsOtherVersions: a catalog blob of any version but
+// catalogVersion is refused with storage.ErrFormatVersion — the golden
+// blob restamped as version 1 (which carried the documents in the blob)
+// and as version 3.
+func TestCatalogRejectsOtherVersions(t *testing.T) {
+	db := goldenDB(t, index.PathsOptions{}, filepath.Join(t.TempDir(), "versions.db"))
+	defer db.Close()
+	blob := encodeCatalog(db.CurrentSnapshot())
+	for _, v := range []byte{1, 3} {
+		stamped := bytes.Clone(blob)
+		stamped[len(catalogMagic)] = v
+		if err := decodeCatalog(db, &Snapshot{}, stamped); !errors.Is(err, storage.ErrFormatVersion) {
+			t.Errorf("catalog version %d: got %v, want ErrFormatVersion", v, err)
 		}
-		if re.nodes != nil {
-			t.Fatalf("%s: a version-1 catalog decoded with a node table", cfg.name)
-		}
-		checkDecoded(t, cfg.name+" v1", db, re)
 	}
 }
 
 // TestEveryPersistedKindRoundTrips: every persisted kind survives encode →
-// decode, and the present mask — a uvarint since version 2 — keeps a bit
-// past the eighth kind, where version 1's single byte ran out.
+// decode, and the present mask — a uvarint — keeps a bit past the eighth
+// kind.
 func TestEveryPersistedKindRoundTrips(t *testing.T) {
 	db := goldenDB(t, index.PathsOptions{}, filepath.Join(t.TempDir(), "kinds.db"))
 	defer db.Close()
@@ -219,24 +211,29 @@ func goldenBlobs(t testing.TB, name string) [][]byte {
 // FuzzDecodeCatalog attacks the decoder of the one blob Open trusts the
 // file for: whatever the bytes, decodeCatalog returns a snapshot (which
 // then re-encodes) or an error matching index.ErrCorruptCatalog or
-// errCatalogVersion — it never panics, and no count read from the input
+// storage.ErrFormatVersion — the latter always for a blob whose version is
+// not catalogVersion. It never panics, and no count read from the input
 // sizes an allocation before it is checked against the bytes left. The
 // blobs are decoded against a file-backed database built from the golden
-// corpus, so a version-2 blob's node table and index roots name real
-// pages. Seeds: the golden blobs of both versions, plus the truncated and
-// bit-flipped variants checked in under testdata/fuzz/FuzzDecodeCatalog.
+// corpus, so a blob's node table and index roots name real pages. Seeds:
+// the golden blobs, plus the truncated and bit-flipped variants checked in
+// under testdata/fuzz/FuzzDecodeCatalog (those of version 1 are refused).
 func FuzzDecodeCatalog(f *testing.F) {
-	for _, name := range []string{catalogGoldenV1, catalogGolden} {
-		for _, blob := range goldenBlobs(f, name) {
-			f.Add(blob)
-		}
+	for _, blob := range goldenBlobs(f, catalogGolden) {
+		f.Add(blob)
 	}
 	db := goldenDB(f, index.PathsOptions{}, filepath.Join(f.TempDir(), "fuzz.db"))
 	f.Cleanup(func() { db.Close() })
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		snap := &Snapshot{}
-		if err := decodeCatalog(db, snap, blob); err != nil {
-			if !errors.Is(err, index.ErrCorruptCatalog) && !errors.Is(err, errCatalogVersion) {
+		err := decodeCatalog(db, snap, blob)
+		if bytes.HasPrefix(blob, []byte(catalogMagic)) {
+			if v, n := binary.Uvarint(blob[len(catalogMagic):]); n > 0 && v != catalogVersion && !errors.Is(err, storage.ErrFormatVersion) {
+				t.Fatalf("catalog version %d: got %v, want ErrFormatVersion", v, err)
+			}
+		}
+		if err != nil {
+			if !errors.Is(err, index.ErrCorruptCatalog) && !errors.Is(err, storage.ErrFormatVersion) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
 			return

@@ -432,9 +432,8 @@ type retireBatch struct {
 // commitCurrent). Callers hold writeMu.
 func (db *DB) commitAppend(next *Snapshot) (seq int64, err error) {
 	if next.nodes == nil {
-		// The first commit since the store was loaded, or read from a
-		// version-1 catalog. Should the commit fail, the table's pages go
-		// back to the free list with it.
+		// The first commit since documents were bulk-loaded. Should the
+		// commit fail, the table's pages go back to the free list with it.
 		if next.nodes, err = bulkLoadNodeTable(db.pool, db.dict, next.store); err != nil {
 			return 0, fmt.Errorf("engine: building the node table: %w", err)
 		}
@@ -621,8 +620,8 @@ func (db *DB) Checkpoint() error {
 
 // commitCurrent appends a commit record sealing the current state — the
 // commit of Checkpoint, Close and a Backup that needs one. A current
-// snapshot without a node table (a store loaded, or read from a version-1
-// catalog, and not committed since) is never changed after publication:
+// snapshot without a node table (documents bulk-loaded and not committed
+// since) is never changed after publication:
 // a successor is committed instead, whose commitAppend bulk-loads the
 // table, and published with an empty write-set, as it changes no data.
 // Callers hold writeMu.
@@ -779,6 +778,10 @@ func (db *DB) Build(kinds ...index.Kind) error {
 		db.writeMu.Unlock()
 		return err
 	}
+	// Free what drained snapshots no longer read before building, so the
+	// build draws its pages from the free list — the previous rebuild's
+	// replaced structures among them — before it grows the file.
+	db.reclaimRetired()
 	cur := db.current.Load()
 	store, err := db.storeOf(cur)
 	if err != nil {

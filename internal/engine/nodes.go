@@ -401,8 +401,8 @@ func scanNodeTable(dev *storage.FileDisk, m btree.Meta, dict *pathdict.Dict, fn 
 
 // readNodeTable rebuilds the store the table m describes (see
 // scanNodeTable), its labels from dict. The documents are built detached
-// and then restored whole, as a version-1 catalog's are; a parent with a
-// child whose order is not its id has its children sorted by order.
+// and then restored whole; a parent with a child whose order is not its id
+// has its children sorted by order.
 func readNodeTable(dev *storage.FileDisk, m btree.Meta, dict *pathdict.Dict) (*xmldb.Store, error) {
 	labels := make([]string, dict.Size()+1)
 	for sym := range labels[1:] {

@@ -1,11 +1,9 @@
 package engine
 
 import (
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -365,94 +363,4 @@ func TestDurableCommitFollowsChange(t *testing.T) {
 	if bigAlloc > 1.5*smallAlloc {
 		t.Errorf("a commit allocates %.0f bytes at 80 items/region, %.2f× the %.0f at 10", bigAlloc, bigAlloc/smallAlloc, smallAlloc)
 	}
-}
-
-// TestUpgradeV1Database opens a database written with the version-1
-// catalog, which carried the documents itself, and checks that it answers
-// the golden queries as the oracle does, that its first commit writes
-// version 2 (the catalog chain shrinking from two pages to one, every page
-// still accounted for), and that the upgraded file reopens with the same
-// documents and answers.
-//
-// testdata/golden_v1.twigdb.gz was written before the node table existed,
-// by this recipe (then gzip -9 -n):
-//
-//	db, _ := Open(Config{Path: path, BufferPoolBytes: 8 << 20})
-//	for i := 0; i < 60; i++ { // 60 copies: a catalog of two pages
-//		for _, doc := range goldenDocs {
-//			db.LoadXML(strings.NewReader(doc))
-//		}
-//	}
-//	db.Build(index.KindRootPaths, index.KindDataPaths)
-//	db.Close()
-func TestUpgradeV1Database(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.db")
-	f, err := os.Open(filepath.Join("testdata", "golden_v1.twigdb.gz"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	answers := func(tag string, db *DB) string {
-		t.Helper()
-		var b strings.Builder
-		for _, q := range goldenQueries {
-			pat := xpath.MustParse(q)
-			want, err := db.Read(pat, ReadOpts{Planner: Oracle})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, s := range []plan.Strategy{plan.RootPathsPlan, plan.DataPathsPlan} {
-				got, err := pinnedIDs(db, pat, s)
-				if err != nil || !equalIDs(got, want.IDs) {
-					t.Fatalf("%s: %s via %v: %v %v, oracle %v", tag, q, s, got, err, want.IDs)
-				}
-			}
-			fmt.Fprintf(&b, "%s %v\n", q, want.IDs)
-		}
-		return b.String()
-	}
-
-	db, err := Open(Config{Path: path, BufferPoolBytes: 4 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.CurrentSnapshot().nodes != nil || len(db.catalogPages) != 2 {
-		t.Fatalf("fixture is not a two-page version-1 catalog (node table %v, %d pages)", db.CurrentSnapshot().nodes != nil, len(db.catalogPages))
-	}
-	want, docs := answers("v1", db), dumpDocs(db.Store())
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if db.CurrentSnapshot().nodes == nil || len(db.catalogPages) != 1 {
-		t.Fatalf("the upgrade commit left node table %v, %d catalog pages", db.CurrentSnapshot().nodes != nil, len(db.catalogPages))
-	}
-	assertPagesAccounted(t, db)
-	if got := answers("upgraded", db); got != want {
-		t.Fatalf("answers moved with the upgrade:\n%s\nwant:\n%s", got, want)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, got := reopenDump(t, path)
-	defer re.Close()
-	if got != docs {
-		t.Fatalf("upgraded store differs\ngot:\n%s\nwant:\n%s", got, docs)
-	}
-	if got := answers("reopened", re); got != want {
-		t.Fatalf("answers moved across the reopen:\n%s\nwant:\n%s", got, want)
-	}
-	assertPagesAccounted(t, re)
 }

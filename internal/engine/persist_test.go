@@ -1,7 +1,13 @@
 package engine
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -325,4 +331,66 @@ func TestCloseRetiresContainment(t *testing.T) {
 	}
 	defer re.Close()
 	assertPagesAccounted(t, re)
+}
+
+// TestOpenRefusesOtherFormats: Open refuses a file whose superblock is
+// stamped with storage version 2, or whose catalog (committed to the WAL,
+// so the refusal comes after recovery) is version 1 or 3, with
+// storage.ErrFormatVersion, and leaves the database file and its WAL as
+// they were.
+func TestOpenRefusesOtherFormats(t *testing.T) {
+	stamp := map[string]func(t *testing.T, path string){
+		"storage v2": func(t *testing.T, path string) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.BigEndian.PutUint32(raw[8:], 2) // version, then the CRC over bytes 0..27
+			binary.BigEndian.PutUint32(raw[28:], crc32.ChecksumIEEE(raw[:28]))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for _, v := range []byte{1, 3} {
+		stamp[fmt.Sprintf("catalog v%d", v)] = func(t *testing.T, path string) {
+			fd, err := storage.OpenFileDisk(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fd.Close()
+			root, buf := fd.Meta().CatalogRoot, make([]byte, storage.PageSize)
+			if err := fd.Read(root, buf); err != nil {
+				t.Fatal(err)
+			}
+			buf[catalogPageHeader+len(catalogMagic)] = v
+			if err := fd.Write(root, buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := fd.Commit(fd.Meta()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for name, restamp := range stamp {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "old.db")
+			db := goldenDB(t, index.PathsOptions{}, path)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			restamp(t, path)
+			file, _ := os.ReadFile(path)
+			wal, _ := os.ReadFile(path + storage.WALSuffix)
+			if _, err := Open(Config{Path: path}); !errors.Is(err, storage.ErrFormatVersion) {
+				t.Fatalf("open: got %v, want ErrFormatVersion", err)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, file) {
+				t.Fatal("the refused open changed the database file")
+			}
+			if got, _ := os.ReadFile(path + storage.WALSuffix); !bytes.Equal(got, wal) {
+				t.Fatal("the refused open changed the WAL")
+			}
+		})
+	}
 }

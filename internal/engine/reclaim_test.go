@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/index"
 	"repro/internal/storage"
 	"repro/internal/xmldb"
@@ -105,6 +106,38 @@ func TestChurnSteadyState(t *testing.T) {
 			t.Fatalf("%v after churn: got %v want %v", s, got, want)
 		}
 	}
+}
+
+// TestRebuildReusesFreedPages: rebuilding ROOTPATHS and DATAPATHS over
+// and over levels off at two builds' worth of pages. Each build frees the
+// structures the build before it replaced (no snapshot reads them any
+// more), and bulk loads and the catalog draw their pages from the free
+// list before they grow the file.
+func TestRebuildReusesFreedPages(t *testing.T) {
+	db, err := Open(Config{Path: filepath.Join(t.TempDir(), "rebuild.db"), BufferPoolBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.AddDocument(datagen.XMark(datagen.XMarkConfig{ItemsPerRegion: 20})); err != nil {
+		t.Fatal(err)
+	}
+	var pages []int
+	for i := 0; i < 6; i++ {
+		if err := db.Build(index.KindRootPaths, index.KindDataPaths); err != nil {
+			t.Fatal(err)
+		}
+		pages = append(pages, db.fdisk.NumPages())
+	}
+	t.Logf("pages after each build: %v", pages)
+	if pages[5] != pages[1] {
+		t.Fatalf("pages after each build %v: the sixth build ends at %d, the second at %d", pages, pages[5], pages[1])
+	}
+	// The checkpoint's commit frees what the last build replaced.
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	assertPagesAccounted(t, db)
 }
 
 // TestBackupRestore takes an online backup of a quiescent database with

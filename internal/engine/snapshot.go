@@ -57,8 +57,8 @@ type Snapshot struct {
 	env plan.Env
 
 	// nodes is the store's paged form (see nodeTable); nil until the first
-	// commit after the store was loaded or read from a v1 catalog. It is
-	// set before the snapshot is published, never after.
+	// commit after documents were bulk-loaded (AddDocument). It is set
+	// before the snapshot is published, never after.
 	nodes *nodeTable
 
 	// pins counts readers currently inside a query against this snapshot.

@@ -10,10 +10,19 @@ import "errors"
 var (
 	// ErrCorruptPage reports that a page image failed validation: a db-file
 	// page whose CRC trailer does not match its contents, a WAL frame whose
-	// CRC fails on the read path, or a B+-tree page whose header is
-	// structurally impossible. The read path retries once (a transient
-	// fault may not recur) before returning it.
+	// CRC fails on the read path, a B+-tree page whose header is
+	// structurally impossible, or a superblock with a bad magic, a bad
+	// checksum or an impossible page count, catalog root or free-list head.
+	// The read path retries once (a transient fault may not recur) before
+	// returning it.
 	ErrCorruptPage = errors.New("storage: corrupt page")
+
+	// ErrFormatVersion reports a database file written in a format this
+	// build does not read: a superblock stamped with another storage
+	// version or page size, or (from the engine) a catalog of another
+	// version. The open is refused before anything is written to the
+	// file; upgrading is a reload (see docs/STORAGE.md).
+	ErrFormatVersion = errors.New("storage: unsupported format version")
 
 	// ErrPoisoned reports that the FileDisk has poisoned itself after a
 	// failed fsync (fsyncgate semantics: the kernel may have dropped dirty

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -34,7 +37,7 @@ func faultedFD(t *testing.T, inj *FaultInjector) (*FileDisk, PageID) {
 	f := NewMemFileDisk()
 	t.Cleanup(func() { f.Close() })
 	f.SetFaultInjector(inj)
-	id := f.AllocateN(1)
+	id := allocate(f, 1)
 	if err := f.Write(id, fillPage('s')); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +239,7 @@ func TestFileDiskFsyncPoison(t *testing.T) {
 	inj.Disarm()
 	f := mustOpenFD(t, path)
 	f.SetFaultInjector(inj)
-	f.AllocateN(1)
+	allocate(f, 1)
 	if err := f.Write(0, fillPage('a')); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +312,7 @@ func TestFileDiskInjectedWriteErrorRetryable(t *testing.T) {
 	f := mustOpenFD(t, path)
 	defer f.Close()
 	f.SetFaultInjector(inj)
-	f.AllocateN(1)
+	allocate(f, 1)
 	inj.Arm()
 	if err := f.Write(0, fillPage('a')); !errors.Is(err, ErrInjected) {
 		t.Fatalf("got %v, want ErrInjected", err)
@@ -343,7 +346,7 @@ func TestFileDiskBitFlipRetry(t *testing.T) {
 		f := mustOpenFD(t, path)
 		defer f.Close()
 		f.SetFaultInjector(inj)
-		f.AllocateN(1)
+		allocate(f, 1)
 		f.Write(0, fillPage('a'))
 		f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
 		inj.Arm()
@@ -366,7 +369,7 @@ func TestFileDiskBitFlipRetry(t *testing.T) {
 		f := mustOpenFD(t, path)
 		defer f.Close()
 		f.SetFaultInjector(inj)
-		f.AllocateN(1)
+		allocate(f, 1)
 		f.Write(0, fillPage('a'))
 		f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
 		inj.Arm()
@@ -386,7 +389,7 @@ func TestFileDiskBitFlipRetry(t *testing.T) {
 func TestFileDiskChecksumCatchesDiskCorruption(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(2)
+	allocate(f, 2)
 	f.Write(0, fillPage('a'))
 	f.Write(1, fillPage('b'))
 	f.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
@@ -426,7 +429,7 @@ func TestFileDiskChecksumCatchesWALCorruption(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
 	defer f.Close()
-	f.AllocateN(1)
+	allocate(f, 1)
 	f.Write(0, fillPage('a'))
 	f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
 
@@ -451,33 +454,126 @@ func TestFileDiskChecksumCatchesWALCorruption(t *testing.T) {
 	}
 }
 
-// TestFileDiskRejectsOldFormat: a file stamped with format version 1 (no
-// page checksum trailers) must be refused with a version message, not read
-// with misaligned offsets.
+// TestFileDiskRejectsOldFormat: a superblock stamped with any storage
+// version but the current one, or with another page size, is refused with
+// ErrFormatVersion — not read with misaligned offsets or a free list it
+// cannot parse — and the refused open changes no byte of the database file
+// or its WAL.
 func TestFileDiskRejectsOldFormat(t *testing.T) {
-	path := tmpDB(t)
-	f := mustOpenFD(t, path)
-	f.AllocateN(1)
-	f.Write(0, fillPage('a'))
-	f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
-	f.Checkpoint()
-	f.Close()
+	for _, tc := range []struct {
+		name string
+		off  int // superblock field to restamp
+		val  uint32
+	}{
+		{"v1", 8, 1},
+		{"v2", 8, 2},
+		{"v4", 8, 4},
+		{"page size 4096", 12, 4096},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := tmpDB(t)
+			f := mustOpenFD(t, path)
+			allocate(f, 1)
+			f.Write(0, fillPage('a'))
+			f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+			f.Checkpoint()
+			f.Write(0, fillPage('b')) // a committed frame left in the WAL
+			f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+			f.Close()
 
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			binary.BigEndian.PutUint32(raw[tc.off:], tc.val)
+			sealSuperblock(raw)
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			wal, err := os.ReadFile(path + WALSuffix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenFileDisk(path); !errors.Is(err, ErrFormatVersion) {
+				t.Fatalf("open: got %v, want ErrFormatVersion", err)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, raw) {
+				t.Fatal("the refused open changed the database file")
+			}
+			if got, _ := os.ReadFile(path + WALSuffix); !bytes.Equal(got, wal) {
+				t.Fatal("the refused open changed the WAL")
+			}
+		})
 	}
-	binary.BigEndian.PutUint32(raw[8:], 1) // stamp v1 and re-seal the superblock CRC
-	binary.BigEndian.PutUint32(raw[superblockUsed-4:], crc32.ChecksumIEEE(raw[:superblockUsed-4]))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// TestFileDiskRejectsImpossibleMeta: recovery trusts no metadata that
+// cannot describe a database — a negative page count, or a catalog root or
+// free-list head that is neither InvalidPage nor a page below the count. A
+// superblock carrying one (checksum intact) fails the open with
+// ErrCorruptPage, as a bad magic, a checksum mismatch and a short
+// superblock do; a commit record carrying one ends the committed log, as a
+// bad CRC does.
+func TestFileDiskRejectsImpossibleMeta(t *testing.T) {
+	impossible := []Meta{
+		{NumPages: -3, CatalogRoot: 77, FreeHead: InvalidPage},
+		{NumPages: -1, CatalogRoot: InvalidPage, FreeHead: InvalidPage},
+		{NumPages: 4, CatalogRoot: 4, FreeHead: InvalidPage},
+		{NumPages: 4, CatalogRoot: -2, FreeHead: InvalidPage},
+		{NumPages: 4, CatalogRoot: 0, FreeHead: 9},
+		{NumPages: 0, CatalogRoot: InvalidPage, FreeHead: 0},
 	}
-	_, err = OpenFileDisk(path)
-	if err == nil {
-		t.Fatal("open of v1 file succeeded")
+	valid := Meta{NumPages: 4, CatalogRoot: 0, FreeHead: InvalidPage}
+	superblocks := map[string]func() File{
+		"short": func() File {
+			file := &memFile{}
+			file.WriteAt([]byte(fileFormatMagic), 0)
+			return file
+		},
+		"bad magic": func() File {
+			file := craftedFile(t, valid, nil)
+			file.WriteAt([]byte("X"), 3)
+			return file
+		},
+		"checksum mismatch": func() File {
+			file := craftedFile(t, valid, nil)
+			file.WriteAt([]byte{0xFF}, 17)
+			return file
+		},
 	}
-	if want := "unsupported format version 1"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
-		t.Fatalf("error %q does not name the version", err)
+	for _, m := range impossible {
+		superblocks[fmt.Sprintf("%+v", m)] = func() File { return craftedFile(t, m, nil) }
+	}
+	for name, build := range superblocks {
+		t.Run("superblock "+name, func(t *testing.T) {
+			if _, err := openFileDisk(build(), &memFile{}, ""); !errors.Is(err, ErrCorruptPage) {
+				t.Fatalf("open: got %v, want ErrCorruptPage", err)
+			}
+		})
+	}
+	for _, m := range impossible {
+		t.Run(fmt.Sprintf("commit %+v", m), func(t *testing.T) {
+			file, wal := craftedFile(t, Meta{CatalogRoot: InvalidPage, FreeHead: InvalidPage}, nil), &memFile{}
+			d := openCrafted(t, file, wal)
+			allocate(d, 4)
+			if err := d.Write(0, fillPage('a')); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Commit(valid); err != nil {
+				t.Fatal(err)
+			}
+			end := d.WALSize()
+			if _, err := wal.WriteAt(appendWALCommit(nil, m), end); err != nil {
+				t.Fatal(err)
+			}
+			re := openCrafted(t, file, wal)
+			if got := re.Meta(); got != valid {
+				t.Fatalf("recovered Meta %+v, want %+v", got, valid)
+			}
+			if st := re.DeviceStats(); st.RecoveredCommits != 1 || re.WALSize() != end {
+				t.Fatalf("recovered %d commits, WAL %d bytes; want 1, %d", st.RecoveredCommits, re.WALSize(), end)
+			}
+		})
 	}
 }
 
@@ -488,7 +584,7 @@ func TestFileDiskRejectsOldFormat(t *testing.T) {
 func TestFileDiskCorruptInteriorFrame(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(1)
+	allocate(f, 1)
 	f.Write(0, fillPage('0'))
 	f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
 	if err := f.Checkpoint(); err != nil {
@@ -545,7 +641,7 @@ func TestFileDiskCorruptInteriorFrame(t *testing.T) {
 func TestFileDiskRecoveryCounters(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(1)
+	allocate(f, 1)
 	for i := 0; i < 3; i++ {
 		f.Write(0, fillPage(byte('a'+i)))
 		if err := f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
@@ -558,5 +654,98 @@ func TestFileDiskRecoveryCounters(t *testing.T) {
 	st := re.DeviceStats()
 	if st.RecoveredCommits != 3 || st.WALBytesDiscarded != 0 {
 		t.Fatalf("RecoveredCommits=%d WALBytesDiscarded=%d, want 3/0", st.RecoveredCommits, st.WALBytesDiscarded)
+	}
+}
+
+// FuzzOpenFileDisk opens a FileDisk over a fuzzed superblock and a fuzzed
+// WAL. With reseal set the harness first re-seals the superblock checksum
+// and the CRC of every whole WAL record, so inputs get past the checksums
+// to the checks behind them. Open must not panic. It either fails with an
+// error matching ErrFormatVersion or ErrCorruptPage, or yields a disk
+// whose Meta is possible (Meta.valid), whose Allocate returns a page Read
+// accepts (InvalidPage only once every page id is in use), and whose next
+// commit reopens to the same Meta and page image.
+func FuzzOpenFileDisk(f *testing.F) {
+	f.Fuzz(func(t *testing.T, sb, log []byte, reseal bool) {
+		sb = slices.Clone(sb[:min(len(sb), superblockSize)])
+		log = slices.Clone(log)
+		if reseal {
+			if len(sb) >= superblockUsed {
+				sealSuperblock(sb)
+			}
+			resealWAL(log)
+		}
+		file, wal := &memFile{}, &memFile{}
+		file.WriteAt(sb, 0)
+		wal.WriteAt(log, 0)
+		d, err := openFileDisk(file, wal, "")
+		if err != nil {
+			if !errors.Is(err, ErrFormatVersion) && !errors.Is(err, ErrCorruptPage) {
+				t.Fatalf("untyped open error: %v", err)
+			}
+			return
+		}
+		meta := d.Meta()
+		if !meta.valid() {
+			t.Fatalf("opened with impossible Meta %+v", meta)
+		}
+		id := d.Allocate()
+		if id == InvalidPage {
+			if d.NumPages() < math.MaxInt32 {
+				t.Fatalf("Allocate refused with %d pages", d.NumPages())
+			}
+			return
+		}
+		if id < 0 {
+			t.Fatalf("Allocate returned page %d", id)
+		}
+		buf := make([]byte, PageSize)
+		if err := d.Read(id, buf); err != nil {
+			t.Fatalf("read of allocated page %d: %v", id, err)
+		}
+		if err := d.Write(id, fillPage('f')); err != nil {
+			t.Fatal(err)
+		}
+		meta.NumPages = int32(d.NumPages())
+		if err := d.Commit(meta); err != nil {
+			t.Fatal(err)
+		}
+		re, err := openFileDisk(file, wal, "")
+		if err != nil {
+			t.Fatalf("reopen after a commit: %v", err)
+		}
+		if got, want := re.Meta(), d.Meta(); got != want {
+			t.Fatalf("reopened Meta %+v, committed %+v", got, want)
+		}
+		if err := re.Read(id, buf); err != nil || !bytes.Equal(buf, fillPage('f')) {
+			t.Fatalf("committed page %d did not survive the reopen (err %v)", id, err)
+		}
+	})
+}
+
+// sealSuperblock recomputes the checksum of the superblock at the head of
+// sb.
+func sealSuperblock(sb []byte) {
+	binary.BigEndian.PutUint32(sb[superblockUsed-4:], crc32.ChecksumIEEE(sb[:superblockUsed-4]))
+}
+
+// resealWAL recomputes the CRC of every whole record at the head of log,
+// stopping at the first unknown type or partial record.
+func resealWAL(log []byte) {
+	for off := 0; off < len(log); {
+		n := walCommitSize
+		switch log[off] {
+		case walRecFrame:
+			n = walFrameSize
+		case walRecCommit:
+		default:
+			return
+		}
+		if off+n > len(log) {
+			return
+		}
+		rec := log[off : off+n]
+		binary.BigEndian.PutUint32(rec[n-4:], crc32.ChecksumIEEE(rec[:n-4]))
+		off += n
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"sync"
@@ -32,8 +33,7 @@ import (
 //
 //	offset  size  field
 //	0       8     magic "TWIGDBF1"
-//	8       4     format version (3; v2 chained free pages, v1 had no
-//	              page checksum trailers)
+//	8       4     format version (3; any other is refused)
 //	12      4     page size (8192)
 //	16      4     numPages
 //	20      4     catalog root page id
@@ -51,14 +51,11 @@ import (
 // appends one frame per trunk changed since the previous commit just before
 // its commit record, whose FreeHead names the head trunk. Free-list
 // mutations therefore commit and recover atomically with the page writes
-// they accompany. A version-2 file chains its free pages through their own
-// images ("TWIGFREE" | next free page u32); that chain is read at open and
-// rewritten as trunks by the first commit.
+// they accompany.
 const (
 	superblockSize  = 4096
 	fileFormatMagic = "TWIGDBF1"
 	fileFormatVer   = 3
-	fileFormatV2    = 2  // still opened: its free chain is upgraded to trunks
 	superblockUsed  = 32 // bytes covered by the layout above, incl. crc
 
 	pageTrailerSize = 4 // CRC32-IEEE of the page image
@@ -67,8 +64,6 @@ const (
 	trunkMagic    = "TWIGTRNK" // first 8 bytes of every trunk image
 	trunkHeader   = len(trunkMagic) + 4 + 4
 	trunkCapacity = (PageSize - trunkHeader) / 4 // 2,044 ids per trunk
-
-	chainMagic = "TWIGFREE" // first 8 bytes of a version-2 free page image
 )
 
 // WALSuffix is appended to the database path to name the write-ahead log.
@@ -402,13 +397,11 @@ func buildTrunks(order []PageID) trunkStack {
 // validating it as it goes: every trunk image must carry the trunk marker
 // and a count within capacity, and every id on the list — trunk pages and
 // listed ids alike — must be in range, must not be the catalog root, and
-// must appear once (which also rules out trunk cycles). A version-2 chain
-// of "TWIGFREE" images is validated link by link the same way and rebuilt
-// as trunks in its pop order, marked changed, so the first commit rewrites
-// it. Any anomaly abandons the whole list: it resets to empty (persisted
-// at the next commit) and FreeListResets counts the reset. Abandoning leaks
-// the listed pages, which is always safe; trusting a corrupt list could
-// hand out a live page twice, which never is. Runs before the disk is
+// must appear once (which also rules out trunk cycles). Any anomaly
+// abandons the whole list: it resets to empty (persisted at the next
+// commit) and FreeListResets counts the reset. Abandoning leaks the listed
+// pages, which is always safe; trusting a corrupt list could hand out a
+// live page twice, which never is. Runs before the disk is
 // shared, so the read helpers need no latch.
 func (f *FileDisk) recoverFreeList() {
 	head := f.meta.FreeHead
@@ -443,22 +436,6 @@ func (f *FileDisk) recoverFreeList() {
 		f.resetFreeList()
 		return
 	}
-	if next, ok := parseFreePage(buf); ok {
-		order := []PageID{head}
-		for next != InvalidPage {
-			if !visit(next) {
-				f.resetFreeList()
-				return
-			}
-			order = append(order, next)
-			if next, ok = parseFreePage(buf); !ok {
-				f.resetFreeList()
-				return
-			}
-		}
-		f.trunks, f.cleanTrunks, f.freeSet = buildTrunks(order), 0, seen
-		return
-	}
 	var s trunkStack
 	for id := head; ; {
 		next, ids, ok := parseTrunk(buf)
@@ -483,15 +460,6 @@ func (f *FileDisk) recoverFreeList() {
 	}
 	slices.Reverse(s)
 	f.trunks, f.cleanTrunks, f.freeSet = s, len(s), seen
-}
-
-// parseFreePage decodes a version-2 free page image, returning the id of
-// the next free page on the chain.
-func parseFreePage(buf []byte) (PageID, bool) {
-	if string(buf[:len(chainMagic)]) != chainMagic {
-		return InvalidPage, false
-	}
-	return PageID(binary.BigEndian.Uint32(buf[len(chainMagic):])), true
 }
 
 // resetFreeList abandons the free list after a validation failure.
@@ -560,13 +528,18 @@ func (f *FileDisk) Path() string { return f.path }
 // which still holds the popped page, and that is safe because the
 // allocation it served was uncommitted too.
 //
-// The caller owns the popped page's stale image; every allocation path
-// above (Pool.NewPage) installs a fresh image before the page can be read,
-// exactly as it must for never-written tail pages.
+// The caller owns the popped page's stale image and must write a fresh
+// one before the page can be read (Pool.Allocate installs a zeroed frame),
+// exactly as for never-written tail pages. With the free list empty and
+// every page id in use, Allocate returns InvalidPage.
 func (f *FileDisk) Allocate() PageID {
 	f.mu.Lock()
 	n := len(f.trunks)
 	if n == 0 {
+		if f.numPages == math.MaxInt32 {
+			f.mu.Unlock()
+			return InvalidPage
+		}
 		first := PageID(f.numPages)
 		f.numPages++
 		f.mu.Unlock()
@@ -613,22 +586,6 @@ func (f *FileDisk) Free(id PageID) error {
 	f.freeSet[id] = struct{}{}
 	f.pagesFreed.Add(1)
 	return nil
-}
-
-// AllocateN reserves n consecutive zeroed pages and returns the first id.
-// Runs never come from the free list (no contiguity there); allocation is
-// a counter bump — the file grows only when pages are checkpointed, and
-// uncommitted allocations simply vanish on crash (the recovered page count
-// comes from the last commit record).
-func (f *FileDisk) AllocateN(n int) PageID {
-	if n <= 0 {
-		return InvalidPage
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	first := PageID(f.numPages)
-	f.numPages += n
-	return first
 }
 
 // FreeList returns the ids on the free list — trunk pages and the ids
@@ -1348,27 +1305,35 @@ func writeSuperblock(file File, m Meta) error {
 	return nil
 }
 
-// readSuperblock validates and decodes the superblock.
+// readSuperblock validates and decodes the superblock: a short read, a bad
+// magic, a checksum mismatch or an impossible Meta wraps ErrCorruptPage;
+// another format version or page size wraps ErrFormatVersion.
 func readSuperblock(file File) (Meta, error) {
 	buf := make([]byte, superblockUsed)
-	if _, err := file.ReadAt(buf, 0); err != nil {
+	if _, err := file.ReadAt(buf, 0); err == io.EOF {
+		return Meta{}, fmt.Errorf("storage: short superblock: %w", ErrCorruptPage)
+	} else if err != nil {
 		return Meta{}, fmt.Errorf("storage: superblock read: %w", err)
 	}
 	if string(buf[:8]) != fileFormatMagic {
-		return Meta{}, fmt.Errorf("storage: not a twigdb database (bad magic)")
+		return Meta{}, fmt.Errorf("storage: not a twigdb database (bad magic): %w", ErrCorruptPage)
 	}
 	if crc32.ChecksumIEEE(buf[:superblockUsed-4]) != binary.BigEndian.Uint32(buf[superblockUsed-4:]) {
-		return Meta{}, fmt.Errorf("storage: superblock checksum mismatch")
+		return Meta{}, fmt.Errorf("storage: superblock checksum mismatch: %w", ErrCorruptPage)
 	}
-	if v := binary.BigEndian.Uint32(buf[8:]); v != fileFormatVer && v != fileFormatV2 {
-		return Meta{}, fmt.Errorf("storage: unsupported format version %d (this build reads versions %d and %d)", v, fileFormatV2, fileFormatVer)
+	if v := binary.BigEndian.Uint32(buf[8:]); v != fileFormatVer {
+		return Meta{}, fmt.Errorf("%w %d (this build reads version %d only)", ErrFormatVersion, v, fileFormatVer)
 	}
 	if ps := binary.BigEndian.Uint32(buf[12:]); ps != PageSize {
-		return Meta{}, fmt.Errorf("storage: page size mismatch (file %d, build %d)", ps, PageSize)
+		return Meta{}, fmt.Errorf("%w: page size %d (this build uses %d)", ErrFormatVersion, ps, PageSize)
 	}
-	return Meta{
+	m := Meta{
 		NumPages:    int32(binary.BigEndian.Uint32(buf[16:])),
 		CatalogRoot: PageID(binary.BigEndian.Uint32(buf[20:])),
 		FreeHead:    PageID(binary.BigEndian.Uint32(buf[24:])),
-	}, nil
+	}
+	if !m.valid() {
+		return Meta{}, fmt.Errorf("storage: superblock %+v: %w", m, ErrCorruptPage)
+	}
+	return m, nil
 }

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -22,6 +23,16 @@ func fillPage(b byte) []byte {
 	return buf
 }
 
+// allocate reserves n pages with Allocate and returns the first id; on an
+// empty free list the n ids are consecutive.
+func allocate(f *FileDisk, n int) PageID {
+	first := f.Allocate()
+	for i := 1; i < n; i++ {
+		f.Allocate()
+	}
+	return first
+}
+
 func mustOpenFD(t *testing.T, path string) *FileDisk {
 	t.Helper()
 	f, err := OpenFileDisk(path)
@@ -34,11 +45,11 @@ func mustOpenFD(t *testing.T, path string) *FileDisk {
 func TestFileDiskRoundTrip(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	if got := f.AllocateN(3); got != 0 {
-		t.Fatalf("first AllocateN = %d, want 0", got)
+	if got := allocate(f, 3); got != 0 {
+		t.Fatalf("first allocation = %d, want 0", got)
 	}
 	if got := f.Allocate(); got != 3 {
-		t.Fatalf("Allocate after run = %d, want 3", got)
+		t.Fatalf("fourth allocation = %d, want 3", got)
 	}
 	for i := 0; i < 4; i++ {
 		if err := f.Write(PageID(i), fillPage(byte('a'+i))); err != nil {
@@ -86,7 +97,7 @@ func TestFileDiskRoundTrip(t *testing.T) {
 func TestFileDiskUncommittedLost(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(2)
+	allocate(f, 2)
 	if err := f.Write(0, fillPage('x')); err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +105,7 @@ func TestFileDiskUncommittedLost(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Overwrite page 0 and allocate more — never committed.
-	f.AllocateN(5)
+	allocate(f, 5)
 	if err := f.Write(0, fillPage('y')); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +131,7 @@ func TestFileDiskUncommittedLost(t *testing.T) {
 func TestFileDiskTornTail(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(3)
+	allocate(f, 3)
 	type mark struct {
 		end  int64
 		vals [3]byte // committed page contents, 0 = never written
@@ -208,7 +219,7 @@ func TestFileDiskTornTail(t *testing.T) {
 func TestFileDiskCorruptTail(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(1)
+	allocate(f, 1)
 	f.Write(0, fillPage('a'))
 	f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
 	firstEnd := f.WALSize()
@@ -240,7 +251,7 @@ func TestFileDiskCorruptTail(t *testing.T) {
 func TestFileDiskCheckpointIdempotent(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(2)
+	allocate(f, 2)
 	f.Write(0, fillPage('p'))
 	f.Write(1, fillPage('q'))
 	f.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
@@ -268,7 +279,7 @@ func TestFileDiskCheckpointIdempotent(t *testing.T) {
 func TestFileDiskBadSuperblock(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(1)
+	allocate(f, 1)
 	f.Write(0, fillPage('z'))
 	f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
 	f.Checkpoint()
@@ -277,8 +288,8 @@ func TestFileDiskBadSuperblock(t *testing.T) {
 	raw, _ := os.ReadFile(path)
 	raw[3] ^= 0xFF // corrupt the magic
 	os.WriteFile(path, raw, 0o644)
-	if _, err := OpenFileDisk(path); err == nil {
-		t.Fatal("open of corrupt superblock succeeded")
+	if _, err := OpenFileDisk(path); !errors.Is(err, ErrCorruptPage) {
+		t.Fatalf("open of corrupt superblock: got %v, want ErrCorruptPage", err)
 	}
 }
 
@@ -303,7 +314,7 @@ func copyFile(t *testing.T, from, to string) {
 func TestFileDiskTornFrameHeaderBoundary(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(2)
+	allocate(f, 2)
 	f.Write(0, fillPage('a'))
 	f.Write(1, fillPage('b'))
 	if err := f.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
@@ -368,7 +379,7 @@ func TestFileDiskGroupCommitCoalesces(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
 	defer f.Close()
-	f.AllocateN(1)
+	allocate(f, 1)
 	before := f.DeviceStats()
 	var last int64
 	const commits = 8
@@ -411,7 +422,7 @@ func TestFileDiskGroupCommitCoalesces(t *testing.T) {
 func TestFileDiskGroupCommitDurablePrefix(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(2)
+	allocate(f, 2)
 	type state struct {
 		end  int64
 		vals [2]byte
@@ -501,7 +512,7 @@ func TestFileDiskGroupCommitConcurrent(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
 	const writers = 8
-	f.AllocateN(writers)
+	allocate(f, writers)
 	before := f.DeviceStats()
 	var wg sync.WaitGroup
 	var commitMu sync.Mutex // one committer at a time, like the engine's writeMu

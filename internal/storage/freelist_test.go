@@ -18,7 +18,7 @@ func TestFileDiskFreeReuse(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
 	defer f.Close()
-	f.AllocateN(4)
+	allocate(f, 4)
 	for i := 0; i < 4; i++ {
 		if err := f.Write(PageID(i), fillPage(byte('a'+i))); err != nil {
 			t.Fatal(err)
@@ -84,7 +84,7 @@ func TestFileDiskFreeErrors(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
 	defer f.Close()
-	f.AllocateN(2)
+	allocate(f, 2)
 	f.Write(0, fillPage('a'))
 	f.Write(1, fillPage('b'))
 	if err := f.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
@@ -113,7 +113,7 @@ func TestFileDiskFreeErrors(t *testing.T) {
 func TestFileDiskFreeListRecovery(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(5)
+	allocate(f, 5)
 	for i := 0; i < 5; i++ {
 		f.Write(PageID(i), fillPage(byte('a'+i)))
 	}
@@ -176,7 +176,7 @@ func TestFileDiskFreeListTwoTrunks(t *testing.T) {
 	const n = PageID(trunkCapacity + 10)
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(int(n))
+	allocate(f, int(n))
 	meta := Meta{NumPages: int32(n), CatalogRoot: InvalidPage, FreeHead: InvalidPage}
 	if err := f.Commit(meta); err != nil {
 		t.Fatal(err)
@@ -268,6 +268,8 @@ func TestFileDiskFreeListCorruptTrunks(t *testing.T) {
 	}
 	overCount := trunkPage(5, 6)
 	binary.BigEndian.PutUint32(overCount[len(trunkMagic)+4:], uint32(trunkCapacity+1))
+	v2Link := make([]byte, PageSize) // a version-2 free page ending its chain
+	copy(v2Link, "TWIGFREE\xff\xff\xff\xff")
 	cases := []struct {
 		name string
 		page PageID
@@ -280,9 +282,9 @@ func TestFileDiskFreeListCorruptTrunks(t *testing.T) {
 		{"id repeated across trunks", 5, trunkPage(InvalidPage, 7, 6)},
 		{"trunk cycle", 5, trunkPage(4, 7)},
 		{"catalog root listed", 4, trunkPage(5, 6, 0)},
-		{"version-2 link in a trunk list", 5, chainPage(InvalidPage)},
+		{"version-2 free page in a trunk list", 5, v2Link},
 	}
-	valid := craftedDisk(t, fileFormatVer, meta, base())
+	valid := craftedDisk(t, meta, base())
 	if st := valid.DeviceStats(); st.FreeListResets != 0 || len(valid.FreeList()) != 4 {
 		t.Fatalf("base image: %d free pages, %d resets; want 4, 0", len(valid.FreeList()), st.FreeListResets)
 	}
@@ -290,7 +292,7 @@ func TestFileDiskFreeListCorruptTrunks(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pages := base()
 			pages[tc.page] = tc.img
-			re := craftedDisk(t, fileFormatVer, meta, pages)
+			re := craftedDisk(t, meta, pages)
 			if st := re.DeviceStats(); st.FreeListResets != 1 {
 				t.Fatalf("FreeListResets = %d, want 1", st.FreeListResets)
 			}
@@ -303,7 +305,7 @@ func TestFileDiskFreeListCorruptTrunks(t *testing.T) {
 		})
 	}
 	// A trunk whose slot fails its checksum is unreadable: same outcome.
-	file := craftedFile(t, fileFormatVer, meta, base())
+	file := craftedFile(t, meta, base())
 	if _, err := file.WriteAt([]byte{0xFF}, slotOff(5)+100); err != nil {
 		t.Fatal(err)
 	}
@@ -313,73 +315,12 @@ func TestFileDiskFreeListCorruptTrunks(t *testing.T) {
 	}
 }
 
-// TestFileDiskFreeListV2Upgrade: a version-2 file's chain of free page
-// images opens with the same free set and pop order, is reused, and is
-// rewritten as trunks by the first commit — a reopen from the WAL alone
-// (superblock still version 2) and one after a checkpoint (superblock now
-// version 3) both find the remaining free set with no reset.
-func TestFileDiskFreeListV2Upgrade(t *testing.T) {
-	const n = 6
-	meta := Meta{NumPages: n, CatalogRoot: 0, FreeHead: 4}
-	// Chain 4 -> 2 -> 5 -> end; pages 0, 1, 3 live.
-	file := craftedFile(t, fileFormatV2, meta, map[PageID][]byte{
-		0: fillPage('c'), 1: fillPage('a'), 3: fillPage('d'),
-		4: chainPage(2), 2: chainPage(5), 5: chainPage(InvalidPage),
-	})
-	wal := &memFile{}
-	d := openCrafted(t, file, wal)
-	if st := d.DeviceStats(); st.FreeListResets != 0 {
-		t.Fatalf("valid version-2 chain reset: %+v", st)
-	}
-	assertFreeSet(t, d, 2, 4, 5)
-	if got := d.Allocate(); got != 4 {
-		t.Fatalf("first reuse = %d, want chain head 4", got)
-	}
-	if err := d.Write(4, fillPage('e')); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Commit(meta); err != nil {
-		t.Fatal(err)
-	}
-	// Crash: the superblock is still version 2, the WAL names a trunk.
-	re := openCrafted(t, file, wal)
-	if st := re.DeviceStats(); st.FreeListResets != 0 {
-		t.Fatalf("upgraded list reset on reopen from the WAL: %+v", st)
-	}
-	assertFreeSet(t, re, 2, 5)
-	if err := re.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	sb := make([]byte, superblockUsed)
-	if _, err := file.ReadAt(sb, 0); err != nil {
-		t.Fatal(err)
-	}
-	if v := binary.BigEndian.Uint32(sb[8:]); v != fileFormatVer {
-		t.Fatalf("superblock version after checkpoint = %d, want %d", v, fileFormatVer)
-	}
-	re2 := openCrafted(t, file, wal)
-	if st := re2.DeviceStats(); st.FreeListResets != 0 {
-		t.Fatalf("upgraded list reset on reopen from the superblock: %+v", st)
-	}
-	assertFreeSet(t, re2, 2, 5)
-	buf := make([]byte, PageSize)
-	if err := re2.Read(4, buf); err != nil || !bytes.Equal(buf, fillPage('e')) {
-		t.Fatalf("reused page 4 lost its committed image (err %v)", err)
-	}
-	// The chain's pop order survived the rewrite: 2, then 5, then the tail.
-	for _, want := range []PageID{2, 5, n} {
-		if got := re2.Allocate(); got != want {
-			t.Fatalf("allocation = %d, want %d", got, want)
-		}
-	}
-}
-
 // TestFileDiskCompact: an all-free suffix is trimmed off the file, the
 // surviving free pages are re-listed ascending, and the shrink is durable.
 func TestFileDiskCompact(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	f.AllocateN(8)
+	allocate(f, 8)
 	for i := 0; i < 8; i++ {
 		f.Write(PageID(i), fillPage(byte('a'+i)))
 	}
@@ -449,7 +390,7 @@ func TestFileDiskCompactSkipsPending(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
 	defer f.Close()
-	f.AllocateN(3)
+	allocate(f, 3)
 	for i := 0; i < 3; i++ {
 		f.Write(PageID(i), fillPage(byte('a'+i)))
 	}
@@ -490,7 +431,7 @@ func TestFaultDiskFree(t *testing.T) {
 		inj := NewFaultInjector(1, FaultSpec{Kind: FaultWriteErr, After: 0})
 		d.SetFaultInjector(inj)
 		inj.Disarm() // un-faulted setup; armed right before the commit under test
-		d.AllocateN(2)
+		allocate(d, 2)
 		if err := d.Write(0, fillPage('a')); err != nil {
 			t.Fatal(err)
 		}
@@ -548,23 +489,28 @@ func TestFaultDiskFree(t *testing.T) {
 // holds the fuzzed bytes, over a valid second trunk (page 2 listing 3 and
 // 4); page 0 is the catalog root, and page 5 holds data nothing names (to
 // the device, a leaked page). Recovery must not panic, and must either
-// abandon the list (FreeListResets, tail allocation) or keep one that
-// survives a commit and reopen unchanged and drains without ever handing
-// out the catalog root, an out-of-range page or a page twice.
+// abandon the list (FreeListResets, tail allocation) — always, when the
+// head lacks the trunk marker, as a version-2 free page does — or keep one
+// that survives a commit and reopen unchanged and drains without ever
+// handing out the catalog root, an out-of-range page or a page twice.
 func FuzzRecoverFreeList(f *testing.F) {
 	const n = 6
 	meta := Meta{NumPages: n, CatalogRoot: 0, FreeHead: 1}
 	f.Fuzz(func(t *testing.T, head []byte) {
 		img := make([]byte, PageSize)
 		copy(img, head)
-		file := craftedFile(t, fileFormatVer, meta, map[PageID][]byte{
+		file := craftedFile(t, meta, map[PageID][]byte{
 			0: fillPage('c'), 1: img, 2: trunkPage(InvalidPage, 3, 4), 5: fillPage('x'),
 		})
 		wal := &memFile{}
 		d := openCrafted(t, file, wal)
 		free := d.FreeList()
 		slices.Sort(free)
-		if d.DeviceStats().FreeListResets != 0 {
+		reset := d.DeviceStats().FreeListResets != 0
+		if !reset && !bytes.HasPrefix(img, []byte(trunkMagic)) {
+			t.Fatalf("a head without the trunk marker was kept: free set %v", free)
+		}
+		if reset {
 			if len(free) != 0 {
 				t.Fatalf("reset list kept %d entries", len(free))
 			}
@@ -610,30 +556,13 @@ func trunkPage(next PageID, ids ...PageID) []byte {
 	return img
 }
 
-// chainPage renders a version-2 free page image linking to next.
-func chainPage(next PageID) []byte {
-	img := make([]byte, PageSize)
-	copy(img, chainMagic)
-	binary.BigEndian.PutUint32(img[len(chainMagic):], uint32(next))
-	return img
-}
-
 // craftedFile builds an in-memory database file: a superblock carrying
-// meta and format version ver, and a checksummed slot for each given page
-// image (pages not given are holes and read as zeroes).
-func craftedFile(t testing.TB, ver uint32, meta Meta, pages map[PageID][]byte) File {
+// meta, and a checksummed slot for each given page image (pages not given
+// are holes and read as zeroes).
+func craftedFile(t testing.TB, meta Meta, pages map[PageID][]byte) File {
 	t.Helper()
 	file := &memFile{}
 	if err := writeSuperblock(file, meta); err != nil {
-		t.Fatal(err)
-	}
-	sb := make([]byte, superblockUsed)
-	if _, err := file.ReadAt(sb, 0); err != nil {
-		t.Fatal(err)
-	}
-	binary.BigEndian.PutUint32(sb[8:], ver)
-	binary.BigEndian.PutUint32(sb[superblockUsed-4:], crc32.ChecksumIEEE(sb[:superblockUsed-4]))
-	if _, err := file.WriteAt(sb, 0); err != nil {
 		t.Fatal(err)
 	}
 	for id, img := range pages {
@@ -656,9 +585,9 @@ func openCrafted(t testing.TB, file, wal File) *FileDisk {
 }
 
 // craftedDisk opens a FileDisk over a craftedFile and an empty WAL.
-func craftedDisk(t testing.TB, ver uint32, meta Meta, pages map[PageID][]byte) *FileDisk {
+func craftedDisk(t testing.TB, meta Meta, pages map[PageID][]byte) *FileDisk {
 	t.Helper()
-	return openCrafted(t, craftedFile(t, ver, meta, pages), &memFile{})
+	return openCrafted(t, craftedFile(t, meta, pages), &memFile{})
 }
 
 // assertFreeSet fails unless d's free list holds exactly want.

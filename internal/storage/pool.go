@@ -261,30 +261,21 @@ func (p *Pool) Fetch(id PageID) (Page, error) {
 	return Page{ID: id, Data: f.data, frame: f}, nil
 }
 
-// Allocate creates a new zeroed page on the device, pins it, and returns
-// it.
+// Allocate reserves a page on the device — popping the free list first,
+// growing the page array only when it is empty — and pins a fresh all-zero
+// frame for it without a device read. The frame starts dirty, so the page
+// reaches the device even if the caller writes nothing into it.
 func (p *Pool) Allocate() (Page, error) {
-	return p.NewPage(p.dev.Allocate())
-}
-
-// AllocateRun reserves n consecutive page ids in a single device call (one
-// mutex acquisition instead of n) and returns the first id. The pages hold
-// zeroes until written; materialise each with NewPage. This is the
-// bulk-load fast path: btree.BulkLoad reserves a whole tree level at once.
-func (p *Pool) AllocateRun(n int) PageID {
-	return p.dev.AllocateN(n)
-}
-
-// NewPage pins a fresh all-zero frame for a freshly allocated page id
-// (from AllocateRun) without issuing a device read — the page is known to
-// hold zeroes. The frame starts dirty, like Allocate's.
-func (p *Pool) NewPage(id PageID) (Page, error) {
+	id := p.dev.Allocate()
+	if id == InvalidPage {
+		return Page{}, fmt.Errorf("storage: page ids exhausted")
+	}
 	s := p.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
 		if _, ok := s.frames[id]; ok {
-			return Page{}, fmt.Errorf("storage: NewPage of resident page %d", id)
+			return Page{}, fmt.Errorf("storage: allocated page %d is resident", id)
 		}
 		if err := s.makeRoom(); err != nil {
 			return Page{}, err

@@ -175,7 +175,7 @@ func TestMakeRoomFairnessUnderChurn(t *testing.T) {
 	// over eviction constantly.
 	p := newPoolShards(dev, 2*PageSize, 1)
 	const pages = 8
-	dev.AllocateN(pages)
+	allocate(dev, pages)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -235,7 +235,7 @@ func TestMakeRoomFairnessUnderChurn(t *testing.T) {
 func TestMakeRoomWaiterGetsFreedFrame(t *testing.T) {
 	dev := NewMemFileDisk()
 	p := newPoolShards(dev, PageSize, 1) // capacity 1: one frame total
-	dev.AllocateN(3)
+	allocate(dev, 3)
 
 	held, err := p.Fetch(0)
 	if err != nil {

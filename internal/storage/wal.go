@@ -46,10 +46,17 @@ type Meta struct {
 	// trunk (see the free list section in docs/STORAGE.md). A commit
 	// appends a frame for each trunk it changed before its commit record,
 	// so frees are exactly as crash-safe as page writes. InvalidPage means
-	// the list is empty. In a version-2 file it names the head of a chain
-	// of free page images instead, which the first commit rewrites as
-	// trunks.
+	// the list is empty.
 	FreeHead PageID
+}
+
+// valid reports whether m describes a possible database: a page count of
+// at least zero, and a catalog root and free-list head that are each
+// InvalidPage or a page below the count. Recovery trusts no Meta that
+// fails it, from the superblock or from a commit record.
+func (m Meta) valid() bool {
+	inRange := func(id PageID) bool { return id == InvalidPage || id >= 0 && int32(id) < m.NumPages }
+	return m.NumPages >= 0 && inRange(m.CatalogRoot) && inRange(m.FreeHead)
 }
 
 // appendWALFrame encodes a frame record for (id, payload) into dst.
@@ -95,7 +102,8 @@ type walScanResult struct {
 
 // scanWAL reads the log sequentially, validating CRCs, and returns the
 // committed state. Replay stops at the first short, corrupt or unknown
-// record: everything from that record on is discarded, whether it is a
+// record, or commit record whose Meta is impossible (Meta.valid):
+// everything from that record on is discarded, whether it is a
 // torn tail (a crash mid-append) or a corrupt *interior* frame (a bad
 // sector in the middle of the log) — in the latter case the commits after
 // the corruption are lost, but the state returned is a consistent commit
@@ -144,15 +152,19 @@ func scanWAL(wal File) (walScanResult, error) {
 			if !full || !walCRCOK(buf[:walCommitSize]) {
 				return res, nil
 			}
-			for id, payloadOff := range pending {
-				res.index[id] = payloadOff
-			}
-			pending = map[PageID]int64{}
-			res.meta = Meta{
+			meta := Meta{
 				NumPages:    int32(binary.BigEndian.Uint32(buf[1:5])),
 				CatalogRoot: PageID(binary.BigEndian.Uint32(buf[5:9])),
 				FreeHead:    PageID(binary.BigEndian.Uint32(buf[9:13])),
 			}
+			if !meta.valid() {
+				return res, nil // impossible metadata ends the log like a bad CRC
+			}
+			for id, payloadOff := range pending {
+				res.index[id] = payloadOff
+			}
+			pending = map[PageID]int64{}
+			res.meta = meta
 			res.hasCommit = true
 			res.commits++
 			off += walCommitSize

@@ -1,8 +1,12 @@
 package twigdb_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -136,5 +140,38 @@ func TestInMemoryCloseCheckpoints(t *testing.T) {
 	}
 	if err := db.Close(); !errors.Is(err, fs.ErrClosed) {
 		t.Fatalf("second Close: got %v, want fs.ErrClosed", err)
+	}
+}
+
+// TestOpenRefusesOldFormat: a file whose superblock is stamped with
+// storage version 2 (its checksum re-sealed) is refused with
+// ErrFormatVersion, and the refused open leaves it byte for byte as it was.
+func TestOpenRefusesOldFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.twigdb")
+	db := twigdb.MustOpen(&twigdb.Options{Path: path})
+	if err := db.LoadXMLString(persistDoc); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.BuildAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Superblock: magic, version u32 at 8, ..., CRC32-IEEE of bytes 0..27 at 28.
+	binary.BigEndian.PutUint32(raw[8:], 2)
+	binary.BigEndian.PutUint32(raw[28:], crc32.ChecksumIEEE(raw[:28]))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := twigdb.Open(&twigdb.Options{Path: path}); !errors.Is(err, twigdb.ErrFormatVersion) {
+		t.Fatalf("open of a version-2 file: got %v, want ErrFormatVersion", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, raw) {
+		t.Fatal("the refused open changed the file")
 	}
 }

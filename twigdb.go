@@ -47,6 +47,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/index"
 	"repro/internal/plan"
+	"repro/internal/storage"
 	"repro/internal/xmldb"
 	"repro/internal/xpath"
 )
@@ -276,7 +277,8 @@ func (c *parseMemo) parse(q string) (*xpath.Pattern, error) {
 // buffer pool). With Options.Path set, Open opens or creates the database
 // file, replays the committed write-ahead-log prefix (discarding any torn
 // tail a crash left behind), and restores every persisted index so queries
-// run immediately without rebuilding.
+// run immediately without rebuilding. A file written in another format
+// version is refused with ErrFormatVersion.
 func Open(opts *Options) (*DB, error) {
 	cfg := engine.DefaultConfig()
 	txRetries := defaultTxRetries
@@ -313,6 +315,13 @@ func Open(opts *Options) (*DB, error) {
 	}
 	return &DB{eng: eng, txRetries: txRetries}, nil
 }
+
+// ErrFormatVersion is returned by Open for a database file written in a
+// storage or catalog format version this build does not read; the file is
+// left untouched. Upgrading is a reload: open the file with the build that
+// wrote it, write each document out with WriteXML, and LoadXML it into a
+// new database. Node ids are renumbered by the reload.
+var ErrFormatVersion = storage.ErrFormatVersion
 
 // defaultTxRetries is the Options.TxRetries default for DB.Update.
 const defaultTxRetries = 8
