@@ -216,11 +216,18 @@ func goldenBlobs(t testing.TB, name string) [][]byte {
 // sizes an allocation before it is checked against the bytes left. The
 // blobs are decoded against a file-backed database built from the golden
 // corpus, so a blob's node table and index roots name real pages. Seeds:
-// the golden blobs, plus the truncated and bit-flipped variants checked in
-// under testdata/fuzz/FuzzDecodeCatalog (those of version 1 are refused).
+// the golden blobs, then the same blobs restamped as version 1 (refused),
+// plus the truncated and bit-flipped variants checked in under
+// testdata/fuzz/FuzzDecodeCatalog (those of version 1 are refused too).
 func FuzzDecodeCatalog(f *testing.F) {
-	for _, blob := range goldenBlobs(f, catalogGolden) {
+	blobs := goldenBlobs(f, catalogGolden)
+	for _, blob := range blobs {
 		f.Add(blob)
+	}
+	for _, blob := range blobs {
+		v1 := bytes.Clone(blob)
+		v1[len(catalogMagic)] = 1
+		f.Add(v1)
 	}
 	db := goldenDB(f, index.PathsOptions{}, filepath.Join(f.TempDir(), "fuzz.db"))
 	f.Cleanup(func() { db.Close() })

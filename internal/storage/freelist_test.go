@@ -282,7 +282,7 @@ func TestFileDiskFreeListCorruptTrunks(t *testing.T) {
 		{"id repeated across trunks", 5, trunkPage(InvalidPage, 7, 6)},
 		{"trunk cycle", 5, trunkPage(4, 7)},
 		{"catalog root listed", 4, trunkPage(5, 6, 0)},
-		{"version-2 free page in a trunk list", 5, v2Link},
+		{"version-2 link in a trunk list", 5, v2Link},
 	}
 	valid := craftedDisk(t, meta, base())
 	if st := valid.DeviceStats(); st.FreeListResets != 0 || len(valid.FreeList()) != 4 {
