@@ -443,29 +443,16 @@ func descendChild(d []byte, key []byte) (int, storage.PageID) {
 	return idx, child
 }
 
-// Get returns the value of the first entry with exactly the given key. The
-// returned slice is a private copy; internal callers that can tolerate
-// value-lifetime rules should prefer GetRef.
+// Get returns a private copy of the value of the first entry with exactly
+// the given key.
 func (t *Tree) Get(key []byte) (val []byte, ok bool, err error) {
-	err = t.GetRef(key, func(v []byte) error {
-		val = append([]byte(nil), v...)
-		ok = true
-		return nil
-	})
-	return val, ok, err
-}
-
-// GetRef invokes fn with a zero-copy view of the value of the first entry
-// with exactly the given key; fn is not called if the key is absent. The
-// view aliases buffer-pool memory and is valid only for the duration of fn.
-func (t *Tree) GetRef(key []byte, fn func(val []byte) error) error {
 	it, err := t.Seek(key)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
 	defer it.Close()
 	if it.Valid() && bytes.Equal(it.Key(), key) {
-		return fn(it.ValueRef())
+		return append([]byte(nil), it.ValueRef()...), true, nil
 	}
-	return it.Err()
+	return nil, false, it.Err()
 }

@@ -90,7 +90,7 @@ func (db *DB) Backup(dstPath string) error {
 // has none (see commitCurrent).
 func (db *DB) pinSealed() (*Snapshot, error) {
 	s := db.pin()
-	if s.nodes != nil {
+	if s.env.Nodes != nil {
 		return s, nil
 	}
 	db.unpin(s)
@@ -117,8 +117,8 @@ func (db *DB) pinSealed() (*Snapshot, error) {
 // statistics live in the catalog blob, not in pages, so these trees are
 // the entire page footprint.
 func (db *DB) walkSnapshotPages(s *Snapshot, fn func(storage.PageID) error) error {
-	if s.nodes != nil {
-		if err := s.nodes.WalkPages(fn); err != nil {
+	if s.env.Nodes != nil {
+		if err := s.env.Nodes.WalkPages(fn); err != nil {
 			return err
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/btree"
 	"repro/internal/index"
 	"repro/internal/pathdict"
 	"repro/internal/storage"
@@ -13,7 +12,7 @@ import (
 // The engine catalog is the durable root of everything above the page
 // device: the id counter, the shared designator dictionary and path table,
 // the node table's B+-tree Meta (the documents themselves live in that
-// tree, see nodeTable), and one record per built index structure (B+-tree
+// tree, see index.NodeTable), and one record per built index structure (B+-tree
 // roots plus the small in-memory registries). It is serialised at every
 // commit boundary into a chain of ordinary pages — [4B next page id][2B
 // payload length][payload] — whose head the commit record carries as
@@ -22,7 +21,7 @@ import (
 // the documents out of it the catalog is a few KB whatever the database
 // size, usually one page.
 //
-// Catalog layout, version 2 (all integers varint/uvarint unless noted):
+// Catalog layout, version 3 (all integers varint/uvarint unless noted):
 //
 //	magic "TWIGCAT1", version
 //	nextID
@@ -33,7 +32,7 @@ import (
 //	         built (fixed by the file format: kinds are never reordered)
 //	per present structure, in kind order: its record
 //
-// Open reads version 2 only; any other fails with storage.ErrFormatVersion.
+// Open reads version 3 only; any other fails with storage.ErrFormatVersion.
 //
 // The engine frames the records; what is inside one is its structure's
 // business (Structure.AppendRecord and the family table's open function in
@@ -41,7 +40,7 @@ import (
 
 const (
 	catalogMagic   = "TWIGCAT1"
-	catalogVersion = 2
+	catalogVersion = 3
 
 	// catalogPageHeader is [4B next][2B length] at the head of each page.
 	catalogPageHeader = 6
@@ -74,7 +73,7 @@ func encodeCatalog(s *Snapshot) []byte {
 	}
 
 	w.PathTable(s.ptab)
-	w.Tree(s.nodes.tree)
+	w.Tree(s.env.Nodes.Tree())
 
 	built := s.env.Structures()
 	w.Uvarint(presentMask(built))
@@ -125,7 +124,7 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 	if nextID <= last {
 		return fmt.Errorf("%w: id counter %d below node %d", index.ErrCorruptCatalog, nextID, last)
 	}
-	snap.nodes = &nodeTable{tree: btree.Open(db.pool, nodes), dict: dict}
+	snap.env.Nodes = index.OpenNodeTable(db.pool, nodes, dict)
 	snap.env.Stats = st
 	snap.statsReady.Store(true)
 

@@ -282,7 +282,7 @@ func TestIncrementalStatsEqualCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	value := strings.Repeat("0123456789", nodeChunk/4)
+	value := strings.Repeat("0123456789", index.NodeChunk/4)
 	if err := ldb.LoadXML(strings.NewReader(`<a><b>` + value + `</b><b>v1</b></a>`)); err != nil {
 		t.Fatal(err)
 	}

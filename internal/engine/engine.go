@@ -347,7 +347,7 @@ func (db *DB) storeOf(s *Snapshot) (*xmldb.Store, error) {
 	if s.storeReady.Load() {
 		return s.store, nil
 	}
-	store, err := readNodeTable(db.fdisk, s.nodes.tree.Meta(), s.dict)
+	store, err := readNodeTable(db.fdisk, s.env.Nodes.Tree().Meta(), s.dict)
 	if err != nil {
 		return nil, err
 	}
@@ -431,16 +431,16 @@ type retireBatch struct {
 // next is unpublished or already carries its node table (see
 // commitCurrent). Callers hold writeMu.
 func (db *DB) commitAppend(next *Snapshot) (seq int64, err error) {
-	if next.nodes == nil {
+	if next.env.Nodes == nil {
 		// The first commit since documents were bulk-loaded. Should the
 		// commit fail, the table's pages go back to the free list with it.
-		if next.nodes, err = bulkLoadNodeTable(db.pool, db.dict, next.store); err != nil {
+		if next.env.Nodes, err = index.BulkLoadNodeTable(db.pool, db.dict, next.store); err != nil {
 			return 0, fmt.Errorf("engine: building the node table: %w", err)
 		}
 		defer func() {
 			if err != nil {
-				_ = next.nodes.WalkPages(db.pool.Free)
-				next.nodes = nil
+				_ = next.env.Nodes.WalkPages(db.pool.Free)
+				next.env.Nodes = nil
 			}
 		}()
 	}
@@ -627,7 +627,7 @@ func (db *DB) Checkpoint() error {
 // Callers hold writeMu.
 func (db *DB) commitCurrent() (int64, error) {
 	cur := db.current.Load()
-	if cur.nodes != nil {
+	if cur.env.Nodes != nil {
 		return db.commitAppend(cur)
 	}
 	next := cur.clone()
@@ -719,11 +719,11 @@ func (db *DB) AddDocument(doc *xmldb.Document) error {
 		return err
 	}
 	next := cur.clone()
-	if next.nodes != nil {
+	if next.env.Nodes != nil {
 		// A committed store grows by a bulk load: the next commit
 		// bulk-loads a node table for the whole store, as the first one did.
-		next.dropped = append(next.dropped, next.nodes)
-		next.nodes = nil
+		next.dropped = append(next.dropped, next.env.Nodes)
+		next.env.Nodes = nil
 	}
 	store := base.CloneShallow()
 	// Ids come from the global allocator (shared with transactions), then

@@ -214,6 +214,11 @@ func TestFamilyTablesComplete(t *testing.T) {
 		t.Fatalf("%d of %d persisted kinds landed in a plan.Env field", len(got), len(persisted))
 	}
 	env.Stats = stats.Collect(site.Store, site.Dict)
+	nodes, err := index.BulkLoadNodeTable(site.Pool, site.Dict, site.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Nodes = nodes
 
 	pat := xpath.MustParse(`/a/b/a/b[c = 'v1']`)
 	want := naive.Match(site.Store, pat)

@@ -183,7 +183,7 @@ func TestAsOfOracleLoadsRetiredTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	oldPages := map[storage.PageID]bool{}
-	if err := old.nodes.WalkPages(func(id storage.PageID) error { oldPages[id] = true; return nil }); err != nil {
+	if err := old.env.Nodes.WalkPages(func(id storage.PageID) error { oldPages[id] = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	root := db.Store().Docs[0].Root.ID

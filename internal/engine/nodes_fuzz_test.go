@@ -42,12 +42,16 @@ func fuzzEntries(data []byte) []btree.Entry {
 }
 
 // FuzzNodeTable bulk-loads fuzzed entries as a node table and reads it
-// with both consumers of the one scanner: the store loader and the
-// statistics stream of Open. Neither may panic; either both reject the
-// table with index.ErrCorruptCatalog, or the streamed statistics equal a
-// Collect of the loaded store and the last id read is the store's last.
-// The corpus in testdata/fuzz/FuzzNodeTable starts from the hand-built
-// tables of TestNodeTableRejectsCorruptEntries and a few sound ones.
+// with both consumers of the one scanner — the store loader and the
+// statistics stream of Open — and with the point read the Edge climbs
+// make, index.NodeTable.Parent, once per entry key. None may panic. A
+// point read answers or fails with index.ErrCorruptCatalog; either both
+// scans reject the table with index.ErrCorruptCatalog, or the streamed
+// statistics equal a Collect of the loaded store, the last id read is the
+// store's last, and the point read of every node names its parent and its
+// label. The corpus in testdata/fuzz/FuzzNodeTable starts from the
+// hand-built tables of TestNodeTableRejectsCorruptEntries and a few sound
+// ones.
 func FuzzNodeTable(f *testing.F) {
 	dict := pathdict.NewDict()
 	for _, l := range []string{"a", "b", "@c"} {
@@ -58,7 +62,8 @@ func FuzzNodeTable(f *testing.F) {
 		dev := storage.NewMemFileDisk()
 		defer dev.Close()
 		pool := storage.NewPool(dev, 64*storage.PageSize)
-		tree, err := btree.BulkLoad(pool, nodeTableName, fuzzEntries(data))
+		entries := fuzzEntries(data)
+		tree, err := btree.BulkLoad(pool, "NODES", entries)
 		if err == nil {
 			err = pool.FlushAll()
 		}
@@ -66,6 +71,14 @@ func FuzzNodeTable(f *testing.F) {
 			t.Fatal(err)
 		}
 		m := tree.Meta()
+		nt := index.OpenNodeTable(pool, m, dict)
+		var sc index.Scratch
+		for _, e := range entries {
+			id, _, _ := index.DecodeNodeKey(e.Key)
+			if _, _, _, err := nt.Parent(&sc, id); err != nil && !errors.Is(err, index.ErrCorruptCatalog) {
+				t.Fatalf("point read of node %d: %v, want index.ErrCorruptCatalog", id, err)
+			}
+		}
 		streamed, last, errStats := readNodeStats(dev, m, dict)
 		store, errStore := readNodeTable(dev, m, dict)
 		if errStats != nil || errStore != nil {
@@ -78,5 +91,15 @@ func FuzzNodeTable(f *testing.F) {
 			t.Fatalf("the scan ended at id %d, the store at %d", last, store.NextID()-1)
 		}
 		requireStatsEqual(t, "fuzzed table", dict, streamed, stats.Collect(store, dict), pats)
+		for id := int64(1); id < store.NextID(); id++ {
+			n := store.NodeByID(id)
+			if n == nil {
+				continue
+			}
+			pid, sym, ok, err := nt.Parent(&sc, id)
+			if want, _ := dict.Sym(n.Label); err != nil || !ok || pid != n.ParentID || sym != want {
+				t.Fatalf("point read of node %d: parent %d, symbol %d, %v, %v; the store's: %d, %d", id, pid, sym, ok, err, n.ParentID, want)
+			}
+		}
 	})
 }

@@ -167,15 +167,15 @@ func TestNodeTableLongValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	long := strings.Repeat("0123456789", nodeChunk/4)
-	if err := db.LoadXML(strings.NewReader(`<a><b>` + long + `</b><c></c><d>` + long[:nodeChunk] + `</d></a>`)); err != nil {
+	long := strings.Repeat("0123456789", index.NodeChunk/4)
+	if err := db.LoadXML(strings.NewReader(`<a><b>` + long + `</b><c></c><d>` + long[:index.NodeChunk] + `</d></a>`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Build(); err != nil { // statistics only: commits the node table
 		t.Fatal(err)
 	}
 	root := db.Store().Docs[0].Root.ID
-	gone := xmldb.Text("gone", strings.Repeat("x", 2*nodeChunk+1))
+	gone := xmldb.Text("gone", strings.Repeat("x", 2*index.NodeChunk+1))
 	for _, err := range []error{
 		db.InsertSubtree(root, xmldb.Text("e", long+long)),
 		db.InsertSubtree(root, gone),
@@ -194,7 +194,7 @@ func TestNodeTableLongValues(t *testing.T) {
 	if got != want {
 		t.Fatalf("reopened store differs\ngot:\n%.2000s\nwant:\n%.2000s", got, want)
 	}
-	if n := re.CurrentSnapshot().nodes.tree.Stats().Entries; n != 11 {
+	if n := re.CurrentSnapshot().env.Nodes.Tree().Stats().Entries; n != 11 {
 		t.Fatalf("node table holds %d entries, want 11 (5 nodes, 6 continuations)", n)
 	}
 	assertPagesAccounted(t, re)
@@ -269,7 +269,7 @@ func nodeEntry(id int64, fields []uint64, value string) btree.Entry {
 	for _, f := range fields {
 		val = binary.AppendUvarint(val, f)
 	}
-	return btree.Entry{Key: nodeKey(nil, id), Val: append(val, value...)}
+	return btree.Entry{Key: index.NodeKey(nil, id), Val: append(val, value...)}
 }
 
 // TestNodeTableRejectsCorruptEntries: a catalog naming a hand-built node
@@ -282,15 +282,15 @@ func TestNodeTableRejectsCorruptEntries(t *testing.T) {
 		name    string
 		entries []btree.Entry
 	}{
-		{"empty entry", []btree.Entry{{Key: nodeKey(nil, 1)}}},
-		{"short marked header", []btree.Entry{{Key: nodeKey(nil, 1), Val: []byte{0, 1}}}},
+		{"empty entry", []btree.Entry{{Key: index.NodeKey(nil, 1)}}},
+		{"short marked header", []btree.Entry{{Key: index.NodeKey(nil, 1), Val: []byte{0, 1}}}},
 		{"short key", []btree.Entry{{Key: []byte{0, 1}, Val: doc.Val}}},
 		{"missing parent", []btree.Entry{doc, nodeEntry(3, []uint64{1, sym}, "")}},
 		{"own parent", []btree.Entry{doc, nodeEntry(2, []uint64{0, 0, 2, sym}, "")}},
 		{"parent comes later", []btree.Entry{doc, nodeEntry(5, []uint64{^uint64(0) - 1, sym}, ""), nodeEntry(7, []uint64{6, sym}, "")}},
 		{"unknown symbol", []btree.Entry{nodeEntry(1, []uint64{1, 999 << 1}, "")}},
 		{"value without hasValue", []btree.Entry{nodeEntry(1, []uint64{1, sym}, "v")}},
-		{"stray continuation", []btree.Entry{doc, {Key: chunkKey(nil, 1, 1), Val: []byte("v")}}},
+		{"stray continuation", []btree.Entry{doc, {Key: index.ChunkKey(nil, 1, 1), Val: []byte("v")}}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -305,13 +305,13 @@ func TestNodeTableRejectsCorruptEntries(t *testing.T) {
 			if err := db.Build(); err != nil {
 				t.Fatal(err)
 			}
-			bad, err := btree.BulkLoad(db.pool, nodeTableName, c.entries)
+			bad, err := btree.BulkLoad(db.pool, "NODES", c.entries)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// White-box: no other goroutine uses db, so the published
 			// snapshot's table can be swapped for the one Close commits.
-			db.CurrentSnapshot().nodes = &nodeTable{tree: bad, dict: db.dict}
+			db.CurrentSnapshot().env.Nodes = index.OpenNodeTable(db.pool, bad.Meta(), db.dict)
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -362,5 +362,54 @@ func TestDurableCommitFollowsChange(t *testing.T) {
 	}
 	if bigAlloc > 1.5*smallAlloc {
 		t.Errorf("a commit allocates %.0f bytes at 80 items/region, %.2f× the %.0f at 10", bigAlloc, bigAlloc/smallAlloc, smallAlloc)
+	}
+}
+
+// TestClimbsRejectMissingNodeEntry: the node table is Edge's backward link
+// index, so every id a climb reads must have an entry at the same
+// snapshot. With one entry deleted from under a built Edge, Edge, DG+Edge,
+// IF+Edge and XRel+Edge — the strategies that climb — answer with an error
+// matching index.ErrCorruptCatalog, never with fewer ids; and a snapshot
+// without a node table is refused before it runs.
+func TestClimbsRejectMissingNodeEntry(t *testing.T) {
+	db := goldenDB(t, index.PathsOptions{}, "")
+	defer db.Close()
+	pat := xpath.MustParse(`/a/b/a/b[c = 'v1']`)
+	climbs := []plan.Strategy{plan.EdgePlan, plan.DataGuideEdgePlan, plan.FabricEdgePlan, plan.XRelPlan}
+	for _, s := range climbs {
+		if res, err := db.Read(pat, ReadOpts{Strategy: s}); err != nil || len(res.IDs) != 1 {
+			t.Fatalf("%v before the delete: %v, %v", s, res.IDs, err)
+		}
+	}
+
+	// Delete the entry of the match itself, the parent of its value leaf:
+	// every climb reads it on the way up.
+	snap := db.CurrentSnapshot()
+	match := naive.Match(db.Store(), pat)[0]
+	nodes := snap.env.Nodes.CloneCOW(storage.PageID(db.fdisk.NumPages()))
+	key := index.NodeKey(nil, match)
+	val, ok, err := nodes.Tree().Get(key)
+	if err == nil && ok {
+		ok, err = nodes.Tree().Delete(key, val)
+	}
+	if err != nil || !ok {
+		t.Fatalf("deleting node %d's entry: %v, %v", match, ok, err)
+	}
+	// White-box: no other goroutine uses db, so the published snapshot's
+	// table can be swapped.
+	snap.env.Nodes = nodes
+	for _, s := range climbs {
+		res, err := db.Read(pat, ReadOpts{Strategy: s})
+		if !errors.Is(err, index.ErrCorruptCatalog) {
+			t.Errorf("%v without node %d's entry: %v, %v; want index.ErrCorruptCatalog", s, match, res.IDs, err)
+		}
+	}
+
+	bare := *db.Env()
+	bare.Nodes = nil
+	for _, s := range climbs {
+		if _, err := plan.Build(&bare, s, pat); err == nil || !strings.Contains(err.Error(), "node table not built") {
+			t.Errorf("%v without a node table: %v, want refused", s, err)
+		}
 	}
 }

@@ -335,7 +335,7 @@ func TestCloseRetiresContainment(t *testing.T) {
 
 // TestOpenRefusesOtherFormats: Open refuses a file whose superblock is
 // stamped with storage version 2, or whose catalog (committed to the WAL,
-// so the refusal comes after recovery) is version 1 or 3, with
+// so the refusal comes after recovery) is version 1, 2 or 4, with
 // storage.ErrFormatVersion, and leaves the database file and its WAL as
 // they were.
 func TestOpenRefusesOtherFormats(t *testing.T) {
@@ -352,7 +352,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 			}
 		},
 	}
-	for _, v := range []byte{1, 3} {
+	for _, v := range []byte{1, 2, 4} {
 		stamp[fmt.Sprintf("catalog v%d", v)] = func(t *testing.T, path string) {
 			fd, err := storage.OpenFileDisk(path)
 			if err != nil {

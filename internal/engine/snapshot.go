@@ -54,12 +54,11 @@ type Snapshot struct {
 	dict *pathdict.Dict      // shared across versions: append-only, latched
 	ptab *pathdict.PathTable // shared across versions: append-only, latched
 
-	env plan.Env
-
-	// nodes is the store's paged form (see nodeTable); nil until the first
+	// env holds, besides the statistics and index handles, the version's
+	// node table (env.Nodes): the store's paged form, nil until the first
 	// commit after documents were bulk-loaded (AddDocument). It is set
 	// before the snapshot is published, never after.
-	nodes *nodeTable
+	env plan.Env
 
 	// pins counts readers currently inside a query against this snapshot.
 	// It is load-bearing: the engine's deferred-free queue only returns a
@@ -202,7 +201,6 @@ func (s *Snapshot) clone() *Snapshot {
 		nextID: s.nextID,
 		dict:   s.dict,
 		ptab:   s.ptab,
-		nodes:  s.nodes,
 	}
 	if store := s.Store(); store != nil {
 		next.setStore(store)
@@ -229,8 +227,8 @@ func (s *Snapshot) successorStats() {
 // count when the predecessor froze), and drops the index structures that
 // do not support incremental maintenance.
 func (s *Snapshot) cowIndices(frontier storage.PageID) {
-	if s.nodes != nil {
-		s.nodes = s.nodes.CloneCOW(frontier)
+	if s.env.Nodes != nil {
+		s.env.Nodes = s.env.Nodes.CloneCOW(frontier)
 	}
 	for k := index.Kind(0); k < index.NumKinds; k++ {
 		switch old := s.env.Install(k, nil).(type) {
@@ -251,8 +249,8 @@ func (s *Snapshot) maintained() []index.Lifecycle {
 			out = append(out, m)
 		}
 	}
-	if s.nodes != nil {
-		out = append(out, s.nodes)
+	if s.env.Nodes != nil {
+		out = append(out, s.env.Nodes)
 	}
 	return out
 }

@@ -14,7 +14,8 @@ import (
 // every probe method scans a hand-built tree whose one entry carries the
 // probed columns and then stops short (a key that ends where the id column
 // should start, a 3-byte Index Fabric key, an empty ASR id tuple, an
-// undecodable IdList), and must report ErrCorruptEntry.
+// undecodable IdList, a node entry cut inside its marked header), and must
+// report ErrCorruptEntry.
 func TestProbesRejectShortEntries(t *testing.T) {
 	dict := pathdict.NewDict()
 	l := dict.Intern("l")
@@ -71,9 +72,9 @@ func TestProbesRejectShortEntries(t *testing.T) {
 			e := &Edge{forward: tree(appendSym(cat(id7), l), nil), dict: dict}
 			return e.Children(sc, 7, "l", noID)
 		}},
-		{"Edge.Parent", func(sc *Scratch) (int, error) {
-			e := &Edge{backward: tree(id7, []byte{0, 0, 7}), dict: dict}
-			_, _, _, err := e.Parent(sc, 7)
+		{"NodeTable.Parent/truncated entry", func(sc *Scratch) (int, error) {
+			nt := &NodeTable{tree: tree(NodeKey(nil, 7), []byte{0, 1})}
+			_, _, _, err := nt.Parent(sc, 7)
 			return 0, err
 		}},
 		{"IndexFabric.Probe/3-byte key", func(sc *Scratch) (int, error) {

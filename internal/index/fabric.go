@@ -16,8 +16,8 @@ import (
 // simulate Index Fabric"). It indexes SchemaPath · LeafValue for rooted
 // paths and returns only the last id — so single fully-specified path
 // queries are one lookup, but branch points must be recovered through
-// backward-link joins (the IF+Edge strategy), and there is no support for
-// suffix (leading //) matches.
+// backward-link joins over the node table (the IF+Edge strategy), and
+// there is no support for suffix (leading //) matches.
 //
 // Deviation from the original: rows exist for every rooted path prefix, not
 // only root-to-leaf paths, so that existence probes on interior paths are

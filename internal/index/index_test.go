@@ -333,18 +333,23 @@ func TestEdgeIndices(t *testing.T) {
 	if err != nil || len(all) != 6 { // title pad1 pad2 allauthors year chapter
 		t.Fatalf("Children(book) = %v (%d), err %v", all, len(all), err)
 	}
-	// Backward: parent of title(2) is book(1).
-	pid, plabel, ok, err := e.Parent(new(Scratch), 2)
-	if err != nil || !ok || pid != 1 || plabel != "book" {
-		t.Fatalf("Parent(2) = %d %q %v %v", pid, plabel, ok, err)
+	// Backward: the node table. title(2)'s entry names its parent book(1),
+	// book(1)'s the virtual root and its own label.
+	nt, err := BulkLoadNodeTable(f.pool, f.dict, f.store)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Parent of the document root is the virtual root.
-	pid, plabel, ok, err = e.Parent(new(Scratch), 1)
-	if err != nil || !ok || pid != 0 || plabel != "" {
-		t.Fatalf("Parent(1) = %d %q %v %v", pid, plabel, ok, err)
+	title, book := f.syms(t, "title")[0], f.syms(t, "book")[0]
+	pid, sym, ok, err := nt.Parent(new(Scratch), 2)
+	if err != nil || !ok || pid != 1 || sym != title {
+		t.Fatalf("Parent(2) = %d %d %v %v", pid, sym, ok, err)
+	}
+	pid, sym, ok, err = nt.Parent(new(Scratch), 1)
+	if err != nil || !ok || pid != 0 || sym != book {
+		t.Fatalf("Parent(1) = %d %d %v %v", pid, sym, ok, err)
 	}
 	// Unknown node.
-	_, _, ok, err = e.Parent(new(Scratch), 9999)
+	_, _, ok, err = nt.Parent(new(Scratch), 9999)
 	if err != nil || ok {
 		t.Fatalf("Parent(9999) ok=%v err=%v", ok, err)
 	}

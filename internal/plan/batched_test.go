@@ -143,10 +143,11 @@ func assertWarmedZeroAllocs(t *testing.T, env *plan.Env, run func(*plan.Env, boo
 // queries may not rise above what was measured when every probe started
 // drawing its prefix and iterator from the evaluator's index.Scratch (under
 // the race detector, which reads a few objects higher than a plain build).
-// ROOTPATHS and DATAPATHS stay at exactly zero. What is left for the
-// baselines is the B+-tree point lookup behind Edge.Parent and the
-// per-probe result slice of MatchingPaths. In the comments: the same
-// measurement one commit earlier.
+// ROOTPATHS, DATAPATHS and Edge stay at exactly zero: the climbs' parent
+// lookups read the node table through the evaluator's Scratch. What is left
+// for the baselines is the per-probe result slice of MatchingPaths. In the
+// comments: the ceilings before the climbs moved to the node table, when
+// each parent lookup allocated a B+-tree iterator.
 func TestWarmedRunAllocRatchet(t *testing.T) {
 	db := buildDB(t, nestedMailXML())
 	env := db.Env()
@@ -154,9 +155,9 @@ func TestWarmedRunAllocRatchet(t *testing.T) {
 		q       string
 		ceiling [8]float64 // by strategy: RP DP Edge DG+Edge IF+Edge ASR JI XRel+Edge
 	}{
-		{`//site//item[quantity = '2']`, [8]float64{0, 0, 120, 108, 107, 2, 4, 107}},              // 0 0 164 148 144 8 46 143
-		{`//item[quantity = '2'][mailbox//to]`, [8]float64{0, 0, 24, 33, 32, 4, 7, 32}},           // 0 0 876 889 885 79 88 884
-		{`//item[quantity = '2']/mailbox/mail[date]/to`, [8]float64{0, 0, 24, 33, 32, 6, 11, 32}}, // 0 0 324 337 333 184 251 332
+		{`//site//item[quantity = '2']`, [8]float64{0, 0, 0, 12, 11, 2, 4, 11}},               // 0 0 120 108 107 2 4 107
+		{`//item[quantity = '2'][mailbox//to]`, [8]float64{0, 0, 0, 9, 8, 4, 7, 8}},           // 0 0 24 33 32 4 7 32
+		{`//item[quantity = '2']/mailbox/mail[date]/to`, [8]float64{0, 0, 0, 9, 8, 6, 11, 8}}, // 0 0 24 33 32 6 11 32
 	} {
 		for i, strat := range branchStrategies {
 			tree, err := plan.Build(env, strat, xpath.MustParse(tc.q))

@@ -1,8 +1,10 @@
 package plan
 
 import (
+	"fmt"
 	"slices"
 
+	"repro/internal/index"
 	"repro/internal/pathdict"
 	"repro/internal/xpath"
 )
@@ -10,11 +12,11 @@ import (
 // climbEval is the leaf-then-climb evaluation DG+Edge, IF+Edge and XRel+Edge
 // share: expand the branch pattern over a schema summary into concrete
 // rooted paths, read each path's leaf ids from the strategy's own index,
-// then recover the ids at every pattern position by climbing the backward
-// link index, one join per level (the paper's "5-way join for each
-// branch"). The strategies differ in the two hooks only. None has a bound
-// access path of its own: an index-nested-loop join runs the held edge
-// walker's forward-link bound probe.
+// then recover the ids at every pattern position by climbing the node
+// table, the backward link index, one join per level (the paper's "5-way
+// join for each branch"). The strategies differ in the two hooks only.
+// None has a bound access path of its own: an index-nested-loop join runs
+// the held edge walker's forward-link bound probe.
 type climbEval struct {
 	edgeEval
 
@@ -79,10 +81,10 @@ func (e *climbEval) free(n *Node, out *brel, es *ExecStats) error {
 	return nil
 }
 
-// climb recovers the ids at every pattern position by climbing the
-// backward link index from each leaf id along the known concrete path,
-// appending one output row per assignment; a Parent lookup per level is
-// exactly the join cascade the paper charges to these strategies.
+// climb recovers the ids at every pattern position by climbing the node
+// table from each leaf id along the known concrete path, appending one
+// output row per assignment; a parent lookup per level is exactly the join
+// cascade the paper charges to these strategies.
 func (e *climbEval) climb(pat []pathdict.PStep, concrete pathdict.Path, leaves []int64, out *brel) error {
 	e.asn = pathdict.EnumerateMatchesInto(e.asn[:0], pat, concrete)
 	if len(e.asn) == 0 || len(leaves) == 0 {
@@ -97,17 +99,15 @@ func (e *climbEval) climb(pat []pathdict.PStep, concrete pathdict.Path, leaves [
 	// positions minPos..depth-1 are filled.
 	e.aux = slices.Grow(e.aux[:0], depth)
 	chain := e.aux[:depth]
-nextLeaf:
 	for _, leaf := range leaves {
 		chain[depth-1] = leaf
 		for p := depth - 2; p >= minPos; p-- {
-			e.es.IndexLookups++
-			pid, _, ok, err := e.env.Edge.Parent(&e.sc, chain[p+1])
+			pid, _, err := e.parent(chain[p+1])
 			if err != nil {
 				return err
 			}
-			if !ok || pid == 0 {
-				continue nextLeaf
+			if pid == 0 {
+				return fmt.Errorf("%w: node %d at depth %d of a rooted path is a document root", index.ErrCorruptCatalog, chain[p+1], p+1)
 			}
 			chain[p] = pid
 		}

@@ -1,7 +1,10 @@
 package plan
 
 import (
+	"fmt"
+
 	"repro/internal/index"
+	"repro/internal/pathdict"
 	"repro/internal/xpath"
 )
 
@@ -13,8 +16,8 @@ import (
 type scratch struct {
 	sc   index.Scratch // the index layer's probe prefix, iterator and decode buffers
 	a, b brel          // ping-pong relations: a step reads one and writes the other
-	ids  []int64       // id buffer: the output of one index access
-	aux  []int64       // second id buffer: // expansion queue, value-probe ids, ancestor chain
+	ids  []int64       // id buffer: the output of one index access, the rows' parents in a climb
+	aux  []int64       // second id buffer: // expansion queue, value-probe ids, ancestor chain, next parents
 	keys hashTab       // key set of a value semi-join
 	asn  []int         // flat schema-match assignments (pathdict.EnumerateMatchesInto)
 
@@ -36,7 +39,8 @@ func (s *scratch) into(buf *[]int64) func(int64) error {
 }
 
 // edgeEval evaluates branches one step at a time over the edge-table link
-// indices. Every step is a join through the forward or backward link index;
+// indices. Every step is a join through the forward link index or the
+// node table, which is the backward link index;
 // descendant (//) steps expand the whole subtree below each candidate. This
 // is the baseline whose per-step join cost the paper's Figures 11 and 12
 // expose.
@@ -70,31 +74,47 @@ func (e *edgeEval) free(n *Node, out *brel, es *ExecStats) error {
 }
 
 // bottomUp starts from the value index and climbs to the root through the
-// backward link index, one join per step.
+// node table, one join per step. A row carries its top binding's parent id,
+// so the climb reads each ancestor's entry once: its label and its parent.
 func (e *edgeEval) bottomUp(br *xpath.Branch) (*brel, error) {
 	cur, next := &e.a, &e.b // columns br.Nodes[i:] as the climb passes i
 	cur.reset(1)
 	if err := e.valueProbe(br, &cur.data); err != nil {
 		return nil, err
 	}
+	anchored := br.Steps[0].Axis == xpath.Child // the top binding is a document root
+	if len(br.Steps) == 1 && !anchored {
+		return cur, nil
+	}
+	// up[r] is the parent id of row r's top binding; 0 above a document root.
+	up, upNext, kept := e.ids[:0], e.aux[:0], cur.data[:0]
+	for _, id := range cur.data {
+		pid, _, err := e.parent(id)
+		if err != nil {
+			return nil, err
+		}
+		if len(br.Steps) > 1 || pid == 0 {
+			kept, up = append(kept, id), append(up, pid)
+		}
+	}
+	cur.data = kept
 	for i := len(br.Steps) - 2; i >= 0; i-- {
-		axis, label := br.Steps[i+1].Axis, br.Steps[i].Label
+		axis := br.Steps[i+1].Axis
+		sym, _ := e.env.Dict.Sym(br.Steps[i].Label) // 0, which no entry holds, for a label that never occurs
 		next.reset(cur.width + 1)
+		upNext = upNext[:0]
 		for r, rows := 0, cur.rows(); r < rows; r++ {
 			t := cur.row(r)
 			// Child edge: the parent is the one candidate binding.
 			// Descendant edge: so is every proper ancestor with the label.
-			for at := t[0]; ; {
-				e.es.IndexLookups++
-				pid, plabel, ok, err := e.env.Edge.Parent(&e.sc, at)
+			for at := up[r]; at != 0; {
+				pid, atSym, err := e.parent(at)
 				if err != nil {
 					return nil, err
 				}
-				if !ok || pid == 0 {
-					break
-				}
-				if plabel == label {
-					next.rowBefore(pid, t)
+				if atSym == sym && (i > 0 || !anchored || pid == 0) {
+					next.rowBefore(at, t)
+					upNext = append(upNext, pid)
 				}
 				if axis == xpath.Child {
 					break
@@ -105,31 +125,22 @@ func (e *edgeEval) bottomUp(br *xpath.Branch) (*brel, error) {
 		e.es.Join.TuplesIn += int64(cur.rows())
 		e.es.Join.TuplesOut += int64(next.rows())
 		cur, next = next, cur
+		up, upNext = upNext, up
 	}
-	return cur, e.anchorFilter(br, cur)
+	e.ids, e.aux = up, upNext
+	return cur, nil
 }
 
-// anchorFilter enforces, in place, the root anchor of a branch whose first
-// axis is /: the top binding must be a document root.
-func (e *edgeEval) anchorFilter(br *xpath.Branch, r *brel) error {
-	if br.Steps[0].Axis != xpath.Child {
-		return nil
+// parent reads node id's entry in the node table: one backward-link
+// lookup. The id came from an index of the same version, so a missing
+// entry is corruption, not an empty answer.
+func (e *edgeEval) parent(id int64) (parentID int64, sym pathdict.Sym, err error) {
+	e.es.IndexLookups++
+	parentID, sym, ok, err := e.env.Nodes.Parent(&e.sc, id)
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: node table has no entry for node %d", index.ErrCorruptCatalog, id)
 	}
-	kept := 0
-	for i, rows := 0, r.rows(); i < rows; i++ {
-		t := r.row(i)
-		e.es.IndexLookups++
-		pid, _, ok, err := e.env.Edge.Parent(&e.sc, t[0])
-		if err != nil {
-			return err
-		}
-		if ok && pid == 0 {
-			copy(r.row(kept), t)
-			kept++
-		}
-	}
-	r.truncate(kept)
-	return nil
+	return parentID, sym, err
 }
 
 // walkFrom takes steps[0] from node id into a one-column relation and

@@ -10,7 +10,7 @@ import (
 // into *several* equality conditions, one lookup each, which is the
 // Section 5.2.6 recursion argument — then each path id is probed for
 // (value, node id) rows, and branch-point ids are recovered with
-// backward-link climbs as in the DataGuide plan.
+// backward-link climbs through the node table as in the DataGuide plan.
 func newXRelEval(env *Env) evaluator {
 	e := &climbEval{edgeEval: edgeEval{env: env}}
 	var pids []pathdict.PathID

@@ -41,8 +41,8 @@ const (
 	// DataPathsPlan evaluates branches with DATAPATHS lookups; unselective
 	// branches are evaluated with index-nested-loop bound probes.
 	DataPathsPlan
-	// EdgePlan uses only the edge table's value/forward/backward link
-	// indices; every path step costs a join.
+	// EdgePlan uses only the edge table's value/forward link indices and
+	// the node table as the backward one; every path step costs a join.
 	EdgePlan
 	// DataGuideEdgePlan looks up structure in the DataGuide and values in
 	// the edge value index, joining the two (the separated-structure cost
@@ -137,6 +137,11 @@ type Env struct {
 	// structural-join extension strategy.
 	Containment *containment.Index
 
+	// Nodes is the version's node table, not an index kind: the Edge
+	// relation itself, whose entries the climbs read as the backward link
+	// index, so every strategy that requires Edge requires it too.
+	Nodes *index.NodeTable
+
 	// INLFactor overrides the index-nested-loop threshold (0 uses the
 	// default; negative disables INL entirely). Tests set it to force or
 	// forbid bound probes.
@@ -219,6 +224,9 @@ func (e *Env) check(strat Strategy) error {
 	for _, k := range strategies[strat].requires {
 		if slots[k].get() == nil {
 			return fmt.Errorf("plan: %v index not built (strategy %v)", k, strat)
+		}
+		if k == index.KindEdge && e.Nodes == nil {
+			return fmt.Errorf("plan: node table not built (strategy %v)", strat)
 		}
 	}
 	if strategies[strat].needStats && e.Stats == nil {

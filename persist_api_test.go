@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	twigdb "repro"
+	"repro/internal/storage"
 )
 
 const persistDoc = `
@@ -144,34 +145,68 @@ func TestInMemoryCloseCheckpoints(t *testing.T) {
 }
 
 // TestOpenRefusesOldFormat: a file whose superblock is stamped with
-// storage version 2 (its checksum re-sealed) is refused with
-// ErrFormatVersion, and the refused open leaves it byte for byte as it was.
+// storage version 2 (its checksum re-sealed), or whose catalog is stamped
+// with version 2 (committed to the WAL, so the refusal comes after
+// recovery), is refused with ErrFormatVersion, and the refused open leaves
+// the file and its WAL byte for byte as they were.
 func TestOpenRefusesOldFormat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "old.twigdb")
-	db := twigdb.MustOpen(&twigdb.Options{Path: path})
-	if err := db.LoadXMLString(persistDoc); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.BuildAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Superblock: magic, version u32 at 8, ..., CRC32-IEEE of bytes 0..27 at 28.
-	binary.BigEndian.PutUint32(raw[8:], 2)
-	binary.BigEndian.PutUint32(raw[28:], crc32.ChecksumIEEE(raw[:28]))
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := twigdb.Open(&twigdb.Options{Path: path}); !errors.Is(err, twigdb.ErrFormatVersion) {
-		t.Fatalf("open of a version-2 file: got %v, want ErrFormatVersion", err)
-	}
-	if got, _ := os.ReadFile(path); !bytes.Equal(got, raw) {
-		t.Fatal("the refused open changed the file")
+	for name, restamp := range map[string]func(t *testing.T, path string){
+		"storage v2": func(t *testing.T, path string) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Superblock: magic, version u32 at 8, ..., CRC32-IEEE of bytes 0..27 at 28.
+			binary.BigEndian.PutUint32(raw[8:], 2)
+			binary.BigEndian.PutUint32(raw[28:], crc32.ChecksumIEEE(raw[:28]))
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"catalog v2": func(t *testing.T, path string) {
+			fd, err := storage.OpenFileDisk(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fd.Close()
+			root, buf := fd.Meta().CatalogRoot, make([]byte, storage.PageSize)
+			if err := fd.Read(root, buf); err != nil {
+				t.Fatal(err)
+			}
+			// Catalog page: [4B next][2B length], then "TWIGCAT1" and the version.
+			buf[6+len("TWIGCAT1")] = 2
+			if err := fd.Write(root, buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := fd.Commit(fd.Meta()); err != nil {
+				t.Fatal(err)
+			}
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "old.twigdb")
+			db := twigdb.MustOpen(&twigdb.Options{Path: path})
+			if err := db.LoadXMLString(persistDoc); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.BuildAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			restamp(t, path)
+			file, _ := os.ReadFile(path)
+			wal, _ := os.ReadFile(path + storage.WALSuffix)
+			if _, err := twigdb.Open(&twigdb.Options{Path: path}); !errors.Is(err, twigdb.ErrFormatVersion) {
+				t.Fatalf("open: got %v, want ErrFormatVersion", err)
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, file) {
+				t.Fatal("the refused open changed the file")
+			}
+			if got, _ := os.ReadFile(path + storage.WALSuffix); !bytes.Equal(got, wal) {
+				t.Fatal("the refused open changed the WAL")
+			}
+		})
 	}
 }

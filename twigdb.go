@@ -64,8 +64,8 @@ const (
 	// HeadId · LeafValue · reverse(SchemaPath) over all subpaths,
 	// supporting bound (index-nested-loop) probes (Section 3.3).
 	DataPaths
-	// Edge is the edge table with Lore-style value, forward-link and
-	// backward-link indices.
+	// Edge is the edge table with Lore-style value and forward-link
+	// indices; the node table serves as its backward-link index.
 	Edge
 	// DataGuide is the structure-only path summary with extents.
 	DataGuide
@@ -107,7 +107,7 @@ const (
 	// index.
 	StrategyDataGuideEdge
 	// StrategyFabricEdge combines Index Fabric lookups with backward-link
-	// joins.
+	// joins through the node table.
 	StrategyFabricEdge
 	// StrategyASR probes one Access Support Relation per concrete path.
 	StrategyASR
