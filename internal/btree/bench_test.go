@@ -109,3 +109,41 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScanPrefix runs a warmed PrefixScan over every two-letter
+// middle of benchKeys — about a hundred rows each, spanning leaf
+// boundaries — the loop behind every index probe. One op is one scan; it
+// reports ns per row and must allocate nothing.
+func BenchmarkScanPrefix(b *testing.B) {
+	keys := benchKeys(1 << 16)
+	entries := make([]Entry, len(keys))
+	for i, k := range keys {
+		entries[i] = Entry{Key: k, Val: benchVal}
+	}
+	sort.Slice(entries, func(i, j int) bool { return bytes.Compare(entries[i].Key, entries[j].Key) < 0 })
+	tr, err := BulkLoad(storage.NewPool(storage.NewMemFileDisk(), 64<<20), "bench", entries)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var prefixes [][]byte
+	for x := byte('a'); x <= 'z'; x++ {
+		for y := byte('a'); y <= 'z'; y++ {
+			prefixes = append(prefixes, []byte{x, y})
+		}
+	}
+	var ps PrefixScan
+	sum := 0
+	row := func(key, val []byte) error { sum += len(key) + len(val); return nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := 0
+	for i := 0; i < b.N; i++ {
+		ps.Prefix = append(append(ps.Prefix[:0], "site/people/person/"...), prefixes[i%len(prefixes)]...)
+		n, err := tr.ScanPrefix(&ps, row)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += n
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(rows, 1)), "ns/row")
+}

@@ -397,7 +397,7 @@ func (t *Tree) storeSplit(id storage.PageID, pc *pageContent) ([]byte, storage.P
 	if fits(pc) {
 		return nil, storage.InvalidPage, t.write(id, pc)
 	}
-	mid := len(pc.entries) / 2
+	mid := splitPoint(pc)
 	rightEntries := append([]entry(nil), pc.entries[mid:]...)
 	leftEntries := pc.entries[:mid]
 
@@ -425,6 +425,32 @@ func (t *Tree) storeSplit(id storage.PageID, pc *pageContent) ([]byte, storage.P
 		return nil, storage.InvalidPage, err
 	}
 	return sep, rightID, nil
+}
+
+// splitPoint returns the entry storeSplit cuts pc before: the middle one,
+// unless a half would not fit a page, and then the cut nearest the middle
+// at which both halves fit. A half can overflow when a key unrelated to
+// the others collapses a long page prefix: the half it lands in stores
+// every key whole. An internal split pushes the cut entry up, so it
+// belongs to neither half.
+func splitPoint(pc *pageContent) int {
+	n := len(pc.entries)
+	halvesFit := func(mid int) bool {
+		right := pc.entries[mid:]
+		if !pc.leaf {
+			right = right[1:]
+		}
+		return fits(&pageContent{leaf: pc.leaf, entries: pc.entries[:mid]}) &&
+			fits(&pageContent{leaf: pc.leaf, entries: right})
+	}
+	for d := 0; d < n; d++ {
+		for _, mid := range [2]int{n/2 - d, n/2 + d} {
+			if mid >= 1 && mid < n && halvesFit(mid) {
+				return mid
+			}
+		}
+	}
+	return n / 2 // nothing fits: the write reports the overflow
 }
 
 // descendChild returns the index of the separator whose child should contain

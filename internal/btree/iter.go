@@ -34,8 +34,9 @@ type Iterator struct {
 	path []iterLevel  // descent path above the current leaf (root first)
 	pg   storage.Page // pinned current leaf; Data == nil when done
 	idx  int
+	n    int // cell count of the current leaf, read once on entry
 	err  error
-	key  []byte // reusable buffer for prefix+suffix
+	key  []byte // the leaf's page prefix, then the current row's suffix
 }
 
 // iterLevel records one internal page of the descent path and which child
@@ -83,11 +84,18 @@ func (t *Tree) SeekInto(key []byte, it *Iterator) error {
 		it.Close()
 		return err
 	}
-	it.pg = pg
 	// First entry >= key within this leaf.
-	it.idx = searchCell(pg.Data, key)
+	it.enter(pg, searchCell(pg.Data, key))
 	it.skipExhausted()
 	return nil
+}
+
+// enter makes pg, a pinned leaf, the current page at cell idx. It reads the
+// cell count and copies the page prefix into the key buffer once per leaf,
+// so that each row only appends its suffix.
+func (it *Iterator) enter(pg storage.Page, idx int) {
+	it.pg, it.idx, it.n = pg, idx, pageNumCells(pg.Data)
+	it.key = append(it.key[:0], pagePrefix(pg.Data)...)
 }
 
 // Scan returns an iterator over the whole tree.
@@ -97,7 +105,7 @@ func (t *Tree) Scan() (*Iterator, error) {
 
 // skipExhausted advances across empty / finished leaves.
 func (it *Iterator) skipExhausted() {
-	for it.err == nil && it.pg.Data != nil && it.idx >= pageNumCells(it.pg.Data) {
+	for it.err == nil && it.pg.Data != nil && it.idx >= it.n {
 		it.tree.pool.Unpin(it.pg, false)
 		it.pg = storage.Page{}
 		it.nextLeaf()
@@ -139,8 +147,7 @@ func (it *Iterator) descendFirst(id storage.PageID) {
 			return
 		}
 		if pageType(pg.Data) == pageLeaf {
-			it.pg = pg
-			it.idx = 0
+			it.enter(pg, 0)
 			return
 		}
 		child := pageAux(pg.Data) // leftmost child
@@ -159,7 +166,9 @@ func (it *Iterator) Next() {
 		return
 	}
 	it.idx++
-	it.skipExhausted()
+	if it.idx >= it.n {
+		it.skipExhausted()
+	}
 }
 
 // Key returns the current full key (prefix rejoined with suffix). The slice
@@ -169,12 +178,11 @@ func (it *Iterator) Key() []byte {
 	return key
 }
 
-// entry returns the current full key, rejoined once into the iterator's
-// buffer, and the value as a view into the page.
+// entry returns the current full key — the suffix appended to the page
+// prefix the buffer already holds — and the value as a view into the page.
 func (it *Iterator) entry() (key, val []byte) {
 	suffix, val := leafCell(it.pg.Data, it.idx)
-	it.key = append(it.key[:0], pagePrefix(it.pg.Data)...)
-	it.key = append(it.key, suffix...)
+	it.key = append(it.key[:pagePrefixLen(it.pg.Data)], suffix...)
 	return it.key, val
 }
 
@@ -215,28 +223,79 @@ type PrefixScan struct {
 // ScanPrefix is the primitive behind every index lookup in the family (the
 // probe prefix is the encoded fixed columns plus a reverse-schema-path
 // prefix): it seeks to the first entry >= ps.Prefix and calls row, in key
-// order, with each entry that starts with the prefix — the key rejoined
-// once per entry, the value a view into the page, both valid only during
-// the call. It returns the number of entries row was called with and the
+// order, with each entry that starts with the prefix — the key, the value a
+// view into the page, both valid only during the call and not to be
+// modified. It returns the number of entries row was called with and the
 // first error of the descent, the iteration or row; the iterator is closed
 // when it returns. A warmed PrefixScan scans without allocating.
+//
+// The scan works a leaf at a time: the page prefix is copied into the key
+// buffer once per leaf, each row appends only its suffix, and the prefix
+// test is made once per leaf (see rangeEnd), not once per row.
 func (t *Tree) ScanPrefix(ps *PrefixScan, row func(key, val []byte) error) (rows int, err error) {
 	it := &ps.it
 	if err := t.SeekInto(ps.Prefix, it); err != nil {
 		return 0, err
 	}
 	defer it.Close()
-	for ; it.Valid(); it.Next() {
-		key, val := it.entry()
-		if !bytes.HasPrefix(key, ps.Prefix) {
-			break
+	for it.Valid() {
+		d, n := it.pg.Data, it.n
+		plen := pagePrefixLen(d)
+		slots := headerSize + plen
+		end := rangeEnd(d, it.idx, n, ps.Prefix)
+		for i := it.idx; i < end; i++ {
+			suffix, val := leafCellAt(d, slots, i)
+			it.key = append(it.key[:plen], suffix...)
+			rows++
+			if err := row(it.key, val); err != nil {
+				return rows, err
+			}
 		}
-		rows++
-		if err := row(key, val); err != nil {
-			return rows, err
+		if end < n {
+			return rows, nil // the range ends on this leaf
 		}
+		it.idx = n
+		it.skipExhausted()
 	}
 	return rows, it.err
+}
+
+// rangeEnd returns the end of the run of leaf cells from i (< n) on whose
+// keys start with prefix, given that every key from cell i on is >= prefix:
+// keys are sorted, so the cells with the prefix come first. Every key on
+// the page starts with the page prefix, which is compared with prefix once;
+// when the last cell has the prefix the whole run does, and otherwise —
+// only on the leaf where the range ends — a binary search over the
+// suffixes finds the end.
+func rangeEnd(d []byte, i, n int, prefix []byte) int {
+	pp := pagePrefix(d)
+	if len(prefix) <= len(pp) {
+		if bytes.HasPrefix(pp, prefix) {
+			return n
+		}
+		return i
+	}
+	if !bytes.Equal(pp, prefix[:len(pp)]) {
+		return i
+	}
+	rest, slots := prefix[len(pp):], headerSize+len(pp)
+	has := func(c int) bool {
+		suffix, _ := leafCellAt(d, slots, c)
+		return bytes.HasPrefix(suffix, rest)
+	}
+	if has(n - 1) {
+		return n
+	}
+	lo, hi := i, n-1 // the first cell in [lo, hi] without the prefix
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if has(mid) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // PrefixIterator is the pull form of a prefix scan: an Iterator that is

@@ -85,11 +85,18 @@ func pageFreeGap(d []byte) int {
 
 // leafCell returns the key suffix and value of leaf cell i.
 func leafCell(d []byte, i int) (suffix, val []byte) {
-	off := cellOffset(d, i)
-	klen := u16(d[off:])
-	vlen := u16(d[off+2:])
-	off += 4
-	return d[off : off+klen], d[off+klen : off+klen+vlen]
+	return leafCellAt(d, slotBase(d), i)
+}
+
+// leafCellAt is leafCell for a caller that has read the page's slot base
+// once (see Tree.ScanPrefix). It indexes d directly, without u16, to stay
+// within the compiler's inlining budget: it runs once per scanned row.
+func leafCellAt(d []byte, slots, i int) (suffix, val []byte) {
+	s := slots + 2*i
+	off := int(d[s])<<8 | int(d[s+1])
+	klen, vlen := int(d[off])<<8|int(d[off+1]), int(d[off+2])<<8|int(d[off+3])
+	cell := d[off+4:]
+	return cell[:klen], cell[klen : klen+vlen]
 }
 
 // internalCell returns the key suffix and child of internal cell i.
@@ -102,12 +109,33 @@ func internalCell(d []byte, i int) (suffix []byte, child storage.PageID) {
 }
 
 // searchCell returns the index of the first cell whose key is >= key,
-// binary-searching the slot array directly on the encoded page.
+// binary-searching the slot array directly on the encoded page. Every key
+// on the page starts with the page prefix, so key is compared with the
+// prefix once; the search then compares cell suffixes with the rest of key.
 func searchCell(d []byte, key []byte) int {
-	lo, hi := 0, pageNumCells(d)
+	n := pageNumCells(d)
+	prefix := pagePrefix(d)
+	head := key
+	if len(head) > len(prefix) {
+		head = head[:len(prefix)]
+	}
+	switch c := bytes.Compare(prefix, head); {
+	case c < 0:
+		return n // every key on the page is below key
+	case c > 0:
+		return 0 // every key on the page is above key
+	}
+	rest := key[len(prefix):]
+	slots := headerSize + len(prefix)
+	hdr := 4 // leaf cell: key length, value length
+	if pageType(d) != pageLeaf {
+		hdr = 6 // internal cell: key length, child
+	}
+	lo, hi := 0, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if compareCellKey(d, mid, key) < 0 {
+		off := u16(d[slots+2*mid:])
+		if bytes.Compare(d[off+hdr:off+hdr+u16(d[off:])], rest) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid

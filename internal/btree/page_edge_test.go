@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -53,57 +54,61 @@ func TestInsertMaxEntryIntoNearlyFullPage(t *testing.T) {
 
 // TestSplitPrefixShrinksToZero fills pages whose keys share a long prefix,
 // then inserts keys that share nothing with them: the affected page's common
-// prefix collapses to zero and the in-place path must fall back.
+// prefix collapses to zero and the in-place path must fall back. Under a
+// 400-byte prefix the page no longer splits down the middle — the half
+// holding the new key would not fit — but where both halves do.
 func TestSplitPrefixShrinksToZero(t *testing.T) {
-	pool := newPool(t, 4<<20)
-	tr, err := New(pool, "edge")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var keys [][]byte
-	for i := 0; i < 400; i++ {
-		k := []byte(fmt.Sprintf("www/common/deep/prefix/%06d", i))
-		keys = append(keys, k)
-		if err := tr.Insert(k, []byte("p")); err != nil {
+	for _, prefix := range []string{"www/common/deep/prefix/", strings.Repeat("long/", 80)} {
+		pool := newPool(t, 4<<20)
+		tr, err := New(pool, "edge")
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Keys sorting before and after the shared-prefix block, sharing no
-	// bytes with it ("A..." < "www..." < "z...").
-	for i := 0; i < 50; i++ {
-		lo := []byte(fmt.Sprintf("A%06d", i))
-		hi := []byte(fmt.Sprintf("z%06d", i))
-		keys = append(keys, lo, hi)
-		if err := tr.Insert(lo, []byte("lo")); err != nil {
+		var keys [][]byte
+		for i := 0; i < 400; i++ {
+			k := []byte(fmt.Sprintf("%s%06d", prefix, i))
+			keys = append(keys, k)
+			if err := tr.Insert(k, []byte("p")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Keys sorting before and after the shared-prefix block, sharing no
+		// bytes with it ("A..." < "l..." < "www..." < "z...").
+		for i := 0; i < 50; i++ {
+			lo := []byte(fmt.Sprintf("A%06d", i))
+			hi := []byte(fmt.Sprintf("z%06d", i))
+			keys = append(keys, lo, hi)
+			if err := tr.Insert(lo, []byte("lo")); err != nil {
+				t.Fatalf("prefix %d bytes: %v", len(prefix), err)
+			}
+			if err := tr.Insert(hi, []byte("hi")); err != nil {
+				t.Fatalf("prefix %d bytes: %v", len(prefix), err)
+			}
+		}
+		for _, k := range keys {
+			if _, ok, err := tr.Get(k); !ok || err != nil {
+				t.Fatalf("key %q unreadable after prefix collapse: ok=%v err=%v", k, ok, err)
+			}
+		}
+		// The whole tree must still scan in sorted order.
+		it, err := tr.Scan()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tr.Insert(hi, []byte("hi")); err != nil {
-			t.Fatal(err)
+		var prev []byte
+		n := 0
+		for ; it.Valid(); it.Next() {
+			k := it.Key()
+			if prev != nil && bytes.Compare(prev, k) > 0 {
+				t.Fatalf("scan out of order: %q after %q", k, prev)
+			}
+			prev = append(prev[:0], k...)
+			n++
 		}
-	}
-	for _, k := range keys {
-		if _, ok, err := tr.Get(k); !ok || err != nil {
-			t.Fatalf("key %q unreadable after prefix collapse: ok=%v err=%v", k, ok, err)
+		it.Close()
+		if n != len(keys) {
+			t.Fatalf("scan visited %d entries, want %d", n, len(keys))
 		}
-	}
-	// The whole tree must still scan in sorted order.
-	it, err := tr.Scan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	var prev []byte
-	n := 0
-	for ; it.Valid(); it.Next() {
-		k := it.Key()
-		if prev != nil && bytes.Compare(prev, k) > 0 {
-			t.Fatalf("scan out of order: %q after %q", k, prev)
-		}
-		prev = append(prev[:0], k...)
-		n++
-	}
-	if n != len(keys) {
-		t.Fatalf("scan visited %d entries, want %d", n, len(keys))
 	}
 }
 

@@ -91,24 +91,39 @@ func Len(buf []byte) (int, error) {
 }
 
 // DecodeDeltaInto is DecodeDelta with allocation discipline for hot probe
-// paths: it pre-counts the ids (one continuation-bit pass) and grows dst at
-// most once, so a caller recycling dst[:0] across rows settles into a
-// steady-state buffer with zero per-row allocation and — because each id
-// occupies at least one encoded byte, letting ample spare capacity prove
-// itself — no counting pass either.
+// paths. Each id occupies at least one encoded byte, so it reserves
+// len(dst)+len(buf) ids up front and never grows dst while decoding: a
+// caller recycling dst[:0] across rows settles into a steady-state buffer
+// with zero per-row allocation and no counting pass. One- and two-byte
+// varints — most offsets along a schema path — are zig-zag decoded inline;
+// longer ones go through binary.Varint, so it accepts and rejects exactly
+// what DecodeDelta does.
 func DecodeDeltaInto(dst []int64, buf []byte) ([]int64, error) {
-	if cap(dst)-len(dst) < len(buf) {
-		n, err := Len(buf)
-		if err != nil {
-			return nil, err
-		}
-		if need := len(dst) + n; cap(dst) < need {
-			grown := make([]int64, len(dst), need)
-			copy(grown, dst)
-			dst = grown
-		}
+	if need := len(dst) + len(buf); cap(dst) < need {
+		grown := make([]int64, len(dst), need)
+		copy(grown, dst)
+		dst = grown
 	}
-	return DecodeDelta(dst, buf)
+	prev := int64(0)
+	for i := 0; i < len(buf); {
+		if b := buf[i]; b < 0x80 {
+			prev += int64(b>>1) ^ -int64(b&1)
+			i++
+		} else if i+1 < len(buf) && buf[i+1] < 0x80 {
+			u := uint64(b&0x7f) | uint64(buf[i+1])<<7
+			prev += int64(u>>1) ^ -int64(u&1)
+			i += 2
+		} else {
+			d, n := binary.Varint(buf[i:])
+			if n <= 0 {
+				return nil, fmt.Errorf("idlist: corrupt varint at tail %d", len(buf)-i)
+			}
+			prev += d
+			i += n
+		}
+		dst = append(dst, prev)
+	}
+	return dst, nil
 }
 
 // EncodeRaw appends the uncompressed fixed-width (8 bytes per id) encoding;

@@ -137,6 +137,43 @@ func TestDecodeDeltaInto(t *testing.T) {
 	}
 }
 
+// TestDecodeDeltaIntoSteadyState checks that one warm call reserves room
+// for any list of the same encoded length: a list of multi-byte varints
+// warms dst, then a list of as many bytes but one byte per id decodes into
+// it without growing it, and alternating the two allocates nothing.
+func TestDecodeDeltaIntoSteadyState(t *testing.T) {
+	wide := EncodeDelta(nil, []int64{1000, 3000, 1 << 20}) // 2-, 2- and 3-byte varints
+	narrow := EncodeDelta(nil, []int64{1, 2, 3, 4, 5, 6, 7})
+	if len(wide) != len(narrow) {
+		t.Fatalf("encoded lengths %d and %d, want equal", len(wide), len(narrow))
+	}
+	dst, err := DecodeDeltaInto(nil, wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := cap(dst)
+	if dst, err = DecodeDeltaInto(dst[:0], narrow); err != nil {
+		t.Fatal(err)
+	}
+	if len(dst) != 7 || dst[6] != 7 {
+		t.Fatalf("DecodeDeltaInto(narrow) = %v", dst)
+	}
+	if cap(dst) != warm {
+		t.Fatalf("decoding a list of the same byte length grew dst: cap %d → %d", warm, cap(dst))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, enc := range [][]byte{wide, narrow} {
+			var e error
+			if dst, e = DecodeDeltaInto(dst[:0], enc); e != nil {
+				t.Fatal(e)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state DecodeDeltaInto allocates %.1f per run", allocs)
+	}
+}
+
 // TestLenMatchesDecode cross-checks the continuation-bit counter against a
 // full decode on random inputs.
 func TestLenMatchesDecode(t *testing.T) {
@@ -237,4 +274,38 @@ func TestAppendToExisting(t *testing.T) {
 	if err != nil || len(dec) != 3 || dec[0] != 99 || dec[1] != 3 || dec[2] != 4 {
 		t.Fatalf("DecodeDelta append = %v, %v", dec, err)
 	}
+}
+
+// BenchmarkDecodeDeltaInto decodes IdLists shaped like the path indices':
+// a multi-byte first id, then parent-to-child offsets that are mostly one
+// varint byte with some two-byte ones, into one recycled buffer. It
+// reports ns per id.
+func BenchmarkDecodeDeltaInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	lists := make([][]byte, 1024)
+	ids := 0
+	for i := range lists {
+		path := []int64{rng.Int63n(100_000)}
+		for n := 1 + rng.Intn(7); n > 0; n-- {
+			step := 1 + rng.Int63n(63)
+			if rng.Intn(5) == 0 {
+				step = 64 + rng.Int63n(8000)
+			}
+			path = append(path, path[len(path)-1]+step)
+		}
+		lists[i] = EncodeDelta(nil, path)
+		ids += len(path)
+	}
+	var dst []int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, l := range lists {
+			var err error
+			if dst, err = DecodeDeltaInto(dst[:0], l); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ids), "ns/id")
 }

@@ -142,17 +142,14 @@ func (p *Paths) Probe(sc *Scratch, headID int64, hasValue bool, value string, su
 		return 0, err
 	}
 	sc.rev = reverseInto(sc.rev[:0], suffix)
-	sc.Prefix = pathdict.PathsKey(sc.Prefix[:0], p.headed, headID, hasValue, value, sc.rev)
-	valueAt := 0
-	if p.headed {
-		valueAt = 8 // every row of the scan starts with the prefix's head column
-	}
+	sc.Prefix = p.fixedColumns(sc.Prefix[:0], headID, hasValue, value)
+	// Every row of the scan starts with the probe's fixed columns, the
+	// whole self-delimiting value field included: its path starts here.
+	pathAt := len(sc.Prefix)
+	sc.Prefix = pathdict.AppendPath(sc.Prefix, sc.rev)
 	return p.tree.ScanPrefix(&sc.PrefixScan, func(key, val []byte) error {
-		rest, err := pathdict.SkipValueField(key[valueAt:])
-		if err != nil {
-			return corrupt(err)
-		}
-		if sc.fwd, err = pathdict.AppendPathReversed(sc.fwd[:0], rest); err != nil {
+		var err error
+		if sc.fwd, err = pathdict.AppendPathReversed(sc.fwd[:0], key[pathAt:]); err != nil {
 			return corrupt(err)
 		}
 		if sc.ids, err = decodeIDs(sc.ids[:0], val, p.opts.RawIDs); err != nil {

@@ -77,40 +77,6 @@ func DecodeValueField(buf []byte) (hasValue bool, value string, rest []byte, err
 	}
 }
 
-// SkipValueField returns the remainder of buf after the value field,
-// without decoding (and so without allocating) the value itself — for
-// probe loops that only need the schema-path tail of a key.
-func SkipValueField(buf []byte) ([]byte, error) {
-	if len(buf) == 0 {
-		return nil, fmt.Errorf("pathdict: empty value field")
-	}
-	switch buf[0] {
-	case markerNull:
-		return buf[1:], nil
-	case markerValue:
-		buf = buf[1:]
-		for i := 0; i < len(buf); i++ {
-			if buf[i] != 0x00 {
-				continue
-			}
-			if i+1 >= len(buf) {
-				return nil, fmt.Errorf("pathdict: unterminated value escape")
-			}
-			switch buf[i+1] {
-			case 0xFF:
-				i++
-			case 0x01:
-				return buf[i+2:], nil
-			default:
-				return nil, fmt.Errorf("pathdict: bad escape byte %#x", buf[i+1])
-			}
-		}
-		return nil, fmt.Errorf("pathdict: unterminated value field")
-	default:
-		return nil, fmt.Errorf("pathdict: bad value marker %#x", buf[0])
-	}
-}
-
 // AppendID appends a node id as 8 bytes big-endian.
 func AppendID(dst []byte, id int64) []byte {
 	return binary.BigEndian.AppendUint64(dst, uint64(id))

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 )
@@ -162,7 +163,12 @@ func (rt *Runtime) distinct(data []int64, width int) []int64 {
 	}
 	sorted, dups := true, false
 	for i := width; i < len(data); i += width {
-		c := slices.Compare(data[i-width:i], data[i:i+width])
+		var c int
+		if width == 1 {
+			c = cmp.Compare(data[i-1], data[i])
+		} else {
+			c = slices.Compare(data[i-width:i], data[i:i+width])
+		}
 		if c > 0 {
 			sorted = false
 			break
