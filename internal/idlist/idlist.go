@@ -94,10 +94,9 @@ func Len(buf []byte) (int, error) {
 // paths. Each id occupies at least one encoded byte, so it reserves
 // len(dst)+len(buf) ids up front and never grows dst while decoding: a
 // caller recycling dst[:0] across rows settles into a steady-state buffer
-// with zero per-row allocation and no counting pass. One- and two-byte
-// varints — most offsets along a schema path — are zig-zag decoded inline;
-// longer ones go through binary.Varint, so it accepts and rejects exactly
-// what DecodeDelta does.
+// with zero per-row allocation and no counting pass. One-byte varints are
+// zig-zag decoded inline; longer ones go through binary.Varint, so it
+// accepts and rejects exactly what DecodeDelta does.
 func DecodeDeltaInto(dst []int64, buf []byte) ([]int64, error) {
 	if need := len(dst) + len(buf); cap(dst) < need {
 		grown := make([]int64, len(dst), need)
@@ -109,10 +108,6 @@ func DecodeDeltaInto(dst []int64, buf []byte) ([]int64, error) {
 		if b := buf[i]; b < 0x80 {
 			prev += int64(b>>1) ^ -int64(b&1)
 			i++
-		} else if i+1 < len(buf) && buf[i+1] < 0x80 {
-			u := uint64(b&0x7f) | uint64(buf[i+1])<<7
-			prev += int64(u>>1) ^ -int64(u&1)
-			i += 2
 		} else {
 			d, n := binary.Varint(buf[i:])
 			if n <= 0 {

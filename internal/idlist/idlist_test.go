@@ -276,10 +276,10 @@ func TestAppendToExisting(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeDeltaInto decodes IdLists shaped like the path indices':
-// a multi-byte first id, then parent-to-child offsets that are mostly one
-// varint byte with some two-byte ones, into one recycled buffer. It
-// reports ns per id.
+// BenchmarkDecodeDeltaInto decodes a synthetic mix of IdLists — a
+// multi-byte first id, then offsets of one varint byte with one in five of
+// two bytes — into one recycled buffer. It reports ns per id; the mix gives
+// direction, not the path indices' traffic.
 func BenchmarkDecodeDeltaInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	lists := make([][]byte, 1024)
