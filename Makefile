@@ -43,6 +43,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDistinct -fuzztime $(FUZZTIME) ./internal/plan/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCatalog -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzNodeTable -fuzztime $(FUZZTIME) ./internal/engine/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeTxRecord -fuzztime $(FUZZTIME) ./internal/engine/
 	$(GO) test -run '^$$' -fuzz FuzzStoreCOW -fuzztime $(FUZZTIME) ./internal/xmldb/
 	$(GO) test -run '^$$' -fuzz FuzzRecoverFreeList -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzOpenFileDisk -fuzztime $(FUZZTIME) ./internal/storage/

@@ -85,12 +85,15 @@ func (db *DB) Backup(dstPath string) error {
 	return bw.Finish(base)
 }
 
-// pinSealed pins the current snapshot once it carries a node table whose
-// pages are on the device, committing the current state first when it
-// has none (see commitCurrent).
+// pinSealed pins the current snapshot once every page it reaches is on the
+// device, running a sync point first (see commitCurrent) when it has no
+// node table yet or when commits were logged since the last sync point —
+// their pages are dirty in the pool, which Backup's device reads bypass.
+// Any sync point after a version was published wrote its pages, so a clean
+// log past a sync point proves the pinned version sealed.
 func (db *DB) pinSealed() (*Snapshot, error) {
 	s := db.pin()
-	if s.env.Nodes != nil {
+	if commits, _ := db.fdisk.LogSinceSync(); s.env.Nodes != nil && commits == 0 {
 		return s, nil
 	}
 	db.unpin(s)

@@ -270,9 +270,13 @@ func TestCrashRecoveryTorture(t *testing.T) {
 // internal boundary of FileDisk.Checkpoint — after each incremental
 // migration batch, after the finalize's page migration, after the
 // superblock rewrite, after the database-file fsync, and after the WAL
-// truncation — and verifies each image recovers to exactly the same
+// replacement — and verifies each image recovers to exactly the same
 // logical state: a checkpoint moves bytes, never meaning, so no kill-point
-// may lose or duplicate a commit.
+// may lose or duplicate a commit. It checkpoints twice: once through
+// DB.Checkpoint, whose sync point leaves nothing after the last commit
+// record, and once as the background checkpointer does, between a sync
+// point and the next, with logged commits after the last commit record
+// that the replaced WAL must carry.
 func TestCrashDuringCheckpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
@@ -287,6 +291,12 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 		applyOp(t, db, op)
 		ops = append(ops, op)
 	}
+	inserts := func(n int) {
+		for i := 0; i < n; i++ {
+			parents, _ := liveNodeIDs(db)
+			do(torOp{kind: "insert", parentID: parents[rng.Intn(len(parents))], doc: genDoc(rng, 8)})
+		}
+	}
 	do(torOp{kind: "load", doc: genDoc(rng, 40)})
 	do(torOp{kind: "build"})
 	for i := 0; i < 80; i++ {
@@ -300,61 +310,98 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 
 	// Capture a crash image (database file + WAL) at every stage boundary —
 	// the incremental batch stage can fire many times, so the captures are
-	// an ordered list, and recovery is verified from each one.
+	// an ordered list, and recovery is verified from each one against the
+	// ops applied when it was taken.
 	type image struct {
 		stage storage.CheckpointStage
 		db    []byte
 		wal   []byte
+		ops   int
 	}
 	var images []image
-	db.fdisk.SetCheckpointHook(func(stage storage.CheckpointStage) {
-		d, err := os.ReadFile(path)
-		if err != nil {
-			t.Errorf("stage %d: %v", stage, err)
-			return
+	capture := func() map[storage.CheckpointStage]int {
+		seen := map[storage.CheckpointStage]int{}
+		db.fdisk.SetCheckpointHook(func(stage storage.CheckpointStage) {
+			d, err := os.ReadFile(path)
+			if err != nil {
+				t.Errorf("stage %d: %v", stage, err)
+				return
+			}
+			w, err := os.ReadFile(path + storage.WALSuffix)
+			if err != nil {
+				t.Errorf("stage %d: %v", stage, err)
+				return
+			}
+			images = append(images, image{stage: stage, db: d, wal: w, ops: len(ops)})
+			seen[stage]++
+		})
+		return seen
+	}
+	requireStages := func(phase string, seen map[storage.CheckpointStage]int) {
+		for _, want := range []storage.CheckpointStage{
+			storage.CkptPagesMigrated, storage.CkptSuperblockWritten,
+			storage.CkptFileSynced, storage.CkptWALTruncated,
+		} {
+			if seen[want] != 1 {
+				t.Fatalf("%s: finalize stage %d fired %d times, want 1 (stages: %v)", phase, want, seen[want], seen)
+			}
 		}
-		w, err := os.ReadFile(path + storage.WALSuffix)
-		if err != nil {
-			t.Errorf("stage %d: %v", stage, err)
-			return
+		// The workload is sized so the committed delta exceeds the finalize
+		// threshold: the incremental batch path must have run, or this test
+		// is no longer covering it. Free-list changes add one trunk frame
+		// per sync point, not a frame per freed page, so it takes about 60
+		// operations on this document to dirty more than ckptFinalizePages
+		// distinct pages.
+		if seen[storage.CkptBatchMigrated] == 0 {
+			t.Fatalf("%s: no incremental batch stage fired (stages: %v); grow the workload", phase, seen)
 		}
-		images = append(images, image{stage: stage, db: d, wal: w})
-	})
+	}
+
+	seen := capture()
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	requireStages("DB.Checkpoint", seen)
+
+	// Logged commits, a sync point sealing them, more logged commits, then
+	// the background checkpointer's call.
+	inserts(60)
+	db.writeMu.Lock()
+	seq, err := db.commitCurrent()
+	db.writeMu.Unlock()
+	if err == nil {
+		err = db.fdisk.SyncTo(seq)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserts(10)
+	if n, _ := db.fdisk.LogSinceSync(); n != 10 {
+		t.Fatalf("%d commits logged past the sync point, want 10", n)
+	}
+	seen = capture()
+	if err := db.fdisk.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	requireStages("background checkpoint", seen)
+	if n, _ := db.fdisk.LogSinceSync(); n != 10 {
+		t.Fatalf("the checkpoint kept %d logged commits, want 10", n)
 	}
 	db.fdisk.SetCheckpointHook(nil)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seen := map[storage.CheckpointStage]int{}
-	for _, img := range images {
-		seen[img.stage]++
-	}
-	for _, want := range []storage.CheckpointStage{
-		storage.CkptPagesMigrated, storage.CkptSuperblockWritten,
-		storage.CkptFileSynced, storage.CkptWALTruncated,
-	} {
-		if seen[want] != 1 {
-			t.Fatalf("finalize stage %d fired %d times, want 1 (stages: %v)", want, seen[want], seen)
-		}
-	}
-	// The workload is sized so the committed delta exceeds the finalize
-	// threshold: the incremental batch path must have run, or this test is
-	// no longer covering it. Free-list changes add one trunk frame per
-	// commit, not a frame per freed page, so it takes about 60 operations
-	// on this document to dirty more than ckptFinalizePages distinct pages.
-	if seen[storage.CkptBatchMigrated] == 0 {
-		t.Fatalf("no incremental batch stage fired (stages: %v); grow the workload", seen)
-	}
 
-	oracle := New(Config{BufferPoolBytes: 4 << 20})
-	for _, op := range ops {
-		applyOp(t, oracle, op)
+	oracleAt := func(n int) *DB {
+		oracle := New(Config{BufferPoolBytes: 4 << 20})
+		for _, op := range ops[:n] {
+			applyOp(t, oracle, op)
+		}
+		return oracle
 	}
 	queries := make([]string, 4)
 	for i := range queries {
-		queries[i] = genQueryFor(rng, oracle.Store().Docs[0])
+		queries[i] = genQueryFor(rng, oracleAt(len(ops)).Store().Docs[0])
 	}
 
 	for i, img := range images {
@@ -370,6 +417,7 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 			t.Fatalf("stage %d (capture %d): reopen: %v", img.stage, i, err)
 		}
 		tag := fmt.Sprintf("checkpoint stage %d capture %d", img.stage, i)
+		oracle := oracleAt(img.ops)
 		verifyRecovered(t, tag, rec, oracle, queries)
 		// The image must also accept new work.
 		parents, _ := liveNodeIDs(rec)
@@ -377,14 +425,8 @@ func TestCrashDuringCheckpoint(t *testing.T) {
 		applyOp(t, rec, extra)
 		applyOp(t, oracle, extra)
 		verifyRecovered(t, tag+" +insert", rec, oracle, queries[:2])
-		// Undo the extra op on the oracle by rebuilding it for the next
-		// stage: cheaper to re-replay than to diff.
 		if err := rec.Close(); err != nil {
 			t.Fatalf("%s: close: %v", tag, err)
-		}
-		oracle = New(Config{BufferPoolBytes: 4 << 20})
-		for _, op := range ops {
-			applyOp(t, oracle, op)
 		}
 	}
 }

@@ -42,9 +42,11 @@ type Config struct {
 	// CheckpointWALBytes is the WAL size beyond which a commit starts a
 	// background checkpoint, which migrates committed frames into the
 	// database file in bounded batches and then compacts the file tail —
-	// off the commit path, so writers never stall behind migration. 0
-	// means the 64MB default. An in-memory database holds up to this much
-	// WAL in memory beside its pages.
+	// off the commit path, so writers never stall behind migration. A
+	// commit whose log past the last sync point (see commitPublish) has
+	// grown beyond it is itself a sync point. 0 means the 64MB default. An
+	// in-memory database holds up to this much WAL in memory beside its
+	// pages.
 	CheckpointWALBytes int64
 	// SlowQueryThreshold, when > 0, enables per-operator tracing on every
 	// query (the zero-alloc hot path is preserved; see docs/OBSERVABILITY.md)
@@ -99,6 +101,12 @@ type DB struct {
 	// publishes a successor snapshot. It is never taken by readers.
 	writeMu sync.Mutex
 
+	// stmtMu keeps sync points apart from the page writes that happen
+	// outside writeMu: every statement application (Tx.applyOp) holds it
+	// shared, and a sync point holds it exclusively while it flushes the
+	// pool, so every pinned frame it writes is one a reader holds.
+	stmtMu sync.RWMutex
+
 	// frontier is the device page count captured when the current snapshot
 	// was published (writer-owned, under writeMu): pages below it may be
 	// referenced by the published snapshot (or an older pinned one) and
@@ -107,7 +115,7 @@ type DB struct {
 	frontier storage.PageID
 
 	// catalogPages is the page chain holding the last written catalog;
-	// commits overwrite it in place (safe: overwrites are WAL frames).
+	// sync points overwrite it in place (safe: overwrites are WAL frames).
 	// Writer-owned, under writeMu.
 	catalogPages []storage.PageID
 
@@ -263,14 +271,15 @@ func New(cfg Config) *DB {
 
 // Open creates a database over a FileDisk. With an empty Path the disk's
 // files are in memory and Open is New; with a Path it opens (creating if
-// absent) the database file and its write-ahead log, recovers to the last
-// committed state (replaying the committed WAL prefix and discarding any
-// torn tail), and restores the persisted catalog — dictionaries and every
-// built index — so queries run immediately, with zero rebuild work. The
-// documents stay in the node table: Open reads it once to validate it and
-// to derive the planner's statistics, and builds the XML store from it
-// only when something needs one — an Oracle read, a write, Build,
-// ViewNodes or Store.
+// absent) the database file and its write-ahead log, recovers the page
+// state of the last sync point (replaying the committed WAL prefix and
+// discarding any torn tail), restores the persisted catalog — dictionaries
+// and every built index — so queries run immediately, with zero rebuild
+// work, and then replays the commits logged after that sync point
+// (replayLog). The documents stay in the node table: Open reads it once to
+// validate it and to derive the planner's statistics, and builds the XML
+// store from it only when something needs one — a logged commit to
+// replay, an Oracle read, a write, Build, ViewNodes or Store.
 func Open(cfg Config) (*DB, error) {
 	if cfg.BufferPoolBytes <= 0 {
 		cfg.BufferPoolBytes = 40 << 20
@@ -327,7 +336,38 @@ func Open(cfg Config) (*DB, error) {
 	db.current.Store(snap)
 	db.frontier = storage.PageID(db.fdisk.NumPages())
 	db.nextNodeID.Store(snap.nextID)
+	if err := db.replayLog(); err != nil {
+		db.fdisk.Close()
+		return nil, err
+	}
 	return db, nil
+}
+
+// replayLog re-applies, in order, the commits the WAL logged after its
+// last sync point, publishing each as its commit did; their records stay in
+// the WAL until the next sync point covers them. Each goes through
+// Tx.replayOnto, the path a commit replay takes, so a recovered version
+// equals the one its commit published (node ids included; page ids may
+// differ). A record that does not decode or apply fails Open.
+func (db *DB) replayLog() error {
+	for i, rec := range db.fdisk.TakeRecoveredLog() {
+		nextID, ops, err := decodeTxRecord(rec)
+		if err != nil {
+			return fmt.Errorf("engine: recovering logged commit %d: %w", i+1, err)
+		}
+		tx := &Tx{db: db, ops: ops}
+		next, err := tx.replayOnto(db.current.Load())
+		if err != nil {
+			return fmt.Errorf("engine: replaying logged commit %d: %w: %w", i+1, storage.ErrCorruptPage, err)
+		}
+		next.nextID = nextID
+		next.store.SetNextID(nextID)
+		db.reclaimRetired()
+		db.collectRetired(next)
+		db.publish(next, next.store.WriteSet(), false)
+		db.nextNodeID.Store(max(db.nextNodeID.Load(), nextID))
+	}
+	return nil
 }
 
 // storeOf returns the snapshot's store, reading it from the node table if
@@ -412,6 +452,11 @@ func (db *DB) CurrentSnapshot() *Snapshot { return db.current.Load() }
 // log growth and recovery time.
 const walCheckpointBytes = 64 << 20
 
+// syncEveryCommits bounds the commits logged past the last sync point: the
+// commit that would log one more is a sync point instead. It bounds the
+// replay at the next Open, and how many dirty pages one sync point writes.
+const syncEveryCommits = 1024
+
 // slowLogSize is how many slow queries the ring keeps, oldest evicted first.
 const slowLogSize = 64
 
@@ -422,14 +467,17 @@ type retireBatch struct {
 	pages []storage.PageID
 }
 
-// commitAppend is the writer's commit step: bulk-load next's node table if
-// it has none yet, flush every dirty pool frame to the device (WAL
-// frames), serialise next's catalog into its page chain, and append —
-// without fsyncing — the commit record that seals them. It returns the
-// commit sequence to pass to FileDisk.SyncTo once the writer lock is
-// released, so concurrent commits coalesce their fsyncs (group commit).
-// next is unpublished or already carries its node table (see
-// commitCurrent). Callers hold writeMu.
+// commitAppend is a sync point, the physical commit step: bulk-load next's
+// node table if it has none yet, flush every dirty pool frame to the
+// device (WAL frames), serialise next's catalog into its page chain, and
+// append — without fsyncing — the commit record that seals them and covers
+// every commit logged before it. It returns the commit sequence to pass to
+// FileDisk.SyncTo once the writer lock is released, so concurrent commits
+// coalesce their fsyncs (group commit). next is unpublished or already
+// carries its node table (see commitCurrent). The flush holds stmtMu
+// exclusively, so it also writes the pages readers pin at that moment:
+// between sync points a published version's pages stay dirty in the pool.
+// Callers hold writeMu.
 func (db *DB) commitAppend(next *Snapshot) (seq int64, err error) {
 	if next.env.Nodes == nil {
 		// The first commit since documents were bulk-loaded. Should the
@@ -444,7 +492,10 @@ func (db *DB) commitAppend(next *Snapshot) (seq int64, err error) {
 			}
 		}()
 	}
-	if err := db.pool.FlushAll(); err != nil {
+	db.stmtMu.Lock()
+	err = db.pool.FlushPinned()
+	db.stmtMu.Unlock()
+	if err != nil {
 		return 0, fmt.Errorf("engine: commit flush: %w", err)
 	}
 	root, pages, err := writeCatalogChain(db.fdisk, db.catalogPages, encodeCatalog(next))
@@ -564,26 +615,38 @@ func (db *DB) reclaimRetired() {
 	db.retired = keep
 }
 
-// commitPublish commits next (appending its commit record), publishes it,
-// starts a background checkpoint if the WAL has outgrown its budget and
-// none is running, releases the writer lock, and finally waits for
-// durability — the fsync wait happens outside writeMu, which is what lets N
-// concurrent committers share one fsync. The checkpoint itself never runs
-// here: migration is the background goroutine's job, so the commit path's
-// tail latency stays fsync-bound even while the WAL is being drained.
-// docs/all are the commit's write-set, logged at publish for transaction
-// validation. The caller must hold writeMu and must not touch it
-// afterwards.
-func (db *DB) commitPublish(next *Snapshot, docs []int64, all bool) error {
+// commitPublish commits next, publishes it, starts a background
+// checkpoint if the WAL has outgrown its budget and none is running,
+// releases the writer lock, and finally waits for durability — the fsync
+// wait happens outside writeMu, which is what lets N concurrent committers
+// share one fsync. The checkpoint itself never runs here: migration is the
+// background goroutine's job, so the commit path's tail latency stays
+// fsync-bound even while the WAL is being drained.
+//
+// A commit with a logged record (rec, a transaction's statements, see
+// txlog.go) appends just that record: its pages stay dirty in the pool,
+// and a crash replays the statements. The commit is a sync point
+// (commitAppend) instead when it has no record (Build), when next has no
+// node table yet (the first commit after bulk loads), or when the log past
+// the last sync point holds syncEveryCommits commits or more than
+// CheckpointWALBytes. docs/all are the commit's write-set, logged at
+// publish for transaction validation. The caller must hold writeMu and
+// must not touch it afterwards.
+func (db *DB) commitPublish(next *Snapshot, rec []byte, docs []int64, all bool) error {
 	start := time.Now()
-	// Reclaim before appending the commit record, so the free-page frames
-	// ride *inside* this commit: recovery truncated exactly at the record
-	// must replay them, and nothing may trail the record (every byte after
-	// the last commit record is a torn tail to recovery). Only batches
-	// from previously published versions are eligible here — next's own
-	// retirements are collected after the append succeeds.
+	// Reclaim before appending the commit record, so a sync point's
+	// free-list trunk frames ride *inside* it: recovery truncated exactly at
+	// the record must replay them, and nothing may trail the record. Only
+	// batches from previously published versions are eligible here —
+	// next's own retirements are collected after the append succeeds.
 	db.reclaimRetired()
-	seq, err := db.commitAppend(next)
+	var seq int64
+	var err error
+	if rec != nil && next.env.Nodes != nil && !db.syncDue() {
+		seq, err = db.fdisk.CommitLogical(rec)
+	} else {
+		seq, err = db.commitAppend(next)
+	}
 	if err != nil {
 		db.writeMu.Unlock()
 		return db.noteCommitErr(err)
@@ -603,8 +666,16 @@ func (db *DB) commitPublish(next *Snapshot, docs []int64, all bool) error {
 	return err
 }
 
-// Checkpoint commits the current state and migrates the WAL into the
-// database file, truncating the log (so the next open replays nothing).
+// syncDue reports whether the log past the last sync point has reached its
+// bound, so the next commit must be a sync point. Callers hold writeMu.
+func (db *DB) syncDue() bool {
+	commits, bytes := db.fdisk.LogSinceSync()
+	return commits >= syncEveryCommits || bytes > db.cfg.CheckpointWALBytes
+}
+
+// Checkpoint commits the current state at a sync point and migrates the
+// WAL into the database file, emptying the log (so the next open replays
+// nothing).
 func (db *DB) Checkpoint() error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -618,8 +689,8 @@ func (db *DB) Checkpoint() error {
 	return db.noteCommitErr(db.fdisk.Checkpoint())
 }
 
-// commitCurrent appends a commit record sealing the current state — the
-// commit of Checkpoint, Close and a Backup that needs one. A current
+// commitCurrent runs a sync point sealing the current state — the commit
+// of Checkpoint, Close and a Backup that needs one. A current
 // snapshot without a node table (documents bulk-loaded and not committed
 // since) is never changed after publication:
 // a successor is committed instead, whose commitAppend bulk-loads the
@@ -805,7 +876,7 @@ func (db *DB) Build(kinds ...index.Kind) error {
 	// all=true: a rebuild touches the whole database, so every in-flight
 	// transaction spanning it conflicts (conservative — Build normally runs
 	// during setup, not under concurrent transactions).
-	if err := db.commitPublish(next, nil, true); err != nil {
+	if err := db.commitPublish(next, nil, nil, true); err != nil {
 		return err
 	}
 	return db.noteCommitErr(db.fdisk.Checkpoint())

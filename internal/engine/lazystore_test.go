@@ -179,7 +179,7 @@ func TestAsOfOracleLoadsRetiredTable(t *testing.T) {
 	// opened snapshot is retained without ever loading its store.
 	old := db.CurrentSnapshot()
 	db.writeMu.Lock()
-	if err := db.commitPublish(old.clone(), nil, false); err != nil {
+	if err := db.commitPublish(old.clone(), nil, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	oldPages := map[storage.PageID]bool{}

@@ -27,11 +27,14 @@
 //     merge is structural (shared documents by pointer, the write-set's
 //     documents rebuilt), the index merge is logical re-application onto
 //     the newer tree version.
-//   - publish: with the writer lock held and the chain tip unchanged, all
-//     the transaction's page writes are sealed under one WAL commit
-//     record (riding the existing group-commit fsync path — one durable
-//     record per transaction, not per statement) and the successor becomes
-//     current with a single pointer swap.
+//   - publish: with the writer lock held and the chain tip unchanged, the
+//     transaction's statements are appended as one WAL logical record
+//     (riding the existing group-commit fsync path — one durable record per
+//     transaction, not per statement; at a sync point the record is the
+//     commit record sealing its pages instead) and the successor becomes
+//     current with a single pointer swap. Its pages stay in the buffer
+//     pool until a sync point; a crash before one replays the record
+//     through applyOp at Open.
 //
 // Abandoned prepared versions — replaced by a replay, rolled back, or
 // conflicted — return their freshly allocated B+-tree pages straight to
@@ -270,6 +273,10 @@ func cloneNumbered(n *xmldb.Node) *xmldb.Node {
 // statistics, maintained indices and node table: the initial application and every
 // commit replay go through this single path, so they cannot diverge.
 func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
+	// Statements write pool pages outside writeMu; a sync point's flush
+	// must not run under them (see DB.stmtMu).
+	tx.db.stmtMu.RLock()
+	defer tx.db.stmtMu.RUnlock()
 	store, st := next.store, next.env.Stats
 	if op.insert {
 		parent, err := store.Privatize(op.parentID)
@@ -499,14 +506,16 @@ func (tx *Tx) Commit() error {
 
 // publish finishes a commit — the one tail of every commit, explicit,
 // Update's or an implicit operation's. The caller holds writeMu (released
-// here) with prepared's base still current, so validation has passed:
-// prepared — statistics included — is sealed under one commit record and
-// becomes the current snapshot, and the commit is counted and timed from
-// start.
+// here) with prepared's base still current, so validation has passed: the
+// transaction's statements are logged as one record (see txlog.go) —
+// unless the commit is a sync point, which seals prepared's pages instead —
+// prepared, statistics included, becomes the current snapshot, and the
+// commit is counted and timed from start.
 func (tx *Tx) publish(prepared *Snapshot, writeSet []int64, start time.Time) error {
 	db := tx.db
 	db.commitStage(CommitStageValidated)
-	if err := db.commitPublish(prepared, writeSet, false); err != nil { // unlocks writeMu
+	rec := appendTxRecord(nil, prepared.nextID, tx.ops)
+	if err := db.commitPublish(prepared, rec, writeSet, false); err != nil { // unlocks writeMu
 		if db.current.Load() != prepared {
 			// The commit record never made it; nothing published. The ids
 			// can be clawed back: a non-conflict failure is final, the

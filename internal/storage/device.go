@@ -34,6 +34,9 @@ type DeviceStats struct {
 	WALAppends   int64 // WAL records appended (frames + commits)
 	WALFsyncs    int64 // fsyncs of the WAL (one per durable boundary)
 	WALBytes     int64 // current WAL length in bytes
+	// CommitsSinceSync is how many logical commits the WAL holds past its
+	// last commit record: what a crash now would replay at the next open.
+	CommitsSinceSync int64
 	// GroupCommitBatches counts the fsync batches performed by the
 	// group-commit path (FileDisk.SyncTo): each batch makes every commit
 	// appended before it durable, so commits/batches > 1 means concurrent
@@ -56,7 +59,7 @@ type DeviceStats struct {
 	ChecksumFailures  int64 // page reads that failed CRC validation
 	ChecksumRetries   int64 // transparent re-reads after a CRC failure
 	InjectedFaults    int64 // faults fired by an attached FaultInjector
-	RecoveredCommits  int64 // commit records replayed by the last recovery
+	RecoveredCommits  int64 // commits the last recovery kept: commit records re-indexed plus logical records replayed
 	WALBytesDiscarded int64 // torn/corrupt WAL tail bytes truncated at open
 	Poisoned          bool  // device rejected further writes after a failed fsync
 }

@@ -36,6 +36,11 @@ var (
 	// faults from genuine ones.
 	ErrInjected = errors.New("storage: injected fault")
 
+	// ErrLocked reports that the database file is already open — in this
+	// process or another — by a FileDisk holding its exclusive lock. The
+	// lock is advisory (flock) and dropped by Close or by the holder's exit.
+	ErrLocked = errors.New("storage: database file is locked by another open")
+
 	// ErrNoSpace reports an out-of-space condition (injected ENOSPC).
 	ErrNoSpace = errors.New("storage: no space left on device")
 

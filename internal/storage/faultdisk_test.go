@@ -467,7 +467,8 @@ func TestFileDiskRejectsOldFormat(t *testing.T) {
 	}{
 		{"v1", 8, 1},
 		{"v2", 8, 2},
-		{"v4", 8, 4},
+		{"v3", 8, 3},
+		{"v5", 8, 5},
 		{"page size 4096", 12, 4096},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -563,7 +564,7 @@ func TestFileDiskRejectsImpossibleMeta(t *testing.T) {
 				t.Fatal(err)
 			}
 			end := d.WALSize()
-			if _, err := wal.WriteAt(appendWALCommit(nil, m), end); err != nil {
+			if _, err := wal.WriteAt(appendWALCommit(nil, 2, end, m), end); err != nil {
 				t.Fatal(err)
 			}
 			re := openCrafted(t, file, wal)
@@ -738,6 +739,11 @@ func resealWAL(log []byte) {
 		case walRecFrame:
 			n = walFrameSize
 		case walRecCommit:
+		case walRecLogical:
+			if off+walLogicalHeader > len(log) {
+				return
+			}
+			n = walLogicalHeader + int(binary.BigEndian.Uint32(log[off+9:])) + 4
 		default:
 			return
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -26,14 +28,16 @@ import (
 //     instead of garbage keys;
 //   - the write-ahead log lives beside it at path+".wal";
 //   - page writes go only to the WAL; a commit record makes them durable;
-//     a checkpoint copies committed frames into the database file, rewrites
-//     the superblock and truncates the WAL.
+//     a logical record makes a caller-encoded commit durable without any
+//     page (see wal.go); a checkpoint copies committed frames into the
+//     database file, rewrites the superblock and replaces the WAL with what
+//     follows its last commit record.
 //
 // Superblock layout (big-endian, CRC32-IEEE over the preceding bytes):
 //
 //	offset  size  field
 //	0       8     magic "TWIGDBF1"
-//	8       4     format version (3; any other is refused)
+//	8       4     format version (4; any other is refused)
 //	12      4     page size (8192)
 //	16      4     numPages
 //	20      4     catalog root page id
@@ -55,7 +59,7 @@ import (
 const (
 	superblockSize  = 4096
 	fileFormatMagic = "TWIGDBF1"
-	fileFormatVer   = 3
+	fileFormatVer   = 4
 	superblockUsed  = 32 // bytes covered by the layout above, incl. crc
 
 	pageTrailerSize = 4 // CRC32-IEEE of the page image
@@ -86,9 +90,11 @@ const (
 	CkptPagesMigrated CheckpointStage = iota
 	// CkptSuperblockWritten: new superblock written, file not yet fsynced.
 	CkptSuperblockWritten
-	// CkptFileSynced: database file durable, WAL not yet truncated.
+	// CkptFileSynced: database file durable, WAL not yet replaced.
 	CkptFileSynced
-	// CkptWALTruncated: WAL truncated and fsynced — checkpoint complete.
+	// CkptWALTruncated: the WAL replaced by its suffix past the last commit
+	// record (uncommitted frames and logical records) and fsynced —
+	// checkpoint complete.
 	CkptWALTruncated
 	// CkptBatchMigrated fires after each bounded batch of the incremental
 	// migration phase — committed frames are being copied into the file
@@ -116,10 +122,13 @@ type poisonCause struct{ err error }
 // FileDisk is the page device beneath the buffer pool: a single paged
 // database file plus a write-ahead log, both Files — on disk for a durable
 // database, in memory otherwise. All writes are WAL appends; Commit fsyncs
-// the log and marks everything before it durable; Checkpoint migrates
-// committed frames into the database file and truncates the log;
+// the log and marks everything before it durable; CommitLogical makes a
+// caller-encoded commit durable without pages; Checkpoint migrates
+// committed frames into the database file and replaces the log with what
+// follows its last commit record;
 // OpenFileDisk replays the committed WAL prefix and discards torn tails,
-// recovering the last committed state after a crash.
+// recovering the last committed page state after a crash, and hands the
+// logical commits logged after it back through TakeRecoveredLog.
 //
 // Integrity: every database-file page slot carries a CRC trailer and every
 // WAL frame a CRC suffix, both verified on the read path (with one
@@ -130,8 +139,9 @@ type poisonCause struct{ err error }
 // keep working.
 //
 // Reads of distinct pages proceed in parallel (shared latch); writes,
-// commits and checkpoints are exclusive. FileDisk assumes a single process
-// owns the file.
+// commits and checkpoints are exclusive. OpenFileDisk takes an exclusive
+// advisory lock on the database file (ErrLocked on a second open), which
+// Close releases.
 type FileDisk struct {
 	mu   sync.RWMutex
 	file File
@@ -143,10 +153,22 @@ type FileDisk struct {
 	walIndex map[PageID]int64 // page -> payload offset of latest committed frame
 	pending  map[PageID]int64 // frames appended since the last commit
 	walSize  int64
-	// committedEnd is the WAL offset just past the last commit record — the
-	// prefix the incremental checkpointer may migrate and truncate. Bytes in
-	// [committedEnd, walSize) are pending frames of an open transaction.
-	committedEnd int64
+	// physEnd is the offset just past the last commit record in the log (0
+	// without one).
+	physEnd int64
+	// logical locates the logical records appended (or recovered) since the
+	// last commit record, in order: the commits a crash now would replay.
+	// A checkpoint carries them into the replaced log, Compact refuses
+	// while there are any, and the next commit record covers them all.
+	logical []walSpan
+	// floor is the offset below which no frame may join the committed page
+	// state: Open sets it to where recovery stopped, past frames it
+	// discarded between the logical records it kept, and each commit
+	// record carries it (see wal.go).
+	floor int64
+	// recovered holds the payloads of the logical records recovery found
+	// after the last commit record, until TakeRecoveredLog hands them out.
+	recovered [][]byte
 
 	// trunks is the working free list, uncommitted pushes and pops
 	// included; its head is stamped into every commit record, so a crash
@@ -171,8 +193,9 @@ type FileDisk struct {
 	// Lock order: ckptMu before mu.
 	ckptMu sync.Mutex
 
-	// commitSeq numbers commit records as they are appended (guarded by
-	// mu); durableSeq is the highest commit sequence known to be durable —
+	// commitSeq numbers commit and logical records as they are appended
+	// (guarded by mu), continuing from the last record recovery kept;
+	// durableSeq is the highest commit sequence known to be durable —
 	// advanced by SyncTo's fsyncs and by Checkpoint (which makes every
 	// committed state durable through the database file). The gap between
 	// them is the group-commit window: commits whose records are appended
@@ -184,6 +207,8 @@ type FileDisk struct {
 	// leader, syncing the log for itself and for every commit appended
 	// before it started; waiters that acquire it afterwards usually find
 	// their commit already durable and return without an fsync of their own.
+	// A checkpoint holds it while it replaces the log file. Lock order:
+	// syncMu before mu.
 	syncMu sync.Mutex
 
 	// poisoned holds the first fsync failure; once set the disk rejects
@@ -228,13 +253,19 @@ type FileDisk struct {
 }
 
 // OpenFileDisk opens (creating if absent) the database file at path and its
-// WAL at path+".wal", validates the superblock, and recovers: the WAL is
-// scanned, frames covered by a valid commit record become the current page
-// versions, the last commit record's metadata becomes authoritative, and
-// any torn tail is truncated away.
+// WAL at path+".wal", takes an exclusive lock on the database file (a file
+// another FileDisk holds open fails with ErrLocked), validates the
+// superblock, and recovers: the WAL is scanned, frames covered by a valid
+// commit record become the current page versions, the last commit record's
+// metadata becomes authoritative, the logical records after it are kept for
+// TakeRecoveredLog, and any torn tail is truncated away.
 func OpenFileDisk(path string) (*FileDisk, error) {
 	file, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
+		return nil, fmt.Errorf("storage: open %s: %w", path, err)
+	}
+	if err := lockFile(file); err != nil {
+		file.Close()
 		return nil, fmt.Errorf("storage: open %s: %w", path, err)
 	}
 	wal, err := os.OpenFile(path+WALSuffix, os.O_RDWR|os.O_CREATE, 0o644)
@@ -308,16 +339,20 @@ func openFileDisk(file, wal File, path string) (*FileDisk, error) {
 		f.meta = scan.meta
 		f.walIndex = scan.index
 	}
-	// Discard the torn tail so later appends start at a committed boundary.
-	if err := wal.Truncate(scan.committedEnd); err != nil {
+	// Discard the torn tail so later appends start at a record boundary.
+	if err := wal.Truncate(scan.end); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("storage: truncating torn wal tail: %w", err)
 	}
-	f.walSize = scan.committedEnd
-	f.committedEnd = scan.committedEnd
+	f.walSize = scan.end
+	f.physEnd = scan.physEnd
+	f.floor = scan.end
+	f.logical, f.recovered = scan.logical, scan.payloads
+	f.commitSeq = scan.seq
+	f.durableSeq.Store(scan.seq)
 	f.numPages = int(f.meta.NumPages)
-	f.recoveredCommits = scan.commits
-	f.walDiscarded = walSize - scan.committedEnd
+	f.recoveredCommits = scan.commits + int64(len(scan.logical))
+	f.walDiscarded = walSize - scan.end
 	f.recoverFreeList()
 	return f, nil
 }
@@ -516,6 +551,27 @@ func (f *FileDisk) WALSize() int64 {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return f.walSize
+}
+
+// TakeRecoveredLog returns the payloads of the logical records recovery
+// found after the last commit record, in commit order, and forgets them:
+// the caller replays them over the recovered page state. The records
+// themselves stay in the log until a commit record covers them.
+func (f *FileDisk) TakeRecoveredLog() [][]byte {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	out := f.recovered
+	f.recovered = nil
+	return out
+}
+
+// LogSinceSync reports what the log holds past its last commit record: the
+// logical commits a crash now would replay, and the bytes (those records
+// plus uncommitted frames) appended since that record.
+func (f *FileDisk) LogSinceSync() (commits int, bytes int64) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return len(f.logical), f.walSize - f.physEnd
 }
 
 // Path returns the database file path ("" for an in-memory disk).
@@ -807,12 +863,14 @@ func (f *FileDisk) Commit(meta Meta) error {
 // CommitAsync appends a commit record carrying meta without forcing it to
 // disk, and returns the commit's sequence number: the commit is logically
 // applied (Read sees its frames, Meta returns meta) but not yet durable.
-// Pass the sequence to SyncTo to wait for durability. When nothing changed
-// since the last commit the call is a no-op and returns the current
-// sequence (already durable or about to be). The disk owns meta.FreeHead:
-// whatever the caller passes is replaced by the current head trunk, and a
-// frame for every changed trunk precedes the commit record, so frees and
-// reuses commit atomically with the page images.
+// Pass the sequence to SyncTo to wait for durability. The record covers
+// every logical record appended before it: the caller's meta must describe
+// a state that includes them. When nothing changed since the last commit
+// record the call is a no-op and returns the current sequence (already
+// durable or about to be). The disk owns meta.FreeHead: whatever the caller
+// passes is replaced by the current head trunk, and a frame for every
+// changed trunk precedes the commit record, so frees and reuses commit
+// atomically with the page images.
 func (f *FileDisk) CommitAsync(meta Meta) (int64, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -824,7 +882,7 @@ func (f *FileDisk) commitAsyncLocked(meta Meta) (int64, error) {
 		return 0, err
 	}
 	meta.FreeHead = f.trunks.head()
-	if len(f.pending) == 0 && f.cleanTrunks == len(f.trunks) && meta == f.meta {
+	if len(f.pending) == 0 && len(f.logical) == 0 && f.cleanTrunks == len(f.trunks) && meta == f.meta {
 		return f.commitSeq, nil
 	}
 	if f.cleanTrunks < len(f.trunks) {
@@ -843,7 +901,7 @@ func (f *FileDisk) commitAsyncLocked(meta Meta) (int64, error) {
 		}
 		walFramePool.Put(buf)
 	}
-	rec := appendWALCommit(make([]byte, 0, walCommitSize), meta)
+	rec := appendWALCommit(make([]byte, 0, walCommitSize), f.commitSeq+1, f.floor, meta)
 	if err := f.appendLocked(rec, "commit", InvalidPage); err != nil {
 		return 0, err
 	}
@@ -854,7 +912,30 @@ func (f *FileDisk) commitAsyncLocked(meta Meta) (int64, error) {
 	f.cleanTrunks = len(f.trunks)
 	f.meta = meta
 	f.commitSeq++
-	f.committedEnd = f.walSize
+	f.physEnd = f.walSize
+	f.logical = nil
+	return f.commitSeq, nil
+}
+
+// CommitLogical appends a logical record carrying payload — one commit as
+// the caller encodes it — without forcing it to disk, and returns its
+// sequence number for SyncTo, exactly as CommitAsync does. It commits no
+// frame and changes no metadata: the page state stays that of the last
+// commit record, and recovery hands the payload back (TakeRecoveredLog)
+// until a commit record covers it.
+func (f *FileDisk) CommitLogical(payload []byte) (int64, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err := f.poisonedError(); err != nil {
+		return 0, err
+	}
+	start := f.walSize
+	f.frame = appendWALLogical(f.frame[:0], f.commitSeq+1, payload)
+	if err := f.appendLocked(f.frame, "logical commit", InvalidPage); err != nil {
+		return 0, err
+	}
+	f.logical = append(f.logical, walSpan{start, f.walSize - start})
+	f.commitSeq++
 	return f.commitSeq, nil
 }
 
@@ -937,7 +1018,7 @@ func storeMax(v *atomic.Int64, target int64) {
 // error aborts the checkpoint cleanly (the slot stays shadowed by the WAL),
 // a torn write persists a prefix the slot CRC will catch if it is ever
 // exposed. Runs with or without the latch — the frame offset lies below the
-// committed boundary (immutable until the serialized truncation), and the
+// committed boundary (immutable until the serialized log replacement), and the
 // slot is invisible to readers while the page has a WAL index entry.
 func (f *FileDisk) migrateSlot(id PageID, off int64, scratch []byte) error {
 	err := f.readChecked(func() error {
@@ -967,9 +1048,10 @@ func (f *FileDisk) migrateSlot(id PageID, off int64, scratch []byte) error {
 
 // Checkpoint migrates every committed WAL frame into the database file,
 // rewrites the superblock with the committed metadata, fsyncs the file and
-// truncates the WAL. A crash at any point is safe because the WAL is only
-// truncated after the database file is durable, and replaying it is
-// idempotent.
+// replaces the WAL with its suffix past the last commit record. A crash at
+// any point is safe because the WAL is only replaced after the database
+// file is durable, the replacement is atomic (replaceWALLocked), and
+// replaying either log is idempotent.
 //
 // The migration is incremental: while the un-migrated committed delta is
 // large, frames are copied in bounded batches under a shared latch snapshot
@@ -979,12 +1061,12 @@ func (f *FileDisk) migrateSlot(id PageID, off int64, scratch []byte) error {
 // half-written slot because any page with a WAL index entry is read from
 // the WAL, and entries only disappear here. Once the delta is small the
 // checkpoint finishes under the exclusive latch: the remainder is migrated,
-// the superblock written, the file fsynced, and the WAL truncated — with
-// any frames of a still-open transaction re-appended at the front so the
-// checkpoint no longer needs a commit boundary. That bounded finalize is
-// the only moment writers wait.
+// the superblock written, the file fsynced, and the WAL replaced by the
+// frames of a still-open transaction plus the logical records no commit
+// record covers yet, so the checkpoint needs no commit boundary. That
+// bounded finalize is the only moment writers wait.
 //
-// A failed fsync — of the database file or of the WAL truncation — poisons
+// A failed fsync — of the database file or of the replaced WAL — poisons
 // the disk.
 func (f *FileDisk) Checkpoint() error {
 	f.ckptMu.Lock()
@@ -1034,7 +1116,10 @@ func (f *FileDisk) Checkpoint() error {
 			return f.poisonedError()
 		}
 	}
-	// Bounded finalize under the exclusive latch.
+	// Bounded finalize under the exclusive latch — and the sync latch, as
+	// the log file may be replaced under a group-commit fsync.
+	f.syncMu.Lock()
+	defer f.syncMu.Unlock()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.poisonedError(); err != nil {
@@ -1065,48 +1150,25 @@ func (f *FileDisk) Checkpoint() error {
 		return f.poisonedError()
 	}
 	f.ckptStage(CkptFileSynced)
-	// Preserve the open transaction's frames across the truncation: reread
-	// their raw records, truncate, re-append them at the front. Without a
-	// commit record they are discarded by recovery, exactly as uncommitted
-	// frames should be.
-	type pendRec struct {
-		id  PageID
-		rec []byte
-	}
-	keep := make([]pendRec, 0, len(f.pending))
-	for id, off := range f.pending {
-		rec := make([]byte, walFrameSize)
-		if _, err := f.wal.ReadAt(rec, off-walFrameHeaderSize); err != nil {
-			f.poison(fmt.Errorf("wal reread of pending page %d: %w", id, err))
-			return f.poisonedError()
-		}
-		keep = append(keep, pendRec{id, rec})
-	}
-	if err := f.wal.Truncate(0); err != nil {
-		f.poison(fmt.Errorf("wal truncate: %w", err))
+	// The database file now holds the state of the last commit record, so
+	// the log shrinks to what follows it: the open transaction's frames
+	// (which recovery discards without a commit record, exactly as
+	// uncommitted frames should be) and the logical records no commit
+	// record covers yet (which recovery must still replay).
+	img, pending, logical, err := f.logSuffixLocked()
+	if err != nil {
+		f.poison(err)
 		return f.poisonedError()
 	}
-	f.walSize = 0
-	f.committedEnd = 0
+	if err := f.replaceWALLocked(img); err != nil {
+		return err
+	}
+	f.walSize = int64(len(img))
+	f.physEnd, f.floor = 0, 0
 	f.walIndex = map[PageID]int64{}
-	newPending := make(map[PageID]int64, len(keep))
-	for _, p := range keep {
-		if _, err := f.wal.WriteAt(p.rec, f.walSize); err != nil {
-			f.poison(fmt.Errorf("wal re-append of pending page %d: %w", p.id, err))
-			return f.poisonedError()
-		}
-		newPending[p.id] = f.walSize + walFrameHeaderSize
-		f.walSize += walFrameSize
-		f.statLock.Lock()
-		f.bytesWritten.Add(walFrameSize)
-		f.statLock.Unlock()
-	}
-	f.pending = newPending
-	if err := f.wal.Sync(); err != nil {
-		f.poison(fmt.Errorf("wal fsync after truncate: %w", err))
-		return f.poisonedError()
-	}
+	f.pending, f.logical = pending, logical
 	f.statLock.Lock()
+	f.bytesWritten.Add(int64(len(img)))
 	f.walFsyncs.Add(1)
 	f.checkpoints.Add(1)
 	f.statLock.Unlock()
@@ -1114,10 +1176,104 @@ func (f *FileDisk) Checkpoint() error {
 		f.ckptHist.Observe(time.Since(ckptStart).Nanoseconds())
 	}
 	f.ckptStage(CkptWALTruncated)
-	// Every committed state now lives durably in the database file, so any
-	// SyncTo waiter still queued for a pre-checkpoint commit is satisfied.
+	// Every committed state now lives durably in the database file or the
+	// replaced log, so any SyncTo waiter still queued is satisfied.
 	storeMax(&f.durableSeq, f.commitSeq)
 	return nil
+}
+
+// logSuffixLocked reads the log's suffix past its last commit record — the
+// pending frames, oldest first, then the logical records in order — into
+// one image, and returns it with the frames' and records' places in it.
+func (f *FileDisk) logSuffixLocked() (img []byte, pending map[PageID]int64, logical []walSpan, err error) {
+	type frameAt struct {
+		id  PageID
+		off int64
+	}
+	frames := make([]frameAt, 0, len(f.pending))
+	for id, off := range f.pending {
+		frames = append(frames, frameAt{id, off})
+	}
+	slices.SortFunc(frames, func(a, b frameAt) int { return cmp.Compare(a.off, b.off) })
+	size := int64(len(frames)) * walFrameSize
+	for _, sp := range f.logical {
+		size += sp.n
+	}
+	img = make([]byte, size)
+	pending = make(map[PageID]int64, len(frames))
+	at := int64(0)
+	for _, fr := range frames {
+		if _, err := f.wal.ReadAt(img[at:at+walFrameSize], fr.off-walFrameHeaderSize); err != nil {
+			return nil, nil, nil, fmt.Errorf("wal reread of pending page %d: %w", fr.id, err)
+		}
+		pending[fr.id] = at + walFrameHeaderSize
+		at += walFrameSize
+	}
+	for _, sp := range f.logical {
+		if _, err := f.wal.ReadAt(img[at:at+sp.n], sp.off); err != nil {
+			return nil, nil, nil, fmt.Errorf("wal reread of a logical record at %d: %w", sp.off, err)
+		}
+		logical = append(logical, walSpan{at, sp.n})
+		at += sp.n
+	}
+	return img, pending, logical, nil
+}
+
+// replaceWALLocked makes img the whole log, durably. On disk it never
+// truncates the live log: img is written to a sibling file, fsynced and
+// renamed over the log (then the directory is fsynced), so a crash at any
+// moment leaves either the old log or the new one, each of which recovers
+// to the same state. An in-memory log, which no crash outlives, is
+// rewritten in place. A failure before the rename leaves the old log in
+// place and the disk healthy; one after it poisons the disk.
+func (f *FileDisk) replaceWALLocked(img []byte) error {
+	if f.path == "" {
+		if err := f.wal.Truncate(0); err != nil {
+			f.poison(fmt.Errorf("wal truncate: %w", err))
+			return f.poisonedError()
+		}
+		if _, err := f.wal.WriteAt(img, 0); err != nil {
+			f.poison(fmt.Errorf("wal rewrite: %w", err))
+			return f.poisonedError()
+		}
+		return nil
+	}
+	walPath := f.path + WALSuffix
+	next, err := os.OpenFile(walPath+".next", os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("storage: checkpoint log: %w", err)
+	}
+	if _, err := next.WriteAt(img, 0); err == nil {
+		err = next.Sync()
+	}
+	if err == nil {
+		err = os.Rename(next.Name(), walPath)
+	}
+	if err != nil {
+		next.Close()
+		os.Remove(next.Name())
+		return fmt.Errorf("storage: checkpoint log: %w", err)
+	}
+	f.wal.Close()
+	f.wal = osFile{next}
+	if err := syncDir(filepath.Dir(walPath)); err != nil {
+		f.poison(fmt.Errorf("wal rename fsync: %w", err))
+		return f.poisonedError()
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Compact trims the maximal all-free suffix of the page array off the file:
@@ -1276,6 +1432,8 @@ func (f *FileDisk) DeviceStats() DeviceStats {
 		}
 	})
 	st.WALBytes = f.WALSize()
+	commits, _ := f.LogSinceSync()
+	st.CommitsSinceSync = int64(commits)
 	if size, err := f.file.Size(); err == nil {
 		st.FileBytes = size
 	}

@@ -338,20 +338,26 @@ func (p *Pool) Unpin(pg Page, dirty bool) error {
 }
 
 // FlushAll writes every unpinned dirty frame back to disk (does not
-// evict). Pinned dirty frames are skipped: a pinned page belongs to a
+// evict). Pinned dirty frames are skipped: a pinned page may belong to a
 // writer that is still mutating it — with concurrent transaction
 // preparers, flushing it mid-mutation would race with the owner and
-// persist a torn intermediate state. Every page a committing writer wants
-// durable is unpinned by commit time (the B+-tree unpins after each
-// mutation), so the skip never loses committed data; a preparer's private
-// page flushed by a *later* commit is unreferenced by that commit's
-// catalog and harmless.
-func (p *Pool) FlushAll() error {
+// persist a torn intermediate state. A caller that must write every page
+// (the engine's sync point) stops the writers and uses FlushPinned.
+func (p *Pool) FlushAll() error { return p.flush(false) }
+
+// FlushPinned writes every dirty frame back to disk, pinned ones included.
+// The caller guarantees that no page of the pool is being written while it
+// runs, so a pinned frame is one a reader holds and its bytes are stable.
+// The engine's sync point needs this: a page a logical commit published
+// dirty may be pinned by a query at the moment the sync point seals it.
+func (p *Pool) FlushPinned() error { return p.flush(true) }
+
+func (p *Pool) flush(pinned bool) error {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for _, f := range s.frames {
-			if f.dirty && f.pins == 0 {
+			if f.dirty && (f.pins == 0 || pinned) {
 				if err := s.dev.Write(f.id, f.data); err != nil {
 					s.mu.Unlock()
 					return err

@@ -53,8 +53,9 @@ type Metrics struct {
 	PoolMissLatency LatencyStats
 	// CheckpointDuration is the duration of each full checkpoint.
 	CheckpointDuration LatencyStats
-	// CommitLatency is per-commit latency — WAL append, catalog write,
-	// snapshot publish and the group fsync of one commit. Comparing its
+	// CommitLatency is per-commit latency — the WAL append (the commit's
+	// logged statements, or at a sync point its dirty pages, catalog and
+	// commit record), snapshot publish and the group fsync of one commit. Comparing its
 	// tail with and without the background checkpointer active shows the
 	// checkpointer's interference with the commit path.
 	CommitLatency LatencyStats
@@ -185,10 +186,11 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 	p.Counter("twigdb_group_commit_batches_total", "Coalesced group-commit fsync batches.", d.GroupCommitBatches)
 	p.Counter("twigdb_checkpoints_total", "Checkpoints migrating the WAL into the database file.", d.Checkpoints)
 	p.Gauge("twigdb_wal_bytes", "Current write-ahead log length in bytes.", float64(d.WALBytes))
+	p.Gauge("twigdb_commits_since_sync", "Commits logged past the last sync point: the replay a crash now would leave to the next open.", float64(d.CommitsSinceSync))
 	p.Counter("twigdb_checksum_failures_total", "Page/WAL-frame checksum verifications that failed.", d.ChecksumFailures)
 	p.Counter("twigdb_checksum_retries_total", "Transparent re-reads that recovered a checksum failure.", d.ChecksumRetries)
 	p.Counter("twigdb_injected_faults_total", "Faults fired by the configured injector.", d.InjectedFaults)
-	p.Counter("twigdb_recovered_commits_total", "Commits replayed from the WAL at the last open.", d.RecoveredCommits)
+	p.Counter("twigdb_recovered_commits_total", "Commits recovered from the WAL at the last open (sync points re-read plus logged commits replayed).", d.RecoveredCommits)
 	p.Counter("twigdb_wal_discarded_bytes_total", "Torn/corrupt WAL tail bytes discarded at the last open.", d.WALBytesDiscarded)
 	p.Counter("twigdb_pages_freed_total", "Pages returned to the on-disk free list.", d.PagesFreed)
 	p.Counter("twigdb_pages_reused_total", "Allocations served from the free list instead of growing the file.", d.PagesReused)

@@ -257,3 +257,48 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		t.Fatalf("no twigdb_readonly_cause{cause=...} series in degraded mode")
 	}
 }
+
+// TestCommitsSinceSyncGauge: /metrics reports the commits logged past the
+// last sync point — the replay a crash would leave to the next Open — and
+// StorageStats the same count; a Checkpoint's sync point zeroes both.
+func TestCommitsSinceSyncGauge(t *testing.T) {
+	db, err := twigdb.Open(&twigdb.Options{Path: filepath.Join(t.TempDir(), "lag.twigdb")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.LoadXMLString(persistDoc); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Build(twigdb.RootPaths, twigdb.DataPaths); err != nil {
+		t.Fatal(err)
+	}
+	shelf, err := db.Query(`/shelf`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gauge := func() string {
+		var b strings.Builder
+		if err := db.WriteMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		return checkPromText(t, b.String())["twigdb_commits_since_sync"]
+	}
+	if g := gauge(); g != "0" {
+		t.Fatalf("twigdb_commits_since_sync = %q after Build, want 0", g)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := db.Insert(shelf.IDs[0], `<book><title>T</title></book>`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g, st := gauge(), db.StorageStats(); g != "3" || st.CommitsSinceSync != 3 {
+		t.Fatalf("after 3 commits: gauge %q, StorageStats.CommitsSinceSync %d; want 3", g, st.CommitsSinceSync)
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if g := gauge(); g != "0" {
+		t.Fatalf("twigdb_commits_since_sync = %q after Checkpoint, want 0", g)
+	}
+}

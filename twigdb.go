@@ -192,7 +192,12 @@ type Options struct {
 	// ExplainAnalyze regardless of this setting.
 	SlowQueryThreshold time.Duration
 
-	// CheckpointWALBytes is the write-ahead-log size beyond which a commit
+	// CheckpointWALBytes bounds the write-ahead log. A commit logs only its
+	// statements; its pages stay in the buffer pool until a sync point
+	// writes every dirty page, the catalog and a commit record to the log.
+	// A sync point comes every 1,024 commits, at Checkpoint, Close and
+	// Backup, and at the commit that finds the log past the last sync point
+	// longer than CheckpointWALBytes. Once the whole log is longer, a commit
 	// starts a background checkpoint, which migrates committed WAL frames
 	// into the database file in bounded batches and compacts any all-free
 	// file tail — entirely off the commit path, so writers keep
@@ -275,10 +280,12 @@ func (c *parseMemo) parse(q string) (*xpath.Pattern, error) {
 
 // Open creates a database. A nil opts uses the defaults (in-memory, 40MB
 // buffer pool). With Options.Path set, Open opens or creates the database
-// file, replays the committed write-ahead-log prefix (discarding any torn
-// tail a crash left behind), and restores every persisted index so queries
-// run immediately without rebuilding. A file written in another format
-// version is refused with ErrFormatVersion.
+// file, replays the committed write-ahead-log prefix — the last sync point's
+// pages, then the commits logged after it — discarding any torn tail a
+// crash left behind, and restores every persisted index so queries run
+// immediately without rebuilding. A file written in another format version
+// is refused with ErrFormatVersion, one another open DB holds with
+// ErrLocked.
 func Open(opts *Options) (*DB, error) {
 	cfg := engine.DefaultConfig()
 	txRetries := defaultTxRetries
@@ -322,6 +329,11 @@ func Open(opts *Options) (*DB, error) {
 // wrote it, write each document out with WriteXML, and LoadXML it into a
 // new database. Node ids are renumbered by the reload.
 var ErrFormatVersion = storage.ErrFormatVersion
+
+// ErrLocked is returned by Open for a database file that another open DB —
+// in this process or another — holds: a file has one owner at a time, and
+// Close (or the owner's exit) releases it.
+var ErrLocked = storage.ErrLocked
 
 // defaultTxRetries is the Options.TxRetries default for DB.Update.
 const defaultTxRetries = 8
@@ -509,6 +521,7 @@ type StorageStats struct {
 	WALAppends         int64
 	WALFsyncs          int64 // one per durable batch, not per commit
 	WALBytes           int64
+	CommitsSinceSync   int64 // commits logged past the last sync point: what a crash now would replay at Open
 	GroupCommitBatches int64 // coalesced fsync batches: concurrent commits share one fsync
 	Checkpoints        int64
 
@@ -520,7 +533,7 @@ type StorageStats struct {
 	ChecksumFailures  int64 // page/WAL-frame checksum verifications that failed
 	ChecksumRetries   int64 // transparent re-reads that recovered a failure
 	InjectedFaults    int64 // faults fired by the configured injector
-	RecoveredCommits  int64 // commits replayed from the WAL at the last open
+	RecoveredCommits  int64 // commits the last open recovered from the WAL: sync points re-read plus logged commits replayed
 	WALBytesDiscarded int64 // torn/corrupt WAL tail bytes discarded at the last open
 	Poisoned          bool  // a failed fsync poisoned the device (always true when Health.ReadOnly is)
 }
@@ -536,6 +549,7 @@ func (db *DB) StorageStats() StorageStats {
 		WALAppends:         d.WALAppends,
 		WALFsyncs:          d.WALFsyncs,
 		WALBytes:           d.WALBytes,
+		CommitsSinceSync:   d.CommitsSinceSync,
 		GroupCommitBatches: d.GroupCommitBatches,
 		Checkpoints:        d.Checkpoints,
 		PagesFreed:         d.PagesFreed,
