@@ -39,6 +39,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAgreement -fuzztime $(FUZZTIME) ./internal/idlist/
 	$(GO) test -run '^$$' -fuzz FuzzEncodeRoundTrip -fuzztime $(FUZZTIME) ./internal/idlist/
 	$(GO) test -run '^$$' -fuzz FuzzScanPrefix -fuzztime $(FUZZTIME) ./internal/btree/
+	$(GO) test -run '^$$' -fuzz FuzzTreeOps -fuzztime $(FUZZTIME) ./internal/btree/
 	$(GO) test -run '^$$' -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/xpath/
 	$(GO) test -run '^$$' -fuzz FuzzDistinct -fuzztime $(FUZZTIME) ./internal/plan/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeCatalog -fuzztime $(FUZZTIME) ./internal/engine/

@@ -3,6 +3,7 @@ package btree
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/storage"
 )
@@ -46,6 +47,10 @@ type Tree struct {
 	// via TakeRetired and frees each batch only after every snapshot that
 	// could reference it has been released.
 	retired []storage.PageID
+
+	// copies counts the shared pages this handle copied on write since it
+	// was cloned (Copies).
+	copies int
 }
 
 // Stats describes a tree's shape and footprint.
@@ -154,14 +159,13 @@ func (t *Tree) writable(id storage.PageID) (storage.Page, error) {
 	if err != nil || t.owned(id) {
 		return pg, err
 	}
-	np, err := t.allocPage()
+	np, err := t.allocCopy(pg.Data)
+	t.pool.Unpin(pg, false)
 	if err != nil {
-		t.pool.Unpin(pg, false)
 		return storage.Page{}, err
 	}
-	copy(np.Data, pg.Data)
-	t.pool.Unpin(pg, false)
 	t.retire(id)
+	t.copies++
 	return np, nil
 }
 
@@ -177,10 +181,18 @@ func (t *Tree) owned(id storage.PageID) bool {
 	return ok
 }
 
-// allocPage allocates a page, recording it in fresh when a COW frontier is
-// active so that a recycled low id is not mistaken for a shared page.
-func (t *Tree) allocPage() (storage.Page, error) {
-	pg, err := t.pool.Allocate()
+// allocPage allocates a zeroed page, recording it in fresh when a COW
+// frontier is active so that a recycled low id is not mistaken for a
+// shared page.
+func (t *Tree) allocPage() (storage.Page, error) { return t.noteFresh(t.pool.Allocate()) }
+
+// allocCopy is allocPage with the page a copy of src, for copy-on-write.
+func (t *Tree) allocCopy(src []byte) (storage.Page, error) {
+	return t.noteFresh(t.pool.AllocateCopy(src))
+}
+
+// noteFresh records a page just allocated to this handle in fresh.
+func (t *Tree) noteFresh(pg storage.Page, err error) (storage.Page, error) {
 	if err == nil && t.cowFrontier > 0 {
 		if t.fresh == nil {
 			t.fresh = make(map[storage.PageID]struct{})
@@ -220,6 +232,11 @@ func (t *Tree) TakeRetired() []storage.PageID {
 	t.retired = nil
 	return r
 }
+
+// Copies returns the number of shared pages this handle has copied on
+// write since it was cloned: the page work a writer's changes cost the
+// tree beyond the pages they allocate for growth.
+func (t *Tree) Copies() int { return t.copies }
 
 // TakeFresh returns and clears the ids of every page this handle has
 // allocated since it was cloned (tracked only under an active COW
@@ -320,8 +337,9 @@ func (t *Tree) Insert(key, val []byte) error {
 //
 // The common case mutates the slotted page in place — binary search on the
 // encoded slot array, cell appended at the heap floor, slots memmoved —
-// without decoding a single entry. Only when the page needs compaction, a
-// prefix change, or a split does it fall back to the decode/re-encode path.
+// without decoding a single entry. When the page needs compaction or a
+// prefix change it is re-encoded from its own slots (insertCompacting);
+// only a split decodes its entries.
 func (t *Tree) insertAt(id storage.PageID, key, val []byte, height int) (storage.PageID, []byte, storage.PageID, error) {
 	if height > 1 {
 		// Internal: descend into the child for this key, then handle a
@@ -351,20 +369,11 @@ func (t *Tree) insertAt(id storage.PageID, key, val []byte, height int) (storage
 			return wpg.ID, nil, storage.InvalidPage, nil
 		}
 		pos := childIdx + 1 // separator goes right after the descended child
-		if insertInternalInPlace(wpg.Data, pos, sep, right) {
+		if insertInternalInPlace(wpg.Data, pos, sep, right) || t.insertCompacting(wpg.Data, pos, sep, nil, right) {
 			t.pool.Unpin(wpg, true)
 			return wpg.ID, nil, storage.InvalidPage, nil
 		}
-		pc, err := decodePage(wpg.Data)
-		if err != nil {
-			t.pool.Unpin(wpg, false)
-			return wpg.ID, nil, storage.InvalidPage, fmt.Errorf("btree %s: page %d: %w", t.name, wpg.ID, err)
-		}
-		t.pool.Unpin(wpg, true)
-		pc.entries = append(pc.entries, entry{})
-		copy(pc.entries[pos+1:], pc.entries[pos:])
-		pc.entries[pos] = entry{key: sep, child: right}
-		sep2, right2, err := t.storeSplit(wpg.ID, &pc)
+		sep2, right2, err := t.splitWith(wpg, pos, entry{key: sep, child: right})
 		return wpg.ID, sep2, right2, err
 	}
 	// Leaf: always mutated, so materialise a writable page up front.
@@ -373,30 +382,41 @@ func (t *Tree) insertAt(id storage.PageID, key, val []byte, height int) (storage
 		return id, nil, storage.InvalidPage, err
 	}
 	pos := searchCell(wpg.Data, key)
-	if insertLeafInPlace(wpg.Data, pos, key, val) {
+	if insertLeafInPlace(wpg.Data, pos, key, val) || t.insertCompacting(wpg.Data, pos, key, val, storage.InvalidPage) {
 		t.pool.Unpin(wpg, true)
 		return wpg.ID, nil, storage.InvalidPage, nil
 	}
-	pc, err := decodePage(wpg.Data)
-	if err != nil {
-		t.pool.Unpin(wpg, false)
-		return wpg.ID, nil, storage.InvalidPage, fmt.Errorf("btree %s: page %d: %w", t.name, wpg.ID, err)
-	}
-	t.pool.Unpin(wpg, true)
-	e := entry{key: append([]byte(nil), key...), val: append([]byte(nil), val...)}
-	pc.entries = append(pc.entries, entry{})
-	copy(pc.entries[pos+1:], pc.entries[pos:])
-	pc.entries[pos] = e
-	sep, right, err := t.storeSplit(wpg.ID, &pc)
+	sep, right, err := t.splitWith(wpg, pos, entry{key: append([]byte(nil), key...), val: append([]byte(nil), val...)})
 	return wpg.ID, sep, right, err
 }
 
-// storeSplit writes pc back to id, splitting into a new right sibling if it
-// no longer fits.
-func (t *Tree) storeSplit(id storage.PageID, pc *pageContent) ([]byte, storage.PageID, error) {
-	if fits(pc) {
-		return nil, storage.InvalidPage, t.write(id, pc)
+// insertCompacting is the page-level insertCompacting with a scratch page
+// from the pool's recycler.
+func (t *Tree) insertCompacting(d []byte, pos int, key, val []byte, child storage.PageID) bool {
+	scratch := t.pool.ScratchPage()
+	ok := insertCompacting(d, scratch, pos, key, val, child)
+	t.pool.RecycleScratch(scratch)
+	return ok
+}
+
+// splitWith splits wpg, a pinned writable page that cannot take e as cell
+// pos even compacted: it decodes the page, unpins it, and stores its
+// entries with e inserted across wpg and a new right sibling. It returns
+// the separator and the sibling, as insertAt does.
+func (t *Tree) splitWith(wpg storage.Page, pos int, e entry) ([]byte, storage.PageID, error) {
+	pc, err := decodePage(wpg.Data)
+	if err != nil {
+		t.pool.Unpin(wpg, false)
+		return nil, storage.InvalidPage, fmt.Errorf("btree %s: page %d: %w", t.name, wpg.ID, err)
 	}
+	t.pool.Unpin(wpg, true)
+	pc.entries = slices.Insert(pc.entries, pos, e)
+	return t.storeSplit(wpg.ID, &pc)
+}
+
+// storeSplit writes pc, which does not fit one page, back to id and a new
+// right sibling.
+func (t *Tree) storeSplit(id storage.PageID, pc *pageContent) ([]byte, storage.PageID, error) {
 	mid := splitPoint(pc)
 	rightEntries := append([]entry(nil), pc.entries[mid:]...)
 	leftEntries := pc.entries[:mid]

@@ -135,24 +135,26 @@ func (t *Tree) deleteAt(id storage.PageID, key, val []byte, height int) (newID s
 	}
 }
 
-// deleteInLeaf scans one leaf for (key, val); see deleteAt for the return
-// contract.
+// deleteInLeaf finds (key, val) in one leaf — a binary search for the
+// first cell >= key, then a walk of key's duplicate run only; see deleteAt
+// for the return contract.
 func (t *Tree) deleteInLeaf(id storage.PageID, key, val []byte) (storage.PageID, bool, bool, bool, error) {
 	pg, err := t.fetch(id)
 	if err != nil {
 		return id, false, false, false, err
 	}
-	n := pageNumCells(pg.Data)
-	for i := 0; i < n; i++ {
-		cmp := compareCellKey(pg.Data, i, key)
-		if cmp < 0 {
-			continue
-		}
-		if cmp > 0 {
+	d := pg.Data
+	n, plen := pageNumCells(d), pagePrefixLen(d)
+	// A cell equals key only if the page prefix starts key; then the
+	// suffixes decide.
+	samePrefix := len(key) >= plen && bytes.Equal(pagePrefix(d), key[:plen])
+	slots := headerSize + plen
+	for i := searchCell(d, key); i < n; i++ {
+		suffix, cellVal := leafCellAt(d, slots, i)
+		if !samePrefix || !bytes.Equal(suffix, key[plen:]) {
 			t.pool.Unpin(pg, false)
 			return id, false, false, false, nil // past all duplicates of key
 		}
-		_, cellVal := leafCell(pg.Data, i)
 		if !bytes.Equal(cellVal, val) {
 			continue
 		}
@@ -160,48 +162,23 @@ func (t *Tree) deleteInLeaf(id storage.PageID, key, val []byte) (storage.PageID,
 		// cell bytes linger as heap garbage until a later insert forces a
 		// compacting re-encode.
 		if t.owned(id) {
-			deleteCellInPlace(pg.Data, i)
-			emptied := pageNumCells(pg.Data) == 0
+			deleteCellInPlace(d, i)
+			emptied := pageNumCells(d) == 0
 			t.pool.Unpin(pg, true)
 			return id, true, false, emptied, nil
 		}
-		np, err := t.allocPage() // copy straight from the still-pinned frozen page
+		np, err := t.allocCopy(d) // copy straight from the still-pinned frozen page
+		t.pool.Unpin(pg, false)
 		if err != nil {
-			t.pool.Unpin(pg, false)
 			return id, false, false, false, err
 		}
-		copy(np.Data, pg.Data)
-		t.pool.Unpin(pg, false)
 		deleteCellInPlace(np.Data, i)
 		emptied := pageNumCells(np.Data) == 0
 		t.retire(id)
+		t.copies++
 		t.pool.Unpin(np, true)
 		return np.ID, true, false, emptied, nil
 	}
 	t.pool.Unpin(pg, false)
 	return id, false, true, false, nil
-}
-
-// DeleteAll removes every entry with exactly the given key, returning the
-// number removed, as a sequence of Get/Delete pairs.
-func (t *Tree) DeleteAll(key []byte) (int, error) {
-	removed := 0
-	for {
-		// Re-find each time; simple and correct for the rare-update path.
-		val, ok, err := t.Get(key)
-		if err != nil {
-			return removed, err
-		}
-		if !ok {
-			return removed, nil
-		}
-		ok, err = t.Delete(key, val)
-		if err != nil {
-			return removed, err
-		}
-		if !ok {
-			return removed, nil
-		}
-		removed++
-	}
 }

@@ -78,31 +78,6 @@ func TestDeleteAmongDuplicatesAcrossLeaves(t *testing.T) {
 	}
 }
 
-func TestDeleteAll(t *testing.T) {
-	tr, err := New(newPool(t, 4<<20), "t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 100; i++ {
-		if err := tr.Insert([]byte("k"), []byte(fmt.Sprintf("%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.Insert([]byte("other"), nil); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := tr.DeleteAll([]byte("k"))
-	if err != nil || removed != 100 {
-		t.Fatalf("DeleteAll = %d, %v", removed, err)
-	}
-	if _, found, _ := tr.Get([]byte("k")); found {
-		t.Fatalf("k still present")
-	}
-	if _, found, _ := tr.Get([]byte("other")); !found {
-		t.Fatalf("other lost")
-	}
-}
-
 // TestInsertDeleteModel interleaves random inserts and deletes against a
 // slice model, verifying full scans agree throughout.
 func TestInsertDeleteModel(t *testing.T) {

@@ -43,8 +43,8 @@ type entry struct {
 	child storage.PageID
 }
 
-// pageContent is a fully decoded page, the representation used on the write
-// path (inserts, splits, bulk load).
+// pageContent is a fully decoded page, the representation of splits and
+// the bulk load.
 type pageContent struct {
 	leaf    bool
 	aux     storage.PageID // next leaf, or leftmost child
@@ -148,8 +148,8 @@ func searchCell(d []byte, key []byte) int {
 // the page: the cell is appended at the heap floor and the slot array is
 // shifted by one. It reports false — leaving the page untouched — when the
 // stored prefix does not cover key or the contiguous free gap is too small;
-// the caller then falls back to a full decode/re-encode, which compacts the
-// heap and recomputes the prefix.
+// the caller then falls back to insertCompacting, which compacts the heap
+// and recomputes the prefix.
 func insertLeafInPlace(d []byte, pos int, key, val []byte) bool {
 	plen := pagePrefixLen(d)
 	if len(key) < plen || !bytes.Equal(key[:plen], pagePrefix(d)) {
@@ -187,6 +187,140 @@ func insertInternalInPlace(d []byte, pos int, key []byte, child storage.PageID) 
 	copy(d[heap+6:], suffix)
 	insertSlot(d, pos, heap)
 	return true
+}
+
+// insertCompacting writes (key, val) — (key, child) on an internal page —
+// as cell pos of page d by re-encoding d from its own slots into scratch
+// (a page-sized buffer) and copying the result back, without decoding an
+// entry: the image is the one encodePage makes of the decoded cells plus
+// the new one, heap compacted, cells laid in key order and the page prefix
+// recomputed from the first and last keys. It is the fallback of the
+// in-place inserts when the stored prefix does not cover key or the heap
+// holds garbage. It reports false, leaving d untouched, when the cells no
+// longer fit one page: the caller then splits.
+func insertCompacting(d, scratch []byte, pos int, key, val []byte, child storage.PageID) bool {
+	n := pageNumCells(d)
+	leaf := pageType(d) == pageLeaf
+	hdr := 6 // internal cell: key length, child
+	if leaf {
+		hdr = 4 // leaf cell: key length, value length
+	}
+	old := pagePrefix(d)
+	oldSlots := headerSize + len(old)
+	cell := func(i int) (suffix, v []byte) {
+		if leaf {
+			return leafCellAt(d, oldSlots, i)
+		}
+		suffix, _ = internalCell(d, i)
+		return suffix, nil
+	}
+
+	// Every key between the first and the last shares their common prefix.
+	var plen int
+	switch {
+	case n == 0:
+		plen = len(key)
+	case pos == 0:
+		last, _ := cell(n - 1)
+		plen = splitKeyLCP(key, old, last)
+	case pos == n:
+		first, _ := cell(0)
+		plen = splitKeyLCP(key, old, first)
+	default:
+		first, _ := cell(0)
+		last, _ := cell(n - 1)
+		plen = len(old) + lcp(first, last)
+	}
+	size := headerSize + plen + 2*(n+1) + hdr + len(key) - plen + len(val)
+	for i := 0; i < n; i++ {
+		suffix, v := cell(i)
+		size += hdr + len(old) + len(suffix) - plen + len(v)
+	}
+	if size > storage.PageSize {
+		return false
+	}
+
+	clear(scratch[:storage.PageSize])
+	scratch[0] = d[0]
+	putU16(scratch[1:3], n+1)
+	putU16(scratch[3:5], plen)
+	copy(scratch[5:9], d[5:9]) // aux
+	if pos == 0 {
+		copy(scratch[headerSize:], key[:plen])
+	} else {
+		first, _ := cell(0)
+		copyJoined(scratch[headerSize:headerSize+plen], old, first)
+	}
+	slots, heap := headerSize+plen, storage.PageSize
+	for j := 0; j <= n; j++ {
+		var cellLen int
+		if j == pos {
+			suffix := key[plen:]
+			cellLen = hdr + len(suffix) + len(val)
+			heap -= cellLen
+			putU16(scratch[heap:], len(suffix))
+			copy(scratch[heap+hdr:], suffix)
+			if leaf {
+				putU16(scratch[heap+2:], len(val))
+				copy(scratch[heap+hdr+len(suffix):], val)
+			} else {
+				putI32(scratch[heap+2:], int32(child))
+			}
+		} else {
+			i := j
+			if j > pos {
+				i--
+			}
+			suffix, v := cell(i)
+			klen := len(old) + len(suffix) - plen // the key's length past the new prefix
+			cellLen = hdr + klen + len(v)
+			heap -= cellLen
+			putU16(scratch[heap:], klen)
+			if plen < len(old) {
+				copyJoined(scratch[heap+hdr:heap+hdr+klen], old[plen:], suffix)
+			} else {
+				copy(scratch[heap+hdr:], suffix[plen-len(old):])
+			}
+			if leaf {
+				putU16(scratch[heap+2:], len(v))
+				copy(scratch[heap+hdr+klen:], v)
+			} else {
+				off := cellOffset(d, i)
+				copy(scratch[heap+2:heap+6], d[off+2:off+6]) // child
+			}
+		}
+		putU16(scratch[slots+2*j:], heap)
+	}
+	putU16(scratch[9:11], heap)
+	copy(d[:storage.PageSize], scratch)
+	return true
+}
+
+// lcp returns the length of the longest common prefix of a and b.
+func lcp(a, b []byte) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// splitKeyLCP returns the length of the longest common prefix of key and
+// the key stored as page prefix p plus cell suffix s.
+func splitKeyLCP(key, p, s []byte) int {
+	n := lcp(key, p)
+	if n < len(p) {
+		return n
+	}
+	return n + lcp(key[n:], s)
+}
+
+// copyJoined fills dst with the leading bytes of a followed by b.
+func copyJoined(dst, a, b []byte) {
+	n := copy(dst, a)
+	copy(dst[n:], b)
 }
 
 // insertSlot opens slot pos (shifting later slots right), points it at the
@@ -280,9 +414,9 @@ func checkPage(d []byte) error {
 	return nil
 }
 
-// decodePage decodes all cells of a page (write path only), bounds-checking
+// decodePage decodes all cells of a page (splits only), bounds-checking
 // every cell so a corrupt page surfaces as ErrCorruptPage rather than a
-// slice panic.
+// slice panic. The entries have room for the one a split inserts.
 func decodePage(d []byte) (pageContent, error) {
 	if err := checkPage(d); err != nil {
 		return pageContent{}, err
@@ -292,7 +426,7 @@ func decodePage(d []byte) (pageContent, error) {
 	pc := pageContent{
 		leaf:    pageType(d) == pageLeaf,
 		aux:     pageAux(d),
-		entries: make([]entry, n),
+		entries: make([]entry, n, n+1),
 	}
 	for i := 0; i < n; i++ {
 		off := cellOffset(d, i)

@@ -47,3 +47,48 @@ func TestMapVersionsMatchModel(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneCopiesAtMostSqrtN: over a 40,000-key base, a chain of versions
+// that each change a few keys never hands a clone more than
+// √len(base) + deltaMin delta keys to copy, the middle layer never passes
+// its fold threshold, and the last version still reads like the model.
+func TestCloneCopiesAtMostSqrtN(t *testing.T) {
+	const n = 40000
+	base := make(map[int]int, n)
+	for k := 0; k < n; k++ {
+		base[k] = k + 1
+	}
+	model := maps.Clone(base)
+	m := From(base)
+	rng := rand.New(rand.NewSource(2))
+	maxDelta, maxMid := 0, 0
+	for v := 0; v < 3000; v++ {
+		next := m.Clone()
+		m = next
+		for i := 0; i < 7; i++ {
+			k, val := rng.Intn(n+500), rng.Intn(3)
+			m.Set(k, val)
+			if val == 0 {
+				delete(model, k)
+			} else {
+				model[k] = val
+			}
+		}
+		maxDelta = max(maxDelta, len(m.delta))
+		maxMid = max(maxMid, len(m.mid))
+	}
+	if limit := 200 + deltaMin; maxDelta > limit {
+		t.Fatalf("a version carried %d delta keys, want at most %d", maxDelta, limit)
+	}
+	if limit := n/midDiv + midMin + 200 + deltaMin; maxMid > limit {
+		t.Fatalf("the middle layer reached %d keys, want at most %d", maxMid, limit)
+	}
+	if m.Len() != len(model) {
+		t.Fatalf("Len %d, model %d", m.Len(), len(model))
+	}
+	seen := map[int]int{}
+	m.Range(func(k, v int) { seen[k] = v })
+	if !maps.Equal(seen, model) {
+		t.Fatal("Range differs from the model")
+	}
+}

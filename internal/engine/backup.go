@@ -22,13 +22,17 @@ import (
 
 // Backup writes a transactionally consistent copy of the database to
 // dstPath while the database stays fully live. An in-memory database backs
-// up to a file like any other.
+// up to a file like any other, unless it holds a HeadId-pruned DATAPATHS
+// (ErrPrunedNotPersistable).
 func (db *DB) Backup(dstPath string) error {
 	s, err := db.pinSealed()
 	if err != nil {
 		return err
 	}
 	defer db.unpin(s)
+	if dp := s.env.DP; dp != nil && dp.PrunesHeads() {
+		return ErrPrunedNotPersistable
+	}
 
 	reach := map[storage.PageID]struct{}{}
 	add := func(id storage.PageID) error {

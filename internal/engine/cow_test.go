@@ -373,6 +373,49 @@ func TestCommitAllocFollowsChange(t *testing.T) {
 	}
 }
 
+// durableCommitAllocCeiling is the ceiling TestDurableCommitAllocRatchet
+// holds a warmed single-listing commit to, in bytes: the measured value
+// plus a margin for map growth and GC timing. Lower it when a change lowers
+// the measurement; never raise it.
+const durableCommitAllocCeiling = 80_000
+
+// TestDurableCommitAllocRatchet: a warmed, file-backed, single-listing
+// commit allocates no page buffers — every copy-on-write page takes a
+// buffer the pool recycled from a freed or evicted frame — so the bytes it
+// allocates stay under durableCommitAllocCeiling (measured ≈68 KB). With a
+// fresh 8 KB buffer per COW page it allocated ≈512 KB.
+func TestDurableCommitAllocRatchet(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector")
+	}
+	db, items := xmarkItems(t, 20, Config{BufferPoolBytes: 64 << 20, Path: filepath.Join(t.TempDir(), "alloc.db")})
+	defer db.Close()
+	const warm, n = 40, 100
+	subs := make([]*xmldb.Node, warm+n)
+	for i := range subs {
+		subs[i] = listing(i)
+	}
+	for i := 0; i < warm; i++ {
+		if err := db.InsertSubtree(items[i*7%len(items)], subs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < warm+n; i++ {
+		if err := db.InsertSubtree(items[i*7%len(items)], subs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perCommit := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("bytes allocated per commit: %.0f", perCommit)
+	if perCommit > durableCommitAllocCeiling {
+		t.Fatalf("a warmed single-listing commit allocates %.0f bytes, ceiling %d", perCommit, durableCommitAllocCeiling)
+	}
+}
+
 // TestRetainedVersionsSurviveWrites: spine copies never reach back into an
 // older version. With 50 versions retained, 100 writes to one document
 // leave every retained version answering exactly what the oracle answered

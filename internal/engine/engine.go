@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,6 +170,8 @@ type DB struct {
 	// storage layer records into them directly via observers installed at
 	// Open, before the pool and device are shared.
 	reg *obs.Registry
+	// prep attributes each statement's prepare to its phases (Prepare).
+	prep PrepareHists
 	// slowLog is the bounded slow-query ring; empty unless
 	// Config.SlowQueryThreshold is set.
 	slowLog *obs.SlowLog
@@ -844,6 +847,9 @@ func (db *DB) Pool() *storage.Pool { return db.pool }
 // those pages: it checkpoints before it returns, bounding memory and
 // recovery time.
 func (db *DB) Build(kinds ...index.Kind) error {
+	if db.cfg.Path != "" && db.cfg.PathsOptions.KeepHead != nil && slices.Contains(kinds, index.KindDataPaths) {
+		return ErrPrunedNotPersistable
+	}
 	db.writeMu.Lock()
 	if err := db.writeGate(); err != nil {
 		db.writeMu.Unlock()
@@ -881,6 +887,14 @@ func (db *DB) Build(kinds ...index.Kind) error {
 	}
 	return db.noteCommitErr(db.fdisk.Checkpoint())
 }
+
+// ErrPrunedNotPersistable rejects a DATAPATHS built with HeadId pruning
+// (index.PathsOptions.KeepHead) where it would be written to a file — Build
+// on a file-backed database, or Backup of an in-memory one. The pruning
+// predicate is a function over node ids: the file could not record it, and
+// a reopened index missing the pruned heads' rows would answer bound probes
+// wrongly. Pruning is for in-memory databases only.
+var ErrPrunedNotPersistable = errors.New("engine: a HeadId-pruned DATAPATHS cannot be written to a file; build it in memory")
 
 // BuildAll constructs every persisted index structure — the paper's
 // family; the containment extension is built on request.
@@ -1000,6 +1014,11 @@ func (db *DB) SnapshotAt(seq uint64) (*Snapshot, func(), error) {
 // Obs returns the engine's histogram registry (always non-nil); callers
 // snapshot the histograms for quantiles or Prometheus exposition.
 func (db *DB) Obs() *obs.Registry { return db.reg }
+
+// Prepare returns the histograms that attribute each statement's prepare
+// (store, statistics, maintenance per kind, node table, pages copied per
+// tree).
+func (db *DB) Prepare() *PrepareHists { return &db.prep }
 
 // SlowQueries returns the retained slow-query entries, oldest first
 // (empty unless Config.SlowQueryThreshold is set).

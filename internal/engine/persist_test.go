@@ -335,7 +335,7 @@ func TestCloseRetiresContainment(t *testing.T) {
 
 // TestOpenRefusesOtherFormats: Open refuses a file whose superblock is
 // stamped with storage version 2, or whose catalog (committed to the WAL,
-// so the refusal comes after recovery) is version 1, 2 or 4, with
+// so the refusal comes after recovery) is version 1, 2, 3 or 5, with
 // storage.ErrFormatVersion, and leaves the database file and its WAL as
 // they were.
 func TestOpenRefusesOtherFormats(t *testing.T) {
@@ -352,25 +352,8 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 			}
 		},
 	}
-	for _, v := range []byte{1, 2, 4} {
-		stamp[fmt.Sprintf("catalog v%d", v)] = func(t *testing.T, path string) {
-			fd, err := storage.OpenFileDisk(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fd.Close()
-			root, buf := fd.Meta().CatalogRoot, make([]byte, storage.PageSize)
-			if err := fd.Read(root, buf); err != nil {
-				t.Fatal(err)
-			}
-			buf[catalogPageHeader+len(catalogMagic)] = v
-			if err := fd.Write(root, buf); err != nil {
-				t.Fatal(err)
-			}
-			if err := fd.Commit(fd.Meta()); err != nil {
-				t.Fatal(err)
-			}
-		}
+	for _, v := range []byte{1, 2, 3, 5} {
+		stamp[fmt.Sprintf("catalog v%d", v)] = func(t *testing.T, path string) { restampCatalog(t, path, v) }
 	}
 	for name, restamp := range stamp {
 		t.Run(name, func(t *testing.T) {
@@ -392,5 +375,27 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 				t.Fatal("the refused open changed the WAL")
 			}
 		})
+	}
+}
+
+// restampCatalog rewrites the catalog version of the closed database at
+// path to v, committing the change to the WAL.
+func restampCatalog(t *testing.T, path string, v byte) {
+	t.Helper()
+	fd, err := storage.OpenFileDisk(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fd.Close()
+	root, buf := fd.Meta().CatalogRoot, make([]byte, storage.PageSize)
+	if err := fd.Read(root, buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[catalogPageHeader+len(catalogMagic)] = v
+	if err := fd.Write(root, buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := fd.Commit(fd.Meta()); err != nil {
+		t.Fatal(err)
 	}
 }

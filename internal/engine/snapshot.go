@@ -254,3 +254,20 @@ func (s *Snapshot) maintained() []index.Lifecycle {
 	}
 	return out
 }
+
+// maintain runs op, one statement's maintenance, on every structure the
+// write carries forward, timing each and counting the pages it copied on
+// write into h.
+func (s *Snapshot) maintain(h *PrepareHists, op func(index.Lifecycle) error) error {
+	for _, st := range s.env.Structures() {
+		if m, ok := st.(index.Maintained); ok {
+			if err := h.observe(&h.Maintain[m.Kind()], &h.Copied[m.Kind()], m, op); err != nil {
+				return err
+			}
+		}
+	}
+	if s.env.Nodes == nil {
+		return nil
+	}
+	return h.observe(&h.NodeTable, &h.Copied[index.NumKinds], s.env.Nodes, op)
+}

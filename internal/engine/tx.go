@@ -47,6 +47,8 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/index"
+	"repro/internal/obs"
 	"repro/internal/storage"
 	"repro/internal/xmldb"
 )
@@ -271,13 +273,16 @@ func cloneNumbered(n *xmldb.Node) *xmldb.Node {
 
 // applyOp applies one logical operation to a prepared successor — store,
 // statistics, maintained indices and node table: the initial application and every
-// commit replay go through this single path, so they cannot diverge.
+// commit replay go through this single path, so they cannot diverge. Each
+// phase is timed into DB.Prepare.
 func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
 	// Statements write pool pages outside writeMu; a sync point's flush
 	// must not run under them (see DB.stmtMu).
 	tx.db.stmtMu.RLock()
 	defer tx.db.stmtMu.RUnlock()
+	h := &tx.db.prep
 	store, st := next.store, next.env.Stats
+	start := time.Now()
 	if op.insert {
 		parent, err := store.Privatize(op.parentID)
 		if err != nil {
@@ -288,31 +293,59 @@ func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
 			return err
 		}
 		next.nextID = store.NextID()
+		h.Store.Observe(time.Since(start).Nanoseconds())
 		if st != nil {
+			start = time.Now()
 			st.Apply(store, next.dict, cp, +1)
+			h.Stats.Observe(time.Since(start).Nanoseconds())
 		}
-		for _, m := range next.maintained() {
-			if err := m.InsertSubtree(store, cp); err != nil {
-				return err
-			}
-		}
-		return nil
+		return next.maintain(h, func(m index.Lifecycle) error { return m.InsertSubtree(store, cp) })
 	}
 	n, err := store.Privatize(op.nodeID)
 	if err != nil {
 		return err
 	}
+	privatized := time.Since(start)
 	// Statistics and index rows are derived from the root path, so remove
 	// them while the subtree is still connected.
 	if st != nil {
+		start := time.Now()
 		st.Apply(store, next.dict, n, -1)
+		h.Stats.Observe(time.Since(start).Nanoseconds())
 	}
-	for _, m := range next.maintained() {
-		if err := m.DeleteSubtree(store, n); err != nil {
-			return err
-		}
+	if err := next.maintain(h, func(m index.Lifecycle) error { return m.DeleteSubtree(store, n) }); err != nil {
+		return err
 	}
-	return store.DetachSubtree(n)
+	start = time.Now()
+	err = store.DetachSubtree(n)
+	h.Store.Observe((privatized + time.Since(start)).Nanoseconds())
+	return err
+}
+
+// PrepareHists attributes the prepare of every statement — each
+// Tx.applyOp, for its first application, a commit replay or a replay at
+// Open — to its phases. Times are in nanoseconds per statement. Every
+// histogram is allocated on its first sample, so a database that is only
+// read carries none.
+type PrepareHists struct {
+	Store     obs.LazyHistogram // privatize the spine, attach or detach the subtree
+	Stats     obs.LazyHistogram // the statistics delta
+	NodeTable obs.LazyHistogram // node-table maintenance
+	// Maintain is the incremental maintenance of each index kind.
+	Maintain [index.NumKinds]obs.LazyHistogram
+	// Copied counts the shared pages each tree copied on write for the
+	// statement, by index kind; the node table's is at index.NumKinds.
+	Copied [index.NumKinds + 1]obs.LazyHistogram
+}
+
+// observe runs op on m, recording its time into t and the pages it copied
+// into c.
+func (h *PrepareHists) observe(t, c *obs.LazyHistogram, m index.Lifecycle, op func(index.Lifecycle) error) error {
+	copies, start := m.Copies(), time.Now()
+	err := op(m)
+	t.Observe(time.Since(start).Nanoseconds())
+	c.Observe(int64(m.Copies() - copies))
+	return err
 }
 
 // Insert attaches sub (an unattached tree, e.g. a parsed fragment's root)

@@ -39,15 +39,21 @@ func (w *CatWriter) Bool(v bool) {
 }
 
 // PathTable writes the table's paths in PathID order (#paths, then each as
-// #syms + syms), so re-interning them in order reproduces the ids.
+// #syms + syms), so re-interning them in order reproduces the ids. The
+// count and the paths come from one pass under the table's latch: the
+// table is shared with writers that intern paths concurrently (a Backup
+// encodes a catalog outside the writer lock), and a count read apart from
+// the paths would not frame them.
 func (w *CatWriter) PathTable(t *pathdict.PathTable) {
-	w.Uvarint(uint64(t.Len()))
-	t.All(func(_ pathdict.PathID, p pathdict.Path) {
+	var paths []pathdict.Path
+	t.All(func(_ pathdict.PathID, p pathdict.Path) { paths = append(paths, p) })
+	w.Uvarint(uint64(len(paths)))
+	for _, p := range paths {
 		w.Uvarint(uint64(len(p)))
 		for _, s := range p {
 			w.Uvarint(uint64(s))
 		}
-	})
+	}
 }
 
 // Tree writes the Meta of t, which CatReader.TreeMeta reads back.
@@ -61,7 +67,8 @@ func (w *CatWriter) Tree(t *btree.Tree) {
 }
 
 // pathsOptions writes the flags a ROOTPATHS/DATAPATHS probe needs to
-// decode rows the way they were encoded (KeepHead is not serialisable).
+// decode rows the way they were encoded. KeepHead is not among them: a
+// pruned index is never written (see openPaths).
 func (w *CatWriter) pathsOptions(o PathsOptions) {
 	var flags byte
 	if o.RawIDs {

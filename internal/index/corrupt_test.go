@@ -117,3 +117,35 @@ func TestProbesRejectShortEntries(t *testing.T) {
 		})
 	}
 }
+
+// TestPathTableRecordUnderConcurrentInterns: a catalog's path table is
+// encoded while a writer interns new paths into the same shared table (a
+// Backup encodes outside the writer lock). Every encoding must read back
+// as a path table — count and paths from the same moment — followed by
+// the bytes written after it.
+func TestPathTableRecordUnderConcurrentInterns(t *testing.T) {
+	pt := pathdict.NewPathTable()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ {
+			pt.Intern(pathdict.Path{pathdict.Sym(i%7 + 1), pathdict.Sym(i + 1)})
+		}
+	}()
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		w := &CatWriter{}
+		w.PathTable(pt)
+		w.Str("after")
+		r := NewCatReader(w.Buf)
+		back := r.PathTable()
+		if got := r.Str(); r.Err() != nil || got != "after" {
+			<-done
+			t.Fatalf("encoding %d: path table of %d paths misframed (%v, then %q)", i, back.Len(), r.Err(), got)
+		}
+	}
+}

@@ -380,6 +380,7 @@ func (nt *NodeTable) DeleteSubtree(_ *xmldb.Store, sub *xmldb.Node) error {
 
 func (nt *NodeTable) TakeRetired() []storage.PageID { return nt.tree.TakeRetired() }
 func (nt *NodeTable) TakeFresh() []storage.PageID   { return nt.tree.TakeFresh() }
+func (nt *NodeTable) Copies() int                   { return nt.tree.Copies() }
 func (nt *NodeTable) WalkPages(fn func(storage.PageID) error) error {
 	return nt.tree.Walk(fn)
 }

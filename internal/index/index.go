@@ -88,6 +88,8 @@ type Lifecycle interface {
 	DeleteSubtree(store *xmldb.Store, sub *xmldb.Node) error
 	TakeRetired() []storage.PageID
 	TakeFresh() []storage.PageID
+	// Copies is the number of shared pages the clone has copied on write.
+	Copies() int
 }
 
 // Maintained is a Structure that follows subtree updates incrementally

@@ -28,7 +28,9 @@ type PathsOptions struct {
 	// which KeepHead returns false (Section 4.3, HeadId pruning by
 	// workload branch points). Virtual-root rows (HeadId 0) are always
 	// kept, so free probes stay complete; bound ones may not be (see
-	// Paths.PrunesHeads). DATAPATHS only.
+	// Paths.PrunesHeads). DATAPATHS only, and in memory only: the
+	// predicate cannot be persisted, so the engine refuses to write a
+	// pruned index to a file.
 	KeepHead func(int64) bool
 }
 
@@ -88,9 +90,9 @@ func newPaths(headed bool, tree *btree.Tree, s Site) *Paths {
 	return &Paths{tree: tree, dict: s.Dict, ptab: s.Ptab, opts: s.Opts, headed: headed}
 }
 
-// PrunesHeads reports whether the index was built, or opened, with HeadId
-// pruning: then rows headed at data nodes may be missing, and only probes
-// at the virtual root (HeadId 0) are complete.
+// PrunesHeads reports whether the index was built with HeadId pruning:
+// then rows headed at data nodes may be missing, and only probes at the
+// virtual root (HeadId 0) are complete.
 func (p *Paths) PrunesHeads() bool { return p.opts.KeepHead != nil }
 
 // keep applies the HeadId pruning option to a row.
@@ -207,13 +209,11 @@ func (p *Paths) AppendRecord(w *CatWriter) {
 	w.Tree(p.tree)
 }
 
-// openPaths reads the record back. KeepHead is re-supplied from the site —
-// a function is not serialisable — so incremental updates after a reopen
-// prune as before.
+// openPaths reads the record back. A persisted index is never pruned (the
+// engine refuses to write a pruned one), so the site's KeepHead is not
+// applied.
 func openPaths(headed bool, r *CatReader, s Site) Structure {
-	keep := s.Opts.KeepHead
 	s.Opts = r.pathsOptions()
-	s.Opts.KeepHead = keep
 	return newPaths(headed, r.tree(s.Pool), s)
 }
 
@@ -250,6 +250,10 @@ func (p *Paths) TakeRetired() []storage.PageID { return p.tree.TakeRetired() }
 // prepared version is abandoned — rolled back, or replaced by a replay
 // onto a newer base.
 func (p *Paths) TakeFresh() []storage.PageID { return p.tree.TakeFresh() }
+
+// Copies returns the number of shared pages this clone has copied on
+// write (see btree.Tree.Copies).
+func (p *Paths) Copies() int { return p.tree.Copies() }
 
 // InsertSubtree adds the index rows for a subtree newly attached to the
 // store (ids already assigned via Store.AttachSubtree): for DATAPATHS one

@@ -174,3 +174,30 @@ func (s HistogramSnapshot) Max() int64 {
 	}
 	return 0
 }
+
+// LazyHistogram is a Histogram allocated on its first sample, for series
+// that many databases never record (a database that is only read never
+// prepares a write): until then it costs one pointer. The zero value is
+// ready to use; Observe and Snapshot are safe for concurrent use.
+type LazyHistogram struct{ h atomic.Pointer[Histogram] }
+
+// Observe records one sample, allocating the histogram on the first.
+func (l *LazyHistogram) Observe(v int64) {
+	h := l.h.Load()
+	if h == nil {
+		l.h.CompareAndSwap(nil, NewHistogram())
+		h = l.h.Load()
+	}
+	h.Observe(v)
+}
+
+// Snapshot merges the samples so far; empty before the first.
+func (l *LazyHistogram) Snapshot() HistogramSnapshot {
+	if h := l.h.Load(); h != nil {
+		return h.Snapshot()
+	}
+	return HistogramSnapshot{}
+}
+
+// Recorded reports whether any sample has arrived.
+func (l *LazyHistogram) Recorded() bool { return l.h.Load() != nil }

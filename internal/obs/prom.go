@@ -99,6 +99,28 @@ func (p *PromWriter) GaugeVec(name, help string, samples []LabeledValue) {
 // mandatory +Inf sample equal to _count.
 func (p *PromWriter) Histogram(name, help string, s HistogramSnapshot, scale float64) {
 	p.header(name, help, "histogram")
+	p.histogram(name, "", s, scale)
+}
+
+// LabeledHistogram is one member of a single-label histogram family.
+type LabeledHistogram struct {
+	Label string // label name
+	Value string // label value
+	S     HistogramSnapshot
+}
+
+// HistogramVec emits a histogram family with one label per member, each
+// rendered as Histogram renders one.
+func (p *PromWriter) HistogramVec(name, help string, members []LabeledHistogram, scale float64) {
+	p.header(name, help, "histogram")
+	for _, m := range members {
+		p.histogram(name, fmt.Sprintf("%s=\"%s\",", m.Label, escapeLabel(m.Value)), m.S, scale)
+	}
+}
+
+// histogram writes the samples of one histogram; labels, when not empty,
+// is the member's label pair followed by a comma.
+func (p *PromWriter) histogram(name, labels string, s HistogramSnapshot, scale float64) {
 	max := s.Max()
 	var cum int64
 	bucket := 0
@@ -115,12 +137,15 @@ func (p *PromWriter) Histogram(name, help string, s HistogramSnapshot, scale flo
 			cum += s.Counts[bucket]
 			bucket++
 		}
-		p.printf("%s_bucket{le=%q} %d\n", name, formatFloat(float64(bound)*scale), cum)
+		p.printf("%s_bucket{%sle=%q} %d\n", name, labels, formatFloat(float64(bound)*scale), cum)
 		if bound >= max && cum == s.Count {
 			break
 		}
 	}
-	p.printf("%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
-	p.printf("%s_sum %s\n", name, formatFloat(float64(s.Sum)*scale))
-	p.printf("%s_count %d\n", name, s.Count)
+	p.printf("%s_bucket{%sle=\"+Inf\"} %d\n", name, labels, s.Count)
+	if labels != "" {
+		labels = "{" + labels[:len(labels)-1] + "}"
+	}
+	p.printf("%s_sum%s %s\n", name, labels, formatFloat(float64(s.Sum)*scale))
+	p.printf("%s_count%s %d\n", name, labels, s.Count)
 }

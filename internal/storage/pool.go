@@ -86,6 +86,24 @@ type shard struct {
 // roomWaiter is one queued makeRoom caller (intrusive FIFO link).
 type roomWaiter struct{ next *roomWaiter }
 
+// pageBufs recycles the page buffers of frames the pool discards — freed
+// pages and evicted ones — for the frames Allocate and Fetch's miss path
+// make, so a copy-on-write writer that allocates a page for every one it
+// retires makes no page garbage. A discarded frame is unpinned, and Page
+// data is valid only until Unpin, so no caller still reads the buffer.
+// A sync.Pool rather than a spare list: it holds idle buffers only between
+// garbage collections, so recycling never pins memory the pool gave up.
+var pageBufs = sync.Pool{
+	New: func() any { return new([PageSize]byte) },
+}
+
+// getPageBuf returns a page buffer, recycled or new. Its bytes are
+// arbitrary: the caller overwrites or clears all of them.
+func getPageBuf() []byte { return pageBufs.Get().(*[PageSize]byte)[:] }
+
+// putPageBuf hands back a buffer no frame references any more.
+func putPageBuf(b []byte) { pageBufs.Put((*[PageSize]byte)(b)) }
+
 // Pool is an LRU buffer pool over a FileDisk, lock-striped into shards
 // keyed by PageID. All access to page contents goes through Fetch/Unpin;
 // pinned pages are never evicted. Capacity is enforced per shard (total
@@ -229,7 +247,7 @@ func (p *Pool) Fetch(id PageID) (Page, error) {
 			break
 		}
 	}
-	f := &frame{id: id, data: make([]byte, PageSize), pins: 1, loading: make(chan struct{})}
+	f := &frame{id: id, data: getPageBuf(), pins: 1, loading: make(chan struct{})}
 	s.frames[id] = f
 	s.stats.PageReads++
 	s.mu.Unlock()
@@ -263,9 +281,20 @@ func (p *Pool) Fetch(id PageID) (Page, error) {
 
 // Allocate reserves a page on the device — popping the free list first,
 // growing the page array only when it is empty — and pins a fresh all-zero
-// frame for it without a device read. The frame starts dirty, so the page
-// reaches the device even if the caller writes nothing into it.
-func (p *Pool) Allocate() (Page, error) {
+// frame for it without a device read. The frame's buffer may be a recycled
+// one (see pageBufs); it is cleared, so the page is all zero either way.
+// The frame starts dirty, so the page reaches the device even if the
+// caller writes nothing into it.
+func (p *Pool) Allocate() (Page, error) { return p.allocate(nil) }
+
+// AllocateCopy is Allocate with the new page holding a copy of src, a page
+// image, instead of zeroes: a copy-on-write copy of a shared page, which
+// would otherwise clear a buffer only to overwrite it.
+func (p *Pool) AllocateCopy(src []byte) (Page, error) { return p.allocate(src[:PageSize]) }
+
+// allocate is Allocate with the new page's bytes a copy of src, or zero
+// when src is nil.
+func (p *Pool) allocate(src []byte) (Page, error) {
 	id := p.dev.Allocate()
 	if id == InvalidPage {
 		return Page{}, fmt.Errorf("storage: page ids exhausted")
@@ -285,7 +314,13 @@ func (p *Pool) Allocate() (Page, error) {
 			break
 		}
 	}
-	f := &frame{id: id, data: make([]byte, PageSize), pins: 1, dirty: true}
+	data := getPageBuf()
+	if src == nil {
+		clear(data)
+	} else {
+		copy(data, src)
+	}
+	f := &frame{id: id, data: data, pins: 1, dirty: true}
 	s.frames[id] = f
 	return Page{ID: id, Data: f.data, frame: f}, nil
 }
@@ -304,11 +339,20 @@ func (p *Pool) Free(id PageID) error {
 		}
 		s.unlink(f)
 		delete(s.frames, id)
+		putPageBuf(f.data)
 		s.unpinned.Broadcast() // a room waiter can use the freed slot
 	}
 	s.mu.Unlock()
 	return p.dev.Free(id)
 }
+
+// ScratchPage returns a page-sized buffer of arbitrary content for a
+// caller that builds a page image aside (a B+-tree compacting a page).
+// Hand it back with RecycleScratch once nothing reads it.
+func (p *Pool) ScratchPage() []byte { return getPageBuf() }
+
+// RecycleScratch hands back a buffer ScratchPage returned.
+func (p *Pool) RecycleScratch(b []byte) { putPageBuf(b) }
 
 // Unpin releases the page; dirty marks it modified so eviction writes it
 // back. Unpinning a page that is not pinned is a reference-count underflow
@@ -395,6 +439,9 @@ func (p *Pool) DropAll() error {
 				f.dirty = false
 			}
 		}
+		for _, f := range s.frames {
+			putPageBuf(f.data)
+		}
 		s.frames = make(map[PageID]*frame)
 		s.lru.next = &s.lru
 		s.lru.prev = &s.lru
@@ -463,6 +510,7 @@ func (s *shard) tryRoom() (bool, error) {
 	}
 	s.unlink(victim)
 	delete(s.frames, victim.id)
+	putPageBuf(victim.data)
 	return true, nil
 }
 

@@ -6,8 +6,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"strings"
 	"time"
 
+	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/storage"
 )
@@ -231,6 +233,26 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 	p.Histogram("twigdb_checkpoint_duration_seconds", "Full checkpoint duration.", reg.CheckpointDuration.Snapshot(), 1e-9)
 	p.Histogram("twigdb_commit_latency_seconds", "Per-commit latency (WAL append through group fsync).", reg.CommitLatency.Snapshot(), 1e-9)
 	p.Histogram("twigdb_txn_latency_seconds", "Transaction commit latency (validation through group fsync; successful commits only).", reg.TxnLatency.Snapshot(), 1e-9)
+
+	prep := db.eng.Prepare()
+	p.Histogram("twigdb_prepare_store_seconds", "Per statement prepare: privatizing the spine and attaching or detaching the subtree in the store.", prep.Store.Snapshot(), 1e-9)
+	p.Histogram("twigdb_prepare_stats_seconds", "Per statement prepare: applying the statistics delta.", prep.Stats.Snapshot(), 1e-9)
+	p.Histogram("twigdb_prepare_node_table_seconds", "Per statement prepare: maintaining the node table.", prep.NodeTable.Snapshot(), 1e-9)
+	var maintain, copied []obs.LabeledHistogram
+	for k := index.Kind(0); k <= index.NumKinds; k++ {
+		name := "nodes"
+		if k < index.NumKinds {
+			name = strings.ToLower(k.String())
+			if h := &prep.Maintain[k]; h.Recorded() {
+				maintain = append(maintain, obs.LabeledHistogram{Label: "kind", Value: name, S: h.Snapshot()})
+			}
+		}
+		if h := &prep.Copied[k]; h.Recorded() {
+			copied = append(copied, obs.LabeledHistogram{Label: "tree", Value: name, S: h.Snapshot()})
+		}
+	}
+	p.HistogramVec("twigdb_index_maintain_seconds", "Per statement prepare: incremental maintenance of one index kind (Section 7).", maintain, 1e-9)
+	p.HistogramVec("twigdb_prepare_pages_copied", "Per statement prepare: shared pages one tree copied on write.", copied, 1)
 	return p.Err()
 }
 

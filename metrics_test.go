@@ -302,3 +302,69 @@ func TestCommitsSinceSyncGauge(t *testing.T) {
 		t.Fatalf("twigdb_commits_since_sync = %q after Checkpoint, want 0", g)
 	}
 }
+
+// TestPrepareAttribution: /metrics attributes every statement's prepare —
+// store, statistics, node table, each maintained index kind — and counts
+// the pages each tree copied on write. A database that has only been read
+// exports the phase histograms empty and no per-kind member; three inserts
+// then give every series three samples, and the first insert into the
+// built indices copies shared pages in every tree.
+func TestPrepareAttribution(t *testing.T) {
+	db, err := twigdb.Open(&twigdb.Options{Path: filepath.Join(t.TempDir(), "prep.twigdb")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.LoadXMLString(persistDoc); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Build(twigdb.RootPaths, twigdb.DataPaths); err != nil {
+		t.Fatal(err)
+	}
+	shelf, err := db.Query(`/shelf`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrapeSeries := func() map[string]string {
+		var b strings.Builder
+		if err := db.WriteMetrics(&b); err != nil {
+			t.Fatal(err)
+		}
+		return checkPromText(t, b.String())
+	}
+	series := scrapeSeries()
+	if c := series["twigdb_prepare_store_seconds_count"]; c != "0" {
+		t.Fatalf("store prepare count %q before any write, want 0", c)
+	}
+	for k := range series {
+		if strings.HasPrefix(k, "twigdb_index_maintain_seconds") {
+			t.Fatalf("%s exported before any write", k)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := db.Insert(shelf.IDs[0], `<book><title>T</title></book>`); err != nil {
+			t.Fatal(err)
+		}
+	}
+	series = scrapeSeries()
+	for _, k := range []string{
+		"twigdb_prepare_store_seconds_count",
+		"twigdb_prepare_stats_seconds_count",
+		"twigdb_prepare_node_table_seconds_count",
+		`twigdb_index_maintain_seconds_count{kind="rootpaths"}`,
+		`twigdb_index_maintain_seconds_count{kind="datapaths"}`,
+		`twigdb_prepare_pages_copied_count{tree="rootpaths"}`,
+		`twigdb_prepare_pages_copied_count{tree="datapaths"}`,
+		`twigdb_prepare_pages_copied_count{tree="nodes"}`,
+	} {
+		if series[k] != "3" {
+			t.Errorf("%s = %q, want 3", k, series[k])
+		}
+	}
+	for _, tree := range []string{"rootpaths", "datapaths", "nodes"} {
+		k := `twigdb_prepare_pages_copied_sum{tree="` + tree + `"}`
+		if series[k] == "0" || series[k] == "" {
+			t.Errorf("%s = %q, want the pages the first insert copied", k, series[k])
+		}
+	}
+}

@@ -157,13 +157,6 @@ type Options struct {
 	// 4.1 (mainly useful to measure its benefit).
 	RawIDLists bool
 
-	// KeepHead, when set, prunes DATAPATHS rows headed at data nodes for
-	// which it returns false (Section 4.3 workload-based pruning). The
-	// planner then never probes DATAPATHS bound at a node (no
-	// index-nested-loop joins over it). It is not persisted: pass it again
-	// when reopening a file whose DATAPATHS was built with it.
-	KeepHead func(int64) bool
-
 	// Path, when non-empty, backs the database with a durable paged file
 	// at this path plus a write-ahead log at Path+".wal": documents and
 	// indices survive Close and are recovered on the next Open with zero
@@ -303,7 +296,6 @@ func Open(opts *Options) (*DB, error) {
 		cfg.PathsOptions = index.PathsOptions{
 			RawIDs:     opts.RawIDLists,
 			PathIDKeys: opts.CompressSchemaPaths,
-			KeepHead:   opts.KeepHead,
 		}
 		cfg.Path = opts.Path
 		cfg.SlowQueryThreshold = opts.SlowQueryThreshold
