@@ -65,7 +65,9 @@ bench:
 paper:
 	$(GO) run ./cmd/twigbench -exp all
 
-# Non-test Go lines outside benchmark/: the size figure ROADMAP aim 2
-# (item 14) tracks, from a target rather than from a shell history.
+# Go lines outside benchmark/, product and test apart: the size figures
+# ROADMAP aim 2 (item 14) tracks, from a target rather than from a shell
+# history.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+	@printf 'product %s\n' "$$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
+	@printf 'test    %s\n' "$$(find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"

@@ -6,10 +6,10 @@
 // it — walks the B+-tree pages of the snapshot's node table and of every
 // index it carries, copies each through the checksum-verified device read
 // path at its original id, and re-encodes the snapshot's catalog into
-// fresh pages at the tail of the backup (the live catalog chain is
-// rewritten in place by concurrent commits, so its pages are the one thing
-// that cannot be copied raw). The result is a standalone database file
-// with an empty WAL that Open recovers like any cleanly checkpointed
+// fresh pages at the tail of the backup (the live chain describes the last
+// sync point, which need not be the pinned version, so its pages are the
+// one thing that cannot be copied raw). The result is a standalone
+// database file with an empty WAL that Open recovers like any sealed
 // database.
 package engine
 
@@ -57,9 +57,8 @@ func (db *DB) Backup(dstPath string) error {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	buf := make([]byte, storage.PageSize)
 	for _, id := range ids {
-		// The device read path verifies the slot checksum (or reads the
-		// newer WAL copy), so a backup can never capture a silently
-		// corrupt page.
+		// The device read path verifies the slot checksum, so a backup can
+		// never capture a silently corrupt page.
 		if err := db.fdisk.Read(id, buf); err != nil {
 			bw.Abort()
 			return fmt.Errorf("engine: backup read page %d: %w", id, err)
@@ -102,21 +101,15 @@ func (db *DB) pinSealed() (*Snapshot, error) {
 	}
 	db.unpin(s)
 	db.writeMu.Lock()
-	seq, err := int64(0), db.writeGate()
+	defer db.writeMu.Unlock()
+	err := db.writeGate()
 	if err == nil {
-		seq, err = db.commitCurrent()
+		err = db.noteCommitErr(db.commitCurrent())
 	}
 	if err != nil {
-		db.writeMu.Unlock()
-		return nil, db.noteCommitErr(err)
-	}
-	s = db.pin()
-	db.writeMu.Unlock()
-	if err := db.noteCommitErr(db.fdisk.SyncTo(seq)); err != nil {
-		db.unpin(s)
 		return nil, err
 	}
-	return s, nil
+	return db.pin(), nil
 }
 
 // walkSnapshotPages enumerates every device page reachable from the

@@ -14,10 +14,10 @@ import (
 // the node table's B+-tree Meta (the documents themselves live in that
 // tree, see index.NodeTable), and one record per built index structure (B+-tree
 // roots plus the small in-memory registries). It is serialised at every
-// commit boundary into a chain of ordinary pages — [4B next page id][2B
-// payload length][payload] — whose head the commit record carries as
-// CatalogRoot, so the catalog is covered by exactly the same
-// WAL/commit/checkpoint discipline as the index pages it describes. With
+// sync point into a chain of ordinary pages — [4B next page id][2B
+// payload length][payload] — whose head the superblock carries as
+// CatalogRoot, so the catalog is copied on write and sealed exactly like
+// the index pages it describes. With
 // the documents out of it the catalog is a few KB whatever the database
 // size, usually one page.
 //
@@ -189,36 +189,27 @@ func layCatalogChain(blob []byte, ids []storage.PageID, write func(storage.PageI
 	return nil
 }
 
-// writeCatalogChain writes blob across a chain of pages, reusing the ids
-// in reuse (the previous catalog's pages — safe because every overwrite is
-// a WAL frame that only supersedes the old image at the next commit) and
-// allocating more from dev, free list first, as needed. It returns the
-// chain head and the full page set to reuse next time.
-func writeCatalogChain(dev *storage.FileDisk, reuse []storage.PageID, blob []byte) (storage.PageID, []storage.PageID, error) {
-	n := catalogChainLen(blob)
-	for len(reuse) < n {
+// writeCatalogChain writes blob across a chain of fresh pages from dev —
+// free list first — and returns them, head first. The pages are ones the
+// sealed state does not reach, so the chain it replaces stays intact until
+// the seal that names the new one. A failed write frees what it allocated.
+func writeCatalogChain(dev *storage.FileDisk, blob []byte) ([]storage.PageID, error) {
+	pages := make([]storage.PageID, catalogChainLen(blob))
+	for i := range pages {
 		// An exhausted id space yields InvalidPage, which the write refuses.
-		reuse = append(reuse, dev.Allocate())
+		pages[i] = dev.Allocate()
 	}
-	if n < len(reuse) {
-		// The catalog shrank: return the excess chain pages to the device
-		// free list. Immediate (not deferred like tree pages) because
-		// catalog pages are only ever read at Open, never by snapshots at
-		// runtime, and the free rides the same commit as the new chain. A
-		// refused free just leaves the page allocated.
-		for _, id := range reuse[n:] {
+	if err := layCatalogChain(blob, pages, dev.Write); err != nil {
+		for _, id := range pages {
 			_ = dev.Free(id)
 		}
-		reuse = reuse[:n]
+		return nil, err
 	}
-	if err := layCatalogChain(blob, reuse, dev.Write); err != nil {
-		return storage.InvalidPage, reuse, err
-	}
-	return reuse[0], reuse, nil
+	return pages, nil
 }
 
 // readCatalogChain reads the catalog blob starting at root and returns it
-// with the chain's page ids (kept for reuse by the next commit).
+// with the chain's page ids (freed once a sync point writes the next chain).
 func readCatalogChain(dev *storage.FileDisk, root storage.PageID) ([]byte, []storage.PageID, error) {
 	var blob []byte
 	var pages []storage.PageID

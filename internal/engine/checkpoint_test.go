@@ -19,9 +19,9 @@ func devicePaths(t *testing.T) []string {
 	return []string{"", filepath.Join(t.TempDir(), "twig.db")}
 }
 
-// TestBuildLeavesWALEmpty: Build writes every page of what it builds, so
-// its WAL would be a second copy of the database; it checkpoints before
-// returning, in memory and on disk alike.
+// TestBuildLeavesWALEmpty: Build's commit is a sync point, which writes
+// every page of what it builds home and empties the log, in memory and on
+// disk alike.
 func TestBuildLeavesWALEmpty(t *testing.T) {
 	for _, path := range devicePaths(t) {
 		db, err := Open(Config{Path: path})
@@ -44,9 +44,9 @@ func TestBuildLeavesWALEmpty(t *testing.T) {
 }
 
 // TestDroppedDatabasesLeaveNoGoroutines: a commit past CheckpointWALBytes
-// starts one background checkpoint that exits when it is done, so
-// databases dropped without Close — file-backed or in memory — leave no
-// goroutine behind once their checkpoints finish.
+// is a sync point run by the committing writer itself, so databases
+// dropped without Close — file-backed or in memory — leave no goroutine
+// behind.
 func TestDroppedDatabasesLeaveNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	dir := t.TempDir()
@@ -85,10 +85,10 @@ func TestDroppedDatabasesLeaveNoGoroutines(t *testing.T) {
 }
 
 // TestCloseWhileCommitsCrossBudget: Close runs while writers commit past
-// CheckpointWALBytes, each commit trying to start a background checkpoint.
-// Close waits for the running one and no new one starts behind it (make
-// race checks the WaitGroup); a commit after Close fails, and every commit
-// that succeeded is in the file on reopen.
+// CheckpointWALBytes, each commit a sync point. Close's own sync point
+// serialises with theirs under the writer lock (make race checks it); a
+// commit after Close fails, and every commit that succeeded is in the file
+// on reopen.
 func TestCloseWhileCommitsCrossBudget(t *testing.T) {
 	for _, path := range devicePaths(t) {
 		db, err := Open(Config{Path: path, CheckpointWALBytes: 1})

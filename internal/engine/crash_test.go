@@ -15,12 +15,12 @@ import (
 )
 
 // Crash-recovery torture: drive a file-backed engine through a random
-// sequence of loads, builds, inserts, deletes and checkpoints; at random
-// moments take a "crash image" (copy of the database file plus the WAL
-// truncated at an arbitrary byte offset — the write-then-truncate
-// kill-point injection); reopen the image and verify, with the in-memory
-// differential oracle, that recovery landed exactly on the last commit
-// record that fully survived the truncation.
+// sequence of loads, builds, inserts, deletes and checkpoints; take a
+// "crash image" (copy of the database file plus the WAL truncated at an
+// arbitrary byte offset — the write-then-truncate kill-point injection);
+// reopen the image and verify, with the in-memory differential oracle,
+// that recovery landed exactly on the last logged commit that fully
+// survived the truncation, over the last sync point's state.
 
 // torOp is one replayable mutation. Documents/subtrees are prototypes,
 // cloned before every use, so a sequence replays identically (same node
@@ -133,8 +133,8 @@ func TestCrashRecoveryTorture(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			dir := t.TempDir()
 			path := filepath.Join(dir, "twig.db")
-			// A tiny pool forces evictions mid-build, exercising the
-			// WAL-before-commit writeback path.
+			// A tiny pool forces evictions mid-build and between sync
+			// points, writing pages home that no superblock reaches yet.
 			cfg := Config{Path: path, BufferPoolBytes: 128 << 10}
 
 			db, err := Open(cfg)
@@ -149,8 +149,9 @@ func TestCrashRecoveryTorture(t *testing.T) {
 				ops = append(ops, op)
 			}
 			// Committed-state marks: after op index opIdx, the durable WAL
-			// prefix ends at end. A checkpoint resets the WAL; baseline is
-			// the op prefix already migrated into the database file.
+			// prefix ends at end. A sync point empties the WAL (a build's
+			// mark ends at 0); baseline is the op prefix a checkpoint
+			// sealed into the database file.
 			type mark struct {
 				end   int64
 				opIdx int
@@ -211,8 +212,6 @@ func TestCrashRecoveryTorture(t *testing.T) {
 			for c := 0; c < crashesPerSeed; c++ {
 				off := int64(rng.Intn(int(walSize) + 1))
 				// Expected surviving prefix: the last commit mark at or
-				// before the truncation point, else the checkpoint baseline.
-				// Expected surviving prefix: the last commit mark at or
 				// before the truncation point, else the checkpoint baseline
 				// (-1, an empty database, when neither exists).
 				expIdx := baseline
@@ -248,6 +247,7 @@ func TestCrashRecoveryTorture(t *testing.T) {
 				}
 				tag := fmt.Sprintf("seed %d crash %d (wal %d/%d, ops 0..%d)", seed, c, off, walSize, expIdx)
 				verifyRecovered(t, tag, rec, oracle, queries)
+				assertPagesAccounted(t, rec)
 
 				// The recovered database must also keep working: one more
 				// committed mutation and re-verification.
@@ -266,167 +266,180 @@ func TestCrashRecoveryTorture(t *testing.T) {
 	}
 }
 
-// TestCrashDuringCheckpoint kills the process (by image capture) at every
-// internal boundary of FileDisk.Checkpoint — after each incremental
-// migration batch, after the finalize's page migration, after the
-// superblock rewrite, after the database-file fsync, and after the WAL
-// replacement — and verifies each image recovers to exactly the same
-// logical state: a checkpoint moves bytes, never meaning, so no kill-point
-// may lose or duplicate a commit. It checkpoints twice: once through
-// DB.Checkpoint, whose sync point leaves nothing after the last commit
-// record, and once as the background checkpointer does, between a sync
-// point and the next, with logged commits after the last commit record
-// that the replaced WAL must carry.
-func TestCrashDuringCheckpoint(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	dir := t.TempDir()
-	path := filepath.Join(dir, "twig.db")
-	db, err := Open(Config{Path: path, BufferPoolBytes: 256 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+// crashImage is the pair of files a crash would leave, taken while the op
+// at index lo (ops[:lo] acknowledged) was running.
+type crashImage struct {
+	db, wal []byte
+	lo      int
+}
 
-	var ops []torOp
-	do := func(op torOp) {
-		applyOp(t, db, op)
-		ops = append(ops, op)
-	}
-	inserts := func(n int) {
-		for i := 0; i < n; i++ {
-			parents, _ := liveNodeIDs(db)
-			do(torOp{kind: "insert", parentID: parents[rng.Intn(len(parents))], doc: genDoc(rng, 8)})
-		}
-	}
-	do(torOp{kind: "load", doc: genDoc(rng, 40)})
-	do(torOp{kind: "build"})
-	for i := 0; i < 80; i++ {
-		parents, victims := liveNodeIDs(db)
-		if i == 2 && len(victims) > 0 {
-			do(torOp{kind: "delete", nodeID: victims[rng.Intn(len(victims))]})
-			continue
-		}
-		do(torOp{kind: "insert", parentID: parents[rng.Intn(len(parents))], doc: genDoc(rng, 8)})
-	}
+// crashSweep drives a database over two storage.CrashFiles and crashes it
+// at every change to either file — each page, record, trunk and superblock
+// write, each fsync and truncation — of the ops it captures, with the
+// writes since the last fsync of each file dropped or torn at 512-byte
+// sectors at random. After each such op it recovers every image and checks
+// it against the op sequence: the documents equal those after ops[:lo] or
+// ops[:lo+1] (a commit boundary), every strategy agrees with the naive
+// matcher, and every page is reachable, in the catalog chain or free.
+type crashSweep struct {
+	t        *testing.T
+	seed     int64
+	db       *DB
+	files    [2]*storage.CrashFile
+	ops      []torOp
+	dumps    []string // dumps[k]: the documents after ops[:k]
+	images   []crashImage
+	queries  []string
+	oracle   *DB
+	oracleAt int
+	crashes  int
+}
 
-	// Capture a crash image (database file + WAL) at every stage boundary —
-	// the incremental batch stage can fire many times, so the captures are
-	// an ordered list, and recovery is verified from each one against the
-	// ops applied when it was taken.
-	type image struct {
-		stage storage.CheckpointStage
-		db    []byte
-		wal   []byte
-		ops   int
-	}
-	var images []image
-	capture := func() map[storage.CheckpointStage]int {
-		seen := map[storage.CheckpointStage]int{}
-		db.fdisk.SetCheckpointHook(func(stage storage.CheckpointStage) {
-			d, err := os.ReadFile(path)
-			if err != nil {
-				t.Errorf("stage %d: %v", stage, err)
-				return
-			}
-			w, err := os.ReadFile(path + storage.WALSuffix)
-			if err != nil {
-				t.Errorf("stage %d: %v", stage, err)
-				return
-			}
-			images = append(images, image{stage: stage, db: d, wal: w, ops: len(ops)})
-			seen[stage]++
-		})
-		return seen
-	}
-	requireStages := func(phase string, seen map[storage.CheckpointStage]int) {
-		for _, want := range []storage.CheckpointStage{
-			storage.CkptPagesMigrated, storage.CkptSuperblockWritten,
-			storage.CkptFileSynced, storage.CkptWALTruncated,
-		} {
-			if seen[want] != 1 {
-				t.Fatalf("%s: finalize stage %d fired %d times, want 1 (stages: %v)", phase, want, seen[want], seen)
-			}
-		}
-		// The workload is sized so the committed delta exceeds the finalize
-		// threshold: the incremental batch path must have run, or this test
-		// is no longer covering it. Free-list changes add one trunk frame
-		// per sync point, not a frame per freed page, so it takes about 60
-		// operations on this document to dirty more than ckptFinalizePages
-		// distinct pages.
-		if seen[storage.CkptBatchMigrated] == 0 {
-			t.Fatalf("%s: no incremental batch stage fired (stages: %v); grow the workload", phase, seen)
-		}
-	}
-
-	seen := capture()
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	requireStages("DB.Checkpoint", seen)
-
-	// Logged commits, a sync point sealing them, more logged commits, then
-	// the background checkpointer's call.
-	inserts(60)
-	db.writeMu.Lock()
-	seq, err := db.commitCurrent()
-	db.writeMu.Unlock()
+func newCrashSweep(t *testing.T, seed int64, cfg Config) *crashSweep {
+	s := &crashSweep{t: t, seed: seed, dumps: []string{""}, oracleAt: -1}
+	s.files = [2]*storage.CrashFile{storage.NewCrashFile(nil), storage.NewCrashFile(nil)}
+	fd, err := storage.OpenFiles(s.files[0], s.files[1])
 	if err == nil {
-		err = db.fdisk.SyncTo(seq)
+		s.db, err = openOn(cfg, fd)
 	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	inserts(10)
-	if n, _ := db.fdisk.LogSinceSync(); n != 10 {
-		t.Fatalf("%d commits logged past the sync point, want 10", n)
-	}
-	seen = capture()
-	if err := db.fdisk.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	requireStages("background checkpoint", seen)
-	if n, _ := db.fdisk.LogSinceSync(); n != 10 {
-		t.Fatalf("the checkpoint kept %d logged commits, want 10", n)
-	}
-	db.fdisk.SetCheckpointHook(nil)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return s
+}
 
-	oracleAt := func(n int) *DB {
-		oracle := New(Config{BufferPoolBytes: 4 << 20})
-		for _, op := range ops[:n] {
-			applyOp(t, oracle, op)
+// do applies op, capturing a crash image at every file change it makes
+// when capture is set, and then checks the images.
+func (s *crashSweep) do(op torOp, capture bool) {
+	lo := len(s.ops)
+	if capture {
+		snap := func() {
+			seed := s.seed<<32 | int64(s.crashes)
+			s.crashes++
+			s.images = append(s.images, crashImage{s.files[0].Crash(seed), s.files[1].Crash(^seed), lo})
 		}
-		return oracle
+		s.files[0].OnChange, s.files[1].OnChange = snap, snap
 	}
-	queries := make([]string, 4)
-	for i := range queries {
-		queries[i] = genQueryFor(rng, oracleAt(len(ops)).Store().Docs[0])
+	applyOp(s.t, s.db, op)
+	s.files[0].OnChange, s.files[1].OnChange = nil, nil
+	s.ops = append(s.ops, op)
+	s.dumps = append(s.dumps, dumpDocs(s.db.Store()))
+	for _, img := range s.images {
+		s.recover(img)
 	}
+	s.images = s.images[:0]
+}
 
-	for i, img := range images {
-		crashPath := filepath.Join(dir, fmt.Sprintf("stage%d-%d.db", img.stage, i))
-		if err := os.WriteFile(crashPath, img.db, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(crashPath+storage.WALSuffix, img.wal, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := Open(Config{Path: crashPath, BufferPoolBytes: 1 << 20})
-		if err != nil {
-			t.Fatalf("stage %d (capture %d): reopen: %v", img.stage, i, err)
-		}
-		tag := fmt.Sprintf("checkpoint stage %d capture %d", img.stage, i)
-		oracle := oracleAt(img.ops)
-		verifyRecovered(t, tag, rec, oracle, queries)
-		// The image must also accept new work.
-		parents, _ := liveNodeIDs(rec)
-		extra := torOp{kind: "insert", parentID: parents[rng.Intn(len(parents))], doc: genDoc(rng, 6)}
-		applyOp(t, rec, extra)
-		applyOp(t, oracle, extra)
-		verifyRecovered(t, tag+" +insert", rec, oracle, queries[:2])
-		if err := rec.Close(); err != nil {
-			t.Fatalf("%s: close: %v", tag, err)
+// recover opens one crash image and checks it.
+func (s *crashSweep) recover(img crashImage) {
+	t := s.t
+	tag := fmt.Sprintf("seed %d, crash during op %d (%s)", s.seed, img.lo, s.ops[img.lo].kind)
+	fd, err := storage.OpenFiles(storage.NewCrashFile(img.db), storage.NewCrashFile(img.wal))
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", tag, err)
+	}
+	rec, err := openOn(Config{BufferPoolBytes: 1 << 20}, fd)
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", tag, err)
+	}
+	defer rec.Close()
+	got, at := dumpDocs(rec.Store()), -1
+	for k := img.lo + 1; k >= img.lo; k-- {
+		if s.dumps[k] == got {
+			at = k
+			break
 		}
 	}
+	if at < 0 {
+		t.Fatalf("%s: recovered documents match neither ops[:%d] nor ops[:%d]", tag, img.lo, img.lo+1)
+	}
+	if s.oracleAt != at {
+		s.oracle = New(Config{BufferPoolBytes: 4 << 20})
+		for _, op := range s.ops[:at] {
+			applyOp(t, s.oracle, op)
+		}
+		s.oracleAt = at
+	}
+	verifyRecovered(t, tag, rec, s.oracle, s.queries)
+	assertPagesAccounted(t, rec)
+}
+
+// randomWrite returns an insert under a random node, or a delete of a
+// random non-root node, of the sweep's current documents.
+func (s *crashSweep) randomWrite(rng *rand.Rand) torOp {
+	parents, victims := liveNodeIDs(s.db)
+	if len(victims) > 0 && rng.Intn(3) == 0 {
+		return torOp{kind: "delete", nodeID: victims[rng.Intn(len(victims))]}
+	}
+	return torOp{kind: "insert", parentID: parents[rng.Intn(len(parents))], doc: genDoc(rng, 8)}
+}
+
+// TestCrashDuringCheckpoint crashes a file-backed database at every
+// change either of its files sees — through logged commits (pages evicted
+// home from a small pool, log records, fsyncs) and two consecutive sync
+// points (the flush, the catalog chain written copy-on-write, the free
+// list, both fsyncs, the superblock into the other slot, the tail trim and
+// the log truncation) — on 20 seeds. Every crash recovers to a commit
+// boundary, every strategy agrees with the naive matcher, and every page
+// is accounted for.
+func TestCrashDuringCheckpoint(t *testing.T) {
+	seeds := 20
+	if testing.Short() {
+		seeds = 3
+	}
+	crashes := 0
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := newCrashSweep(t, seed, Config{BufferPoolBytes: 96 << 10})
+		doc := genDoc(rng, 30)
+		s.queries = []string{genQueryFor(rng, doc), genQueryFor(rng, doc)}
+		s.do(torOp{kind: "load", doc: doc}, false)
+		s.do(torOp{kind: "build"}, false)
+		for round := 0; round < 2; round++ {
+			for i := 0; i < 4; i++ {
+				s.do(s.randomWrite(rng), true)
+			}
+			s.do(torOp{kind: "ckpt"}, true)
+		}
+		crashes += s.crashes
+	}
+	t.Logf("%d crashes recovered", crashes)
+}
+
+// TestCrashDuringCompact crashes at every change of repeated sync points
+// under delete churn, whose free lists hold most of the file and whose
+// trims shrink it, and checks every image as TestCrashDuringCheckpoint
+// does — compaction moves and trims pages, never meaning.
+func TestCrashDuringCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	s := newCrashSweep(t, 41, Config{BufferPoolBytes: 1 << 20})
+	doc := genDoc(rng, 80)
+	s.queries = []string{genQueryFor(rng, doc), genQueryFor(rng, doc)}
+	s.do(torOp{kind: "load", doc: doc}, false)
+	s.do(torOp{kind: "build"}, false)
+	rootID := s.db.Store().Docs[0].Root.ID
+	// Churn with a shrinking live set so frees outnumber allocations, and
+	// run a sync point every round: it lists the free pages lowest first
+	// and trims the all-free tail, so later rounds shrink the file.
+	var live []int64
+	peak, trimmed := 0, false
+	for round := 0; round < 6; round++ {
+		for step := 0; step < 10; step++ {
+			sub := genDoc(rng, 6)
+			s.do(torOp{kind: "insert", parentID: rootID, doc: sub}, false)
+			live = append(live, s.db.Store().Docs[0].Root.Children[len(s.db.Store().Docs[0].Root.Children)-1].ID)
+		}
+		for len(live) > 4 {
+			s.do(torOp{kind: "delete", nodeID: live[0]}, false)
+			live = live[1:]
+		}
+		s.do(torOp{kind: "ckpt"}, true)
+		n := s.db.fdisk.NumPages()
+		trimmed = trimmed || n < peak
+		peak = max(peak, n)
+	}
+	if !trimmed {
+		t.Fatalf("no sync point trimmed the file (peak %d pages); the trim is not exercised", peak)
+	}
+	t.Logf("%d crashes recovered", s.crashes)
 }

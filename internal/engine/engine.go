@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -40,12 +41,10 @@ type Config struct {
 	// from the moment the device is opened — disarm it first if recovery
 	// and setup should run un-faulted, then Arm it (or use SetFaultsArmed).
 	Faults *storage.FaultInjector
-	// CheckpointWALBytes is the WAL size beyond which a commit starts a
-	// background checkpoint, which migrates committed frames into the
-	// database file in bounded batches and then compacts the file tail —
-	// off the commit path, so writers never stall behind migration. A
-	// commit whose log past the last sync point (see commitPublish) has
-	// grown beyond it is itself a sync point. 0 means the 64MB default. An
+	// CheckpointWALBytes bounds the WAL: a commit that finds the log past
+	// the last sync point (see commitPublish) grown beyond it is itself a
+	// sync point, which writes the dirty pages home and empties the log.
+	// It bounds the replay at the next Open. 0 means the 64MB default. An
 	// in-memory database holds up to this much WAL in memory beside its
 	// pages.
 	CheckpointWALBytes int64
@@ -102,10 +101,14 @@ type DB struct {
 	// publishes a successor snapshot. It is never taken by readers.
 	writeMu sync.Mutex
 
-	// stmtMu keeps sync points apart from the page writes that happen
-	// outside writeMu: every statement application (Tx.applyOp) holds it
-	// shared, and a sync point holds it exclusively while it flushes the
-	// pool, so every pinned frame it writes is one a reader holds.
+	// stmtMu keeps a sync point's flush apart from the page writes that
+	// happen outside writeMu: a transaction prepares its statements
+	// (Tx.applyOp) without the writer lock, mutating pinned pages of its
+	// unpublished successor in place, and holds stmtMu shared meanwhile.
+	// The flush writes pinned frames too — a published version's pages may
+	// be pinned by readers when the sync point seals them — so it holds
+	// stmtMu exclusively: every pinned frame it writes is then one whose
+	// bytes nobody is changing.
 	stmtMu sync.RWMutex
 
 	// frontier is the device page count captured when the current snapshot
@@ -115,10 +118,13 @@ type DB struct {
 	// every retired snapshot stays protected for as long as it is pinned.
 	frontier storage.PageID
 
-	// catalogPages is the page chain holding the last written catalog;
-	// sync points overwrite it in place (safe: overwrites are WAL frames).
+	// catalogPages is the page chain holding the last written catalog, and
+	// catalogBlob its bytes. A sync point whose catalog differs writes it
+	// copy-on-write into a fresh chain and frees these pages, which the
+	// device holds back until the seal: the sealed state reaches them.
 	// Writer-owned, under writeMu.
 	catalogPages []storage.PageID
+	catalogBlob  []byte
 
 	// retired is the deferred-free queue: each batch holds pages that the
 	// snapshot with sequence seq (and everything after it) no longer
@@ -152,12 +158,6 @@ type DB struct {
 	// commitHook, when set, is called at the commit protocol's stage
 	// boundaries (crash kill-point tests).
 	commitHook atomic.Pointer[func(CommitStage)]
-
-	// ckptRunning is set while a background checkpoint runs; ckptDone
-	// counts it. A commit starts one only under writeMu, which Close holds
-	// while it waits, so the wait never races a new Add.
-	ckptRunning atomic.Bool
-	ckptDone    sync.WaitGroup
 
 	counters stats.QueryCounters
 
@@ -275,15 +275,27 @@ func New(cfg Config) *DB {
 // Open creates a database over a FileDisk. With an empty Path the disk's
 // files are in memory and Open is New; with a Path it opens (creating if
 // absent) the database file and its write-ahead log, recovers the page
-// state of the last sync point (replaying the committed WAL prefix and
-// discarding any torn tail), restores the persisted catalog — dictionaries
-// and every built index — so queries run immediately, with zero rebuild
-// work, and then replays the commits logged after that sync point
-// (replayLog). The documents stay in the node table: Open reads it once to
-// validate it and to derive the planner's statistics, and builds the XML
-// store from it only when something needs one — a logged commit to
-// replay, an Oracle read, a write, Build, ViewNodes or Store.
+// state of the last sync point (the newer superblock; a torn log tail is
+// discarded), restores the persisted catalog — dictionaries and every
+// built index — so queries run immediately, with zero rebuild work, and
+// then replays the commits logged after that sync point (replayLog). The
+// documents stay in the node table: Open reads it once to validate it and
+// to derive the planner's statistics, and builds the XML store from it
+// only when something needs one — a logged commit to replay, an Oracle
+// read, a write, Build, ViewNodes or Store.
 func Open(cfg Config) (*DB, error) {
+	if cfg.Path == "" {
+		return openOn(cfg, storage.NewMemFileDisk())
+	}
+	fdisk, err := storage.OpenFileDisk(cfg.Path)
+	if err != nil {
+		return nil, err
+	}
+	return openOn(cfg, fdisk)
+}
+
+// openOn is Open over an opened device; cfg.Path only names it.
+func openOn(cfg Config, fdisk *storage.FileDisk) (*DB, error) {
 	if cfg.BufferPoolBytes <= 0 {
 		cfg.BufferPoolBytes = 40 << 20
 	}
@@ -294,16 +306,8 @@ func Open(cfg Config) (*DB, error) {
 		cfg:    cfg,
 		dict:   pathdict.NewDict(),
 		ptab:   pathdict.NewPathTable(),
+		fdisk:  fdisk,
 		faults: cfg.Faults,
-	}
-	if cfg.Path == "" {
-		db.fdisk = storage.NewMemFileDisk()
-	} else {
-		fdisk, err := storage.OpenFileDisk(cfg.Path)
-		if err != nil {
-			return nil, err
-		}
-		db.fdisk = fdisk
 	}
 	db.fdisk.SetFaultInjector(cfg.Faults)
 	db.pool = storage.NewPool(db.fdisk, cfg.BufferPoolBytes)
@@ -318,7 +322,6 @@ func Open(cfg Config) (*DB, error) {
 	// TraceAll and IOStat are carried into every successor snapshot by
 	// Snapshot.clone's env copy.
 	snap.env.TraceAll = cfg.SlowQueryThreshold > 0
-	fdisk := db.fdisk
 	snap.env.IOStat = func() (reads, bytes int64) {
 		r, _ := fdisk.Counters()
 		return r, r * storage.PageSize
@@ -332,7 +335,7 @@ func Open(cfg Config) (*DB, error) {
 			db.fdisk.Close()
 			return nil, err
 		}
-		db.catalogPages = pages
+		db.catalogPages, db.catalogBlob = pages, blob
 	} else {
 		snap.setStore(xmldb.NewStore())
 	}
@@ -351,7 +354,9 @@ func Open(cfg Config) (*DB, error) {
 // the WAL until the next sync point covers them. Each goes through
 // Tx.replayOnto, the path a commit replay takes, so a recovered version
 // equals the one its commit published (node ids included; page ids may
-// differ). A record that does not decode or apply fails Open.
+// differ). Nobody reads the replayed versions, so the pages the last one
+// retired are freed at once. A record that does not decode or apply fails
+// Open.
 func (db *DB) replayLog() error {
 	for i, rec := range db.fdisk.TakeRecoveredLog() {
 		nextID, ops, err := decodeTxRecord(rec)
@@ -370,6 +375,7 @@ func (db *DB) replayLog() error {
 		db.publish(next, next.store.WriteSet(), false)
 		db.nextNodeID.Store(max(db.nextNodeID.Load(), nextID))
 	}
+	db.reclaimRetired()
 	return nil
 }
 
@@ -400,29 +406,6 @@ func (db *DB) storeOf(s *Snapshot) (*xmldb.Store, error) {
 	return store, nil
 }
 
-// checkpoint is one background checkpoint, started by a commit that found
-// the WAL past its budget: it migrates committed frames into the database
-// file in bounded batches (storage.FileDisk.Checkpoint), returns any
-// all-free file tail to the filesystem (Compact), and exits. It
-// deliberately does NOT take writeMu — commits keep appending and fsyncing
-// the WAL while migration runs; the FileDisk interleaves the two safely.
-// Nothing runs between checkpoints, so a database dropped without Close
-// leaves no goroutine behind that keeps it reachable.
-func (db *DB) checkpoint() {
-	defer db.ckptDone.Done()
-	defer db.ckptRunning.Store(false)
-	if db.degradedCause.Load() != nil {
-		return
-	}
-	if err := db.fdisk.Checkpoint(); err != nil {
-		db.noteCommitErr(err)
-		return
-	}
-	if _, err := db.fdisk.Compact(); err != nil {
-		db.noteCommitErr(err)
-	}
-}
-
 // pin loads the current snapshot and pins it for the duration of one query.
 // Pinning is an atomic counter bump — no lock. The pin is load-bearing:
 // reclaimRetired defers freeing any page a pinned snapshot might still
@@ -451,13 +434,14 @@ func (db *DB) unpin(s *Snapshot) { s.pins.Add(-1) }
 func (db *DB) CurrentSnapshot() *Snapshot { return db.current.Load() }
 
 // walCheckpointBytes is the default Config.CheckpointWALBytes: the WAL
-// size beyond which a commit starts a background checkpoint, bounding
-// log growth and recovery time.
+// size beyond which a commit is a sync point, bounding log growth and
+// recovery time.
 const walCheckpointBytes = 64 << 20
 
 // syncEveryCommits bounds the commits logged past the last sync point: the
 // commit that would log one more is a sync point instead. It bounds the
-// replay at the next Open, and how many dirty pages one sync point writes.
+// replay at the next Open, and how many dirty pages one sync point writes
+// (storage.FileDisk.SealDue bounds the pages held back from reuse).
 const syncEveryCommits = 1024
 
 // slowLogSize is how many slow queries the ring keeps, oldest evicted first.
@@ -470,23 +454,22 @@ type retireBatch struct {
 	pages []storage.PageID
 }
 
-// commitAppend is a sync point, the physical commit step: bulk-load next's
-// node table if it has none yet, flush every dirty pool frame to the
-// device (WAL frames), serialise next's catalog into its page chain, and
-// append — without fsyncing — the commit record that seals them and covers
-// every commit logged before it. It returns the commit sequence to pass to
-// FileDisk.SyncTo once the writer lock is released, so concurrent commits
-// coalesce their fsyncs (group commit). next is unpublished or already
-// carries its node table (see commitCurrent). The flush holds stmtMu
-// exclusively, so it also writes the pages readers pin at that moment:
-// between sync points a published version's pages stay dirty in the pool.
-// Callers hold writeMu.
-func (db *DB) commitAppend(next *Snapshot) (seq int64, err error) {
+// syncPoint seals next into the file: bulk-load next's node table if it
+// has none yet, write every dirty pool frame to its slot, write next's
+// catalog copy-on-write into a fresh chain if it changed, and seal
+// (storage.FileDisk.Seal) — under a new superblock, durable on return, the
+// log emptied. The sealed free list also names every page in the
+// deferred-free queue, which only pinned older versions still read: a
+// crash frees them. next is unpublished or already carries its node table
+// (see commitCurrent). The flush holds stmtMu exclusively, so it also
+// writes the pages readers pin at that moment: between sync points a
+// published version's pages stay dirty in the pool. Callers hold writeMu.
+func (db *DB) syncPoint(next *Snapshot) (err error) {
 	if next.env.Nodes == nil {
 		// The first commit since documents were bulk-loaded. Should the
 		// commit fail, the table's pages go back to the free list with it.
 		if next.env.Nodes, err = index.BulkLoadNodeTable(db.pool, db.dict, next.store); err != nil {
-			return 0, fmt.Errorf("engine: building the node table: %w", err)
+			return fmt.Errorf("engine: building the node table: %w", err)
 		}
 		defer func() {
 			if err != nil {
@@ -499,24 +482,26 @@ func (db *DB) commitAppend(next *Snapshot) (seq int64, err error) {
 	err = db.pool.FlushPinned()
 	db.stmtMu.Unlock()
 	if err != nil {
-		return 0, fmt.Errorf("engine: commit flush: %w", err)
+		return fmt.Errorf("engine: sync point flush: %w", err)
 	}
-	root, pages, err := writeCatalogChain(db.fdisk, db.catalogPages, encodeCatalog(next))
-	db.catalogPages = pages
-	if err != nil {
-		return 0, err
+	if blob := encodeCatalog(next); !bytes.Equal(blob, db.catalogBlob) {
+		pages, err := writeCatalogChain(db.fdisk, blob)
+		if err != nil {
+			return err
+		}
+		for _, id := range db.catalogPages {
+			_ = db.fdisk.Free(id) // a refused free leaks the page, which is safe
+		}
+		db.catalogPages, db.catalogBlob = pages, blob
 	}
-	seq, err = db.fdisk.CommitAsync(storage.Meta{
-		NumPages:    int32(db.fdisk.NumPages()),
-		CatalogRoot: root,
-		// FreeHead is owned by the FileDisk: CommitAsync stamps the live
-		// free-list head over whatever is passed here.
-		FreeHead: storage.InvalidPage,
-	})
-	if err != nil {
-		return 0, fmt.Errorf("engine: commit: %w", err)
+	var retired []storage.PageID
+	for _, b := range db.retired {
+		retired = append(retired, b.pages...)
 	}
-	return seq, nil
+	if err := db.fdisk.Seal(db.catalogPages[0], retired); err != nil {
+		return fmt.Errorf("engine: sync point: %w", err)
+	}
+	return nil
 }
 
 // publish makes next the current snapshot, advances the COW frontier past
@@ -552,10 +537,9 @@ func (db *DB) publish(next *Snapshot, docs []int64, all bool) {
 // collectRetired drains into the deferred-free queue the pages next's COW
 // index clones stopped referencing and every page of the structures next
 // dropped, tagged with next's sequence: only snapshots older than next can
-// still read them. Call only once next is sure to be published — its
-// commit record appended, or (AddDocument) no commit needed — because an
-// aborted commit discards next, and what it replaced stays live in the
-// current version. Callers hold writeMu.
+// still read them. A commit that fails after it takes the batch back off
+// the queue (commitPublish): an aborted commit discards next, and what it
+// replaced stays live in the current version. Callers hold writeMu.
 func (db *DB) collectRetired(next *Snapshot) {
 	var pages []storage.PageID
 	for _, m := range next.maintained() {
@@ -618,48 +602,39 @@ func (db *DB) reclaimRetired() {
 	db.retired = keep
 }
 
-// commitPublish commits next, publishes it, starts a background
-// checkpoint if the WAL has outgrown its budget and none is running,
-// releases the writer lock, and finally waits for durability — the fsync
-// wait happens outside writeMu, which is what lets N concurrent committers
-// share one fsync. The checkpoint itself never runs here: migration is the
-// background goroutine's job, so the commit path's tail latency stays
-// fsync-bound even while the WAL is being drained.
+// commitPublish commits next, publishes it, releases the writer lock, and
+// finally waits for durability — the fsync wait happens outside writeMu,
+// which is what lets N concurrent committers share one fsync.
 //
 // A commit with a logged record (rec, a transaction's statements, see
 // txlog.go) appends just that record: its pages stay dirty in the pool,
 // and a crash replays the statements. The commit is a sync point
-// (commitAppend) instead when it has no record (Build), when next has no
-// node table yet (the first commit after bulk loads), or when the log past
-// the last sync point holds syncEveryCommits commits or more than
-// CheckpointWALBytes. docs/all are the commit's write-set, logged at
-// publish for transaction validation. The caller must hold writeMu and
-// must not touch it afterwards.
+// (syncPoint) instead when it has no record (Build), when next has no
+// node table yet (the first commit after bulk loads), or when syncDue says
+// the log or the pages held back from reuse have reached their bound.
+// docs/all are the commit's write-set, logged at publish for transaction
+// validation. The caller must hold writeMu and must not touch it
+// afterwards.
 func (db *DB) commitPublish(next *Snapshot, rec []byte, docs []int64, all bool) error {
 	start := time.Now()
-	// Reclaim before appending the commit record, so a sync point's
-	// free-list trunk frames ride *inside* it: recovery truncated exactly at
-	// the record must replay them, and nothing may trail the record. Only
-	// batches from previously published versions are eligible here —
-	// next's own retirements are collected after the append succeeds.
+	// Free what drained snapshots no longer read, and queue what next
+	// retires, before the commit: a sync point's free list carries both.
 	db.reclaimRetired()
+	queued := len(db.retired)
+	db.collectRetired(next)
 	var seq int64
 	var err error
 	if rec != nil && next.env.Nodes != nil && !db.syncDue() {
 		seq, err = db.fdisk.CommitLogical(rec)
 	} else {
-		seq, err = db.commitAppend(next)
+		err = db.syncPoint(next) // durable on return: seq 0 needs no fsync
 	}
 	if err != nil {
+		db.retired = db.retired[:queued]
 		db.writeMu.Unlock()
 		return db.noteCommitErr(err)
 	}
-	db.collectRetired(next)
 	db.publish(next, docs, all)
-	if db.fdisk.WALSize() > db.cfg.CheckpointWALBytes && db.ckptRunning.CompareAndSwap(false, true) {
-		db.ckptDone.Add(1)
-		go db.checkpoint()
-	}
 	db.writeMu.Unlock()
 	// The snapshot is already published: if this fsync fails and poisons
 	// the disk, the state served in read-only mode includes this commit —
@@ -669,56 +644,53 @@ func (db *DB) commitPublish(next *Snapshot, rec []byte, docs []int64, all bool) 
 	return err
 }
 
-// syncDue reports whether the log past the last sync point has reached its
-// bound, so the next commit must be a sync point. Callers hold writeMu.
+// syncDue reports whether the next commit must be a sync point: the log
+// past the last one holds syncEveryCommits commits or more than
+// CheckpointWALBytes, or the device holds back too many freed pages
+// (storage.FileDisk.SealDue). Callers hold writeMu.
 func (db *DB) syncDue() bool {
 	commits, bytes := db.fdisk.LogSinceSync()
-	return commits >= syncEveryCommits || bytes > db.cfg.CheckpointWALBytes
+	return commits >= syncEveryCommits || bytes > db.cfg.CheckpointWALBytes || db.fdisk.SealDue()
 }
 
-// Checkpoint commits the current state at a sync point and migrates the
-// WAL into the database file, emptying the log (so the next open replays
-// nothing).
+// Checkpoint runs a sync point sealing the current state into the file —
+// every logged commit included, the log emptied, the file's all-free tail
+// trimmed — so the next open replays nothing.
 func (db *DB) Checkpoint() error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	if err := db.writeGate(); err != nil {
 		return err
 	}
-	db.reclaimRetired() // drained snapshots' pages ride this commit
-	if _, err := db.commitCurrent(); err != nil {
-		return db.noteCommitErr(err)
-	}
-	return db.noteCommitErr(db.fdisk.Checkpoint())
+	db.reclaimRetired() // drained snapshots' pages ride this sync point
+	return db.noteCommitErr(db.commitCurrent())
 }
 
 // commitCurrent runs a sync point sealing the current state — the commit
 // of Checkpoint, Close and a Backup that needs one. A current
 // snapshot without a node table (documents bulk-loaded and not committed
 // since) is never changed after publication:
-// a successor is committed instead, whose commitAppend bulk-loads the
+// a successor is committed instead, whose syncPoint bulk-loads the
 // table, and published with an empty write-set, as it changes no data.
 // Callers hold writeMu.
-func (db *DB) commitCurrent() (int64, error) {
+func (db *DB) commitCurrent() error {
 	cur := db.current.Load()
 	if cur.env.Nodes != nil {
-		return db.commitAppend(cur)
+		return db.syncPoint(cur)
 	}
 	next := cur.clone()
-	seq, err := db.commitAppend(next)
+	err := db.syncPoint(next)
 	if err == nil {
 		db.publish(next, nil, false)
 	}
-	return seq, err
+	return err
 }
 
-// Close waits for a running background checkpoint, then commits,
-// checkpoints and closes the database, releasing an in-memory database's
-// files; a closed DB must not be used further.
+// Close runs a final sync point and closes the database, releasing an
+// in-memory database's files; a closed DB must not be used further.
 func (db *DB) Close() error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	db.ckptDone.Wait()
 	if db.writeGate() != nil {
 		// Degraded: nothing new can be made durable (the disk is
 		// poisoned), so just release the handles. The file still holds the
@@ -726,12 +698,8 @@ func (db *DB) Close() error {
 		return db.fdisk.Close()
 	}
 	db.releaseAtClose()
-	db.reclaimRetired() // the last commits' deferred frees ride the close commit
-	if _, err := db.commitCurrent(); err != nil {
-		db.fdisk.Close()
-		return db.noteCommitErr(err)
-	}
-	if err := db.fdisk.Checkpoint(); err != nil {
+	db.reclaimRetired() // the last commits' deferred frees ride the close's sync point
+	if err := db.commitCurrent(); err != nil {
 		db.fdisk.Close()
 		return db.noteCommitErr(err)
 	}
@@ -841,11 +809,9 @@ func (db *DB) Env() *plan.Env { return db.current.Load().queryEnv() }
 func (db *DB) Pool() *storage.Pool { return db.pool }
 
 // Build constructs the given index structures, publishing a successor
-// snapshot that carries them (plus fresh statistics). Indices already
-// built are rebuilt from scratch; other index handles carry over. Build
-// writes every page of what it builds, so its WAL is a second copy of
-// those pages: it checkpoints before it returns, bounding memory and
-// recovery time.
+// snapshot that carries them (plus fresh statistics) at a sync point.
+// Indices already built are rebuilt from scratch; other index handles
+// carry over.
 func (db *DB) Build(kinds ...index.Kind) error {
 	if db.cfg.Path != "" && db.cfg.PathsOptions.KeepHead != nil && slices.Contains(kinds, index.KindDataPaths) {
 		return ErrPrunedNotPersistable
@@ -882,10 +848,7 @@ func (db *DB) Build(kinds ...index.Kind) error {
 	// all=true: a rebuild touches the whole database, so every in-flight
 	// transaction spanning it conflicts (conservative — Build normally runs
 	// during setup, not under concurrent transactions).
-	if err := db.commitPublish(next, nil, nil, true); err != nil {
-		return err
-	}
-	return db.noteCommitErr(db.fdisk.Checkpoint())
+	return db.commitPublish(next, nil, nil, true)
 }
 
 // ErrPrunedNotPersistable rejects a DATAPATHS built with HeadId pruning
@@ -1053,7 +1016,7 @@ func (db *DB) Spaces() []index.Space {
 func (db *DB) Device() *storage.FileDisk { return db.fdisk }
 
 // DeviceStats returns cumulative device I/O counters, including the WAL
-// append/fsync/checkpoint work.
+// append/fsync and sync point work.
 func (db *DB) DeviceStats() storage.DeviceStats { return db.fdisk.DeviceStats() }
 
 // PoolStats returns buffer pool counters.

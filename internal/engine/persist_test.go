@@ -334,10 +334,10 @@ func TestCloseRetiresContainment(t *testing.T) {
 }
 
 // TestOpenRefusesOtherFormats: Open refuses a file whose superblock is
-// stamped with storage version 2, or whose catalog (committed to the WAL,
-// so the refusal comes after recovery) is version 1, 2, 3 or 5, with
-// storage.ErrFormatVersion, and leaves the database file and its WAL as
-// they were.
+// stamped with storage version 2, or whose catalog (sealed under a new
+// superblock, so the refusal comes after recovery) is version 1, 2, 3 or
+// 5, with storage.ErrFormatVersion, and leaves the database file and its
+// WAL as they were.
 func TestOpenRefusesOtherFormats(t *testing.T) {
 	stamp := map[string]func(t *testing.T, path string){
 		"storage v2": func(t *testing.T, path string) {
@@ -345,8 +345,8 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			binary.BigEndian.PutUint32(raw[8:], 2) // version, then the CRC over bytes 0..27
-			binary.BigEndian.PutUint32(raw[28:], crc32.ChecksumIEEE(raw[:28]))
+			binary.BigEndian.PutUint32(raw[8:], 2) // version, then the CRC over bytes 0..35
+			binary.BigEndian.PutUint32(raw[36:], crc32.ChecksumIEEE(raw[:36]))
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -379,7 +379,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 }
 
 // restampCatalog rewrites the catalog version of the closed database at
-// path to v, committing the change to the WAL.
+// path to v, copy-on-write into a fresh page sealed as the catalog root.
 func restampCatalog(t *testing.T, path string, v byte) {
 	t.Helper()
 	fd, err := storage.OpenFileDisk(path)
@@ -392,10 +392,8 @@ func restampCatalog(t *testing.T, path string, v byte) {
 		t.Fatal(err)
 	}
 	buf[catalogPageHeader+len(catalogMagic)] = v
-	if err := fd.Write(root, buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := fd.Commit(fd.Meta()); err != nil {
+	restamped := fd.Allocate()
+	if err := errors.Join(fd.Write(restamped, buf), fd.Free(root), fd.Seal(restamped, nil)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -22,8 +22,7 @@ func TestCrashDuringTxCommit(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	dir := t.TempDir()
 	path := filepath.Join(dir, "twig.db")
-	// A large checkpoint threshold keeps the background checkpointer from
-	// racing the image captures.
+	// A large WAL budget keeps every commit a logged one.
 	db, err := Open(Config{Path: path, BufferPoolBytes: 512 << 10, CheckpointWALBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)

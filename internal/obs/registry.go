@@ -17,14 +17,13 @@ type Registry struct {
 	// PoolMissLatency records the device read latency of each buffer
 	// pool miss in nanoseconds.
 	PoolMissLatency *Histogram
-	// CheckpointDuration records full checkpoint durations in
-	// nanoseconds.
+	// CheckpointDuration records the duration of each sync point's seal
+	// (free list, superblock, fsyncs) in nanoseconds.
 	CheckpointDuration *Histogram
 	// CommitLatency records per-commit latency in nanoseconds — the WAL
-	// append, catalog write, snapshot publish and group fsync of one
-	// commit. Comparing its tail with and without the background
-	// checkpointer active is how "checkpointing does not stall the commit
-	// path" is verified.
+	// append (or, for a commit that is a sync point, the whole sync
+	// point), snapshot publish and group fsync of one commit. Its tail
+	// shows how often commits pay for a sync point.
 	CommitLatency *Histogram
 	// TxnLatency records end-to-end transaction commit latency in
 	// nanoseconds — from Commit entry through validation, any replays,

@@ -14,10 +14,10 @@ import (
 // hands them here at their original ids (so the catalog's tree roots stay
 // valid); ids inside [0, NumPages) that were never written are turned into
 // the backup's free list by Finish, leaving a file that opens exactly like
-// one produced by checkpointing the pinned state.
+// one sealed at the pinned state.
 //
 // The WAL side of a backup is empty by construction: every page image is
-// written directly into its slot and the superblock carries the committed
+// written directly into its slot and the superblock carries the sealed
 // metadata, so the restored file replays nothing.
 type BackupWriter struct {
 	file    File
@@ -62,10 +62,10 @@ func (b *BackupWriter) WritePage(id PageID, data []byte) error {
 }
 
 // Finish seals the backup: every id below the page count that was never
-// written goes onto the free list, laid out as trunks that are drained in
-// ascending order (so the result is deterministic), the superblock is
-// written with the final metadata, and the file is fsynced and closed. The
-// backup then opens with OpenFileDisk like any checkpointed database file.
+// written goes onto the free list, laid out so that Allocate hands them
+// out in ascending order (so the result is deterministic), the superblock
+// is written with the final metadata, and the file is fsynced and closed.
+// The backup then opens with OpenFileDisk like any sealed database file.
 func (b *BackupWriter) Finish(catalogRoot PageID) (err error) {
 	defer func() {
 		closeErr := b.file.Close()
@@ -75,21 +75,19 @@ func (b *BackupWriter) Finish(catalogRoot PageID) (err error) {
 	}()
 	numPages := int32(b.maxID + 1)
 	var free []PageID
-	for id := PageID(0); id < PageID(numPages); id++ {
+	for id := PageID(numPages) - 1; id >= 0; id-- {
 		if _, ok := b.written[id]; !ok {
 			free = append(free, id)
 		}
 	}
-	trunks := buildTrunks(free)
-	img := make([]byte, PageSize)
-	for i, t := range trunks {
-		trunks.render(i, img)
-		if err := b.writeSlot(t.id, img); err != nil {
-			return err
-		}
+	// The trunks take the highest free ids: every one is a hole.
+	k := trunksFor(len(free))
+	head, err := layFreeList(free[k:], free[:k], make([]byte, PageSize), b.writeSlot)
+	if err != nil {
+		return err
 	}
-	meta := Meta{NumPages: numPages, CatalogRoot: catalogRoot, FreeHead: trunks.head()}
-	if err := writeSuperblock(b.file, meta); err != nil {
+	meta := Meta{NumPages: numPages, CatalogRoot: catalogRoot, FreeHead: head}
+	if err := writeSuperblock(b.file, 0, 0, meta); err != nil {
 		return err
 	}
 	if err := b.file.Sync(); err != nil {

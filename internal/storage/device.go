@@ -1,7 +1,8 @@
 // Package storage provides the paged storage substrate beneath every index
-// structure: FileDisk, a device of fixed-size checksummed pages behind a
-// write-ahead log, and an LRU buffer pool over it with pin/unpin semantics
-// and I/O counters. A FileDisk sits on two Files — a database file and its
+// structure: FileDisk, a device of fixed-size checksummed pages sealed at
+// sync points under alternating superblocks, with a write-ahead log of
+// logical commits between them, and an LRU buffer pool over it with
+// pin/unpin semantics and I/O counters. A FileDisk sits on two Files — a database file and its
 // WAL — which are real files for a database opened at a path and
 // in-memory files otherwise; everything above the Files runs the same code.
 //
@@ -24,25 +25,25 @@ const InvalidPage PageID = -1
 
 // DeviceStats are cumulative FileDisk I/O counters — the observability
 // surface the paper-reproduction benchmarks read alongside PoolStats: page
-// reads and writes, real file I/O in bytes, and the WAL and checkpoint
+// reads and writes, real file I/O in bytes, and the WAL and sync point
 // counters that describe the durability work.
 type DeviceStats struct {
 	Reads        int64 // page reads served
-	Writes       int64 // page writes accepted
-	BytesRead    int64 // bytes read (pages + WAL frames replayed on reads)
-	BytesWritten int64 // bytes written (WAL frames + checkpoint copies)
-	WALAppends   int64 // WAL records appended (frames + commits)
-	WALFsyncs    int64 // fsyncs of the WAL (one per durable boundary)
+	Writes       int64 // page slots written: evictions, sync-point flushes, catalog chains, free-list trunks
+	BytesRead    int64 // bytes read by page reads
+	BytesWritten int64 // bytes written: page slots plus WAL records
+	WALAppends   int64 // logical records appended to the WAL, one per logged commit
+	WALFsyncs    int64 // fsyncs of the WAL (one per group-commit batch)
 	WALBytes     int64 // current WAL length in bytes
-	// CommitsSinceSync is how many logical commits the WAL holds past its
-	// last commit record: what a crash now would replay at the next open.
+	// CommitsSinceSync is how many logical commits the WAL holds past the
+	// last sync point: what a crash now would replay at the next open.
 	CommitsSinceSync int64
 	// GroupCommitBatches counts the fsync batches performed by the
 	// group-commit path (FileDisk.SyncTo): each batch makes every commit
 	// appended before it durable, so commits/batches > 1 means concurrent
 	// commits amortised their fsyncs.
 	GroupCommitBatches int64
-	Checkpoints        int64 // checkpoints completed (WAL truncations)
+	Checkpoints        int64 // sync points sealed (superblocks written)
 
 	// Free-list reclamation counters (see docs/STORAGE.md).
 	PagesFreed  int64 // pages pushed onto the free list
@@ -59,7 +60,7 @@ type DeviceStats struct {
 	ChecksumFailures  int64 // page reads that failed CRC validation
 	ChecksumRetries   int64 // transparent re-reads after a CRC failure
 	InjectedFaults    int64 // faults fired by an attached FaultInjector
-	RecoveredCommits  int64 // commits the last recovery kept: commit records re-indexed plus logical records replayed
+	RecoveredCommits  int64 // logical records the last recovery kept for replay
 	WALBytesDiscarded int64 // torn/corrupt WAL tail bytes truncated at open
 	Poisoned          bool  // device rejected further writes after a failed fsync
 }

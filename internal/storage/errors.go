@@ -9,8 +9,8 @@ import "errors"
 // storage layer for a media-level problem wraps one of these sentinels.
 var (
 	// ErrCorruptPage reports that a page image failed validation: a db-file
-	// page whose CRC trailer does not match its contents, a WAL frame whose
-	// CRC fails on the read path, a B+-tree page whose header is
+	// page whose CRC trailer does not match its contents, a B+-tree page
+	// whose header is
 	// structurally impossible, or a superblock with a bad magic, a bad
 	// checksum or an impossible page count, catalog root or free-list head.
 	// The read path retries once (a transient fault may not recur) before
@@ -27,7 +27,7 @@ var (
 	// ErrPoisoned reports that the FileDisk has poisoned itself after a
 	// failed fsync (fsyncgate semantics: the kernel may have dropped dirty
 	// cache pages, so nothing written since the last durable boundary can be
-	// trusted). Once poisoned, every write, commit and checkpoint is
+	// trusted). Once poisoned, every write, commit and sync point is
 	// rejected; reads keep working, protected by checksums.
 	ErrPoisoned = errors.New("storage: device poisoned by fsync failure")
 

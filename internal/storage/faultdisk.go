@@ -33,8 +33,8 @@ const (
 	// the media, below the checksum that catches it.
 	FaultBitFlip
 	// FaultTornWrite persists only a prefix of a write while reporting
-	// success — the classic torn page. The torn WAL frame fails its CRC on
-	// the next read of that page.
+	// success — the classic torn page. A torn page slot fails its CRC on
+	// the next read of that page, a torn log record ends the log there.
 	FaultTornWrite
 	// FaultENOSPC makes a write fail with an error wrapping ErrNoSpace.
 	FaultENOSPC

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -28,9 +29,9 @@ func (m faultMode) String() string {
 	return "one-shot"
 }
 
-// faultedFD opens an in-memory FileDisk with inj attached, writes and
-// commits one page filled with 's' while inj is disarmed, and returns the
-// disk and that page's id; the caller arms inj.
+// faultedFD opens an in-memory FileDisk with inj attached, writes one page
+// filled with 's' while inj is disarmed, and returns the disk and that
+// page's id; the caller arms inj.
 func faultedFD(t *testing.T, inj *FaultInjector) (*FileDisk, PageID) {
 	t.Helper()
 	inj.Disarm()
@@ -39,9 +40,6 @@ func faultedFD(t *testing.T, inj *FaultInjector) (*FileDisk, PageID) {
 	f.SetFaultInjector(inj)
 	id := allocate(f, 1)
 	if err := f.Write(id, fillPage('s')); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
 		t.Fatal(err)
 	}
 	return f, id
@@ -124,7 +122,7 @@ func TestFaultDiskKinds(t *testing.T) {
 			if err := f.Write(id, v); err != nil {
 				t.Fatalf("torn write failed: %v", err)
 			}
-			// The torn frame is on the media, so no re-read heals it: one
+			// The torn slot is on the media, so no re-read heals it: one
 			// that was torn reads as ErrCorruptPage in either mode.
 			before := f.DeviceStats().ChecksumFailures
 			err := readVerified(t, f, id, v)
@@ -243,15 +241,14 @@ func TestFileDiskFsyncPoison(t *testing.T) {
 	if err := f.Write(0, fillPage('a')); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-		t.Fatal(err)
-	}
+	seal(t, f)
 	inj.Arm()
 
-	if err := f.Write(0, fillPage('b')); err != nil {
-		t.Fatal(err) // append itself is fine; only the fsync fails
+	id := f.Allocate()
+	if err := f.Write(id, fillPage('b')); err != nil {
+		t.Fatal(err) // the write itself is fine; only the fsync fails
 	}
-	seq, err := f.CommitAsync(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+	seq, err := f.CommitLogical([]byte("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,46 +261,39 @@ func TestFileDiskFsyncPoison(t *testing.T) {
 	}
 
 	// Every write-side operation is now rejected...
-	if err := f.Write(0, fillPage('c')); !errors.Is(err, ErrPoisoned) {
+	if err := f.Write(id, fillPage('c')); !errors.Is(err, ErrPoisoned) {
 		t.Fatalf("Write on poisoned disk: got %v, want ErrPoisoned", err)
 	}
-	if _, err := f.CommitAsync(Meta{NumPages: 1}); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("CommitAsync on poisoned disk: got %v, want ErrPoisoned", err)
+	if _, err := f.CommitLogical([]byte("c")); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("CommitLogical on poisoned disk: got %v, want ErrPoisoned", err)
 	}
-	if err := f.Checkpoint(); !errors.Is(err, ErrPoisoned) {
-		t.Fatalf("Checkpoint on poisoned disk: got %v, want ErrPoisoned", err)
+	if err := f.Seal(InvalidPage, nil); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("Seal on poisoned disk: got %v, want ErrPoisoned", err)
 	}
 	// ...while reads keep working: the in-process image still serves the
-	// last appended frame (durability, not visibility, is what failed).
-	buf := make([]byte, PageSize)
-	if err := f.Read(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, fillPage('b')) {
-		t.Fatalf("poisoned read served %q-fill", buf[0])
-	}
+	// last written page (durability, not visibility, is what failed).
+	requirePage(t, "poisoned", f, id, 'b')
 	if st := f.DeviceStats(); !st.Poisoned || st.InjectedFaults == 0 {
 		t.Fatalf("stats after poison: %+v", st)
 	}
 	f.Close()
 
-	// Reopen: the un-synced commit may or may not have reached the medium
+	// Reopen: the unsynced record may or may not have reached the medium
 	// (here the OS file was written, only the fsync was refused), but the
-	// database must recover to a consistent committed state.
+	// database must recover to a consistent state: the sealed page, and
+	// the record whole or not at all.
 	re := mustOpenFD(t, path)
 	defer re.Close()
 	if re.Poisoned() != nil {
 		t.Fatal("poison must not survive reopen")
 	}
-	if err := re.Read(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf[0] != 'a' && buf[0] != 'b' {
-		t.Fatalf("recovered to %q-fill, want a or b", buf[0])
+	requirePage(t, "reopen", re, 0, 'a')
+	if log := re.TakeRecoveredLog(); len(log) > 1 || len(log) == 1 && string(log[0]) != "b" {
+		t.Fatalf("recovered log %q, want nothing or the record", log)
 	}
 }
 
-// TestFileDiskInjectedWriteErrorRetryable: an injected WAL append failure
+// TestFileDiskInjectedWriteErrorRetryable: an injected page write failure
 // is clean — no poison, and the very same write succeeds when retried.
 func TestFileDiskInjectedWriteErrorRetryable(t *testing.T) {
 	path := tmpDB(t)
@@ -318,21 +308,13 @@ func TestFileDiskInjectedWriteErrorRetryable(t *testing.T) {
 		t.Fatalf("got %v, want ErrInjected", err)
 	}
 	if f.Poisoned() != nil {
-		t.Fatal("failed append must not poison")
+		t.Fatal("failed write must not poison")
 	}
 	if err := f.Write(0, fillPage('a')); err != nil {
 		t.Fatalf("retry failed: %v", err)
 	}
-	if err := f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, PageSize)
-	if err := f.Read(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, fillPage('a')) {
-		t.Fatal("retried write lost")
-	}
+	seal(t, f)
+	requirePage(t, "retried", f, 0, 'a')
 }
 
 // TestFileDiskBitFlipRetry: a transient (one-shot) bit flip on the read
@@ -348,7 +330,7 @@ func TestFileDiskBitFlipRetry(t *testing.T) {
 		f.SetFaultInjector(inj)
 		allocate(f, 1)
 		f.Write(0, fillPage('a'))
-		f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+		seal(t, f)
 		inj.Arm()
 		buf := make([]byte, PageSize)
 		if err := f.Read(0, buf); err != nil {
@@ -371,7 +353,7 @@ func TestFileDiskBitFlipRetry(t *testing.T) {
 		f.SetFaultInjector(inj)
 		allocate(f, 1)
 		f.Write(0, fillPage('a'))
-		f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+		seal(t, f)
 		inj.Arm()
 		if err := f.Read(0, make([]byte, PageSize)); !errors.Is(err, ErrCorruptPage) {
 			t.Fatalf("sticky flip: got %v, want ErrCorruptPage", err)
@@ -392,10 +374,7 @@ func TestFileDiskChecksumCatchesDiskCorruption(t *testing.T) {
 	allocate(f, 2)
 	f.Write(0, fillPage('a'))
 	f.Write(1, fillPage('b'))
-	f.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
-	if err := f.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	seal(t, f)
 	f.Close()
 
 	raw, err := os.ReadFile(path)
@@ -422,35 +401,37 @@ func TestFileDiskChecksumCatchesDiskCorruption(t *testing.T) {
 }
 
 // TestFileDiskChecksumCatchesWALCorruption flips a payload byte of a
-// committed WAL frame out from under a live FileDisk: the shadow read must
-// fail typed, and a checkpoint must refuse to launder the corrupt frame
-// into the database file under a fresh valid checksum.
+// synced log record out from under a live FileDisk: the disk never reads
+// its log back, so it keeps working, and the next open must not replay the
+// corrupt record — its CRC ends the recovered log there, typed as
+// discarded bytes, without poisoning anything.
 func TestFileDiskChecksumCatchesWALCorruption(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	defer f.Close()
-	allocate(f, 1)
-	f.Write(0, fillPage('a'))
-	f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+	logged(t, f, "intact")
+	at := f.WALSize()
+	logged(t, f, "flipped")
 
 	wal, err := os.OpenFile(path+WALSuffix, os.O_RDWR, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Frame 0 starts at WAL offset 0; flip a byte inside its payload.
-	if _, err := wal.WriteAt([]byte{'z'}, walFrameHeaderSize+99); err != nil {
+	if _, err := wal.WriteAt([]byte{'F'}, at+walLogicalHeader); err != nil {
 		t.Fatal(err)
 	}
 	wal.Close()
-
-	if err := f.Read(0, make([]byte, PageSize)); !errors.Is(err, ErrCorruptPage) {
-		t.Fatalf("read of corrupt WAL frame: got %v, want ErrCorruptPage", err)
-	}
-	if err := f.Checkpoint(); !errors.Is(err, ErrCorruptPage) {
-		t.Fatalf("checkpoint of corrupt WAL frame: got %v, want ErrCorruptPage", err)
-	}
+	logged(t, f, "after")
+	end := f.WALSize()
 	if f.Poisoned() != nil {
 		t.Fatal("media corruption must not poison the disk (fsync never failed)")
+	}
+	f.Close()
+
+	re := mustOpenFD(t, path)
+	defer re.Close()
+	requireLog(t, "corrupt record", re, "intact")
+	if st := re.DeviceStats(); st.WALBytesDiscarded != end-at || st.RecoveredCommits != 1 {
+		t.Fatalf("discarded %d bytes, recovered %d; want %d and 1", st.WALBytesDiscarded, st.RecoveredCommits, end-at)
 	}
 }
 
@@ -468,7 +449,8 @@ func TestFileDiskRejectsOldFormat(t *testing.T) {
 		{"v1", 8, 1},
 		{"v2", 8, 2},
 		{"v3", 8, 3},
-		{"v5", 8, 5},
+		{"v4", 8, 4},
+		{"v6", 8, 6},
 		{"page size 4096", 12, 4096},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -476,10 +458,8 @@ func TestFileDiskRejectsOldFormat(t *testing.T) {
 			f := mustOpenFD(t, path)
 			allocate(f, 1)
 			f.Write(0, fillPage('a'))
-			f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
-			f.Checkpoint()
-			f.Write(0, fillPage('b')) // a committed frame left in the WAL
-			f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+			seal(t, f)
+			logged(t, f, "b") // a record left in the WAL
 			f.Close()
 
 			raw, err := os.ReadFile(path)
@@ -511,10 +491,10 @@ func TestFileDiskRejectsOldFormat(t *testing.T) {
 // TestFileDiskRejectsImpossibleMeta: recovery trusts no metadata that
 // cannot describe a database — a negative page count, or a catalog root or
 // free-list head that is neither InvalidPage nor a page below the count. A
-// superblock carrying one (checksum intact) fails the open with
+// lone superblock carrying one (checksum intact) fails the open with
 // ErrCorruptPage, as a bad magic, a checksum mismatch and a short
-// superblock do; a commit record carrying one ends the committed log, as a
-// bad CRC does.
+// superblock do; a newer superblock carrying one — a sync point's commit —
+// is passed over for the older, as one with a bad CRC is.
 func TestFileDiskRejectsImpossibleMeta(t *testing.T) {
 	impossible := []Meta{
 		{NumPages: -3, CatalogRoot: 77, FreeHead: InvalidPage},
@@ -538,7 +518,7 @@ func TestFileDiskRejectsImpossibleMeta(t *testing.T) {
 		},
 		"checksum mismatch": func() File {
 			file := craftedFile(t, valid, nil)
-			file.WriteAt([]byte{0xFF}, 17)
+			file.WriteAt([]byte{0xFF}, 25)
 			return file
 		},
 	}
@@ -547,80 +527,53 @@ func TestFileDiskRejectsImpossibleMeta(t *testing.T) {
 	}
 	for name, build := range superblocks {
 		t.Run("superblock "+name, func(t *testing.T) {
-			if _, err := openFileDisk(build(), &memFile{}, ""); !errors.Is(err, ErrCorruptPage) {
+			if _, err := OpenFiles(build(), &memFile{}); !errors.Is(err, ErrCorruptPage) {
 				t.Fatalf("open: got %v, want ErrCorruptPage", err)
 			}
 		})
 	}
 	for _, m := range impossible {
 		t.Run(fmt.Sprintf("commit %+v", m), func(t *testing.T) {
-			file, wal := craftedFile(t, Meta{CatalogRoot: InvalidPage, FreeHead: InvalidPage}, nil), &memFile{}
-			d := openCrafted(t, file, wal)
-			allocate(d, 4)
-			if err := d.Write(0, fillPage('a')); err != nil {
+			file := craftedFile(t, valid, nil)
+			if err := writeSuperblock(file, 1, 9, m); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Commit(valid); err != nil {
-				t.Fatal(err)
-			}
-			end := d.WALSize()
-			if _, err := wal.WriteAt(appendWALCommit(nil, 2, end, m), end); err != nil {
-				t.Fatal(err)
-			}
-			re := openCrafted(t, file, wal)
-			if got := re.Meta(); got != valid {
-				t.Fatalf("recovered Meta %+v, want %+v", got, valid)
-			}
-			if st := re.DeviceStats(); st.RecoveredCommits != 1 || re.WALSize() != end {
-				t.Fatalf("recovered %d commits, WAL %d bytes; want 1, %d", st.RecoveredCommits, re.WALSize(), end)
+			re := openCrafted(t, file, &memFile{})
+			if got := re.Meta(); got != valid || re.sealed != 0 {
+				t.Fatalf("recovered Meta %+v at sequence %d, want %+v at 0", got, re.sealed, valid)
 			}
 		})
 	}
 }
 
-// TestFileDiskCorruptInteriorFrame corrupts a frame in the middle of a
+// TestFileDiskCorruptInteriorFrame corrupts a record in the middle of a
 // multi-commit WAL: recovery stops at the first bad record, keeps every
 // commit before it, discards everything after (never a mix), and reports
 // both facts through DeviceStats.
 func TestFileDiskCorruptInteriorFrame(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	allocate(f, 1)
-	f.Write(0, fillPage('0'))
-	f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
-	if err := f.Checkpoint(); err != nil {
-		t.Fatal(err) // start the WAL empty so commit offsets are clean
-	}
 	var ends []int64
 	for i := 0; i < 3; i++ {
-		f.Write(0, fillPage(byte('a'+i)))
-		if err := f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-			t.Fatal(err)
-		}
+		logged(t, f, strings.Repeat(string(rune('a'+i)), 60))
 		ends = append(ends, f.WALSize())
 	}
 	walTotal := f.WALSize()
 	f.Close()
 
-	// Corrupt the second commit's frame payload (first byte after c1's end).
+	// Corrupt the second record's payload.
 	wal, err := os.ReadFile(path + WALSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wal[ends[0]+walFrameHeaderSize+50] ^= 0x01
+	wal[ends[0]+walLogicalHeader+50] ^= 0x01
 	if err := os.WriteFile(path+WALSuffix, wal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	re := mustOpenFD(t, path)
 	defer re.Close()
-	buf := make([]byte, PageSize)
-	if err := re.Read(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, fillPage('a')) {
-		t.Fatalf("recovered to %q-fill, want a (commit 1 only)", buf[0])
-	}
+	requireLog(t, "interior corruption", re, strings.Repeat("a", 60))
 	st := re.DeviceStats()
 	if st.RecoveredCommits != 1 {
 		t.Fatalf("RecoveredCommits = %d, want 1", st.RecoveredCommits)
@@ -629,12 +582,8 @@ func TestFileDiskCorruptInteriorFrame(t *testing.T) {
 		t.Fatalf("WALBytesDiscarded = %d, want %d", st.WALBytesDiscarded, want)
 	}
 	// The database stays writable after discarding the corrupt suffix.
-	if err := re.Write(0, fillPage('z')); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-		t.Fatal(err)
-	}
+	logged(t, re, "z")
+	seal(t, re)
 }
 
 // TestFileDiskRecoveryCounters: a clean multi-commit WAL reports its commit
@@ -642,12 +591,8 @@ func TestFileDiskCorruptInteriorFrame(t *testing.T) {
 func TestFileDiskRecoveryCounters(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	allocate(f, 1)
 	for i := 0; i < 3; i++ {
-		f.Write(0, fillPage(byte('a'+i)))
-		if err := f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-			t.Fatal(err)
-		}
+		logged(t, f, string(rune('a'+i)))
 	}
 	f.Close()
 	re := mustOpenFD(t, path)
@@ -658,28 +603,27 @@ func TestFileDiskRecoveryCounters(t *testing.T) {
 	}
 }
 
-// FuzzOpenFileDisk opens a FileDisk over a fuzzed superblock and a fuzzed
-// WAL. With reseal set the harness first re-seals the superblock checksum
-// and the CRC of every whole WAL record, so inputs get past the checksums
-// to the checks behind them. Open must not panic. It either fails with an
-// error matching ErrFormatVersion or ErrCorruptPage, or yields a disk
-// whose Meta is possible (Meta.valid), whose Allocate returns a page Read
-// accepts (InvalidPage only once every page id is in use), and whose next
-// commit reopens to the same Meta and page image.
+// FuzzOpenFileDisk opens a FileDisk over a fuzzed header (both superblock
+// slots) and a fuzzed WAL. With reseal set the harness first re-seals the
+// checksum of each superblock slot and the CRC of every whole WAL record,
+// so inputs get past the checksums to the checks behind them. Open must
+// not panic. It either fails with an error matching ErrFormatVersion or
+// ErrCorruptPage, or yields a disk whose Meta is possible (Meta.valid),
+// whose Allocate returns a page Read accepts (InvalidPage only once every
+// page id is in use), and whose next seal reopens to the same Meta and page
+// image with nothing left to replay.
 func FuzzOpenFileDisk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sb, log []byte, reseal bool) {
 		sb = slices.Clone(sb[:min(len(sb), superblockSize)])
 		log = slices.Clone(log)
 		if reseal {
-			if len(sb) >= superblockUsed {
-				sealSuperblock(sb)
-			}
+			sealSuperblock(sb)
 			resealWAL(log)
 		}
 		file, wal := &memFile{}, &memFile{}
 		file.WriteAt(sb, 0)
 		wal.WriteAt(log, 0)
-		d, err := openFileDisk(file, wal, "")
+		d, err := OpenFiles(file, wal)
 		if err != nil {
 			if !errors.Is(err, ErrFormatVersion) && !errors.Is(err, ErrCorruptPage) {
 				t.Fatalf("untyped open error: %v", err)
@@ -707,47 +651,40 @@ func FuzzOpenFileDisk(f *testing.F) {
 		if err := d.Write(id, fillPage('f')); err != nil {
 			t.Fatal(err)
 		}
-		meta.NumPages = int32(d.NumPages())
-		if err := d.Commit(meta); err != nil {
+		if err := d.Seal(meta.CatalogRoot, nil); err != nil {
 			t.Fatal(err)
 		}
-		re, err := openFileDisk(file, wal, "")
+		re, err := OpenFiles(file, wal)
 		if err != nil {
-			t.Fatalf("reopen after a commit: %v", err)
+			t.Fatalf("reopen after a seal: %v", err)
 		}
 		if got, want := re.Meta(), d.Meta(); got != want {
-			t.Fatalf("reopened Meta %+v, committed %+v", got, want)
+			t.Fatalf("reopened Meta %+v, sealed %+v", got, want)
+		}
+		if n := len(re.TakeRecoveredLog()); n != 0 {
+			t.Fatalf("%d records to replay after a seal", n)
 		}
 		if err := re.Read(id, buf); err != nil || !bytes.Equal(buf, fillPage('f')) {
-			t.Fatalf("committed page %d did not survive the reopen (err %v)", id, err)
+			t.Fatalf("sealed page %d did not survive the reopen (err %v)", id, err)
 		}
 	})
 }
 
-// sealSuperblock recomputes the checksum of the superblock at the head of
+// sealSuperblock recomputes the checksum of each whole superblock slot in
 // sb.
 func sealSuperblock(sb []byte) {
-	binary.BigEndian.PutUint32(sb[superblockUsed-4:], crc32.ChecksumIEEE(sb[:superblockUsed-4]))
+	for off := 0; off+superblockUsed <= len(sb) && off <= superblockSlot; off += superblockSlot {
+		slot := sb[off : off+superblockUsed]
+		binary.BigEndian.PutUint32(slot[superblockUsed-4:], crc32.ChecksumIEEE(slot[:superblockUsed-4]))
+	}
 }
 
 // resealWAL recomputes the CRC of every whole record at the head of log,
 // stopping at the first unknown type or partial record.
 func resealWAL(log []byte) {
-	for off := 0; off < len(log); {
-		n := walCommitSize
-		switch log[off] {
-		case walRecFrame:
-			n = walFrameSize
-		case walRecCommit:
-		case walRecLogical:
-			if off+walLogicalHeader > len(log) {
-				return
-			}
-			n = walLogicalHeader + int(binary.BigEndian.Uint32(log[off+9:])) + 4
-		default:
-			return
-		}
-		if off+n > len(log) {
+	for off := 0; off+walLogicalHeader <= len(log) && log[off] == walRecLogical; {
+		n := walLogicalHeader + int(binary.BigEndian.Uint32(log[off+9:])) + 4
+		if n < 0 || off+n > len(log) {
 			return
 		}
 		rec := log[off : off+n]

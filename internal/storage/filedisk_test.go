@@ -3,9 +3,11 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -42,6 +44,28 @@ func mustOpenFD(t *testing.T, path string) *FileDisk {
 	return f
 }
 
+// seal runs a seal with no catalog and nothing retired, failing the test
+// on an error.
+func seal(t *testing.T, f *FileDisk) {
+	t.Helper()
+	if err := f.Seal(InvalidPage, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// logged appends a logical record carrying payload and waits for it to be
+// durable.
+func logged(t *testing.T, f *FileDisk, payload string) {
+	t.Helper()
+	seq, err := f.CommitLogical([]byte(payload))
+	if err == nil {
+		err = f.SyncTo(seq)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFileDiskRoundTrip(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
@@ -56,22 +80,23 @@ func TestFileDiskRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Uncommitted frames are visible to the owning process.
+	// Unsealed pages are visible to the owning process.
 	buf := make([]byte, PageSize)
 	if err := f.Read(2, buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, fillPage('c')) {
-		t.Fatal("read of pending frame returned stale data")
+		t.Fatal("read of an unsealed page returned stale data")
 	}
-	if err := f.Commit(Meta{NumPages: 4, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-		t.Fatal(err)
+	logged(t, f, "r")
+	seal(t, f)
+	if st := f.DeviceStats(); st.WALBytes != 0 || st.Checkpoints != 1 || st.WALFsyncs != 1 || st.Writes != 4 {
+		t.Fatalf("unexpected stats after the seal: %+v", st)
 	}
-	if err := f.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if st := f.DeviceStats(); st.WALBytes != 0 || st.Checkpoints != 1 || st.WALFsyncs < 1 {
-		t.Fatalf("unexpected stats after checkpoint: %+v", st)
+	// Nothing changed since: a second seal writes nothing.
+	seal(t, f)
+	if st := f.DeviceStats(); st.Checkpoints != 1 || st.Writes != 4 {
+		t.Fatalf("an idle seal wrote: %+v", st)
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -82,18 +107,16 @@ func TestFileDiskRoundTrip(t *testing.T) {
 	if re.NumPages() != 4 {
 		t.Fatalf("reopened NumPages = %d, want 4", re.NumPages())
 	}
+	requireLog(t, "reopen", re)
 	for i := 0; i < 4; i++ {
-		if err := re.Read(PageID(i), buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, fillPage(byte('a'+i))) {
-			t.Fatalf("page %d content mismatch after reopen", i)
-		}
+		requirePage(t, "reopen", re, PageID(i), byte('a'+i))
 	}
 }
 
-// TestFileDiskUncommittedLost: frames without a commit record vanish on
-// reopen, as a crash demands.
+// TestFileDiskUncommittedLost: pages written and allocated since the last
+// seal vanish on reopen, as a crash demands, and the sealed images they
+// replace copy-on-write survive — a page the sealed state reaches is held
+// back from reuse until the next seal, so its slot is never overwritten.
 func TestFileDiskUncommittedLost(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
@@ -101,63 +124,53 @@ func TestFileDiskUncommittedLost(t *testing.T) {
 	if err := f.Write(0, fillPage('x')); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
+	seal(t, f)
+	// Replace page 0 copy-on-write and allocate more — never sealed.
+	if err := f.Free(0); err != nil {
 		t.Fatal(err)
 	}
-	// Overwrite page 0 and allocate more — never committed.
-	allocate(f, 5)
-	if err := f.Write(0, fillPage('y')); err != nil {
+	cp := allocate(f, 5)
+	if cp == 0 {
+		t.Fatal("the sealed page was reused before the next seal")
+	}
+	if err := f.Write(0, fillPage('y')); err == nil {
+		t.Fatal("a write of the held page succeeded")
+	}
+	if err := f.Write(cp, fillPage('y')); err != nil {
 		t.Fatal(err)
 	}
-	f.Close() // crash: no commit, no checkpoint
+	f.Close() // crash: no seal
 
 	re := mustOpenFD(t, path)
 	defer re.Close()
 	if re.NumPages() != 2 {
-		t.Fatalf("NumPages = %d, want 2 (uncommitted allocations lost)", re.NumPages())
+		t.Fatalf("NumPages = %d, want 2 (unsealed allocations lost)", re.NumPages())
 	}
-	buf := make([]byte, PageSize)
-	if err := re.Read(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, fillPage('x')) {
-		t.Fatal("uncommitted overwrite survived reopen")
+	requirePage(t, "reopen", re, 0, 'x')
+	if free := re.FreeList(); len(free) != 0 {
+		t.Fatalf("unsealed free survived the crash: %v", free)
 	}
 }
 
-// TestFileDiskTornTail truncates the WAL at every possible byte offset and
-// verifies recovery always lands exactly on the last commit record that
-// fully fits.
+// TestFileDiskTornTail truncates the WAL at every byte offset and verifies
+// recovery always replays exactly the logical records that fully fit.
 func TestFileDiskTornTail(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	allocate(f, 3)
-	type mark struct {
-		end  int64
-		vals [3]byte // committed page contents, 0 = never written
-	}
-	var marks []mark
-	vals := [3]byte{}
-	commit := func() {
-		if err := f.Commit(Meta{NumPages: 3, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-			t.Fatal(err)
-		}
-		marks = append(marks, mark{end: f.WALSize(), vals: vals})
-	}
+	allocate(f, 1)
+	f.Write(0, fillPage('s'))
+	seal(t, f)
+	var ends []int64
+	var payloads []string
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 5; i++ {
-		for j := 0; j < 1+rng.Intn(3); j++ {
-			pg := rng.Intn(3)
-			v := byte('a' + rng.Intn(26))
-			if err := f.Write(PageID(pg), fillPage(v)); err != nil {
-				t.Fatal(err)
-			}
-			vals[pg] = v
-		}
-		commit()
+		p := strings.Repeat(string(rune('a'+i)), 1+rng.Intn(40))
+		logged(t, f, p)
+		payloads = append(payloads, p)
+		ends = append(ends, f.WALSize())
 	}
 	walSize := f.WALSize()
-	f.Close() // no checkpoint: everything lives in the WAL
+	f.Close()
 
 	wal, err := os.ReadFile(path + WALSuffix)
 	if err != nil {
@@ -166,49 +179,21 @@ func TestFileDiskTornTail(t *testing.T) {
 	if int64(len(wal)) != walSize {
 		t.Fatalf("wal length %d != reported %d", len(wal), walSize)
 	}
-
-	// Sample offsets exhaustively at commit boundaries and randomly inside.
-	offsets := map[int64]bool{0: true, walSize: true}
-	for _, m := range marks {
-		offsets[m.end] = true
-		offsets[m.end-1] = true
-		offsets[m.end+1] = true
-	}
-	for i := 0; i < 64; i++ {
-		offsets[int64(rng.Intn(len(wal)+1))] = true
-	}
-	for off := range offsets {
-		if off < 0 || off > walSize {
-			continue
-		}
-		dir := t.TempDir()
-		cp := filepath.Join(dir, "crash.db")
+	for off := int64(0); off <= walSize; off++ {
+		cp := filepath.Join(t.TempDir(), "crash.db")
 		copyFile(t, path, cp)
 		os.WriteFile(cp+WALSuffix, wal[:off], 0o644)
-
-		want := mark{} // before any commit: all pages zero... but NumPages?
-		for _, m := range marks {
-			if m.end <= off {
-				want = m
+		kept, end := 0, int64(0)
+		for i, e := range ends {
+			if e <= off {
+				kept, end = i+1, e
 			}
 		}
 		re := mustOpenFD(t, cp)
-		if want.end == 0 {
-			// No commit survived: fresh database.
-			if re.NumPages() != 0 {
-				t.Fatalf("off=%d: NumPages=%d, want 0", off, re.NumPages())
-			}
-			re.Close()
-			continue
-		}
-		buf := make([]byte, PageSize)
-		for pg := 0; pg < 3; pg++ {
-			if err := re.Read(PageID(pg), buf); err != nil {
-				t.Fatalf("off=%d page=%d: %v", off, pg, err)
-			}
-			if !bytes.Equal(buf, fillPage(want.vals[pg])) {
-				t.Fatalf("off=%d page=%d: got %q-fill, want %q-fill", off, pg, buf[0], want.vals[pg])
-			}
+		requireLog(t, fmt.Sprintf("off=%d", off), re, payloads[:kept]...)
+		requirePage(t, fmt.Sprintf("off=%d", off), re, 0, 's')
+		if re.WALSize() != end {
+			t.Fatalf("off=%d: recovered WAL %d bytes, want %d", off, re.WALSize(), end)
 		}
 		re.Close()
 	}
@@ -219,77 +204,74 @@ func TestFileDiskTornTail(t *testing.T) {
 func TestFileDiskCorruptTail(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	allocate(f, 1)
-	f.Write(0, fillPage('a'))
-	f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+	logged(t, f, "first")
 	firstEnd := f.WALSize()
-	f.Write(0, fillPage('b'))
-	f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+	logged(t, f, "second")
 	f.Close()
 
 	wal, _ := os.ReadFile(path + WALSuffix)
-	wal[firstEnd+10] ^= 0xFF // inside the second frame record
+	wal[firstEnd+walLogicalHeader+2] ^= 0xFF // inside the second record's payload
 	os.WriteFile(path+WALSuffix, wal, 0o644)
 
 	re := mustOpenFD(t, path)
 	defer re.Close()
-	buf := make([]byte, PageSize)
-	if err := re.Read(0, buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf, fillPage('a')) {
-		t.Fatal("recovery did not stop at the corrupted record")
-	}
+	requireLog(t, "corrupt tail", re, "first")
 	if re.WALSize() != firstEnd {
 		t.Fatalf("torn tail not truncated: wal size %d, want %d", re.WALSize(), firstEnd)
 	}
 }
 
-// TestFileDiskCheckpointIdempotent: a crash between the database-file
-// flush and the WAL truncation leaves both copies; replaying the WAL again
-// must be harmless.
+// TestFileDiskCheckpointIdempotent: a crash between the seal's superblock
+// and its log truncation leaves the log whole; recovery must skip the
+// records the superblock's sequence covers, and replay the ones logged
+// after them.
 func TestFileDiskCheckpointIdempotent(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
 	allocate(f, 2)
 	f.Write(0, fillPage('p'))
 	f.Write(1, fillPage('q'))
-	f.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+	logged(t, f, "one")
+	logged(t, f, "two")
 	walCopy, _ := os.ReadFile(path + WALSuffix)
-	if err := f.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	seal(t, f)
 	f.Close()
 	// Restore the WAL as if truncation never happened.
 	os.WriteFile(path+WALSuffix, walCopy, 0o644)
 
 	re := mustOpenFD(t, path)
-	defer re.Close()
-	buf := make([]byte, PageSize)
-	for pg, want := range []byte{'p', 'q'} {
-		if err := re.Read(PageID(pg), buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, fillPage(want)) {
-			t.Fatalf("page %d mismatch after redundant replay", pg)
-		}
-	}
+	requireLog(t, "sealed records", re)
+	requirePage(t, "sealed records", re, 0, 'p')
+	requirePage(t, "sealed records", re, 1, 'q')
+	logged(t, re, "three")
+	re.Close()
+	re2 := mustOpenFD(t, path)
+	defer re2.Close()
+	requireLog(t, "after the sealed records", re2, "three")
 }
 
+// TestFileDiskBadSuperblock: a corrupt newer superblock falls back to the
+// older one; with both corrupt the open fails typed.
 func TestFileDiskBadSuperblock(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
 	allocate(f, 1)
 	f.Write(0, fillPage('z'))
-	f.Commit(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
-	f.Checkpoint()
+	seal(t, f) // into the second slot; the first keeps the empty database
 	f.Close()
 
 	raw, _ := os.ReadFile(path)
-	raw[3] ^= 0xFF // corrupt the magic
+	raw[superblockSlot+3] ^= 0xFF // corrupt the newer superblock's magic
+	os.WriteFile(path, raw, 0o644)
+	re := mustOpenFD(t, path)
+	if re.NumPages() != 0 {
+		t.Fatalf("with the newer superblock corrupt, NumPages = %d, want the older 0", re.NumPages())
+	}
+	re.Close()
+	raw[3] ^= 0xFF // and the older one's
 	os.WriteFile(path, raw, 0o644)
 	if _, err := OpenFileDisk(path); !errors.Is(err, ErrCorruptPage) {
-		t.Fatalf("open of corrupt superblock: got %v, want ErrCorruptPage", err)
+		t.Fatalf("open of corrupt superblocks: got %v, want ErrCorruptPage", err)
 	}
 }
 
@@ -305,36 +287,27 @@ func copyFile(t *testing.T, from, to string) {
 }
 
 // TestFileDiskTornFrameHeaderBoundary pins down the exact torn-tail
-// boundaries around the frame header: a crash can leave the WAL ending
-// precisely at the last commit record (a zero-length tail) or with 1–7
-// bytes of a following frame header (type byte plus a partial page id —
-// walFrameHeaderSize is 5, so also cover a short stretch of payload).
-// Recovery must keep the committed state and truncate the log back to the
-// commit boundary in every case.
+// boundaries around a log record's frame header: a crash can leave the WAL
+// ending precisely after the last whole record (a zero-length tail) or
+// with part of a following record's header (type byte, sequence number,
+// length — walLogicalHeader is 13 bytes, so also cover a short stretch of
+// payload). Recovery must keep the whole records and truncate the log
+// back to their end in every case.
 func TestFileDiskTornFrameHeaderBoundary(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	allocate(f, 2)
-	f.Write(0, fillPage('a'))
-	f.Write(1, fillPage('b'))
-	if err := f.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-		t.Fatal(err)
-	}
+	logged(t, f, "kept")
 	committedEnd := f.WALSize()
-	// Append one more full frame (never committed), then cut its header.
-	f.Write(0, fillPage('c'))
+	// Append one more record, then cut its header.
+	logged(t, f, "torn away")
 	f.Close()
 	wal, err := os.ReadFile(path + WALSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(wal)) <= committedEnd {
-		t.Fatalf("no uncommitted frame appended (wal %d, committed %d)", len(wal), committedEnd)
-	}
 
-	for tail := 0; tail <= 7; tail++ {
-		dir := t.TempDir()
-		cp := filepath.Join(dir, "crash.db")
+	for tail := 0; tail <= walLogicalHeader+3; tail++ {
+		cp := filepath.Join(t.TempDir(), "crash.db")
 		copyFile(t, path, cp)
 		if err := os.WriteFile(cp+WALSuffix, wal[:committedEnd+int64(tail)], 0o644); err != nil {
 			t.Fatal(err)
@@ -343,51 +316,29 @@ func TestFileDiskTornFrameHeaderBoundary(t *testing.T) {
 		if got := re.WALSize(); got != committedEnd {
 			t.Fatalf("tail=%d: recovered wal size %d, want truncation to %d", tail, got, committedEnd)
 		}
-		buf := make([]byte, PageSize)
-		for pg, want := range []byte{'a', 'b'} {
-			if err := re.Read(PageID(pg), buf); err != nil {
-				t.Fatalf("tail=%d page=%d: %v", tail, pg, err)
-			}
-			if !bytes.Equal(buf, fillPage(want)) {
-				t.Fatalf("tail=%d page=%d: content lost", tail, pg)
-			}
-		}
+		requireLog(t, fmt.Sprintf("tail=%d", tail), re, "kept")
 		// The truncation must be real (the next append starts at the
-		// committed boundary), not just an in-memory offset.
-		if err := re.Write(0, fillPage('d')); err != nil {
-			t.Fatal(err)
-		}
-		if err := re.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-			t.Fatal(err)
-		}
+		// record boundary), not just an in-memory offset.
+		logged(t, re, "next")
 		re.Close()
 		re2 := mustOpenFD(t, cp)
-		if err := re2.Read(0, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, fillPage('d')) {
-			t.Fatalf("tail=%d: post-recovery commit lost", tail)
-		}
+		requireLog(t, fmt.Sprintf("tail=%d, reopened", tail), re2, "kept", "next")
 		re2.Close()
 	}
 }
 
-// TestFileDiskGroupCommitCoalesces: N commits appended with CommitAsync and
-// then awaited together must cost one fsync, not N — the group-commit
+// TestFileDiskGroupCommitCoalesces: N logical commits appended and then
+// awaited together must cost one fsync, not N — the group-commit
 // amortisation in its most deterministic form.
 func TestFileDiskGroupCommitCoalesces(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
 	defer f.Close()
-	allocate(f, 1)
 	before := f.DeviceStats()
 	var last int64
 	const commits = 8
 	for i := 0; i < commits; i++ {
-		if err := f.Write(0, fillPage(byte('a'+i))); err != nil {
-			t.Fatal(err)
-		}
-		seq, err := f.CommitAsync(Meta{NumPages: 1, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+		seq, err := f.CommitLogical([]byte{byte('a' + i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -416,33 +367,28 @@ func TestFileDiskGroupCommitCoalesces(t *testing.T) {
 }
 
 // TestFileDiskGroupCommitDurablePrefix: a WAL built through the async
-// commit path must keep the one-durable-prefix invariant — wherever a
-// crash cuts the log, recovery lands on exactly the newest commit record
-// that fully fits, never on a mix of two commits.
+// commit path, with a seal in the middle, must keep the one-durable-prefix
+// invariant — wherever a crash cuts the log, recovery lands on the sealed
+// pages plus exactly the records that fully fit, never a torn one.
 func TestFileDiskGroupCommitDurablePrefix(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	allocate(f, 2)
-	type state struct {
-		end  int64
-		vals [2]byte
-	}
-	var states []state
-	vals := [2]byte{}
+	allocate(f, 1)
+	f.Write(0, fillPage('a'))
+	logged(t, f, "sealed")
+	seal(t, f)
+	var ends []int64
+	var payloads []string
 	var last int64
 	for i := 0; i < 6; i++ {
-		pg := i % 2
-		v := byte('a' + i)
-		if err := f.Write(PageID(pg), fillPage(v)); err != nil {
-			t.Fatal(err)
-		}
-		vals[pg] = v
-		seq, err := f.CommitAsync(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
+		p := strings.Repeat(string(rune('b'+i)), 3+i)
+		seq, err := f.CommitLogical([]byte(p))
 		if err != nil {
 			t.Fatal(err)
 		}
 		last = seq
-		states = append(states, state{end: f.WALSize(), vals: vals})
+		payloads = append(payloads, p)
+		ends = append(ends, f.WALSize())
 	}
 	if err := f.SyncTo(last); err != nil {
 		t.Fatal(err)
@@ -453,83 +399,44 @@ func TestFileDiskGroupCommitDurablePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Cut points: every commit boundary ±8 bytes, plus a random sample of
-	// interior offsets (exhaustive per-byte cutting is covered for one
-	// record by TestFileDiskTornFrameHeaderBoundary and would take minutes
-	// here).
-	offsets := map[int64]bool{0: true, walSize: true}
-	for _, s := range states {
-		for d := int64(-8); d <= 8; d++ {
-			if o := s.end + d; o >= 0 && o <= walSize {
-				offsets[o] = true
+	for off := int64(0); off <= walSize; off++ {
+		kept := 0
+		for i, e := range ends {
+			if e <= off {
+				kept = i + 1
 			}
 		}
-	}
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 48; i++ {
-		offsets[int64(rng.Intn(int(walSize)+1))] = true
-	}
-	for off := range offsets {
-		want := state{}
-		for _, s := range states {
-			if s.end <= off {
-				want = s
-			}
-		}
-		dir := t.TempDir()
-		cp := filepath.Join(dir, "crash.db")
+		cp := filepath.Join(t.TempDir(), "crash.db")
 		copyFile(t, path, cp)
 		os.WriteFile(cp+WALSuffix, wal[:off], 0o644)
 		re := mustOpenFD(t, cp)
-		if want.end == 0 {
-			if re.NumPages() != 0 {
-				t.Fatalf("off=%d: NumPages=%d, want 0", off, re.NumPages())
-			}
-			re.Close()
-			continue
-		}
-		if got := re.WALSize(); got != want.end {
-			t.Fatalf("off=%d: recovered to %d, want %d", off, got, want.end)
-		}
-		buf := make([]byte, PageSize)
-		for pg := 0; pg < 2; pg++ {
-			if err := re.Read(PageID(pg), buf); err != nil {
-				t.Fatalf("off=%d page=%d: %v", off, pg, err)
-			}
-			if !bytes.Equal(buf, fillPage(want.vals[pg])) {
-				t.Fatalf("off=%d page=%d: got %q-fill, want %q-fill (torn across commits)", off, pg, buf[0], want.vals[pg])
-			}
+		tag := fmt.Sprintf("off=%d", off)
+		requireLog(t, tag, re, payloads[:kept]...)
+		requirePage(t, tag, re, 0, 'a')
+		if st := re.DeviceStats(); st.RecoveredCommits != int64(kept) {
+			t.Fatalf("%s: RecoveredCommits %d, want %d", tag, st.RecoveredCommits, kept)
 		}
 		re.Close()
 	}
 }
 
-// TestFileDiskGroupCommitConcurrent hammers CommitAsync/SyncTo from many
-// goroutines (each its own committed write) and checks that the shared
-// fsync path both amortises (fewer fsyncs than commits) and loses nothing.
+// TestFileDiskGroupCommitConcurrent hammers CommitLogical/SyncTo from many
+// goroutines and checks that the shared fsync path both amortises (no more
+// fsyncs than commits) and loses nothing.
 func TestFileDiskGroupCommitConcurrent(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
-	const writers = 8
-	allocate(f, writers)
+	const writers, rounds = 8, 4
 	before := f.DeviceStats()
 	var wg sync.WaitGroup
-	var commitMu sync.Mutex // one committer at a time, like the engine's writeMu
 	errs := make(chan error, writers)
 	for w := 0; w < writers; w++ {
 		w := w
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for round := 0; round < 4; round++ {
-				commitMu.Lock()
-				err := f.Write(PageID(w), fillPage(byte('a'+round)))
-				var seq int64
-				if err == nil {
-					seq, err = f.CommitAsync(Meta{NumPages: writers, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
-				}
-				commitMu.Unlock()
+			for round := 0; round < rounds; round++ {
+				seq, err := f.CommitLogical([]byte(fmt.Sprintf("w%d r%d", w, round)))
 				if err == nil {
 					err = f.SyncTo(seq)
 				}
@@ -545,23 +452,23 @@ func TestFileDiskGroupCommitConcurrent(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	after := f.DeviceStats()
-	commits := int64(writers * 4)
-	fsyncs := after.WALFsyncs - before.WALFsyncs
-	if fsyncs < 1 || fsyncs > commits {
-		t.Fatalf("fsyncs = %d for %d commits", fsyncs, commits)
+	fsyncs := f.DeviceStats().WALFsyncs - before.WALFsyncs
+	if fsyncs < 1 || fsyncs > writers*rounds {
+		t.Fatalf("fsyncs = %d for %d commits", fsyncs, writers*rounds)
 	}
 	f.Close()
 
 	re := mustOpenFD(t, path)
 	defer re.Close()
-	buf := make([]byte, PageSize)
+	got := map[string]bool{}
+	for _, p := range re.TakeRecoveredLog() {
+		got[string(p)] = true
+	}
 	for w := 0; w < writers; w++ {
-		if err := re.Read(PageID(w), buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, fillPage('d')) {
-			t.Fatalf("writer %d final round lost (got %q-fill)", w, buf[0])
+		for round := 0; round < rounds; round++ {
+			if !got[fmt.Sprintf("w%d r%d", w, round)] {
+				t.Fatalf("writer %d round %d lost (recovered %d records)", w, round, len(got))
+			}
 		}
 	}
 }

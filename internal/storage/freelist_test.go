@@ -11,9 +11,11 @@ import (
 	"testing"
 )
 
-// TestFileDiskFreeReuse: freed pages come back from Allocate (LIFO) before
-// the file grows, the counters record both sides, and neither side touches
-// the device — Free appends nothing to the WAL, Allocate reads nothing.
+// TestFileDiskFreeReuse: a freed page the sealed state reaches is held
+// back from reuse until the next seal, while one allocated since comes
+// back from Allocate at once (LIFO); neither side touches the device —
+// Free writes nothing, Allocate reads nothing — and after the seal the
+// held pages come back lowest first, before the file grows.
 func TestFileDiskFreeReuse(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
@@ -24,9 +26,7 @@ func TestFileDiskFreeReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := f.Commit(Meta{NumPages: 4, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-		t.Fatal(err)
-	}
+	seal(t, f)
 	before := f.DeviceStats()
 	if err := f.Free(1); err != nil {
 		t.Fatal(err)
@@ -34,48 +34,57 @@ func TestFileDiskFreeReuse(t *testing.T) {
 	if err := f.Free(2); err != nil {
 		t.Fatal(err)
 	}
-	if st := f.DeviceStats(); st.WALAppends != before.WALAppends || st.BytesWritten != before.BytesWritten {
-		t.Fatalf("Free wrote to the device: %d appends, %d bytes", st.WALAppends-before.WALAppends, st.BytesWritten-before.BytesWritten)
+	if st := f.DeviceStats(); st.Writes != before.Writes || st.BytesWritten != before.BytesWritten {
+		t.Fatalf("Free wrote to the device: %d writes, %d bytes", st.Writes-before.Writes, st.BytesWritten-before.BytesWritten)
 	}
-	if err := f.Commit(Meta{NumPages: 4, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
+	// Held: the next allocation grows the file; freeing that one makes it
+	// reusable at once.
+	if got := f.Allocate(); got != 4 {
+		t.Fatalf("allocation beside held pages = %d, want tail page 4", got)
+	}
+	if err := f.Free(4); err != nil {
 		t.Fatal(err)
 	}
-	// One trunk frame (page 1, listing 2) and the commit record.
-	if st := f.DeviceStats(); st.WALAppends-before.WALAppends != 2 {
-		t.Fatalf("commit of two frees appended %d records, want 2", st.WALAppends-before.WALAppends)
+	if got := f.Allocate(); got != 4 {
+		t.Fatalf("reuse of a page allocated since the seal = %d, want 4", got)
 	}
-	if got := len(f.FreeList()); got != 2 {
-		t.Fatalf("free pages = %d, want 2", got)
+	if err := f.Free(4); err != nil {
+		t.Fatal(err)
 	}
 	before = f.DeviceStats()
-	// LIFO: the last free is the first reuse.
-	if got := f.Allocate(); got != 2 {
-		t.Fatalf("first reuse = %d, want 2", got)
+	seal(t, f)
+	// One trunk, on the reusable page 4, listing the held 1 and 2.
+	if st := f.DeviceStats(); st.Writes-before.Writes != 1 || st.WALAppends != before.WALAppends {
+		t.Fatalf("the seal wrote %d pages and %d records, want one trunk", st.Writes-before.Writes, st.WALAppends-before.WALAppends)
 	}
+	if got := f.Meta().FreeHead; got != 4 {
+		t.Fatalf("FreeHead = %d, want trunk 4", got)
+	}
+	if got := len(f.FreeList()); got != 3 {
+		t.Fatalf("free pages = %d, want 3 (two listed, one trunk)", got)
+	}
+	before = f.DeviceStats()
 	if got := f.Allocate(); got != 1 {
-		t.Fatalf("second reuse = %d, want 1", got)
+		t.Fatalf("first reuse = %d, want 1", got)
+	}
+	if got := f.Allocate(); got != 2 {
+		t.Fatalf("second reuse = %d, want 2", got)
 	}
 	if st := f.DeviceStats(); st.Reads != before.Reads || st.BytesRead != before.BytesRead {
 		t.Fatalf("Allocate read from the device: %d reads, %d bytes", st.Reads-before.Reads, st.BytesRead-before.BytesRead)
 	}
-	// List drained: next allocation grows the page array.
-	if got := f.Allocate(); got != 4 {
-		t.Fatalf("tail allocation = %d, want 4", got)
+	// List drained (the trunk is held until the next seal): next
+	// allocation grows the page array.
+	if got := f.Allocate(); got != 5 {
+		t.Fatalf("tail allocation = %d, want 5", got)
 	}
 	st := f.DeviceStats()
-	if st.PagesFreed != 2 || st.PagesReused != 2 {
-		t.Fatalf("PagesFreed=%d PagesReused=%d, want 2/2", st.PagesFreed, st.PagesReused)
+	if st.PagesFreed != 4 || st.PagesReused != 3 {
+		t.Fatalf("PagesFreed=%d PagesReused=%d, want 4/3", st.PagesFreed, st.PagesReused)
 	}
 	// The untouched pages kept their images through the free traffic.
-	buf := make([]byte, PageSize)
-	for _, pg := range []PageID{0, 3} {
-		if err := f.Read(pg, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, fillPage(byte('a'+pg))) {
-			t.Fatalf("page %d image damaged by free-list traffic", pg)
-		}
-	}
+	requirePage(t, "after the free traffic", f, 0, 'a')
+	requirePage(t, "after the free traffic", f, 3, 'd')
 }
 
 // TestFileDiskFreeErrors: double frees and out-of-range frees are rejected
@@ -87,9 +96,7 @@ func TestFileDiskFreeErrors(t *testing.T) {
 	allocate(f, 2)
 	f.Write(0, fillPage('a'))
 	f.Write(1, fillPage('b'))
-	if err := f.Commit(Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-		t.Fatal(err)
-	}
+	seal(t, f)
 	if err := f.Free(1); err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +109,14 @@ func TestFileDiskFreeErrors(t *testing.T) {
 	if got := len(f.FreeList()); got != 1 {
 		t.Fatalf("free pages = %d after rejected frees, want 1", got)
 	}
-	if got := f.Allocate(); got != 1 {
-		t.Fatalf("reuse after rejected frees = %d, want 1", got)
+	if got := f.Allocate(); got != 2 {
+		t.Fatalf("allocation beside the held page = %d, want tail page 2", got)
 	}
 }
 
-// TestFileDiskFreeListRecovery: the committed free list survives a crash
-// (WAL-only) and a checkpoint (superblock FreeHead + file images), while an
-// uncommitted free rolls back.
+// TestFileDiskFreeListRecovery: the sealed free list survives a crash,
+// while a free since the seal rolls back; the list the next seal writes
+// recovers from the superblock alone.
 func TestFileDiskFreeListRecovery(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
@@ -117,88 +124,72 @@ func TestFileDiskFreeListRecovery(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		f.Write(PageID(i), fillPage(byte('a'+i)))
 	}
-	if err := f.Commit(Meta{NumPages: 5, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-		t.Fatal(err)
-	}
+	seal(t, f)
 	f.Free(1)
 	f.Free(3)
-	if err := f.Commit(Meta{NumPages: 5, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-		t.Fatal(err)
-	}
-	// Uncommitted free: must vanish on reopen.
+	seal(t, f) // the trunk goes past the end: page 5
+	// Unsealed free: must vanish on reopen.
 	f.Free(0)
 	f.Close() // crash
 
 	re := mustOpenFD(t, path)
-	if got := len(re.FreeList()); got != 2 {
-		t.Fatalf("recovered free pages = %d, want 2 (uncommitted free kept?)", got)
+	assertFreeSet(t, re, 1, 3, 5)
+	if got := re.Allocate(); got != 1 {
+		t.Fatalf("recovered first pop = %d, want 1", got)
 	}
 	if got := re.Allocate(); got != 3 {
-		t.Fatalf("recovered first pop = %d, want 3", got)
+		t.Fatalf("recovered second pop = %d, want 3", got)
 	}
-	if got := re.Allocate(); got != 1 {
-		t.Fatalf("recovered second pop = %d, want 1", got)
-	}
-	// Re-free, commit, checkpoint: the list must now live in the database
-	// file and recover from the superblock alone.
+	// Re-free and seal: the sealed trunk 5 is trimmed off the tail, the
+	// list lands on page 1 and lists 3.
 	re.Free(3)
 	re.Free(1)
-	if err := re.Commit(Meta{NumPages: 5, CatalogRoot: InvalidPage, FreeHead: InvalidPage}); err != nil {
-		t.Fatal(err)
-	}
-	if err := re.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	seal(t, re)
 	re.Close()
 
 	re2 := mustOpenFD(t, path)
 	defer re2.Close()
 	if got := re2.WALSize(); got != 0 {
-		t.Fatalf("WAL not empty after checkpointed close: %d bytes", got)
+		t.Fatalf("WAL not empty after a seal: %d bytes", got)
 	}
-	if got := re2.Meta().FreeHead; got != 3 {
-		t.Fatalf("superblock FreeHead = %d, want head trunk 3", got)
+	if got := re2.Meta().FreeHead; got != 1 {
+		t.Fatalf("superblock FreeHead = %d, want trunk 1", got)
 	}
-	if got := len(re2.FreeList()); got != 2 {
-		t.Fatalf("free pages from the superblock's trunk = %d, want 2", got)
+	assertFreeSet(t, re2, 1, 3)
+	if re2.NumPages() != 5 {
+		t.Fatalf("NumPages = %d, want 5", re2.NumPages())
 	}
 	if st := re2.DeviceStats(); st.FreeListResets != 0 {
 		t.Fatalf("valid list counted a reset: %+v", st)
 	}
 }
 
-// TestFileDiskFreeListTwoTrunks: more frees in one commit than a trunk can
-// list spill into a second trunk, both ride that commit, and the list
-// recovers intact. Draining across the trunk boundary hands out every
-// freed page, trunk pages included, exactly once and in LIFO order; a
-// partial drain committed across the boundary recovers to the remainder.
+// TestFileDiskFreeListTwoTrunks: more free pages than a trunk can list
+// spill into a second trunk, and the list recovers intact. Draining across
+// the trunk boundary hands out every listed page exactly once, lowest
+// first; a partial drain sealed across the boundary recovers to the
+// remainder.
 func TestFileDiskFreeListTwoTrunks(t *testing.T) {
 	const n = PageID(trunkCapacity + 10)
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
 	allocate(f, int(n))
-	meta := Meta{NumPages: int32(n), CatalogRoot: InvalidPage, FreeHead: InvalidPage}
-	if err := f.Commit(meta); err != nil {
-		t.Fatal(err)
-	}
-	var freed []PageID // every page but 0, in free order
-	for id := PageID(1); id < n; id++ {
+	seal(t, f)
+	var freed []PageID // every page but the first and the last
+	for id := PageID(1); id < n-1; id++ {
 		if err := f.Free(id); err != nil {
 			t.Fatal(err)
 		}
 		freed = append(freed, id)
 	}
 	before := f.DeviceStats()
-	if err := f.Commit(meta); err != nil {
-		t.Fatal(err)
+	seal(t, f)
+	// Every freed page is held, so both trunks go past the end.
+	if got := f.DeviceStats().Writes - before.Writes; got != 2 {
+		t.Fatalf("sealing %d frees wrote %d pages, want 2 trunks", len(freed), got)
 	}
-	// Page 1 is the first trunk (full at 2,044 ids); page 2,046 starts the
-	// second, which is the head.
-	if got := f.DeviceStats().WALAppends - before.WALAppends; got != 3 {
-		t.Fatalf("commit of %d frees appended %d records, want 2 trunk frames + commit", len(freed), got)
-	}
-	if got, want := f.Meta().FreeHead, PageID(trunkCapacity+2); got != want {
-		t.Fatalf("FreeHead = %d, want second trunk %d", got, want)
+	if got := f.Meta().FreeHead; got != n {
+		t.Fatalf("FreeHead = %d, want first trunk %d", got, n)
 	}
 	f.Close() // crash
 
@@ -206,20 +197,16 @@ func TestFileDiskFreeListTwoTrunks(t *testing.T) {
 	if st := re.DeviceStats(); st.FreeListResets != 0 {
 		t.Fatalf("two-trunk list reset at recovery: %+v", st)
 	}
-	if got := len(re.FreeList()); got != len(freed) {
-		t.Fatalf("recovered %d free pages, want %d", got, len(freed))
-	}
-	// Drain past the head trunk (its 7 ids, then the trunk page itself)
-	// and 5 ids into the first trunk; commit; crash.
-	const partial = 7 + 1 + 5
+	assertFreeSet(t, re, append(slices.Clone(freed), n, n+1)...)
+	// Drain past the first trunk's 2,044 ids and 5 into the second; seal;
+	// crash.
+	const partial = trunkCapacity + 5
 	for i := 0; i < partial; i++ {
-		if got, want := re.Allocate(), freed[len(freed)-1-i]; got != want {
+		if got, want := re.Allocate(), freed[i]; got != want {
 			t.Fatalf("pop %d = %d, want %d", i, got, want)
 		}
 	}
-	if err := re.Commit(meta); err != nil {
-		t.Fatal(err)
-	}
+	seal(t, re)
 	re.Close()
 
 	re2 := mustOpenFD(t, path)
@@ -227,25 +214,20 @@ func TestFileDiskFreeListTwoTrunks(t *testing.T) {
 	if st := re2.DeviceStats(); st.FreeListResets != 0 {
 		t.Fatalf("partially drained list reset at recovery: %+v", st)
 	}
-	rest := freed[:len(freed)-partial]
-	got := re2.FreeList()
-	slices.Sort(got)
-	if !slices.Equal(got, rest) {
-		t.Fatalf("recovered free set after partial drain: %d pages, want %d", len(got), len(rest))
+	// The remainder is listed, one of its pages carrying the list now; the
+	// old trunks, freed by the seal, were the file's all-free tail.
+	rest := freed[partial:]
+	assertFreeSet(t, re2, rest...)
+	if re2.NumPages() != int(n) {
+		t.Fatalf("NumPages = %d, want %d with the old trunks trimmed", re2.NumPages(), n)
 	}
 	handed := map[PageID]bool{}
-	for i := range rest {
+	for i := 0; i < len(rest)-1; i++ {
 		id := re2.Allocate()
-		if want := rest[len(rest)-1-i]; id != want {
-			t.Fatalf("drain pop %d = %d, want %d", i, id, want)
-		}
-		if handed[id] {
-			t.Fatalf("page %d handed out twice", id)
+		if !slices.Contains(rest, id) || handed[id] {
+			t.Fatalf("drain pop %d = %d (handed %v)", i, id, handed)
 		}
 		handed[id] = true
-	}
-	if !handed[1] {
-		t.Fatal("the first trunk's own page was never handed out")
 	}
 	if got := re2.Allocate(); got != n {
 		t.Fatalf("allocation after the drain = %d, want tail page %d", got, n)
@@ -315,8 +297,8 @@ func TestFileDiskFreeListCorruptTrunks(t *testing.T) {
 	}
 }
 
-// TestFileDiskCompact: an all-free suffix is trimmed off the file, the
-// surviving free pages are re-listed ascending, and the shrink is durable.
+// TestFileDiskCompact: a seal trims an all-free suffix off the file once
+// the free list has a reusable page to live on, and the shrink is durable.
 func TestFileDiskCompact(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
@@ -324,10 +306,7 @@ func TestFileDiskCompact(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		f.Write(PageID(i), fillPage(byte('a'+i)))
 	}
-	f.Commit(Meta{NumPages: 8, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
-	if err := f.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	seal(t, f)
 	sizeBefore := fileSize(t, path)
 	// Free an interior page and the whole tail half.
 	for _, pg := range []PageID{2, 7, 5, 6, 4} {
@@ -335,151 +314,131 @@ func TestFileDiskCompact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	f.Commit(Meta{NumPages: 8, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
-	trimmed, err := f.Compact()
-	if err != nil {
-		t.Fatal(err)
+	// Every free page is held: the list needs a trunk past the end, so
+	// this seal cannot trim.
+	seal(t, f)
+	if got := f.NumPages(); got != 9 {
+		t.Fatalf("NumPages after the first seal = %d, want 9", got)
 	}
-	if trimmed != 4 {
-		t.Fatalf("Compact trimmed %d pages, want 4 (pages 4..7)", trimmed)
-	}
+	// The next seal, after any change, lists page 2 on itself and trims
+	// pages 4..8.
+	f.Free(f.Allocate())
+	seal(t, f)
 	if got := f.NumPages(); got != 4 {
-		t.Fatalf("NumPages after compact = %d, want 4", got)
+		t.Fatalf("NumPages after the trimming seal = %d, want 4", got)
 	}
-	if got := len(f.FreeList()); got != 1 {
-		t.Fatalf("free pages after compact = %d, want 1 (page 2)", got)
-	}
+	assertFreeSet(t, f, 2)
 	if got := fileSize(t, path); got >= sizeBefore {
 		t.Fatalf("file did not shrink: %d -> %d bytes", sizeBefore, got)
 	}
-	// The surviving free page is reusable; then allocation grows from the
-	// new, smaller tail.
-	if got := f.Allocate(); got != 2 {
-		t.Fatalf("post-compact reuse = %d, want 2", got)
-	}
+	// Page 2 carries the list until the next seal: allocation grows from
+	// the new, smaller tail.
 	if got := f.Allocate(); got != 4 {
-		t.Fatalf("post-compact tail allocation = %d, want 4", got)
+		t.Fatalf("post-trim tail allocation = %d, want 4", got)
 	}
 	f.Close()
 
-	// The shrink was committed through the WAL before the truncate: a
-	// reopen agrees with it (allocations above were uncommitted and vanish).
+	// The shrink was sealed before the truncate: a reopen agrees with it
+	// (the allocation above was not sealed and vanishes).
 	re := mustOpenFD(t, path)
 	defer re.Close()
 	if got := re.NumPages(); got != 4 {
 		t.Fatalf("reopened NumPages = %d, want 4", got)
 	}
-	buf := make([]byte, PageSize)
 	for _, pg := range []PageID{0, 1, 3} {
-		if err := re.Read(pg, buf); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, fillPage(byte('a'+pg))) {
-			t.Fatalf("live page %d damaged by compact", pg)
-		}
+		requirePage(t, "reopened", re, pg, byte('a'+pg))
 	}
-	if got := len(re.FreeList()); got != 1 {
-		t.Fatalf("reopened free pages = %d, want 1", got)
-	}
+	assertFreeSet(t, re, 2)
 }
 
-// TestFileDiskCompactSkipsPending: Compact must not seal someone else's
-// open transaction — with pending frames, or with uncommitted frees (which
-// append nothing until their commit), it is a no-op.
+// TestFileDiskCompactSkipsPending: a seal's trim stops at a page still
+// allocated — here one a reader of an older version holds (retired): the
+// sealed free list names it, so a crash frees it, but the file keeps it
+// until its holder frees it, and the next seal trims it.
 func TestFileDiskCompactSkipsPending(t *testing.T) {
-	path := tmpDB(t)
-	f := mustOpenFD(t, path)
-	defer f.Close()
-	allocate(f, 3)
-	for i := 0; i < 3; i++ {
+	file, wal := &memFile{}, &memFile{}
+	f := openCrafted(t, file, wal)
+	allocate(f, 4)
+	for i := 0; i < 4; i++ {
 		f.Write(PageID(i), fillPage(byte('a'+i)))
 	}
-	f.Commit(Meta{NumPages: 3, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
-	f.Free(2)
-	f.Commit(Meta{NumPages: 3, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
-	// Open transaction: one uncommitted frame.
-	if err := f.Write(0, fillPage('z')); err != nil {
-		t.Fatal(err)
-	}
-	trimmed, err := f.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trimmed != 0 {
-		t.Fatalf("Compact trimmed %d pages under an open transaction", trimmed)
-	}
-	if got := f.NumPages(); got != 3 {
-		t.Fatalf("NumPages changed to %d under an open transaction", got)
-	}
-	f.Commit(Meta{NumPages: 3, CatalogRoot: InvalidPage, FreeHead: InvalidPage})
-	// Open transaction: one uncommitted free of the new tail page.
+	seal(t, f)
 	f.Free(1)
-	if trimmed, err := f.Compact(); err != nil || trimmed != 0 {
-		t.Fatalf("Compact under an uncommitted free: trimmed %d, err %v", trimmed, err)
+	if err := f.Seal(InvalidPage, []PageID{3}); err != nil {
+		t.Fatal(err)
+	}
+	// Page 1 is held, so the list's trunk went past the end, to page 4.
+	if got := f.NumPages(); got != 5 {
+		t.Fatalf("NumPages = %d under a retired page, want 5", got)
+	}
+	assertFreeSet(t, f, 1, 4)
+	crashed := openCrafted(t, file, wal)
+	assertFreeSet(t, crashed, 1, 3, 4)
+	// Its holder frees it: reusable at once (the sealed state does not
+	// reach it), and the next seal trims it.
+	if err := f.Free(3); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Allocate(); got != 3 {
+		t.Fatalf("reuse of the retired page = %d, want 3", got)
+	}
+	f.Free(3)
+	seal(t, f) // trims pages 3 and 4, lists nothing on page 1
+	if got := f.NumPages(); got != 3 {
+		t.Fatalf("NumPages = %d after the retired page was freed, want 3", got)
 	}
 }
 
-// TestFaultDiskFree: an injected write fault on the trunk frame a commit
-// appends fails that commit cleanly with a typed error. Whether the process
-// then crashes or retries, the freed page is neither lost nor handed out
-// twice: after a crash the free never happened (the page is live, with its
-// image); after a successful retry it comes back from the list exactly once.
+// TestFaultDiskFree: an injected write fault on the trunk a seal writes
+// fails that seal cleanly with a typed error. Whether the process then
+// crashes or retries, the freed page is neither lost nor handed out twice:
+// after a crash the free never happened (the page is live, with its
+// image); after a successful retry it comes back from the list exactly
+// once.
 func TestFaultDiskFree(t *testing.T) {
 	for _, retry := range []bool{false, true} {
 		path := tmpDB(t)
 		d := mustOpenFD(t, path)
 		inj := NewFaultInjector(1, FaultSpec{Kind: FaultWriteErr, After: 0})
 		d.SetFaultInjector(inj)
-		inj.Disarm() // un-faulted setup; armed right before the commit under test
-		allocate(d, 2)
-		if err := d.Write(0, fillPage('a')); err != nil {
-			t.Fatal(err)
+		inj.Disarm() // un-faulted setup; armed right before the seal under test
+		allocate(d, 3)
+		for i := 0; i < 3; i++ {
+			if err := d.Write(PageID(i), fillPage(byte('a'+i))); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := d.Write(1, fillPage('b')); err != nil {
-			t.Fatal(err)
-		}
-		meta := Meta{NumPages: 2, CatalogRoot: InvalidPage, FreeHead: InvalidPage}
-		if err := d.Commit(meta); err != nil {
-			t.Fatal(err)
-		}
+		seal(t, d)
 		if err := d.Free(1); err != nil {
 			t.Fatal(err)
 		}
 		inj.Arm()
-		walBefore := d.WALSize()
-		err := d.Commit(meta)
+		metaBefore := d.Meta()
+		err := d.Seal(InvalidPage, nil)
 		if err == nil {
-			t.Fatal("injected write fault did not fail the commit")
+			t.Fatal("injected write fault did not fail the seal")
 		}
-		if !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), "trunk 1") {
-			t.Fatalf("commit fault not an ErrInjected trunk append: %v", err)
+		if !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), "page 3") {
+			t.Fatalf("seal fault not an ErrInjected trunk write: %v", err)
 		}
-		if got := d.WALSize(); got != walBefore {
-			t.Fatalf("failed trunk append advanced the WAL %d -> %d", walBefore, got)
+		if got := d.Meta(); got != metaBefore || d.NumPages() != 3 || d.Poisoned() != nil {
+			t.Fatalf("failed seal moved the state: %+v, %d pages, poisoned %v", got, d.NumPages(), d.Poisoned())
 		}
 		if retry {
 			// The one-shot rule is exhausted: the retry carries the free.
-			if err := d.Commit(meta); err != nil {
-				t.Fatal(err)
-			}
+			seal(t, d)
 		}
 		d.Close()
 
 		re := mustOpenFD(t, path)
 		if retry {
-			assertFreeSet(t, re, 1)
+			assertFreeSet(t, re, 1, 3)
 			if got := re.Allocate(); got != 1 {
-				t.Fatalf("reuse after the retried commit = %d, want 1", got)
+				t.Fatalf("reuse after the retried seal = %d, want 1", got)
 			}
 		} else {
 			assertFreeSet(t, re)
-			buf := make([]byte, PageSize)
-			if err := re.Read(1, buf); err != nil || !bytes.Equal(buf, fillPage('b')) {
-				t.Fatalf("page 1 lost after the failed commit (err %v)", err)
-			}
-		}
-		if got := re.Allocate(); got != 2 {
-			t.Fatalf("retry=%v: allocation = %d, want tail page 2", retry, got)
+			requirePage(t, "after the failed seal", re, 1, 'b')
 		}
 		re.Close()
 	}
@@ -491,8 +450,10 @@ func TestFaultDiskFree(t *testing.T) {
 // the device, a leaked page). Recovery must not panic, and must either
 // abandon the list (FreeListResets, tail allocation) — always, when the
 // head lacks the trunk marker, as a version-2 free page does — or keep one
-// that survives a commit and reopen unchanged and drains without ever
-// handing out the catalog root, an out-of-range page or a page twice.
+// that survives a seal and reopen — no free page lost or gained, save for
+// the file's all-free tail, which the seal trims — and drains without ever
+// handing out the catalog root, an out-of-range page, a trunk or a page
+// twice.
 func FuzzRecoverFreeList(f *testing.F) {
 	const n = 6
 	meta := Meta{NumPages: n, CatalogRoot: 0, FreeHead: 1}
@@ -519,32 +480,41 @@ func FuzzRecoverFreeList(f *testing.F) {
 			}
 			return
 		}
-		// Pop one page and free it again, so the commit rewrites the head.
-		if err := d.Free(d.Allocate()); err != nil {
+		// Pop one page and free it again, so the seal rewrites the list.
+		popped := d.Allocate()
+		if err := d.Free(popped); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Commit(meta); err != nil {
+		if err := d.Seal(0, nil); err != nil {
 			t.Fatal(err)
 		}
 		re := openCrafted(t, file, wal)
 		if st := re.DeviceStats(); st.FreeListResets != 0 {
-			t.Fatalf("committed list reset on reopen: %+v", st)
+			t.Fatalf("sealed list reset on reopen: %+v", st)
 		}
+		// Every free page is still free, or was trimmed off the tail.
 		again := re.FreeList()
-		slices.Sort(again)
-		if !slices.Equal(free, again) {
-			t.Fatalf("free set %v reopened as %v", free, again)
+		for _, id := range append(free, popped) {
+			if !slices.Contains(again, id) && int(id) < re.NumPages() {
+				t.Fatalf("free page %d lost: free set %v reopened as %v (%d pages)", id, free, again, re.NumPages())
+			}
+		}
+		for _, id := range again {
+			if !slices.Contains(free, id) && id != popped {
+				t.Fatalf("page %d joined the free set %v on reopen", id, free)
+			}
 		}
 		handed := map[PageID]bool{}
-		for range free {
+		tail := PageID(re.NumPages())
+		for i := 0; i < len(again)-re.held; i++ {
 			id := re.Allocate()
-			if id <= 0 || id >= n || handed[id] {
-				t.Fatalf("handed out page %d (free set %v, handed %v)", id, free, handed)
+			if id <= 0 || id >= tail || handed[id] || !slices.Contains(again, id) {
+				t.Fatalf("handed out page %d (free set %v, handed %v)", id, again, handed)
 			}
 			handed[id] = true
 		}
-		if got := re.Allocate(); got != n {
-			t.Fatalf("allocation after the drain = %d, want tail page %d", got, n)
+		if got := re.Allocate(); got != tail {
+			t.Fatalf("allocation after the drain = %d, want tail page %d", got, tail)
 		}
 	})
 }
@@ -552,7 +522,7 @@ func FuzzRecoverFreeList(f *testing.F) {
 // trunkPage renders a trunk image listing ids, chaining to next.
 func trunkPage(next PageID, ids ...PageID) []byte {
 	img := make([]byte, PageSize)
-	trunkStack{{id: next}, {ids: ids}}.render(1, img)
+	renderTrunk(img, next, ids)
 	return img
 }
 
@@ -562,7 +532,7 @@ func trunkPage(next PageID, ids ...PageID) []byte {
 func craftedFile(t testing.TB, meta Meta, pages map[PageID][]byte) File {
 	t.Helper()
 	file := &memFile{}
-	if err := writeSuperblock(file, meta); err != nil {
+	if err := writeSuperblock(file, 0, 0, meta); err != nil {
 		t.Fatal(err)
 	}
 	for id, img := range pages {
@@ -577,7 +547,7 @@ func craftedFile(t testing.TB, meta Meta, pages map[PageID][]byte) File {
 // reopening the same files models a crash of the previous disk.
 func openCrafted(t testing.TB, file, wal File) *FileDisk {
 	t.Helper()
-	d, err := openFileDisk(file, wal, "")
+	d, err := OpenFiles(file, wal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -616,4 +586,32 @@ func fileSize(t *testing.T, path string) int64 {
 		t.Fatal(err)
 	}
 	return st.Size()
+}
+
+// TestFileDiskSealDue: a seal comes due once the pages held back from
+// reuse — what the file grows by until the next seal — pass a quarter of
+// the sealed page count plus the slack, and the seal releases them.
+func TestFileDiskSealDue(t *testing.T) {
+	f := NewMemFileDisk()
+	defer f.Close()
+	const n = 2000
+	allocate(f, n)
+	seal(t, f)
+	limit := PageID(n/heldShare + heldSlack)
+	for id := PageID(0); id < limit; id++ {
+		if err := f.Free(id); err != nil {
+			t.Fatal(err)
+		}
+		if f.SealDue() {
+			t.Fatalf("a seal came due with %d pages held", id+1)
+		}
+	}
+	f.Free(limit)
+	if !f.SealDue() {
+		t.Fatalf("no seal due with %d of %d pages held", limit+1, n)
+	}
+	seal(t, f)
+	if f.SealDue() {
+		t.Fatal("a seal is still due right after one")
+	}
 }

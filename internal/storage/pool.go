@@ -108,9 +108,8 @@ func putPageBuf(b []byte) { pageBufs.Put((*[PageSize]byte)(b)) }
 // keyed by PageID. All access to page contents goes through Fetch/Unpin;
 // pinned pages are never evicted. Capacity is enforced per shard (total
 // across shards equals the configured capacity). Dirty frames are written
-// back on eviction and on FlushAll — the flush hook the engine's commit
-// boundaries use to move every modification into the device's WAL before a
-// commit record seals them.
+// back to their slots on eviction and on a flush — the engine's sync point
+// flushes every modification before the device seals it.
 type Pool struct {
 	dev      *FileDisk
 	capacity int

@@ -53,13 +53,12 @@ type Metrics struct {
 	WALFsyncLatency LatencyStats
 	// PoolMissLatency is the device read latency of each buffer pool miss.
 	PoolMissLatency LatencyStats
-	// CheckpointDuration is the duration of each full checkpoint.
+	// CheckpointDuration is the duration of each sync point's seal.
 	CheckpointDuration LatencyStats
-	// CommitLatency is per-commit latency — the WAL append (the commit's
-	// logged statements, or at a sync point its dirty pages, catalog and
-	// commit record), snapshot publish and the group fsync of one commit. Comparing its
-	// tail with and without the background checkpointer active shows the
-	// checkpointer's interference with the commit path.
+	// CommitLatency is per-commit latency — the WAL append of the commit's
+	// logged statements (or, for a commit that is a sync point, the whole
+	// sync point), snapshot publish and the group fsync of one commit. Its
+	// tail shows how often commits pay for a sync point.
 	CommitLatency LatencyStats
 	// TxnLatency is end-to-end transaction commit latency — validation,
 	// any replays, publish and the group fsync. One sample per successful
@@ -182,11 +181,11 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 	p.Counter("twigdb_device_reads_total", "Page reads from the device.", d.Reads)
 	p.Counter("twigdb_device_writes_total", "Page writes to the device.", d.Writes)
 	p.Counter("twigdb_device_read_bytes_total", "Bytes read from the device.", d.BytesRead)
-	p.Counter("twigdb_device_written_bytes_total", "Bytes written to the device (WAL + checkpoints when file-backed).", d.BytesWritten)
+	p.Counter("twigdb_device_written_bytes_total", "Bytes written to the device (WAL records, pages and sync points).", d.BytesWritten)
 	p.Counter("twigdb_wal_appends_total", "Frames appended to the write-ahead log.", d.WALAppends)
 	p.Counter("twigdb_wal_fsyncs_total", "Physical WAL fsyncs (one per durable batch, not per commit).", d.WALFsyncs)
 	p.Counter("twigdb_group_commit_batches_total", "Coalesced group-commit fsync batches.", d.GroupCommitBatches)
-	p.Counter("twigdb_checkpoints_total", "Checkpoints migrating the WAL into the database file.", d.Checkpoints)
+	p.Counter("twigdb_checkpoints_total", "Sync points sealing the database file and emptying the WAL.", d.Checkpoints)
 	p.Gauge("twigdb_wal_bytes", "Current write-ahead log length in bytes.", float64(d.WALBytes))
 	p.Gauge("twigdb_commits_since_sync", "Commits logged past the last sync point: the replay a crash now would leave to the next open.", float64(d.CommitsSinceSync))
 	p.Counter("twigdb_checksum_failures_total", "Page/WAL-frame checksum verifications that failed.", d.ChecksumFailures)
@@ -230,7 +229,7 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 	p.Histogram("twigdb_wal_fsync_latency_seconds", "Physical WAL fsync duration.", reg.WALFsyncLatency.Snapshot(), 1e-9)
 	p.Histogram("twigdb_group_commit_batch_size", "Commits made durable per WAL fsync.", reg.GroupCommitBatch.Snapshot(), 1)
 	p.Histogram("twigdb_pool_miss_read_latency_seconds", "Device read latency of buffer pool misses.", reg.PoolMissLatency.Snapshot(), 1e-9)
-	p.Histogram("twigdb_checkpoint_duration_seconds", "Full checkpoint duration.", reg.CheckpointDuration.Snapshot(), 1e-9)
+	p.Histogram("twigdb_checkpoint_duration_seconds", "Sync point seal duration.", reg.CheckpointDuration.Snapshot(), 1e-9)
 	p.Histogram("twigdb_commit_latency_seconds", "Per-commit latency (WAL append through group fsync).", reg.CommitLatency.Snapshot(), 1e-9)
 	p.Histogram("twigdb_txn_latency_seconds", "Transaction commit latency (validation through group fsync; successful commits only).", reg.TxnLatency.Snapshot(), 1e-9)
 

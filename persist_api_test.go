@@ -57,7 +57,7 @@ func TestOptionsPathRoundTrip(t *testing.T) {
 		}
 		want[q] = res.IDs
 	}
-	if st := db.StorageStats(); st.WALFsyncs == 0 || st.BytesWritten == 0 {
+	if st := db.StorageStats(); st.Checkpoints == 0 || st.BytesWritten == 0 {
 		t.Fatalf("durable build left no storage trace: %+v", st)
 	}
 	if err := db.Close(); err != nil {
@@ -146,7 +146,7 @@ func TestInMemoryCloseCheckpoints(t *testing.T) {
 
 // TestOpenRefusesOldFormat: a file whose superblock is stamped with
 // storage version 2 (its checksum re-sealed), or whose catalog is stamped
-// with version 2 (committed to the WAL, so the refusal comes after
+// with version 2 (sealed under a new superblock, so the refusal comes after
 // recovery), is refused with ErrFormatVersion, and the refused open leaves
 // the file and its WAL byte for byte as they were.
 func TestOpenRefusesOldFormat(t *testing.T) {
@@ -156,9 +156,9 @@ func TestOpenRefusesOldFormat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Superblock: magic, version u32 at 8, ..., CRC32-IEEE of bytes 0..27 at 28.
+			// Superblock: magic, version u32 at 8, ..., CRC32-IEEE of bytes 0..35 at 36.
 			binary.BigEndian.PutUint32(raw[8:], 2)
-			binary.BigEndian.PutUint32(raw[28:], crc32.ChecksumIEEE(raw[:28]))
+			binary.BigEndian.PutUint32(raw[36:], crc32.ChecksumIEEE(raw[:36]))
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -173,12 +173,11 @@ func TestOpenRefusesOldFormat(t *testing.T) {
 			if err := fd.Read(root, buf); err != nil {
 				t.Fatal(err)
 			}
-			// Catalog page: [4B next][2B length], then "TWIGCAT1" and the version.
+			// Catalog page: [4B next][2B length], then "TWIGCAT1" and the
+			// version, sealed copy-on-write as the new catalog root.
 			buf[6+len("TWIGCAT1")] = 2
-			if err := fd.Write(root, buf); err != nil {
-				t.Fatal(err)
-			}
-			if err := fd.Commit(fd.Meta()); err != nil {
+			restamped := fd.Allocate()
+			if err := errors.Join(fd.Write(restamped, buf), fd.Free(root), fd.Seal(restamped, nil)); err != nil {
 				t.Fatal(err)
 			}
 		},

@@ -23,7 +23,7 @@
 // # Persistence
 //
 // With Options.Path the database lives in a single paged file guarded by a
-// write-ahead log: Build/Insert/Delete commit durably, Close checkpoints,
+// write-ahead log: Build/Insert/Delete commit durably, Close runs a sync point,
 // and the next Open recovers everything — indices included — without
 // rebuilding:
 //
@@ -187,16 +187,15 @@ type Options struct {
 
 	// CheckpointWALBytes bounds the write-ahead log. A commit logs only its
 	// statements; its pages stay in the buffer pool until a sync point
-	// writes every dirty page, the catalog and a commit record to the log.
-	// A sync point comes every 1,024 commits, at Checkpoint, Close and
-	// Backup, and at the commit that finds the log past the last sync point
-	// longer than CheckpointWALBytes. Once the whole log is longer, a commit
-	// starts a background checkpoint, which migrates committed WAL frames
-	// into the database file in bounded batches and compacts any all-free
-	// file tail — entirely off the commit path, so writers keep
-	// group-committing at fsync speed while the log drains. 0 keeps the
-	// 64MB default. Without Path the log is in memory, so this also bounds
-	// the memory it holds beside the database.
+	// writes every dirty page and the catalog to their own slots in the
+	// database file, seals them under a new superblock, trims any all-free
+	// file tail and empties the log. A sync point comes every 1,024
+	// commits, at Build, Checkpoint, Close and Backup, at the commit that
+	// finds the log longer than CheckpointWALBytes, and at the commit that
+	// finds too many freed pages held back from reuse until the next one
+	// (a quarter of the file). The sync point runs in the committing
+	// writer. 0 keeps the 64MB default. Without Path the log is in memory,
+	// so this also bounds the memory it holds beside the database.
 	CheckpointWALBytes int64
 
 	// TxRetries caps how many times DB.Update re-runs its closure after an
@@ -340,17 +339,19 @@ func MustOpen(opts *Options) *DB {
 	return db
 }
 
-// Close commits, checkpoints and closes the database — for an in-memory
-// one, releasing its memory; the DB must not be used afterwards. A second
+// Close runs a final sync point and closes the database — for an
+// in-memory one, releasing its memory; the DB must not be used afterwards. A second
 // Close reports fs.ErrClosed, so `defer db.Close()` after an explicit
 // Close is harmless.
 func (db *DB) Close() error { return db.eng.Close() }
 
-// Checkpoint makes the current state durable and truncates the write-ahead
-// log (the next Open replays nothing). Mutations already commit at their
-// own boundaries, and a background checkpointer bounds WAL growth on its
-// own (see Options.CheckpointWALBytes); Checkpoint forces a full
-// synchronous pass at a moment the application chooses.
+// Checkpoint runs a sync point: every page of the current state goes to
+// the database file under a new superblock, the file's all-free tail is
+// trimmed, and the write-ahead log is emptied (the next Open replays
+// nothing). Mutations already commit at their own boundaries, and sync
+// points come on their own (see Options.CheckpointWALBytes); Checkpoint
+// runs one at a moment the application chooses. With nothing changed
+// since the last sync point it writes nothing.
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
 // Backup writes a transactionally consistent copy of the database to
@@ -358,7 +359,7 @@ func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 // writers keep committing during the copy. The backup pins one snapshot,
 // copies every page that snapshot reaches through the checksum-verified
 // read path, and seals the result as a standalone database file (empty
-// WAL) that Open restores like any cleanly checkpointed database. An
+// WAL) that Open restores like any cleanly closed database. An
 // in-memory database backs up the same way, so Backup is how one is saved
 // to a file.
 func (db *DB) Backup(dstPath string) error { return db.eng.Backup(dstPath) }
@@ -501,7 +502,7 @@ func (db *DB) QueryStats() QueryStats {
 }
 
 // StorageStats reports the full device I/O counters: page reads/writes,
-// bytes moved, WAL appends/fsyncs, current WAL length and checkpoints,
+// bytes moved, WAL appends/fsyncs, current WAL length and sync points,
 // plus the integrity counters of the fault-hardened storage layer
 // (checksum failures/retries, injected faults, recovery results and the
 // poisoned flag — see docs/FAULTS.md).
@@ -509,23 +510,23 @@ type StorageStats struct {
 	Reads              int64
 	Writes             int64
 	BytesRead          int64
-	BytesWritten       int64 // WAL appends + checkpoint copies
+	BytesWritten       int64 // WAL records + page slots + free-list trunks
 	WALAppends         int64
 	WALFsyncs          int64 // one per durable batch, not per commit
 	WALBytes           int64
 	CommitsSinceSync   int64 // commits logged past the last sync point: what a crash now would replay at Open
 	GroupCommitBatches int64 // coalesced fsync batches: concurrent commits share one fsync
-	Checkpoints        int64
+	Checkpoints        int64 // sync points run (Checkpoint, Close, Build and the commits that are sync points)
 
 	PagesFreed     int64 // pages returned to the on-disk free list
 	PagesReused    int64 // allocations served from the free list instead of growing the file
 	FileBytes      int64 // current database file size in bytes (0 once closed)
 	FreeListResets int64 // recoveries that found an invalid free list and emptied it
 
-	ChecksumFailures  int64 // page/WAL-frame checksum verifications that failed
+	ChecksumFailures  int64 // page checksum verifications that failed
 	ChecksumRetries   int64 // transparent re-reads that recovered a failure
 	InjectedFaults    int64 // faults fired by the configured injector
-	RecoveredCommits  int64 // commits the last open recovered from the WAL: sync points re-read plus logged commits replayed
+	RecoveredCommits  int64 // logged commits the last open replayed from the WAL
 	WALBytesDiscarded int64 // torn/corrupt WAL tail bytes discarded at the last open
 	Poisoned          bool  // a failed fsync poisoned the device (always true when Health.ReadOnly is)
 }

@@ -96,7 +96,7 @@ func (tx *Tx) QueryWith(strat Strategy, q string) (*Result, error) {
 // on ErrConflict (another transaction committed an overlapping document
 // first) the database is untouched and the work can be retried; on nil
 // every statement is visible to all sessions and — on a file-backed
-// database — durable under one write-ahead-log commit record, fsynced
+// database — durable under one write-ahead-log record, fsynced
 // once for the whole transaction (shared with concurrent committers by
 // group commit). Read-only transactions commit as a no-op.
 func (tx *Tx) Commit() error { return tx.etx.Commit() }
