@@ -290,7 +290,8 @@ type crashSweep struct {
 	dumps    []string // dumps[k]: the documents after ops[:k]
 	images   []crashImage
 	queries  []string
-	oracle   *DB
+	oracle   *DB // the documents after ops[:oracleAt]
+	extended *DB // oracle plus extraOp(oracleAt)
 	oracleAt int
 	crashes  int
 }
@@ -330,19 +331,15 @@ func (s *crashSweep) do(op torOp, capture bool) {
 	s.images = s.images[:0]
 }
 
-// recover opens one crash image and checks it.
+// recover opens one crash image and checks it. The recovered database
+// must also keep working: it takes one more insert — allocating from the
+// free list recovery loaded, beside the trunks it holds — and closes with
+// a sync point into the other superblock slot, whose image reopens to the
+// same documents with every page accounted for.
 func (s *crashSweep) recover(img crashImage) {
 	t := s.t
 	tag := fmt.Sprintf("seed %d, crash during op %d (%s)", s.seed, img.lo, s.ops[img.lo].kind)
-	fd, err := storage.OpenFiles(storage.NewCrashFile(img.db), storage.NewCrashFile(img.wal))
-	if err != nil {
-		t.Fatalf("%s: reopen: %v", tag, err)
-	}
-	rec, err := openOn(Config{BufferPoolBytes: 1 << 20}, fd)
-	if err != nil {
-		t.Fatalf("%s: reopen: %v", tag, err)
-	}
-	defer rec.Close()
+	rec, files := s.open(tag, img.db, img.wal)
 	got, at := dumpDocs(rec.Store()), -1
 	for k := img.lo + 1; k >= img.lo; k-- {
 		if s.dumps[k] == got {
@@ -355,13 +352,54 @@ func (s *crashSweep) recover(img crashImage) {
 	}
 	if s.oracleAt != at {
 		s.oracle = New(Config{BufferPoolBytes: 4 << 20})
+		s.extended = New(Config{BufferPoolBytes: 4 << 20})
 		for _, op := range s.ops[:at] {
 			applyOp(t, s.oracle, op)
+			applyOp(t, s.extended, op)
 		}
+		applyOp(t, s.extended, s.extraOp(at))
 		s.oracleAt = at
 	}
 	verifyRecovered(t, tag, rec, s.oracle, s.queries)
 	assertPagesAccounted(t, rec)
+
+	tag += " +insert"
+	applyOp(t, rec, s.extraOp(at))
+	verifyRecovered(t, tag, rec, s.extended, s.queries[:1])
+	if err := rec.Close(); err != nil {
+		t.Fatalf("%s: close: %v", tag, err)
+	}
+	// Close sealed the database file; its log may still hold the records
+	// the seal covers, which the reopen must skip.
+	again, _ := s.open(tag+", reopened", files[0].Crash(s.seed), files[1].Crash(^s.seed))
+	defer again.Close()
+	if got, want := dumpDocs(again.Store()), dumpDocs(s.extended.Store()); got != want {
+		t.Fatalf("%s: the sealed database reopens to other documents\ngot:\n%s\nwant:\n%s", tag, got, want)
+	}
+	assertPagesAccounted(t, again)
+}
+
+// open recovers a database from the images of its file and log, over
+// CrashFiles it returns beside it.
+func (s *crashSweep) open(tag string, db, wal []byte) (*DB, [2]*storage.CrashFile) {
+	files := [2]*storage.CrashFile{storage.NewCrashFile(db), storage.NewCrashFile(wal)}
+	fd, err := storage.OpenFiles(files[0], files[1])
+	if err != nil {
+		s.t.Fatalf("%s: reopen: %v", tag, err)
+	}
+	rec, err := openOn(Config{BufferPoolBytes: 1 << 20}, fd)
+	if err != nil {
+		s.t.Fatalf("%s: reopen: %v", tag, err)
+	}
+	return rec, files
+}
+
+// extraOp is the insert a database recovered at ops[:at] takes: a small
+// subtree under the first document's root, the same for every image that
+// recovers there.
+func (s *crashSweep) extraOp(at int) torOp {
+	rng := rand.New(rand.NewSource(s.seed<<16 | int64(at)))
+	return torOp{kind: "insert", parentID: s.db.Store().Docs[0].Root.ID, doc: genDoc(rng, 6)}
 }
 
 // randomWrite returns an insert under a random node, or a delete of a

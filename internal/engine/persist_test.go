@@ -333,7 +333,7 @@ func TestCloseRetiresContainment(t *testing.T) {
 	assertPagesAccounted(t, re)
 }
 
-// TestOpenRefusesOtherFormats: Open refuses a file whose superblock is
+// TestOpenRefusesOtherFormats: Open refuses a file whose superblocks are
 // stamped with storage version 2, or whose catalog (sealed under a new
 // superblock, so the refusal comes after recovery) is version 1, 2, 3 or
 // 5, with storage.ErrFormatVersion, and leaves the database file and its
@@ -345,8 +345,12 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			binary.BigEndian.PutUint32(raw[8:], 2) // version, then the CRC over bytes 0..35
-			binary.BigEndian.PutUint32(raw[36:], crc32.ChecksumIEEE(raw[:36]))
+			// Each superblock slot (at 0 and 2048): the version, then the
+			// CRC over the slot's bytes 0..35.
+			for _, sb := range [][]byte{raw[:40], raw[2048:2088]} {
+				binary.BigEndian.PutUint32(sb[8:], 2)
+				binary.BigEndian.PutUint32(sb[36:], crc32.ChecksumIEEE(sb[:36]))
+			}
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}

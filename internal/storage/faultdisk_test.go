@@ -435,11 +435,11 @@ func TestFileDiskChecksumCatchesWALCorruption(t *testing.T) {
 	}
 }
 
-// TestFileDiskRejectsOldFormat: a superblock stamped with any storage
-// version but the current one, or with another page size, is refused with
-// ErrFormatVersion — not read with misaligned offsets or a free list it
-// cannot parse — and the refused open changes no byte of the database file
-// or its WAL.
+// TestFileDiskRejectsOldFormat: a file whose superblocks are stamped with
+// any storage version but the current one, or with another page size, is
+// refused with ErrFormatVersion — not read with misaligned offsets or a
+// free list it cannot parse — and the refused open changes no byte of the
+// database file or its WAL.
 func TestFileDiskRejectsOldFormat(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -467,6 +467,7 @@ func TestFileDiskRejectsOldFormat(t *testing.T) {
 				t.Fatal(err)
 			}
 			binary.BigEndian.PutUint32(raw[tc.off:], tc.val)
+			binary.BigEndian.PutUint32(raw[superblockSlot+tc.off:], tc.val)
 			sealSuperblock(raw)
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)

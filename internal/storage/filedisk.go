@@ -1057,28 +1057,28 @@ func writeSuperblock(file File, i int, seq int64, m Meta) error {
 }
 
 // readSuperblock returns the valid superblock with the higher sequence,
-// that sequence and its slot. A slot stamped with another format version
-// or page size fails the open with ErrFormatVersion; with no valid slot,
-// the first slot's failure (a short read, a bad magic, a checksum mismatch,
-// an impossible sequence or Meta) wraps ErrCorruptPage.
+// that sequence and its slot. A slot that fails validation — damaged, or
+// stamped with another format version or page size — is passed over while
+// the other slot is valid. With no valid slot, the open fails with
+// ErrFormatVersion when either slot carries another format, and otherwise
+// with the first slot's failure (a short read, a bad magic, a checksum
+// mismatch, an impossible sequence or Meta), which wraps ErrCorruptPage.
 func readSuperblock(file File) (m Meta, seq int64, slot int, err error) {
 	slot = -1
-	var firstErr error
+	var failed error
 	for i := 0; i < 2; i++ {
 		im, iseq, err := readSuperblockSlot(file, i)
 		switch {
-		case errors.Is(err, ErrFormatVersion):
-			return Meta{}, 0, 0, err
 		case err != nil:
-			if firstErr == nil {
-				firstErr = err
+			if failed == nil || errors.Is(err, ErrFormatVersion) && !errors.Is(failed, ErrFormatVersion) {
+				failed = err
 			}
 		case slot < 0 || iseq > seq:
 			m, seq, slot = im, iseq, i
 		}
 	}
 	if slot < 0 {
-		return Meta{}, 0, 0, firstErr
+		return Meta{}, 0, 0, failed
 	}
 	return m, seq, slot, nil
 }

@@ -2,11 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -250,8 +252,10 @@ func TestFileDiskCheckpointIdempotent(t *testing.T) {
 	requireLog(t, "after the sealed records", re2, "three")
 }
 
-// TestFileDiskBadSuperblock: a corrupt newer superblock falls back to the
-// older one; with both corrupt the open fails typed.
+// TestFileDiskBadSuperblock: a damaged older superblock — its version
+// field included — is passed over for the valid newer one; a corrupt newer
+// superblock falls back to the older one; with both corrupt the open fails
+// typed.
 func TestFileDiskBadSuperblock(t *testing.T) {
 	path := tmpDB(t)
 	f := mustOpenFD(t, path)
@@ -261,9 +265,20 @@ func TestFileDiskBadSuperblock(t *testing.T) {
 	f.Close()
 
 	raw, _ := os.ReadFile(path)
+	stamped := slices.Clone(raw)
+	binary.BigEndian.PutUint32(stamped[8:], fileFormatVer+1)
+	sealSuperblock(stamped)
+	os.WriteFile(path, stamped, 0o644)
+	re := mustOpenFD(t, path)
+	if re.NumPages() != 1 {
+		t.Fatalf("with the older superblock's version damaged, NumPages = %d, want the newer 1", re.NumPages())
+	}
+	requirePage(t, "older superblock's version damaged", re, 0, 'z')
+	re.Close()
+
 	raw[superblockSlot+3] ^= 0xFF // corrupt the newer superblock's magic
 	os.WriteFile(path, raw, 0o644)
-	re := mustOpenFD(t, path)
+	re = mustOpenFD(t, path)
 	if re.NumPages() != 0 {
 		t.Fatalf("with the newer superblock corrupt, NumPages = %d, want the older 0", re.NumPages())
 	}

@@ -144,8 +144,8 @@ func TestInMemoryCloseCheckpoints(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesOldFormat: a file whose superblock is stamped with
-// storage version 2 (its checksum re-sealed), or whose catalog is stamped
+// TestOpenRefusesOldFormat: a file whose superblocks are stamped with
+// storage version 2 (their checksums re-sealed), or whose catalog is stamped
 // with version 2 (sealed under a new superblock, so the refusal comes after
 // recovery), is refused with ErrFormatVersion, and the refused open leaves
 // the file and its WAL byte for byte as they were.
@@ -156,9 +156,12 @@ func TestOpenRefusesOldFormat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Superblock: magic, version u32 at 8, ..., CRC32-IEEE of bytes 0..35 at 36.
-			binary.BigEndian.PutUint32(raw[8:], 2)
-			binary.BigEndian.PutUint32(raw[36:], crc32.ChecksumIEEE(raw[:36]))
+			// Each superblock slot (at 0 and 2048): magic, version u32 at
+			// 8, ..., CRC32-IEEE of the slot's bytes 0..35 at 36.
+			for _, sb := range [][]byte{raw[:40], raw[2048:2088]} {
+				binary.BigEndian.PutUint32(sb[8:], 2)
+				binary.BigEndian.PutUint32(sb[36:], crc32.ChecksumIEEE(sb[:36]))
+			}
 			if err := os.WriteFile(path, raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
