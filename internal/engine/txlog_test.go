@@ -349,6 +349,44 @@ func TestSyncPointTrimsTailUnderLoggedCommits(t *testing.T) {
 	assertPagesAccounted(t, crash)
 }
 
+// TestHeldPagesBringOnSyncPoints: a writer whose commits — item deletes
+// here — spread over the whole database holds back sealed pages, each
+// freed or copied away for the first time since the last sync point, far
+// faster than the commit count or the log size bring on a sync point. The
+// held-page trigger (storage.FileDisk.SealDue) brings it on instead: every
+// commit that finds the trigger due is a sync point.
+func TestHeldPagesBringOnSyncPoints(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "twig.db")
+	db, items := xmarkItems(t, 200, Config{Path: path, BufferPoolBytes: 64 << 20})
+	defer db.Close()
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	syncs, peak := 0, 0.0
+	for i := 0; i < 200; i++ {
+		due := db.fdisk.SealDue()
+		before := db.DeviceStats().Checkpoints
+		if err := db.DeleteSubtree(items[i*7919%len(items)]); err != nil {
+			t.Fatal(err)
+		}
+		synced := db.DeviceStats().Checkpoints > before
+		if due && !synced {
+			t.Fatalf("commit %d found the held-page trigger due and was not a sync point", i)
+		}
+		if synced {
+			syncs++
+		}
+		sealed := float64(db.fdisk.Meta().NumPages)
+		peak = max(peak, float64(db.fdisk.NumPages())/sealed)
+	}
+	// Neither the commit count (1,024) nor the log budget (64 MB) comes due
+	// in 200 commits: every sync point here is the held-page trigger's.
+	if syncs == 0 {
+		t.Fatal("200 spread commits brought on no sync point: the held-page trigger never fired")
+	}
+	t.Logf("%d sync points in 200 commits; the file peaked at %.2f× the sealed page count", syncs, peak)
+}
+
 // TestSyncPointsUnderReaders: sync points run while queries pin the pages
 // logged commits left dirty in the pool. Each must still write those
 // pages, so a copy of the open files taken after the last one — and a
