@@ -342,55 +342,86 @@ var (
 // match a Test or Fuzz function of a package that line is aimed at, and
 // every -fuzz <regex> a Fuzz function. go test itself only warns ("no
 // tests to run", "no fuzz tests to fuzz") and exits 0, so without this a
-// rename silently drops the test from `make fuzz` and CI.
+// rename silently drops the test from `make fuzz` and CI. The other way
+// round, every Fuzz function outside the benchmark module must be some
+// -fuzz line's target in its package: one left out is never fuzzed.
 func TestMakefileSelectorsMatchTests(t *testing.T) {
 	src, err := os.ReadFile("Makefile")
 	if err != nil {
 		t.Fatal(err)
 	}
+	fuzzed := map[string]bool{} // package directory + "." + Fuzz function
 	for _, m := range goTestLine.FindAllStringSubmatch(string(src), -1) {
 		line := strings.ReplaceAll(m[1], "$$", "$") // make's escape for $
-		var funcs []string
+		var funcs, dirs []string
 		for _, arg := range strings.Fields(line) {
 			if arg != "." && !strings.HasPrefix(arg, "./") || strings.HasSuffix(arg, "...") {
 				continue
 			}
-			files, err := filepath.Glob(filepath.Join(arg, "*_test.go"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, f := range files {
-				body, err := os.ReadFile(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, fn := range testFunc.FindAllStringSubmatch(string(body), -1) {
-					funcs = append(funcs, fn[1])
-				}
+			for _, fn := range testFuncs(t, arg) {
+				funcs, dirs = append(funcs, fn), append(dirs, path.Clean(arg))
 			}
 		}
-		matches := func(pattern, kind string) bool {
+		matching := func(pattern, kind string) (hits []int) {
 			re, err := regexp.Compile(pattern)
 			if err != nil {
 				t.Errorf("Makefile: go test%s: %v", line, err)
-				return true
+				return nil
 			}
-			for _, fn := range funcs {
+			for i, fn := range funcs {
 				if strings.HasPrefix(fn, kind) && re.MatchString(fn) {
-					return true
+					hits = append(hits, i)
 				}
 			}
-			return false
+			return hits
 		}
 		if run := runFlag.FindStringSubmatch(line); run != nil && run[1] != "^$" { // '^$' runs nothing, on purpose
 			for _, alt := range strings.Split(run[1], "|") {
-				if !matches(alt, "Test") && !matches(alt, "Fuzz") {
+				if matching(alt, "Test") == nil && matching(alt, "Fuzz") == nil {
 					t.Errorf("Makefile: go test%s: -run alternative %q matches no test of its packages", line, alt)
 				}
 			}
 		}
-		if fuzz := fuzzFlag.FindStringSubmatch(line); fuzz != nil && !matches(fuzz[1], "Fuzz") {
-			t.Errorf("Makefile: go test%s: -fuzz %s matches no fuzz target of its package", line, fuzz[1])
+		if fuzz := fuzzFlag.FindStringSubmatch(line); fuzz != nil {
+			hits := matching(fuzz[1], "Fuzz")
+			if hits == nil {
+				t.Errorf("Makefile: go test%s: -fuzz %s matches no fuzz target of its package", line, fuzz[1])
+			}
+			for _, i := range hits {
+				fuzzed[dirs[i]+"."+funcs[i]] = true
+			}
 		}
 	}
+	seen := map[string]bool{}
+	for _, f := range repoFiles(t) {
+		dir := path.Dir(f)
+		if strings.HasPrefix(f, "benchmark/") || !strings.HasSuffix(f, "_test.go") || seen[dir] {
+			continue
+		}
+		seen[dir] = true
+		for _, fn := range testFuncs(t, dir) {
+			if strings.HasPrefix(fn, "Fuzz") && !fuzzed[dir+"."+fn] {
+				t.Errorf("%s: %s is fuzzed by no `make fuzz` line aimed at its package", dir, fn)
+			}
+		}
+	}
+}
+
+// testFuncs returns the Test and Fuzz functions of the package in dir.
+func testFuncs(t *testing.T, dir string) []string {
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, f := range files {
+		body, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fn := range testFunc.FindAllStringSubmatch(string(body), -1) {
+			out = append(out, fn[1])
+		}
+	}
+	return out
 }

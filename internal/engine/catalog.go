@@ -131,7 +131,6 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 	}
 	snap.env.Nodes = index.OpenNodeTable(db.pool, nodes, dict)
 	snap.env.Stats = st
-	snap.statsReady.Store(true)
 
 	db.dict = dict
 	db.ptab = ptab

@@ -202,8 +202,8 @@ func (db *DB) writeGate() error {
 
 // noteCommitErr inspects a commit-path failure: if it left the FileDisk
 // poisoned (a failed fsync — fsyncgate semantics), the engine degrades to
-// read-only mode. Transient failures (an injected write error, a corrupt
-// WAL frame failing a checkpoint) do not poison the disk and leave the
+// read-only mode. Transient failures (an injected write error failing a
+// sync point before its superblock) do not poison the disk and leave the
 // database writable; the failed snapshot was simply never published or
 // never became durable, depending on where the commit path stopped.
 func (db *DB) noteCommitErr(err error) error {
@@ -459,11 +459,13 @@ type retireBatch struct {
 // catalog copy-on-write into a fresh chain if it changed, and seal
 // (storage.FileDisk.Seal) — under a new superblock, durable on return, the
 // log emptied. The sealed free list also names every page in the
-// deferred-free queue, which only pinned older versions still read: a
-// crash frees them. next is unpublished or already carries its node table
-// (see commitCurrent). The flush holds stmtMu exclusively, so it also
-// writes the pages readers pin at that moment: between sync points a
-// published version's pages stay dirty in the pool. Callers hold writeMu.
+// deferred-free queue, which only pinned older versions still read, and
+// every page of next's Containment index, which has no catalog record, so
+// nothing reopens it: a crash or a close frees them. next is unpublished
+// or already carries its node table (see commitCurrent). The flush holds
+// stmtMu exclusively, so it also writes the pages readers pin at that
+// moment: between sync points a published version's pages stay dirty in
+// the pool. Callers hold writeMu.
 func (db *DB) syncPoint(next *Snapshot) (err error) {
 	if next.env.Nodes == nil {
 		// The first commit since documents were bulk-loaded. Should the
@@ -497,6 +499,14 @@ func (db *DB) syncPoint(next *Snapshot) (err error) {
 	var retired []storage.PageID
 	for _, b := range db.retired {
 		retired = append(retired, b.pages...)
+	}
+	if c := next.env.Containment; c != nil {
+		// A failed walk leaves the rest of c's pages off the list: a crash
+		// leaks them, which is always safe.
+		_ = c.WalkPages(func(id storage.PageID) error {
+			retired = append(retired, id)
+			return nil
+		})
 	}
 	if err := db.fdisk.Seal(db.catalogPages[0], retired); err != nil {
 		return fmt.Errorf("engine: sync point: %w", err)
@@ -706,13 +716,9 @@ func (db *DB) Close() error {
 	return db.fdisk.Close()
 }
 
-// releaseAtClose lets go of what only this open database holds on to: the
-// AS OF window's standing pins, and the pages of a Containment index,
-// which has no catalog record, so nothing reopens it. Both are left to the
-// deferred-free queue — the Containment pages tagged with the current
-// version, as only older versions (pinned ones block the free) share
-// them — and the reclaim before the close commit frees them. Callers hold
-// writeMu.
+// releaseAtClose drops the AS OF window's standing pins, so the reclaim
+// before the close commit frees what only the window's versions read.
+// Callers hold writeMu.
 func (db *DB) releaseAtClose() {
 	db.retainMu.Lock()
 	for _, s := range db.retained {
@@ -720,10 +726,6 @@ func (db *DB) releaseAtClose() {
 	}
 	db.retained = nil
 	db.retainMu.Unlock()
-	cur := db.current.Load()
-	if c := cur.env.Containment; c != nil {
-		db.retire(cur.seq, nil, []pageWalker{c})
-	}
 }
 
 // LoadXML parses one document from r and adds it to the store. Documents
@@ -800,10 +802,9 @@ func (db *DB) Store() *xmldb.Store {
 // Dict exposes the shared designator dictionary.
 func (db *DB) Dict() *pathdict.Dict { return db.dict }
 
-// Env exposes the current snapshot's planner environment, statistics
-// materialised (for white-box tests and benches; treat it as read-only —
-// copy before tweaking knobs).
-func (db *DB) Env() *plan.Env { return db.current.Load().queryEnv() }
+// Env exposes the current snapshot's planner environment (for white-box
+// tests and benches; treat it as read-only — copy before tweaking knobs).
+func (db *DB) Env() *plan.Env { return db.current.Load().Env() }
 
 // Pool exposes the shared buffer pool.
 func (db *DB) Pool() *storage.Pool { return db.pool }
@@ -833,7 +834,6 @@ func (db *DB) Build(kinds ...index.Kind) error {
 	}
 	next := cur.clone()
 	next.env.Stats = stats.Collect(store, db.dict)
-	next.statsReady.Store(true)
 	site := index.Site{Pool: db.pool, Store: store, Dict: db.dict, Ptab: db.ptab, Opts: db.cfg.PathsOptions}
 	for _, k := range kinds {
 		built, err := index.Build(k, site)
@@ -926,7 +926,7 @@ func (db *DB) NodeCount() int {
 func (db *DB) Explain(pat *xpath.Pattern, strat plan.Strategy) (string, error) {
 	s := db.pin()
 	defer db.unpin(s)
-	return plan.Explain(s.queryEnv(), strat, pat)
+	return plan.Explain(s.Env(), strat, pat)
 }
 
 // CurrentSeq returns the published snapshot's sequence number — the
@@ -997,7 +997,7 @@ func (db *DB) SlowQueryLog() *obs.SlowLog { return db.slowLog }
 func (db *DB) ExplainBest(pat *xpath.Pattern) (string, plan.Strategy, error) {
 	s := db.pin()
 	defer db.unpin(s)
-	return plan.ExplainChosen(s.queryEnv(), pat)
+	return plan.ExplainChosen(s.Env(), pat)
 }
 
 // Spaces reports the footprint of every built index.

@@ -310,8 +310,8 @@ func TestCloseReleasesRetainedSnapshots(t *testing.T) {
 }
 
 // TestCloseRetiresContainment: a Containment index has no catalog record,
-// so nothing reopens it; Close retires its pages with the close commit
-// rather than orphaning them.
+// so nothing reopens it; the close's sync point names its pages on the
+// sealed free list rather than orphaning them.
 func TestCloseRetiresContainment(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "twig.db")
 	db, err := Open(Config{Path: path, BufferPoolBytes: 1 << 20})
@@ -326,6 +326,23 @@ func TestCloseRetiresContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	re, err := Open(Config{Path: path, BufferPoolBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	assertPagesAccounted(t, re)
+}
+
+// TestCrashFreesContainment: every sync point names a Containment index's
+// pages on the sealed free list, so a crash before Close frees them too.
+func TestCrashFreesContainment(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "twig.db")
+	db, _ := xmarkItems(t, 10, Config{Path: path, BufferPoolBytes: 1 << 20})
+	defer db.Close()
+	if err := db.Build(index.KindContainment); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(Config{Path: copyUnclosed(t, path), BufferPoolBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func (db *DB) run(s *Snapshot, pat *xpath.Pattern, opts ReadOpts) (ReadResult, e
 		res.IDs = naive.Match(store, pat)
 		return res, nil
 	}
-	env := s.queryEnv()
+	env := &s.env
 	start := time.Now()
 	tree, cacheHit, err := s.planFor(env, pat, opts)
 	if err != nil {

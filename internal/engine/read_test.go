@@ -9,6 +9,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -206,6 +207,33 @@ func TestReadWithoutPlanIsNotCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("pinned, index missing", ReadOpts{Strategy: plan.ASRPlan})
+}
+
+// A version that was loaded and never built has no index and no
+// statistics: every plan over it fails, and failing collects nothing —
+// statistics are made with the indices, never on a read.
+func TestNeverBuiltReadCollectsNoStatistics(t *testing.T) {
+	db := newDB(t)
+	pat := xpath.MustParse(`//person/name`)
+	_, pinnedErr := db.Read(pat, ReadOpts{Planner: Pinned, Strategy: plan.RootPathsPlan})
+	_, autoErr := db.Read(pat, ReadOpts{Planner: Auto})
+	_, explainErr := db.Explain(pat, plan.DataPathsPlan)
+	for _, c := range []struct {
+		what string
+		err  error
+		want string
+	}{
+		{"pinned read", pinnedErr, "ROOTPATHS index not built"},
+		{"auto read", autoErr, "no index built"},
+		{"explain", explainErr, "DATAPATHS index not built"},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.want) {
+			t.Errorf("%s: got %v, want %q", c.what, c.err, c.want)
+		}
+	}
+	if st := db.CurrentSnapshot().Env().Stats; st != nil {
+		t.Fatalf("a failed read collected statistics (%d nodes)", st.NodeCount())
+	}
 }
 
 // A finished transaction refuses every read, the Oracle's included.

@@ -20,7 +20,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/pathdict"
 	"repro/internal/plan"
-	"repro/internal/stats"
 	"repro/internal/storage"
 	"repro/internal/xmldb"
 	"repro/internal/xpath"
@@ -28,10 +27,12 @@ import (
 
 // Snapshot is one immutable version of the database. Everything reachable
 // from it is frozen — except the store of a version opened from a file,
-// loaded on first need, the statistics of a never-analysed version,
-// collected lazily (each guarded by a load-once latch below), and the plan
+// loaded on first need (guarded by a load-once latch below), and the plan
 // cache (its own mutex): monotonic caches whose content is derived purely
-// from the frozen state.
+// from the frozen state. A version that has any index has statistics:
+// Build collects them with the indices, Open streams them from the node
+// table, and every successor carries its base's forward. A version that
+// was loaded and never built has neither, and every plan over it fails.
 type Snapshot struct {
 	// seq is the snapshot's position in the version chain (0 = the state
 	// at Open).
@@ -85,14 +86,6 @@ type Snapshot struct {
 	planMu    sync.RWMutex
 	planCache map[string]*plan.Tree
 
-	// statsMu serialises the lazy statistics collection of a never-analysed
-	// version so concurrent first-queries collect exactly once; statsReady
-	// lets the steady state skip the latch with one atomic load (the
-	// statsReady store is ordered after the env.Stats write, so a reader
-	// observing true also observes the built stats).
-	statsMu    sync.Mutex
-	statsReady atomic.Bool
-
 	// dropped are the structures the writer took out of this version
 	// wholesale — replaced by a rebuild, or not maintainable across an
 	// update. Their pages are retired when this version publishes
@@ -126,29 +119,6 @@ func (s *Snapshot) setStore(store *xmldb.Store) {
 
 // Env returns the snapshot's planner environment.
 func (s *Snapshot) Env() *plan.Env { return &s.env }
-
-// queryEnv returns the environment a query plans and executes with. A
-// version derived from an analysed one carries its own statistics from the
-// moment it is published (see Tx.successor), and Open streams a file's
-// statistics from its node table; only a never-analysed store — always
-// one the snapshot holds — collects them here, exactly once, holding the
-// stats latch across the collection so concurrent first-queries collect
-// once and the rest wait.
-// Because the snapshot's store is immutable, the statistics describe
-// exactly the state every reader of this snapshot sees — a query can never
-// plan against statistics from a different version than the indices it
-// probes.
-func (s *Snapshot) queryEnv() *plan.Env {
-	if !s.statsReady.Load() {
-		s.statsMu.Lock()
-		if s.env.Stats == nil {
-			s.env.Stats = stats.Collect(s.store, s.dict)
-		}
-		s.statsMu.Unlock()
-		s.statsReady.Store(true)
-	}
-	return &s.env
-}
 
 // planFor resolves the plan tree a read executes. A pinned strategy's tree
 // is built for the call. Under Auto the cheapest tree comes from the
@@ -192,9 +162,8 @@ func (s *Snapshot) planFor(env *plan.Env, pat *xpath.Pattern, opts ReadOpts) (tr
 // through stats.Successor first). A successor of a snapshot that has not
 // loaded its store shares its node table and can load the same store. The
 // plan cache starts empty: a new version means new statistics, which can
-// change every choice. The env copy happens under the stats latch: a
-// concurrent reader may be installing lazily collected statistics into
-// this snapshot at the same moment.
+// change every choice. The env is copied without a lock: it is immutable
+// once the snapshot is published.
 func (s *Snapshot) clone() *Snapshot {
 	next := &Snapshot{
 		seq:    s.seq + 1,
@@ -205,16 +174,13 @@ func (s *Snapshot) clone() *Snapshot {
 	if store := s.Store(); store != nil {
 		next.setStore(store)
 	}
-	s.statsMu.Lock()
 	next.env = s.env
-	s.statsMu.Unlock()
-	next.statsReady.Store(next.env.Stats != nil)
 	return next
 }
 
 // successorStats gives the snapshot a private copy-on-write successor of
 // the statistics it shares with its base, for a writer about to change the
-// store; a never-analysed version keeps none.
+// store; a version that was never built has none to carry.
 func (s *Snapshot) successorStats() {
 	if s.env.Stats != nil {
 		s.env.Stats = s.env.Stats.Successor()

@@ -30,11 +30,11 @@
 //   - publish: with the writer lock held and the chain tip unchanged, the
 //     transaction's statements are appended as one WAL logical record
 //     (riding the existing group-commit fsync path — one durable record per
-//     transaction, not per statement; at a sync point the record is the
-//     commit record sealing its pages instead) and the successor becomes
-//     current with a single pointer swap. Its pages stay in the buffer
-//     pool until a sync point; a crash before one replays the record
-//     through applyOp at Open.
+//     transaction, not per statement; a commit that is a sync point logs
+//     nothing and seals its pages under a new superblock instead) and the
+//     successor becomes current with a single pointer swap. Its pages stay
+//     in the buffer pool until a sync point; a crash before one replays
+//     the record through applyOp at Open.
 //
 // Abandoned prepared versions — replaced by a replay, rolled back, or
 // conflicted — return their freshly allocated B+-tree pages straight to
@@ -79,16 +79,18 @@ type CommitStage int
 
 const (
 	// CommitStagePrepared: the private successor is fully built; nothing
-	// has been validated and no commit record exists. A crash here must
-	// recover to a state without any trace of the transaction.
+	// has been validated and nothing is logged or sealed. A crash here
+	// must recover to a state without any trace of the transaction.
 	CommitStagePrepared CommitStage = iota
 	// CommitStageValidated: the write-set validated cleanly under the
-	// writer lock; the commit record is not yet appended. A crash here
-	// must still recover to a state without the transaction.
+	// writer lock; the statements are not yet logged, nor the pages
+	// sealed. A crash here must still recover to a state without the
+	// transaction.
 	CommitStageValidated
-	// CommitStagePublished: the commit record is appended and the
-	// successor is the current snapshot. Recovery must replay the whole
-	// transaction — every statement or none.
+	// CommitStagePublished: the statements' log record is appended (or
+	// the sync point sealed) and the successor is the current snapshot.
+	// Recovery must replay the whole transaction — every statement or
+	// none.
 	CommitStagePublished
 )
 
@@ -456,8 +458,8 @@ func (tx *Tx) Rollback() {
 
 // Commit validates the transaction's write-set against every commit
 // published since its base and, when nothing overlaps, publishes all its
-// statements atomically under one WAL commit record (one group-committed
-// fsync for the whole transaction). When the chain advanced without
+// statements atomically under one WAL logical record (one group-committed
+// fsync for the whole transaction), or seals them at a sync point. When the chain advanced without
 // conflicts, the statements are replayed onto the newest version first —
 // commit never blocks other writers while replaying.
 //
@@ -550,7 +552,7 @@ func (tx *Tx) publish(prepared *Snapshot, writeSet []int64, start time.Time) err
 	rec := appendTxRecord(nil, prepared.nextID, tx.ops)
 	if err := db.commitPublish(prepared, rec, writeSet, false); err != nil { // unlocks writeMu
 		if db.current.Load() != prepared {
-			// The commit record never made it; nothing published. The ids
+			// The commit never made it; nothing published. The ids
 			// can be clawed back: a non-conflict failure is final, the
 			// template will not be retried.
 			tx.abandon(prepared)

@@ -249,9 +249,6 @@ func buildStructural(env *Env, pat *xpath.Pattern) (*Tree, error) {
 // column can hold: the match count of its root-to-node trunk path,
 // ignoring value conditions (an upper bound).
 func nodeCountEst(env *Env, n *xpath.Node) int64 {
-	if env.Stats == nil {
-		return 0
-	}
 	var labels []string
 	var descs []bool
 	for c := n; c != nil; c = c.Parent {

@@ -78,9 +78,7 @@ func schemaSurcharge(env *Env, strat Strategy) float64 {
 	case XRelPlan:
 		n = env.XRel.Paths().Len()
 	case DataGuideEdgePlan, FabricEdgePlan:
-		if env.Stats != nil {
-			n = env.Stats.RootedPaths().Len()
-		}
+		n = env.Stats.RootedPaths().Len()
 	}
 	return float64(n) * costSchemaPath
 }
@@ -150,9 +148,6 @@ func edgeWalkCost(env *Env, br xpath.Branch, pat []pathdict.PStep, est int64) fl
 		v := float64(labelValueEst(env, pat, br.Value))
 		return costLookup + v*costRow + v*(depth-1)*costClimb
 	}
-	if env.Stats == nil {
-		return costLookup + float64(est)*costRow
-	}
 	// Top-down: the roots' children scan plus one children lookup per
 	// frontier node per level (frontier sizes are exact per-prefix counts).
 	var frontier float64
@@ -163,11 +158,9 @@ func edgeWalkCost(env *Env, br xpath.Branch, pat []pathdict.PStep, est int64) fl
 }
 
 // matchingPathCount returns the number of distinct rooted schema paths the
-// branch pattern matches (>= 1 so a statless environment still ranks).
+// branch pattern matches (>= 1: a probe of a path that does not occur
+// still costs its one lookup).
 func matchingPathCount(env *Env, pat []pathdict.PStep) float64 {
-	if env.Stats == nil {
-		return 1
-	}
 	m := env.Stats.CountMatchingRootedPaths(pat)
 	if m < 1 {
 		m = 1
@@ -177,18 +170,12 @@ func matchingPathCount(env *Env, pat []pathdict.PStep) float64 {
 
 // structuralEst is the branch's match count ignoring its value condition.
 func structuralEst(env *Env, pat []pathdict.PStep) int64 {
-	if env.Stats == nil {
-		return 0
-	}
 	return env.Stats.EstimateBranch(pat, false, "")
 }
 
 // labelValueEst counts nodes of the branch's leaf label carrying the given
 // value anywhere in the store — the rows a value-index probe streams.
 func labelValueEst(env *Env, pat []pathdict.PStep, value string) int64 {
-	if env.Stats == nil {
-		return 0
-	}
 	leaf := []pathdict.PStep{{Desc: true, Sym: pat[len(pat)-1].Sym}}
 	return env.Stats.EstimateBranch(leaf, true, value)
 }
@@ -196,9 +183,6 @@ func labelValueEst(env *Env, pat []pathdict.PStep, value string) int64 {
 // regionScanEst estimates one structural-join candidate list: all nodes
 // with the twig node's label (value-restricted when the node is valued).
 func regionScanEst(env *Env, n *xpath.Node) int64 {
-	if env.Stats == nil || env.Dict == nil {
-		return 0
-	}
 	sym, ok := env.Dict.Sym(n.Label)
 	if !ok {
 		return 0

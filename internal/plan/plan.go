@@ -71,8 +71,7 @@ const (
 
 // strategies is the one table of the strategy family, indexed by Strategy:
 // the name the paper's figures use, the access-method name EXPLAIN shows,
-// the index kinds that must be built (and whether statistics must be),
-// whether the access method can probe bound to a head id — only ROOTPATHS
+// the index kinds that must be built, whether the access method can probe bound to a head id — only ROOTPATHS
 // cannot among the branch strategies, the asymmetry behind the paper's
 // Figure 12(d) — the cost of one free-probe descent and of streaming one
 // probe output row (cost.go), and the branch evaluator's constructor. The
@@ -81,7 +80,6 @@ const (
 var strategies = [NumStrategies]struct {
 	name, access string
 	requires     []index.Kind
-	needStats    bool
 	canBound     bool
 	lookup, row  float64
 	eval         func(*Env) evaluator
@@ -95,7 +93,7 @@ var strategies = [NumStrategies]struct {
 	DataGuideEdgePlan: {name: "DG+Edge", access: "DataGuide+value", requires: []index.Kind{index.KindDataGuide, index.KindEdge},
 		canBound: true, lookup: costLookup, row: costRow, eval: newDGEval},
 	FabricEdgePlan: {name: "IF+Edge", access: "IndexFabric", requires: []index.Kind{index.KindIndexFabric, index.KindEdge},
-		needStats: true, canBound: true, lookup: costLookup, row: costRow, eval: newIFEval},
+		canBound: true, lookup: costLookup, row: costRow, eval: newIFEval},
 	ASRPlan: {name: "ASR", access: "ASR", requires: []index.Kind{index.KindASR},
 		canBound: true, lookup: costLookup, row: costRowASR, eval: newASREval},
 	JoinIndexPlan: {name: "JI", access: "JoinIndex", requires: []index.Kind{index.KindJoinIndex},
@@ -229,8 +227,8 @@ func (e *Env) check(strat Strategy) error {
 			return fmt.Errorf("plan: node table not built (strategy %v)", strat)
 		}
 	}
-	if strategies[strat].needStats && e.Stats == nil {
-		return fmt.Errorf("plan: strategy %v requires statistics", strat)
+	if e.Stats == nil {
+		return fmt.Errorf("plan: statistics not collected (strategy %v)", strat)
 	}
 	return nil
 }
@@ -385,11 +383,8 @@ func compileBranch(dict *pathdict.Dict, br xpath.Branch) ([]pathdict.PStep, bool
 }
 
 // estimateBranch returns the exact row count a FreeIndex probe of the
-// branch would produce, from the collected statistics (0 when unknown).
+// branch would produce, from the collected statistics.
 func estimateBranch(env *Env, br xpath.Branch) int64 {
-	if env.Stats == nil {
-		return 0
-	}
 	pat, ok := compileBranch(env.Dict, br)
 	if !ok {
 		return 0

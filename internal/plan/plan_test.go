@@ -221,6 +221,22 @@ func TestMissingIndexErrors(t *testing.T) {
 	}
 }
 
+// TestMissingStatisticsErrors: an environment with every index but no
+// statistics plans nothing — no strategy may rank on zero estimates.
+func TestMissingStatisticsErrors(t *testing.T) {
+	env := *buildDB(t, auctionXML).Env()
+	env.Stats = nil
+	pat := xpath.MustParse(`/site/people/person[name]`)
+	for _, strat := range allStrategies {
+		if _, err := plan.Build(&env, strat, pat); err == nil || !strings.Contains(err.Error(), "statistics") {
+			t.Errorf("%v without statistics: got %v, want a statistics error", strat, err)
+		}
+	}
+	if _, _, err := plan.Choose(&env, pat); err == nil {
+		t.Errorf("Choose without statistics: want error")
+	}
+}
+
 func TestExecStatsShape(t *testing.T) {
 	db := buildDB(t, auctionXML)
 	// An interior-// query through ASR must touch multiple relations (one

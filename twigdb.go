@@ -193,9 +193,10 @@ type Options struct {
 	// commits, at Build, Checkpoint, Close and Backup, at the commit that
 	// finds the log longer than CheckpointWALBytes, and at the commit that
 	// finds too many freed pages held back from reuse until the next one
-	// (a quarter of the file). The sync point runs in the committing
-	// writer. 0 keeps the 64MB default. Without Path the log is in memory,
-	// so this also bounds the memory it holds beside the database.
+	// (more than a quarter of the sealed page count plus 2 MB). The sync
+	// point runs in the committing writer. 0 keeps the 64MB default.
+	// Without Path the log is in memory, so this also bounds the memory it
+	// holds beside the database.
 	CheckpointWALBytes int64
 
 	// TxRetries caps how many times DB.Update re-runs its closure after an
