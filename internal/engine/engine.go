@@ -707,25 +707,21 @@ func (db *DB) Close() error {
 		// last durable state; reopening recovers it.
 		return db.fdisk.Close()
 	}
-	db.releaseAtClose()
-	db.reclaimRetired() // the last commits' deferred frees ride the close's sync point
-	if err := db.commitCurrent(); err != nil {
-		db.fdisk.Close()
-		return db.noteCommitErr(err)
-	}
-	return db.fdisk.Close()
-}
-
-// releaseAtClose drops the AS OF window's standing pins, so the reclaim
-// before the close commit frees what only the window's versions read.
-// Callers hold writeMu.
-func (db *DB) releaseAtClose() {
+	// Drop the AS OF window's standing pins, so the reclaim frees what only
+	// the window's versions read; the last commits' deferred frees ride the
+	// close's sync point.
 	db.retainMu.Lock()
 	for _, s := range db.retained {
 		s.pins.Add(-1)
 	}
 	db.retained = nil
 	db.retainMu.Unlock()
+	db.reclaimRetired()
+	if err := db.commitCurrent(); err != nil {
+		db.fdisk.Close()
+		return db.noteCommitErr(err)
+	}
+	return db.fdisk.Close()
 }
 
 // LoadXML parses one document from r and adds it to the store. Documents

@@ -459,9 +459,10 @@ func (tx *Tx) Rollback() {
 // Commit validates the transaction's write-set against every commit
 // published since its base and, when nothing overlaps, publishes all its
 // statements atomically under one WAL logical record (one group-committed
-// fsync for the whole transaction), or seals them at a sync point. When the chain advanced without
-// conflicts, the statements are replayed onto the newest version first —
-// commit never blocks other writers while replaying.
+// fsync for the whole transaction), or seals them at a sync point. When
+// the chain advanced without conflicts, the statements are replayed onto
+// the newest version first — commit never blocks other writers while
+// replaying.
 //
 // On conflict it returns ErrConflict and the database is untouched;
 // Commit never retries on its own (DB.Update does). A read-only

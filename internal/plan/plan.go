@@ -71,12 +71,13 @@ const (
 
 // strategies is the one table of the strategy family, indexed by Strategy:
 // the name the paper's figures use, the access-method name EXPLAIN shows,
-// the index kinds that must be built, whether the access method can probe bound to a head id — only ROOTPATHS
-// cannot among the branch strategies, the asymmetry behind the paper's
-// Figure 12(d) — the cost of one free-probe descent and of streaming one
-// probe output row (cost.go), and the branch evaluator's constructor. The
-// structural join runs twig-wide over region scans, priced and executed on
-// their own (eval_sj.go), so its row stops at what it requires.
+// the index kinds that must be built, whether the access method can probe
+// bound to a head id — only ROOTPATHS cannot among the branch strategies,
+// the asymmetry behind the paper's Figure 12(d) — the cost of one
+// free-probe descent and of streaming one probe output row (cost.go), and
+// the branch evaluator's constructor. The structural join runs twig-wide
+// over region scans, priced and executed on their own (eval_sj.go), so its
+// row stops at what it requires.
 var strategies = [NumStrategies]struct {
 	name, access string
 	requires     []index.Kind
@@ -117,7 +118,7 @@ func (s Strategy) Requires() []index.Kind { return strategies[s].requires }
 
 // Env bundles the dictionary, the statistics and whatever indices have
 // been built. A strategy fails with a descriptive error if an index it
-// needs is missing.
+// needs, or the statistics, are missing.
 type Env struct {
 	Dict  *pathdict.Dict
 	Stats *stats.Stats
@@ -213,7 +214,9 @@ func (e *Env) Install(k index.Kind, built any) (prev any) {
 	return prev
 }
 
-// check reports whether what strat requires is built.
+// check reports whether what strat requires is built. Every strategy
+// requires statistics: they are collected with the indices, so an
+// environment without them has nothing to plan over.
 func (e *Env) check(strat Strategy) error {
 	if !strat.valid() {
 		return fmt.Errorf("plan: unknown strategy %d", strat)
