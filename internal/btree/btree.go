@@ -51,6 +51,13 @@ type Tree struct {
 	// copies counts the shared pages this handle copied on write since it
 	// was cloned (Copies).
 	copies int
+
+	// order sorts the entries of one key's duplicate run by value (nil:
+	// bytes.Compare). Its owner sets it (SetValueOrder) on every handle it
+	// builds or opens; it is not persisted. Insert and Delete binary-search
+	// a run by it, so a tree is only ever mutated under the order its runs
+	// were written in.
+	order func(a, b []byte) int
 }
 
 // Stats describes a tree's shape and footprint.
@@ -130,7 +137,22 @@ func (t *Tree) CloneCOW(frontier storage.PageID) *Tree {
 		pages:       t.pages,
 		entries:     t.entries,
 		cowFrontier: frontier,
+		order:       t.order,
 	}
+}
+
+// SetValueOrder sets the order of the values within one key's duplicate
+// run (see Tree.order): entries sort by key, then by order. The tree's
+// runs must already be in that order — a BulkLoad input sorted so, or a
+// tree only ever mutated under the same order.
+func (t *Tree) SetValueOrder(order func(a, b []byte) int) { t.order = order }
+
+// compareVal compares two values of one key under the tree's value order.
+func (t *Tree) compareVal(a, b []byte) int {
+	if t.order == nil {
+		return bytes.Compare(a, b)
+	}
+	return t.order(a, b)
 }
 
 // fetch pins page id and validates its header (O(1), see checkPage): every
@@ -300,7 +322,9 @@ func (t *Tree) write(id storage.PageID, pc *pageContent) error {
 	return err
 }
 
-// Insert adds (key, val); duplicate keys are allowed.
+// Insert adds (key, val) at its place in entry order: by key, and within
+// a run of duplicate keys by the tree's value order (SetValueOrder), found
+// by binary search like any other key.
 func (t *Tree) Insert(key, val []byte) error {
 	if len(key)+len(val) > MaxEntrySize {
 		return fmt.Errorf("btree %s: entry too large (%d bytes, max %d)", t.name, len(key)+len(val), MaxEntrySize)
@@ -344,12 +368,10 @@ func (t *Tree) insertAt(id storage.PageID, key, val []byte, height int) (storage
 	if height > 1 {
 		// Internal: descend into the child for this key, then handle a
 		// possible child id change (COW) or split.
-		pg, err := t.fetch(id)
+		childIdx, child, err := t.childFor(id, key, val, height)
 		if err != nil {
 			return id, nil, storage.InvalidPage, err
 		}
-		childIdx, child := descendChild(pg.Data, key)
-		t.pool.Unpin(pg, false)
 		newChild, sep, right, err := t.insertAt(child, key, val, height-1)
 		if err != nil {
 			return id, nil, storage.InvalidPage, err
@@ -381,7 +403,7 @@ func (t *Tree) insertAt(id storage.PageID, key, val []byte, height int) (storage
 	if err != nil {
 		return id, nil, storage.InvalidPage, err
 	}
-	pos := searchCell(wpg.Data, key)
+	pos := t.searchEntry(wpg.Data, key, val)
 	if insertLeafInPlace(wpg.Data, pos, key, val) || t.insertCompacting(wpg.Data, pos, key, val, storage.InvalidPage) {
 		t.pool.Unpin(wpg, true)
 		return wpg.ID, nil, storage.InvalidPage, nil
@@ -478,8 +500,9 @@ func splitPoint(pc *pageContent) int {
 //
 // The descent rule is "largest separator strictly less than key": because a
 // split can leave keys equal to the separator in the left sibling, an
-// equal separator must route to the child *before* it; the linked leaf
-// chain makes landing early harmless.
+// equal separator must route to the child *before* it; an iterator's
+// climb to the next leaf makes landing early harmless, and Insert and
+// Delete pick among the children of a duplicate run with childFor.
 func descendChild(d []byte, key []byte) (int, storage.PageID) {
 	idx := searchCell(d, key) - 1 // last separator < key
 	if idx < 0 {
@@ -487,6 +510,115 @@ func descendChild(d []byte, key []byte) (int, storage.PageID) {
 	}
 	_, child := internalCell(d, idx)
 	return idx, child
+}
+
+// childFor returns the index (-1 for the leftmost) and id of the child of
+// internal page id, at the given height, under which (key, val) belongs in
+// entry order. Without a separator equal to key that is descendChild's
+// child. Otherwise key's duplicate run may span the children from
+// descendChild's to the last one whose separator equals key; entries are
+// in entry order across them, so a binary search for the first child that
+// starts after (key, val) — as every child whose separator is above key
+// does — picks the one before it. The separators carry keys only, so a
+// comparison with a separator equal to key descends that child's leftmost
+// spine; the page stays pinned meanwhile.
+func (t *Tree) childFor(id storage.PageID, key, val []byte, height int) (int, storage.PageID, error) {
+	pg, err := t.fetch(id)
+	if err != nil {
+		return 0, storage.InvalidPage, err
+	}
+	defer t.pool.Unpin(pg, false)
+	d := pg.Data
+	idx, child := descendChild(d, key)
+	lo, hi := idx+1, pageNumCells(d)
+	if lo == hi || compareCellKey(d, lo, key) > 0 {
+		return idx, child, nil
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		after := compareCellKey(d, mid, key) > 0
+		if !after {
+			_, c := internalCell(d, mid)
+			cmp, err := t.compareFirst(c, height-1, key, val)
+			if err != nil {
+				return 0, storage.InvalidPage, err
+			}
+			after = cmp > 0
+		}
+		if after {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo-1 == idx {
+		return idx, child, nil
+	}
+	_, child = internalCell(d, lo-1)
+	return lo - 1, child, nil
+}
+
+// compareFirst compares the first entry of the subtree rooted at id, of
+// the given height, with (key, val) in entry order. An empty leaf — only
+// ever a root — compares after everything.
+func (t *Tree) compareFirst(id storage.PageID, height int, key, val []byte) (int, error) {
+	for ; height > 1; height-- {
+		pg, err := t.fetch(id)
+		if err != nil {
+			return 0, err
+		}
+		id = pageAux(pg.Data)
+		t.pool.Unpin(pg, false)
+	}
+	pg, err := t.fetch(id)
+	if err != nil {
+		return 0, err
+	}
+	defer t.pool.Unpin(pg, false)
+	if pageNumCells(pg.Data) == 0 {
+		return 1, nil
+	}
+	cmp := compareCellKey(pg.Data, 0, key)
+	if cmp == 0 {
+		_, v := leafCell(pg.Data, 0)
+		cmp = t.compareVal(v, val)
+	}
+	return cmp, nil
+}
+
+// searchEntry returns the index of the first cell of leaf page d at or
+// after (key, val) in entry order: it binary-searches keys as searchCell
+// does, and breaks key ties by the tree's value order.
+func (t *Tree) searchEntry(d []byte, key, val []byte) int {
+	n := pageNumCells(d)
+	prefix := pagePrefix(d)
+	head := key
+	if len(head) > len(prefix) {
+		head = head[:len(prefix)]
+	}
+	switch c := bytes.Compare(prefix, head); {
+	case c < 0:
+		return n
+	case c > 0:
+		return 0
+	}
+	rest := key[len(prefix):]
+	slots := headerSize + len(prefix)
+	lo, hi := 0, n
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		suffix, v := leafCellAt(d, slots, mid)
+		c := bytes.Compare(suffix, rest)
+		if c == 0 {
+			c = t.compareVal(v, val)
+		}
+		if c < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Get returns a private copy of the value of the first entry with exactly

@@ -30,7 +30,10 @@ type Entry struct {
 type span struct{ lo, hi int }
 
 // BulkLoad builds a tree from entries, which must be sorted by key
-// (duplicates allowed). It is the fast path for index construction: pages
+// (duplicates allowed) and, within a run of duplicate keys, by the value
+// order the owner then sets on the tree (SetValueOrder) — unchecked here,
+// and required only of a tree that is later mutated: Insert and Delete
+// binary-search a run in that order. It is the fast path for index construction: pages
 // are written once, left-to-right, at a uniform fill factor. Every page
 // comes from Pool.Allocate, so a load reuses the device's free pages
 // before it grows the file; each leaf's page is reserved before its left

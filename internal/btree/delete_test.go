@@ -2,10 +2,14 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/storage"
 )
 
 func TestDeleteBasic(t *testing.T) {
@@ -129,4 +133,108 @@ func TestInsertDeleteModel(t *testing.T) {
 		}
 	}
 	verify()
+}
+
+// TestDuplicateRunOpsAreLogarithmic builds one key's duplicate run of
+// 120,000 entries, three levels high, then deletes and inserts at random
+// places in it: every operation must fetch at most 4·height + 2·⌈log₂
+// leaves⌉ pages — a binary search per level, and over the first entries of
+// the children the run spans — not every leaf ahead of its entry. The run
+// must end up in value order, with absent entries not found.
+func TestDuplicateRunOpsAreLogarithmic(t *testing.T) {
+	const n = 120000
+	key := []byte("site/regions/item/")
+	val := func(i int) []byte {
+		v := make([]byte, 96) // wide values: few cells per leaf, many leaves
+		binary.BigEndian.PutUint64(v, uint64(i))
+		return v
+	}
+	entries := make([]Entry, n)
+	for i := range entries {
+		entries[i] = Entry{Key: key, Val: val(2 * i)} // odd values are free
+	}
+	pool := newPool(t, 64<<20)
+	tr, err := BulkLoad(pool, "run", entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	height := tr.Stats().Height
+	leaves := 0
+	if err := tr.Walk(func(id storage.PageID) error {
+		pg, err := pool.Fetch(id)
+		if err != nil {
+			return err
+		}
+		if pageType(pg.Data) == pageLeaf {
+			leaves++
+		}
+		return pool.Unpin(pg, false)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if height < 3 {
+		t.Fatalf("height %d, want a run spanning internal nodes (>= 3)", height)
+	}
+	bound := int64(4*height + 2*bits.Len(uint(leaves-1)))
+	fetches := func(op func() (bool, error)) (int64, bool) {
+		t.Helper()
+		before := pool.Stats().Fetches
+		ok, err := op()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pool.Stats().Fetches - before, ok
+	}
+	rng := rand.New(rand.NewSource(45))
+	live := make(map[int]bool, n+1000)
+	for i := 0; i < n; i++ {
+		live[2*i] = true
+	}
+	worst := int64(0)
+	for step := 0; step < 2000; step++ {
+		v := rng.Intn(2 * n)
+		var got int64
+		var ok bool
+		if live[v] {
+			got, ok = fetches(func() (bool, error) { return tr.Delete(key, val(v)) })
+			if !ok {
+				t.Fatalf("step %d: Delete(%d) missed a present entry", step, v)
+			}
+			delete(live, v)
+		} else if rng.Intn(2) == 0 {
+			got, ok = fetches(func() (bool, error) { return tr.Delete(key, val(v)) })
+			if ok {
+				t.Fatalf("step %d: Delete(%d) found an absent entry", step, v)
+			}
+		} else {
+			got, _ = fetches(func() (bool, error) { return true, tr.Insert(key, val(v)) })
+			live[v] = true
+		}
+		worst = max(worst, got)
+		if got > bound {
+			t.Fatalf("step %d: %d fetches, bound %d (height %d, %d leaves)", step, got, bound, height, leaves)
+		}
+	}
+	t.Logf("height %d, %d leaves: at most %d fetches per operation (bound %d)", height, leaves, worst, bound)
+
+	want := make([]int, 0, len(live))
+	for v := range live {
+		want = append(want, v)
+	}
+	sort.Ints(want)
+	it, err := tr.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	i := 0
+	for ; it.Valid(); it.Next() {
+		if i >= len(want) || !bytes.Equal(it.ValueRef(), val(want[i])) {
+			t.Fatalf("scan diverges from the model at entry %d", i)
+		}
+		i++
+	}
+	if i != len(want) || tr.Stats().Entries != int64(len(want)) {
+		t.Fatalf("scan has %d entries, tree counts %d, model %d", i, tr.Stats().Entries, len(want))
+	}
 }

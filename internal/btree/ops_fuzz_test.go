@@ -29,12 +29,15 @@ func compareOpsEntries(a, b opsEntry) int {
 
 // FuzzTreeOps runs a program of inserts — runs of up to 16 duplicates of
 // one key, so a duplicate run spans leaves — deletes, and CloneCOW
-// freezes against a sorted-slice model, through a pool of 12 frames, so
+// freezes against a sorted-slice model in entry order (by key, duplicates
+// by value: the default value order), through a pool of 12 frames, so
 // pages are evicted, freed and their buffers recycled under the trees'
-// feet. Every frozen version must keep reading its own model, every
-// delete must find exactly the entries the model has, and at each check
-// every page of the current tree must re-encode with an extra cell
-// (insertCompacting) to the same bytes as decodePage + encodePage.
+// feet. An inserted value starts with a hash of the insert's serial
+// number, so it lands anywhere in its key's run. Every frozen version must
+// keep scanning exactly its own model, in order, every delete must find
+// exactly the entries the model has, and at each check every page of the
+// current tree must re-encode with an extra cell (insertCompacting) to the
+// same bytes as decodePage + encodePage.
 //
 // Program bytes: op = b % 8; 0–3 insert a run (key byte, run length),
 // 4–5 delete (entry index, modulo the model's length; an index of twice
@@ -44,6 +47,12 @@ func FuzzTreeOps(f *testing.F) {
 	f.Add([]byte{0, 3, 15, 0, 3, 15, 1, 4, 15, 4, 5, 7, 6, 4, 0, 4, 9, 0, 2, 2, 7, 6, 5, 1, 5, 200, 7}, uint8(150))
 	f.Add([]byte{2, 0, 15, 2, 1, 15, 2, 2, 15, 6, 4, 3, 4, 3, 4, 3, 4, 3, 4, 3, 7, 0, 4, 8, 7}, uint8(255))
 	f.Add([]byte{1, 1, 2, 6, 1, 2, 2, 6, 1, 3, 2, 6, 4, 0, 4, 0, 4, 0, 7}, uint8(0))
+	// One key's run of 480 wide entries spans many children of the root;
+	// deletes inside it, then under a freeze inserts and deletes again.
+	f.Add(runSeed(7, 30, 20), uint8(255))
+	// The same with a neighbouring key's run beside it and narrower
+	// values, so the run shares its first and last leaves.
+	f.Add(append([]byte{0, 2, 15, 0, 2, 15}, runSeed(2, 24, 12)...), uint8(120))
 	f.Fuzz(func(t *testing.T, prog []byte, width uint8) {
 		if len(prog) > 600 {
 			prog = prog[:600]
@@ -75,7 +84,8 @@ func FuzzTreeOps(f *testing.F) {
 				key := append(slices.Clone(opsStems[int(k)%len(opsStems)]), k>>3, k)
 				for i := 0; i < run; i++ {
 					serial++
-					val := append([]byte{byte(serial >> 8), byte(serial)}, bytes.Repeat([]byte{k}, int(width)+int(k))...)
+					h := uint16(serial * 40503) // odd multiplier: distinct below 65,536
+					val := append([]byte{byte(h >> 8), byte(h)}, bytes.Repeat([]byte{k}, int(width)+int(k))...)
 					if err := tr.Insert(key, val); err != nil {
 						t.Fatalf("insert: %v", err)
 					}
@@ -117,7 +127,26 @@ func FuzzTreeOps(f *testing.F) {
 	})
 }
 
-// checkOpsTree scans tr: keys in order, the entries those of model.
+// runSeed is a FuzzTreeOps program: runs inserts of 16 duplicates of key
+// k, then dels deletes spread over the first 256 entries, a freeze and a
+// check, then four rounds of another 16 duplicates and a delete, and a
+// final check.
+func runSeed(k byte, runs, dels int) []byte {
+	var prog []byte
+	for i := 0; i < runs; i++ {
+		prog = append(prog, 0, k, 15)
+	}
+	for i := 0; i < dels; i++ {
+		prog = append(prog, 4, byte(37*i+11))
+	}
+	prog = append(prog, 6, 7)
+	for i := 0; i < 4; i++ {
+		prog = append(prog, 1, k, 15, 5, byte(60*i+29))
+	}
+	return append(prog, 7)
+}
+
+// checkOpsTree scans tr: its entries must be model's, in order.
 func checkOpsTree(t *testing.T, tr *Tree, model []opsEntry) {
 	t.Helper()
 	it, err := tr.Scan()
@@ -127,18 +156,17 @@ func checkOpsTree(t *testing.T, tr *Tree, model []opsEntry) {
 	defer it.Close()
 	var got []opsEntry
 	for ; it.Valid(); it.Next() {
-		key := slices.Clone(it.Key())
-		if len(got) > 0 && bytes.Compare(got[len(got)-1].key, key) > 0 {
-			t.Fatalf("scan out of order at entry %d", len(got))
+		e := opsEntry{slices.Clone(it.Key()), it.Value()}
+		if len(got) >= len(model) || compareOpsEntries(e, model[len(got)]) != 0 {
+			t.Fatalf("scan differs from the model at entry %d (model has %d)", len(got), len(model))
 		}
-		got = append(got, opsEntry{key, it.Value()})
+		got = append(got, e)
 	}
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
-	slices.SortFunc(got, compareOpsEntries)
-	if !slices.EqualFunc(got, model, func(a, b opsEntry) bool { return compareOpsEntries(a, b) == 0 }) {
-		t.Fatalf("scan has %d entries, model %d, or they differ", len(got), len(model))
+	if len(got) != len(model) {
+		t.Fatalf("scan has %d entries, model %d", len(got), len(model))
 	}
 	if tr.Stats().Entries != int64(len(model)) {
 		t.Fatalf("tree counts %d entries, model %d", tr.Stats().Entries, len(model))

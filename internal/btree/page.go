@@ -9,7 +9,11 @@
 //   - efficient prefix-range scans, the primitive that makes reverse schema
 //     paths answer PCsubpath queries with a leading //.
 //
-// Duplicate keys are permitted. Leaves are chained for range scans.
+// Duplicate keys are permitted. Entries sort by key and, within one key's
+// duplicate run, by a value order the tree's owner sets (Tree.SetValueOrder),
+// so Insert and Delete find a (key, value) pair by binary search however
+// long its run. Internal cells carry keys only. Leaves are chained for range
+// scans.
 package btree
 
 import (

@@ -151,8 +151,15 @@ func TestScanPrefixModel(t *testing.T) {
 	for i, k := range keys {
 		entries[i] = Entry{Key: k, Val: []byte(fmt.Sprint(i))}
 	}
+	// Entry order: by key, duplicates by value (the default value order),
+	// so the bulk-loaded trees take deletes.
 	sorted := slices.Clone(entries)
-	sort.SliceStable(sorted, func(i, j int) bool { return bytes.Compare(sorted[i].Key, sorted[j].Key) < 0 })
+	slices.SortFunc(sorted, func(a, b Entry) int {
+		if c := bytes.Compare(a.Key, b.Key); c != 0 {
+			return c
+		}
+		return bytes.Compare(a.Val, b.Val)
+	})
 	inserted := func(t *testing.T, pool *storage.Pool) *Tree {
 		tr, err := New(pool, "inserts")
 		if err != nil {

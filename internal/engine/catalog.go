@@ -21,7 +21,7 @@ import (
 // the documents out of it the catalog is a few KB whatever the database
 // size, usually one page.
 //
-// Catalog layout, version 4 (all integers varint/uvarint unless noted):
+// Catalog layout, version 5 (all integers varint/uvarint unless noted):
 //
 //	magic "TWIGCAT1", version
 //	nextID
@@ -32,12 +32,16 @@ import (
 //	         built (fixed by the file format: kinds are never reordered)
 //	per present structure, in kind order: its record
 //
-// Open reads version 4 only; any other fails with storage.ErrFormatVersion.
-// Version 4 has version 3's layout. It marks files that cannot hold a
-// DATAPATHS built with HeadId pruning (index.PathsOptions.KeepHead): the
-// pruning was not recorded, so a pruned version-3 index cannot be told from
-// a complete one and answered bound probes wrongly after a reopen; Build
-// now refuses to prune a file-backed index (ErrPrunedNotPersistable).
+// Open reads version 5 only; any other fails with storage.ErrFormatVersion.
+// Version 5 has version 3's layout. It marks files whose ROOTPATHS and
+// DATAPATHS keep every run of duplicate keys in IdList order, which
+// btree.Tree.Delete binary-searches; a maintained version-4 file kept its
+// runs newest first, where that search misses rows. Version 4 marked files
+// that cannot hold a DATAPATHS built with HeadId pruning
+// (index.PathsOptions.KeepHead): the pruning was not recorded, so a pruned
+// version-3 index cannot be told from a complete one and answered bound
+// probes wrongly after a reopen; Build refuses to prune a file-backed index
+// (ErrPrunedNotPersistable).
 //
 // The engine frames the records; what is inside one is its structure's
 // business (Structure.AppendRecord and the family table's open function in
@@ -45,7 +49,7 @@ import (
 
 const (
 	catalogMagic   = "TWIGCAT1"
-	catalogVersion = 4
+	catalogVersion = 5
 
 	// catalogPageHeader is [4B next][2B length] at the head of each page.
 	catalogPageHeader = 6

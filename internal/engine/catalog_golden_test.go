@@ -20,7 +20,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
-// goldenDocs is the fixed corpus behind catalog_v4.golden: labels a and b
+// goldenDocs is the fixed corpus behind catalog_v5.golden: labels a and b
 // recur at several depths, so ASR, JoinIndex and XRel register several
 // paths and ASR/JoinIndex carry non-empty rooted-path and root-id sets.
 var goldenDocs = []string{
@@ -60,7 +60,7 @@ func goldenDB(t testing.TB, opts index.PathsOptions, path string) *DB {
 	return db
 }
 
-const catalogGolden = "catalog_v4.golden"
+const catalogGolden = "catalog_v5.golden"
 
 // dumpDocs renders every document of store in order.
 func dumpDocs(store *xmldb.Store) string {
@@ -107,7 +107,7 @@ func checkDecoded(t *testing.T, tag string, db *DB, re *Snapshot) {
 // TestCatalogGolden pins the catalog's bytes: the encoding of a fixed
 // corpus with all eight persisted structures built on a file-backed
 // database, under default options and under RawIDs+PathIDKeys, must equal
-// catalog_v4.golden. The blob must also survive decode → encode unchanged,
+// catalog_v5.golden. The blob must also survive decode → encode unchanged,
 // and the decoded snapshot — its store read back from the node table —
 // must hold the same documents and answer the eight pinned strategies as
 // the naive matcher does. Regenerate with -update only for a format bump.
@@ -149,13 +149,14 @@ func TestCatalogGolden(t *testing.T) {
 // catalogVersion is refused with storage.ErrFormatVersion — the golden
 // blob restamped as version 1 (which carried the documents in the blob),
 // as version 2 (whose Edge record had a backward link tree), as version 3
-// (which could hold a HeadId-pruned DATAPATHS it did not mark) and as
-// version 5.
+// (which could hold a HeadId-pruned DATAPATHS it did not mark), as version
+// 4 (whose maintained path indices kept duplicate keys newest first) and
+// as version 6.
 func TestCatalogRejectsOtherVersions(t *testing.T) {
 	db := goldenDB(t, index.PathsOptions{}, filepath.Join(t.TempDir(), "versions.db"))
 	defer db.Close()
 	blob := encodeCatalog(db.CurrentSnapshot())
-	for _, v := range []byte{1, 2, 3, 5} {
+	for _, v := range []byte{1, 2, 3, 4, 6} {
 		stamped := bytes.Clone(blob)
 		stamped[len(catalogMagic)] = v
 		if err := decodeCatalog(db, &Snapshot{}, stamped); !errors.Is(err, storage.ErrFormatVersion) {
@@ -220,10 +221,12 @@ func goldenBlobs(t testing.TB, name string) [][]byte {
 // corpus, so a blob's node table and index roots name real pages. Seeds:
 // the golden blobs, then the same blobs restamped as version 1 (refused),
 // plus the truncated and bit-flipped variants checked in under
-// testdata/fuzz/FuzzDecodeCatalog: those of versions 1 and 2 are refused
-// too, so each v2-* file has a v3-* twin, the same edit of the version-3
-// golden blob, that still reaches the decoder past the version check, and
-// v3-restamped-version-2 is version-2 restamped.
+// testdata/fuzz/FuzzDecodeCatalog: those of versions 1 to 4 are refused
+// too. Each v2-* file has a v3-* twin, the same edit of the version-3
+// golden blob, v3-restamped-version-2 is version-2 restamped, and each
+// v4-* file — the v3-* edits of the version-4 golden blob — has a v5-*
+// twin restamped as version 5 that still reaches the decoder past the
+// version check.
 func FuzzDecodeCatalog(f *testing.F) {
 	blobs := goldenBlobs(f, catalogGolden)
 	for _, blob := range blobs {

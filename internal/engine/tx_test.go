@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/xmldb"
 	"repro/internal/xpath"
 )
@@ -626,5 +627,85 @@ func TestConcurrentExplicitTxStress(t *testing.T) {
 		if got := matchIDs(t, db, fmt.Sprintf(`/d%d/n`, w)); len(got) < 10 {
 			t.Fatalf("writer %d: %d committed statements, want >= 10", w, len(got))
 		}
+	}
+}
+
+// pathsRows scans the ROOTPATHS and DATAPATHS trees of the current version
+// into key · value rows, in scan order.
+func pathsRows(t *testing.T, db *DB) []string {
+	t.Helper()
+	var rows []string
+	for _, p := range []*index.Paths{db.Env().RP, db.Env().DP} {
+		it, err := p.Tree().Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ; it.Valid(); it.Next() {
+			rows = append(rows, fmt.Sprintf("%v %x %x", p.Kind(), it.Key(), it.ValueRef()))
+		}
+		it.Close()
+		if err := it.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return rows
+}
+
+// TestReverseCommitOrderKeepsIdListOrder: two transactions reserve node
+// ids under one parent, and the one with the higher ids commits first, so
+// the lower ids follow it in document order. The maintained path indices
+// keep each run of duplicate keys in IdList order, and so must a Build,
+// which emits rows in document order: both scan identically, and deletes
+// of both subtrees then find every row.
+func TestReverseCommitOrderKeepsIdListOrder(t *testing.T) {
+	db, rootID := txTestDB(t, `<a><e><k>v</k></e></a>`)
+	defer db.Close()
+	early, late := mustSub(t, `<e><k>v</k><k>w</k></e>`), mustSub(t, `<e><k>v</k></e>`)
+	txEarly, txLate := db.Begin(), db.Begin()
+	if err := txEarly.Insert(rootID, early); err != nil {
+		t.Fatal(err)
+	}
+	if err := txLate.Insert(rootID, late); err != nil {
+		t.Fatal(err)
+	}
+	if early.ID >= late.ID {
+		t.Fatalf("ids reserved out of order: %d, then %d", early.ID, late.ID)
+	}
+	if err := txLate.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := txEarly.Commit(); !errors.Is(err, ErrConflict) {
+		t.Fatalf("second commit under one parent: %v, want ErrConflict", err)
+	}
+	// The retry keeps the template's reserved ids.
+	if err := db.Update(func(tx *Tx) error { return tx.Insert(rootID, early) }, 0); err != nil {
+		t.Fatal(err)
+	}
+	store, err := db.storeOf(db.CurrentSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []int64
+	for _, c := range store.NodeByID(rootID).Children {
+		order = append(order, c.ID)
+	}
+	if want := []int64{rootID + 1, late.ID, early.ID}; !slices.Equal(order, want) {
+		t.Fatalf("children of the root in document order: %v, want %v", order, want)
+	}
+
+	maintained := pathsRows(t, db)
+	if err := db.Build(index.KindRootPaths, index.KindDataPaths); err != nil {
+		t.Fatal(err)
+	}
+	if built := pathsRows(t, db); !slices.Equal(maintained, built) {
+		t.Fatalf("maintained indices scan %d rows, a build %d, or in another order", len(maintained), len(built))
+	}
+	for _, sub := range []*xmldb.Node{early, late} {
+		if err := db.Update(func(tx *Tx) error { return tx.Delete(sub.ID) }, 0); err != nil {
+			t.Fatalf("delete of %d after the build: %v", sub.ID, err)
+		}
+	}
+	if got := matchIDs(t, db, `/a/e/k`); len(got) != 1 {
+		t.Fatalf("/a/e/k = %v after the deletes, want the original only", got)
 	}
 }

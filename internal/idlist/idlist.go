@@ -7,6 +7,8 @@
 package idlist
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 )
@@ -119,6 +121,31 @@ func DecodeDeltaInto(dst []int64, buf []byte) ([]int64, error) {
 		dst = append(dst, prev)
 	}
 	return dst, nil
+}
+
+// Compare orders two EncodeDelta lists by their ids, numerically and
+// lexicographically (a proper prefix first), decoding both in lockstep
+// without allocating. While the lists agree their running ids are equal,
+// so the first differing delta decides. A corrupt varint orders the rest
+// of its list by bytes. For EncodeRaw lists of non-negative ids — big-endian
+// — bytes.Compare is the same order.
+func Compare(a, b []byte) int {
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] == b[0] && a[0] < 0x80 {
+			a, b = a[1:], b[1:] // the same one-byte delta
+			continue
+		}
+		da, na := binary.Varint(a)
+		db, nb := binary.Varint(b)
+		if na <= 0 || nb <= 0 {
+			return bytes.Compare(a, b)
+		}
+		if da != db {
+			return cmp.Compare(da, db)
+		}
+		a, b = a[na:], b[nb:]
+	}
+	return cmp.Compare(len(a), len(b))
 }
 
 // EncodeRaw appends the uncompressed fixed-width (8 bytes per id) encoding;

@@ -3,6 +3,7 @@ package idlist
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -308,4 +309,41 @@ func BenchmarkDecodeDeltaInto(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ids), "ns/id")
+}
+
+// TestCompare checks Compare against slices.Compare of the decoded ids on
+// random lists — equal heads, proper prefixes, negative deltas and
+// multi-byte varints — and bytes.Compare of the raw encodings against the
+// same order for non-negative ids. It allocates nothing.
+func TestCompare(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	randList := func(head []int64) []int64 {
+		ids := slices.Clone(head[:rng.Intn(len(head)+1)])
+		for i := rng.Intn(4); i > 0; i-- {
+			switch rng.Intn(3) {
+			case 0:
+				ids = append(ids, rng.Int63n(64))
+			case 1:
+				ids = append(ids, rng.Int63n(1<<20))
+			default:
+				ids = append(ids, rng.Int63n(1<<62))
+			}
+		}
+		return ids
+	}
+	for i := 0; i < 20000; i++ {
+		head := randList(nil)
+		a, b := randList(head), randList(head)
+		want := slices.Compare(a, b)
+		if got := Compare(EncodeDelta(nil, a), EncodeDelta(nil, b)); got != want {
+			t.Fatalf("Compare(%v, %v) = %d, want %d", a, b, got, want)
+		}
+		if got := bytes.Compare(EncodeRaw(nil, a), EncodeRaw(nil, b)); got != want {
+			t.Fatalf("raw bytes.Compare(%v, %v) = %d, want %d", a, b, got, want)
+		}
+	}
+	x, y := EncodeDelta(nil, []int64{1, 5, 9, 1 << 30}), EncodeDelta(nil, []int64{1, 5, 9, 1<<30 + 1})
+	if allocs := testing.AllocsPerRun(100, func() { Compare(x, y) }); allocs != 0 {
+		t.Fatalf("Compare allocates %.1f per call", allocs)
+	}
 }

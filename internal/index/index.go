@@ -199,6 +199,11 @@ func walkTrees(fn func(storage.PageID) error, trees ...*btree.Tree) error {
 // bulk builds one tree from unsorted entries, sorted by key — stably, so
 // equal keys keep emission order.
 func bulk(pool *storage.Pool, name string, entries []btree.Entry) (*btree.Tree, error) {
-	slices.SortStableFunc(entries, func(a, b btree.Entry) int { return bytes.Compare(a.Key, b.Key) })
+	sortByKey(entries)
 	return btree.BulkLoad(pool, name, entries)
+}
+
+// sortByKey sorts entries by key, stably.
+func sortByKey(entries []btree.Entry) {
+	slices.SortStableFunc(entries, func(a, b btree.Entry) int { return bytes.Compare(a.Key, b.Key) })
 }

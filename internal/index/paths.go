@@ -1,7 +1,9 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/idlist"
@@ -71,14 +73,39 @@ func BuildPaths(headed bool, s Site) (*Paths, error) {
 			entries = append(entries, btree.Entry{Key: p.rowKey(r, &rev), Val: encodeIDs(r.IDs, p.opts.RawIDs)})
 		}
 	})
+	// The rows of one key come in document order, which is IdList order
+	// unless ids were committed out of order under one parent (two
+	// transactions' reserved ranges): re-sort just those runs.
+	sortByKey(entries)
+	order := p.idOrder()
+	for lo := 0; lo < len(entries); {
+		hi, sorted := lo+1, true
+		for ; hi < len(entries) && bytes.Equal(entries[hi].Key, entries[lo].Key); hi++ {
+			sorted = sorted && order(entries[hi-1].Val, entries[hi].Val) <= 0
+		}
+		if !sorted {
+			slices.SortStableFunc(entries[lo:hi], func(a, b btree.Entry) int { return order(a.Val, b.Val) })
+		}
+		lo = hi
+	}
 	// Named through fmt: a direct Kind.String call would close an
 	// initialization cycle with the family table, which names BuildPaths.
 	var err error
-	p.tree, err = bulk(s.Pool, fmt.Sprint(p.Kind()), entries)
-	if err != nil {
+	if p.tree, err = btree.BulkLoad(s.Pool, fmt.Sprint(p.Kind()), entries); err != nil {
 		return nil, err
 	}
+	p.tree.SetValueOrder(order)
 	return p, nil
+}
+
+// idOrder is the value order of the index's key runs: IdLists compared
+// numerically and lexicographically. Raw lists are big-endian, so their
+// bytes already sort so.
+func (p *Paths) idOrder() func(a, b []byte) int {
+	if p.opts.RawIDs {
+		return bytes.Compare
+	}
+	return idlist.Compare
 }
 
 // newPaths wires a handle at a site. HeadId pruning needs a head column:
@@ -214,7 +241,9 @@ func (p *Paths) AppendRecord(w *CatWriter) {
 // applied.
 func openPaths(headed bool, r *CatReader, s Site) Structure {
 	s.Opts = r.pathsOptions()
-	return newPaths(headed, r.tree(s.Pool), s)
+	p := newPaths(headed, r.tree(s.Pool), s)
+	p.tree.SetValueOrder(p.idOrder())
+	return p
 }
 
 // Tree exposes the underlying B+-tree for white-box tests.

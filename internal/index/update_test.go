@@ -1,9 +1,10 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/btree"
@@ -33,27 +34,12 @@ func treeEntries(t *testing.T, tr *btree.Tree) []btree.Entry {
 	return out
 }
 
-// entriesEqual compares index contents as multisets: duplicate keys with
-// distinct values may legitimately appear in either order.
+// entriesEqual compares index contents in scan order: a maintained index
+// keeps each run of duplicate keys in IdList order, as a build lays it out.
 func entriesEqual(a, b []btree.Entry) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	norm := func(es []btree.Entry) []string {
-		out := make([]string, len(es))
-		for i, e := range es {
-			out[i] = string(e.Key) + "\x00" + string(e.Val)
-		}
-		sort.Strings(out)
-		return out
-	}
-	na, nb := norm(a), norm(b)
-	for i := range na {
-		if na[i] != nb[i] {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y btree.Entry) bool {
+		return bytes.Equal(x.Key, y.Key) && bytes.Equal(x.Val, y.Val)
+	})
 }
 
 // TestInsertSubtreeMatchesRebuild is the core maintenance invariant: after
