@@ -53,6 +53,10 @@ func FuzzTreeOps(f *testing.F) {
 	// The same with a neighbouring key's run beside it and narrower
 	// values, so the run shares its first and last leaves.
 	f.Add(append([]byte{0, 2, 15, 0, 2, 15}, runSeed(2, 24, 12)...), uint8(120))
+	// A tree several times the pool: pages written home on eviction are
+	// fetched again — on the in-memory file's own bytes — mutated in
+	// place, and read again after their next write-home.
+	f.Add(evictSeed(40, 8), uint8(255))
 	f.Fuzz(func(t *testing.T, prog []byte, width uint8) {
 		if len(prog) > 600 {
 			prog = prog[:600]
@@ -144,6 +148,24 @@ func runSeed(k byte, runs, dels int) []byte {
 		prog = append(prog, 1, k, 15, 5, byte(60*i+29))
 	}
 	return append(prog, 7)
+}
+
+// evictSeed is a FuzzTreeOps program: runs of 16 duplicates of each of
+// keys keys, then two rounds of a run of 4 more into each of the first
+// again keys, each run followed by a delete near where the key's entries
+// start, and each round by a check, which reads every page.
+func evictSeed(keys, again byte) []byte {
+	var prog []byte
+	for k := byte(0); k < keys; k++ {
+		prog = append(prog, 0, k, 15)
+	}
+	for round := 0; round < 2; round++ {
+		for k := byte(0); k < again; k++ {
+			prog = append(prog, 1, k, 3, 4, 16*k+byte(round))
+		}
+		prog = append(prog, 7, byte(round))
+	}
+	return prog
 }
 
 // checkOpsTree scans tr: its entries must be model's, in order.

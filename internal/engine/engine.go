@@ -1017,3 +1017,7 @@ func (db *DB) DeviceStats() storage.DeviceStats { return db.fdisk.DeviceStats() 
 
 // PoolStats returns buffer pool counters.
 func (db *DB) PoolStats() storage.PoolStats { return db.pool.Stats() }
+
+// PoolResidency returns the pages the buffer pool holds and the bytes of
+// page buffers they own (storage.Pool.Residency).
+func (db *DB) PoolResidency() (pages int, ownedBytes int64) { return db.pool.Residency() }

@@ -6,7 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/datagen"
 	"repro/internal/index"
@@ -270,4 +272,135 @@ func TestBackupUnderConcurrentWriters(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestInMemoryBackupWithPinnedReaders backs up an in-memory database
+// whose small pool's frames are the in-memory file's own page bytes, while
+// readers keep pages pinned across the sync points that a writer's
+// commits and Checkpoints run, and pages are evicted, fetched again and
+// mutated in place. Under -race a sync point must not write the bytes a
+// reader reads (it rewrites a view's trailer only); no read may fail its
+// checksum; and every backup opens and answers like the naive oracle on
+// itself.
+func TestInMemoryBackupWithPinnedReaders(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(Config{BufferPoolBytes: 16 * storage.PageSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < 4; i++ {
+		db.AddDocument(genDoc(rng, 150))
+	}
+	if err := db.Build(index.KindRootPaths, index.KindDataPaths); err != nil {
+		t.Fatal(err)
+	}
+	rootID := db.Store().Docs[0].Root.ID
+	baselineNodes := db.NodeCount()
+	var pats []*xpath.Pattern
+	for i := 0; i < 4; i++ {
+		pats = append(pats, xpath.MustParse(genQueryFor(rng, db.Store().Docs[0])))
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var commits atomic.Int64
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(strat int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := pinnedIDs(db, pats[i%len(pats)], diffStrategies[strat%2]); err != nil {
+					t.Errorf("reader: %v", err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		wrng := rand.New(rand.NewSource(42))
+		var live []int64
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// A transaction of several statements: the pages its first
+			// ones write may be evicted, fetched again and mutated in place
+			// by the later ones.
+			tx := db.Begin()
+			for j := 0; j < 3; j++ {
+				sub := genDoc(wrng, 5).Root
+				if err := tx.Insert(rootID, sub); err != nil {
+					t.Errorf("writer insert: %v", err)
+					return
+				}
+				live = append(live, sub.ID)
+			}
+			for len(live) > 20 {
+				if err := tx.Delete(live[0]); err != nil {
+					t.Errorf("writer delete: %v", err)
+					return
+				}
+				live = live[1:]
+			}
+			if err := tx.Commit(); err != nil {
+				t.Errorf("writer commit: %v", err)
+				return
+			}
+			commits.Add(1)
+			if i%2 == 1 {
+				if err := db.Checkpoint(); err != nil {
+					t.Errorf("checkpoint: %v", err)
+					return
+				}
+			}
+		}
+	}()
+
+	for i := 0; i < 3; i++ {
+		for commits.Load() < int64(10*i) && !t.Failed() {
+			time.Sleep(time.Millisecond)
+		}
+		dst := filepath.Join(dir, fmt.Sprintf("backup%d.db", i))
+		if err := db.Backup(dst); err != nil {
+			t.Fatalf("backup %d: %v", i, err)
+		}
+		rec, err := Open(Config{Path: dst, BufferPoolBytes: 1 << 20})
+		if err != nil {
+			t.Fatalf("open backup %d: %v", i, err)
+		}
+		if got := rec.NodeCount(); got < baselineNodes {
+			t.Fatalf("backup %d lost pre-backup content: %d nodes < baseline %d", i, got, baselineNodes)
+		}
+		for _, pat := range pats {
+			want := rec.MatchNaive(pat)
+			for _, s := range diffStrategies[:2] {
+				got, err := pinnedIDs(rec, pat, s)
+				if err != nil || !equalIDs(got, want) {
+					t.Fatalf("backup %d %v via %v: got %v, %v; naive %v", i, pat, s, got, err, want)
+				}
+			}
+		}
+		if err := rec.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if st := db.DeviceStats(); st.ChecksumFailures != 0 {
+		t.Fatalf("%d checksum failures", st.ChecksumFailures)
+	}
+	if st := db.PoolStats(); st.PageReads == 0 || st.PageWrites == 0 {
+		t.Fatalf("pool stats %+v: the pool never missed or wrote home", st)
+	}
 }

@@ -8,10 +8,11 @@
 //
 // The paper runs on DB2 with a 40MB buffer pool over a non-memory-resident
 // data set so that the number of index/page accesses dominates query time.
-// Every page crossing the pool boundary is copied and counted, so the
-// *relative* costs the paper measures (one index lookup vs. a cascade of
-// joins; 1 relation vs. m relations) are preserved and observable via Stats
-// even when the files are in memory.
+// Every page crossing the pool boundary is counted and checksummed — and
+// copied, unless the file is in memory and the frame can point at its
+// bytes — so the *relative* costs the paper measures (one index lookup vs.
+// a cascade of joins; 1 relation vs. m relations) are preserved and
+// observable via Stats even when the files are in memory.
 package storage
 
 // PageSize is the size of every page in bytes (8KB, a common RDBMS default).

@@ -14,7 +14,7 @@ import (
 func TestMemFileChunks(t *testing.T) {
 	m := &memFile{}
 	data := bytes.Repeat([]byte{0xAB}, memChunk+100)
-	off := int64(2*memChunk - 50) // chunk 0 stays a hole
+	off := int64(superblockSize + 2*memChunk - 50) // chunks 0 and 1 stay holes
 	if n, err := m.WriteAt(data, off); err != nil || n != len(data) {
 		t.Fatalf("WriteAt = %d, %v", n, err)
 	}
@@ -41,7 +41,7 @@ func TestMemFileChunks(t *testing.T) {
 	if err := m.Truncate(cut); err != nil {
 		t.Fatal(err)
 	}
-	if want := int(cut/memChunk) + 1; len(m.chunks) != want {
+	if want, _, _ := memLoc(cut - 1); len(m.chunks) != want+1 {
 		t.Fatalf("Truncate kept %d chunks, want %d", len(m.chunks), want)
 	}
 	if err := m.Truncate(off + int64(len(data))); err != nil {

@@ -576,22 +576,91 @@ func (f *FileDisk) FreeList() []PageID {
 // once (a transient fault may not recur) and then reported as
 // ErrCorruptPage.
 func (f *FileDisk) Read(id PageID, buf []byte) error {
+	_, _, err := f.read(id, buf)
+	return err
+}
+
+// read is Read, and with a nil buf the read of a pool miss: it returns the
+// page bytes of id's slot itself (view true) when the file offers a view of
+// the slot and no fault injector is attached — an injector's bit flips act
+// on a copy, below the checksum — and otherwise a copy in a buffer from
+// pageBufs. A view is CRC-verified like a copy, with the same retry, and
+// counted as the same read; a hole (a slot never written) reads as a
+// zeroed copy. The view's bytes are the file's: see Page.Data.
+func (f *FileDisk) read(id PageID, buf []byte) (data []byte, view bool, err error) {
 	if f.inj != nil {
 		f.inj.sleepLatency()
 		if err := f.inj.readError(); err != nil {
-			return fmt.Errorf("storage: read of page %d: %w", id, err)
+			return nil, false, fmt.Errorf("storage: read of page %d: %w", id, err)
 		}
 	}
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	if int(id) < 0 || int(id) >= f.numPages {
-		return fmt.Errorf("storage: read of unallocated page %d", id)
+		return nil, false, fmt.Errorf("storage: read of unallocated page %d", id)
 	}
 	f.statLock.Lock()
 	f.reads.Add(1)
 	f.bytesRead.Add(PageSize)
 	f.statLock.Unlock()
-	return f.readChecked(func() error { return f.readFileSlotLocked(id, buf) })
+	if buf != nil {
+		return buf, false, f.readChecked(func() error { return f.readFileSlotLocked(id, buf) })
+	}
+	if v, err := f.readViewLocked(id); v != nil || err != nil {
+		return v, v != nil, err
+	}
+	buf = getPageBuf()
+	if err := f.readChecked(func() error { return f.readFileSlotLocked(id, buf) }); err != nil {
+		putPageBuf(buf)
+		return nil, false, err
+	}
+	return buf, false, nil
+}
+
+// readViewLocked returns page id's image as a view of its slot once the
+// slot's CRC verifies, with readChecked's retry, or nil without an error
+// when there is no view (slotViewLocked) or the slot is a hole.
+func (f *FileDisk) readViewLocked(id PageID) (v []byte, err error) {
+	err = f.readChecked(func() error {
+		v = f.slotViewLocked(id)
+		if v == nil {
+			return nil
+		}
+		stored := binary.BigEndian.Uint32(v[PageSize:])
+		if crc32.ChecksumIEEE(v[:PageSize]) == stored {
+			v = v[:PageSize:PageSize]
+			return nil
+		}
+		hole := stored == 0 && allZero(v[:PageSize])
+		v = nil
+		if hole {
+			return nil
+		}
+		return fmt.Errorf("storage: page %d checksum mismatch: %w", id, ErrCorruptPage)
+	})
+	return v, err
+}
+
+// slotViewLocked returns page id's whole slot (image and trailer) as the
+// file's own bytes, or nil when a fault injector is attached or the file
+// is not in memory or offers no view of the slot (memFile.view).
+func (f *FileDisk) slotViewLocked(id PageID) []byte {
+	if m, ok := f.file.(*memFile); ok && f.inj == nil {
+		return m.view(slotOff(id), pageSlotSize)
+	}
+	return nil
+}
+
+// pageView returns page id's image in its slot as the file's own bytes, or
+// nil (see slotViewLocked). The pool points a frame it has just written
+// home at it.
+func (f *FileDisk) pageView(id PageID) []byte {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if v := f.slotViewLocked(id); v != nil {
+		return v[:PageSize:PageSize]
+	}
+	return nil
 }
 
 // readChecked runs read, retrying a single time on a checksum failure
@@ -688,12 +757,25 @@ func (f *FileDisk) writeAt(dst File, out []byte, off int64, what string, id Page
 // writeSlotLocked writes one page image with a fresh CRC trailer into its
 // slot.
 func (f *FileDisk) writeSlotLocked(id PageID, data []byte) error {
+	return f.writeHomeLocked(id, data, false)
+}
+
+// writeHomeLocked is writeSlotLocked for an image that may be the slot's
+// own bytes (view, see read): then only the trailer is written — a copy of
+// the image onto itself would race with the readers that hold the page
+// pinned. Either way it counts as one slot written.
+func (f *FileDisk) writeHomeLocked(id PageID, data []byte, view bool) error {
 	if f.slot == nil {
 		f.slot = make([]byte, pageSlotSize)
 	}
-	copy(f.slot, data[:PageSize])
+	out, off := f.slot, slotOff(id)
+	if view {
+		out, off = f.slot[PageSize:], off+PageSize
+	} else {
+		copy(f.slot, data[:PageSize])
+	}
 	binary.BigEndian.PutUint32(f.slot[PageSize:], crc32.ChecksumIEEE(data[:PageSize]))
-	if err := f.writeAt(f.file, f.slot, slotOff(id), "page", id); err != nil {
+	if err := f.writeAt(f.file, out, off, "page", id); err != nil {
 		return err
 	}
 	f.statLock.Lock()
@@ -707,7 +789,11 @@ func (f *FileDisk) writeSlotLocked(id PageID, data []byte) error {
 // free; the caller never writes a page the sealed state reaches (pages are
 // copied on write, and a freed one is held back until the next seal), so
 // the write is volatile until that seal.
-func (f *FileDisk) Write(id PageID, buf []byte) error {
+func (f *FileDisk) Write(id PageID, buf []byte) error { return f.writeHome(id, buf, false) }
+
+// writeHome is Write for a pool frame, whose buf may be the slot's own
+// bytes (view; see writeHomeLocked).
+func (f *FileDisk) writeHome(id PageID, buf []byte, view bool) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if err := f.poisonedError(); err != nil {
@@ -719,7 +805,7 @@ func (f *FileDisk) Write(id PageID, buf []byte) error {
 	if _, free := f.freeSet[id]; free {
 		return fmt.Errorf("storage: write of free page %d", id)
 	}
-	if err := f.writeSlotLocked(id, buf); err != nil {
+	if err := f.writeHomeLocked(id, buf, view); err != nil {
 		return err
 	}
 	f.changed = true

@@ -10,6 +10,12 @@ import (
 
 // Page is a pinned page in the buffer pool, returned by value so the hot
 // fetch/unpin cycle performs no heap allocation. Data is valid until Unpin.
+//
+// Data may be the in-memory file's own page bytes (a view, see frame.view),
+// so a write to it is a write to the file that the slot's CRC trailer does
+// not cover until the page is written home. Write only to a page its owner
+// may mutate in place — one reachable from no published version, such as a
+// B+-tree page its handle allocated — and Unpin it dirty.
 type Page struct {
 	ID   PageID
 	Data []byte
@@ -25,8 +31,13 @@ type frame struct {
 	data  []byte
 	pins  int
 	dirty bool
-	prev  *frame
-	next  *frame
+	// view reports that data is the in-memory file's own page bytes
+	// (FileDisk.read) rather than a buffer the frame owns: the frame costs
+	// no page of memory, writing it home rewrites only the slot's trailer,
+	// and dropping it hands nothing to pageBufs.
+	view bool
+	prev *frame
+	next *frame
 
 	// loading is non-nil while the faulting fetcher fills data from disk
 	// outside the shard lock (so a slow device never stalls the whole
@@ -87,12 +98,15 @@ type shard struct {
 type roomWaiter struct{ next *roomWaiter }
 
 // pageBufs recycles the page buffers of frames the pool discards — freed
-// pages and evicted ones — for the frames Allocate and Fetch's miss path
-// make, so a copy-on-write writer that allocates a page for every one it
-// retires makes no page garbage. A discarded frame is unpinned, and Page
-// data is valid only until Unpin, so no caller still reads the buffer.
-// A sync.Pool rather than a spare list: it holds idle buffers only between
-// garbage collections, so recycling never pins memory the pool gave up.
+// pages and evicted ones — and of frames that switch to a view once written
+// home, for the frames Allocate and Fetch's copying miss path make, so a
+// copy-on-write writer that allocates a page for every one it retires
+// makes no page garbage. A discarded frame is unpinned, and Page data is
+// valid only until Unpin, so no caller still reads the buffer. Only buffers
+// a frame owns come here, never a view: the next Allocate would clear the
+// file's bytes. A sync.Pool rather than a spare list: it holds idle buffers
+// only between garbage collections, so recycling never pins memory the
+// pool gave up.
 var pageBufs = sync.Pool{
 	New: func() any { return new([PageSize]byte) },
 }
@@ -198,6 +212,25 @@ func (p *Pool) Stats() PoolStats {
 	return st
 }
 
+// Residency returns how many pages the pool holds and how many bytes of
+// page buffers its frames own: a frame on an in-memory file's own page
+// bytes (see frame.view) owns none, so ownedBytes, not Capacity, is the
+// memory the pool adds to the file's.
+func (p *Pool) Residency() (pages int, ownedBytes int64) {
+	for i := range p.shards {
+		s := &p.shards[i]
+		s.mu.Lock()
+		pages += len(s.frames)
+		for _, f := range s.frames {
+			if !f.view {
+				ownedBytes += PageSize
+			}
+		}
+		s.mu.Unlock()
+	}
+	return pages, ownedBytes
+}
+
 // ResetStats zeroes the counters (between experiment runs).
 func (p *Pool) ResetStats() {
 	for i := range p.shards {
@@ -208,7 +241,9 @@ func (p *Pool) ResetStats() {
 	}
 }
 
-// Fetch pins page id and returns it. The caller must Unpin it.
+// Fetch pins page id and returns it. The caller must Unpin it. A miss on
+// an in-memory file installs a frame on the file's own page bytes (see
+// frame.view); any other miss copies the page into a buffer the frame owns.
 //
 // On a miss the disk read happens outside the shard lock (a slow simulated
 // device must not stall the whole stripe); concurrent fetchers of the same
@@ -246,21 +281,26 @@ func (p *Pool) Fetch(id PageID) (Page, error) {
 			break
 		}
 	}
-	f := &frame{id: id, data: getPageBuf(), pins: 1, loading: make(chan struct{})}
+	f := &frame{id: id, pins: 1, loading: make(chan struct{})}
 	s.frames[id] = f
 	s.stats.PageReads++
 	s.mu.Unlock()
 
-	var err error
+	var (
+		data []byte
+		view bool
+		err  error
+	)
 	if p.missHist != nil {
 		start := time.Now()
-		err = s.dev.Read(id, f.data)
+		data, view, err = s.dev.read(id, nil)
 		p.missHist.Observe(time.Since(start).Nanoseconds())
 	} else {
-		err = s.dev.Read(id, f.data)
+		data, view, err = s.dev.read(id, nil)
 	}
 
 	s.mu.Lock()
+	f.data, f.view = data, view
 	f.loadErr = err
 	close(f.loading)
 	f.loading = nil
@@ -292,7 +332,10 @@ func (p *Pool) Allocate() (Page, error) { return p.allocate(nil) }
 func (p *Pool) AllocateCopy(src []byte) (Page, error) { return p.allocate(src[:PageSize]) }
 
 // allocate is Allocate with the new page's bytes a copy of src, or zero
-// when src is nil.
+// when src is nil. The id comes from the device before there is room for its frame; when no
+// frame can be made, the id goes back to the free list, where it is
+// reusable at once (it was allocated since the last seal), so a failed
+// allocation leaks no page.
 func (p *Pool) allocate(src []byte) (Page, error) {
 	id := p.dev.Allocate()
 	if id == InvalidPage {
@@ -300,19 +343,14 @@ func (p *Pool) allocate(src []byte) (Page, error) {
 	}
 	s := p.shardFor(id)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if _, ok := s.frames[id]; ok {
-			return Page{}, fmt.Errorf("storage: allocated page %d is resident", id)
+	if err := s.roomFor(id); err != nil {
+		s.mu.Unlock()
+		if ferr := p.dev.Free(id); ferr != nil {
+			return Page{}, fmt.Errorf("%w (and freeing page %d back: %w)", err, id, ferr)
 		}
-		if err := s.makeRoom(); err != nil {
-			return Page{}, err
-		}
-		// makeRoom can drop the latch; re-check residency like Fetch does.
-		if _, ok := s.frames[id]; !ok {
-			break
-		}
+		return Page{}, err
 	}
+	defer s.mu.Unlock()
 	data := getPageBuf()
 	if src == nil {
 		clear(data)
@@ -322,6 +360,23 @@ func (p *Pool) allocate(src []byte) (Page, error) {
 	f := &frame{id: id, data: data, pins: 1, dirty: true}
 	s.frames[id] = f
 	return Page{ID: id, Data: f.data, frame: f}, nil
+}
+
+// roomFor makes room for a frame of the just-allocated page id, which must
+// not be resident. Called with s.mu held.
+func (s *shard) roomFor(id PageID) error {
+	for {
+		if _, ok := s.frames[id]; ok {
+			return fmt.Errorf("storage: allocated page %d is resident", id)
+		}
+		if err := s.makeRoom(); err != nil {
+			return err
+		}
+		// makeRoom can drop the latch; re-check residency like Fetch does.
+		if _, ok := s.frames[id]; !ok {
+			return nil
+		}
+	}
 }
 
 // Free returns page id to the device's free list, discarding any resident
@@ -338,7 +393,7 @@ func (p *Pool) Free(id PageID) error {
 		}
 		s.unlink(f)
 		delete(s.frames, id)
-		putPageBuf(f.data)
+		s.release(f)
 		s.unpinned.Broadcast() // a room waiter can use the freed slot
 	}
 	s.mu.Unlock()
@@ -395,23 +450,51 @@ func (p *Pool) FlushAll() error { return p.flush(false) }
 // dirty may be pinned by a query at the moment the sync point seals it.
 func (p *Pool) FlushPinned() error { return p.flush(true) }
 
+// flush writes the dirty frames home. A frame nobody pins that owned its
+// buffer then switches to a view of the slot it was written to, when the
+// file offers one, and recycles the buffer: after a sync point an
+// in-memory database holds each clean page once. A pinned frame keeps its
+// buffer, which its readers hold.
 func (p *Pool) flush(pinned bool) error {
 	for i := range p.shards {
 		s := &p.shards[i]
 		s.mu.Lock()
 		for _, f := range s.frames {
 			if f.dirty && (f.pins == 0 || pinned) {
-				if err := s.dev.Write(f.id, f.data); err != nil {
+				if err := s.writeHome(f); err != nil {
 					s.mu.Unlock()
 					return err
 				}
-				s.stats.PageWrites++
-				f.dirty = false
+				if f.pins == 0 && !f.view {
+					if v := s.dev.pageView(f.id); v != nil {
+						putPageBuf(f.data)
+						f.data, f.view = v, true
+					}
+				}
 			}
 		}
 		s.mu.Unlock()
 	}
 	return nil
+}
+
+// writeHome writes dirty frame f to its slot and marks it clean. Called
+// with s.mu held.
+func (s *shard) writeHome(f *frame) error {
+	if err := s.dev.writeHome(f.id, f.data, f.view); err != nil {
+		return err
+	}
+	s.stats.PageWrites++
+	f.dirty = false
+	return nil
+}
+
+// release hands the buffer of a frame the shard dropped to pageBufs, unless
+// the frame is a view: its bytes are the file's.
+func (s *shard) release(f *frame) {
+	if !f.view {
+		putPageBuf(f.data)
+	}
 }
 
 // DropAll flushes and empties the pool; used to cold-start an experiment.
@@ -430,16 +513,14 @@ func (p *Pool) DropAll() error {
 		}
 		for _, f := range s.frames {
 			if f.dirty {
-				if err := s.dev.Write(f.id, f.data); err != nil {
+				if err := s.writeHome(f); err != nil {
 					s.mu.Unlock()
 					return err
 				}
-				s.stats.PageWrites++
-				f.dirty = false
 			}
 		}
 		for _, f := range s.frames {
-			putPageBuf(f.data)
+			s.release(f)
 		}
 		s.frames = make(map[PageID]*frame)
 		s.lru.next = &s.lru
@@ -501,15 +582,13 @@ func (s *shard) tryRoom() (bool, error) {
 		// injected fault, a poisoned disk), the victim must stay on the LRU
 		// ring — unlinking first would strand an unpinned frame off-ring,
 		// permanently shrinking the shard's evictable set.
-		if err := s.dev.Write(victim.id, victim.data); err != nil {
+		if err := s.writeHome(victim); err != nil {
 			return false, err
 		}
-		s.stats.PageWrites++
-		victim.dirty = false
 	}
 	s.unlink(victim)
 	delete(s.frames, victim.id)
-	putPageBuf(victim.data)
+	s.release(victim)
 	return true, nil
 }
 

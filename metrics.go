@@ -202,6 +202,9 @@ func (db *DB) WriteMetrics(w io.Writer) error {
 	p.Counter("twigdb_pool_hits_total", "Buffer pool fetches served without device I/O.", pool.Hits)
 	p.Counter("twigdb_pool_page_reads_total", "Buffer pool misses (device reads).", pool.PageReads)
 	p.Counter("twigdb_pool_page_writes_total", "Dirty pages written back by the pool.", pool.PageWrites)
+	resident, owned := db.eng.PoolResidency()
+	p.Gauge("twigdb_pool_resident_pages", "Pages the buffer pool holds.", float64(resident))
+	p.Gauge("twigdb_pool_owned_bytes", "Bytes of page buffers the pool's frames own; frames on an in-memory database's own page bytes own none.", float64(owned))
 
 	p.Gauge("twigdb_readonly", "1 while the database is in degraded read-only mode, else 0.", bool01(h.ReadOnly))
 	if h.Cause != nil {

@@ -1,6 +1,8 @@
 package twigdb_test
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -10,6 +12,8 @@ import (
 	"time"
 
 	twigdb "repro"
+	"repro/internal/datagen"
+	"repro/internal/xmldb"
 )
 
 // TestExplainAnalyze checks the EXPLAIN ANALYZE surface: a traced run
@@ -365,6 +369,61 @@ func TestPrepareAttribution(t *testing.T) {
 		k := `twigdb_prepare_pages_copied_sum{tree="` + tree + `"}`
 		if series[k] == "0" || series[k] == "" {
 			t.Errorf("%s = %q, want the pages the first insert copied", k, series[k])
+		}
+	}
+}
+
+// TestPoolOwnedBytesAfterBuild: /metrics tells the pool's memory from its
+// capacity. After Build, the full pool of an in-memory database owns no
+// page buffer — every frame is the in-memory file's own page bytes — and
+// misses keep it so; the same pool over a file owns a buffer per resident
+// page.
+func TestPoolOwnedBytesAfterBuild(t *testing.T) {
+	const pages = 64
+	var doc bytes.Buffer
+	if err := xmldb.WriteXML(&doc, datagen.XMark(datagen.XMarkConfig{ItemsPerRegion: 10}).Root); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"", filepath.Join(t.TempDir(), "resident.twigdb")} {
+		db, err := twigdb.Open(&twigdb.Options{Path: path, BufferPoolBytes: pages * 8192})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.LoadXML(bytes.NewReader(doc.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.BuildAll(); err != nil {
+			t.Fatal(err)
+		}
+		residency := func(when string) (resident, owned string) {
+			var b strings.Builder
+			if err := db.WriteMetrics(&b); err != nil {
+				t.Fatal(err)
+			}
+			m := checkPromText(t, b.String())
+			resident, owned = m["twigdb_pool_resident_pages"], m["twigdb_pool_owned_bytes"]
+			if resident != fmt.Sprint(pages) {
+				t.Fatalf("%q %s: twigdb_pool_resident_pages = %q, want the full pool, %d", path, when, resident, pages)
+			}
+			return resident, owned
+		}
+		want := "0"
+		if path != "" {
+			want = fmt.Sprint(pages * 8192)
+		}
+		if _, owned := residency("after Build"); owned != want {
+			t.Fatalf("%q after Build: twigdb_pool_owned_bytes = %q, want %s", path, owned, want)
+		}
+		for _, q := range []string{`//item[quantity='2']/name`, `//person/name`, `/site/regions//item/description`} {
+			if _, err := db.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, owned := residency("after queries"); owned != want {
+			t.Fatalf("%q after queries: twigdb_pool_owned_bytes = %q, want %s", path, owned, want)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
