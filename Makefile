@@ -3,7 +3,7 @@ GO ?= go
 # Short-budget fuzz smoke for CI (full runs: go test -fuzz=... by hand).
 FUZZTIME ?= 10s
 
-.PHONY: all build vet test race fuzz ci bench paper loc
+.PHONY: all build vet test race fuzz examples ci bench paper loc
 
 all: test
 
@@ -49,8 +49,24 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRecoverFreeList -fuzztime $(FUZZTIME) ./internal/storage/
 	$(GO) test -run '^$$' -fuzz FuzzOpenFileDisk -fuzztime $(FUZZTIME) ./internal/storage/
 
+# Every program under examples/, run: each must exit 0. examples/persist
+# runs twice against one temporary file, so its build and its reopen plus
+# logged insert cross a real process restart; the first run must print
+# "building" and the second "reopened". Nothing is left behind.
+examples:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for d in examples/*/; do \
+		[ "$$d" = examples/persist/ ] && continue; \
+		echo "== $$d"; $(GO) run "./$$d" >"$$dir/out" || { cat "$$dir/out"; exit 1; }; \
+	done; \
+	for run in building reopened; do \
+		echo "== examples/persist ($$run)"; \
+		$(GO) run ./examples/persist "$$dir/books.twigdb" >"$$dir/out" || { cat "$$dir/out"; exit 1; }; \
+		grep -q "^$$run " "$$dir/out" || { cat "$$dir/out"; exit 1; }; \
+	done
+
 # Everything CI runs, in order.
-ci: test race fuzz
+ci: test race fuzz examples
 
 # The four benchmark workloads, untraced, as the driver runs them: one JSON
 # object of end-to-end metrics per workload on standard output, tables on

@@ -54,9 +54,9 @@ type Tree struct {
 
 	// order sorts the entries of one key's duplicate run by value (nil:
 	// bytes.Compare). Its owner sets it (SetValueOrder) on every handle it
-	// builds or opens; it is not persisted. Insert and Delete binary-search
-	// a run by it, so a tree is only ever mutated under the order its runs
-	// were written in.
+	// builds or opens; it is not persisted. Insert and Delete descend by it
+	// (see search), so a tree is only ever mutated under the order its runs
+	// and separators were written in.
 	order func(a, b []byte) int
 }
 
@@ -172,21 +172,29 @@ func (t *Tree) fetch(id storage.PageID) (storage.Page, error) {
 	return pg, nil
 }
 
-// writable returns a pinned page for id that is safe to mutate: the page
-// itself when this handle owns it (see owned), otherwise a fresh copy on a
-// newly allocated page, with the shared original retired. The caller must
-// check Page.ID and propagate a changed id to the parent.
+// writable returns a pinned page for id that is safe to mutate (see own).
 func (t *Tree) writable(id storage.PageID) (storage.Page, error) {
 	pg, err := t.fetch(id)
-	if err != nil || t.owned(id) {
+	if err != nil {
 		return pg, err
+	}
+	return t.own(pg)
+}
+
+// own returns pg, a pinned page of this tree, when this handle may mutate
+// it (see owned), and otherwise a pinned copy of it on a newly allocated
+// page, unpinning pg and retiring the shared original. The caller must
+// check Page.ID and propagate a changed id to the parent.
+func (t *Tree) own(pg storage.Page) (storage.Page, error) {
+	if t.owned(pg.ID) {
+		return pg, nil
 	}
 	np, err := t.allocCopy(pg.Data)
 	t.pool.Unpin(pg, false)
 	if err != nil {
 		return storage.Page{}, err
 	}
-	t.retire(id)
+	t.retire(pg.ID)
 	t.copies++
 	return np, nil
 }
@@ -324,26 +332,22 @@ func (t *Tree) write(id storage.PageID, pc *pageContent) error {
 
 // Insert adds (key, val) at its place in entry order: by key, and within
 // a run of duplicate keys by the tree's value order (SetValueOrder), found
-// by binary search like any other key.
+// by one binary search per level like any other key.
 func (t *Tree) Insert(key, val []byte) error {
 	if len(key)+len(val) > MaxEntrySize {
 		return fmt.Errorf("btree %s: entry too large (%d bytes, max %d)", t.name, len(key)+len(val), MaxEntrySize)
 	}
-	newRoot, sep, right, err := t.insertAt(t.root, key, val, t.height)
+	newRoot, split, err := t.insertAt(t.root, key, val, t.height)
 	if err != nil {
 		return err
 	}
 	t.root = newRoot
 	t.entries++
-	if right == storage.InvalidPage {
+	if split == nil {
 		return nil
 	}
 	// Root split: new root with the old root as leftmost child.
-	rootPC := pageContent{
-		leaf:    false,
-		aux:     t.root,
-		entries: []entry{{key: sep, child: right}},
-	}
+	rootPC := pageContent{aux: t.root, entries: []entry{*split}}
 	id, err := t.alloc(&rootPC)
 	if err != nil {
 		return err
@@ -356,60 +360,69 @@ func (t *Tree) Insert(key, val []byte) error {
 // insertAt inserts into the subtree rooted at id (at the given height,
 // 1 = leaf). It returns the subtree's possibly-new root page id — under
 // copy-on-write a frozen page is replaced by a mutated copy, which the
-// caller must re-point its child entry at — plus, on split, the separator
-// key and new right sibling.
+// caller must re-point its child entry at — and, on split, the separator
+// of the new right sibling (its child).
 //
 // The common case mutates the slotted page in place — binary search on the
 // encoded slot array, cell appended at the heap floor, slots memmoved —
 // without decoding a single entry. When the page needs compaction or a
 // prefix change it is re-encoded from its own slots (insertCompacting);
 // only a split decodes its entries.
-func (t *Tree) insertAt(id storage.PageID, key, val []byte, height int) (storage.PageID, []byte, storage.PageID, error) {
-	if height > 1 {
-		// Internal: descend into the child for this key, then handle a
-		// possible child id change (COW) or split.
-		childIdx, child, err := t.childFor(id, key, val, height)
-		if err != nil {
-			return id, nil, storage.InvalidPage, err
-		}
-		newChild, sep, right, err := t.insertAt(child, key, val, height-1)
-		if err != nil {
-			return id, nil, storage.InvalidPage, err
-		}
-		if newChild == child && right == storage.InvalidPage {
-			return id, nil, storage.InvalidPage, nil
-		}
+func (t *Tree) insertAt(id storage.PageID, key, val []byte, height int) (storage.PageID, *entry, error) {
+	if height == 1 {
 		wpg, err := t.writable(id)
 		if err != nil {
-			return id, nil, storage.InvalidPage, err
+			return id, nil, err
 		}
-		if newChild != child {
-			setChildInPlace(wpg.Data, childIdx, newChild)
-		}
-		if right == storage.InvalidPage {
-			t.pool.Unpin(wpg, true)
-			return wpg.ID, nil, storage.InvalidPage, nil
-		}
-		pos := childIdx + 1 // separator goes right after the descended child
-		if insertInternalInPlace(wpg.Data, pos, sep, right) || t.insertCompacting(wpg.Data, pos, sep, nil, right) {
-			t.pool.Unpin(wpg, true)
-			return wpg.ID, nil, storage.InvalidPage, nil
-		}
-		sep2, right2, err := t.splitWith(wpg, pos, entry{key: sep, child: right})
-		return wpg.ID, sep2, right2, err
+		pos := t.search(wpg.Data, key, val, false)
+		split, err := t.insertInto(wpg, pos, entry{key: key, val: val, child: storage.InvalidPage})
+		return wpg.ID, split, err
 	}
-	// Leaf: always mutated, so materialise a writable page up front.
+	// Internal: descend into the child for (key, val), then handle a
+	// possible child id change (COW) or split.
+	pg, err := t.fetch(id)
+	if err != nil {
+		return id, nil, err
+	}
+	childIdx, child := t.descend(pg.Data, key, val, true)
+	t.pool.Unpin(pg, false)
+	newChild, split, err := t.insertAt(child, key, val, height-1)
+	if err != nil || newChild == child && split == nil {
+		return id, nil, err
+	}
 	wpg, err := t.writable(id)
 	if err != nil {
-		return id, nil, storage.InvalidPage, err
+		return id, nil, err
 	}
-	pos := t.searchEntry(wpg.Data, key, val)
-	if insertLeafInPlace(wpg.Data, pos, key, val) || t.insertCompacting(wpg.Data, pos, key, val, storage.InvalidPage) {
+	if newChild != child {
+		setChildInPlace(wpg.Data, childIdx, newChild)
+	}
+	if split == nil {
 		t.pool.Unpin(wpg, true)
-		return wpg.ID, nil, storage.InvalidPage, nil
+		return wpg.ID, nil, nil
 	}
-	sep, right, err := t.splitWith(wpg, pos, entry{key: append([]byte(nil), key...), val: append([]byte(nil), val...)})
-	return wpg.ID, sep, right, err
+	split, err = t.insertInto(wpg, childIdx+1, *split) // right after the descended child
+	return wpg.ID, split, err
+}
+
+// insertInto writes e as cell pos of wpg, a pinned writable page, and
+// unpins it: in place, else compacted, else split across wpg and a new
+// right sibling, whose separator it returns. A leaf entry's bytes are the
+// caller's; a split copies them.
+func (t *Tree) insertInto(wpg storage.Page, pos int, e entry) (*entry, error) {
+	if insertInPlace(wpg.Data, pos, e.key, e.val, e.child) || t.insertCompacting(wpg.Data, pos, e.key, e.val, e.child) {
+		t.pool.Unpin(wpg, true)
+		return nil, nil
+	}
+	pc, err := decodePage(wpg.Data)
+	if err != nil {
+		t.pool.Unpin(wpg, false)
+		return nil, fmt.Errorf("btree %s: page %d: %w", t.name, wpg.ID, err)
+	}
+	t.pool.Unpin(wpg, true)
+	e.key, e.val = slices.Clone(e.key), slices.Clone(e.val)
+	pc.entries = slices.Insert(pc.entries, pos, e)
+	return t.storeSplit(wpg.ID, &pc)
 }
 
 // insertCompacting is the page-level insertCompacting with a scratch page
@@ -421,52 +434,40 @@ func (t *Tree) insertCompacting(d []byte, pos int, key, val []byte, child storag
 	return ok
 }
 
-// splitWith splits wpg, a pinned writable page that cannot take e as cell
-// pos even compacted: it decodes the page, unpins it, and stores its
-// entries with e inserted across wpg and a new right sibling. It returns
-// the separator and the sibling, as insertAt does.
-func (t *Tree) splitWith(wpg storage.Page, pos int, e entry) ([]byte, storage.PageID, error) {
-	pc, err := decodePage(wpg.Data)
-	if err != nil {
-		t.pool.Unpin(wpg, false)
-		return nil, storage.InvalidPage, fmt.Errorf("btree %s: page %d: %w", t.name, wpg.ID, err)
-	}
-	t.pool.Unpin(wpg, true)
-	pc.entries = slices.Insert(pc.entries, pos, e)
-	return t.storeSplit(wpg.ID, &pc)
-}
-
 // storeSplit writes pc, which does not fit one page, back to id and a new
-// right sibling.
-func (t *Tree) storeSplit(id storage.PageID, pc *pageContent) ([]byte, storage.PageID, error) {
+// right sibling, and returns the sibling's separator: the right side's
+// first key, and its first value too where the cut lands inside a run of
+// equal keys — so every entry of the left side is before the separator in
+// entry order and every entry of the right side at or after it.
+func (t *Tree) storeSplit(id storage.PageID, pc *pageContent) (*entry, error) {
 	mid := splitPoint(pc)
 	rightEntries := append([]entry(nil), pc.entries[mid:]...)
-	leftEntries := pc.entries[:mid]
-
+	left := pageContent{leaf: pc.leaf, entries: pc.entries[:mid], aux: pc.aux}
 	right := pageContent{leaf: pc.leaf, entries: rightEntries}
-	left := pageContent{leaf: pc.leaf, entries: leftEntries, aux: pc.aux}
-	var sep []byte
+	sep := rightEntries[0]
 	if pc.leaf {
-		sep = append([]byte(nil), rightEntries[0].key...)
 		right.aux = pc.aux // old next-leaf
+		if !bytes.Equal(pc.entries[mid-1].key, sep.key) {
+			sep.val = nil
+		}
 	} else {
-		// Push the middle key up instead of duplicating it: the right
-		// node's leftmost child is the pushed entry's child.
-		sep = append([]byte(nil), rightEntries[0].key...)
-		right.aux = rightEntries[0].child
+		// Push the middle separator up, its value with it, instead of
+		// duplicating it: the right node's leftmost child is its child.
+		right.aux = sep.child
 		right.entries = rightEntries[1:]
 	}
 	rightID, err := t.alloc(&right)
 	if err != nil {
-		return nil, storage.InvalidPage, err
+		return nil, err
 	}
 	if pc.leaf {
 		left.aux = rightID // link leaves
 	}
 	if err := t.write(id, &left); err != nil {
-		return nil, storage.InvalidPage, err
+		return nil, err
 	}
-	return sep, rightID, nil
+	sep.child = rightID
+	return &sep, nil
 }
 
 // splitPoint returns the entry storeSplit cuts pc before: the middle one,
@@ -495,130 +496,21 @@ func splitPoint(pc *pageContent) int {
 	return n / 2 // nothing fits: the write reports the overflow
 }
 
-// descendChild returns the index of the separator whose child should contain
-// key (-1 for the leftmost child) and that child's page id.
-//
-// The descent rule is "largest separator strictly less than key": because a
-// split can leave keys equal to the separator in the left sibling, an
-// equal separator must route to the child *before* it; an iterator's
-// climb to the next leaf makes landing early harmless, and Insert and
-// Delete pick among the children of a duplicate run with childFor.
-func descendChild(d []byte, key []byte) (int, storage.PageID) {
-	idx := searchCell(d, key) - 1 // last separator < key
-	if idx < 0 {
-		return -1, pageAux(d)
+// holds reports whether cell pos of page d is (key, val): a leaf entry, or
+// on an internal page a separator (key-only when val is empty).
+func holds(d []byte, pos int, key, val []byte) bool {
+	if pos < 0 || pos >= pageNumCells(d) {
+		return false
 	}
-	_, child := internalCell(d, idx)
-	return idx, child
-}
-
-// childFor returns the index (-1 for the leftmost) and id of the child of
-// internal page id, at the given height, under which (key, val) belongs in
-// entry order. Without a separator equal to key that is descendChild's
-// child. Otherwise key's duplicate run may span the children from
-// descendChild's to the last one whose separator equals key; entries are
-// in entry order across them, so a binary search for the first child that
-// starts after (key, val) — as every child whose separator is above key
-// does — picks the one before it. The separators carry keys only, so a
-// comparison with a separator equal to key descends that child's leftmost
-// spine; the page stays pinned meanwhile.
-func (t *Tree) childFor(id storage.PageID, key, val []byte, height int) (int, storage.PageID, error) {
-	pg, err := t.fetch(id)
-	if err != nil {
-		return 0, storage.InvalidPage, err
+	var suffix, v []byte
+	if pageType(d) == pageLeaf {
+		suffix, v = leafCell(d, pos)
+	} else {
+		suffix, v, _ = internalCell(d, pos)
 	}
-	defer t.pool.Unpin(pg, false)
-	d := pg.Data
-	idx, child := descendChild(d, key)
-	lo, hi := idx+1, pageNumCells(d)
-	if lo == hi || compareCellKey(d, lo, key) > 0 {
-		return idx, child, nil
-	}
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		after := compareCellKey(d, mid, key) > 0
-		if !after {
-			_, c := internalCell(d, mid)
-			cmp, err := t.compareFirst(c, height-1, key, val)
-			if err != nil {
-				return 0, storage.InvalidPage, err
-			}
-			after = cmp > 0
-		}
-		if after {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	if lo-1 == idx {
-		return idx, child, nil
-	}
-	_, child = internalCell(d, lo-1)
-	return lo - 1, child, nil
-}
-
-// compareFirst compares the first entry of the subtree rooted at id, of
-// the given height, with (key, val) in entry order. An empty leaf — only
-// ever a root — compares after everything.
-func (t *Tree) compareFirst(id storage.PageID, height int, key, val []byte) (int, error) {
-	for ; height > 1; height-- {
-		pg, err := t.fetch(id)
-		if err != nil {
-			return 0, err
-		}
-		id = pageAux(pg.Data)
-		t.pool.Unpin(pg, false)
-	}
-	pg, err := t.fetch(id)
-	if err != nil {
-		return 0, err
-	}
-	defer t.pool.Unpin(pg, false)
-	if pageNumCells(pg.Data) == 0 {
-		return 1, nil
-	}
-	cmp := compareCellKey(pg.Data, 0, key)
-	if cmp == 0 {
-		_, v := leafCell(pg.Data, 0)
-		cmp = t.compareVal(v, val)
-	}
-	return cmp, nil
-}
-
-// searchEntry returns the index of the first cell of leaf page d at or
-// after (key, val) in entry order: it binary-searches keys as searchCell
-// does, and breaks key ties by the tree's value order.
-func (t *Tree) searchEntry(d []byte, key, val []byte) int {
-	n := pageNumCells(d)
 	prefix := pagePrefix(d)
-	head := key
-	if len(head) > len(prefix) {
-		head = head[:len(prefix)]
-	}
-	switch c := bytes.Compare(prefix, head); {
-	case c < 0:
-		return n
-	case c > 0:
-		return 0
-	}
-	rest := key[len(prefix):]
-	slots := headerSize + len(prefix)
-	lo, hi := 0, n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		suffix, v := leafCellAt(d, slots, mid)
-		c := bytes.Compare(suffix, rest)
-		if c == 0 {
-			c = t.compareVal(v, val)
-		}
-		if c < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+	return len(key) == len(prefix)+len(suffix) && bytes.HasPrefix(key, prefix) &&
+		bytes.Equal(key[len(prefix):], suffix) && bytes.Equal(v, val)
 }
 
 // Get returns a private copy of the value of the first entry with exactly

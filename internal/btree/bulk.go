@@ -33,12 +33,13 @@ type span struct{ lo, hi int }
 // (duplicates allowed) and, within a run of duplicate keys, by the value
 // order the owner then sets on the tree (SetValueOrder) — unchecked here,
 // and required only of a tree that is later mutated: Insert and Delete
-// binary-search a run in that order. It is the fast path for index construction: pages
-// are written once, left-to-right, at a uniform fill factor. Every page
-// comes from Pool.Allocate, so a load reuses the device's free pages
-// before it grows the file; each leaf's page is reserved before its left
-// neighbour is written, so the leaf chain is linked as it is written — no
-// fix-up pass re-fetching leaves to link them.
+// descend by separators cut in that order. It is the fast path for index
+// construction: pages are written once, left-to-right, at a uniform fill
+// factor. Every page comes from Pool.Allocate, so a load reuses the
+// device's free pages before it grows the file; each leaf's page is
+// reserved before its left neighbour is written, so the leaf chain is
+// linked as it is written — no fix-up pass re-fetching leaves to link
+// them.
 func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 	for i, e := range entries {
 		if i > 0 && bytes.Compare(entries[i-1].Key, e.Key) > 0 {
@@ -113,11 +114,15 @@ func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 			return nil, err
 		}
 		level[i] = entry{key: entries[sp.lo].Key, child: id}
+		if i > 0 && bytes.Equal(entries[sp.lo-1].Key, entries[sp.lo].Key) {
+			level[i].val = entries[sp.lo].Val // the cut lands inside a run
+		}
 	}
 
 	// Build internal levels bottom-up until one node remains. The first
-	// child of each node becomes the leftmost pointer (no cell); its first
-	// key labels the node one level up.
+	// child of each node becomes the leftmost pointer (no cell); its
+	// separator — the node's first key, and value where a run crosses the
+	// boundary — labels the node one level up.
 	for len(level) > 1 {
 		var nodes []span
 		start, nodeSz := 0, headerSize
@@ -125,7 +130,7 @@ func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 			if i == start {
 				continue // leftmost child: consumed by aux, no cell
 			}
-			sz := 6 + len(level[i].key) + 2
+			sz := cellHeader(false, level[i].val) + len(level[i].key) + len(level[i].val) + 2
 			if nodeSz+sz > limit {
 				nodes = append(nodes, span{start, i})
 				start, nodeSz = i, headerSize
@@ -145,7 +150,7 @@ func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 			if err != nil {
 				return nil, err
 			}
-			next[i] = entry{key: level[sp.lo].key, child: id}
+			next[i] = entry{key: level[sp.lo].key, val: level[sp.lo].val, child: id}
 		}
 		level = next
 		t.height++

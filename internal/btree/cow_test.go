@@ -173,8 +173,8 @@ func TestCloneCOWContents(t *testing.T) {
 
 // TestCloneCOWDuplicateRunAcrossLeaves: deleting a specific value deep
 // inside a duplicate run that spans several leaves must work through the
-// COW path (it exercises the descend-and-continue scan, not the leaf
-// chain).
+// COW path, by descent rather than the leaf chain, leaving both the clone
+// and the original in shape.
 func TestCloneCOWDuplicateRunAcrossLeaves(t *testing.T) {
 	dev := storage.NewMemFileDisk()
 	pool := storage.NewPool(dev, 4<<20)
@@ -202,6 +202,8 @@ func TestCloneCOWDuplicateRunAcrossLeaves(t *testing.T) {
 			t.Fatalf("duplicate %d not found through COW scan", i)
 		}
 	}
+	checkShape(t, clone)
+	checkShape(t, tr)
 	if got := clone.Stats().Entries; got != dups-4 {
 		t.Fatalf("clone entries = %d, want %d", got, dups-4)
 	}

@@ -1,17 +1,13 @@
 package btree
 
-import (
-	"bytes"
-
-	"repro/internal/storage"
-)
+import "repro/internal/storage"
 
 // Delete removes an entry exactly matching (key, val) and reports whether
-// one was found. It descends to the entry's place in entry order — by key,
-// and within a run of duplicate keys by the tree's value order, the way
-// Insert places it — so a delete costs one binary search per level however
-// long the run, plus, where the run spans children, a binary search over
-// their first entries (see childFor).
+// one was found. It descends as Insert does, to the child of the last
+// separator at or before (key, val) in entry order — by key, and within a
+// run of duplicate keys by the tree's value order, a key-only separator
+// holding the least value — so a delete costs one binary search per level
+// however long the run.
 //
 // Deletion never merges or rebalances part-full pages, but a node whose
 // last entry is removed is unlinked from its parent and its page freed (or
@@ -57,11 +53,28 @@ func (t *Tree) deleteAt(id storage.PageID, key, val []byte, height int) (newID s
 	if height == 1 {
 		return t.deleteInLeaf(id, key, val)
 	}
-	childPos, child, err := t.childFor(id, key, val, height)
+	pg, err := t.fetch(id)
 	if err != nil {
 		return id, false, false, err
 	}
-	newChild, found, emptied, err := t.deleteAt(child, key, val, height-1)
+	childPos, child := t.descend(pg.Data, key, val, true)
+	ncells := pageNumCells(pg.Data)
+	var newChild storage.PageID
+	for {
+		again := holds(pg.Data, childPos, key, val)
+		t.pool.Unpin(pg, false)
+		newChild, found, emptied, err = t.deleteAt(child, key, val, height-1)
+		if err != nil || found || !again {
+			break
+		}
+		// A split cut between two copies of (key, val) and made the later
+		// one separator childPos: the earlier copies are before it.
+		if pg, err = t.fetch(id); err != nil {
+			return id, false, false, err
+		}
+		childPos--
+		child = childAt(pg.Data, childPos)
+	}
 	if err != nil || !found {
 		return id, false, false, err
 	}
@@ -70,12 +83,6 @@ func (t *Tree) deleteAt(id storage.PageID, key, val []byte, height int) (newID s
 		// instead of re-pointing at a dead node. (If the deletion COWed
 		// the child, its shared original is already retired and newChild
 		// is the private copy — freed below.)
-		pg, err := t.fetch(id)
-		if err != nil {
-			return id, false, false, err
-		}
-		ncells := pageNumCells(pg.Data)
-		t.pool.Unpin(pg, false)
 		if childPos < 0 && ncells == 0 {
 			// The emptied child was this node's only reference, so the
 			// node empties too. Leave it untouched — the parent will
@@ -92,7 +99,7 @@ func (t *Tree) deleteAt(id storage.PageID, key, val []byte, height int) (newID s
 		if childPos < 0 {
 			// The leftmost (aux) child goes away: promote the first
 			// separator's child to leftmost and drop the separator.
-			_, c0 := internalCell(wpg.Data, 0)
+			_, _, c0 := internalCell(wpg.Data, 0)
 			setChildInPlace(wpg.Data, -1, c0)
 			deleteCellInPlace(wpg.Data, 0)
 		} else {
@@ -116,41 +123,27 @@ func (t *Tree) deleteAt(id storage.PageID, key, val []byte, height int) (newID s
 }
 
 // deleteInLeaf removes (key, val) from one leaf: the binary search for its
-// place in entry order (searchEntry) lands on it or on nothing. See
-// deleteAt for the return contract.
+// place in entry order lands on it or on nothing. See deleteAt for the
+// return contract.
 func (t *Tree) deleteInLeaf(id storage.PageID, key, val []byte) (storage.PageID, bool, bool, error) {
 	pg, err := t.fetch(id)
 	if err != nil {
 		return id, false, false, err
 	}
-	d := pg.Data
-	i := t.searchEntry(d, key, val)
-	if i == pageNumCells(d) || compareCellKey(d, i, key) != 0 {
-		t.pool.Unpin(pg, false)
-		return id, false, false, nil
-	}
-	if _, v := leafCell(d, i); !bytes.Equal(v, val) {
+	i := t.search(pg.Data, key, val, false)
+	if !holds(pg.Data, i, key, val) {
 		t.pool.Unpin(pg, false)
 		return id, false, false, nil
 	}
 	// Found: drop slot i, copying the leaf first if it is frozen. The cell
 	// bytes linger as heap garbage until a later insert forces a
 	// compacting re-encode.
-	if t.owned(id) {
-		deleteCellInPlace(d, i)
-		emptied := pageNumCells(d) == 0
-		t.pool.Unpin(pg, true)
-		return id, true, emptied, nil
-	}
-	np, err := t.allocCopy(d) // copy straight from the still-pinned frozen page
-	t.pool.Unpin(pg, false)
+	wpg, err := t.own(pg)
 	if err != nil {
 		return id, false, false, err
 	}
-	deleteCellInPlace(np.Data, i)
-	emptied := pageNumCells(np.Data) == 0
-	t.retire(id)
-	t.copies++
-	t.pool.Unpin(np, true)
-	return np.ID, true, emptied, nil
+	deleteCellInPlace(wpg.Data, i)
+	emptied := pageNumCells(wpg.Data) == 0
+	t.pool.Unpin(wpg, true)
+	return wpg.ID, true, emptied, nil
 }

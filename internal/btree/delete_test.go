@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"sort"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 func TestDeleteBasic(t *testing.T) {
@@ -137,10 +134,12 @@ func TestInsertDeleteModel(t *testing.T) {
 
 // TestDuplicateRunOpsAreLogarithmic builds one key's duplicate run of
 // 120,000 entries, three levels high, then deletes and inserts at random
-// places in it: every operation must fetch at most 4·height + 2·⌈log₂
-// leaves⌉ pages — a binary search per level, and over the first entries of
-// the children the run spans — not every leaf ahead of its entry. The run
-// must end up in value order, with absent entries not found.
+// places in it: every operation must fetch at most 2·height + 2 pages — one
+// descent, a binary search per level over separators that carry the run's
+// values, plus the pages a split or an unlink writes on the way back up —
+// not every leaf ahead of its entry, nor the first entries of the children
+// the run spans. The run must end up in value order and in shape, with
+// absent entries not found.
 func TestDuplicateRunOpsAreLogarithmic(t *testing.T) {
 	const n = 120000
 	key := []byte("site/regions/item/")
@@ -159,23 +158,11 @@ func TestDuplicateRunOpsAreLogarithmic(t *testing.T) {
 		t.Fatal(err)
 	}
 	height := tr.Stats().Height
-	leaves := 0
-	if err := tr.Walk(func(id storage.PageID) error {
-		pg, err := pool.Fetch(id)
-		if err != nil {
-			return err
-		}
-		if pageType(pg.Data) == pageLeaf {
-			leaves++
-		}
-		return pool.Unpin(pg, false)
-	}); err != nil {
-		t.Fatal(err)
-	}
 	if height < 3 {
 		t.Fatalf("height %d, want a run spanning internal nodes (>= 3)", height)
 	}
-	bound := int64(4*height + 2*bits.Len(uint(leaves-1)))
+	checkShape(t, tr)
+	bound := int64(2*height + 2)
 	fetches := func(op func() (bool, error)) (int64, bool) {
 		t.Helper()
 		before := pool.Stats().Fetches
@@ -212,10 +199,11 @@ func TestDuplicateRunOpsAreLogarithmic(t *testing.T) {
 		}
 		worst = max(worst, got)
 		if got > bound {
-			t.Fatalf("step %d: %d fetches, bound %d (height %d, %d leaves)", step, got, bound, height, leaves)
+			t.Fatalf("step %d: %d fetches, bound %d (height %d)", step, got, bound, height)
 		}
 	}
-	t.Logf("height %d, %d leaves: at most %d fetches per operation (bound %d)", height, leaves, worst, bound)
+	t.Logf("height %d: at most %d fetches per operation (bound %d)", height, worst, bound)
+	checkShape(t, tr)
 
 	want := make([]int, 0, len(live))
 	for v := range live {
@@ -236,5 +224,109 @@ func TestDuplicateRunOpsAreLogarithmic(t *testing.T) {
 	}
 	if i != len(want) || tr.Stats().Entries != int64(len(want)) {
 		t.Fatalf("scan has %d entries, tree counts %d, model %d", i, tr.Stats().Entries, len(want))
+	}
+}
+
+// TestInternalSplitInsideRun inserts one key's run of wide values in random
+// order until it spans internal pages (height >= 3), so internal splits cut
+// inside the run and push up separators carrying values, then deletes the
+// run in another random order: every entry must be found, and the tree
+// stay in shape.
+func TestInternalSplitInsideRun(t *testing.T) {
+	const n = 6000
+	key := []byte("site/regions/item/")
+	val := func(i int) []byte {
+		v := make([]byte, 200) // wide values: wide separators, low fanout
+		binary.BigEndian.PutUint64(v, uint64(i))
+		return v
+	}
+	tr, err := New(newPool(t, 64<<20), "run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(47))
+	for _, i := range rng.Perm(n) {
+		if err := tr.Insert(key, val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := tr.Stats().Height; h < 3 {
+		t.Fatalf("height %d, want a run spanning internal pages (>= 3)", h)
+	}
+	// Every separator of the root was pushed up by an internal split, and
+	// every cut fell inside the run.
+	pg, err := tr.fetch(tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pageNumCells(pg.Data); i++ {
+		if _, v, _ := internalCell(pg.Data, i); len(v) == 0 {
+			t.Fatalf("root separator %d carries no value", i)
+		}
+	}
+	tr.pool.Unpin(pg, false)
+	checkShape(t, tr)
+	for j, i := range rng.Perm(n) {
+		if ok, err := tr.Delete(key, val(i)); err != nil || !ok {
+			t.Fatalf("Delete(%d) = %v, %v", i, ok, err)
+		}
+		if j%1000 == 0 {
+			checkShape(t, tr)
+		}
+	}
+	if e := tr.Stats().Entries; e != 0 {
+		t.Fatalf("%d entries left", e)
+	}
+}
+
+// TestDeleteExactDuplicates: copies of one (key, value) pair span leaves,
+// so splits cut between copies and a separator equals the copies before
+// it; every copy must still be found and deleted, and the neighbours on
+// both sides kept — with a wide value and with the empty one.
+func TestDeleteExactDuplicates(t *testing.T) {
+	for _, val := range [][]byte{bytes.Repeat([]byte("v"), 100), nil} {
+		tr, err := New(newPool(t, 8<<20), "copies")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const copies = 3000
+		others := []Entry{{[]byte("a"), val}, {[]byte("dup"), []byte{0}}, {[]byte("dup"), []byte("w")}, {[]byte("z"), val}}
+		for i := 0; i < copies; i++ {
+			if i%1000 == 0 {
+				e := others[i/1000]
+				if err := tr.Insert(e.Key, e.Val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.Insert([]byte("dup"), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tr.Insert(others[3].Key, others[3].Val); err != nil {
+			t.Fatal(err)
+		}
+		if tr.Stats().Height < 2 {
+			t.Fatalf("value %d bytes: the copies fit one leaf", len(val))
+		}
+		for i := 0; i < copies; i++ {
+			if ok, err := tr.Delete([]byte("dup"), val); err != nil || !ok {
+				t.Fatalf("value %d bytes: Delete of copy %d = %v, %v", len(val), i, ok, err)
+			}
+		}
+		if ok, err := tr.Delete([]byte("dup"), val); err != nil || ok {
+			t.Fatalf("value %d bytes: Delete past the last copy = %v, %v", len(val), ok, err)
+		}
+		it, err := tr.Scan()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int
+		for ; it.Valid(); it.Next() {
+			n++
+		}
+		it.Close()
+		if n != len(others) {
+			t.Fatalf("value %d bytes: %d entries left, want the %d neighbours", len(val), n, len(others))
+		}
 	}
 }

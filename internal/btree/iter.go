@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"fmt"
 
 	"repro/internal/storage"
 )
@@ -74,7 +75,7 @@ func (t *Tree) SeekInto(key []byte, it *Iterator) error {
 			it.Close()
 			return err
 		}
-		childIdx, child := descendChild(pg.Data, key)
+		childIdx, child := t.descend(pg.Data, key, nil, false)
 		t.pool.Unpin(pg, false)
 		it.path = append(it.path, iterLevel{id: id, idx: childIdx})
 		id = child
@@ -85,7 +86,7 @@ func (t *Tree) SeekInto(key []byte, it *Iterator) error {
 		return err
 	}
 	// First entry >= key within this leaf.
-	it.enter(pg, searchCell(pg.Data, key))
+	it.enter(pg, t.search(pg.Data, key, nil, false))
 	it.skipExhausted()
 	return nil
 }
@@ -126,7 +127,12 @@ func (it *Iterator) nextLeaf() {
 		}
 		if lv.idx+1 < pageNumCells(pg.Data) {
 			lv.idx++
-			_, child := internalCell(pg.Data, lv.idx)
+			if err := checkCell(pg.Data, lv.idx); err != nil {
+				it.tree.pool.Unpin(pg, false)
+				it.err = fmt.Errorf("btree %s: page %d: %w", it.tree.name, lv.id, err)
+				return
+			}
+			_, _, child := internalCell(pg.Data, lv.idx)
 			it.tree.pool.Unpin(pg, false)
 			it.path = it.path[:d+1]
 			it.descendFirst(child)

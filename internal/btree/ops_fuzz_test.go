@@ -36,8 +36,8 @@ func compareOpsEntries(a, b opsEntry) int {
 // number, so it lands anywhere in its key's run. Every frozen version must
 // keep scanning exactly its own model, in order, every delete must find
 // exactly the entries the model has, and at each check every page of the
-// current tree must re-encode with an extra cell (insertCompacting) to the
-// same bytes as decodePage + encodePage.
+// current tree must be in shape (checkShape) and re-encode with an extra
+// cell (insertCompacting) to the same bytes as decodePage + encodePage.
 //
 // Program bytes: op = b % 8; 0–3 insert a run (key byte, run length),
 // 4–5 delete (entry index, modulo the model's length; an index of twice
@@ -57,6 +57,9 @@ func FuzzTreeOps(f *testing.F) {
 	// fetched again — on the in-memory file's own bytes — mutated in
 	// place, and read again after their next write-home.
 	f.Add(evictSeed(40, 8), uint8(255))
+	// A run of 2,880 wide entries, three levels high: internal splits cut
+	// inside the run and push up separators carrying values.
+	f.Add(runSeed(7, 180, 10), uint8(255))
 	f.Fuzz(func(t *testing.T, prog []byte, width uint8) {
 		if len(prog) > 600 {
 			prog = prog[:600]
@@ -168,9 +171,11 @@ func evictSeed(keys, again byte) []byte {
 	return prog
 }
 
-// checkOpsTree scans tr: its entries must be model's, in order.
+// checkOpsTree scans tr: its entries must be model's, in order, and its
+// pages in shape (checkShape).
 func checkOpsTree(t *testing.T, tr *Tree, model []opsEntry) {
 	t.Helper()
+	checkShape(t, tr)
 	it, err := tr.Scan()
 	if err != nil {
 		t.Fatal(err)
@@ -195,8 +200,9 @@ func checkOpsTree(t *testing.T, tr *Tree, model []opsEntry) {
 	}
 }
 
-// checkCompactingImages inserts a cell drawn from k into a copy of every
-// page of tr, at its search position, both by insertCompacting and by
+// checkCompactingImages inserts a cell drawn from k — on an internal page a
+// separator, valued for odd k — into a copy of every page of tr, at its
+// search position, both by insertCompacting and by
 // decodePage + encodePage: both must agree on whether the cell fits, and
 // when it does, on every byte of the page.
 func checkCompactingImages(t *testing.T, tr *Tree, pool *storage.Pool, k, width uint8) {
@@ -211,11 +217,14 @@ func checkCompactingImages(t *testing.T, tr *Tree, pool *storage.Pool, k, width 
 		page := slices.Clone(pg.Data)
 		pool.Unpin(pg, false)
 
-		pos := searchCell(page, key)
 		v, child := val, storage.InvalidPage
 		if pageType(page) != pageLeaf {
-			v, child = nil, storage.PageID(k)
+			child = storage.PageID(k)
+			if k%2 == 0 {
+				v = nil // a key-only separator; odd k inserts a valued one
+			}
 		}
+		pos := tr.search(page, key, v, false)
 		got := slices.Clone(page)
 		fit := insertCompacting(got, make([]byte, storage.PageSize), pos, key, v, child)
 
@@ -245,4 +254,54 @@ func checkCompactingImages(t *testing.T, tr *Tree, pool *storage.Pool, k, width 
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkShape walks every page of tr, whose (key, value) pairs must be
+// distinct: every leaf sits at the tree's height, and the entries under
+// each child of an internal page — separators and leaf entries — lie in
+// [its separator, the next one) in entry order. A key-only separator holds
+// its key's least value, so no entry with that key may sit to its left.
+func checkShape(t *testing.T, tr *Tree) {
+	t.Helper()
+	type bound struct {
+		key, val []byte
+		ok       bool // false: unbounded
+	}
+	cmp := func(key, val []byte, b bound) int {
+		if c := bytes.Compare(key, b.key); c != 0 {
+			return c
+		}
+		return tr.compareVal(val, b.val)
+	}
+	var walk func(id storage.PageID, height int, lo, hi bound)
+	walk = func(id storage.PageID, height int, lo, hi bound) {
+		pg, err := tr.fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc, err := decodePage(pg.Data)
+		tr.pool.Unpin(pg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pc.leaf != (height == 1) {
+			t.Fatalf("page %d: leaf %v at height %d", id, pc.leaf, height)
+		}
+		for i, e := range pc.entries {
+			if lo.ok && cmp(e.key, e.val, lo) < 0 || hi.ok && cmp(e.key, e.val, hi) >= 0 {
+				t.Fatalf("page %d (leaf %v): entry %d (%q) lies outside its separators [%q, %q)", id, pc.leaf, i, e.key, lo.key, hi.key)
+			}
+		}
+		if pc.leaf {
+			return
+		}
+		child, bounds := pc.aux, lo
+		for _, e := range pc.entries {
+			next := bound{e.key, e.val, true}
+			walk(child, height-1, bounds, next)
+			child, bounds = e.child, next
+		}
+		walk(child, height-1, bounds, hi)
+	}
+	walk(tr.root, tr.height, bound{}, bound{})
 }

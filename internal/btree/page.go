@@ -12,8 +12,8 @@
 // Duplicate keys are permitted. Entries sort by key and, within one key's
 // duplicate run, by a value order the tree's owner sets (Tree.SetValueOrder),
 // so Insert and Delete find a (key, value) pair by binary search however
-// long its run. Internal cells carry keys only. Leaves are chained for range
-// scans.
+// long its run. A separator carries a value too where it cuts inside a run.
+// Leaves are chained for range scans.
 package btree
 
 import (
@@ -37,10 +37,18 @@ const (
 	// MaxEntrySize bounds key+value so that any entry fits comfortably in
 	// a page even with minimal fanout.
 	MaxEntrySize = storage.PageSize / 4
+
+	// valuedSep is the bit of an internal cell's key length that marks a
+	// separator carrying a value: the cell is then [key length | bit,
+	// child, value length, key suffix, value], and otherwise [key length,
+	// child, key suffix]. Key lengths are below MaxEntrySize, so the bit is
+	// free.
+	valuedSep = 0x8000
 )
 
 // entry is a decoded cell. Leaf entries use key/val; internal entries use
-// key/child where child holds keys >= key.
+// key/val/child, where child holds the entries at or after (key, val) in
+// entry order and a nil val is the least value (a key-only separator).
 type entry struct {
 	key   []byte
 	val   []byte
@@ -103,20 +111,103 @@ func leafCellAt(d []byte, slots, i int) (suffix, val []byte) {
 	return cell[:klen], cell[klen : klen+vlen]
 }
 
-// internalCell returns the key suffix and child of internal cell i.
-func internalCell(d []byte, i int) (suffix []byte, child storage.PageID) {
-	off := cellOffset(d, i)
-	klen := u16(d[off:])
-	child = storage.PageID(i32(d[off+2:]))
-	off += 6
-	return d[off : off+klen], child
+// internalCell returns the key suffix, value (nil for a key-only
+// separator) and child of internal cell i.
+func internalCell(d []byte, i int) (suffix, val []byte, child storage.PageID) {
+	return internalCellAt(d, cellOffset(d, i))
 }
 
-// searchCell returns the index of the first cell whose key is >= key,
-// binary-searching the slot array directly on the encoded page. Every key
-// on the page starts with the page prefix, so key is compared with the
-// prefix once; the search then compares cell suffixes with the rest of key.
-func searchCell(d []byte, key []byte) int {
+// internalCellAt is internalCell for the cell at offset off.
+func internalCellAt(d []byte, off int) (suffix, val []byte, child storage.PageID) {
+	klen := u16(d[off:])
+	child = storage.PageID(i32(d[off+2:]))
+	if klen&valuedSep == 0 {
+		return d[off+6 : off+6+klen], nil, child
+	}
+	klen &^= valuedSep
+	cell := d[off+8:]
+	return cell[:klen], cell[klen : klen+u16(d[off+6:])], child
+}
+
+// cellHeader returns the header size of a cell holding val: key and value
+// lengths on a leaf; key length and child on an internal page, plus the
+// value length when the separator carries a value.
+func cellHeader(leaf bool, val []byte) int {
+	switch {
+	case leaf:
+		return 4
+	case len(val) == 0:
+		return 6
+	}
+	return 8
+}
+
+// putCell writes the header of a cell at off of page d — klen key bytes,
+// then val, under child on an internal page — and val itself, and returns
+// the offset the caller copies the klen key bytes to.
+func putCell(d []byte, off int, leaf bool, klen int, val []byte, child storage.PageID) int {
+	hdr := cellHeader(leaf, val)
+	switch {
+	case leaf:
+		putU16(d[off:], klen)
+		putU16(d[off+2:], len(val))
+	case hdr == 6:
+		putU16(d[off:], klen)
+		putI32(d[off+2:], int32(child))
+	default:
+		putU16(d[off:], klen|valuedSep)
+		putI32(d[off+2:], int32(child))
+		putU16(d[off+6:], len(val))
+	}
+	copy(d[off+hdr+klen:], val)
+	return off + hdr
+}
+
+// cellLen returns the bytes of the cell at off of page d; the caller has
+// checked that its header lies within the page (see checkCell).
+func cellLen(d []byte, off int) int {
+	klen := u16(d[off:])
+	switch {
+	case pageType(d) == pageLeaf:
+		return 4 + klen + u16(d[off+2:])
+	case klen&valuedSep == 0:
+		return 6 + klen
+	}
+	return 8 + klen&^valuedSep + u16(d[off+6:])
+}
+
+// checkCell reports a cell i of page d whose header or body overflows the
+// page as ErrCorruptPage: the bounds check of every decoder that trusts
+// no page (decodePage, ReadEntries, the iterator's climb).
+func checkCell(d []byte, i int) error {
+	off := cellOffset(d, i)
+	hdr := 4
+	if pageType(d) != pageLeaf {
+		hdr = 6
+		if off+2 <= storage.PageSize && u16(d[off:])&valuedSep != 0 {
+			hdr = 8
+		}
+	}
+	if off+hdr > storage.PageSize || off+cellLen(d, off) > storage.PageSize {
+		return fmt.Errorf("btree: cell %d at %d overflows the page: %w", i, off, storage.ErrCorruptPage)
+	}
+	return nil
+}
+
+// search returns the index of the first cell of page d at or after
+// (key, val) in entry order — by key, then by the tree's value order, a
+// key-only separator holding the least value — or, when after is set, the
+// first cell after it. It binary-searches the slot array on the encoded
+// page: key is compared with the page prefix once, then cell suffixes with
+// the rest of key. A read (val empty, after unset) never compares a value:
+// on a key tie every cell is at or after (key, least value).
+//
+// The descents derive from it: Insert and Delete go to the child of the
+// last separator at or before (key, val) (search after it, minus one);
+// Seek goes to the child of the last separator whose key is below key
+// (search (key, nil), minus one), landing early at worst when a run spans
+// children — an iterator's climb to the next leaf makes that harmless.
+func (t *Tree) search(d []byte, key, val []byte, after bool) int {
 	n := pageNumCells(d)
 	prefix := pagePrefix(d)
 	head := key
@@ -139,7 +230,22 @@ func searchCell(d []byte, key []byte) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		off := u16(d[slots+2*mid:])
-		if bytes.Compare(d[off+hdr:off+hdr+u16(d[off:])], rest) < 0 {
+		klen, at := u16(d[off:]), off+hdr
+		if klen&valuedSep != 0 { // only on internal pages
+			klen &^= valuedSep
+			at += 2
+		}
+		c := bytes.Compare(d[at:at+klen], rest)
+		if c == 0 && (after || len(val) > 0) {
+			var v []byte // a key-only separator's: the least value
+			if at-off != 6 {
+				// A leaf cell's or a valued separator's: the value
+				// length is the header's last field.
+				v = d[at+klen : at+klen+u16(d[at-2:])]
+			}
+			c = t.compareVal(v, val)
+		}
+		if c < 0 || c == 0 && after {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -148,52 +254,49 @@ func searchCell(d []byte, key []byte) int {
 	return lo
 }
 
-// insertLeafInPlace writes (key, val) as leaf cell pos without re-encoding
-// the page: the cell is appended at the heap floor and the slot array is
-// shifted by one. It reports false — leaving the page untouched — when the
-// stored prefix does not cover key or the contiguous free gap is too small;
-// the caller then falls back to insertCompacting, which compacts the heap
-// and recomputes the prefix.
-func insertLeafInPlace(d []byte, pos int, key, val []byte) bool {
+// descend returns the index of the separator of internal page d whose
+// child holds (key, val) (-1 for the leftmost child) and that child's id:
+// for a write, the last separator at or before (key, val); for a read
+// (write unset, val nil), the last one whose key is below key (see search).
+func (t *Tree) descend(d []byte, key, val []byte, write bool) (int, storage.PageID) {
+	idx := t.search(d, key, val, write) - 1
+	return idx, childAt(d, idx)
+}
+
+// childAt returns the child of separator i of internal page d, the
+// leftmost child for -1.
+func childAt(d []byte, i int) storage.PageID {
+	if i < 0 {
+		return pageAux(d)
+	}
+	_, _, child := internalCell(d, i)
+	return child
+}
+
+// insertInPlace writes (key, val) — under child on an internal page — as
+// cell pos without re-encoding the page: the cell is appended at the heap
+// floor and the slot array is shifted by one. It reports false — leaving
+// the page untouched — when the stored prefix does not cover key or the
+// contiguous free gap is too small; the caller then falls back to
+// insertCompacting, which compacts the heap and recomputes the prefix.
+func insertInPlace(d []byte, pos int, key, val []byte, child storage.PageID) bool {
 	plen := pagePrefixLen(d)
 	if len(key) < plen || !bytes.Equal(key[:plen], pagePrefix(d)) {
 		return false
 	}
 	suffix := key[plen:]
-	cellLen := 4 + len(suffix) + len(val)
+	leaf := pageType(d) == pageLeaf
+	cellLen := cellHeader(leaf, val) + len(suffix) + len(val)
 	if cellLen+2 > pageFreeGap(d) {
 		return false
 	}
 	heap := pageHeapStart(d) - cellLen
-	putU16(d[heap:], len(suffix))
-	putU16(d[heap+2:], len(val))
-	copy(d[heap+4:], suffix)
-	copy(d[heap+4+len(suffix):], val)
+	copy(d[putCell(d, heap, leaf, len(suffix), val, child):], suffix)
 	insertSlot(d, pos, heap)
 	return true
 }
 
-// insertInternalInPlace writes (key, child) as internal cell pos without
-// re-encoding; same contract as insertLeafInPlace.
-func insertInternalInPlace(d []byte, pos int, key []byte, child storage.PageID) bool {
-	plen := pagePrefixLen(d)
-	if len(key) < plen || !bytes.Equal(key[:plen], pagePrefix(d)) {
-		return false
-	}
-	suffix := key[plen:]
-	cellLen := 6 + len(suffix)
-	if cellLen+2 > pageFreeGap(d) {
-		return false
-	}
-	heap := pageHeapStart(d) - cellLen
-	putU16(d[heap:], len(suffix))
-	putI32(d[heap+2:], int32(child))
-	copy(d[heap+6:], suffix)
-	insertSlot(d, pos, heap)
-	return true
-}
-
-// insertCompacting writes (key, val) — (key, child) on an internal page —
+// insertCompacting writes (key, val) — under child on an internal page —
 // as cell pos of page d by re-encoding d from its own slots into scratch
 // (a page-sized buffer) and copying the result back, without decoding an
 // entry: the image is the one encodePage makes of the decoded cells plus
@@ -205,18 +308,14 @@ func insertInternalInPlace(d []byte, pos int, key []byte, child storage.PageID) 
 func insertCompacting(d, scratch []byte, pos int, key, val []byte, child storage.PageID) bool {
 	n := pageNumCells(d)
 	leaf := pageType(d) == pageLeaf
-	hdr := 6 // internal cell: key length, child
-	if leaf {
-		hdr = 4 // leaf cell: key length, value length
-	}
 	old := pagePrefix(d)
 	oldSlots := headerSize + len(old)
-	cell := func(i int) (suffix, v []byte) {
+	cell := func(i int) (suffix, v []byte, c storage.PageID) {
 		if leaf {
-			return leafCellAt(d, oldSlots, i)
+			suffix, v = leafCellAt(d, oldSlots, i)
+			return suffix, v, storage.InvalidPage
 		}
-		suffix, _ = internalCell(d, i)
-		return suffix, nil
+		return internalCell(d, i)
 	}
 
 	// Every key between the first and the last shares their common prefix.
@@ -225,20 +324,20 @@ func insertCompacting(d, scratch []byte, pos int, key, val []byte, child storage
 	case n == 0:
 		plen = len(key)
 	case pos == 0:
-		last, _ := cell(n - 1)
+		last, _, _ := cell(n - 1)
 		plen = splitKeyLCP(key, old, last)
 	case pos == n:
-		first, _ := cell(0)
+		first, _, _ := cell(0)
 		plen = splitKeyLCP(key, old, first)
 	default:
-		first, _ := cell(0)
-		last, _ := cell(n - 1)
+		first, _, _ := cell(0)
+		last, _, _ := cell(n - 1)
 		plen = len(old) + lcp(first, last)
 	}
-	size := headerSize + plen + 2*(n+1) + hdr + len(key) - plen + len(val)
+	size := headerSize + plen + 2*(n+1) + cellHeader(leaf, val) + len(key) - plen + len(val)
 	for i := 0; i < n; i++ {
-		suffix, v := cell(i)
-		size += hdr + len(old) + len(suffix) - plen + len(v)
+		suffix, v, _ := cell(i)
+		size += cellHeader(leaf, v) + len(old) + len(suffix) - plen + len(v)
 	}
 	if size > storage.PageSize {
 		return false
@@ -252,45 +351,28 @@ func insertCompacting(d, scratch []byte, pos int, key, val []byte, child storage
 	if pos == 0 {
 		copy(scratch[headerSize:], key[:plen])
 	} else {
-		first, _ := cell(0)
+		first, _, _ := cell(0)
 		copyJoined(scratch[headerSize:headerSize+plen], old, first)
 	}
 	slots, heap := headerSize+plen, storage.PageSize
 	for j := 0; j <= n; j++ {
-		var cellLen int
 		if j == pos {
 			suffix := key[plen:]
-			cellLen = hdr + len(suffix) + len(val)
-			heap -= cellLen
-			putU16(scratch[heap:], len(suffix))
-			copy(scratch[heap+hdr:], suffix)
-			if leaf {
-				putU16(scratch[heap+2:], len(val))
-				copy(scratch[heap+hdr+len(suffix):], val)
-			} else {
-				putI32(scratch[heap+2:], int32(child))
-			}
+			heap -= cellHeader(leaf, val) + len(suffix) + len(val)
+			copy(scratch[putCell(scratch, heap, leaf, len(suffix), val, child):], suffix)
 		} else {
 			i := j
 			if j > pos {
 				i--
 			}
-			suffix, v := cell(i)
+			suffix, v, c := cell(i)
 			klen := len(old) + len(suffix) - plen // the key's length past the new prefix
-			cellLen = hdr + klen + len(v)
-			heap -= cellLen
-			putU16(scratch[heap:], klen)
+			heap -= cellHeader(leaf, v) + klen + len(v)
+			at := putCell(scratch, heap, leaf, klen, v, c)
 			if plen < len(old) {
-				copyJoined(scratch[heap+hdr:heap+hdr+klen], old[plen:], suffix)
+				copyJoined(scratch[at:at+klen], old[plen:], suffix)
 			} else {
-				copy(scratch[heap+hdr:], suffix[plen-len(old):])
-			}
-			if leaf {
-				putU16(scratch[heap+2:], len(v))
-				copy(scratch[heap+hdr+klen:], v)
-			} else {
-				off := cellOffset(d, i)
-				copy(scratch[heap+2:heap+6], d[off+2:off+6]) // child
+				copy(scratch[at:], suffix[plen-len(old):])
 			}
 		}
 		putU16(scratch[slots+2*j:], heap)
@@ -360,13 +442,7 @@ func deleteCellInPlace(d []byte, i int) {
 	sb := slotBase(d)
 	off := cellOffset(d, i)
 	if off == pageHeapStart(d) {
-		var cellLen int
-		if pageType(d) == pageLeaf {
-			cellLen = 4 + u16(d[off:]) + u16(d[off+2:])
-		} else {
-			cellLen = 6 + u16(d[off:])
-		}
-		floor := off + cellLen
+		floor := off + cellLen(d, off)
 		if floor >= storage.PageSize {
 			floor = 0 // heap empty again
 		}
@@ -374,25 +450,6 @@ func deleteCellInPlace(d []byte, i int) {
 	}
 	copy(d[sb+2*i:sb+2*n-2], d[sb+2*i+2:sb+2*n])
 	putU16(d[1:3], n-1)
-}
-
-// compareCellKey compares the full key of cell i (prefix + suffix) with key.
-func compareCellKey(d []byte, i int, key []byte) int {
-	prefix := pagePrefix(d)
-	var suffix []byte
-	if pageType(d) == pageLeaf {
-		suffix, _ = leafCell(d, i)
-	} else {
-		suffix, _ = internalCell(d, i)
-	}
-	head := key
-	if len(head) > len(prefix) {
-		head = head[:len(prefix)]
-	}
-	if c := bytes.Compare(prefix, head); c != 0 {
-		return c
-	}
-	return bytes.Compare(suffix, key[len(prefix):])
 }
 
 // checkPage validates a page header in O(1): type byte, slot array within
@@ -433,29 +490,15 @@ func decodePage(d []byte) (pageContent, error) {
 		entries: make([]entry, n, n+1),
 	}
 	for i := 0; i < n; i++ {
-		off := cellOffset(d, i)
+		if err := checkCell(d, i); err != nil {
+			return pageContent{}, err
+		}
 		if pc.leaf {
-			if off+4 > storage.PageSize {
-				return pageContent{}, fmt.Errorf("btree: leaf cell %d at %d: %w", i, off, storage.ErrCorruptPage)
-			}
-			klen, vlen := u16(d[off:]), u16(d[off+2:])
-			if off+4+klen+vlen > storage.PageSize {
-				return pageContent{}, fmt.Errorf("btree: leaf cell %d overflows page: %w", i, storage.ErrCorruptPage)
-			}
 			suffix, val := leafCell(d, i)
-			pc.entries[i] = entry{
-				key: concat(prefix, suffix),
-				val: append([]byte(nil), val...),
-			}
+			pc.entries[i] = entry{key: concat(prefix, suffix), val: append([]byte(nil), val...)}
 		} else {
-			if off+6 > storage.PageSize {
-				return pageContent{}, fmt.Errorf("btree: internal cell %d at %d: %w", i, off, storage.ErrCorruptPage)
-			}
-			if klen := u16(d[off:]); off+6+klen > storage.PageSize {
-				return pageContent{}, fmt.Errorf("btree: internal cell %d overflows page: %w", i, storage.ErrCorruptPage)
-			}
-			suffix, child := internalCell(d, i)
-			pc.entries[i] = entry{key: concat(prefix, suffix), child: child}
+			suffix, val, child := internalCell(d, i)
+			pc.entries[i] = entry{key: concat(prefix, suffix), val: append([]byte(nil), val...), child: child}
 		}
 	}
 	return pc, nil
@@ -486,11 +529,7 @@ func commonPrefix(entries []entry) []byte {
 func encodedSize(pc *pageContent, plen int) int {
 	size := headerSize + plen + 2*len(pc.entries)
 	for _, e := range pc.entries {
-		if pc.leaf {
-			size += 4 + (len(e.key) - plen) + len(e.val)
-		} else {
-			size += 6 + (len(e.key) - plen)
-		}
+		size += cellHeader(pc.leaf, e.val) + len(e.key) - plen + len(e.val)
 	}
 	return size
 }
@@ -521,23 +560,9 @@ func encodePage(pc *pageContent, d []byte) error {
 	heap := storage.PageSize
 	for i, e := range pc.entries {
 		suffix := e.key[len(prefix):]
-		var cellLen int
-		if pc.leaf {
-			cellLen = 4 + len(suffix) + len(e.val)
-		} else {
-			cellLen = 6 + len(suffix)
-		}
-		heap -= cellLen
+		heap -= cellHeader(pc.leaf, e.val) + len(suffix) + len(e.val)
 		putU16(d[slot+2*i:], heap)
-		putU16(d[heap:], len(suffix))
-		if pc.leaf {
-			putU16(d[heap+2:], len(e.val))
-			copy(d[heap+4:], suffix)
-			copy(d[heap+4+len(suffix):], e.val)
-		} else {
-			putI32(d[heap+2:], int32(e.child))
-			copy(d[heap+6:], suffix)
-		}
+		copy(d[putCell(d, heap, pc.leaf, len(suffix), e.val, e.child):], suffix)
 	}
 	if heap < storage.PageSize {
 		putU16(d[9:11], heap)

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -180,7 +181,7 @@ func TestInPlaceDeleteReclaimsFloorCell(t *testing.T) {
 	if got := pageHeapStart(d); got <= floor {
 		t.Fatalf("floor not raised after floor-cell delete: %d -> %d", floor, got)
 	}
-	if !insertLeafInPlace(d, searchCell(d, []byte("ad")), []byte("ad"), []byte("v4")) {
+	if !insertInPlace(d, new(Tree).search(d, []byte("ad"), nil, false), []byte("ad"), []byte("v4"), storage.InvalidPage) {
 		t.Fatalf("in-place insert after floor reclaim declined")
 	}
 	if n := pageNumCells(d); n != 3 {
@@ -207,10 +208,58 @@ func TestInPlaceInsertDeclinesForeignPrefix(t *testing.T) {
 		t.Fatalf("test page has no prefix")
 	}
 	before := append([]byte(nil), d...)
-	if insertLeafInPlace(d, 0, []byte("alien"), []byte("x")) {
+	if insertInPlace(d, 0, []byte("alien"), []byte("x"), storage.InvalidPage) {
 		t.Fatalf("in-place insert accepted a key outside the page prefix")
 	}
 	if !bytes.Equal(before, d) {
 		t.Fatalf("declined insert modified the page")
+	}
+}
+
+// TestMalformedSeparatorValue: a valued separator whose value length runs
+// past the page fails as storage.ErrCorruptPage — never a panic — in every
+// decoder that checks cells: decodePage, ReadEntries and the iterator's
+// climb to the next leaf.
+func TestMalformedSeparatorValue(t *testing.T) {
+	dev := storage.NewMemFileDisk()
+	pool := storage.NewPool(dev, 1<<20)
+	tr, err := New(pool, "run")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if err := tr.Insert([]byte("run"), []byte(fmt.Sprintf("%0100d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pg, err := tr.fetch(tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := cellOffset(pg.Data, 0)
+	if pageType(pg.Data) != pageInternal || u16(pg.Data[off:])&valuedSep == 0 {
+		t.Fatal("the root's first separator carries no value")
+	}
+	putU16(pg.Data[off+6:], 0xFFFF)
+	_, err = decodePage(pg.Data)
+	pool.Unpin(pg, true)
+	if !errors.Is(err, storage.ErrCorruptPage) {
+		t.Fatalf("decodePage: %v, want ErrCorruptPage", err)
+	}
+	if err := pool.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ReadEntries(dev, tr.Meta(), func(_, _ []byte) error { return nil }); !errors.Is(err, storage.ErrCorruptPage) {
+		t.Fatalf("ReadEntries: %v, want ErrCorruptPage", err)
+	}
+	it, err := tr.Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ; it.Valid(); it.Next() {
+	}
+	it.Close()
+	if !errors.Is(it.Err(), storage.ErrCorruptPage) {
+		t.Fatalf("scan: %v, want ErrCorruptPage", it.Err())
 	}
 }

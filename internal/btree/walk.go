@@ -30,7 +30,7 @@ func (t *Tree) walk(id storage.PageID, height int, fn func(storage.PageID) error
 	children := make([]storage.PageID, 0, n+1)
 	children = append(children, pageAux(pg.Data))
 	for i := 0; i < n; i++ {
-		_, c := internalCell(pg.Data, i)
+		_, _, c := internalCell(pg.Data, i)
 		children = append(children, c)
 	}
 	t.pool.Unpin(pg, false)
@@ -98,9 +98,8 @@ func (r *entryReader) read(id storage.PageID, height int) error {
 	n := pageNumCells(d)
 	if height == 1 {
 		for i := 0; i < n; i++ {
-			off := cellOffset(d, i)
-			if off+4 > storage.PageSize || off+4+u16(d[off:])+u16(d[off+2:]) > storage.PageSize {
-				return fmt.Errorf("btree %s: leaf cell %d of page %d overflows it: %w", r.name, i, id, storage.ErrCorruptPage)
+			if err := checkCell(d, i); err != nil {
+				return fmt.Errorf("btree %s: page %d: %w", r.name, id, err)
 			}
 			suffix, val := leafCell(d, i)
 			r.key = append(append(r.key[:0], pagePrefix(d)...), suffix...)
@@ -116,11 +115,10 @@ func (r *entryReader) read(id storage.PageID, height int) error {
 		return err
 	}
 	for i := 0; i < n; i++ {
-		off := cellOffset(d, i)
-		if off+6 > storage.PageSize || off+6+u16(d[off:]) > storage.PageSize {
-			return fmt.Errorf("btree %s: internal cell %d of page %d overflows it: %w", r.name, i, id, storage.ErrCorruptPage)
+		if err := checkCell(d, i); err != nil {
+			return fmt.Errorf("btree %s: page %d: %w", r.name, id, err)
 		}
-		_, child := internalCell(d, i)
+		_, _, child := internalCell(d, i)
 		if err := r.read(child, height-1); err != nil {
 			return err
 		}

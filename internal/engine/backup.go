@@ -76,7 +76,7 @@ func (db *DB) Backup(dstPath string) error {
 	if len(ids) > 0 {
 		base = ids[len(ids)-1] + 1
 	}
-	blob := encodeCatalog(s)
+	blob := encodeCatalog(db, s)
 	chain := make([]storage.PageID, catalogChainLen(blob))
 	for i := range chain {
 		chain[i] = base + storage.PageID(i)

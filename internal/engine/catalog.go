@@ -21,7 +21,7 @@ import (
 // the documents out of it the catalog is a few KB whatever the database
 // size, usually one page.
 //
-// Catalog layout, version 5 (all integers varint/uvarint unless noted):
+// Catalog layout, version 6 (all integers varint/uvarint unless noted):
 //
 //	magic "TWIGCAT1", version
 //	nextID
@@ -32,11 +32,14 @@ import (
 //	         built (fixed by the file format: kinds are never reordered)
 //	per present structure, in kind order: its record
 //
-// Open reads version 5 only; any other fails with storage.ErrFormatVersion.
-// Version 5 has version 3's layout. It marks files whose ROOTPATHS and
-// DATAPATHS keep every run of duplicate keys in IdList order, which
-// btree.Tree.Delete binary-searches; a maintained version-4 file kept its
-// runs newest first, where that search misses rows. Version 4 marked files
+// Open reads version 6 only; any other fails with storage.ErrFormatVersion.
+// Version 6 has version 3's layout. It marks files whose B+-tree
+// separators carry the right side's first value wherever a cut lands
+// inside a run of duplicate keys, which btree.Tree.Insert and Delete
+// descend by; a version-5 file can hold key-only separators inside a run,
+// where that descent misses rows. Version 5 marked files whose ROOTPATHS
+// and DATAPATHS keep every run of duplicate keys in IdList order; a
+// maintained version-4 file kept its runs newest first. Version 4 marked files
 // that cannot hold a DATAPATHS built with HeadId pruning
 // (index.PathsOptions.KeepHead): the pruning was not recorded, so a pruned
 // version-3 index cannot be told from a complete one and answered bound
@@ -49,7 +52,7 @@ import (
 
 const (
 	catalogMagic   = "TWIGCAT1"
-	catalogVersion = 5
+	catalogVersion = 6
 
 	// catalogPageHeader is [4B next][2B length] at the head of each page.
 	catalogPageHeader = 6
@@ -65,23 +68,24 @@ func presentMask(built []index.Structure) uint64 {
 	return mask
 }
 
-// encodeCatalog serialises a snapshot's durable state; the snapshot must
-// carry its node table. Callers hold the writer lock (the snapshot itself
-// is immutable; the lock orders catalog page-chain reuse).
-func encodeCatalog(s *Snapshot) []byte {
+// encodeCatalog serialises a snapshot's durable state, with db's
+// dictionary and path table; the snapshot must carry its node table.
+// Callers hold the writer lock (the snapshot itself is immutable; the lock
+// orders catalog page-chain reuse).
+func encodeCatalog(db *DB, s *Snapshot) []byte {
 	w := &index.CatWriter{Buf: make([]byte, 0, 4096)}
 	w.Buf = append(w.Buf, catalogMagic...)
 	w.Uvarint(catalogVersion)
 	w.Uvarint(uint64(s.nextID))
 
 	// Dictionary: labels in symbol order, so re-interning reproduces syms.
-	n := s.dict.Size()
+	n := db.dict.Size()
 	w.Uvarint(uint64(n))
 	for sym := 1; sym <= n; sym++ {
-		w.Str(s.dict.Label(pathdict.Sym(sym)))
+		w.Str(db.dict.Label(pathdict.Sym(sym)))
 	}
 
-	w.PathTable(s.ptab)
+	w.PathTable(db.ptab)
 	w.Tree(s.env.Nodes.Tree())
 
 	built := s.env.Structures()
@@ -139,8 +143,6 @@ func decodeCatalog(db *DB, snap *Snapshot, blob []byte) error {
 	db.dict = dict
 	db.ptab = ptab
 	snap.nextID = nextID
-	snap.dict = dict
-	snap.ptab = ptab
 	snap.env.Dict = dict
 
 	site := index.Site{Pool: db.pool, Dict: dict, Ptab: ptab, Opts: db.cfg.PathsOptions}

@@ -20,7 +20,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
-// goldenDocs is the fixed corpus behind catalog_v5.golden: labels a and b
+// goldenDocs is the fixed corpus behind catalog_v6.golden: labels a and b
 // recur at several depths, so ASR, JoinIndex and XRel register several
 // paths and ASR/JoinIndex carry non-empty rooted-path and root-id sets.
 var goldenDocs = []string{
@@ -60,7 +60,7 @@ func goldenDB(t testing.TB, opts index.PathsOptions, path string) *DB {
 	return db
 }
 
-const catalogGolden = "catalog_v5.golden"
+const catalogGolden = "catalog_v6.golden"
 
 // dumpDocs renders every document of store in order.
 func dumpDocs(store *xmldb.Store) string {
@@ -107,7 +107,7 @@ func checkDecoded(t *testing.T, tag string, db *DB, re *Snapshot) {
 // TestCatalogGolden pins the catalog's bytes: the encoding of a fixed
 // corpus with all eight persisted structures built on a file-backed
 // database, under default options and under RawIDs+PathIDKeys, must equal
-// catalog_v5.golden. The blob must also survive decode → encode unchanged,
+// catalog_v6.golden. The blob must also survive decode → encode unchanged,
 // and the decoded snapshot — its store read back from the node table —
 // must hold the same documents and answer the eight pinned strategies as
 // the naive matcher does. Regenerate with -update only for a format bump.
@@ -116,14 +116,14 @@ func TestCatalogGolden(t *testing.T) {
 	for _, cfg := range goldenConfigs {
 		db := goldenDB(t, cfg.opts, filepath.Join(t.TempDir(), "golden.db"))
 		defer db.Close()
-		blob := encodeCatalog(db.CurrentSnapshot())
+		blob := encodeCatalog(db, db.CurrentSnapshot())
 		got.WriteString(cfg.name + " " + hex.EncodeToString(blob) + "\n")
 
 		re := &Snapshot{}
 		if err := decodeCatalog(db, re, blob); err != nil {
 			t.Fatalf("%s: decode: %v", cfg.name, err)
 		}
-		if again := encodeCatalog(re); !bytes.Equal(again, blob) {
+		if again := encodeCatalog(db, re); !bytes.Equal(again, blob) {
 			t.Errorf("%s: encode(decode(blob)) differs from blob (%d vs %d bytes)", cfg.name, len(again), len(blob))
 		}
 		checkDecoded(t, cfg.name, db, re)
@@ -150,13 +150,14 @@ func TestCatalogGolden(t *testing.T) {
 // blob restamped as version 1 (which carried the documents in the blob),
 // as version 2 (whose Edge record had a backward link tree), as version 3
 // (which could hold a HeadId-pruned DATAPATHS it did not mark), as version
-// 4 (whose maintained path indices kept duplicate keys newest first) and
-// as version 6.
+// 4 (whose maintained path indices kept duplicate keys newest first), as
+// version 5 (whose trees could hold key-only separators inside a run) and
+// as version 7.
 func TestCatalogRejectsOtherVersions(t *testing.T) {
 	db := goldenDB(t, index.PathsOptions{}, filepath.Join(t.TempDir(), "versions.db"))
 	defer db.Close()
-	blob := encodeCatalog(db.CurrentSnapshot())
-	for _, v := range []byte{1, 2, 3, 4, 6} {
+	blob := encodeCatalog(db, db.CurrentSnapshot())
+	for _, v := range []byte{1, 2, 3, 4, 5, 7} {
 		stamped := bytes.Clone(blob)
 		stamped[len(catalogMagic)] = v
 		if err := decodeCatalog(db, &Snapshot{}, stamped); !errors.Is(err, storage.ErrFormatVersion) {
@@ -172,7 +173,7 @@ func TestEveryPersistedKindRoundTrips(t *testing.T) {
 	db := goldenDB(t, index.PathsOptions{}, filepath.Join(t.TempDir(), "kinds.db"))
 	defer db.Close()
 	re := &Snapshot{}
-	if err := decodeCatalog(db, re, encodeCatalog(db.CurrentSnapshot())); err != nil {
+	if err := decodeCatalog(db, re, encodeCatalog(db, db.CurrentSnapshot())); err != nil {
 		t.Fatal(err)
 	}
 	got := map[index.Kind]bool{}
@@ -221,12 +222,12 @@ func goldenBlobs(t testing.TB, name string) [][]byte {
 // corpus, so a blob's node table and index roots name real pages. Seeds:
 // the golden blobs, then the same blobs restamped as version 1 (refused),
 // plus the truncated and bit-flipped variants checked in under
-// testdata/fuzz/FuzzDecodeCatalog: those of versions 1 to 4 are refused
+// testdata/fuzz/FuzzDecodeCatalog: those of versions 1 to 5 are refused
 // too. Each v2-* file has a v3-* twin, the same edit of the version-3
 // golden blob, v3-restamped-version-2 is version-2 restamped, and each
 // v4-* file — the v3-* edits of the version-4 golden blob — has a v5-*
-// twin restamped as version 5 that still reaches the decoder past the
-// version check.
+// twin restamped as version 5 and a v6-* twin restamped as version 6 that
+// still reaches the decoder past the version check.
 func FuzzDecodeCatalog(f *testing.F) {
 	blobs := goldenBlobs(f, catalogGolden)
 	for _, blob := range blobs {
@@ -254,7 +255,7 @@ func FuzzDecodeCatalog(f *testing.F) {
 			return
 		}
 		if snap.env.Nodes != nil {
-			encodeCatalog(snap)
+			encodeCatalog(db, snap)
 		}
 	})
 }

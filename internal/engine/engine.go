@@ -317,7 +317,7 @@ func openOn(cfg Config, fdisk *storage.FileDisk) (*DB, error) {
 	// with readers; from here on they record lock-free.
 	db.pool.SetMissObserver(db.reg.PoolMissLatency)
 	db.fdisk.SetLatencyObservers(db.reg.WALFsyncLatency, db.reg.GroupCommitBatch, db.reg.CheckpointDuration)
-	snap := &Snapshot{nextID: 1, dict: db.dict, ptab: db.ptab}
+	snap := &Snapshot{nextID: 1}
 	snap.env.Dict = db.dict
 	// TraceAll and IOStat are carried into every successor snapshot by
 	// Snapshot.clone's env copy.
@@ -396,7 +396,7 @@ func (db *DB) storeOf(s *Snapshot) (*xmldb.Store, error) {
 	if s.storeReady.Load() {
 		return s.store, nil
 	}
-	store, err := readNodeTable(db.fdisk, s.env.Nodes.Tree().Meta(), s.dict)
+	store, err := readNodeTable(db.fdisk, s.env.Nodes.Tree().Meta(), db.dict)
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +486,7 @@ func (db *DB) syncPoint(next *Snapshot) (err error) {
 	if err != nil {
 		return fmt.Errorf("engine: sync point flush: %w", err)
 	}
-	if blob := encodeCatalog(next); !bytes.Equal(blob, db.catalogBlob) {
+	if blob := encodeCatalog(db, next); !bytes.Equal(blob, db.catalogBlob) {
 		pages, err := writeCatalogChain(db.fdisk, blob)
 		if err != nil {
 			return err

@@ -352,8 +352,8 @@ func TestCrashFreesContainment(t *testing.T) {
 
 // TestOpenRefusesOtherFormats: Open refuses a file whose superblocks are
 // stamped with storage version 2, or whose catalog (sealed under a new
-// superblock, so the refusal comes after recovery) is version 1, 2, 3, 4
-// or 6, with storage.ErrFormatVersion, and leaves the database file and
+// superblock, so the refusal comes after recovery) is version 1, 2, 3, 4,
+// 5 or 7, with storage.ErrFormatVersion, and leaves the database file and
 // its WAL as they were.
 func TestOpenRefusesOtherFormats(t *testing.T) {
 	stamp := map[string]func(t *testing.T, path string){
@@ -373,7 +373,7 @@ func TestOpenRefusesOtherFormats(t *testing.T) {
 			}
 		},
 	}
-	for _, v := range []byte{1, 2, 3, 4, 6} {
+	for _, v := range []byte{1, 2, 3, 4, 5, 7} {
 		stamp[fmt.Sprintf("catalog v%d", v)] = func(t *testing.T, path string) { restampCatalog(t, path, v) }
 	}
 	for name, restamp := range stamp {

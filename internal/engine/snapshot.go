@@ -18,7 +18,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/index"
-	"repro/internal/pathdict"
 	"repro/internal/plan"
 	"repro/internal/storage"
 	"repro/internal/xmldb"
@@ -51,9 +50,6 @@ type Snapshot struct {
 	store      *xmldb.Store
 	storeMu    sync.Mutex
 	storeReady atomic.Bool
-
-	dict *pathdict.Dict      // shared across versions: append-only, latched
-	ptab *pathdict.PathTable // shared across versions: append-only, latched
 
 	// env holds, besides the statistics and index handles, the version's
 	// node table (env.Nodes): the store's paged form, nil until the first
@@ -168,8 +164,6 @@ func (s *Snapshot) clone() *Snapshot {
 	next := &Snapshot{
 		seq:    s.seq + 1,
 		nextID: s.nextID,
-		dict:   s.dict,
-		ptab:   s.ptab,
 	}
 	if store := s.Store(); store != nil {
 		next.setStore(store)

@@ -298,7 +298,7 @@ func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
 		h.Store.Observe(time.Since(start).Nanoseconds())
 		if st != nil {
 			start = time.Now()
-			st.Apply(store, next.dict, cp, +1)
+			st.Apply(store, tx.db.dict, cp, +1)
 			h.Stats.Observe(time.Since(start).Nanoseconds())
 		}
 		return next.maintain(h, func(m index.Lifecycle) error { return m.InsertSubtree(store, cp) })
@@ -312,7 +312,7 @@ func (tx *Tx) applyOp(next *Snapshot, op *txOp) error {
 	// them while the subtree is still connected.
 	if st != nil {
 		start := time.Now()
-		st.Apply(store, next.dict, n, -1)
+		st.Apply(store, tx.db.dict, n, -1)
 		h.Stats.Observe(time.Since(start).Nanoseconds())
 	}
 	if err := next.maintain(h, func(m index.Lifecycle) error { return m.DeleteSubtree(store, n) }); err != nil {
