@@ -65,8 +65,9 @@ examples:
 		grep -q "^$$run " "$$dir/out" || { cat "$$dir/out"; exit 1; }; \
 	done
 
-# Everything CI runs, in order.
-ci: test race fuzz examples
+# Everything CI runs, in order; the size figures last, so every run logs
+# them.
+ci: test race fuzz examples loc
 
 # The four benchmark workloads, untraced, as the driver runs them: one JSON
 # object of end-to-end metrics per workload on standard output, tables on

@@ -4,27 +4,31 @@
 // snapshot references (see reclaimRetired), so its reachable page set is
 // frozen for the duration even as writers COW, unlink and commit around
 // it — walks the B+-tree pages of the snapshot's node table and of every
-// index it carries, copies each through the checksum-verified device read
-// path at its original id, and re-encodes the snapshot's catalog into
-// fresh pages at the tail of the backup (the live chain describes the last
-// sync point, which need not be the pinned version, so its pages are the
-// one thing that cannot be copied raw). The result is a standalone
-// database file with an empty WAL that Open recovers like any sealed
-// database.
+// index it carries, and copies each through the checksum-verified device
+// read path into a fresh FileDisk (storage.CreateFileDisk) at its original
+// id. The snapshot's catalog is re-encoded into the ids no copied page
+// takes (the live chain describes the last sync point, which need not be
+// the pinned version, so its pages are the one thing that cannot be copied
+// raw), and the copy is sealed like any sync point (storage.FileDisk.Seal).
+// The result is a standalone database file without a WAL that Open
+// recovers like any sealed database.
 package engine
 
 import (
 	"fmt"
-	"sort"
+	"os"
+	"slices"
 
 	"repro/internal/storage"
 )
 
 // Backup writes a transactionally consistent copy of the database to
-// dstPath while the database stays fully live. An in-memory database backs
-// up to a file like any other, unless it holds a HeadId-pruned DATAPATHS
+// dstPath while the database stays fully live. A destination another open
+// database holds — this one's own file included — is refused with
+// storage.ErrLocked and left untouched. An in-memory database backs up to
+// a file like any other, unless it holds a HeadId-pruned DATAPATHS
 // (ErrPrunedNotPersistable).
-func (db *DB) Backup(dstPath string) error {
+func (db *DB) Backup(dstPath string) (err error) {
 	s, err := db.pinSealed()
 	if err != nil {
 		return err
@@ -34,58 +38,66 @@ func (db *DB) Backup(dstPath string) error {
 		return ErrPrunedNotPersistable
 	}
 
-	reach := map[storage.PageID]struct{}{}
+	var ids []storage.PageID
 	add := func(id storage.PageID) error {
 		if id < 0 {
 			return fmt.Errorf("engine: backup walk reached invalid page id %d", id)
 		}
-		reach[id] = struct{}{}
+		ids = append(ids, id)
 		return nil
 	}
 	if err := db.walkSnapshotPages(s, add); err != nil {
 		return fmt.Errorf("engine: backup page walk: %w", err)
 	}
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 
-	bw, err := storage.NewBackupWriter(dstPath)
+	dst, err := storage.CreateFileDisk(dstPath)
 	if err != nil {
 		return err
 	}
-	ids := make([]storage.PageID, 0, len(reach))
-	for id := range reach {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	defer func() {
+		if cerr := dst.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("engine: backup close: %w", cerr)
+		}
+		if err != nil {
+			os.Remove(dstPath)
+		}
+	}()
+	// A fresh disk allocates 0, 1, 2, … in turn, so every copied page keeps
+	// its id and the tree roots inside the catalog stay valid. The ids no
+	// copied page takes are holes, freed after the walk and reusable at
+	// once: the catalog chain goes there.
+	var holes []storage.PageID
 	buf := make([]byte, storage.PageSize)
-	for _, id := range ids {
+	for want := storage.PageID(0); len(ids) > 0; want++ {
+		if got := dst.Allocate(); got != want {
+			return fmt.Errorf("engine: backup allocated page %d, want %d", got, want)
+		}
+		if want != ids[0] {
+			holes = append(holes, want)
+			continue
+		}
+		ids = ids[1:]
 		// The device read path verifies the slot checksum, so a backup can
 		// never capture a silently corrupt page.
-		if err := db.fdisk.Read(id, buf); err != nil {
-			bw.Abort()
-			return fmt.Errorf("engine: backup read page %d: %w", id, err)
+		if err := db.fdisk.Read(want, buf); err != nil {
+			return fmt.Errorf("engine: backup read page %d: %w", want, err)
 		}
-		if err := bw.WritePage(id, buf); err != nil {
-			bw.Abort()
+		if err := dst.Write(want, buf); err != nil {
+			return fmt.Errorf("engine: backup write page %d: %w", want, err)
+		}
+	}
+	for _, id := range holes {
+		if err := dst.Free(id); err != nil {
 			return err
 		}
 	}
-
-	// Serialise the pinned snapshot's catalog into a fresh chain right
-	// after the copied pages. Tree roots inside the blob are the original
-	// ids, which is why tree pages keep theirs.
-	base := storage.PageID(0)
-	if len(ids) > 0 {
-		base = ids[len(ids)-1] + 1
-	}
-	blob := encodeCatalog(db, s)
-	chain := make([]storage.PageID, catalogChainLen(blob))
-	for i := range chain {
-		chain[i] = base + storage.PageID(i)
-	}
-	if err := layCatalogChain(blob, chain, bw.WritePage); err != nil {
-		bw.Abort()
+	chain, err := writeCatalogChain(dst, encodeCatalog(db, s))
+	if err != nil {
 		return err
 	}
-	return bw.Finish(base)
+	return dst.Seal(chain[0], nil)
 }
 
 // pinSealed pins the current snapshot once every page it reaches is on the

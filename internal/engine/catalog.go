@@ -170,16 +170,23 @@ func catalogChainLen(blob []byte) int {
 	return max(1, (len(blob)+catalogPageCap-1)/catalogPageCap)
 }
 
-// layCatalogChain lays blob out over the pages ids (catalogChainLen of
-// them), each [4B next page id][2B payload length][payload], handing every
-// page image to write. The live commit path and online backup both write
-// the catalog through it.
-func layCatalogChain(blob []byte, ids []storage.PageID, write func(storage.PageID, []byte) error) error {
+// writeCatalogChain writes blob across a chain of fresh pages from dev —
+// free list first — each [4B next page id][2B payload length][payload],
+// and returns them, head first. A sync point and an online backup both
+// write their catalog through it. The pages are ones the sealed state does
+// not reach, so the chain it replaces stays intact until the seal that
+// names the new one. A failed write frees what it allocated.
+func writeCatalogChain(dev *storage.FileDisk, blob []byte) ([]storage.PageID, error) {
+	pages := make([]storage.PageID, catalogChainLen(blob))
+	for i := range pages {
+		// An exhausted id space yields InvalidPage, which the write refuses.
+		pages[i] = dev.Allocate()
+	}
 	buf := make([]byte, storage.PageSize)
-	for i, id := range ids {
+	for i, id := range pages {
 		next := storage.InvalidPage
-		if i+1 < len(ids) {
-			next = ids[i+1]
+		if i+1 < len(pages) {
+			next = pages[i+1]
 		}
 		lo := i * catalogPageCap
 		hi := min(lo+catalogPageCap, len(blob))
@@ -187,28 +194,12 @@ func layCatalogChain(blob []byte, ids []storage.PageID, write func(storage.PageI
 		binary.BigEndian.PutUint32(buf[0:4], uint32(next))
 		binary.BigEndian.PutUint16(buf[4:6], uint16(hi-lo))
 		copy(buf[catalogPageHeader:], blob[lo:hi])
-		if err := write(id, buf); err != nil {
-			return fmt.Errorf("engine: writing catalog page: %w", err)
+		if err := dev.Write(id, buf); err != nil {
+			for _, id := range pages {
+				_ = dev.Free(id)
+			}
+			return nil, fmt.Errorf("engine: writing catalog page: %w", err)
 		}
-	}
-	return nil
-}
-
-// writeCatalogChain writes blob across a chain of fresh pages from dev —
-// free list first — and returns them, head first. The pages are ones the
-// sealed state does not reach, so the chain it replaces stays intact until
-// the seal that names the new one. A failed write frees what it allocated.
-func writeCatalogChain(dev *storage.FileDisk, blob []byte) ([]storage.PageID, error) {
-	pages := make([]storage.PageID, catalogChainLen(blob))
-	for i := range pages {
-		// An exhausted id space yields InvalidPage, which the write refuses.
-		pages[i] = dev.Allocate()
-	}
-	if err := layCatalogChain(blob, pages, dev.Write); err != nil {
-		for _, id := range pages {
-			_ = dev.Free(id)
-		}
-		return nil, err
 	}
 	return pages, nil
 }

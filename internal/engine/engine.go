@@ -349,32 +349,40 @@ func openOn(cfg Config, fdisk *storage.FileDisk) (*DB, error) {
 	return db, nil
 }
 
-// replayLog re-applies, in order, the commits the WAL logged after its
-// last sync point, publishing each as its commit did; their records stay in
-// the WAL until the next sync point covers them. Each goes through
-// Tx.replayOnto, the path a commit replay takes, so a recovered version
-// equals the one its commit published (node ids included; page ids may
-// differ). Nobody reads the replayed versions, so the pages the last one
-// retired are freed at once. A record that does not decode or apply fails
-// Open.
+// replayLog re-applies the commits the WAL logged after its last sync
+// point as one commit replay: it decodes every record, applies all their
+// operations in log order with one Tx.replayOnto of the opened version —
+// the path a commit replay takes, so the recovered version equals the one
+// the last logged commit published (node ids included; page ids may
+// differ) — and publishes once, as seq 1. The records stay in the WAL
+// until the next sync point covers them. Nobody reads the opened version
+// unless RetainSnapshots keeps it for AS OF reads, so the pages the replay
+// retired are otherwise freed at once. A record that does not decode or
+// apply fails Open.
 func (db *DB) replayLog() error {
-	for i, rec := range db.fdisk.TakeRecoveredLog() {
-		nextID, ops, err := decodeTxRecord(rec)
+	recs := db.fdisk.TakeRecoveredLog()
+	if len(recs) == 0 {
+		return nil
+	}
+	tx := &Tx{db: db}
+	nextID := int64(0)
+	for i, rec := range recs {
+		id, ops, err := decodeTxRecord(rec)
 		if err != nil {
 			return fmt.Errorf("engine: recovering logged commit %d: %w", i+1, err)
 		}
-		tx := &Tx{db: db, ops: ops}
-		next, err := tx.replayOnto(db.current.Load())
-		if err != nil {
-			return fmt.Errorf("engine: replaying logged commit %d: %w: %w", i+1, storage.ErrCorruptPage, err)
-		}
-		next.nextID = nextID
-		next.store.SetNextID(nextID)
-		db.reclaimRetired()
-		db.collectRetired(next)
-		db.publish(next, next.store.WriteSet(), false)
-		db.nextNodeID.Store(max(db.nextNodeID.Load(), nextID))
+		nextID = max(nextID, id)
+		tx.ops = append(tx.ops, ops...)
 	}
+	next, err := tx.replayOnto(db.current.Load())
+	if err != nil {
+		return fmt.Errorf("engine: replaying %d logged commits: %w: %w", len(recs), storage.ErrCorruptPage, err)
+	}
+	next.nextID = nextID
+	next.store.SetNextID(nextID)
+	db.collectRetired(next)
+	db.publish(next, next.store.WriteSet(), false)
+	db.nextNodeID.Store(max(db.nextNodeID.Load(), nextID))
 	db.reclaimRetired()
 	return nil
 }

@@ -179,6 +179,7 @@ func TestBackupRestore(t *testing.T) {
 		queries[i] = genQueryFor(rng, db.Store().Docs[0])
 	}
 	verifyRecovered(t, "backup", rec, db, queries)
+	assertPagesAccounted(t, rec)
 	// The restored copy accepts new work.
 	parents, _ := liveNodeIDs(rec)
 	if err := rec.InsertSubtree(parents[rng.Intn(len(parents))], genDoc(rng, 6).Root); err != nil {
@@ -266,6 +267,7 @@ func TestBackupUnderConcurrentWriters(t *testing.T) {
 				}
 			}
 		}
+		assertPagesAccounted(t, rec)
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -391,6 +393,7 @@ func TestInMemoryBackupWithPinnedReaders(t *testing.T) {
 				}
 			}
 		}
+		assertPagesAccounted(t, rec)
 		if err := rec.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,8 @@ import (
 // was loaded and never built has neither, and every plan over it fails.
 type Snapshot struct {
 	// seq is the snapshot's position in the version chain (0 = the state
-	// at Open).
+	// at Open; 1 = the commits Open replayed from the log, which it
+	// publishes as one version).
 	seq uint64
 
 	// nextID is the version's id counter: no node of it has an id at or

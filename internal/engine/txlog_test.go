@@ -184,6 +184,57 @@ func TestLoggedCommitsSurviveCrashCopy(t *testing.T) {
 	}
 }
 
+// TestReplayIsOneCommit: Open replays a log of logged commits — inserts,
+// and deletes of listings inserted earlier in the same log — as one commit
+// replay, with AS OF retention on: it reads the store from the node table
+// once, publishes one version (seq 1), and answers like the live database.
+func TestReplayIsOneCommit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "twig.db")
+	db, items := xmarkItems(t, 4, Config{Path: path, BufferPoolBytes: 64 << 20, RetainSnapshots: 4})
+	defer db.Close()
+	var live []int64
+	for i := 0; i < 12; i++ {
+		sub := listing(i)
+		if err := db.InsertSubtree(items[i%len(items)], sub); err != nil {
+			t.Fatal(err)
+		}
+		if live = append(live, sub.ID); len(live) > 4 {
+			if err := db.DeleteSubtree(live[0]); err != nil {
+				t.Fatal(err)
+			}
+			live = live[1:]
+		}
+	}
+	rec, err := Open(Config{Path: copyUnclosed(t, path), RetainSnapshots: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rec.Close()
+	if st := rec.DeviceStats(); st.RecoveredCommits < 10 {
+		t.Fatalf("recovered %d commits, want at least 10", st.RecoveredCommits)
+	}
+	if n := rec.storeLoads.Load(); n != 1 {
+		t.Fatalf("the replay read the store %d times, want 1", n)
+	}
+	if seq := rec.CurrentSeq(); seq != 1 {
+		t.Fatalf("the replay published up to seq %d, want 1", seq)
+	}
+	requireSameDocs(t, "one-commit replay", rec, db)
+	for _, q := range []string{`//listing/price`, `//item[listing/seller]`, `//listing[currency="USD"]/note`} {
+		pat := xpath.MustParse(q)
+		for _, s := range diffStrategies[:2] {
+			got, gerr := pinnedIDs(rec, pat, s)
+			want, werr := pinnedIDs(db, pat, s)
+			if gerr != nil || werr != nil || !slices.Equal(got, want) {
+				t.Fatalf("%s via %v: replayed %v (%v), live %v (%v)", q, s, got, gerr, want, werr)
+			}
+		}
+	}
+	if got, want := rec.Store().NextID(), db.CurrentSnapshot().nextID; got != want {
+		t.Fatalf("recovered id counter %d, want %d", got, want)
+	}
+}
+
 // TestTornLoggedCommit tears the last logged commit at every byte: the
 // recovered database is the one before it, until the record is whole.
 func TestTornLoggedCommit(t *testing.T) {
@@ -284,6 +335,7 @@ func TestBackupAndCompactAfterLoggedCommits(t *testing.T) {
 	}
 	defer b.Close()
 	requireSameDocs(t, "backup", b, db)
+	assertPagesAccounted(t, b)
 
 	if err := db.InsertSubtree(items[0], listing(99)); err != nil {
 		t.Fatal(err)

@@ -6,9 +6,10 @@ import (
 	"sync"
 )
 
-// File is what FileDisk, the WAL scan, the superblock and BackupWriter
-// need of the bytes beneath them. A database opened at a path runs on two
-// osFiles; one opened without a path runs on two memFiles.
+// File is what FileDisk, the WAL scan and the superblock need of the
+// bytes beneath them. A database opened at a path runs on two osFiles; one
+// opened without a path runs on two memFiles, and a backup on an osFile
+// and a memFile log (CreateFileDisk).
 type File interface {
 	io.ReaderAt
 	io.WriterAt

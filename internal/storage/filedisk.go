@@ -118,9 +118,9 @@ type poisonCause struct{ err error }
 // write, commit and seal with ErrPoisoned while reads keep working.
 //
 // Reads of distinct pages proceed in parallel (shared latch); writes,
-// commits and seals are exclusive. OpenFileDisk takes an exclusive
-// advisory lock on the database file (ErrLocked on a second open), which
-// Close releases.
+// commits and seals are exclusive. OpenFileDisk and CreateFileDisk take
+// an exclusive advisory lock on the database file (ErrLocked on a second
+// open), which Close releases.
 type FileDisk struct {
 	mu   sync.RWMutex
 	file File
@@ -234,6 +234,28 @@ func OpenFileDisk(path string) (*FileDisk, error) {
 	return OpenFiles(osFile{file}, osFile{wal})
 }
 
+// CreateFileDisk creates (or empties) the database file at path for a
+// copy that nothing logs to — an online backup: it takes the exclusive lock
+// first, so a file another FileDisk holds open fails with ErrLocked and is
+// left untouched, then truncates the file and opens an empty FileDisk over
+// it with an in-memory log, so no WAL file appears beside it. Its pages
+// become durable at Seal.
+func CreateFileDisk(path string) (*FileDisk, error) {
+	file, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("storage: create %s: %w", path, err)
+	}
+	if err := lockFile(file); err != nil {
+		file.Close()
+		return nil, fmt.Errorf("storage: create %s: %w", path, err)
+	}
+	if err := file.Truncate(0); err != nil {
+		file.Close()
+		return nil, fmt.Errorf("storage: create %s: %w", path, err)
+	}
+	return OpenFiles(osFile{file}, &memFile{})
+}
+
 // NewMemFileDisk returns an empty FileDisk over two in-memory files — the
 // device of a database opened without a path. It runs the same page, WAL,
 // checksum, free-list and seal code as a FileDisk on disk; fsyncs are
@@ -332,12 +354,12 @@ func parseTrunk(buf []byte) (next PageID, ids []PageID, ok bool) {
 	return next, ids, true
 }
 
-// layFreeList writes a free list naming ids onto the trunk pages, in
+// layFreeListLocked writes a free list naming ids onto the trunk pages, in
 // order: the first trunk is the head and lists the first trunkCapacity
 // ids, so a recovery that concatenates the trunks' lists gets ids back as
 // given (Allocate pops from the end). buf is a page-sized scratch. It
 // returns the head, InvalidPage when there is no trunk.
-func layFreeList(ids, trunks []PageID, buf []byte, write func(PageID, []byte) error) (PageID, error) {
+func (f *FileDisk) layFreeListLocked(ids, trunks []PageID, buf []byte) (PageID, error) {
 	for i, id := range trunks {
 		next := InvalidPage
 		if i+1 < len(trunks) {
@@ -345,7 +367,7 @@ func layFreeList(ids, trunks []PageID, buf []byte, write func(PageID, []byte) er
 		}
 		lo := min(i*trunkCapacity, len(ids))
 		renderTrunk(buf, next, ids[lo:min(lo+trunkCapacity, len(ids))])
-		if err := write(id, buf[:PageSize]); err != nil {
+		if err := f.writeSlotLocked(id, buf[:PageSize]); err != nil {
 			return InvalidPage, err
 		}
 	}
@@ -996,7 +1018,7 @@ func (f *FileDisk) Seal(catalogRoot PageID, retired []PageID) error {
 	slices.Reverse(ids)
 	img := getPageBuf()
 	defer putPageBuf(img)
-	head, err := layFreeList(ids, trunks, img, f.writeSlotLocked)
+	head, err := f.layFreeListLocked(ids, trunks, img)
 	if err != nil {
 		return err
 	}

@@ -322,9 +322,10 @@ func Open(opts *Options) (*DB, error) {
 // new database. Node ids are renumbered by the reload.
 var ErrFormatVersion = storage.ErrFormatVersion
 
-// ErrLocked is returned by Open for a database file that another open DB —
-// in this process or another — holds: a file has one owner at a time, and
-// Close (or the owner's exit) releases it.
+// ErrLocked is returned by Open, and by Backup for its destination, for a
+// database file that another open DB — in this process or another — holds:
+// a file has one owner at a time, and Close (or the owner's exit) releases
+// it.
 var ErrLocked = storage.ErrLocked
 
 // defaultTxRetries is the Options.TxRetries default for DB.Update.
@@ -359,10 +360,11 @@ func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 // dstPath while the database stays fully live: queries keep reading and
 // writers keep committing during the copy. The backup pins one snapshot,
 // copies every page that snapshot reaches through the checksum-verified
-// read path, and seals the result as a standalone database file (empty
-// WAL) that Open restores like any cleanly closed database. An
-// in-memory database backs up the same way, so Backup is how one is saved
-// to a file.
+// read path, and seals the result as a standalone database file (no WAL)
+// that Open restores like any cleanly closed database. A destination that
+// an open database holds — this one's own file included — is refused with
+// ErrLocked and left untouched. An in-memory database backs up the same
+// way, so Backup is how one is saved to a file.
 func (db *DB) Backup(dstPath string) error { return db.eng.Backup(dstPath) }
 
 // ErrLoadAfterBuild is returned by LoadXML and LoadXMLString once any
