@@ -28,10 +28,12 @@ test: build vet
 # reader/writer and serialization-anomaly stress tests are scheduling
 # lotteries, and a second draw is cheap. GOMAXPROCS=4 even on smaller CI
 # hosts, so goroutines sharing one cached plan tree or one memoised parsed
-# pattern genuinely interleave.
+# pattern genuinely interleave. The index builds run five more times: their
+# prepares run side by side, and each draw interleaves them anew.
 race:
 	GOMAXPROCS=4 $(GO) test -race -count=2 .
 	GOMAXPROCS=4 $(GO) test -race ./internal/...
+	GOMAXPROCS=4 $(GO) test -race -count=5 -run 'Build' ./internal/engine ./internal/index
 
 # Fuzz smoke: each target for a short budget, plus the checked-in
 # corpora which already run as part of `go test`.

@@ -39,8 +39,8 @@ type span struct{ lo, hi int }
 // device's free pages before it grows the file; each leaf's page is
 // reserved before its left neighbour is written, so the leaf chain is
 // linked as it is written — no fix-up pass re-fetching leaves to link
-// them.
-func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
+// them. A load that fails frees every page it took.
+func BulkLoad(pool *storage.Pool, name string, entries []Entry) (_ *Tree, err error) {
 	for i, e := range entries {
 		if i > 0 && bytes.Compare(entries[i-1].Key, e.Key) > 0 {
 			return nil, fmt.Errorf("btree %s: bulk load input not sorted at %d", name, i)
@@ -74,6 +74,14 @@ func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 		leaves = append(leaves, span{start, len(entries)})
 	}
 	t.entries = int64(len(entries))
+	var taken []storage.PageID
+	defer func() {
+		if err != nil {
+			for _, id := range taken {
+				_ = pool.Free(id) // a refused free leaks the page, which is safe
+			}
+		}
+	}()
 
 	if len(leaves) == 0 {
 		// Empty input: single empty leaf.
@@ -95,12 +103,14 @@ func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
+	taken = append(taken, next)
 	for i, sp := range leaves {
 		id := next
 		if next = storage.InvalidPage; i+1 < len(leaves) {
 			if next, err = reserve(pool); err != nil {
 				return nil, err
 			}
+			taken = append(taken, next)
 		}
 		cells = cells[:0]
 		for _, e := range entries[sp.lo:sp.hi] {
@@ -150,6 +160,7 @@ func BulkLoad(pool *storage.Pool, name string, entries []Entry) (*Tree, error) {
 			if err != nil {
 				return nil, err
 			}
+			taken = append(taken, id)
 			next[i] = entry{key: level[sp.lo].key, val: level[sp.lo].val, child: id}
 		}
 		level = next

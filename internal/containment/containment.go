@@ -54,9 +54,18 @@ type Index struct {
 	regions map[int64]Region // node id -> region
 }
 
-// Build assigns regions to every node of the store (document-order sweep)
-// and bulk-loads the element-list B+-tree.
-func Build(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*Index, error) {
+// Prepared is an index whose regions are assigned and whose element list
+// is encoded and sorted, waiting for Load.
+type Prepared struct {
+	ix      *Index
+	entries []btree.Entry
+}
+
+// Prepare assigns regions to every node of the store (document-order
+// sweep) and encodes the element list; it reads the store and, for labels
+// it already holds, the dictionary, and writes nothing else. Load then
+// bulk-loads the element-list B+-tree.
+func Prepare(store *xmldb.Store, dict *pathdict.Dict) *Prepared {
 	ix := &Index{dict: dict, regions: map[int64]Region{}}
 	var entries []btree.Entry
 	counter := int64(0)
@@ -84,12 +93,17 @@ func Build(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*Index,
 		walk(d.Root, 1)
 	}
 	slices.SortFunc(entries, func(a, b btree.Entry) int { return bytes.Compare(a.Key, b.Key) })
-	tree, err := btree.BulkLoad(pool, "Containment/elements", entries)
+	return &Prepared{ix: ix, entries: entries}
+}
+
+// Load bulk-loads the prepared element list into pool.
+func (p *Prepared) Load(pool *storage.Pool) (*Index, error) {
+	tree, err := btree.BulkLoad(pool, "Containment/elements", p.entries)
 	if err != nil {
 		return nil, err
 	}
-	ix.tree = tree
-	return ix, nil
+	p.ix.tree = tree
+	return p.ix, nil
 }
 
 // Region returns the region of a node id.

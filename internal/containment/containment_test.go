@@ -19,7 +19,7 @@ func buildIndex(t *testing.T, xml string) (*Index, *xmldb.Store) {
 	}
 	s := xmldb.NewStore()
 	s.AddDocument(doc)
-	ix, err := Build(storage.NewPool(storage.NewMemFileDisk(), 8<<20), s, pathdict.NewDict())
+	ix, err := Prepare(s, pathdict.NewDict()).Load(storage.NewPool(storage.NewMemFileDisk(), 8<<20))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -483,7 +483,7 @@ func (db *DB) syncPoint(next *Snapshot) (err error) {
 		}
 		defer func() {
 			if err != nil {
-				_ = next.env.Nodes.WalkPages(db.pool.Free)
+				db.pool.FreeWalk(next.env.Nodes.WalkPages)
 				next.env.Nodes = nil
 			}
 		}()
@@ -816,7 +816,9 @@ func (db *DB) Pool() *storage.Pool { return db.pool }
 // Build constructs the given index structures, publishing a successor
 // snapshot that carries them (plus fresh statistics) at a sync point.
 // Indices already built are rebuilt from scratch; other index handles
-// carry over.
+// carry over. It uses up to GOMAXPROCS goroutines; the file is
+// byte-identical to a serial build (index.BuildKinds). A failed build
+// gives back every page it took.
 func (db *DB) Build(kinds ...index.Kind) error {
 	if db.cfg.Path != "" && db.cfg.PathsOptions.KeepHead != nil && slices.Contains(kinds, index.KindDataPaths) {
 		return ErrPrunedNotPersistable
@@ -837,22 +839,35 @@ func (db *DB) Build(kinds ...index.Kind) error {
 		return err
 	}
 	next := cur.clone()
+	// Statistics first: they intern every label of the store, in document
+	// order, before the concurrent prepares read the dictionary.
 	next.env.Stats = stats.Collect(store, db.dict)
 	site := index.Site{Pool: db.pool, Store: store, Dict: db.dict, Ptab: db.ptab, Opts: db.cfg.PathsOptions}
-	for _, k := range kinds {
-		built, err := index.Build(k, site)
-		if err != nil {
-			db.writeMu.Unlock()
-			return fmt.Errorf("engine: building %v: %w", k, err)
-		}
-		if old, ok := next.env.Install(k, built).(pageWalker); ok {
+	built, err := index.BuildKinds(site, kinds...)
+	if err != nil {
+		db.writeMu.Unlock()
+		return fmt.Errorf("engine: %w", err)
+	}
+	for i, k := range kinds {
+		if old, ok := next.env.Install(k, built[i]).(pageWalker); ok {
 			next.dropped = append(next.dropped, old)
 		}
 	}
 	// all=true: a rebuild touches the whole database, so every in-flight
 	// transaction spanning it conflicts (conservative — Build normally runs
 	// during setup, not under concurrent transactions).
-	return db.commitPublish(next, nil, nil, true)
+	if err := db.commitPublish(next, nil, nil, true); err != nil {
+		// Without a log record the commit is a sync point, published only
+		// once it succeeded: nothing can read what this build made, and
+		// every page of it was allocated since the last seal.
+		for _, b := range built {
+			if w, ok := b.(pageWalker); ok {
+				db.pool.FreeWalk(w.WalkPages)
+			}
+		}
+		return err
+	}
+	return nil
 }
 
 // ErrPrunedNotPersistable rejects a DATAPATHS built with HeadId pruning
@@ -864,7 +879,8 @@ func (db *DB) Build(kinds ...index.Kind) error {
 var ErrPrunedNotPersistable = errors.New("engine: a HeadId-pruned DATAPATHS cannot be written to a file; build it in memory")
 
 // BuildAll constructs every persisted index structure — the paper's
-// family; the containment extension is built on request.
+// family; the containment extension is built on request. It uses up to
+// GOMAXPROCS goroutines; the file is byte-identical to a serial build.
 func (db *DB) BuildAll() error { return db.Build(index.PersistedKinds()...) }
 
 // InsertSubtree attaches sub (an unattached tree, e.g. a parsed fragment's

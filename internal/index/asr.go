@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/btree"
@@ -69,11 +70,19 @@ func (r *registry) MatchingPaths(pat []pathdict.PStep, rootedOnly bool) []pathdi
 	return out
 }
 
-// BuildASR constructs one relation per distinct schema path.
-func BuildASR(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*ASR, error) {
-	a := &ASR{tables: map[pathdict.PathID]*btree.Tree{}, registry: newRootedRegistry(store), dict: dict}
-	perPath := map[pathdict.PathID][]btree.Entry{}
-	pathrel.Emit(store, dict, nil, true, func(r pathrel.Row) {
+// prepareASR emits the rows of one relation per distinct schema path and
+// sorts each relation; its load bulk-loads them in path id order.
+func prepareASR(s Site) (load, error) {
+	a := &ASR{tables: map[pathdict.PathID]*btree.Tree{}, registry: newRootedRegistry(s.Store), dict: s.Dict}
+	// Until byPathID has grouped them, keys lead with their path's id and
+	// end in the row's emission number: equal keys are common (one head,
+	// one value, several tails) and keep emission order. Within a path a
+	// key is a value field (self-delimiting) and an id, so no key is a
+	// prefix of another and the number decides only between equal keys.
+	entries := make([]btree.Entry, 0, pathrel.Count(s.Store, true)-pathrel.Count(s.Store, false))
+	var ar arena
+	var key, val []byte
+	pathrel.Emit(s.Store, s.Dict, nil, true, func(r pathrel.Row) {
 		if r.HeadID == 0 {
 			return // virtual-root rows belong to the unified indices only
 		}
@@ -81,24 +90,28 @@ func BuildASR(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*ASR
 		if a.roots[r.HeadID] {
 			a.rooted[id] = true
 		}
-		key := pathdict.AppendValueField(nil, r.HasValue, r.Value)
+		key = appendPathID(key[:0], id)
+		key = pathdict.AppendValueField(key, r.HasValue, r.Value)
 		key = pathdict.AppendID(key, r.HeadID)
+		key = binary.BigEndian.AppendUint32(key, uint32(len(entries)))
 		// Separate uncompressed id columns: head then the rest.
-		val := pathdict.AppendID(nil, r.HeadID)
+		val = pathdict.AppendID(val[:0], r.HeadID)
 		val = idlist.EncodeRaw(val, r.IDs)
-		perPath[id] = append(perPath[id], btree.Entry{Key: key, Val: val})
+		entries = append(entries, btree.Entry{Key: ar.copy(key), Val: ar.copy(val)})
 	})
-	var err error
-	a.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
+	perPath := byPathID(entries, a.ptab.Len(), 4)
+	return func(ld *loader) (any, error) {
+		var err error
+		a.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
+			if err == nil {
+				a.tables[id], err = ld.bulk("ASR/"+p.String(s.Dict), perPath[id])
+			}
+		})
 		if err != nil {
-			return
+			return nil, err
 		}
-		a.tables[id], err = bulk(pool, "ASR/"+p.String(dict), perPath[id])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return a, nil
+		return a, nil
+	}, nil
 }
 
 // NumTables returns the number of materialised relations (the paper reports

@@ -8,7 +8,6 @@ import (
 	"repro/internal/pathdict"
 	"repro/internal/pathrel"
 	"repro/internal/storage"
-	"repro/internal/xmldb"
 )
 
 // dgChunk bounds the number of ids stored per DataGuide posting-list entry
@@ -29,18 +28,21 @@ type DataGuide struct {
 	registry // rooted paths, for // expansion over the summary
 }
 
-// BuildDataGuide constructs the summary. The registered rooted paths double
-// as the DataGuide's summary graph: patterns with // are answered by
-// enumerating the matching summary paths, as Lore's DataGuide traversal
-// would.
-func BuildDataGuide(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*DataGuide, error) {
+// prepareDataGuide gathers the summary's extents and encodes them in
+// chunks. The registered rooted paths double as the DataGuide's summary
+// graph: patterns with // are answered by enumerating the matching summary
+// paths, as Lore's DataGuide traversal would.
+func prepareDataGuide(s Site) (load, error) {
 	ptab := pathdict.NewPathTable()
-	extents := map[pathdict.PathID][]int64{}
-	pathrel.Emit(store, dict, nil, false, func(r pathrel.Row) {
+	var extents [][]int64 // by path id
+	pathrel.Emit(s.Store, s.Dict, nil, false, func(r pathrel.Row) {
 		if r.HasValue {
 			return // structure only
 		}
 		id := ptab.Intern(r.Path)
+		if int(id) == len(extents) {
+			extents = append(extents, nil)
+		}
 		extents[id] = append(extents[id], r.LastID())
 	})
 	var entries []btree.Entry
@@ -56,11 +58,14 @@ func BuildDataGuide(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict)
 			entries = append(entries, btree.Entry{Key: key, Val: idlist.EncodeDelta(nil, ext[lo:hi])})
 		}
 	})
-	tree, err := bulk(pool, "DataGuide", entries)
-	if err != nil {
-		return nil, err
-	}
-	return &DataGuide{tree: tree, dict: dict, registry: registry{ptab: ptab}}, nil
+	sortByKey(entries)
+	return func(ld *loader) (any, error) {
+		tree, err := ld.bulk("DataGuide", entries)
+		if err != nil {
+			return nil, err
+		}
+		return &DataGuide{tree: tree, dict: s.Dict, registry: registry{ptab: ptab}}, nil
+	}, nil
 }
 
 // dgPath appends the key columns ahead of the chunk number.

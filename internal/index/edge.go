@@ -25,39 +25,47 @@ type Edge struct {
 	dict    *pathdict.Dict
 }
 
-// BuildEdge constructs the value and forward link indices. Document roots
-// are recorded as children of the virtual root (parent id 0).
-func BuildEdge(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*Edge, error) {
-	var valEntries, fwdEntries []btree.Entry
+// prepareEdge emits and sorts the rows of the value and forward link
+// indices. Document roots are recorded as children of the virtual root
+// (parent id 0).
+func prepareEdge(s Site) (load, error) {
+	var valEntries []btree.Entry
+	fwdEntries := make([]btree.Entry, 0, s.Store.NodeCount())
+	var ar arena
+	var key []byte
 	var walk func(n *xmldb.Node, parentID int64)
 	walk = func(n *xmldb.Node, parentID int64) {
-		sym := dict.Intern(n.Label)
+		sym := s.Dict.Intern(n.Label)
 		if n.HasValue {
-			key := appendSym(nil, sym)
+			key = appendSym(key[:0], sym)
 			key = pathdict.AppendValueField(key, true, n.Value)
 			key = pathdict.AppendID(key, n.ID)
-			valEntries = append(valEntries, btree.Entry{Key: key})
+			valEntries = append(valEntries, btree.Entry{Key: ar.copy(key)})
 		}
-		fkey := pathdict.AppendID(nil, parentID)
-		fkey = appendSym(fkey, sym)
-		fkey = pathdict.AppendID(fkey, n.ID)
-		fwdEntries = append(fwdEntries, btree.Entry{Key: fkey})
+		key = pathdict.AppendID(key[:0], parentID)
+		key = appendSym(key, sym)
+		key = pathdict.AppendID(key, n.ID)
+		fwdEntries = append(fwdEntries, btree.Entry{Key: ar.copy(key)})
 		for _, c := range n.Children {
 			walk(c, n.ID)
 		}
 	}
-	for _, d := range store.Docs {
+	for _, d := range s.Store.Docs {
 		walk(d.Root, 0)
 	}
-	value, err := bulk(pool, "Edge/value", valEntries)
-	if err != nil {
-		return nil, err
-	}
-	forward, err := bulk(pool, "Edge/forward", fwdEntries)
-	if err != nil {
-		return nil, err
-	}
-	return &Edge{value: value, forward: forward, dict: dict}, nil
+	sortByKey(valEntries)
+	sortByKey(fwdEntries)
+	return func(ld *loader) (any, error) {
+		value, err := ld.bulk("Edge/value", valEntries)
+		if err != nil {
+			return nil, err
+		}
+		forward, err := ld.bulk("Edge/forward", fwdEntries)
+		if err != nil {
+			return nil, err
+		}
+		return &Edge{value: value, forward: forward, dict: s.Dict}, nil
+	}, nil
 }
 
 // ValueProbe returns the ids of nodes labeled label that carry the given

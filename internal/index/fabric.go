@@ -7,7 +7,6 @@ import (
 	"repro/internal/pathdict"
 	"repro/internal/pathrel"
 	"repro/internal/storage"
-	"repro/internal/xmldb"
 )
 
 // IndexFabric simulates the Index Fabric [Cooper et al.] with a regular
@@ -29,21 +28,27 @@ type IndexFabric struct {
 	dict *pathdict.Dict
 }
 
-// BuildIndexFabric constructs the index.
-func BuildIndexFabric(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*IndexFabric, error) {
-	var entries []btree.Entry
-	pathrel.Emit(store, dict, nil, false, func(r pathrel.Row) {
-		key := binary.BigEndian.AppendUint16(nil, uint16(len(r.Path)))
+// prepareIndexFabric emits and sorts the index's rows, one per node and
+// per value.
+func prepareIndexFabric(s Site) (load, error) {
+	entries := make([]btree.Entry, 0, pathrel.Count(s.Store, false))
+	var ar arena
+	var key []byte
+	pathrel.Emit(s.Store, s.Dict, nil, false, func(r pathrel.Row) {
+		key = binary.BigEndian.AppendUint16(key[:0], uint16(len(r.Path)))
 		key = pathdict.AppendPath(key, r.Path)
 		key = pathdict.AppendValueField(key, r.HasValue, r.Value)
 		key = pathdict.AppendID(key, r.LastID())
-		entries = append(entries, btree.Entry{Key: key})
+		entries = append(entries, btree.Entry{Key: ar.copy(key)})
 	})
-	tree, err := bulk(pool, "IndexFabric", entries)
-	if err != nil {
-		return nil, err
-	}
-	return &IndexFabric{tree: tree, dict: dict}, nil
+	sortByKey(entries)
+	return func(ld *loader) (any, error) {
+		tree, err := ld.bulk("IndexFabric", entries)
+		if err != nil {
+			return nil, err
+		}
+		return &IndexFabric{tree: tree, dict: s.Dict}, nil
+	}, nil
 }
 
 // Probe returns the ids at the end of the exact rooted path whose leaf

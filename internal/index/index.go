@@ -32,12 +32,7 @@
 package index
 
 import (
-	"bytes"
-	"fmt"
-	"slices"
-
 	"repro/internal/btree"
-	"repro/internal/containment"
 	"repro/internal/pathdict"
 	"repro/internal/storage"
 	"repro/internal/xmldb"
@@ -112,26 +107,29 @@ type Site struct {
 }
 
 // family is the one table of the index family, indexed by Kind: the
-// paper's name, how a member is built at a site, and how it is reopened
-// from the catalog record its AppendRecord wrote. A nil open marks the one
-// member that is not persisted: the containment index's region table is
-// derived wholly from the store, so it is rebuilt on demand.
+// paper's name, how a member is prepared at a site for its load (see
+// build.go), and how it is reopened from the catalog record its
+// AppendRecord wrote. A nil open marks the one member that is not
+// persisted: the containment index's region table is derived wholly from
+// the store, so it is rebuilt on demand. interns marks the members whose
+// keys embed ids of the site's path table under PathIDKeys.
 var family = [NumKinds]struct {
-	name  string
-	build func(Site) (any, error)
-	open  func(*CatReader, Site) Structure
+	name    string
+	prepare func(Site) (load, error)
+	open    func(*CatReader, Site) Structure
+	interns bool
 }{
-	KindRootPaths: {"ROOTPATHS", func(s Site) (any, error) { return BuildPaths(false, s) },
-		func(r *CatReader, s Site) Structure { return openPaths(false, r, s) }},
-	KindDataPaths: {"DATAPATHS", func(s Site) (any, error) { return BuildPaths(true, s) },
-		func(r *CatReader, s Site) Structure { return openPaths(true, r, s) }},
-	KindEdge:        {"Edge", func(s Site) (any, error) { return BuildEdge(s.Pool, s.Store, s.Dict) }, openEdge},
-	KindDataGuide:   {"DataGuide", func(s Site) (any, error) { return BuildDataGuide(s.Pool, s.Store, s.Dict) }, openDataGuide},
-	KindIndexFabric: {"IndexFabric", func(s Site) (any, error) { return BuildIndexFabric(s.Pool, s.Store, s.Dict) }, openIndexFabric},
-	KindASR:         {"ASR", func(s Site) (any, error) { return BuildASR(s.Pool, s.Store, s.Dict) }, openASR},
-	KindJoinIndex:   {"JoinIndex", func(s Site) (any, error) { return BuildJoinIndex(s.Pool, s.Store, s.Dict) }, openJoinIndex},
-	KindXRel:        {"XRel", func(s Site) (any, error) { return BuildXRel(s.Pool, s.Store, s.Dict) }, openXRel},
-	KindContainment: {"Containment", func(s Site) (any, error) { return containment.Build(s.Pool, s.Store, s.Dict) }, nil},
+	KindRootPaths: {"ROOTPATHS", func(s Site) (load, error) { return preparePaths(false, s) },
+		func(r *CatReader, s Site) Structure { return openPaths(false, r, s) }, true},
+	KindDataPaths: {"DATAPATHS", func(s Site) (load, error) { return preparePaths(true, s) },
+		func(r *CatReader, s Site) Structure { return openPaths(true, r, s) }, true},
+	KindEdge:        {"Edge", prepareEdge, openEdge, false},
+	KindDataGuide:   {"DataGuide", prepareDataGuide, openDataGuide, false},
+	KindIndexFabric: {"IndexFabric", prepareIndexFabric, openIndexFabric, false},
+	KindASR:         {"ASR", prepareASR, openASR, false},
+	KindJoinIndex:   {"JoinIndex", prepareJoinIndex, openJoinIndex, false},
+	KindXRel:        {"XRel", prepareXRel, openXRel, false},
+	KindContainment: {"Containment", prepareContainment, nil, false},
 }
 
 func (k Kind) String() string {
@@ -151,15 +149,6 @@ func PersistedKinds() []Kind {
 		}
 	}
 	return out
-}
-
-// Build constructs member k at the site: a Structure, or for the
-// unpersisted containment index a *containment.Index.
-func Build(k Kind, s Site) (any, error) {
-	if k < 0 || k >= NumKinds {
-		return nil, fmt.Errorf("index: unknown index kind %d", k)
-	}
-	return family[k].build(s)
 }
 
 // Open reconstitutes persisted member k from its catalog record; check
@@ -194,16 +183,4 @@ func walkTrees(fn func(storage.PageID) error, trees ...*btree.Tree) error {
 		}
 	}
 	return nil
-}
-
-// bulk builds one tree from unsorted entries, sorted by key — stably, so
-// equal keys keep emission order.
-func bulk(pool *storage.Pool, name string, entries []btree.Entry) (*btree.Tree, error) {
-	sortByKey(entries)
-	return btree.BulkLoad(pool, name, entries)
-}
-
-// sortByKey sorts entries by key, stably.
-func sortByKey(entries []btree.Entry) {
-	slices.SortStableFunc(entries, func(a, b btree.Entry) int { return bytes.Compare(a.Key, b.Key) })
 }

@@ -293,7 +293,7 @@ func TestRawVsDeltaSpace(t *testing.T) {
 
 func TestEdgeIndices(t *testing.T) {
 	f := newFixture(t)
-	e, err := BuildEdge(f.pool, f.store, f.dict)
+	e, err := buildAs[*Edge](KindEdge, f.pool, f.store, f.dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestEdgeIndices(t *testing.T) {
 
 func TestDataGuide(t *testing.T) {
 	f := newFixture(t)
-	dg, err := BuildDataGuide(f.pool, f.store, f.dict)
+	dg, err := buildAs[*DataGuide](KindDataGuide, f.pool, f.store, f.dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestDataGuideChunking(t *testing.T) {
 	s.AddDocument(&xmldb.Document{Root: root})
 	dict := pathdict.NewDict()
 	pool := storage.NewPool(storage.NewMemFileDisk(), 16<<20)
-	dg, err := BuildDataGuide(pool, s, dict)
+	dg, err := buildAs[*DataGuide](KindDataGuide, pool, s, dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func mustSym(t testing.TB, d *pathdict.Dict, label string) pathdict.Sym {
 
 func TestIndexFabric(t *testing.T) {
 	f := newFixture(t)
-	fab, err := BuildIndexFabric(f.pool, f.store, f.dict)
+	fab, err := buildAs[*IndexFabric](KindIndexFabric, f.pool, f.store, f.dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestIndexFabric(t *testing.T) {
 
 func TestASR(t *testing.T) {
 	f := newFixture(t)
-	a, err := BuildASR(f.pool, f.store, f.dict)
+	a, err := buildAs[*ASR](KindASR, f.pool, f.store, f.dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestASR(t *testing.T) {
 
 func TestJoinIndex(t *testing.T) {
 	f := newFixture(t)
-	j, err := BuildJoinIndex(f.pool, f.store, f.dict)
+	j, err := buildAs[*JoinIndex](KindJoinIndex, f.pool, f.store, f.dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func TestJoinIndex(t *testing.T) {
 	}
 
 	// JI space exceeds ASR space on the same data (two trees per path).
-	a, err := BuildASR(f.pool, f.store, f.dict)
+	a, err := buildAs[*ASR](KindASR, f.pool, f.store, f.dict)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,4 +591,11 @@ func TestKindString(t *testing.T) {
 		t.Fatalf("Kind.String broken")
 	}
 	_ = sortedIDs([]int64{3, 1})
+}
+
+// buildAs builds member k over store in pool, as the member's own type.
+func buildAs[T any](k Kind, pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (T, error) {
+	built, err := Build(k, Site{Pool: pool, Store: store, Dict: dict})
+	t, _ := built.(T)
+	return t, err
 }

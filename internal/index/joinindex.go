@@ -7,7 +7,6 @@ import (
 	"repro/internal/pathdict"
 	"repro/internal/pathrel"
 	"repro/internal/storage"
-	"repro/internal/xmldb"
 )
 
 // JoinIndex implements Valduriez-style join indices adapted to XML paths as
@@ -25,17 +24,22 @@ type JoinIndex struct {
 	dict *pathdict.Dict
 }
 
-// BuildJoinIndex constructs both B+-trees for every distinct schema path.
-func BuildJoinIndex(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*JoinIndex, error) {
+// prepareJoinIndex emits the endpoint pairs of both B+-trees of every
+// distinct schema path and sorts them; its load bulk-loads them in path id
+// order.
+func prepareJoinIndex(s Site) (load, error) {
 	j := &JoinIndex{
 		fwd:      map[pathdict.PathID]*btree.Tree{},
 		bwd:      map[pathdict.PathID]*btree.Tree{},
-		registry: newRootedRegistry(store),
-		dict:     dict,
+		registry: newRootedRegistry(s.Store),
+		dict:     s.Dict,
 	}
-	fwdPer := map[pathdict.PathID][]btree.Entry{}
-	bwdPer := map[pathdict.PathID][]btree.Entry{}
-	pathrel.Emit(store, dict, nil, true, func(r pathrel.Row) {
+	// Keys lead with their path's id until byPathID has grouped them.
+	headed := pathrel.Count(s.Store, true) - pathrel.Count(s.Store, false)
+	fwd, bwd := make([]btree.Entry, 0, headed), make([]btree.Entry, 0, headed)
+	var ar arena
+	var key []byte
+	pathrel.Emit(s.Store, s.Dict, nil, true, func(r pathrel.Row) {
 		if r.HeadID == 0 {
 			return
 		}
@@ -44,31 +48,36 @@ func BuildJoinIndex(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict)
 			j.rooted[id] = true
 		}
 		tail := r.LastID()
-		fkey := pathdict.AppendID(nil, r.HeadID)
-		fkey = pathdict.AppendValueField(fkey, r.HasValue, r.Value)
-		fkey = pathdict.AppendID(fkey, tail)
-		fwdPer[id] = append(fwdPer[id], btree.Entry{Key: fkey})
+		key = appendPathID(key[:0], id)
+		key = pathdict.AppendID(key, r.HeadID)
+		key = pathdict.AppendValueField(key, r.HasValue, r.Value)
+		key = pathdict.AppendID(key, tail)
+		fwd = append(fwd, btree.Entry{Key: ar.copy(key)})
 
-		bkey := pathdict.AppendValueField(nil, r.HasValue, r.Value)
-		bkey = pathdict.AppendID(bkey, tail)
-		bkey = pathdict.AppendID(bkey, r.HeadID)
-		bwdPer[id] = append(bwdPer[id], btree.Entry{Key: bkey})
+		key = appendPathID(key[:0], id)
+		key = pathdict.AppendValueField(key, r.HasValue, r.Value)
+		key = pathdict.AppendID(key, tail)
+		key = pathdict.AppendID(key, r.HeadID)
+		bwd = append(bwd, btree.Entry{Key: ar.copy(key)})
 	})
-	var err error
-	j.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
+	fwdPer, bwdPer := byPathID(fwd, j.ptab.Len(), 0), byPathID(bwd, j.ptab.Len(), 0)
+	return func(ld *loader) (any, error) {
+		var err error
+		j.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
+			if err != nil {
+				return
+			}
+			name := p.String(s.Dict)
+			if j.fwd[id], err = ld.bulk("JI/fwd/"+name, fwdPer[id]); err != nil {
+				return
+			}
+			j.bwd[id], err = ld.bulk("JI/bwd/"+name, bwdPer[id])
+		})
 		if err != nil {
-			return
+			return nil, err
 		}
-		name := p.String(dict)
-		if j.fwd[id], err = bulk(pool, "JI/fwd/"+name, fwdPer[id]); err != nil {
-			return
-		}
-		j.bwd[id], err = bulk(pool, "JI/bwd/"+name, bwdPer[id])
-	})
-	if err != nil {
-		return nil, err
-	}
-	return j, nil
+		return j, nil
+	}, nil
 }
 
 // IsDocRoot reports whether id is a document root.

@@ -62,40 +62,72 @@ type Paths struct {
 // path table every distinct schema path indexed is registered there (the
 // registry SchemaPathId compression draws its ids from).
 func BuildPaths(headed bool, s Site) (*Paths, error) {
+	k := KindRootPaths
+	if headed {
+		k = KindDataPaths
+	}
+	built, err := Build(k, s)
+	if err != nil {
+		return nil, err
+	}
+	return built.(*Paths), nil
+}
+
+// preparePaths emits, encodes and sorts the rows of ROOTPATHS or, headed,
+// DATAPATHS. The schema paths the rows carry are registered in a table of
+// the prepare's own, in first-appearance order, and the load interns them
+// into the site's table in that order — as the rows would have been,
+// one by one. Under PathIDKeys the keys need the ids themselves: the
+// prepare interns into the site's table as it goes (BuildKinds runs such
+// prepares one after another).
+func preparePaths(headed bool, s Site) (load, error) {
 	if s.Opts.PathIDKeys && s.Ptab == nil {
 		return nil, fmt.Errorf("index: PathIDKeys requires a PathTable")
 	}
 	p := newPaths(headed, nil, s)
-	var entries []btree.Entry
+	reg := s.Ptab // where the rows' paths are registered
+	var fresh *pathdict.PathTable
+	if reg != nil && !s.Opts.PathIDKeys {
+		fresh = pathdict.NewPathTable()
+		reg = fresh
+	}
+	entries := make([]btree.Entry, 0, pathrel.Count(s.Store, headed))
+	var ar arena
 	var rev pathdict.Path
+	var key, val []byte
 	pathrel.Emit(s.Store, s.Dict, nil, headed, func(r pathrel.Row) {
 		if p.keep(r) {
-			entries = append(entries, btree.Entry{Key: p.rowKey(r, &rev), Val: encodeIDs(r.IDs, p.opts.RawIDs)})
+			key = p.appendRowKey(key[:0], r, &rev, reg)
+			val = appendIDs(val[:0], r.IDs, p.opts.RawIDs)
+			entries = append(entries, btree.Entry{Key: ar.copy(key), Val: ar.copy(val)})
 		}
 	})
 	// The rows of one key come in document order, which is IdList order
 	// unless ids were committed out of order under one parent (two
-	// transactions' reserved ranges): re-sort just those runs.
-	sortByKey(entries)
+	// transactions' reserved ranges): a key's run is sorted by IdList.
+	// Entries equal in key and IdList are equal bytes, so the sort need
+	// not be stable.
 	order := p.idOrder()
-	for lo := 0; lo < len(entries); {
-		hi, sorted := lo+1, true
-		for ; hi < len(entries) && bytes.Equal(entries[hi].Key, entries[lo].Key); hi++ {
-			sorted = sorted && order(entries[hi-1].Val, entries[hi].Val) <= 0
+	slices.SortFunc(entries, func(a, b btree.Entry) int {
+		if c := bytes.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		if !sorted {
-			slices.SortStableFunc(entries[lo:hi], func(a, b btree.Entry) int { return order(a.Val, b.Val) })
+		return order(a.Val, b.Val)
+	})
+	return func(ld *loader) (any, error) {
+		if fresh != nil {
+			fresh.All(func(_ pathdict.PathID, path pathdict.Path) { s.Ptab.Intern(path) })
 		}
-		lo = hi
-	}
-	// Named through fmt: a direct Kind.String call would close an
-	// initialization cycle with the family table, which names BuildPaths.
-	var err error
-	if p.tree, err = btree.BulkLoad(s.Pool, fmt.Sprint(p.Kind()), entries); err != nil {
-		return nil, err
-	}
-	p.tree.SetValueOrder(order)
-	return p, nil
+		// Named through fmt: a direct Kind.String call would close an
+		// initialization cycle with the family table, which names
+		// preparePaths.
+		var err error
+		if p.tree, err = ld.bulk(fmt.Sprint(p.Kind()), entries); err != nil {
+			return nil, err
+		}
+		p.tree.SetValueOrder(order)
+		return p, nil
+	}, nil
 }
 
 // idOrder is the value order of the index's key runs: IdLists compared
@@ -127,17 +159,19 @@ func (p *Paths) keep(r pathrel.Row) bool {
 	return p.opts.KeepHead == nil || r.HeadID == 0 || p.opts.KeepHead(r.HeadID)
 }
 
-// rowKey builds the index key for one 4-ary row under the build options,
-// registering the row's path; rev is the caller's reversal buffer.
-func (p *Paths) rowKey(r pathrel.Row, rev *pathdict.Path) []byte {
+// appendRowKey appends the index key of one 4-ary row under the build
+// options to dst, registering the row's path in reg when reg is not nil;
+// under PathIDKeys the key holds the path's id in reg. rev is the caller's
+// reversal buffer.
+func (p *Paths) appendRowKey(dst []byte, r pathrel.Row, rev *pathdict.Path, reg *pathdict.PathTable) []byte {
 	if p.opts.PathIDKeys {
-		return appendPathID(p.fixedColumns(nil, r.HeadID, r.HasValue, r.Value), p.ptab.Intern(r.Path))
+		return appendPathID(p.fixedColumns(dst, r.HeadID, r.HasValue, r.Value), reg.Intern(r.Path))
 	}
-	if p.ptab != nil {
-		p.ptab.Intern(r.Path)
+	if reg != nil {
+		reg.Intern(r.Path)
 	}
 	*rev = reverseInto((*rev)[:0], r.Path)
-	return pathdict.PathsKey(nil, p.headed, r.HeadID, r.HasValue, r.Value, *rev)
+	return pathdict.PathsKey(dst, p.headed, r.HeadID, r.HasValue, r.Value, *rev)
 }
 
 // fixedColumns appends the key columns ahead of the schema path.
@@ -310,7 +344,7 @@ func (p *Paths) maintain(store *xmldb.Store, sub *xmldb.Node, op func(key, val [
 			return
 		}
 		var ok bool
-		if ok, err = op(p.rowKey(r, &rev), encodeIDs(r.IDs, p.opts.RawIDs)); err == nil && !ok {
+		if ok, err = op(p.appendRowKey(nil, r, &rev, p.ptab), appendIDs(nil, r.IDs, p.opts.RawIDs)); err == nil && !ok {
 			missing++
 		}
 	})
@@ -320,11 +354,11 @@ func (p *Paths) maintain(store *xmldb.Store, sub *xmldb.Node, op func(key, val [
 	return err
 }
 
-func encodeIDs(ids []int64, raw bool) []byte {
+func appendIDs(dst []byte, ids []int64, raw bool) []byte {
 	if raw {
-		return idlist.EncodeRaw(nil, ids)
+		return idlist.EncodeRaw(dst, ids)
 	}
-	return idlist.EncodeDelta(nil, ids)
+	return idlist.EncodeDelta(dst, ids)
 }
 
 func decodeIDs(dst []int64, buf []byte, raw bool) ([]int64, error) {

@@ -42,8 +42,8 @@ const treeImagesGolden = "tree_images.golden"
 // per structure, its Space and an FNV-1a over every page (id and image)
 // WalkPages yields, for the fixed corpus under three option sets, and again
 // for the ROOTPATHS and DATAPATHS copy-on-write clones after a scripted
-// insert → insert → delete. Bulk loads sort stably and equal keys are
-// common, so the file also pins the order rows are emitted in. It was
+// insert → insert → delete. ASR keeps equal keys in emission order, so
+// the file also pins the order rows are emitted in. It was
 // generated before ROOTPATHS/DATAPATHS became one type over one emitter;
 // regenerate with -update only for a deliberate format change.
 func TestTreeImagesGolden(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"repro/internal/pathdict"
 	"repro/internal/pathrel"
 	"repro/internal/storage"
-	"repro/internal/xmldb"
 )
 
 // XRel implements the XRel baseline [Yoshikawa et al., TOIT 2001] that the
@@ -27,23 +26,27 @@ type XRel struct {
 	registry // the normalised path table (the "path" relation of XRel)
 }
 
-// BuildXRel constructs the index.
-func BuildXRel(pool *storage.Pool, store *xmldb.Store, dict *pathdict.Dict) (*XRel, error) {
-	x := &XRel{dict: dict, registry: registry{ptab: pathdict.NewPathTable()}}
-	var entries []btree.Entry
-	pathrel.Emit(store, dict, nil, false, func(r pathrel.Row) {
-		id := x.ptab.Intern(r.Path)
-		key := appendPathID(nil, id)
+// prepareXRel emits and sorts the index's rows, one per node and per
+// value, keyed by path id.
+func prepareXRel(s Site) (load, error) {
+	x := &XRel{dict: s.Dict, registry: registry{ptab: pathdict.NewPathTable()}}
+	entries := make([]btree.Entry, 0, pathrel.Count(s.Store, false))
+	var ar arena
+	var key []byte
+	pathrel.Emit(s.Store, s.Dict, nil, false, func(r pathrel.Row) {
+		key = appendPathID(key[:0], x.ptab.Intern(r.Path))
 		key = pathdict.AppendValueField(key, r.HasValue, r.Value)
 		key = pathdict.AppendID(key, r.LastID())
-		entries = append(entries, btree.Entry{Key: key})
+		entries = append(entries, btree.Entry{Key: ar.copy(key)})
 	})
-	tree, err := bulk(pool, "XRel", entries)
-	if err != nil {
-		return nil, err
-	}
-	x.tree = tree
-	return x, nil
+	sortByKey(entries)
+	return func(ld *loader) (any, error) {
+		var err error
+		if x.tree, err = ld.bulk("XRel", entries); err != nil {
+			return nil, err
+		}
+		return x, nil
+	}, nil
 }
 
 // Probe returns the node ids at the end of one concrete path id, optionally

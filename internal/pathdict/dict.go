@@ -144,29 +144,26 @@ func NewPathTable() *PathTable {
 	return &PathTable{byKey: make(map[string]PathID)}
 }
 
-func pathKey(p Path) string {
-	b := make([]byte, 0, len(p)*2)
-	b = AppendPath(b, p)
-	return string(b)
-}
-
 // Intern returns the id for path, registering it if new. The path is copied.
+// byKey is keyed by AppendPath's encoding; a lookup through a string
+// conversion of a stack buffer allocates nothing.
 func (t *PathTable) Intern(p Path) PathID {
-	k := pathKey(p)
+	var buf [64]byte
+	k := AppendPath(buf[:0], p)
 	t.mu.RLock()
-	id, ok := t.byKey[k]
+	id, ok := t.byKey[string(k)]
 	t.mu.RUnlock()
 	if ok {
 		return id
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if id, ok := t.byKey[k]; ok {
+	if id, ok := t.byKey[string(k)]; ok {
 		return id
 	}
 	id = PathID(len(t.paths))
 	t.paths = append(t.paths, append(Path(nil), p...))
-	t.byKey[k] = id
+	t.byKey[string(k)] = id
 	return id
 }
 
@@ -174,7 +171,8 @@ func (t *PathTable) Intern(p Path) PathID {
 func (t *PathTable) Lookup(p Path) (PathID, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	id, ok := t.byKey[pathKey(p)]
+	var buf [64]byte
+	id, ok := t.byKey[string(AppendPath(buf[:0], p))]
 	return id, ok
 }
 

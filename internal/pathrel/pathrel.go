@@ -71,9 +71,9 @@ func (r Row) LastID() int64 {
 // each carrying the full root path.
 //
 // Nodes are visited in pre-order; a node's null-value rows come before its
-// value rows, and within each the heads run top down. Bulk loads sort
-// stably and equal keys are common (two same-valued siblings under one
-// head), so this order reaches the page images.
+// value rows, and within each the heads run top down. ASR keeps its equal
+// keys (one head, one value, several tails) in this order, so it reaches
+// the page images.
 func Emit(store *xmldb.Store, dict *pathdict.Dict, sub *xmldb.Node, allHeads bool, fn func(Row)) {
 	var (
 		syms pathdict.Path
@@ -113,4 +113,30 @@ func Emit(store *xmldb.Store, dict *pathdict.Dict, sub *xmldb.Node, allHeads boo
 		ids = append(ids, a.ID)
 	}
 	rec(sub)
+}
+
+// Count returns the number of rows Emit emits over the whole store with
+// the same allHeads, without emitting them: a node at depth d (a document
+// root is at depth 1) ends one chain from the virtual root, plus d more
+// when every head is emitted, and a valued node twice as many.
+func Count(store *xmldb.Store, allHeads bool) int {
+	n := 0
+	var rec func(nd *xmldb.Node, depth int)
+	rec = func(nd *xmldb.Node, depth int) {
+		chains := 1
+		if allHeads {
+			chains += depth
+		}
+		if nd.HasValue {
+			chains *= 2
+		}
+		n += chains
+		for _, c := range nd.Children {
+			rec(c, depth+1)
+		}
+	}
+	for _, d := range store.Docs {
+		rec(d.Root, 1)
+	}
+	return n
 }

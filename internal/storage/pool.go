@@ -400,6 +400,21 @@ func (p *Pool) Free(id PageID) error {
 	return p.dev.Free(id)
 }
 
+// FreeWalk frees every page walk yields. The ids are collected before the
+// first is freed, as a walk reads the pages it descends through; a failed
+// walk leaks the pages it did not yield, which is always safe, and so is a
+// refused free.
+func (p *Pool) FreeWalk(walk func(func(PageID) error) error) {
+	var ids []PageID
+	_ = walk(func(id PageID) error {
+		ids = append(ids, id)
+		return nil
+	})
+	for _, id := range ids {
+		_ = p.Free(id)
+	}
+}
+
 // ScratchPage returns a page-sized buffer of arbitrary content for a
 // caller that builds a page image aside (a B+-tree compacting a page).
 // Hand it back with RecycleScratch once nothing reads it.

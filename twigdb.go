@@ -381,16 +381,19 @@ func (db *DB) LoadXML(r io.Reader) error { return db.eng.LoadXML(r) }
 // LoadXMLString parses one XML document from a string.
 func (db *DB) LoadXMLString(s string) error { return db.eng.LoadXML(strings.NewReader(s)) }
 
-// Build constructs the given index structures (rebuilding any that exist).
+// Build constructs the given index structures (rebuilding any that
+// exist). It uses up to GOMAXPROCS goroutines; the file is byte-identical
+// to a serial build.
 func (db *DB) Build(kinds ...IndexKind) error {
 	internal := make([]index.Kind, len(kinds))
 	for i, k := range kinds {
-		internal[i] = index.Kind(k) // an out-of-range kind fails in index.Build
+		internal[i] = index.Kind(k) // an out-of-range kind fails in index.BuildKinds
 	}
 	return db.eng.Build(internal...)
 }
 
-// BuildAll constructs the entire index family.
+// BuildAll constructs the entire index family. It uses up to GOMAXPROCS
+// goroutines; the file is byte-identical to a serial build.
 func (db *DB) BuildAll() error { return db.eng.BuildAll() }
 
 // Query evaluates an XPath twig query under the cheapest available
