@@ -163,6 +163,29 @@ func TestFailedBuildLeaksNoPage(t *testing.T) {
 // memory, reporting the allocation, the collections and the peak of the
 // heap in use (sampled every millisecond) of one build.
 func BenchmarkBuildAll(b *testing.B) {
+	benchmarkBuild(b, func() []*xmldb.Document {
+		return []*xmldb.Document{
+			datagen.XMark(datagen.XMarkConfig{ItemsPerRegion: 80, Seed: 1000004}),
+			datagen.DBLP(datagen.DBLPConfig{Papers: 3000, Seed: 1000005}),
+		}
+	}, index.PersistedKinds()...)
+}
+
+// BenchmarkBuildPaths builds ROOTPATHS and DATAPATHS over the twig-cold
+// benchmark workload's corpus (XMark 320 items per region) in memory —
+// the set-up of three of the four workloads, whose DATAPATHS prepare is
+// its critical path — reporting what BenchmarkBuildAll does.
+func BenchmarkBuildPaths(b *testing.B) {
+	benchmarkBuild(b, func() []*xmldb.Document {
+		return []*xmldb.Document{datagen.XMark(datagen.XMarkConfig{ItemsPerRegion: 320, Seed: 1000004})}
+	}, index.KindRootPaths, index.KindDataPaths)
+}
+
+// benchmarkBuild times Build of kinds over a new in-memory database
+// holding corpus's documents, reporting the allocation, the collections
+// and the peak of the heap in use (sampled every millisecond) of one
+// build.
+func benchmarkBuild(b *testing.B, corpus func() []*xmldb.Document, kinds ...index.Kind) {
 	b.ReportAllocs()
 	var gcs uint32
 	var peak uint64
@@ -170,10 +193,7 @@ func BenchmarkBuildAll(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		db := New(Config{})
-		for _, doc := range []*xmldb.Document{
-			datagen.XMark(datagen.XMarkConfig{ItemsPerRegion: 80, Seed: 1000004}),
-			datagen.DBLP(datagen.DBLPConfig{Papers: 3000, Seed: 1000005}),
-		} {
+		for _, doc := range corpus() {
 			if err := db.AddDocument(doc); err != nil {
 				b.Fatal(err)
 			}
@@ -198,7 +218,7 @@ func BenchmarkBuildAll(b *testing.B) {
 			}
 		}()
 		b.StartTimer()
-		if err := db.BuildAll(); err != nil {
+		if err := db.Build(kinds...); err != nil {
 			b.Fatal(err)
 		}
 		b.StopTimer()

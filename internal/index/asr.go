@@ -74,11 +74,29 @@ func (r *registry) MatchingPaths(pat []pathdict.PStep, rootedOnly bool) []pathdi
 // sorts each relation; its load bulk-loads them in path id order.
 func prepareASR(s Site) (load, error) {
 	a := &ASR{tables: map[pathdict.PathID]*btree.Tree{}, registry: newRootedRegistry(s.Store), dict: s.Dict}
-	// Until byPathID has grouped them, keys lead with their path's id and
-	// end in the row's emission number: equal keys are common (one head,
-	// one value, several tails) and keep emission order. Within a path a
-	// key is a value field (self-delimiting) and an id, so no key is a
-	// prefix of another and the number decides only between equal keys.
+	entries := a.rows(s)
+	perPath := byPathID(entries, a.ptab.Len(), 4)
+	return func(ld *loader) (any, error) {
+		var err error
+		a.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
+			if err == nil {
+				a.tables[id], err = ld.bulk("ASR/"+p.String(s.Dict), perPath[id])
+			}
+		})
+		if err != nil {
+			return nil, err
+		}
+		return a, nil
+	}, nil
+}
+
+// rows emits the relations' rows from the site's store, registering their
+// paths. Until byPathID has grouped them, keys lead with their path's id
+// and end in the row's emission number: equal keys are common (one head,
+// one value, several tails) and keep emission order. Within a path a key
+// is a value field (self-delimiting) and an id, so no key is a prefix of
+// another and the number decides only between equal keys.
+func (a *ASR) rows(s Site) []btree.Entry {
 	entries := make([]btree.Entry, 0, pathrel.Count(s.Store, true)-pathrel.Count(s.Store, false))
 	var ar arena
 	var key, val []byte
@@ -99,19 +117,7 @@ func prepareASR(s Site) (load, error) {
 		val = idlist.EncodeRaw(val, r.IDs)
 		entries = append(entries, btree.Entry{Key: ar.copy(key), Val: ar.copy(val)})
 	})
-	perPath := byPathID(entries, a.ptab.Len(), 4)
-	return func(ld *loader) (any, error) {
-		var err error
-		a.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
-			if err == nil {
-				a.tables[id], err = ld.bulk("ASR/"+p.String(s.Dict), perPath[id])
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-		return a, nil
-	}, nil
+	return entries
 }
 
 // NumTables returns the number of materialised relations (the paper reports

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/pathdict"
@@ -289,7 +288,7 @@ func BulkLoadNodeTable(pool *storage.Pool, dict *pathdict.Dict, store *xmldb.Sto
 		}
 	}
 	if !sorted {
-		slices.SortFunc(entries, func(a, b btree.Entry) int { return bytes.Compare(a.Key, b.Key) })
+		sortByKey(entries)
 	}
 	tree, err := btree.BulkLoad(pool, nodeTableName, entries)
 	if err != nil {

@@ -34,9 +34,33 @@ func prepareJoinIndex(s Site) (load, error) {
 		registry: newRootedRegistry(s.Store),
 		dict:     s.Dict,
 	}
-	// Keys lead with their path's id until byPathID has grouped them.
+	fwd, bwd := j.rows(s)
+	fwdPer, bwdPer := byPathID(fwd, j.ptab.Len(), 0), byPathID(bwd, j.ptab.Len(), 0)
+	return func(ld *loader) (any, error) {
+		var err error
+		j.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
+			if err != nil {
+				return
+			}
+			name := p.String(s.Dict)
+			if j.fwd[id], err = ld.bulk("JI/fwd/"+name, fwdPer[id]); err != nil {
+				return
+			}
+			j.bwd[id], err = ld.bulk("JI/bwd/"+name, bwdPer[id])
+		})
+		if err != nil {
+			return nil, err
+		}
+		return j, nil
+	}, nil
+}
+
+// rows emits the endpoint pairs of the forward and the backward trees
+// from the site's store, registering their paths. Keys lead with their
+// path's id until byPathID has grouped them.
+func (j *JoinIndex) rows(s Site) (fwd, bwd []btree.Entry) {
 	headed := pathrel.Count(s.Store, true) - pathrel.Count(s.Store, false)
-	fwd, bwd := make([]btree.Entry, 0, headed), make([]btree.Entry, 0, headed)
+	fwd, bwd = make([]btree.Entry, 0, headed), make([]btree.Entry, 0, headed)
 	var ar arena
 	var key []byte
 	pathrel.Emit(s.Store, s.Dict, nil, true, func(r pathrel.Row) {
@@ -60,24 +84,7 @@ func prepareJoinIndex(s Site) (load, error) {
 		key = pathdict.AppendID(key, r.HeadID)
 		bwd = append(bwd, btree.Entry{Key: ar.copy(key)})
 	})
-	fwdPer, bwdPer := byPathID(fwd, j.ptab.Len(), 0), byPathID(bwd, j.ptab.Len(), 0)
-	return func(ld *loader) (any, error) {
-		var err error
-		j.ptab.All(func(id pathdict.PathID, p pathdict.Path) {
-			if err != nil {
-				return
-			}
-			name := p.String(s.Dict)
-			if j.fwd[id], err = ld.bulk("JI/fwd/"+name, fwdPer[id]); err != nil {
-				return
-			}
-			j.bwd[id], err = ld.bulk("JI/bwd/"+name, bwdPer[id])
-		})
-		if err != nil {
-			return nil, err
-		}
-		return j, nil
-	}, nil
+	return fwd, bwd
 }
 
 // IsDocRoot reports whether id is a document root.

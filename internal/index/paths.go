@@ -2,8 +2,8 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/idlist"
@@ -91,29 +91,8 @@ func preparePaths(headed bool, s Site) (load, error) {
 		fresh = pathdict.NewPathTable()
 		reg = fresh
 	}
-	entries := make([]btree.Entry, 0, pathrel.Count(s.Store, headed))
-	var ar arena
-	var rev pathdict.Path
-	var key, val []byte
-	pathrel.Emit(s.Store, s.Dict, nil, headed, func(r pathrel.Row) {
-		if p.keep(r) {
-			key = p.appendRowKey(key[:0], r, &rev, reg)
-			val = appendIDs(val[:0], r.IDs, p.opts.RawIDs)
-			entries = append(entries, btree.Entry{Key: ar.copy(key), Val: ar.copy(val)})
-		}
-	})
-	// The rows of one key come in document order, which is IdList order
-	// unless ids were committed out of order under one parent (two
-	// transactions' reserved ranges): a key's run is sorted by IdList.
-	// Entries equal in key and IdList are equal bytes, so the sort need
-	// not be stable.
-	order := p.idOrder()
-	slices.SortFunc(entries, func(a, b btree.Entry) int {
-		if c := bytes.Compare(a.Key, b.Key); c != 0 {
-			return c
-		}
-		return order(a.Val, b.Val)
-	})
+	entries := p.rows(s, reg)
+	p.sortRows(entries, s.Store.NextID())
 	return func(ld *loader) (any, error) {
 		if fresh != nil {
 			fresh.All(func(_ pathdict.PathID, path pathdict.Path) { s.Ptab.Intern(path) })
@@ -125,9 +104,61 @@ func preparePaths(headed bool, s Site) (load, error) {
 		if p.tree, err = ld.bulk(fmt.Sprint(p.Kind()), entries); err != nil {
 			return nil, err
 		}
-		p.tree.SetValueOrder(order)
+		p.tree.SetValueOrder(p.idOrder())
 		return p, nil
 	}, nil
+}
+
+// rows emits and encodes the index's rows from the site's store,
+// registering their paths in reg when reg is not nil.
+func (p *Paths) rows(s Site, reg *pathdict.PathTable) []btree.Entry {
+	entries := make([]btree.Entry, 0, pathrel.Count(s.Store, p.headed))
+	var ar arena
+	var rev pathdict.Path
+	var key, val []byte
+	pathrel.Emit(s.Store, s.Dict, nil, p.headed, func(r pathrel.Row) {
+		if p.keep(r) {
+			key = p.appendRowKey(key[:0], r, &rev, reg)
+			val = appendIDs(val[:0], r.IDs, p.opts.RawIDs)
+			entries = append(entries, btree.Entry{Key: ar.copy(key), Val: ar.copy(val)})
+		}
+	})
+	return entries
+}
+
+// sortRows sorts the index's rows by key, then by IdList (idOrder): the
+// rows of one key come in document order, which is not IdList order where
+// ids were committed out of order under one parent (two transactions'
+// reserved ranges). Entries equal in key and IdList are equal bytes, so
+// the sort need not be stable.
+//
+// A DATAPATHS key leads with its head id, 8 bytes big-endian and below the
+// store's next id: the rows fall into one run per head, in key order, and
+// each run is sorted on its own, the runs spread over every CPU. The order
+// is total, so the rows come out as one sort of them all would leave them.
+// Where ids handed out and since deleted leave more head ids than rows, a
+// run takes 2^shift consecutive heads instead, so that the counting tables
+// stay within the rows' size; its keys then differ from the first byte on.
+func (p *Paths) sortRows(entries []btree.Entry, nextID int64) {
+	runs, skip := [][]btree.Entry{entries}, 0
+	if p.headed {
+		shift := 0
+		for nextID>>shift > int64(len(entries)) {
+			shift++
+		}
+		runs = group(entries, int(nextID>>shift)+1, func(key []byte) int { return int(binary.BigEndian.Uint64(key) >> shift) })
+		if shift == 0 {
+			skip = 8
+		}
+	}
+	decode := func(dst []int64, val []byte) []int64 {
+		dst, err := decodeIDs(dst, val, p.opts.RawIDs)
+		if err != nil {
+			panic(fmt.Sprintf("index: an IdList just encoded does not decode: %v", err))
+		}
+		return dst
+	}
+	sortRuns(runs, func(run []btree.Entry) { sortEntries(run, skip, decode) })
 }
 
 // idOrder is the value order of the index's key runs: IdLists compared
